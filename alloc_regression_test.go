@@ -13,9 +13,11 @@ package citare
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"citare/internal/citegraph"
+	"citare/internal/gtopdb"
 )
 
 // TestMaterializedCiteAllocs asserts allocs/op ceilings for warm materialized
@@ -77,4 +79,96 @@ func TestMaterializedGatherSharesBuffer(t *testing.T) {
 	for _, q := range citegraphWorkload() {
 		assertStreamMatchesCite(t, c, Request{Datalog: q.src})
 	}
+}
+
+// gtopdbTypeInstance is a GtoPdb instance at the real families-per-type
+// ratio (about 40), the shape the streamed browse queries run over.
+func gtopdbTypeInstance(t *testing.T) *Citer {
+	t.Helper()
+	db := gtopdb.Generate(gtopdb.Config{Seed: 7, Families: 2000, Types: 50, Persons: 1000, CommitteeMin: 2, CommitteeMax: 6, IntroFraction: 0.6})
+	c, err := NewFromProgram(db, gtopdb.ViewsProgram, WithNeutralCitation(gtopdb.DatabaseCitation()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestStreamedTupleAllocs is the gate on the streamed path's per-tuple cost:
+// every tuple of the type ⋈ committee query carries the type's CV4 citation,
+// several KB shared by all of them. The tuple's record must alias that
+// citation and, where a tuple's citation repeats an earlier one of the
+// request, be handed out again as is — not rebuilt, re-compared and
+// re-encoded value by value. Measured: 84 allocs per tuple (eval and gather,
+// nearly all of it) with shared records and the per-request memo, 681 when
+// every tuple deep-copied and re-keyed the type citation.
+func TestStreamedTupleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	c := gtopdbTypeInstance(t)
+	req := Request{Datalog: `Q(N, Pn) :- Family(F, N, Ty), Ty = "type-03", FC(F, P), Person(P, Pn, A)`}
+	tuples := 0
+	stream := func() {
+		tuples = 0
+		if err := c.CiteEach(context.Background(), req, func(Tuple) error { tuples++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream() // warm plan, view and token caches
+	if tuples < 100 {
+		t.Fatalf("type ⋈ committee returned %d tuples, want a result worth streaming", tuples)
+	}
+	perTuple := testing.AllocsPerRun(5, stream) / float64(tuples)
+	t.Logf("CiteEach: %.0f allocs per streamed tuple over %d tuples", perTuple, tuples)
+	if perTuple > 130 {
+		t.Fatalf("CiteEach: %.0f allocs per streamed tuple over %d tuples, ceiling 130 — tuples are rebuilding the shared type citation", perTuple, tuples)
+	}
+}
+
+// TestCachedCitationRetainedSize is the gate on what one cached citation
+// holds on to. The families of a type all cite the type's CV4 record; a
+// citation whose tuples each own a deep copy of it retains megabytes (4.2 MB
+// for this 118-tuple answer before records were shared), one whose tuples
+// alias it retains little more than the answer itself (122 KB).
+func TestCachedCitationRetainedSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is inflated under the race detector")
+	}
+	c := gtopdbTypeInstance(t)
+	req := Request{Datalog: `Q(N, Pn) :- Family(F, N, Ty), Ty = "type-03", FC(F, P), Person(P, Pn, A)`}
+	for i := 0; i < 3; i++ { // warm every engine cache and pool
+		if _, err := c.Cite(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const n = 8
+	held := make([]*Citation, 0, n)
+	before := heap()
+	for i := 0; i < n; i++ {
+		ct, err := c.Cite(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, ct)
+	}
+	after := heap()
+	perCitation := (int64(after) - int64(before)) / n
+	tuples := held[0].NumTuples()
+	runtime.KeepAlive(held)
+	runtime.KeepAlive(c) // or the second reading is short of the whole engine
+	if tuples < 100 {
+		t.Fatalf("type ⋈ committee returned %d tuples, want a result worth caching", tuples)
+	}
+	const ceiling = 256 << 10
+	if perCitation > ceiling {
+		t.Fatalf("one cached citation of %d tuples retains %d KB, ceiling %d KB — tuples are holding private copies of the shared type citation", tuples, perCitation>>10, ceiling>>10)
+	}
+	t.Logf("one cached citation of %d tuples retains %d KB", tuples, perCitation>>10)
 }

@@ -28,7 +28,7 @@ type batchGroup struct {
 // never the output). Unsatisfiable queries fall back to the raw syntactic
 // key — they are cheap to evaluate and need no sharing.
 func batchKey(q *cq.Query, req Request) string {
-	key, ok := cacheKey(q)
+	key, _, ok := cacheKey(q)
 	if !ok {
 		key = "unsat\x00" + q.Key()
 	}

@@ -3,10 +3,12 @@ package citare
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"citare/internal/cache"
+	"citare/internal/core"
 	"citare/internal/cq"
 )
 
@@ -60,7 +62,7 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	if err != nil {
 		return nil, err
 	}
-	key, ok := cacheKey(q)
+	key, columns, ok := cacheKey(q)
 	if !ok {
 		// Unsatisfiable queries are cheap; skip the cache.
 		res, err := c.citer.engine.CiteCtx(ctx, q, req.citeOptions())
@@ -72,8 +74,10 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	// Read the epoch before citing: a result computed against an older
 	// engine state then lands under an old-epoch key, invisible to readers
 	// of the new epoch. Option fields that change the output are part of
-	// the key; the render format is not (it only selects a renderer), so a
-	// hit is re-wrapped with this request's format.
+	// the key; the render format and the head's variable names are not (one
+	// selects a renderer, the others label the columns of an answer that
+	// equivalent queries share), so whatever the cache returns is re-wrapped
+	// with this request's own.
 	key = optionsKey(c.epoch.Load(), req) + key
 	compute := func() (*Citation, error) {
 		res, err := c.citer.engine.CiteCtx(ctx, q, req.citeOptions())
@@ -112,12 +116,21 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	if err != nil && (ct == nil || !errors.Is(err, ErrPartial)) {
 		return nil, err
 	}
-	if ct.format != req.renderFormat() {
-		withFormat := *ct
-		withFormat.format = req.renderFormat()
-		ct = &withFormat
+	return ct.forRequest(req, columns), err
+}
+
+// forRequest returns the citation as the given request should see it. A
+// cached citation was computed for whichever equivalent request came first —
+// a datalog query and its SQL twin share one entry — so the render format
+// and the column labels (the head's variable names) are replaced by the
+// asking request's own; everything else is shared.
+func (ct *Citation) forRequest(req Request, columns []string) *Citation {
+	if ct.format == req.renderFormat() && slices.Equal(ct.Columns(), columns) {
+		return ct
 	}
-	return ct, err
+	own := *ct
+	own.format, own.columns = req.renderFormat(), columns
+	return &own
 }
 
 // optionsKey prefixes a citation-cache key with the cache epoch and every
@@ -125,8 +138,12 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 // resilience policy knobs are included: a partial-tolerant request must
 // never collide with a strict one.
 func optionsKey(epoch uint64, req Request) string {
-	return fmt.Sprintf("%d|mr=%d|mt=%d|msc=%d|sa=%d|",
-		epoch, req.MaxRewritings, req.MaxTuples, req.MinShardCoverage, req.ShardAttempts)
+	b := strconv.AppendUint(make([]byte, 0, 48), epoch, 10)
+	b = strconv.AppendInt(append(b, "|mr="...), int64(req.MaxRewritings), 10)
+	b = strconv.AppendInt(append(b, "|mt="...), int64(req.MaxTuples), 10)
+	b = strconv.AppendInt(append(b, "|msc="...), int64(req.MinShardCoverage), 10)
+	b = strconv.AppendInt(append(b, "|sa="...), int64(req.ShardAttempts), 10)
+	return string(append(b, '|'))
 }
 
 // CiteBatch evaluates a batch through the cache: cached requests are served
@@ -149,7 +166,7 @@ func (c *CachedCiter) CiteBatch(ctx context.Context, reqs []Request) ([]*Citatio
 		if err != nil {
 			return nil, &BatchError{Index: i, Err: err}
 		}
-		key, ok := cacheKey(q)
+		key, columns, ok := cacheKey(q)
 		if !ok {
 			missIdx = append(missIdx, i)
 			missKeys = append(missKeys, "")
@@ -157,12 +174,7 @@ func (c *CachedCiter) CiteBatch(ctx context.Context, reqs []Request) ([]*Citatio
 		}
 		key = optionsKey(epoch, req) + key
 		if ct, hit := c.entries.Get(key); hit {
-			if ct.format != req.renderFormat() {
-				withFormat := *ct
-				withFormat.format = req.renderFormat()
-				ct = &withFormat
-			}
-			out[i] = ct
+			out[i] = ct.forRequest(req, columns)
 			continue
 		}
 		missIdx = append(missIdx, i)
@@ -222,7 +234,7 @@ func (c *CachedCiter) CiteBatchItems(ctx context.Context, reqs []Request) []Batc
 			items[i] = BatchItem{Err: err}
 			continue
 		}
-		key, ok := cacheKey(q)
+		key, columns, ok := cacheKey(q)
 		if !ok {
 			missIdx = append(missIdx, i)
 			missKeys = append(missKeys, "")
@@ -230,12 +242,7 @@ func (c *CachedCiter) CiteBatchItems(ctx context.Context, reqs []Request) []Batc
 		}
 		key = optionsKey(epoch, req) + key
 		if ct, hit := c.entries.Get(key); hit {
-			if ct.format != req.renderFormat() {
-				withFormat := *ct
-				withFormat.format = req.renderFormat()
-				ct = &withFormat
-			}
-			items[i] = BatchItem{Citation: ct}
+			items[i] = BatchItem{Citation: ct.forRequest(req, columns)}
 			continue
 		}
 		missIdx = append(missIdx, i)
@@ -281,13 +288,17 @@ func (c *CachedCiter) CiteDatalog(src string) (*Citation, error) {
 }
 
 // cacheKey canonicalizes the query: normalize constants, minimize to the
-// core, take the canonical variable-renamed key.
-func cacheKey(q *cq.Query) (string, bool) {
+// core, take the canonical variable-renamed key. Renaming is what lets
+// equivalent queries share an entry, and what the key therefore loses — the
+// query's own column labels — is returned beside it. ok is false for an
+// unsatisfiable query.
+func cacheKey(q *cq.Query) (key string, columns []string, ok bool) {
 	norm, _, sat := q.NormalizeConstants()
 	if !sat {
-		return "", false
+		return "", nil, false
 	}
-	return cq.Minimize(norm).CanonicalKey(), true
+	min := cq.Minimize(norm)
+	return min.CanonicalKey(), core.HeadColumns(min), true
 }
 
 // Stats reports cache hits and misses so far (callers that joined an

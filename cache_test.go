@@ -1,7 +1,9 @@
 package citare
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,5 +120,64 @@ func TestCachedCiterConcurrent(t *testing.T) {
 	}
 	if misses < 2 {
 		t.Fatalf("two distinct queries need at least 2 misses, got %d", misses)
+	}
+}
+
+// TestCachedCiterHitKeepsRequestColumns: a datalog query and its SQL twin
+// share one cache entry, but each answer must carry its own request's column
+// labels — in either arrival order, through Cite and through a batch's hit
+// path — with the engine still called once per entry.
+func TestCachedCiterHitKeepsRequestColumns(t *testing.T) {
+	dl := Request{Datalog: `Q(Name) :- Family(F, Name, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`}
+	sql := Request{SQL: "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"}
+	plain := newPaperCiter(t)
+	want := map[string][]string{}
+	for name, req := range map[string]Request{"datalog": dl, "sql": sql} {
+		ct, err := plain.Cite(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = ct.Columns()
+	}
+	if slices.Equal(want["datalog"], want["sql"]) {
+		t.Fatalf("the two requests label their column alike (%v): the test would prove nothing", want["sql"])
+	}
+	for _, order := range [][]string{{"sql", "datalog"}, {"datalog", "sql"}} {
+		c := NewCached(newPaperCiter(t))
+		reqs := map[string]Request{"datalog": dl, "sql": sql}
+		var first *Citation
+		for _, name := range order {
+			ct, err := c.Cite(context.Background(), reqs[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ct.Columns(); !slices.Equal(got, want[name]) {
+				t.Fatalf("%v: %s request got columns %v, want its own %v", order, name, got, want[name])
+			}
+			if first == nil {
+				first = ct
+			} else if ct.CitationJSON() != first.CitationJSON() || len(ct.Rows()) != len(first.Rows()) {
+				t.Fatalf("%v: the hit's citation differs from the entry's", order)
+			}
+		}
+		if hits, misses := c.Stats(); misses != 1 || hits != 1 {
+			t.Fatalf("%v: want one engine call and one hit, got %d misses %d hits", order, misses, hits)
+		}
+		// Both served from the cache now, in one batch.
+		cts, err := c.CiteBatch(context.Background(), []Request{dl, sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range []string{"datalog", "sql"} {
+			if got := cts[i].Columns(); !slices.Equal(got, want[name]) {
+				t.Fatalf("%v: batch hit for the %s request got columns %v, want %v", order, name, got, want[name])
+			}
+		}
+		for i, item := range c.CiteBatchItems(context.Background(), []Request{sql, dl}) {
+			name := []string{"sql", "datalog"}[i]
+			if item.Err != nil || !slices.Equal(item.Citation.Columns(), want[name]) {
+				t.Fatalf("%v: batch-items hit for the %s request: %v, %v", order, name, item.Citation.Columns(), item.Err)
+			}
+		}
 	}
 }

@@ -366,6 +366,10 @@ type Citation struct {
 	res *core.Result
 	// format is the request's render format, used by Rendered.
 	format string
+	// columns, when set, are the asking request's own column labels: a
+	// citation served from the cache was computed for an equivalent query
+	// whose head variables may be named differently (see forRequest).
+	columns []string
 	// explain is the per-stage trace report, set only when the request
 	// asked for one (Request.Explain).
 	explain *Explain
@@ -377,7 +381,12 @@ type Citation struct {
 func (ct *Citation) Explain() *Explain { return ct.explain }
 
 // Columns returns the output column labels.
-func (ct *Citation) Columns() []string { return ct.res.Columns }
+func (ct *Citation) Columns() []string {
+	if ct.columns != nil {
+		return ct.columns
+	}
+	return ct.res.Columns
+}
 
 // Rows returns the answer tuples.
 func (ct *Citation) Rows() [][]string {

@@ -197,6 +197,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -306,7 +307,9 @@ type batchResponse struct {
 }
 
 // streamTuple is one NDJSON line of /v1/cite/stream: one answer tuple with
-// its citation polynomial and rendered citation record.
+// its citation polynomial and rendered citation record. The handler writes
+// the line with appendStreamLine, which spells it exactly as encoding/json
+// spells this struct; clients (and the tests) decode it through the struct.
 type streamTuple struct {
 	Index      int             `json:"index"`
 	Values     []string        `json:"values"`
@@ -501,16 +504,11 @@ func (s *server) handleCiteStream(w http.ResponseWriter, r *http.Request) {
 	// picks the real status.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // Encode appends the NDJSON newline
+	var line []byte // one buffer for every tuple line of the stream
 	sent := 0
 	err := s.citer.CiteEach(ctx, req.request(), func(t citare.Tuple) error {
-		line := streamTuple{
-			Index:      t.Index,
-			Values:     t.Values,
-			Polynomial: t.Polynomial,
-			Citation:   json.RawMessage(t.CitationJSON),
-		}
-		if err := enc.Encode(line); err != nil {
+		line = appendStreamLine(line[:0], t)
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 		sent++
@@ -540,13 +538,57 @@ func (s *server) handleCiteStream(w http.ResponseWriter, r *http.Request) {
 		_, code := classifyStatus(err)
 		trailer.Error = &errorBody{Code: code, Message: err.Error()}
 	}
-	if err := enc.Encode(streamTrailerLine{Trailer: trailer}); err != nil {
+	if err := json.NewEncoder(w).Encode(streamTrailerLine{Trailer: trailer}); err != nil {
 		log.Printf("citesrv: encode trailer: %v", err)
 		return
 	}
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// appendStreamLine appends one tuple line of /v1/cite/stream, newline
+// included: the bytes json.Encoder makes of the tuple's streamTuple, without
+// the reflection walk and without re-scanning the citation to compact it —
+// the tuple brings its citation already in wire spelling, encoded once for
+// all the tuples of the stream that share it.
+func appendStreamLine(dst []byte, t citare.Tuple) []byte {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(t.Index), 10)
+	dst = append(dst, `,"values":`...)
+	if t.Values == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, v := range t.Values {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, v)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"polynomial":`...)
+	dst = appendJSONString(dst, t.Polynomial)
+	dst = append(dst, `,"citation":`...)
+	dst = t.AppendCitationWire(dst)
+	return append(dst, '}', '\n')
+}
+
+// appendJSONString appends s as encoding/json spells a string (HTML escaping
+// on). Printable ASCII with nothing to escape — most column values — is
+// copied; anything else is left to json.Marshal, which cannot fail on a
+// string.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s)
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // handleCiteBatch serves POST /v1/cite/batch: the whole batch shares one

@@ -788,3 +788,57 @@ func TestHandleStats(t *testing.T) {
 		t.Fatalf("per-shard sums (%d,%d) != totals (%d,%d)", h, m, resp.Hits, resp.Misses)
 	}
 }
+
+// TestStreamLineMatchesEncodingJSON pins the hand-appended NDJSON tuple line
+// to the bytes json.Encoder makes of the same streamTuple — for real streamed
+// tuples (whose citation arrives in wire spelling, never re-compacted) and
+// for values and polynomials holding everything encoding/json escapes.
+func TestStreamLineMatchesEncodingJSON(t *testing.T) {
+	want := func(tu citare.Tuple) string {
+		var sb strings.Builder
+		line := streamTuple{Index: tu.Index, Values: tu.Values, Polynomial: tu.Polynomial, Citation: json.RawMessage(tu.CitationJSON)}
+		if err := json.NewEncoder(&sb).Encode(line); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	db := gtopdb.PaperInstance()
+	db.MustInsert("Family", "30", `<b>"R&D"</b> caf\u00e9`+"\u2028\t", "gpcr")
+	db.MustInsert("FC", "30", "p1")
+	citer, err := citare.NewFromProgram(db, gtopdb.ViewsProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := 0
+	var buf []byte
+	for _, q := range []string{
+		`Q(N, Pn) :- Family(F, N, Ty), Ty = "gpcr", FC(F, P), Person(P, Pn, A)`,
+		`Q(N) :- Family(F, N, Ty)`,
+	} {
+		err := citer.CiteEach(context.Background(), citare.Request{Datalog: q}, func(tu citare.Tuple) error {
+			streamed++
+			buf = appendStreamLine(buf[:0], tu)
+			if got := string(buf); got != want(tu) {
+				t.Errorf("streamed tuple %d:\n got %s\nwant %s", tu.Index, got, want(tu))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if streamed < 10 {
+		t.Fatalf("only %d tuples streamed", streamed)
+	}
+	for _, s := range []string{"", "plain", `q"uo\te`, "<a>&</a>", "\x00\x1f\x7f\n\r\t\b\f", "\xff bad", "é·\u2028\u2029\U0001F600"} {
+		for _, tu := range []citare.Tuple{
+			{Index: 7, Values: []string{s, "x"}, Polynomial: s, CitationJSON: `{"k":"v"}`},
+			{Values: []string{}, CitationJSON: `{}`},
+			{Index: -1, CitationJSON: `[]`},
+		} {
+			if got := string(appendStreamLine(nil, tu)); got != want(tu) {
+				t.Errorf("hand-built tuple:\n got %s\nwant %s", got, want(tu))
+			}
+		}
+	}
+}

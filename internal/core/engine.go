@@ -125,8 +125,10 @@ type compiledQuery struct {
 // evaluation scatter-gathers across shards.
 type engineState struct {
 	epoch uint64
-	snap  evalTarget // immutable snapshot all reads evaluate against
-	exec  evalTarget // execution database: base relations + view relations
+	// tokenPrefix is the epoch as the token cache spells it in its keys.
+	tokenPrefix string
+	snap        evalTarget // immutable snapshot all reads evaluate against
+	exec        evalTarget // execution database: base relations + view relations
 	// execIns inserts into the execution store (plain or sharded).
 	execIns interface {
 		Insert(rel string, vals ...string) error
@@ -299,6 +301,14 @@ func (e *Engine) Reset() error {
 	return nil
 }
 
+func newEngineState(epoch uint64) *engineState {
+	return &engineState{
+		epoch:        epoch,
+		tokenPrefix:  strconv.FormatUint(epoch, 10) + "|",
+		materialized: make(map[string]bool),
+	}
+}
+
 // buildState snapshots the live database and creates the execution
 // database: every base relation plus one (initially empty) relation per
 // citation view. In sharded mode the snapshot is taken per shard and the
@@ -328,7 +338,7 @@ func (e *Engine) buildState(epoch uint64) (*engineState, error) {
 		}
 	}
 
-	st := &engineState{epoch: epoch, materialized: make(map[string]bool)}
+	st := newEngineState(epoch)
 	if e.sdb != nil {
 		snap := e.sdb.Snapshot()
 		exec := shard.New(s, e.sdb.NumShards())
@@ -496,8 +506,12 @@ type TupleCitation struct {
 	// Combined is the +R-combined, order-pruned citation polynomial.
 	Combined provenance.Poly
 	// Rendered is the tuple's citation record under the policy's
-	// interpretations.
+	// interpretations. Tuples of one request with the same citation share
+	// one record (and Kept and Combined with it); all three are read-only.
 	Rendered format.Value
+	// Encoded carries the citation's text forms. CiteEach sets it on every
+	// tuple it streams; the materialized path leaves it nil.
+	Encoded *EncodedCitation
 }
 
 // Result is the full citation outcome for a query (Definition 3.4).
@@ -601,7 +615,7 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, o CiteOptions) (res *Res
 	}
 	min, rewritings := cpq.min, cpq.rewritings
 
-	res = &Result{Query: min, Rewritings: rewritings, Columns: headColumns(min)}
+	res = &Result{Query: min, Rewritings: rewritings, Columns: HeadColumns(min)}
 
 	// Evaluate the query itself for the output tuples (independent of any
 	// rewriting, so even an un-rewritable query reports its answers). The
@@ -682,12 +696,13 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, o CiteOptions) (res *Res
 	rd := ob.begin(obs.StageRender)
 	rdCtx := ob.ctxFor(ctx, rd)
 	ro := renderOptsFor(resil)
+	memo := newRenderMemo()
 	for i := range res.Tuples {
 		if err := ctx.Err(); err != nil {
 			ob.end(rd)
 			return nil, err
 		}
-		if err := e.combineTuple(rdCtx, st, ro, &res.Tuples[i]); err != nil {
+		if _, err := e.combineTuple(rdCtx, st, ro, memo, &res.Tuples[i]); err != nil {
 			ob.end(rd)
 			return nil, err
 		}
@@ -698,8 +713,8 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, o CiteOptions) (res *Res
 	return res, nil
 }
 
-// headColumns labels the output columns of a query head.
-func headColumns(q *cq.Query) []string {
+// HeadColumns labels the output columns of a query head.
+func HeadColumns(q *cq.Query) []string {
 	cols := make([]string, 0, len(q.Head))
 	for _, t := range q.Head {
 		if t.IsVar() {
@@ -866,41 +881,52 @@ func (e *Engine) normalizePolys(polys map[string]provenance.Poly) {
 
 // combineTuple applies +R across the tuple's rewriting polynomials: order
 // pruning keeps the maximal operands (§3.4), which are then summed into the
-// combined polynomial and rendered under the policy's interpretations.
-// Rendering honors ctx: a canceled request aborts between tokens instead of
-// rendering the rest of the tuple's citation.
-func (e *Engine) combineTuple(ctx context.Context, st *engineState, ro renderOpts, tc *TupleCitation) error {
-	ps := make([]provenance.Poly, len(tc.PerRewriting))
-	for i, rc := range tc.PerRewriting {
-		ps[i] = rc.Poly
+// combined polynomial and rendered under the policy's interpretations. All
+// of it is a function of the operand polynomials alone, so a tuple whose
+// operands repeat an earlier tuple's takes that tuple's citation from the
+// memo. Rendering honors ctx: a canceled request aborts between tokens
+// instead of rendering the rest of the tuple's citation.
+func (e *Engine) combineTuple(ctx context.Context, st *engineState, ro renderOpts, memo *renderMemo, tc *TupleCitation) (*sharedCitation, error) {
+	if ro.degraded {
+		// A token of an unreachable shard renders as a per-attempt
+		// Unavailable record: every tuple asks the shards again.
+		memo = newRenderMemo()
 	}
-	tc.Kept = e.policy.Orders.MaximalPolys(ps)
-	combined := provenance.NewPoly()
-	for _, i := range tc.Kept {
-		combined = combined.Plus(ps[i])
+	key := memo.tupleKey(tc.PerRewriting)
+	sc := memo.tuples[string(key)] // no-alloc map probe
+	if sc == nil {
+		ps := make([]provenance.Poly, len(tc.PerRewriting))
+		for i, rc := range tc.PerRewriting {
+			ps[i] = rc.Poly
+		}
+		sc = &sharedCitation{kept: e.policy.Orders.MaximalPolys(ps)}
+		combined := provenance.NewPoly()
+		for _, i := range sc.kept {
+			combined = combined.Plus(ps[i])
+		}
+		if e.policy.IdempotentPlus {
+			combined = combined.Idempotent()
+		}
+		sc.combined = e.policy.Orders.NormalForm(combined)
+		rendered, err := e.renderTuple(ctx, st, ro, ps, sc.kept)
+		if err != nil {
+			return nil, err
+		}
+		sc.rendered = rendered
+		memo.tuples[string(key)] = sc
 	}
-	if e.policy.IdempotentPlus {
-		combined = combined.Idempotent()
-	}
-	combined = e.policy.Orders.NormalForm(combined)
-	tc.Combined = combined
-	rendered, err := e.renderTuple(ctx, st, ro, tc)
-	if err != nil {
-		return err
-	}
-	tc.Rendered = rendered
-	return nil
+	tc.Kept, tc.Combined, tc.Rendered = sc.kept, sc.combined, sc.rendered
+	return sc, nil
 }
 
 // renderTuple renders a tuple's citation: per kept rewriting, monomials
 // render as ·-combinations of token citations and are +-combined; the kept
 // rewritings are +R-combined. Cancellation fires between tokens.
-func (e *Engine) renderTuple(ctx context.Context, st *engineState, ro renderOpts, tc *TupleCitation) (format.Value, error) {
+func (e *Engine) renderTuple(ctx context.Context, st *engineState, ro renderOpts, ps []provenance.Poly, kept []int) (format.Value, error) {
 	var perRewriting []format.Value
-	for _, i := range tc.Kept {
-		p := tc.PerRewriting[i].Poly
+	for _, i := range kept {
 		var monoVals []format.Value
-		for _, m := range p.Monomials() {
+		for _, m := range ps[i].Monomials() {
 			v, err := e.renderMonomial(ctx, st, ro, m)
 			if err != nil {
 				return format.Value{}, err
@@ -913,6 +939,7 @@ func (e *Engine) renderTuple(ctx context.Context, st *engineState, ro renderOpts
 }
 
 // renderMonomial renders the ·-combination of a monomial's token citations.
+// Citations are set-like: a token's exponent does not repeat its record.
 func (e *Engine) renderMonomial(ctx context.Context, st *engineState, ro renderOpts, m provenance.Monomial) (format.Value, error) {
 	var vals []format.Value
 	for _, pt := range m.Support() {
@@ -920,10 +947,7 @@ func (e *Engine) renderMonomial(ctx context.Context, st *engineState, ro renderO
 		if err != nil {
 			return format.Value{}, err
 		}
-		for i := 0; i < m.Exp(pt); i++ {
-			vals = append(vals, format.O(obj))
-			break // citations are set-like: exponents do not repeat records
-		}
+		vals = append(vals, format.O(obj))
 	}
 	return combine(e.policy.Times, vals), nil
 }
@@ -947,8 +971,7 @@ func (e *Engine) renderTokenCached(ctx context.Context, st *engineState, ro rend
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := strconv.FormatUint(st.epoch, 10) + "|" + string(pt)
-	obj, hit, err := e.tokenCache.GetOrCompute(key, func() (*format.Object, error) {
+	obj, hit, err := e.tokenCache.GetOrCompute(st.tokenPrefix+string(pt), func() (*format.Object, error) {
 		return e.renderToken(ctx, st, ro, pt)
 	})
 	if err != nil {

@@ -63,7 +63,7 @@ func (e *Engine) buildSourceState(epoch uint64) (*engineState, error) {
 		}
 	}
 	exec := storage.NewDB(s)
-	st := &engineState{epoch: epoch, materialized: make(map[string]bool)}
+	st := newEngineState(epoch)
 	st.snap = evalTarget{view: base}.cached(e)
 	st.exec = evalTarget{view: overlayView{base: base, over: eval.DBViewOf(exec)}}.cached(e)
 	st.execIns = exec

@@ -77,7 +77,7 @@ func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, eac
 		return e.citeUnsat(cpq.norm)
 	}
 	min, rewritings := cpq.min, cpq.rewritings
-	res = &Result{Query: min, Rewritings: rewritings, Columns: headColumns(min)}
+	res = &Result{Query: min, Rewritings: rewritings, Columns: HeadColumns(min)}
 
 	st := e.curState()
 	resil := e.resilienceFor(o)
@@ -145,6 +145,7 @@ func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, eac
 	// recorded as one completed span at the end of the stream.
 	var renderDur time.Duration
 	ro := renderOptsFor(resil)
+	memo := newRenderMemo()
 	for _, k := range keys {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -155,9 +156,11 @@ func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, eac
 		if ob.enabled() {
 			t0 = time.Now()
 		}
-		if err := e.combineTuple(ctx, st, ro, tc); err != nil {
+		sc, err := e.combineTuple(ctx, st, ro, memo, tc)
+		if err != nil {
 			return nil, err
 		}
+		tc.Encoded = sc.encode()
 		if ob.enabled() {
 			renderDur += time.Since(t0)
 		}

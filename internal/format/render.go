@@ -81,8 +81,8 @@ func writeXML(sb *strings.Builder, tag string, v Value, depth int) {
 	case KObject:
 		fmt.Fprintf(sb, "%s<%s>\n", ind, tag)
 		if v.Obj != nil {
-			for _, k := range v.Obj.keys {
-				writeXML(sb, k, v.Obj.vals[k], depth+1)
+			for _, f := range v.Obj.fields {
+				writeXML(sb, f.key, f.val, depth+1)
 			}
 		}
 		fmt.Fprintf(sb, "%s</%s>\n", ind, tag)
@@ -142,8 +142,8 @@ func flattenBib(v Value) string {
 		return strings.Join(parts, " and ")
 	case KObject:
 		parts := make([]string, 0, v.Obj.Len())
-		for _, k := range v.Obj.keys {
-			parts = append(parts, k+": "+flattenBib(v.Obj.vals[k]))
+		for _, f := range v.Obj.fields {
+			parts = append(parts, f.key+": "+flattenBib(f.val))
 		}
 		return strings.Join(parts, "; ")
 	}
@@ -155,14 +155,14 @@ func writeBibFields(sb *strings.Builder, v Value, prefix string) {
 	case KObject:
 		fields := make(map[string][]string)
 		var order []string
-		for _, k := range v.Obj.keys {
-			f := bibField(k)
+		for _, of := range v.Obj.fields {
+			f := bibField(of.key)
 			if _, seen := fields[f]; !seen {
 				order = append(order, f)
 			}
-			val := flattenBib(v.Obj.vals[k])
+			val := flattenBib(of.val)
 			if f == "note" {
-				val = k + ": " + val
+				val = of.key + ": " + val
 			}
 			fields[f] = append(fields[f], val)
 		}

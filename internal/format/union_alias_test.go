@@ -8,7 +8,7 @@ import (
 // The hot-key regression gate (ISSUE 10 satellite 1): a result set citing one
 // hot work repeats the same rendered token — the same *Object pointer, shared
 // through the token cache — once per tuple. UnionValues must dedup repeats by
-// pointer identity before computing the O(size) canonical Key, or a 32k-citer
+// pointer identity before doing any O(size) work per operand, or a 32k-citer
 // aggregate degrades to O(in-degree²).
 
 // hotObject builds a rendered-token-shaped object whose CitedBy list has n
@@ -25,10 +25,10 @@ func hotObject(n int) *Object {
 }
 
 // TestUnionAliasedLinear pins the linear behavior with a hard allocs ceiling:
-// unioning n aliases of one large object must key the object once, not n
-// times. The old per-operand Key path costs ≥10 allocs per alias (buffer
-// growth + string conversion), i.e. >80000 for n=8192; the pointer fast path
-// needs only the union bookkeeping.
+// unioning n aliases of one large object must hash the object once, not n
+// times. A per-operand canonical encoding costs ≥10 allocs per alias (buffer
+// growth + string conversion), i.e. >80000 for n=8192; the cached hash and
+// the pointer comparison need only the union bookkeeping.
 func TestUnionAliasedLinear(t *testing.T) {
 	const n = 8192
 	obj := hotObject(n) // key size scales with n too, as with a real hot work
@@ -43,10 +43,10 @@ func TestUnionAliasedLinear(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		_ = UnionValues(vals...)
 	})
-	// One Key over the object plus maps/slice bookkeeping. Ceiling leaves
-	// ~3x headroom; the quadratic path sits four orders of magnitude above.
+	// Map/slice bookkeeping only. Ceiling leaves ~3x headroom; the quadratic
+	// path sits four orders of magnitude above.
 	if allocs > 120 {
-		t.Fatalf("UnionValues over %d aliased operands: %.0f allocs/op — per-operand Key is back", n, allocs)
+		t.Fatalf("UnionValues over %d aliased operands: %.0f allocs/op — per-operand encoding is back", n, allocs)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestUnionAliasedMatchesValueDedup(t *testing.T) {
 	c := NewObject().Set("Other", S("x"))
 	got := UnionValues(O(a), O(b), O(a), L(O(c), O(a)), O(c))
 	want := UnionValues(O(a), O(b), O(c)) // value semantics: a==b collapse
-	if got.Key() != want.Key() {
+	if keyOracle(got) != keyOracle(want) {
 		t.Fatalf("pointer-dedup union diverged:\n got %s\nwant %s", got.JSON(), want.JSON())
 	}
 	if got.Kind != KList || len(got.List) != 2 {

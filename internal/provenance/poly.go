@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -174,16 +175,30 @@ func (p Poly) IsZero() bool { return len(p.coeff) == 0 }
 // NumMonomials returns the number of distinct monomials.
 func (p Poly) NumMonomials() int { return len(p.coeff) }
 
+// Term is one monomial of a polynomial with its canonical key and its
+// coefficient.
+type Term struct {
+	Key   string
+	Mono  Monomial
+	Coeff int
+}
+
+// Terms returns the polynomial's terms in deterministic (key) order.
+func (p Poly) Terms() []Term {
+	out := make([]Term, 0, len(p.mono))
+	for k, m := range p.mono {
+		out = append(out, Term{Key: k, Mono: m, Coeff: p.coeff[k]})
+	}
+	slices.SortFunc(out, func(a, b Term) int { return strings.Compare(a.Key, b.Key) })
+	return out
+}
+
 // Monomials returns the monomials in deterministic (key) order.
 func (p Poly) Monomials() []Monomial {
-	keys := make([]string, 0, len(p.mono))
-	for k := range p.mono {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Monomial, len(keys))
-	for i, k := range keys {
-		out[i] = p.mono[k]
+	terms := p.Terms()
+	out := make([]Monomial, len(terms))
+	for i, t := range terms {
+		out[i] = t.Mono
 	}
 	return out
 }

@@ -176,6 +176,22 @@ type Tuple struct {
 	Polynomial string
 	// CitationJSON is the tuple's rendered citation record as compact JSON.
 	CitationJSON string
+
+	// enc is the citation CiteEach took Polynomial and CitationJSON from,
+	// shared by every tuple of the request with the same citation.
+	enc *core.EncodedCitation
+}
+
+// AppendCitationWire appends the tuple's citation record to dst in the
+// spelling an NDJSON line embeds it in: no spaces, and <, > and & escaped —
+// what encoding/json makes of CitationJSON as a json.RawMessage. Tuples that
+// share a citation share the encoding, made once. On a Tuple that did not
+// come from CiteEach it appends CitationJSON as it stands.
+func (t Tuple) AppendCitationWire(dst []byte) []byte {
+	if t.enc == nil {
+		return append(dst, t.CitationJSON...)
+	}
+	return t.enc.AppendWire(dst)
 }
 
 // CiteEach evaluates one request and streams each answer tuple's citation
@@ -202,8 +218,9 @@ func (c *Citer) CiteEach(ctx context.Context, req Request, fn func(Tuple) error)
 		t := Tuple{
 			Index:        i,
 			Values:       append([]string(nil), tc.Tuple...),
-			Polynomial:   core.PolyString(tc.Combined),
-			CitationJSON: tc.Rendered.JSON(),
+			Polynomial:   tc.Encoded.Polynomial,
+			CitationJSON: tc.Encoded.JSON,
+			enc:          tc.Encoded,
 		}
 		i++
 		return fn(t)
