@@ -13,7 +13,9 @@ package citare
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"citare/internal/citegraph"
@@ -171,4 +173,74 @@ func TestCachedCitationRetainedSize(t *testing.T) {
 		t.Fatalf("one cached citation of %d tuples retains %d KB, ceiling %d KB — tuples are holding private copies of the shared type citation", tuples, perCitation>>10, ceiling>>10)
 	}
 	t.Logf("one cached citation of %d tuples retains %d KB", tuples, perCitation>>10)
+}
+
+// warmShapeQueries are the point workload's two datalog shapes; %q takes
+// the family the request is about.
+var warmShapeQueries = []struct{ name, datalog string }{
+	{"point-lookup", `Q(N) :- Family(F, N, Ty), F = %q`},
+	{"committee-join", `Q(N, Pn) :- Family(F, N, Ty), F = %q, FC(F, P), Person(P, Pn, A)`},
+}
+
+// TestNewConstantOnWarmShapeAllocs is the gate on what a request costs when
+// the engine has seen its shape but not its constant — nearly every request
+// of a lookup service. Such a request binds the shape's compiled plans; it
+// must not minimize, enumerate rewritings or compile again. Measured per
+// Cite of a family never asked about before (token rendering for that family
+// included): point lookup 359 allocs, committee join 591; when plans were
+// keyed by the query with its constants, 1121 and 2199. The ceilings carry
+// about 50% headroom.
+func TestNewConstantOnWarmShapeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	c := gtopdbTypeInstance(t)
+	ceilings := map[string]float64{"point-lookup": 540, "committee-join": 900}
+	for _, q := range warmShapeQueries {
+		t.Run(q.name, func(t *testing.T) {
+			next := 0
+			cite := func() {
+				req := Request{Datalog: fmt.Sprintf(q.datalog, strconv.Itoa(100+next))}
+				next++
+				if ct, err := c.Cite(context.Background(), req); err != nil || ct.NumTuples() == 0 {
+					t.Fatalf("%s: %d tuples, %v", req.Datalog, ct.NumTuples(), err)
+				}
+			}
+			cite() // warm the shape with the first family
+			got := testing.AllocsPerRun(50, cite)
+			t.Logf("Cite of a new constant on a warm shape: %.0f allocs", got)
+			if got > ceilings[q.name] {
+				t.Fatalf("Cite of a new constant on a warm shape: %.0f allocs, ceiling %.0f — the request is compiling, not binding", got, ceilings[q.name])
+			}
+		})
+	}
+}
+
+// TestPlanCompilesFollowShapesNotRequests: a thousand lookups of a thousand
+// different families are one shape. The engine enumerates rewritings once,
+// and compiles one physical plan per query it evaluates for that shape — the
+// output query, each rewriting's query, each view's citation query — not one
+// per request.
+func TestPlanCompilesFollowShapesNotRequests(t *testing.T) {
+	c := gtopdbTypeInstance(t)
+	for i := 0; i < 1000; i++ {
+		req := Request{Datalog: fmt.Sprintf(warmShapeQueries[0].datalog, strconv.Itoa(100+i))}
+		if _, err := c.Cite(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := c.Engine().LogicalPlanStats(); misses != 1 || hits != 999 {
+		t.Fatalf("logical plans: %d misses / %d hits over 1000 requests of one shape, want 1 / 999", misses, hits)
+	}
+	// One shape evaluates a fixed set of queries, however many requests:
+	// far fewer than the five views, their five citation queries and the
+	// output query could ever add up to.
+	hits, misses := c.Engine().PhysicalPlanStats()
+	if misses > 16 {
+		t.Fatalf("physical plans: %d compilations over 1000 requests of one shape — they follow requests, not shapes", misses)
+	}
+	if hits < 1000 {
+		t.Fatalf("physical plans: %d hits over 1000 requests, want every request served by bound plans", hits)
+	}
+	t.Logf("1000 requests of one shape: %d physical plans compiled, %d served by binding", misses, hits)
 }

@@ -15,9 +15,13 @@ import (
 // canonicalize to the same key (and share the output-affecting options)
 // evaluate once and share the resulting citation.
 type batchGroup struct {
-	q       *cq.Query
+	p       *core.Prepared // the first member's query, resolved
 	opts    core.CiteOptions
 	indices []int // positions in the original request slice
+	// columns holds each member's own head labels, parallel to indices:
+	// members are equivalent up to renaming variables, and the shared
+	// citation carries the first member's names.
+	columns [][]string
 }
 
 // batchKey canonicalizes a parsed request for grouping: syntactic variants
@@ -26,14 +30,31 @@ type batchGroup struct {
 // the error behavior (MaxRewritings, MaxTuples, and the resilience policy
 // knobs MinShardCoverage/ShardAttempts; Parallel only changes the schedule,
 // never the output). Unsatisfiable queries fall back to the raw syntactic
-// key — they are cheap to evaluate and need no sharing.
-func batchKey(q *cq.Query, req Request) string {
-	key, _, ok := cacheKey(q)
+// key — they are cheap to evaluate and need no sharing. The query's own
+// column labels, which the canonical key abstracts from, come back with it.
+func batchKey(q *cq.Query, p *core.Prepared, req Request) (string, []string) {
+	key, columns, ok := cacheKey(p)
 	if !ok {
 		key = "unsat\x00" + q.Key()
 	}
 	return key + "\x00mr=" + strconv.Itoa(req.MaxRewritings) + "\x00mt=" + strconv.Itoa(req.MaxTuples) +
-		"\x00msc=" + strconv.Itoa(req.MinShardCoverage) + "\x00sa=" + strconv.Itoa(req.ShardAttempts)
+		"\x00msc=" + strconv.Itoa(req.MinShardCoverage) + "\x00sa=" + strconv.Itoa(req.ShardAttempts), columns
+}
+
+// group files request i of a batch under its equivalence class, opening the
+// class on first sight; order lists the classes in first-member order.
+func (c *Citer) group(groups map[string]*batchGroup, order []*batchGroup, i int, q *cq.Query, req Request) []*batchGroup {
+	p := c.engine.Prepare(q, req.citeOptions())
+	key, columns := batchKey(q, p, req)
+	g := groups[key]
+	if g == nil {
+		g = &batchGroup{p: p, opts: req.citeOptions()}
+		groups[key] = g
+		order = append(order, g)
+	}
+	g.indices = append(g.indices, i)
+	g.columns = append(g.columns, columns)
+	return order
 }
 
 // CiteBatch evaluates a batch of requests, amortizing work across them:
@@ -67,14 +88,7 @@ func (c *Citer) CiteBatch(ctx context.Context, reqs []Request) ([]*Citation, err
 		if err != nil {
 			return nil, &BatchError{Index: i, Err: err}
 		}
-		key := batchKey(q, req)
-		g := groups[key]
-		if g == nil {
-			g = &batchGroup{q: q, opts: req.citeOptions()}
-			groups[key] = g
-			order = append(order, g)
-		}
-		g.indices = append(g.indices, i)
+		order = c.group(groups, order, i, q, req)
 	}
 
 	c.evalGroups(ctx, reqs, order, out, errs, true)
@@ -110,8 +124,9 @@ func (c *Citer) CiteBatch(ctx context.Context, reqs []Request) ([]*Citation, err
 
 // evalGroups evaluates distinct batch groups concurrently through the engine
 // (which is safe for concurrent Cite) with a worker cap; each group's
-// members share the single evaluated citation, landing in their out slots on
-// success and their errs slots (taxonomy-tagged) on failure. With failFast
+// members share the single evaluated citation — each under its own render
+// format and column labels — landing in their out slots on success and
+// their errs slots (taxonomy-tagged) on failure. With failFast
 // set, the first failing group cancels the shared context so sibling groups
 // stop instead of finishing work the batch will discard; without it,
 // failures stay confined to their own groups and every other group runs to
@@ -134,13 +149,14 @@ func (c *Citer) evalGroups(ctx context.Context, reqs []Request, order []*batchGr
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, err := c.engine.CiteCtx(ctx, g.q, g.opts)
-			for _, i := range g.indices {
+			res, err := c.engine.CitePrepared(ctx, g.p, g.opts)
+			shared := &Citation{res: res, format: reqs[g.indices[0]].renderFormat()}
+			for k, i := range g.indices {
 				if err != nil {
 					errs[i] = classify(err)
 					continue
 				}
-				out[i] = &Citation{res: res, format: reqs[i].renderFormat()}
+				out[i] = shared.forRequest(reqs[i], g.columns[k])
 				// A degraded citation fills both slots: the Citation is
 				// usable, the *PartialError carries the Coverage report.
 				// Partial success never fail-fasts the batch.
@@ -196,14 +212,7 @@ func (c *Citer) CiteBatchItems(ctx context.Context, reqs []Request) []BatchItem 
 			errs[i] = err // parse already tags with the taxonomy
 			continue
 		}
-		key := batchKey(q, req)
-		g := groups[key]
-		if g == nil {
-			g = &batchGroup{q: q, opts: req.citeOptions()}
-			groups[key] = g
-			order = append(order, g)
-		}
-		g.indices = append(g.indices, i)
+		order = c.group(groups, order, i, q, req)
 	}
 	c.evalGroups(ctx, reqs, order, out, errs, false)
 	for i := range reqs {

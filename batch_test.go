@@ -7,6 +7,7 @@ package citare
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"citare/internal/gtopdb"
@@ -273,6 +274,58 @@ func TestCachedCiterBatch(t *testing.T) {
 	for i := range reqs {
 		if again2[i].CitationJSON() != got[i].CitationJSON() {
 			t.Fatalf("request %d diverged across batches", i)
+		}
+	}
+}
+
+// TestCiteBatchMembersKeepOwnColumns: a SQL request and its datalog twin land
+// in one group of an uncached batch — one engine call — and each answer
+// still carries its own request's column labels and render format, in either
+// order, through CiteBatch and CiteBatchItems.
+func TestCiteBatchMembersKeepOwnColumns(t *testing.T) {
+	ctx := context.Background()
+	reqs := map[string]Request{
+		"datalog": {Datalog: `Q(Name) :- Family(F, Name, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`, Format: "text"},
+		"sql":     {SQL: "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"},
+	}
+	want := map[string]*Citation{}
+	for name, req := range reqs {
+		ct, err := newPaperCiter(t).Cite(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = ct
+	}
+	if slices.Equal(want["datalog"].Columns(), want["sql"].Columns()) {
+		t.Fatalf("the two requests label their column alike (%v): the test would prove nothing", want["sql"].Columns())
+	}
+	check := func(order []string, how, name string, got *Citation) {
+		t.Helper()
+		if !slices.Equal(got.Columns(), want[name].Columns()) {
+			t.Fatalf("%v %s: %s request got columns %v, want its own %v", order, how, name, got.Columns(), want[name].Columns())
+		}
+		if got.Format() != want[name].Format() || got.CitationJSON() != want[name].CitationJSON() {
+			t.Fatalf("%v %s: %s request got format %s and a citation that differs from its independent Cite", order, how, name, got.Format())
+		}
+	}
+	for _, order := range [][]string{{"sql", "datalog"}, {"datalog", "sql"}} {
+		batch := []Request{reqs[order[0]], reqs[order[1]]}
+		c := newPaperCiter(t)
+		cts, err := c.CiteBatch(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range order {
+			check(order, "CiteBatch", name, cts[i])
+		}
+		if hits, misses := c.Engine().LogicalPlanStats(); hits+misses != 1 {
+			t.Fatalf("%v: the twins took %d engine calls, want one group", order, hits+misses)
+		}
+		for i, item := range newPaperCiter(t).CiteBatchItems(ctx, batch) {
+			if item.Err != nil {
+				t.Fatal(item.Err)
+			}
+			check(order, "CiteBatchItems", order[i], item.Citation)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"citare/internal/cache"
 	"citare/internal/core"
-	"citare/internal/cq"
 )
 
 // citationCacheSize bounds the citation cache (sharded LRU, entries).
@@ -62,10 +61,13 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	if err != nil {
 		return nil, err
 	}
-	key, columns, ok := cacheKey(q)
+	// Resolved once: the cache key needs the minimized query, and a miss
+	// cites the same prepared query instead of minimizing again.
+	p := c.citer.engine.Prepare(q, req.citeOptions())
+	key, columns, ok := cacheKey(p)
 	if !ok {
 		// Unsatisfiable queries are cheap; skip the cache.
-		res, err := c.citer.engine.CiteCtx(ctx, q, req.citeOptions())
+		res, err := c.citer.engine.CitePrepared(ctx, p, req.citeOptions())
 		if err != nil {
 			return nil, classify(err)
 		}
@@ -80,7 +82,7 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	// with this request's own.
 	key = optionsKey(c.epoch.Load(), req) + key
 	compute := func() (*Citation, error) {
-		res, err := c.citer.engine.CiteCtx(ctx, q, req.citeOptions())
+		res, err := c.citer.engine.CitePrepared(ctx, p, req.citeOptions())
 		if err != nil {
 			return nil, classify(err)
 		}
@@ -166,7 +168,7 @@ func (c *CachedCiter) CiteBatch(ctx context.Context, reqs []Request) ([]*Citatio
 		if err != nil {
 			return nil, &BatchError{Index: i, Err: err}
 		}
-		key, columns, ok := cacheKey(q)
+		key, columns, ok := cacheKey(c.citer.engine.Prepare(q, req.citeOptions()))
 		if !ok {
 			missIdx = append(missIdx, i)
 			missKeys = append(missKeys, "")
@@ -234,7 +236,7 @@ func (c *CachedCiter) CiteBatchItems(ctx context.Context, reqs []Request) []Batc
 			items[i] = BatchItem{Err: err}
 			continue
 		}
-		key, columns, ok := cacheKey(q)
+		key, columns, ok := cacheKey(c.citer.engine.Prepare(q, req.citeOptions()))
 		if !ok {
 			missIdx = append(missIdx, i)
 			missKeys = append(missKeys, "")
@@ -287,18 +289,16 @@ func (c *CachedCiter) CiteDatalog(src string) (*Citation, error) {
 	return c.Cite(context.Background(), Request{Datalog: src})
 }
 
-// cacheKey canonicalizes the query: normalize constants, minimize to the
-// core, take the canonical variable-renamed key. Renaming is what lets
-// equivalent queries share an entry, and what the key therefore loses — the
-// query's own column labels — is returned beside it. ok is false for an
+// cacheKey is the canonical identity of a prepared query: the
+// variable-renamed key of its normalized, minimized form. Renaming is what
+// lets equivalent queries share an entry, and what the key therefore loses —
+// the query's own column labels — is returned beside it. ok is false for an
 // unsatisfiable query.
-func cacheKey(q *cq.Query) (key string, columns []string, ok bool) {
-	norm, _, sat := q.NormalizeConstants()
-	if !sat {
+func cacheKey(p *core.Prepared) (key string, columns []string, ok bool) {
+	if !p.Satisfiable() {
 		return "", nil, false
 	}
-	min := cq.Minimize(norm)
-	return min.CanonicalKey(), core.HeadColumns(min), true
+	return p.Min().CanonicalKey(), core.HeadColumns(p.Min()), true
 }
 
 // Stats reports cache hits and misses so far (callers that joined an

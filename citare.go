@@ -90,10 +90,12 @@
 //     on Reset, scopes lazy view materialization to an epoch captured once
 //     per Cite, and caches rendered tokens in a sharded LRU — so a single
 //     Engine serves concurrent Cite calls, and Reset after updates never
-//     tears an in-flight citation. Repeated citations reuse two compilation
-//     caches: the logical plan (minimized query + certified rewritings,
-//     engine-lifetime) and the physical eval plans (per epoch, dropped on
-//     Reset).
+//     tears an in-flight citation. Citations reuse two compilation caches,
+//     both keyed by query shape — the query with its constants lifted to
+//     parameters — so the same lookup about another key binds the plans
+//     compiled for the first: the logical plan (minimized query + certified
+//     rewritings, engine-lifetime) and the physical eval plans (per epoch,
+//     dropped on Reset).
 //   - Citer and CachedCiter are therefore safe for concurrent use;
 //     CachedCiter additionally collapses concurrent misses on equivalent
 //     queries into one engine call.

@@ -43,7 +43,8 @@ func (s *server) initObservability() {
 		func() uint64 { return eng.TokenCacheStats().Misses })
 
 	// Plan caches: the engine-lifetime logical tier (rewriting enumeration)
-	// and the per-epoch physical tier (compiled eval plans).
+	// and the per-epoch physical tier (compiled eval plans), both per query
+	// shape — a hit includes "compiled for another constant".
 	s.reg.CounterFunc("citare_plan_cache_hits_total",
 		"Plan cache hits, by tier (logical = rewritten query, physical = compiled plan).",
 		func() uint64 { h, _ := eng.LogicalPlanStats(); return h },

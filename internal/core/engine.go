@@ -26,10 +26,6 @@ const viewRelPrefix = "__view_"
 // tokenCacheSize bounds the engine's rendered-token cache (sharded LRU).
 const tokenCacheSize = 4096
 
-// maxCachedQueries bounds the engine-lifetime logical-plan cache (minimized
-// queries + certified rewritings); past the cap queries compile per call.
-const maxCachedQueries = 512
-
 // Engine computes citations for general queries over a database with a set
 // of citation views and a policy.
 //
@@ -43,15 +39,17 @@ const maxCachedQueries = 512
 // atomically, leaving in-flight Cite calls to finish consistently against
 // the old epoch.
 //
-// Query compilation is cached at two levels. The *logical* plan of a query
-// — its normalized, minimized form and the certified rewritings under the
-// engine's views and policy — depends only on the query text, so it is
-// cached for the engine's lifetime and survives Reset. The *physical* plans
-// (internal/eval slot programs, with relation views and join orders
-// resolved against live cardinalities) are cached inside each epoch state
-// and dropped with it on Reset. Repeated citations of the same query —
-// the cache-miss path of citare.CachedCiter — therefore skip rewriting
-// enumeration and plan compilation entirely.
+// Query compilation is cached at two levels, both keyed by query *shape* —
+// the query with its constants lifted to parameters (cq.Query.Shape) — and
+// both LRU. The *logical* plan of a shape — the minimized form and the
+// certified rewritings under the engine's views and policy — depends only
+// on the query text, so it is cached for the engine's lifetime and survives
+// Reset. The *physical* plans (internal/eval slot programs, with relation
+// views and join orders resolved against live cardinalities) are cached
+// inside each epoch state and dropped with it on Reset. A citation whose
+// shape was seen before — the same query again, or the same query about
+// another key — therefore skips minimization, rewriting enumeration and
+// plan compilation entirely: the compiled plans are bound to its constants.
 type Engine struct {
 	db     *storage.DB    // live database handle, re-snapshotted on Reset
 	sdb    *shard.DB      // sharded mode: live partitioned database (db is nil)
@@ -67,12 +65,15 @@ type Engine struct {
 
 	tokenCache *cache.Sharded[*format.Object]
 
-	// queryMu guards queries, the engine-lifetime logical-plan cache.
-	queryMu sync.RWMutex
-	queries map[string]*compiledQuery
+	// plans is the engine-lifetime logical-plan cache, one entry per query
+	// shape; lift says which constants a shape abstracts from, and viewSet
+	// is the view list as rewriting enumeration wants it, prepared once.
+	plans   *cache.Sharded[*compiledQuery]
+	lift    liftRules
+	viewSet *rewrite.Views
 
-	// logicalHits / logicalMisses count logical-plan cache lookups: a miss
-	// is one full normalize + minimize + rewriting-enumeration compilation.
+	// logicalHits / logicalMisses count citations by whether their shape's
+	// rewritings were already compiled: a miss is one rewriting enumeration.
 	// CiteBatch's plan sharing is asserted against these counters.
 	logicalHits   atomic.Uint64
 	logicalMisses atomic.Uint64
@@ -102,19 +103,6 @@ type Engine struct {
 
 	stateMu sync.RWMutex
 	state   *engineState
-}
-
-// compiledQuery is the engine-lifetime logical plan of one query: its
-// normalized and minimized forms plus the certified rewritings, already
-// preference-pruned under the policy. It depends only on the query and the
-// engine's views and policy — never on the data — so it survives Reset. All
-// fields are read-only after construction and shared across concurrent
-// Cite calls.
-type compiledQuery struct {
-	norm       *cq.Query
-	min        *cq.Query
-	sat        bool
-	rewritings []*rewrite.Rewriting
 }
 
 // engineState is one epoch of the engine: an immutable database snapshot
@@ -161,9 +149,10 @@ func newEngine(db *storage.DB, sdb *shard.DB, src SnapshotSource, views []*Citat
 		byName:     make(map[string]*CitationView, len(views)),
 		policy:     policy,
 		tokenCache: cache.NewSharded[*format.Object](8, tokenCacheSize),
-		queries:    make(map[string]*compiledQuery),
+		plans:      cache.NewSharded[*compiledQuery](8, logicalPlanCacheSize),
 	}
-	for _, v := range views {
+	defs := make([]*cq.Query, len(views))
+	for i, v := range views {
 		if v == nil {
 			return nil, fmt.Errorf("core: nil citation view")
 		}
@@ -171,7 +160,13 @@ func newEngine(db *storage.DB, sdb *shard.DB, src SnapshotSource, views []*Citat
 			return nil, fmt.Errorf("core: duplicate citation view %s", v.Name())
 		}
 		e.byName[v.Name()] = v
+		defs[i] = v.Def
 	}
+	vs, err := rewrite.PrepareViews(defs)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	e.viewSet, e.lift = vs, newLiftRules(views)
 	st, err := e.buildState(0)
 	if err != nil {
 		return nil, err
@@ -551,7 +546,14 @@ func (e *Engine) Cite(q *cq.Query) (*Result, error) {
 // request returns the context's error promptly instead of finishing the
 // citation nobody is waiting for.
 func (e *Engine) CiteCtx(ctx context.Context, q *cq.Query, o CiteOptions) (*Result, error) {
-	return e.cite(ctx, q, o)
+	return e.cite(ctx, q, nil, o)
+}
+
+// CitePrepared is CiteCtx for a query already resolved by Prepare (under
+// the same options): the caller needed the minimized form before deciding
+// to cite — a cache key, a batch group — and the citation does not redo it.
+func (e *Engine) CitePrepared(ctx context.Context, p *Prepared, o CiteOptions) (*Result, error) {
+	return e.cite(ctx, nil, p, o)
 }
 
 // CiteEach is CiteCtx streaming: each output tuple's citation is handed to
@@ -575,15 +577,42 @@ func (e *Engine) CiteEach(ctx context.Context, q *cq.Query, o CiteOptions, fn fu
 	return e.citeStream(ctx, q, o, fn)
 }
 
-// cite is the materialized citation pipeline behind Cite and CiteCtx;
-// citeStream is its pull-iterator twin behind CiteEach, property-tested
-// byte-identical.
-func (e *Engine) cite(ctx context.Context, q *cq.Query, o CiteOptions) (res *Result, err error) {
+// planStage is the rewrite stage of both pipelines, under the stage's span:
+// resolve the query's logical plan, unless the caller brought it, and take
+// its rewritings under the query's own constants.
+func (e *Engine) planStage(ob *obsCtx, q *cq.Query, p *Prepared, o CiteOptions) (*Prepared, []*rewrite.Rewriting) {
+	rw := ob.begin(obs.StageRewrite)
+	if p == nil {
+		p = e.logicalPlan(q, o)
+	}
+	var rewritings []*rewrite.Rewriting
+	hit := false
+	if p.Satisfiable() {
+		rewritings, hit = e.rewritingsFor(p)
+	}
+	ob.end(rw)
+	if ob.tr != nil {
+		cached := int64(0)
+		if hit {
+			cached = 1
+		}
+		ob.tr.SetInt(rw.id, "cached", cached)
+		ob.tr.SetInt(rw.id, "rewritings", int64(len(rewritings)))
+	}
+	return p, rewritings
+}
+
+// cite is the materialized citation pipeline behind Cite, CiteCtx (q set, p
+// nil) and CitePrepared (p set); citeStream is its pull-iterator twin behind
+// CiteEach, property-tested byte-identical.
+func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptions) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := q.Validate(); err != nil {
-		return nil, err
+	if p == nil {
+		if err := q.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	ob, ctx := e.obsStart(ctx, "cite")
 	if ob.enabled() {
@@ -596,24 +625,11 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, o CiteOptions) (res *Res
 		}()
 	}
 
-	rw := ob.begin(obs.StageRewrite)
-	cpq, hit, err := e.logicalPlan(q, o)
-	ob.end(rw)
-	if err != nil {
-		return nil, err
+	p, rewritings := e.planStage(&ob, q, p, o)
+	if !p.Satisfiable() {
+		return e.citeUnsat(p.norm)
 	}
-	if ob.tr != nil {
-		cached := int64(0)
-		if hit {
-			cached = 1
-		}
-		ob.tr.SetInt(rw.id, "cached", cached)
-		ob.tr.SetInt(rw.id, "rewritings", int64(len(cpq.rewritings)))
-	}
-	if !cpq.sat {
-		return e.citeUnsat(cpq.norm)
-	}
-	min, rewritings := cpq.min, cpq.rewritings
+	min := p.min
 
 	res = &Result{Query: min, Rewritings: rewritings, Columns: HeadColumns(min)}
 
@@ -724,76 +740,6 @@ func HeadColumns(q *cq.Query) []string {
 		}
 	}
 	return cols
-}
-
-// logicalPlan returns the query's engine-lifetime logical plan —
-// normalization, minimization and rewriting enumeration memoized on the
-// query's collision-free syntactic key (suffixed with the effective
-// rewriting bound when a request overrides it, so different bounds never
-// share a plan). Concurrent misses may compile twice; the first stored
-// plan wins so every caller shares one instance. The returned bool
-// reports whether the plan was served from the cache. The caller must
-// have validated q.
-func (e *Engine) logicalPlan(q *cq.Query, o CiteOptions) (*compiledQuery, bool, error) {
-	// A request may only tighten the policy's bound, never raise it.
-	maxRW := e.policy.MaxRewritings
-	if o.MaxRewritings > 0 && (maxRW == 0 || o.MaxRewritings < maxRW) {
-		maxRW = o.MaxRewritings
-	}
-	key := q.Key()
-	if maxRW != e.policy.MaxRewritings {
-		key += "\x00mr=" + strconv.Itoa(maxRW)
-	}
-	e.queryMu.RLock()
-	cpq := e.queries[key]
-	e.queryMu.RUnlock()
-	if cpq != nil {
-		e.logicalHits.Add(1)
-		return cpq, true, nil
-	}
-	e.logicalMisses.Add(1)
-	cpq, err := e.compileQuery(q, maxRW)
-	if err != nil {
-		return nil, false, err
-	}
-	e.queryMu.Lock()
-	if prev := e.queries[key]; prev != nil {
-		cpq = prev
-	} else if len(e.queries) < maxCachedQueries {
-		e.queries[key] = cpq
-	}
-	e.queryMu.Unlock()
-	return cpq, false, nil
-}
-
-// LogicalPlanStats reports the logical-plan cache counters: hits served
-// from the engine-lifetime cache, and misses that ran a full normalize +
-// minimize + rewriting-enumeration compilation.
-func (e *Engine) LogicalPlanStats() (hits, misses uint64) {
-	return e.logicalHits.Load(), e.logicalMisses.Load()
-}
-
-func (e *Engine) compileQuery(q *cq.Query, maxRewritings int) (*compiledQuery, error) {
-	norm, _, sat := q.NormalizeConstants()
-	if !sat {
-		return &compiledQuery{norm: norm}, nil
-	}
-	min := cq.Minimize(norm)
-	defs := make([]*cq.Query, len(e.views))
-	for i, v := range e.views {
-		defs[i] = v.Def
-	}
-	rewritings, err := rewrite.Enumerate(min, defs, rewrite.Options{
-		AllowPartial:  e.policy.AllowPartial,
-		MaxRewritings: maxRewritings,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if e.policy.PreferredRewritings {
-		rewritings = preferRewritings(rewritings)
-	}
-	return &compiledQuery{norm: norm, min: min, sat: true, rewritings: rewritings}, nil
 }
 
 // preferRewritings implements the paper's §2.3 preference model: keep only

@@ -1,0 +1,261 @@
+package core
+
+import (
+	"strconv"
+	"sync"
+
+	"citare/internal/cq"
+	"citare/internal/rewrite"
+)
+
+// logicalPlanCacheSize bounds the engine-lifetime logical-plan cache
+// (sharded LRU, entries): one entry per query shape.
+const logicalPlanCacheSize = 512
+
+// compiledQuery is the engine-lifetime logical plan of one query *shape*
+// (cq.Query.Shape): the minimized form of the first query of the shape the
+// engine saw, the lifted constants of that query, and — compiled on the
+// first citation rather than the first lookup, since the citation cache and
+// batch grouping need only the minimized form — its certified rewritings,
+// already preference-pruned under the policy. It depends only on the query,
+// the engine's views and the policy, never on the data, so it survives
+// Reset. Everything is read-only once set and shared across concurrent
+// calls; a later query of the shape takes the plan through a cq.Rebind of
+// its own constants.
+type compiledQuery struct {
+	params []string
+	min    *cq.Query
+	maxRW  int
+
+	compile    sync.Once
+	rewritings []*rewrite.Rewriting
+}
+
+// Prepared is a valid query resolved against the engine's logical-plan
+// cache: normalized, minimized, and tied to the compiled plan of its shape.
+// It is what the citation cache and batch grouping key on (Min) and what
+// CitePrepared cites, so that one request normalizes, minimizes and looks
+// its plan up once however many layers need the result.
+type Prepared struct {
+	norm *cq.Query
+	min  *cq.Query      // nil: the query is unsatisfiable
+	plan *compiledQuery // the shape's plan; min is plan.min under rb
+	rb   cq.Rebind
+}
+
+// Satisfiable reports whether the query can have answers at all; an
+// unsatisfiable one equates two distinct constants or fails a ground
+// comparison.
+func (p *Prepared) Satisfiable() bool { return p.min != nil }
+
+// Min returns the normalized, minimized query (nil when unsatisfiable).
+func (p *Prepared) Min() *cq.Query { return p.min }
+
+// Prepare resolves the logical plan of a query the caller has validated
+// (cq.Query.Validate; the facade's request parsing does). o must be the
+// options the request is then cited with: a MaxRewritings that tightens the
+// policy's bound selects a separate plan.
+func (e *Engine) Prepare(q *cq.Query, o CiteOptions) *Prepared {
+	return e.logicalPlan(q, o)
+}
+
+// logicalPlan resolves a valid query to the logical plan of its shape. The
+// query is normalized, then every constant that the plan can only see
+// through equality is lifted out (liftRules); what remains keys an
+// engine-lifetime LRU, prefixed with the effective rewriting bound so
+// different bounds never share a plan. The first query of a shape is
+// minimized as it stands and becomes the shape's plan; every later one is
+// served by renaming the plan's constants to its own — the stored plan
+// itself when they are equal. Concurrent first lookups of one shape share a
+// single minimization, each caller then binding its own constants.
+func (e *Engine) logicalPlan(q *cq.Query, o CiteOptions) *Prepared {
+	norm, _, sat := q.NormalizeConstants()
+	if !sat {
+		return &Prepared{norm: norm}
+	}
+	// A request may only tighten the policy's bound, never raise it.
+	maxRW := e.policy.MaxRewritings
+	if o.MaxRewritings > 0 && (maxRW == 0 || o.MaxRewritings < maxRW) {
+		maxRW = o.MaxRewritings
+	}
+	key, params := norm.Shape(e.lift.literalFor(norm))
+	if maxRW != e.policy.MaxRewritings {
+		key = "mr=" + strconv.Itoa(maxRW) + "|" + key
+	}
+	// Nothing here can fail: the error result exists for GetOrCompute only.
+	plan, _, _ := e.plans.GetOrCompute(key, func() (*compiledQuery, error) {
+		return &compiledQuery{params: params, min: cq.Minimize(norm), maxRW: maxRW}, nil
+	})
+	rb := cq.NewRebind(plan.params, params)
+	min := plan.min
+	if !rb.Identity() {
+		min = rb.Query(min)
+	}
+	return &Prepared{norm: norm, min: min, plan: plan, rb: rb}
+}
+
+// rewritingsFor returns the prepared query's certified rewritings in
+// Enumerate's order, compiling the shape's on first use. hit reports that
+// this call did not compile, which is what LogicalPlanStats counts.
+func (e *Engine) rewritingsFor(p *Prepared) (rws []*rewrite.Rewriting, hit bool) {
+	hit = true
+	p.plan.compile.Do(func() {
+		hit = false
+		rws := e.viewSet.Enumerate(p.plan.min, rewrite.Options{
+			AllowPartial:  e.policy.AllowPartial,
+			MaxRewritings: p.plan.maxRW,
+		})
+		if e.policy.PreferredRewritings {
+			rws = preferRewritings(rws)
+		}
+		p.plan.rewritings = rws
+	})
+	if hit {
+		e.logicalHits.Add(1)
+	} else {
+		e.logicalMisses.Add(1)
+	}
+	rws = p.plan.rewritings
+	if p.rb.Identity() {
+		return rws, hit
+	}
+	// Truncation at MaxRewritings and preference pruning count subgoals and
+	// constants, which a renaming preserves; the order is by a key that
+	// spells the constants, which it does not.
+	bound := make([]*rewrite.Rewriting, len(rws))
+	for i, r := range rws {
+		bound[i] = r.Rebind(p.rb, p.min)
+	}
+	rewrite.SortByKey(bound)
+	return bound, hit
+}
+
+// LogicalPlanStats reports the logical-plan counters: misses are citations
+// that compiled their shape's rewritings (one enumeration each), hits are
+// citations served by a plan compiled earlier, under whichever constants.
+func (e *Engine) LogicalPlanStats() (hits, misses uint64) {
+	return e.logicalHits.Load(), e.logicalMisses.Load()
+}
+
+// argPos is one argument position of a relation.
+type argPos struct {
+	pred string
+	col  int
+}
+
+// liftRules decide which constants of a query the logical plan may treat as
+// parameters. Minimization and Definition 2.2 work by homomorphisms, which
+// compare constants for equality only — with two exceptions, and a constant
+// either can reach keeps its value in the shape key:
+//
+//   - rewrite's matchViewAtom matches a view definition's constant against
+//     the query's by value, so every constant occurring in a view definition
+//     is literal;
+//   - cq.ComparisonsImplied and NormalizeConstants evaluate a comparison
+//     whose sides have both become constants, reading their values. That
+//     happens to a constant written in a comparison, and to one a
+//     homomorphism maps a comparison variable onto — which it can only do
+//     at an argument position (relation, column) where that variable
+//     occurs, in the query or in a view. So the constants of the query's
+//     comparisons are literal, and so is every constant at a position that
+//     a comparison variable of the query or of any view also occupies.
+//
+// Equality comparisons are gone by then (NormalizeConstants chased them
+// into the atoms); "comparison" means the remaining !=, <, <=, >, >=.
+type liftRules struct {
+	viewConsts  map[string]bool
+	viewCompPos map[argPos]bool
+	// isViewConst is the whole rule for a query without comparisons when no
+	// view has one either — the common case, so it is built once.
+	isViewConst func(string) bool
+}
+
+func newLiftRules(views []*CitationView) liftRules {
+	consts := make(map[string]bool)
+	lr := liftRules{viewConsts: consts, viewCompPos: make(map[argPos]bool)}
+	lr.isViewConst = func(v string) bool { return consts[v] }
+	for _, v := range views {
+		// Normalized, as rewrite.PrepareViews matches it; an unsatisfiable
+		// definition is dropped there and constrains nothing here.
+		def, _, sat := v.Def.NormalizeConstants()
+		if !sat {
+			continue
+		}
+		eachConst(def, func(val string) { lr.viewConsts[val] = true })
+		compPositions(def, lr.viewCompPos)
+	}
+	return lr
+}
+
+// literalFor returns the predicate cq.Query.Shape lifts norm's constants
+// under.
+func (lr *liftRules) literalFor(norm *cq.Query) func(string) bool {
+	if len(norm.Comps) == 0 && len(lr.viewCompPos) == 0 {
+		return lr.isViewConst
+	}
+	pos := make(map[argPos]bool, len(lr.viewCompPos))
+	for p := range lr.viewCompPos {
+		pos[p] = true
+	}
+	compPositions(norm, pos)
+	lit := make(map[string]bool)
+	for _, c := range norm.Comps {
+		for _, t := range [2]cq.Term{c.L, c.R} {
+			if t.IsConst {
+				lit[t.Value] = true
+			}
+		}
+	}
+	for _, a := range norm.Atoms {
+		for col, t := range a.Args {
+			if t.IsConst && pos[argPos{a.Pred, col}] {
+				lit[t.Value] = true
+			}
+		}
+	}
+	return func(v string) bool { return lr.viewConsts[v] || lit[v] }
+}
+
+// compPositions adds to pos every argument position at which a variable of
+// one of q's comparisons occurs in q's atoms.
+func compPositions(q *cq.Query, pos map[argPos]bool) {
+	if len(q.Comps) == 0 {
+		return
+	}
+	vars := make(map[string]bool)
+	for _, c := range q.Comps {
+		for _, t := range [2]cq.Term{c.L, c.R} {
+			if t.IsVar() {
+				vars[t.Name] = true
+			}
+		}
+	}
+	for _, a := range q.Atoms {
+		for col, t := range a.Args {
+			if t.IsVar() && vars[t.Name] {
+				pos[argPos{a.Pred, col}] = true
+			}
+		}
+	}
+}
+
+// eachConst calls fn for every constant of q: head, atoms and comparisons.
+func eachConst(q *cq.Query, fn func(string)) {
+	visit := func(t cq.Term) {
+		if t.IsConst {
+			fn(t.Value)
+		}
+	}
+	for _, t := range q.Head {
+		visit(t)
+	}
+	for _, a := range q.Atoms {
+		for _, t := range a.Args {
+			visit(t)
+		}
+	}
+	for _, c := range q.Comps {
+		visit(c.L)
+		visit(c.R)
+	}
+}

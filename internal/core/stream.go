@@ -38,7 +38,7 @@ import (
 
 // citeStream is the pull-iterator citation pipeline behind CiteEach. Its
 // stages mirror cite() exactly; every divergence in combining order would
-// break the byte-parity contract, so the two share logicalPlan,
+// break the byte-parity contract, so the two share planStage,
 // materializeViews, rewritingQuery, normalizePolys and combineTuple.
 func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, each func(*TupleCitation) error) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
@@ -59,24 +59,11 @@ func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, eac
 		}()
 	}
 
-	rw := ob.begin(obs.StageRewrite)
-	cpq, hit, err := e.logicalPlan(q, o)
-	ob.end(rw)
-	if err != nil {
-		return nil, err
+	p, rewritings := e.planStage(&ob, q, nil, o)
+	if !p.Satisfiable() {
+		return e.citeUnsat(p.norm)
 	}
-	if ob.tr != nil {
-		cached := int64(0)
-		if hit {
-			cached = 1
-		}
-		ob.tr.SetInt(rw.id, "cached", cached)
-		ob.tr.SetInt(rw.id, "rewritings", int64(len(cpq.rewritings)))
-	}
-	if !cpq.sat {
-		return e.citeUnsat(cpq.norm)
-	}
-	min, rewritings := cpq.min, cpq.rewritings
+	min := p.min
 	res = &Result{Query: min, Rewritings: rewritings, Columns: HeadColumns(min)}
 
 	st := e.curState()

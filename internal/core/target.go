@@ -2,28 +2,35 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
+	"citare/internal/cache"
 	"citare/internal/cq"
 	"citare/internal/eval"
 	"citare/internal/obs"
 	"citare/internal/storage"
 )
 
-// maxCachedPlans bounds one target's compiled-plan cache; past the cap new
-// queries compile per call instead of evicting (epochs are short-lived, so
-// a simple cap beats LRU bookkeeping on the hot path).
-const maxCachedPlans = 512
+// planCacheSize bounds one target's compiled-plan cache (sharded LRU,
+// entries): one entry per query shape.
+const planCacheSize = 512
 
-// planCache memoizes compiled physical plans keyed by the query's
-// collision-free syntactic key. It is scoped to one evalTarget of one
-// engine epoch: the underlying snapshot is immutable for the epoch, so a
-// cached plan's resolved relation views and join order stay valid until
-// Reset drops the whole state (and its plans) atomically.
-type planCache struct {
-	mu sync.RWMutex
-	m  map[string]*eval.Plan
+// planCache memoizes compiled physical plans by query *shape*: eval.Compile
+// reads of a constant only that it is one, so here every constant is lifted
+// (cq.Query.Shape with no literals) and one compiled plan serves the output
+// query, a rewriting query or a token's instantiated citation query under
+// whatever constants the next request brings — eval.Plan.Bind renames them.
+// The cache is scoped to one evalTarget of one engine epoch: the underlying
+// snapshot is immutable for the epoch, so a cached plan's resolved relation
+// views and join order stay valid until Reset drops the whole state (and
+// its plans) atomically.
+type planCache = cache.Sharded[shapePlan]
+
+// shapePlan is a compiled plan beside the constants it was compiled with,
+// in cq.Query.Shape's order — the source side of the next Bind.
+type shapePlan struct {
+	plan   *eval.Plan
+	params []string
 }
 
 // evalTarget couples a database view with an optional per-epoch plan cache.
@@ -55,7 +62,7 @@ func shardedTarget(p eval.Partitioned) evalTarget {
 // skip compilation entirely. The engine backref feeds its physical
 // plan-cache counters and (when attached) per-stage compile metrics.
 func (t evalTarget) cached(e *Engine) evalTarget {
-	t.plans = &planCache{m: make(map[string]*eval.Plan)}
+	t.plans = cache.NewSharded[shapePlan](4, planCacheSize)
 	t.eng = e
 	return t
 }
@@ -99,36 +106,27 @@ func (t evalTarget) plan(ctx context.Context, q *cq.Query) (*eval.Plan, error) {
 }
 
 // planLookup is the cache-consulting compile: it reports whether the plan
-// was served from the per-epoch cache and feeds the engine-lifetime
-// physical plan-cache counters. Concurrent misses may compile twice; the
-// first stored plan wins, so every caller executes an identical plan.
+// was served from the per-epoch cache — bound to q's constants, the stored
+// plan itself when they are the ones it was compiled with — and feeds the
+// engine-lifetime physical plan-cache counters: a miss is one eval.Compile.
+// Concurrent first lookups of a shape share one compilation.
 func (t evalTarget) planLookup(q *cq.Query) (*eval.Plan, bool, error) {
-	c := t.plans
-	key := q.Key()
-	c.mu.RLock()
-	pl := c.m[key]
-	c.mu.RUnlock()
-	if pl != nil {
-		if t.eng != nil {
-			t.eng.physHits.Add(1)
-		}
-		return pl, true, nil
-	}
+	key, params := q.Shape(nil)
+	sp, hit, err := t.plans.GetOrCompute(key, func() (shapePlan, error) {
+		pl, err := eval.Compile(t.view, q)
+		return shapePlan{plan: pl, params: params}, err
+	})
 	if t.eng != nil {
-		t.eng.physMisses.Add(1)
+		if hit {
+			t.eng.physHits.Add(1)
+		} else {
+			t.eng.physMisses.Add(1)
+		}
 	}
-	pl, err := eval.Compile(t.view, q)
 	if err != nil {
 		return nil, false, err
 	}
-	c.mu.Lock()
-	if prev := c.m[key]; prev != nil {
-		pl = prev
-	} else if len(c.m) < maxCachedPlans {
-		c.m[key] = pl
-	}
-	c.mu.Unlock()
-	return pl, false, nil
+	return sp.plan.Bind(cq.NewRebind(sp.params, params)), hit, nil
 }
 
 func (t evalTarget) eval(ctx context.Context, q *cq.Query, opts eval.Options) (*eval.Result, error) {

@@ -293,7 +293,9 @@ func (l *lexer) next() (token, error) {
 // tokenize lexes the whole input.
 func tokenize(src string) ([]token, error) {
 	l := newLexer(src)
-	var out []token
+	// A token is at least one byte, usually followed by a separator: half
+	// the source length rarely needs to grow, and never by repeated doubling.
+	out := make([]token, 0, len(src)/2+1)
 	for {
 		t, err := l.next()
 		if err != nil {

@@ -22,7 +22,10 @@ import (
 // crosses the channel as soon as it is ground (low first-result latency), and
 // a long steady stream amortizes channel synchronization across 64-frame
 // batches. Drained batch shells are recycled through a free list, so a
-// streaming consumer allocates O(batches in flight), not O(frames).
+// streaming consumer allocates O(batches in flight), not O(frames). A fresh
+// shell starts empty and grows with what it carries — a point evaluation
+// yields a tuple or two, not a 64-frame batch — and a recycled shell keeps
+// the capacity it grew to.
 const (
 	// maxIterBatch is the largest number of frames (or tuples) one batch
 	// carries between the producer and the consumer.
@@ -99,7 +102,7 @@ func (it *FrameIterator) batch() *frameBatch {
 		b.n = 0
 		return b
 	default:
-		return &frameBatch{vals: make([]string, 0, maxIterBatch*it.width)}
+		return &frameBatch{}
 	}
 }
 
@@ -240,10 +243,7 @@ func (it *TupleIterator) batch() *tupleBatch {
 		b.n = 0
 		return b
 	default:
-		return &tupleBatch{
-			tuples: make([]storage.Tuple, 0, maxIterBatch),
-			keys:   make([]string, 0, maxIterBatch),
-		}
+		return &tupleBatch{}
 	}
 }
 

@@ -97,11 +97,13 @@ type planStep struct {
 // Execution enumerates bindings on a flat []string slot frame reused across
 // the whole enumeration — no per-binding maps, no cloning.
 //
-// A Plan is immutable after Compile and safe for concurrent executions;
-// core.Engine caches plans per epoch so repeated citations of the same
-// query skip compilation entirely.
+// A Plan is immutable after Compile and safe for concurrent executions.
+// Nothing Compile decides depends on the value of a constant — the join
+// order reads only which positions hold one, and values sit in valSrc
+// fields — so a plan serves every query of its shape (cq.Query.Shape) once
+// Bind has renamed its constants; core.Engine caches plans per epoch by
+// shape, so citations of a known shape skip compilation entirely.
 type Plan struct {
-	q    *cq.Query
 	part Partitioned // non-nil: the view is hash-partitioned, execute scatter-gather
 
 	varOf    []string // slot -> variable name (all slots bound at full depth)
@@ -141,7 +143,7 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 		lens[i] = rel.Len()
 	}
 
-	p := &Plan{q: q, cols: headCols(q)}
+	p := &Plan{cols: headCols(q)}
 	p.part, _ = dbv.(Partitioned)
 
 	// Slot assignment: first occurrence order across atoms. Validate
@@ -291,8 +293,76 @@ func sliceHas(xs []int, x int) bool {
 	return false
 }
 
-// Query returns the query the plan was compiled from.
-func (p *Plan) Query() *cq.Query { return p.q }
+// Bind returns the plan of the query that differs from the compiled one by
+// the given renaming of constants: a copy sharing the resolved relation
+// views, the join order and the bind programs, with every constant value
+// source, and the label of every constant head column, renamed. The
+// identity returns p itself.
+func (p *Plan) Bind(rb cq.Rebind) *Plan {
+	if rb.Identity() {
+		return p
+	}
+	b := *p
+	b.steps = make([]planStep, len(p.steps))
+	for i, st := range p.steps {
+		st.lookupSrc = bindSrcs(st.lookupSrc, rb)
+		st.comps = bindComps(st.comps, rb)
+		b.steps[i] = st
+	}
+	b.preComps = bindComps(p.preComps, rb)
+	b.headSrc = bindSrcs(p.headSrc, rb)
+	if firstConst(p.headSrc) >= 0 {
+		b.cols = append([]string(nil), p.cols...)
+		for i, src := range b.headSrc {
+			if src.slot < 0 {
+				b.cols[i] = src.konst
+			}
+		}
+	}
+	return &b
+}
+
+// firstConst returns the index of the first constant among srcs, or -1.
+func firstConst(srcs []valSrc) int {
+	for i, s := range srcs {
+		if s.slot < 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// bindSrcs renames the constants among srcs; a list without one is shared.
+func bindSrcs(srcs []valSrc, rb cq.Rebind) []valSrc {
+	first := firstConst(srcs)
+	if first < 0 {
+		return srcs
+	}
+	out := append([]valSrc(nil), srcs...)
+	for i := first; i < len(out); i++ {
+		if out[i].slot < 0 {
+			out[i].konst = rb.Value(out[i].konst)
+		}
+	}
+	return out
+}
+
+func bindComps(comps []compiledComp, rb cq.Rebind) []compiledComp {
+	if len(comps) == 0 {
+		return comps
+	}
+	out := append([]compiledComp(nil), comps...)
+	for i := range out {
+		c := &out[i]
+		if c.l.slot < 0 {
+			c.l.konst = rb.Value(c.l.konst)
+		}
+		if c.r.slot < 0 {
+			c.r.konst = rb.Value(c.r.konst)
+		}
+	}
+	return out
+}
 
 // Describe renders the compiled join order and access paths as a compact
 // one-line string, e.g.

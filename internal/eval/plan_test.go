@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -192,4 +193,81 @@ func TestCompileErrors(t *testing.T) {
 		Atoms: []cq.Atom{cq.NewAtom("Family", cq.Var("X"))}}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
+}
+
+// TestPropBindEqualsCompile: a plan compiled for one query and bound to the
+// constants of another query of its shape evaluates — columns, tuples and
+// the binding multiset, sequentially and on a worker pool — exactly as the
+// plan compiled for that other query; the source plan is unchanged. (The
+// scatter-gather strategy reads the same bound fields; the root package's
+// TestShardedPointLookupsBindConstants covers shard pruning on bound keys.)
+func TestPropBindEqualsCompile(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	pool := []string{"a", "b", "c", "d", "k", "zz"}
+	for i := 0; i < 150; i++ {
+		db := randomFactDB(r)
+		q := randomJoinQuery(r)
+		if r.Intn(2) == 0 { // a constant head column: its label is the constant
+			q.Head = append(q.Head, cq.Const(pool[r.Intn(len(pool))]))
+		}
+		key, from := q.Shape(nil)
+		to := make([]string, len(from))
+		for j, k := range r.Perm(len(pool))[:len(from)] { // distinct, as Shape guarantees
+			to[j] = pool[k]
+		}
+		rb := cq.NewRebind(from, to)
+		q2 := rb.Query(q)
+		if k2, p2 := q2.Shape(nil); k2 != key || !slices.Equal(p2, to) {
+			t.Fatalf("rebound %s is not of the shape of %s", q2, q)
+		}
+		view := DBViewOf(db)
+		src, err := Compile(view, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := src.Eval(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := Compile(view, q2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := src.Bind(rb)
+		for _, opts := range []Options{{}, {Parallel: 3}} {
+			want, err := direct.Eval(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := bound.Eval(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Tuples, want.Tuples) {
+				t.Fatalf("%s bound from %s: %v %v, compiled directly: %v %v", q2, q, got.Cols, got.Tuples, want.Cols, want.Tuples)
+			}
+		}
+		if !reflect.DeepEqual(planMultiset(t, bound), planMultiset(t, direct)) {
+			t.Fatalf("%s bound from %s: binding multiset diverges", q2, q)
+		}
+		after, err := src.Eval(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("Bind changed the plan of %s", q)
+		}
+	}
+}
+
+func planMultiset(t *testing.T, p *Plan) map[string]int {
+	t.Helper()
+	out := make(map[string]int)
+	if err := p.EvalBindings(Options{}, func(b Binding, ms []Match) error {
+		out[bindingKey(b, ms)]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

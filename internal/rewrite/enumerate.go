@@ -58,6 +58,39 @@ func (c *candidate) key() string {
 	return sb.String()
 }
 
+// Views is a view list prepared for enumeration: every definition is
+// validated, normalized and renamed apart from any query once, instead of
+// once per enumerated query.
+type Views struct {
+	views []preparedView
+}
+
+// preparedView is one usable view: the definition as given (a rewriting's
+// ViewAtom points at it) beside its normalized form over fresh variables.
+type preparedView struct {
+	view  *cq.Query
+	idx   int // position in the list PrepareViews was given
+	fresh *cq.Query
+}
+
+// PrepareViews validates and normalizes the view definitions. An
+// unsatisfiable definition is dropped: it can cover nothing.
+func PrepareViews(views []*cq.Query) (*Views, error) {
+	vs := &Views{}
+	for vi, view := range views {
+		if err := view.Validate(); err != nil {
+			return nil, fmt.Errorf("rewrite: view %s: %w", view.Name, err)
+		}
+		def, _, sat := view.NormalizeConstants()
+		if !sat {
+			continue
+		}
+		fresh, _, _ := def.Freshen(fmt.Sprintf("w%d_", vi), 0)
+		vs.views = append(vs.views, preparedView{view: view, idx: vi, fresh: fresh})
+	}
+	return vs, nil
+}
+
 // Enumerate returns the rewritings of q using the views, per Definition 2.2.
 // Every returned rewriting is certified equivalent to q. The query is
 // normalized and minimized first; an unsatisfiable query yields no
@@ -70,11 +103,17 @@ func Enumerate(q *cq.Query, views []*cq.Query, opts Options) ([]*Rewriting, erro
 	if !sat {
 		return nil, nil
 	}
-	min := cq.Minimize(norm)
-	cands, err := candidates(min, views)
+	vs, err := PrepareViews(views)
 	if err != nil {
 		return nil, err
 	}
+	return vs.Enumerate(cq.Minimize(norm), opts), nil
+}
+
+// Enumerate is the package-level Enumerate for a query that is already
+// valid, normalized and minimized.
+func (vs *Views) Enumerate(min *cq.Query, opts Options) []*Rewriting {
+	cands := vs.candidates(min)
 	covers := enumerateCovers(min, cands, opts)
 
 	var out []*Rewriting
@@ -103,37 +142,46 @@ func Enumerate(q *cq.Query, views []*cq.Query, opts Options) ([]*Rewriting, erro
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out, nil
+	SortByKey(out)
+	return out
+}
+
+// SortByKey puts rewritings into the order Enumerate returns them in. The
+// key spells constants, so the order is the one part of an enumeration that
+// renaming constants does not preserve: a Rebind is followed by a re-sort.
+func SortByKey(rs []*Rewriting) {
+	if len(rs) < 2 {
+		return
+	}
+	type keyed struct {
+		key string
+		r   *Rewriting
+	}
+	ks := make([]keyed, len(rs))
+	for i, r := range rs {
+		ks[i] = keyed{r.Key(), r}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	for i, k := range ks {
+		rs[i] = k.r
+	}
 }
 
 // candidates enumerates every homomorphism from each view's body into the
 // query's atoms.
-func candidates(q *cq.Query, views []*cq.Query) ([]*candidate, error) {
+func (vs *Views) candidates(q *cq.Query) []*candidate {
 	var out []*candidate
 	seen := make(map[string]bool)
-	for vi, view := range views {
-		if err := view.Validate(); err != nil {
-			return nil, fmt.Errorf("rewrite: view %s: %w", view.Name, err)
-		}
-		def, _, sat := view.NormalizeConstants()
-		if !sat {
-			continue
-		}
-		fresh, _, _ := def.Freshen(fmt.Sprintf("w%d_", vi), 0)
-		headVars := make(map[string]bool)
-		for _, t := range fresh.Head {
-			if t.IsVar() {
-				headVars[t.Name] = true
-			}
-		}
+	for i := range vs.views {
+		pv := &vs.views[i]
+		fresh := pv.fresh
 		var rec func(i int, hom cq.Subst, covered map[int]bool)
 		rec = func(i int, hom cq.Subst, covered map[int]bool) {
 			if i == len(fresh.Atoms) {
 				if !cq.ComparisonsImplied(fresh.Comps, q.Comps, hom) {
 					return
 				}
-				c := buildCandidate(q, view, vi, fresh, hom, covered, headVars)
+				c := buildCandidate(q, pv, hom, covered)
 				if c != nil && !seen[c.key()] {
 					seen[c.key()] = true
 					out = append(out, c)
@@ -159,7 +207,7 @@ func candidates(q *cq.Query, views []*cq.Query) ([]*candidate, error) {
 		}
 		rec(0, make(cq.Subst), make(map[int]bool))
 	}
-	return out, nil
+	return out
 }
 
 // matchViewAtom extends hom mapping view atom a onto query atom qa. View
@@ -191,10 +239,11 @@ func matchViewAtom(a, qa cq.Atom, hom cq.Subst) (cq.Subst, bool) {
 	return out, true
 }
 
-func buildCandidate(q *cq.Query, view *cq.Query, vi int, fresh *cq.Query, hom cq.Subst, covered map[int]bool, headVars map[string]bool) *candidate {
+func buildCandidate(q *cq.Query, pv *preparedView, hom cq.Subst, covered map[int]bool) *candidate {
+	fresh := pv.fresh
 	c := &candidate{
-		view:        view,
-		viewIdx:     vi,
+		view:        pv.view,
+		viewIdx:     pv.idx,
 		retrievable: make(map[string]bool),
 		touched:     make(map[string]bool),
 	}

@@ -226,6 +226,29 @@ func (r *Rewriting) Key() string {
 	return sb.String()
 }
 
+// Rebind returns the rewriting with its constants renamed, as a rewriting of
+// q — the equally renamed query. Definition 2.2 decides a rewriting by
+// homomorphisms, which see a constant only through equality, so the
+// rewritings of q are the renamed rewritings of r.Query (core.Engine keeps
+// literal the constants for which that does not hold). Their order is not
+// preserved: follow with SortByKey.
+func (r *Rewriting) Rebind(rb cq.Rebind, q *cq.Query) *Rewriting {
+	out := &Rewriting{Query: q, Comps: rb.Comparisons(r.Comps), Head: rb.Terms(r.Head)}
+	if r.ViewAtoms != nil {
+		out.ViewAtoms = make([]ViewAtom, len(r.ViewAtoms))
+		for i, va := range r.ViewAtoms {
+			out.ViewAtoms[i] = ViewAtom{View: va.View, Args: rb.Terms(va.Args)}
+		}
+	}
+	if r.BaseAtoms != nil {
+		out.BaseAtoms = make([]cq.Atom, len(r.BaseAtoms))
+		for i, a := range r.BaseAtoms {
+			out.BaseAtoms[i] = rb.Atom(a)
+		}
+	}
+	return out
+}
+
 // Expand replaces every view atom by the view's body (existential variables
 // freshened, head unified with the atom's arguments) yielding a query over
 // base relations only — the rewriting's semantics.
