@@ -61,9 +61,9 @@ func (c *Citer) group(groups map[string]*batchGroup, order []*batchGroup, i int,
 // requests are grouped by the canonical form of their query, each group's
 // logical plan compiles exactly once and its citation evaluates exactly
 // once (the group members share the resulting *Citation), distinct groups
-// evaluate concurrently, and lazy view materialization inside the engine's
-// epoch state is shared across the whole batch. The output is identical to
-// len(reqs) independent Cite calls.
+// evaluate concurrently, and all of them read one engine epoch through its
+// shared plan and token caches. The output is identical to len(reqs)
+// independent Cite calls.
 //
 // The batch is all-or-nothing: a request that fails to parse aborts the
 // batch before any evaluation starts (a *BatchError names the first such
@@ -193,8 +193,8 @@ type BatchItem struct {
 // has len(reqs) entries, aligned with the requests.
 //
 // Work is amortized exactly as in CiteBatch: requests sharing a canonical
-// query evaluate once, distinct groups run concurrently, and view
-// materialization is shared across the batch. Canceling ctx stops all
+// query evaluate once, distinct groups run concurrently, and the epoch's
+// plan and token caches are shared across the batch. Canceling ctx stops all
 // remaining evaluation; unfinished requests report ErrCanceled in their
 // slots. Use CiteBatch for the all-or-nothing contract.
 func (c *Citer) CiteBatchItems(ctx context.Context, reqs []Request) []BatchItem {

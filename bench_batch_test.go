@@ -15,7 +15,7 @@ import (
 )
 
 // benchBatchCiter builds the shared benchmark citer over the generated
-// gtopdb instance and warms view materialization.
+// gtopdb instance and warms its plan and token caches.
 func benchBatchCiter(b *testing.B) *Citer {
 	b.Helper()
 	cfg := gtopdb.DefaultConfig()

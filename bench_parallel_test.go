@@ -9,8 +9,12 @@ import (
 	"runtime"
 	"testing"
 
+	"citare/internal/backend"
 	"citare/internal/eval"
 	"citare/internal/gtopdb"
+	"citare/internal/lsm"
+	"citare/internal/shard"
+	"citare/internal/storage"
 	"citare/internal/workload"
 )
 
@@ -77,7 +81,7 @@ func BenchmarkConcurrentCite(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Pre-materialize views so both modes measure steady state.
+			// Warm plans and tokens so both modes measure steady state.
 			if _, err := c.CiteDatalog(queries[0]); err != nil {
 				b.Fatal(err)
 			}
@@ -145,4 +149,61 @@ func BenchmarkSnapshot(b *testing.B) {
 			db.MustInsert("Family", fmt.Sprintf("s%d", i), "N", "type-01")
 		}
 	})
+}
+
+// Engine Reset — publishing a new epoch is a snapshot and an empty plan
+// cache in every storage mode: O(relations) (× shards), never O(tuples).
+func BenchmarkEngineReset(b *testing.B) {
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 2000
+	db := gtopdb.Generate(cfg)
+	modes := []struct {
+		name  string
+		build func() (*Citer, error)
+	}{
+		{"mem", func() (*Citer, error) { return NewFromProgram(db, gtopdb.ViewsProgram) }},
+		{"shards=4", func() (*Citer, error) {
+			sdb, err := shard.FromDB(db, 4)
+			if err != nil {
+				return nil, err
+			}
+			return NewShardedFromProgram(sdb, gtopdb.ViewsProgram)
+		}},
+		{"lsm", func() (*Citer, error) {
+			store, err := backend.OpenLSM(b.TempDir(), db.Schema(), lsm.Options{})
+			if err != nil {
+				return nil, err
+			}
+			b.Cleanup(func() { store.Close() })
+			for _, rs := range db.Schema().Relations() {
+				var ierr error
+				db.Relation(rs.Name).Scan(func(tu storage.Tuple) bool {
+					ierr = store.Insert(rs.Name, tu...)
+					return ierr == nil
+				})
+				if ierr != nil {
+					return nil, ierr
+				}
+			}
+			if _, err := store.Commit("load"); err != nil {
+				return nil, err
+			}
+			return NewBackendFromProgram(store, gtopdb.ViewsProgram)
+		}},
+	}
+	for _, mode := range modes {
+		b.Run(mode.name, func(b *testing.B) {
+			c, err := mode.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Reset(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -56,7 +56,7 @@ func BenchmarkPrunedPointCite(b *testing.B) {
 
 	bench := func(b *testing.B, c *Citer) {
 		b.Helper()
-		if _, err := c.CiteDatalog(q); err != nil { // materialize views once
+		if _, err := c.CiteDatalog(q); err != nil { // warm plans and tokens once
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -155,7 +155,7 @@ func BenchmarkHedgedStraggler(b *testing.B) {
 			if err := c.Reset(); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := c.CiteDatalog(q); err != nil { // materialize views once
+			if _, err := c.CiteDatalog(q); err != nil { // warm plans and tokens once
 				b.Fatal(err)
 			}
 			b.ResetTimer()

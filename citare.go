@@ -33,9 +33,9 @@
 //   - Cite(ctx, req) evaluates one request.
 //   - CiteBatch(ctx, reqs) evaluates many at once: requests whose queries
 //     canonicalize to the same form share one logical-plan compilation and
-//     one evaluation, distinct groups run concurrently, and view
-//     materialization is shared across the whole batch. Output is identical
-//     to independent Cite calls.
+//     one evaluation, distinct groups run concurrently, and all of them read
+//     one epoch through its shared plan and token caches. Output is
+//     identical to independent Cite calls.
 //   - CiteBatchItems(ctx, reqs) is the per-item variant: same grouping and
 //     sharing, but a failing request yields a typed error in its own slot
 //     while the others still evaluate.
@@ -87,8 +87,13 @@
 //     to unsharded evaluation. Build a sharded Citer with NewSharded /
 //     NewShardedFromProgram (see shard.FromDB to partition existing data).
 //   - internal/core: an Engine snapshots the database at construction and
-//     on Reset, scopes lazy view materialization to an epoch captured once
-//     per Cite, and caches rendered tokens in a sharded LRU — so a single
+//     on Reset. An epoch is that snapshot, its number and the physical
+//     plans compiled against it, captured once per Cite; citation views are
+//     never stored — each rewriting is evaluated through its expansion over
+//     base relations (unfolded) on the snapshot, collapsing frames that
+//     differ only in a view's existential variables — so nothing in an
+//     epoch fills in lazily, its requests share no lock, and Reset is
+//     O(relations). Rendered tokens are cached in a sharded LRU. A single
 //     Engine serves concurrent Cite calls, and Reset after updates never
 //     tears an in-flight citation. Citations reuse two compilation caches,
 //     both keyed by query shape — the query with its constants lifted to
@@ -186,7 +191,7 @@ func WithNeutralCitation(obj *format.Object) Option {
 	return func(o *options) { o.neutral = append(o.neutral, obj) }
 }
 
-// WithParallelEval evaluates queries and view materializations with n
+// WithParallelEval evaluates queries and unfolded rewritings with n
 // workers (see eval.Options.Parallel). Results are identical to sequential
 // evaluation. n == 0 (the default) adapts the worker count to each compiled
 // plan's relation cardinalities and GOMAXPROCS; n == 1 forces sequential
@@ -245,7 +250,7 @@ func NewFromProgram(db *storage.DB, viewsProgram string, opts ...Option) (*Citer
 }
 
 // NewSharded assembles a Citer over a hash-partitioned database
-// (internal/shard): snapshots, view materialization and citation-query
+// (internal/shard): snapshots and query, rewriting and citation-query
 // evaluation fan out per shard and merge deterministically, so citations
 // are byte-identical to an unsharded Citer over the same data. Partition an
 // existing database with shard.FromDB, or populate a shard.New directly.

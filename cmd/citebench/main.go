@@ -518,7 +518,7 @@ func runB15() error {
 	fmt.Println("   | engine      | time/op |")
 	fmt.Println("   |-------------|--------:|")
 	run := func(name string, c *citare.Citer) error {
-		if _, err := c.CiteDatalog(q); err != nil { // materialize views once
+		if _, err := c.CiteDatalog(q); err != nil { // warm plans and tokens once
 			return err
 		}
 		d, err := timed(50, func() error {
@@ -633,7 +633,7 @@ func runB17() error {
 			return err
 		}
 		if _, err := citer.Cite(ctx, citare.Request{Datalog: joinQ}); err != nil {
-			return err // warm view materialization
+			return err // warm plans and tokens
 		}
 		dBatch, err := timed(20, func() error {
 			_, err := citer.CiteBatch(ctx, reqs)
@@ -729,7 +729,7 @@ func runB19() error {
 		if err != nil {
 			return nil, err
 		}
-		_, err = c.CiteDatalog(pointQ) // materialize views: steady state
+		_, err = c.CiteDatalog(pointQ) // warm plans and tokens: steady state
 		return c, err
 	}
 	disabled, err := newCiter()
@@ -799,7 +799,7 @@ func runB20() error {
 		if err := c.Reset(); err != nil {
 			return testing.BenchmarkResult{}, err
 		}
-		if _, err := c.CiteDatalog(joinQ); err != nil { // materialize views once
+		if _, err := c.CiteDatalog(joinQ); err != nil { // warm plans and tokens once
 			return testing.BenchmarkResult{}, err
 		}
 		return testing.Benchmark(func(b *testing.B) {
@@ -835,8 +835,8 @@ func runB20() error {
 
 // runB21 measures deep-join citation latency on the OpenCitations-shaped
 // citegraph workload at stress scale (~1M tuples; -quick drops to the small
-// instance). The cold pass pays view materialization (VCites alone holds one
-// row per citation edge) plus token-cache fill; the steady-state table then
+// instance). The cold pass pays plan compilation, the snapshot's lazily built
+// indexes and token-cache fill; the steady-state table then
 // shows the long-tail service mix: µs-scale resolutions, ms-scale incoming
 // probes, and the multi-join provenance chains. The hot work's full incoming
 // citation is deliberately absent: rendering it materializes the hot key's
@@ -883,7 +883,7 @@ func runB21() error {
 		}
 		rows[tc.name] = res.NumTuples()
 	}
-	fmt.Printf("   cold pass (view materialization + token-cache fill): %v\n",
+	fmt.Printf("   cold pass (plan compilation + token-cache fill): %v\n",
 		time.Since(coldStart).Round(time.Millisecond))
 	if rows["resolution/hot"] == 0 || rows["incoming/mid"] == 0 {
 		return fmt.Errorf("citegraph workload returned no rows (resolution=%d incoming=%d)",
@@ -1024,7 +1024,7 @@ func runB23() error {
 			return err
 		}
 		citers[ver] = c
-		res, err := c.CiteDatalog(readQ) // cold: snapshot + view materialization
+		res, err := c.CiteDatalog(readQ) // cold: snapshot + plan compilation
 		if err != nil {
 			return err
 		}
@@ -1146,7 +1146,7 @@ func runB24() error {
 // runB25 measures the persistence tax of the LSM backend at stress scale
 // (-quick drops to the small instance): WAL-append write throughput for the
 // bulk load, the cold-open path — manifest + SSTable open time plus the
-// first citation, which materializes views straight off the SSTables — and
+// first citation, which evaluates straight off the SSTables — and
 // the steady-state read delta between the in-memory backend and the
 // persistent one serving the identical citegraph workload.
 func runB25() error {
@@ -1220,13 +1220,13 @@ func runB25() error {
 	if _, err := lsmCiter.CiteDatalog(citegraph.ResolutionQuery(hot)); err != nil {
 		return err
 	}
-	fmt.Printf("   cold open: %v to open (%d SSTables), %v to first citation (view materialization off SSTables)\n",
+	fmt.Printf("   cold open: %v to open (%d SSTables), %v to first citation (evaluated off SSTables)\n",
 		openD.Round(time.Millisecond), tables, time.Since(coldStart).Round(time.Millisecond))
 
 	// Read delta: identical queries, identical data, in-memory vs LSM-backed
-	// citer, both past their cold pass. Steady-state reads come out of the
-	// materialized views on both sides, so the delta stays small — the
-	// persistence tax is paid at write and open time, not per read.
+	// citer, both past their cold pass. Citations of the working set come out
+	// of the plan and token caches on both sides; what is left of the delta
+	// is one block-cache lookup per base-relation probe.
 	memCiter, err := citare.NewFromProgram(db, citegraph.ViewsProgram,
 		citare.WithNeutralCitation(citegraph.DatasetCitation()))
 	if err != nil {
@@ -1436,7 +1436,7 @@ func writeBenchJSON(path string) error {
 				return nil, err
 			}
 		}
-		if _, err := c.CiteDatalog(joinQ); err != nil { // materialize views once
+		if _, err := c.CiteDatalog(joinQ); err != nil { // warm plans and tokens once
 			return nil, err
 		}
 		return c, nil
@@ -1471,7 +1471,7 @@ func writeBenchJSON(path string) error {
 		citegraph.CoCitationQuery(citegraph.HotWork()),
 		citegraph.AuthorProvenanceQuery(citegraph.AuthorID(3)),
 	}
-	for _, q := range cgQueries { // materialize citegraph views + fill token caches
+	for _, q := range cgQueries { // compile citegraph plans + fill token caches
 		if _, err := cgCiter.CiteDatalog(q); err != nil {
 			return err
 		}
@@ -1553,7 +1553,7 @@ func writeBenchJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := lsmCiter.CiteDatalog(cgQueries[0]); err != nil { // materialize views off SSTables
+	if _, err := lsmCiter.CiteDatalog(cgQueries[0]); err != nil { // first citation off SSTables
 		return err
 	}
 	writeBack, err := backend.OpenLSM(writeDir, citegraph.Schema(cgCfg), lsm.Options{})

@@ -45,8 +45,8 @@
 //	}
 //
 // With "explain": true the response carries the request's per-stage
-// pipeline trace (parse → rewrite → compile → views → eval → gather →
-// render, with durations, tuple/frame counts, cache outcomes, the strategy
+// pipeline trace (parse → rewrite → compile → eval → gather → render,
+// with durations, tuple/frame counts, cache outcomes, the strategy
 // chosen and per-shard timings). The trace never changes the citation —
 // explained and plain responses carry byte-identical citations — but an
 // explained request bypasses the citation cache to produce a real trace.
@@ -95,8 +95,7 @@
 // deadline expired, ...) that 4xx/5xx is also the response status, so
 // naive clients and proxies still see the failure. Requests in one batch
 // that canonicalize to the same query share one logical-plan compilation
-// and one evaluation, and view materialization is shared across the whole
-// batch — k copies of one query cost one citation.
+// and one evaluation — k copies of one query cost one citation.
 //
 // # Errors
 //

@@ -2,7 +2,8 @@ package citare
 
 // Race and stress tests for the concurrent citation engine: many goroutines
 // issuing Engine.Cite through both front-ends against one shared engine
-// while views materialize lazily, plus Reset racing in-flight citations.
+// while the epoch's plan and token caches fill, plus Reset racing in-flight
+// citations.
 // Run with -race (CI does).
 
 import (
@@ -39,9 +40,9 @@ func cite(c *Citer, q mixedQuery) (*Citation, error) {
 }
 
 // TestConcurrentCiteMixedFrontends issues N goroutines of mixed SQL and
-// datalog citations against a single fresh engine (so lazy view
-// materialization happens under contention) and checks every result against
-// a sequentially computed baseline.
+// datalog citations against a single fresh engine (so first compilations and
+// first token renderings happen under contention) and checks every result
+// against a sequentially computed baseline.
 func TestConcurrentCiteMixedFrontends(t *testing.T) {
 	queries := mixedWorkload()
 

@@ -20,14 +20,16 @@ type Explain struct {
 // ExplainStage is one span of an Explain report.
 type ExplainStage struct {
 	// Name is the stage or span name: "cite", "parse", "rewrite",
-	// "compile", "views", "eval", "gather", "render", or a sub-span like
-	// "rewriting", "view", "shard".
+	// "compile", "eval", "gather", "render", or a sub-span like
+	// "rewriting" (one per rewriting, under "gather") or "shard".
 	Name string `json:"name"`
 	// DurationNs is the span's wall-clock duration in nanoseconds.
 	DurationNs int64 `json:"duration_ns"`
 	// Attrs holds the span's annotations: string or int64 values such as
 	// "strategy", "workers", "frames", "tuples", "cached", "plan" (the
-	// compiled join order), "shard", "token_cache_hits".
+	// compiled join order), "shard", "token_cache_hits"; on a "rewriting"
+	// span "atoms" (of the expansion it is evaluated through), "frames"
+	// and "deduped" (frames that repeated a binding).
 	Attrs map[string]any `json:"attrs,omitempty"`
 	// Children are the nested spans.
 	Children []*ExplainStage `json:"children,omitempty"`

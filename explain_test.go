@@ -109,6 +109,29 @@ func TestExplainReportShape(t *testing.T) {
 					t.Fatalf("stage %q missing from report", stage)
 				}
 			}
+			// Views are unfolded, not materialized: no stage of that name,
+			// and each rewriting's evaluation is accounted under gather.
+			if ex.Stage(obs.StageViews) != nil || ex.Stage("view") != nil {
+				t.Fatalf("report still carries a views stage: %+v", ex.Stages)
+			}
+			rewritings := 0
+			for _, child := range ex.Stage(obs.StageGather).Children {
+				if child.Name != "rewriting" {
+					continue
+				}
+				rewritings++
+				for _, attr := range []string{"atoms", "frames", "deduped"} {
+					if _, ok := child.Attrs[attr].(int64); !ok {
+						t.Fatalf("rewriting span lacks %q: %v", attr, child.Attrs)
+					}
+				}
+				if child.Attrs["atoms"].(int64) < 2 || child.Attrs["frames"].(int64) != int64(ct.NumTuples()) {
+					t.Fatalf("rewriting span of a two-atom join over %d tuples: %v", ct.NumTuples(), child.Attrs)
+				}
+			}
+			if rewritings != len(ct.Rewritings()) {
+				t.Fatalf("%d rewriting spans for %d rewritings", rewritings, len(ct.Rewritings()))
+			}
 			eval := ex.Stage(obs.StageEval)
 			if got := eval.Attrs["strategy"]; got != wantStrategy {
 				t.Fatalf("eval strategy %v, want %q", got, wantStrategy)

@@ -19,25 +19,28 @@ import (
 	"citare/internal/storage"
 )
 
-// viewRelPrefix namespaces materialized view relations inside the engine's
-// execution database, away from base relations.
-const viewRelPrefix = "__view_"
-
 // tokenCacheSize bounds the engine's rendered-token cache (sharded LRU).
 const tokenCacheSize = 4096
 
 // Engine computes citations for general queries over a database with a set
 // of citation views and a policy.
 //
+// Citation views are never stored: a rewriting is evaluated through its
+// expansion over base relations (unfolded), on the same snapshot the output
+// query and the token citation queries read. That holds for every storage
+// mode — a plain database, a hash-partitioned one, a SnapshotSource — which
+// differ only in how the snapshot is taken.
+//
 // Concurrency model: an Engine is safe for concurrent use. At construction
 // (and on every Reset) it takes an immutable storage snapshot and evaluates
 // all queries against it, so concurrent writers to the live database never
 // corrupt in-flight citations — they simply are not visible until Reset.
-// Lazy view materialization and the execution database live in an
-// epoch-scoped state captured once per Cite call; rendered citation tokens
-// are cached in a sharded LRU keyed by epoch. Reset swaps in a fresh state
-// atomically, leaving in-flight Cite calls to finish consistently against
-// the old epoch.
+// An epoch is that snapshot, its number and its physical-plan cache, captured
+// once per Cite call; nothing in it is filled in later, so concurrent
+// requests share no lock beyond the caches' own. Rendered citation tokens
+// are cached in a sharded LRU keyed by epoch. Reset costs O(relations): it
+// swaps in a fresh state atomically, leaving in-flight Cite calls to finish
+// consistently against the old epoch.
 //
 // Query compilation is cached at two levels, both keyed by query *shape* —
 // the query with its constants lifted to parameters (cq.Query.Shape) — and
@@ -106,24 +109,15 @@ type Engine struct {
 }
 
 // engineState is one epoch of the engine: an immutable database snapshot
-// plus the execution database whose view relations fill in lazily. A Cite
-// call captures the state once and uses it throughout, so a concurrent
-// Reset can never tear a half-finished citation. In sharded mode both the
-// snapshot and the execution database are hash-partitioned and every
-// evaluation scatter-gathers across shards.
+// with the epoch's physical-plan cache. A Cite call captures the state once
+// and uses it throughout, so a concurrent Reset can never tear a
+// half-finished citation. In sharded mode the snapshot is hash-partitioned
+// and every evaluation scatter-gathers across shards.
 type engineState struct {
 	epoch uint64
 	// tokenPrefix is the epoch as the token cache spells it in its keys.
 	tokenPrefix string
 	snap        evalTarget // immutable snapshot all reads evaluate against
-	exec        evalTarget // execution database: base relations + view relations
-	// execIns inserts into the execution store (plain or sharded).
-	execIns interface {
-		Insert(rel string, vals ...string) error
-	}
-
-	mu           sync.Mutex // guards materialized + view-relation fills
-	materialized map[string]bool
 }
 
 // NewEngine assembles an engine. View names must be unique.
@@ -132,10 +126,10 @@ func NewEngine(db *storage.DB, views []*CitationView, policy Policy) (*Engine, e
 }
 
 // NewShardedEngine assembles an engine over a hash-partitioned database:
-// snapshots are taken per shard, view materialization and citation-query
-// evaluation fan out per shard and merge deterministically, and the
-// execution database is partitioned the same way. Output is byte-identical
-// to an unsharded engine over the same data.
+// snapshots are taken per shard, and query, rewriting and citation-query
+// evaluation fan out per shard (pruned by bound shard keys) and merge
+// deterministically. Output is byte-identical to an unsharded engine over
+// the same data.
 func NewShardedEngine(sdb *shard.DB, views []*CitationView, policy Policy) (*Engine, error) {
 	return newEngine(nil, sdb, nil, views, policy)
 }
@@ -213,27 +207,21 @@ func (e *Engine) PhysicalPlanStats() (hits, misses uint64) {
 // calls.
 func (e *Engine) SetEvalParallelism(n int) { e.parallel = n }
 
-// evalOpts returns the evaluation options the engine runs queries with.
-// Unset parallelism is adaptive: the evaluator derives the worker count
-// from the plan's first-atom cardinality (partitioning deeper atoms when
-// the first is too small to split) instead of a blind flag default.
-func (e *Engine) evalOpts() eval.Options {
+// requestOpts resolves one request's evaluation options: a non-zero
+// per-request Parallel overrides the engine's configuration, otherwise the
+// engine default applies. Unset parallelism is adaptive: the evaluator
+// derives the worker count from the plan's first-atom cardinality
+// (partitioning deeper atoms when the first is too small to split) instead
+// of a blind flag default.
+func (e *Engine) requestOpts(o CiteOptions) eval.Options {
 	p := e.parallel
+	if o.Parallel != 0 {
+		p = o.Parallel
+	}
 	if p == 0 {
 		p = eval.Auto
 	}
 	return eval.Options{Parallel: p}
-}
-
-// requestOpts resolves one request's evaluation options: a non-zero
-// per-request Parallel overrides the engine's configuration, otherwise the
-// engine default applies (adaptive when unset).
-func (e *Engine) requestOpts(o CiteOptions) eval.Options {
-	opts := e.evalOpts()
-	if o.Parallel != 0 {
-		opts.Parallel = o.Parallel
-	}
-	return opts
 }
 
 // CiteOptions are the per-request knobs of one citation call. The zero
@@ -275,11 +263,11 @@ func (e *Engine) curState() *engineState {
 	return e.state
 }
 
-// Reset re-snapshots the database and drops materialization and rendering
+// Reset re-snapshots the database and drops the epoch's plan and rendering
 // caches (call after updating the database). In-flight Cite calls finish
-// against the previous snapshot. The O(data) rebuild happens outside the
-// state lock, so concurrent Cite calls keep serving the old epoch instead
-// of stalling behind the rebuild.
+// against the previous snapshot. Taking a snapshot costs O(relations) and
+// happens outside the state lock, so concurrent Cite calls keep serving the
+// old epoch meanwhile.
 func (e *Engine) Reset() error {
 	st, err := e.buildState(e.epochCtr.Add(1))
 	if err != nil {
@@ -296,92 +284,32 @@ func (e *Engine) Reset() error {
 	return nil
 }
 
-func newEngineState(epoch uint64) *engineState {
-	return &engineState{
-		epoch:        epoch,
-		tokenPrefix:  strconv.FormatUint(epoch, 10) + "|",
-		materialized: make(map[string]bool),
-	}
-}
-
-// buildState snapshots the live database and creates the execution
-// database: every base relation plus one (initially empty) relation per
-// citation view. In sharded mode the snapshot is taken per shard and the
-// execution database is partitioned the same way, so rewriting evaluation
-// scatter-gathers too.
+// buildState snapshots the live store into a new epoch. In sharded mode the
+// snapshot is taken per shard, and the optional wrapper (fault injection)
+// stands between the engine and every read of it.
 func (e *Engine) buildState(epoch uint64) (*engineState, error) {
-	if e.src != nil {
-		return e.buildSourceState(epoch)
-	}
-	schema := e.baseSchema()
-	s := storage.NewSchema()
-	for _, rs := range schema.Relations() {
-		cols := append([]storage.Column(nil), rs.Cols...)
-		// ShardKey carries over so sharded execution routes base tuples the
-		// same way the source does; primary keys are dropped on purpose.
-		if err := s.AddRelation(&storage.RelSchema{Name: rs.Name, Cols: cols, ShardKey: rs.ShardKey}); err != nil {
+	var view eval.DBView
+	switch {
+	case e.src != nil:
+		v, err := e.src.Snapshot()
+		if err != nil {
 			return nil, err
 		}
-	}
-	for _, v := range e.views {
-		cols := make([]storage.Column, len(v.Def.Head))
-		for i := range cols {
-			cols[i] = storage.Column{Name: fmt.Sprintf("h%d", i)}
-		}
-		if err := s.AddRelation(&storage.RelSchema{Name: viewRelPrefix + v.Name(), Cols: cols}); err != nil {
-			return nil, err
-		}
-	}
-
-	st := newEngineState(epoch)
-	if e.sdb != nil {
+		view = v
+	case e.sdb != nil:
 		snap := e.sdb.Snapshot()
-		exec := shard.New(s, e.sdb.NumShards())
-		for _, rs := range schema.Relations() {
-			var ierr error
-			snap.Relation(rs.Name).Scan(func(t storage.Tuple) bool {
-				if err := exec.Insert(rs.Name, t...); err != nil {
-					ierr = err
-					return false
-				}
-				return true
-			})
-			if ierr != nil {
-				return nil, ierr
-			}
-		}
-		// The optional wrapper (fault injection) applies to the snapshot
-		// only: the execution database is engine-local scratch, not the
-		// shard backend the fault model describes.
-		var view eval.Partitioned = snap
+		view = snap
 		if e.shardWrap != nil {
 			view = e.shardWrap(snap)
 		}
-		st.snap = shardedTarget(view).cached(e)
-		st.exec = shardedTarget(exec).cached(e)
-		st.execIns = exec
-		return st, nil
+	default:
+		view = eval.DBViewOf(e.db.Snapshot())
 	}
-
-	snap := e.db.Snapshot()
-	exec := storage.NewDB(s)
-	for _, rs := range schema.Relations() {
-		var ierr error
-		snap.Relation(rs.Name).Scan(func(t storage.Tuple) bool {
-			if err := exec.Insert(rs.Name, t...); err != nil {
-				ierr = err
-				return false
-			}
-			return true
-		})
-		if ierr != nil {
-			return nil, ierr
-		}
-	}
-	st.snap = targetOf(snap).cached(e)
-	st.exec = targetOf(exec).cached(e)
-	st.execIns = exec
-	return st, nil
+	return &engineState{
+		epoch:       epoch,
+		tokenPrefix: strconv.FormatUint(epoch, 10) + "|",
+		snap:        evalTarget{view: view}.cached(e),
+	}, nil
 }
 
 // baseSchema returns the schema of the engine's live store.
@@ -393,92 +321,6 @@ func (e *Engine) baseSchema() *storage.Schema {
 		return e.sdb.Schema()
 	}
 	return e.db.Schema()
-}
-
-// viewsUsed collects the distinct citation views the rewritings reference,
-// in first-use order, resolving each against the engine's registry.
-func (e *Engine) viewsUsed(rewritings []*rewrite.Rewriting) ([]*CitationView, error) {
-	var out []*CitationView
-	seen := make(map[string]bool)
-	for _, r := range rewritings {
-		for _, va := range r.ViewAtoms {
-			if seen[va.View.Name] {
-				continue
-			}
-			seen[va.View.Name] = true
-			v := e.byName[va.View.Name]
-			if v == nil {
-				return nil, fmt.Errorf("core: rewriting uses unknown view %s", va.View.Name)
-			}
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
-
-// materializeViews evaluates every listed view definition into the state's
-// execution database, once per epoch, under a single acquisition of the
-// state lock — a cite call covering many rewritings that share views pays
-// one lock round instead of one per view atom per rewriting, and never
-// re-derives a view a sibling rewriting already filled. The flag for each
-// view flips only after every one of its tuples landed, and the lock's
-// release/acquire pair publishes the inserts to later readers. Cancellation
-// is safe: each view evaluates fully before its first insert, so a canceled
-// request leaves that relation empty and unflagged — the next request simply
-// materializes it again.
-//
-// Views always require full shard coverage — a partially materialized view
-// would poison every later request of the epoch — so resil's degradation
-// policy is stripped for the evaluation itself. When the request allows
-// partial coverage, a view whose shards are unreachable is skipped (left
-// unmaterialized, returned by name) instead of failing the request; the
-// caller drops the rewritings that reference it.
-func (e *Engine) materializeViews(ctx context.Context, st *engineState, views []*CitationView, resil *eval.Resilience) (skipped []string, err error) {
-	if len(views) == 0 {
-		return nil, nil
-	}
-	allowSkip := resil != nil && resil.MinShardCoverage > 0
-	opts := e.evalOpts()
-	opts.Resilience = fullCoverage(resil)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	tr, cur := obs.FromContext(ctx)
-	for _, v := range views {
-		if st.materialized[v.Name()] {
-			continue
-		}
-		vctx := ctx
-		vsp := obs.NoSpan
-		if tr != nil {
-			// One child span per view actually materialized this epoch; an
-			// already-warm views stage shows up as a span with no children.
-			vsp = tr.Start(cur, "view")
-			tr.SetStr(vsp, "view", v.Name())
-			vctx = obs.NewContext(ctx, tr, vsp)
-		}
-		res, err := st.snap.eval(vctx, v.Def, opts)
-		if err != nil {
-			if allowSkip && errors.Is(err, eval.ErrShardUnavailable) {
-				skipped = append(skipped, v.Name())
-				tr.SetStr(vsp, "skipped", "shards unavailable")
-				tr.End(vsp)
-				continue
-			}
-			tr.End(vsp)
-			return nil, fmt.Errorf("core: materializing view %s: %w", v.Name(), err)
-		}
-		rel := viewRelPrefix + v.Name()
-		for _, t := range res.Tuples {
-			if err := st.execIns.Insert(rel, t...); err != nil {
-				tr.End(vsp)
-				return nil, err
-			}
-		}
-		st.materialized[v.Name()] = true
-		tr.SetInt(vsp, "tuples", int64(len(res.Tuples)))
-		tr.End(vsp)
-	}
-	return skipped, nil
 }
 
 // RewritingCitation is the citation polynomial a single rewriting assigns to
@@ -541,10 +383,9 @@ func (e *Engine) Cite(q *cq.Query) (*Result, error) {
 }
 
 // CiteCtx is Cite under a context with per-request options. Cancellation is
-// honored at every stage — output evaluation, view materialization,
-// rewriting evaluation and per-tuple citation assembly — so a canceled
-// request returns the context's error promptly instead of finishing the
-// citation nobody is waiting for.
+// honored at every stage — output evaluation, rewriting evaluation and
+// per-tuple citation assembly — so a canceled request returns the context's
+// error promptly instead of finishing the citation nobody is waiting for.
 func (e *Engine) CiteCtx(ctx context.Context, q *cq.Query, o CiteOptions) (*Result, error) {
 	return e.cite(ctx, q, nil, o)
 }
@@ -579,16 +420,17 @@ func (e *Engine) CiteEach(ctx context.Context, q *cq.Query, o CiteOptions, fn fu
 
 // planStage is the rewrite stage of both pipelines, under the stage's span:
 // resolve the query's logical plan, unless the caller brought it, and take
-// its rewritings under the query's own constants.
-func (e *Engine) planStage(ob *obsCtx, q *cq.Query, p *Prepared, o CiteOptions) (*Prepared, []*rewrite.Rewriting) {
+// its unfolded rewritings under the query's own constants.
+func (e *Engine) planStage(ob *obsCtx, q *cq.Query, p *Prepared, o CiteOptions) (*Prepared, []*unfolded, error) {
 	rw := ob.begin(obs.StageRewrite)
 	if p == nil {
 		p = e.logicalPlan(q, o)
 	}
-	var rewritings []*rewrite.Rewriting
+	var us []*unfolded
+	var err error
 	hit := false
 	if p.Satisfiable() {
-		rewritings, hit = e.rewritingsFor(p)
+		us, hit, err = e.rewritingsFor(p)
 	}
 	ob.end(rw)
 	if ob.tr != nil {
@@ -597,9 +439,9 @@ func (e *Engine) planStage(ob *obsCtx, q *cq.Query, p *Prepared, o CiteOptions) 
 			cached = 1
 		}
 		ob.tr.SetInt(rw.id, "cached", cached)
-		ob.tr.SetInt(rw.id, "rewritings", int64(len(rewritings)))
+		ob.tr.SetInt(rw.id, "rewritings", int64(len(us)))
 	}
-	return p, rewritings
+	return p, us, err
 }
 
 // cite is the materialized citation pipeline behind Cite, CiteCtx (q set, p
@@ -625,13 +467,16 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 		}()
 	}
 
-	p, rewritings := e.planStage(&ob, q, p, o)
+	p, us, err := e.planStage(&ob, q, p, o)
+	if err != nil {
+		return nil, err
+	}
 	if !p.Satisfiable() {
 		return e.citeUnsat(p.norm)
 	}
 	min := p.min
 
-	res = &Result{Query: min, Rewritings: rewritings, Columns: HeadColumns(min)}
+	res = &Result{Query: min, Columns: HeadColumns(min)}
 
 	// Evaluate the query itself for the output tuples (independent of any
 	// rewriting, so even an un-rewritable query reports its answers). The
@@ -640,10 +485,6 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 	// rewriting work happens.
 	st := e.curState()
 	resil := e.resilienceFor(o)
-	var cov *eval.Coverage
-	if resil != nil {
-		cov = resil.Coverage
-	}
 	outOpts := e.requestOpts(o)
 	outOpts.MaxTuples = o.MaxTuples
 	outOpts.Resilience = resil
@@ -666,45 +507,9 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 		perTuple[t.Key()] = &res.Tuples[i]
 	}
 
-	// Materialize every view any rewriting touches up front, in one batch.
-	views, err := e.viewsUsed(rewritings)
-	if err != nil {
+	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, o, resil, us, perTuple); err != nil {
 		return nil, err
 	}
-	vs := ob.begin(obs.StageViews)
-	skippedViews, err := e.materializeViews(ob.ctxFor(ctx, vs), st, views, resil)
-	ob.end(vs)
-	if err != nil {
-		return nil, err
-	}
-	if len(skippedViews) > 0 {
-		cov.SkippedViews = append(cov.SkippedViews, skippedViews...)
-		rewritings = dropRewritingsUsing(rewritings, skippedViews)
-		res.Rewritings = rewritings
-	}
-
-	// Partial coverage in effect: a rewriting over completely materialized
-	// views can legitimately produce tuples the degraded output eval never
-	// saw. Skip those strays instead of tripping the invariant guard.
-	degraded := cov != nil && cov.Partial()
-
-	gs := ob.begin(obs.StageGather)
-	for _, r := range rewritings {
-		rctx := ctx
-		rsp := obs.NoSpan
-		if ob.tr != nil {
-			rsp = ob.tr.Start(gs.id, "rewriting")
-			ob.tr.SetStr(rsp, "rewriting", r.String())
-			rctx = obs.NewContext(ctx, ob.tr, rsp)
-		}
-		err := e.gatherRewriting(rctx, st, o, r, perTuple, degraded)
-		ob.tr.End(rsp)
-		if err != nil {
-			ob.end(gs)
-			return nil, err
-		}
-	}
-	ob.end(gs)
 
 	// Combine and render in deterministic tuple order, in place over the
 	// shared buffer. Rendering cancels per tuple and, inside a tuple, per
@@ -725,7 +530,9 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 	}
 	ob.end(rd)
 	res.Citation = e.aggregate(res.Tuples)
-	res.Coverage = cov
+	if resil != nil {
+		res.Coverage = resil.Coverage
+	}
 	return res, nil
 }
 
@@ -775,40 +582,6 @@ func (e *Engine) citeUnsat(q *cq.Query) (*Result, error) {
 	res := &Result{Query: q}
 	res.Citation = e.aggregate(nil)
 	return res, nil
-}
-
-// viewAtomInfo pairs one view atom of a rewriting query with its resolved
-// citation view and the head positions its λ-parameters read from.
-type viewAtomInfo struct {
-	view     *CitationView
-	paramPos []int
-}
-
-// rewritingQuery translates one certified rewriting into a conjunctive query
-// over the execution database — view atoms become lookups on the
-// materialized __view_ relations, base atoms and residual comparisons carry
-// over — plus per-view-atom token metadata. The caller must have
-// materialized the referenced views (materializeViews).
-func (e *Engine) rewritingQuery(r *rewrite.Rewriting) (*cq.Query, []viewAtomInfo, error) {
-	q := &cq.Query{Name: "RW", Head: append([]cq.Term(nil), r.Head...)}
-	var infos []viewAtomInfo
-	for _, va := range r.ViewAtoms {
-		v := e.byName[va.View.Name]
-		if v == nil {
-			return nil, nil, fmt.Errorf("core: rewriting uses unknown view %s", va.View.Name)
-		}
-		pos, err := v.Def.ParamPositions()
-		if err != nil {
-			return nil, nil, err
-		}
-		q.Atoms = append(q.Atoms, cq.Atom{Pred: viewRelPrefix + v.Name(), Args: append([]cq.Term(nil), va.Args...)})
-		infos = append(infos, viewAtomInfo{view: v, paramPos: pos})
-	}
-	for _, a := range r.BaseAtoms {
-		q.Atoms = append(q.Atoms, a.Clone())
-	}
-	q.Comps = append(q.Comps, r.Comps...)
-	return q, infos, nil
 }
 
 // normalizePolys applies the policy's +-idempotence and order normal form to

@@ -17,18 +17,19 @@ const logicalPlanCacheSize = 512
 // engine saw, the lifted constants of that query, and — compiled on the
 // first citation rather than the first lookup, since the citation cache and
 // batch grouping need only the minimized form — its certified rewritings,
-// already preference-pruned under the policy. It depends only on the query,
-// the engine's views and the policy, never on the data, so it survives
-// Reset. Everything is read-only once set and shared across concurrent
-// calls; a later query of the shape takes the plan through a cq.Rebind of
-// its own constants.
+// already preference-pruned under the policy and unfolded for evaluation. It
+// depends only on the query, the engine's views, the schema and the policy,
+// never on the data, so it survives Reset. Everything is read-only once set
+// and shared across concurrent calls; a later query of the shape takes the
+// plan through a cq.Rebind of its own constants.
 type compiledQuery struct {
 	params []string
 	min    *cq.Query
 	maxRW  int
 
 	compile    sync.Once
-	rewritings []*rewrite.Rewriting
+	rewritings []*unfolded
+	err        error // a rewriting that cannot be unfolded: a bug, reported per request
 }
 
 // Prepared is a valid query resolved against the engine's logical-plan
@@ -95,9 +96,10 @@ func (e *Engine) logicalPlan(q *cq.Query, o CiteOptions) *Prepared {
 }
 
 // rewritingsFor returns the prepared query's certified rewritings in
-// Enumerate's order, compiling the shape's on first use. hit reports that
-// this call did not compile, which is what LogicalPlanStats counts.
-func (e *Engine) rewritingsFor(p *Prepared) (rws []*rewrite.Rewriting, hit bool) {
+// Enumerate's order, unfolded, compiling the shape's on first use. hit
+// reports that this call did not compile, which is what LogicalPlanStats
+// counts.
+func (e *Engine) rewritingsFor(p *Prepared) (us []*unfolded, hit bool, err error) {
 	hit = true
 	p.plan.compile.Do(func() {
 		hit = false
@@ -108,26 +110,32 @@ func (e *Engine) rewritingsFor(p *Prepared) (rws []*rewrite.Rewriting, hit bool)
 		if e.policy.PreferredRewritings {
 			rws = preferRewritings(rws)
 		}
-		p.plan.rewritings = rws
+		us := make([]*unfolded, len(rws))
+		for i, r := range rws {
+			if us[i], p.plan.err = e.unfold(r); p.plan.err != nil {
+				return
+			}
+		}
+		p.plan.rewritings = us
 	})
 	if hit {
 		e.logicalHits.Add(1)
 	} else {
 		e.logicalMisses.Add(1)
 	}
-	rws = p.plan.rewritings
-	if p.rb.Identity() {
-		return rws, hit
+	us = p.plan.rewritings
+	if p.rb.Identity() || p.plan.err != nil {
+		return us, hit, p.plan.err
 	}
 	// Truncation at MaxRewritings and preference pruning count subgoals and
 	// constants, which a renaming preserves; the order is by a key that
 	// spells the constants, which it does not.
-	bound := make([]*rewrite.Rewriting, len(rws))
-	for i, r := range rws {
-		bound[i] = r.Rebind(p.rb, p.min)
+	bound := make([]*unfolded, len(us))
+	for i, u := range us {
+		bound[i] = u.rebind(p.rb, p.min)
 	}
-	rewrite.SortByKey(bound)
-	return bound, hit
+	rewrite.SortByKey(bound, func(u *unfolded) *rewrite.Rewriting { return u.r })
+	return bound, hit, nil
 }
 
 // LogicalPlanStats reports the logical-plan counters: misses are citations

@@ -4,11 +4,9 @@ package core
 // scatter-gather driver (internal/eval), per-request coverage accounting,
 // and the graceful-degradation plumbing the cite pipelines share.
 //
-// Resilience applies to evaluations against the engine's snapshot — the
-// output query, view materialization and token rendering — because that is
-// the shard-backend seam where faults live. Rewriting evaluation runs over
-// the execution database, an engine-local scratch store rebuilt from the
-// snapshot each epoch, so it needs no retry armor of its own.
+// Resilience applies to every evaluation of a request — the output query,
+// each unfolded rewriting and token rendering — because they all read the
+// engine's snapshot, the shard-backend seam where faults live.
 
 import (
 	"context"
@@ -19,7 +17,6 @@ import (
 	"citare/internal/format"
 	"citare/internal/obs"
 	"citare/internal/provenance"
-	"citare/internal/rewrite"
 )
 
 // ResilienceConfig enables and tunes the fault-tolerant scatter-gather
@@ -75,8 +72,7 @@ func (e *Engine) BreakerStates() []eval.BreakerInfo { return e.breakers.States()
 // SetShardWrapper installs a wrapper applied to every snapshot the engine
 // takes of its partitioned database — the hook the fault injector
 // (internal/fault) uses to impose faults at the shard-scan seam. It only
-// affects sharded engines, and only evaluations against the snapshot; the
-// execution database stays unwrapped. Takes effect at the next Reset.
+// affects sharded engines. Takes effect at the next Reset.
 func (e *Engine) SetShardWrapper(wrap func(eval.ShardScanner) eval.ShardScanner) {
 	e.shardWrap = wrap
 }
@@ -110,9 +106,10 @@ func (e *Engine) resilienceFor(o CiteOptions) *eval.Resilience {
 }
 
 // fullCoverage returns resil with the degradation policy stripped: stages
-// whose partial output would corrupt the citation (view materialization,
-// token rendering) must see every shard or fail, whatever the request's
-// output policy allows. nil stays nil.
+// whose partial output would corrupt the citation (rewriting evaluation,
+// token rendering) must see every shard they touch or fail, whatever the
+// request's output policy allows. The coverage accumulator stays shared.
+// nil stays nil.
 func fullCoverage(resil *eval.Resilience) *eval.Resilience {
 	if resil == nil || resil.MinShardCoverage == 0 {
 		return resil
@@ -162,29 +159,4 @@ func unavailableToken(pt provenance.Token, err error) *format.Object {
 		o.Set("Token", format.S(string(pt)))
 	}
 	return o.Set("Unavailable", format.S(err.Error()))
-}
-
-// dropRewritingsUsing filters out rewritings that reference any of the
-// named views — used when a partial-coverage request skips views whose
-// shards are unreachable, degrading the citation to the rewritings that
-// remain computable.
-func dropRewritingsUsing(rs []*rewrite.Rewriting, skipped []string) []*rewrite.Rewriting {
-	bad := make(map[string]bool, len(skipped))
-	for _, name := range skipped {
-		bad[name] = true
-	}
-	out := rs[:0:0]
-	for _, r := range rs {
-		uses := false
-		for _, va := range r.ViewAtoms {
-			if bad[va.View.Name] {
-				uses = true
-				break
-			}
-		}
-		if !uses {
-			out = append(out, r)
-		}
-	}
-	return out
 }

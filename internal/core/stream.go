@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -24,10 +26,10 @@ import (
 //     (bounded channel, per-tuple backpressure, no eval.Result, no
 //     result-side dedup map) and gathers only the (key, tuple) pairs the
 //     deterministic order requires.
-//   - Rewriting gather consumes each rewriting query's FrameIterator
-//     directly on slot frames — no Binding map fills, no Match plumbing —
-//     accumulating per-tuple polynomials exactly as the materialized path
-//     does.
+//   - Rewriting gather consumes the FrameIterator of each rewriting's
+//     expansion directly on slot frames — no Binding map fills, no Match
+//     plumbing — accumulating per-tuple polynomials exactly as the
+//     materialized path does (it is the same gatherStage).
 //   - Combine + render run lazily, one tuple at a time, immediately before
 //     that tuple's delivery: the first citation reaches the caller before
 //     any later tuple's citation has been rendered, and each delivered
@@ -38,8 +40,8 @@ import (
 
 // citeStream is the pull-iterator citation pipeline behind CiteEach. Its
 // stages mirror cite() exactly; every divergence in combining order would
-// break the byte-parity contract, so the two share planStage,
-// materializeViews, rewritingQuery, normalizePolys and combineTuple.
+// break the byte-parity contract, so the two share planStage, gatherStage,
+// normalizePolys and combineTuple.
 func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, each func(*TupleCitation) error) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -59,19 +61,18 @@ func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, eac
 		}()
 	}
 
-	p, rewritings := e.planStage(&ob, q, nil, o)
+	p, us, err := e.planStage(&ob, q, nil, o)
+	if err != nil {
+		return nil, err
+	}
 	if !p.Satisfiable() {
 		return e.citeUnsat(p.norm)
 	}
 	min := p.min
-	res = &Result{Query: min, Rewritings: rewritings, Columns: HeadColumns(min)}
+	res = &Result{Query: min, Columns: HeadColumns(min)}
 
 	st := e.curState()
 	resil := e.resilienceFor(o)
-	var cov *eval.Coverage
-	if resil != nil {
-		cov = resil.Coverage
-	}
 	outOpts := e.requestOpts(o)
 	outOpts.MaxTuples = o.MaxTuples
 	outOpts.Resilience = resil
@@ -84,45 +85,9 @@ func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, eac
 	}
 	ob.tr.SetInt(ev.id, "tuples", int64(len(keys)))
 
-	views, err := e.viewsUsed(rewritings)
-	if err != nil {
+	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, o, resil, us, perKey); err != nil {
 		return nil, err
 	}
-	vs := ob.begin(obs.StageViews)
-	skippedViews, err := e.materializeViews(ob.ctxFor(ctx, vs), st, views, resil)
-	ob.end(vs)
-	if err != nil {
-		return nil, err
-	}
-	if len(skippedViews) > 0 {
-		cov.SkippedViews = append(cov.SkippedViews, skippedViews...)
-		rewritings = dropRewritingsUsing(rewritings, skippedViews)
-		res.Rewritings = rewritings
-	}
-
-	// Partial coverage in effect: a rewriting over completely materialized
-	// views can legitimately produce tuples the degraded output eval never
-	// saw. gatherRewriting skips those strays instead of tripping its
-	// invariant guard.
-	degraded := cov != nil && cov.Partial()
-
-	gs := ob.begin(obs.StageGather)
-	for _, r := range rewritings {
-		rctx := ctx
-		rsp := obs.NoSpan
-		if ob.tr != nil {
-			rsp = ob.tr.Start(gs.id, "rewriting")
-			ob.tr.SetStr(rsp, "rewriting", r.String())
-			rctx = obs.NewContext(ctx, ob.tr, rsp)
-		}
-		err := e.gatherRewriting(rctx, st, o, r, perKey, degraded)
-		ob.tr.End(rsp)
-		if err != nil {
-			ob.end(gs)
-			return nil, err
-		}
-	}
-	ob.end(gs)
 
 	// Deliver in the deterministic key order, releasing each entry before
 	// its combine+render so the stream holds one rendered citation at a
@@ -157,7 +122,9 @@ func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, eac
 		}
 	}
 	ob.record(obs.StageRender, renderDur)
-	res.Coverage = cov
+	if resil != nil {
+		res.Coverage = resil.Coverage
+	}
 	return res, nil
 }
 
@@ -203,19 +170,75 @@ func (s frameSrc) value(frame []string) string {
 	return frame[s.slot]
 }
 
-// gatherRewriting evaluates one rewriting through the frame iterator and
-// merges its Σ-over-bindings polynomials (Definition 3.2) into the matching
-// per-key citations. Head values and view λ-parameters resolve to frame
-// slots once up front, so each binding costs slot reads rather than a
-// Binding map fill. The rewriting's views must already be materialized.
-// degraded marks a partial-coverage request: tuples outside the (partial)
-// output are then expected strays, not invariant violations.
-func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, o CiteOptions, r *rewrite.Rewriting, perKey map[string]*TupleCitation, degraded bool) error {
-	q, infos, err := e.rewritingQuery(r)
-	if err != nil {
-		return err
+// gatherStage is the gather stage of both pipelines, under the stage's span:
+// every rewriting is evaluated and its polynomials merged into perKey. It
+// returns the rewritings the citation was assembled from — all of them,
+// unless the request accepts partial coverage: a rewriting is all-or-nothing,
+// so its evaluation must reach every shard its lookups touch whatever the
+// output policy allows, and one that cannot is left out, with its views
+// named in the request's coverage report, instead of failing the request.
+func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, o CiteOptions, resil *eval.Resilience, us []*unfolded, perKey map[string]*TupleCitation) ([]*rewrite.Rewriting, error) {
+	opts := e.requestOpts(o)
+	opts.Resilience = fullCoverage(resil)
+	allowSkip := resil != nil && resil.MinShardCoverage > 0
+	// A degraded output evaluation lacks the skipped shards' tuples, which a
+	// rewriting whose own lookups prune away from those shards still
+	// produces: expected strays, not invariant violations.
+	degraded := resil != nil && resil.Coverage.Partial()
+
+	gs := ob.begin(obs.StageGather)
+	defer ob.end(gs)
+	used := make([]*rewrite.Rewriting, 0, len(us))
+	for _, u := range us {
+		rctx := ctx
+		rsp := obs.NoSpan
+		if ob.tr != nil {
+			rsp = ob.tr.Start(gs.id, "rewriting")
+			ob.tr.SetStr(rsp, "rewriting", u.r.String())
+			ob.tr.SetInt(rsp, "atoms", int64(len(u.exp.Atoms)))
+			rctx = obs.NewContext(ctx, ob.tr, rsp)
+		}
+		err := e.gatherRewriting(rctx, st, opts, u, perKey, degraded)
+		ob.tr.End(rsp)
+		switch {
+		case err == nil:
+			used = append(used, u.r)
+		case allowSkip && errors.Is(err, eval.ErrShardUnavailable):
+			cov := resil.Coverage
+			for _, info := range u.views {
+				if !slices.Contains(cov.SkippedViews, info.view.Name()) {
+					cov.SkippedViews = append(cov.SkippedViews, info.view.Name())
+				}
+			}
+		default:
+			return nil, err
+		}
 	}
-	it, pl, err := st.exec.frames(ctx, q, e.requestOpts(o))
+	return used, nil
+}
+
+// appendKeyPart appends v in the collision-free length-prefixed encoding of
+// storage.Tuple.Key.
+func appendKeyPart(buf []byte, v string) []byte {
+	buf = strconv.AppendInt(buf, int64(len(v)), 10)
+	buf = append(buf, ':')
+	return append(buf, v...)
+}
+
+// gatherRewriting evaluates one rewriting, unfolded, through the frame
+// iterator of its expansion on the epoch's snapshot and merges its
+// Σ-over-bindings polynomials (Definition 3.2) into the matching per-key
+// citations. Head values and view λ-parameters are read off the frame slots
+// of the rewriting's own variables, resolved once up front, so each binding
+// costs slot reads rather than a Binding map fill; where the expansion can
+// repeat a binding (u.dedupe), frames equal on those variables count once.
+// Nothing reaches perKey before the enumeration has finished, so a failed
+// evaluation leaves no partial polynomial behind. degraded marks a
+// partial-coverage request: tuples outside the (partial) output are then
+// expected strays, not invariant violations.
+func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval.Options, u *unfolded, perKey map[string]*TupleCitation, degraded bool) error {
+	r := u.r
+	it, pl, err := st.snap.frames(ctx, u.exp, opts)
 	if err != nil {
 		return err
 	}
@@ -236,17 +259,17 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, o CiteOpt
 		}
 		return frameSrc{slot: s}, nil
 	}
-	headSrc := make([]frameSrc, len(q.Head))
-	for i, t := range q.Head {
+	headSrc := make([]frameSrc, len(r.Head))
+	for i, t := range r.Head {
 		if headSrc[i], err = src(t); err != nil {
 			return err
 		}
 	}
-	paramSrc := make([][]frameSrc, len(infos))
-	for ai, info := range infos {
+	paramSrc := make([][]frameSrc, len(u.views))
+	for ai, info := range u.views {
 		paramSrc[ai] = make([]frameSrc, len(info.paramPos))
 		for pi, hp := range info.paramPos {
-			if paramSrc[ai][pi], err = src(q.Atoms[ai].Args[hp]); err != nil {
+			if paramSrc[ai][pi], err = src(r.ViewAtoms[ai].Args[hp]); err != nil {
 				return err
 			}
 		}
@@ -254,30 +277,49 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, o CiteOpt
 	// Base-atom C_R tokens are binding-independent: encode them once.
 	var baseToks []provenance.Token
 	if e.policy.IncludeBaseTokens {
-		for _, a := range q.Atoms[len(infos):] {
+		for _, a := range r.BaseAtoms {
 			baseToks = append(baseToks, NewRelToken(a.Pred).Encode())
 		}
+	}
+	var ownSrc []frameSrc
+	var seen map[string]struct{}
+	if u.dedupe {
+		ownSrc = make([]frameSrc, len(u.vars))
+		for i, v := range u.vars {
+			if ownSrc[i], err = src(cq.Var(v)); err != nil {
+				return err
+			}
+		}
+		seen = make(map[string]struct{})
 	}
 
 	polys := make(map[string]provenance.Poly)
 	var keyBuf []byte
-	toks := make([]provenance.Token, 0, len(infos)+len(baseToks))
+	toks := make([]provenance.Token, 0, len(u.views)+len(baseToks))
 	params := make([]string, 0, 4)
+	deduped := int64(0)
 	for it.Next() {
 		f := it.Frame()
-		// Head-tuple key in the collision-free length-prefixed encoding of
-		// storage.Tuple.Key, probed without allocating on repeats.
+		if u.dedupe {
+			keyBuf = keyBuf[:0]
+			for _, s := range ownSrc {
+				keyBuf = appendKeyPart(keyBuf, s.value(f))
+			}
+			if _, dup := seen[string(keyBuf)]; dup { // no-alloc map probe
+				deduped++
+				continue
+			}
+			seen[string(keyBuf)] = struct{}{}
+		}
+		// Head-tuple key, probed without allocating on repeats.
 		keyBuf = keyBuf[:0]
 		for _, s := range headSrc {
-			v := s.value(f)
-			keyBuf = strconv.AppendInt(keyBuf, int64(len(v)), 10)
-			keyBuf = append(keyBuf, ':')
-			keyBuf = append(keyBuf, v...)
+			keyBuf = appendKeyPart(keyBuf, s.value(f))
 		}
 		// Monomial: one view token per view atom (parameter values read off
 		// the frame), plus the C_R tokens.
 		toks = toks[:0]
-		for ai, info := range infos {
+		for ai, info := range u.views {
 			params = params[:0]
 			for _, s := range paramSrc[ai] {
 				params = append(params, s.value(f))
@@ -304,6 +346,9 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, o CiteOpt
 	}
 	if err := it.Err(); err != nil {
 		return err
+	}
+	if tr, sp := obs.FromContext(ctx); tr != nil {
+		tr.SetInt(sp, "deduped", deduped)
 	}
 	e.normalizePolys(polys)
 	for k, p := range polys {

@@ -8,7 +8,6 @@ import (
 	"citare/internal/cq"
 	"citare/internal/eval"
 	"citare/internal/obs"
-	"citare/internal/storage"
 )
 
 // planCacheSize bounds one target's compiled-plan cache (sharded LRU,
@@ -45,16 +44,6 @@ type evalTarget struct {
 	// physical-plan counters and pipeline metrics; nil for one-shot
 	// targets, which report nothing.
 	eng *Engine
-}
-
-// targetOf wraps a plain storage database.
-func targetOf(db *storage.DB) evalTarget {
-	return evalTarget{view: eval.DBViewOf(db)}
-}
-
-// shardedTarget wraps a partitioned database.
-func shardedTarget(p eval.Partitioned) evalTarget {
-	return evalTarget{view: p}
 }
 
 // cached returns the target with a fresh plan cache attached — used for the

@@ -1,0 +1,119 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"citare/internal/cq"
+	"citare/internal/rewrite"
+	"citare/internal/storage"
+)
+
+// unfolded is a certified rewriting in the form the engine evaluates it:
+// through its expansion — the query over base relations the rewriting was
+// certified equivalent with — on the epoch's snapshot, never over stored view
+// relations. A view relation is a set, so a rewriting has one binding per
+// valuation of its own variables; the expansion also ranges over the views'
+// existential variables, so frames that agree on the rewriting's variables
+// are one binding (Definition 3.2 sums over bindings). Built once per query
+// shape beside the rewritings and shared read-only; a later query of the
+// shape takes it through rebind.
+type unfolded struct {
+	r   *rewrite.Rewriting
+	exp *cq.Query
+	// views resolves r.ViewAtoms, in order, to the engine's citation views.
+	views []viewAtomInfo
+	// vars are r's own variables. dedupe says that two frames of exp can
+	// agree on all of them; when false every frame is a binding of its own.
+	vars   []string
+	dedupe bool
+}
+
+// viewAtomInfo pairs one view atom of a rewriting with its resolved citation
+// view and the head positions its λ-parameters read from.
+type viewAtomInfo struct {
+	view     *CitationView
+	paramPos []int
+}
+
+// unfold prepares a certified rewriting for evaluation.
+func (e *Engine) unfold(r *rewrite.Rewriting) (*unfolded, error) {
+	exp, err := r.Expand()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	u := &unfolded{r: r, exp: exp, views: make([]viewAtomInfo, len(r.ViewAtoms))}
+	for i, va := range r.ViewAtoms {
+		v := e.byName[va.View.Name]
+		if v == nil {
+			return nil, fmt.Errorf("core: rewriting uses unknown view %s", va.View.Name)
+		}
+		pos, err := v.Def.ParamPositions()
+		if err != nil {
+			return nil, err
+		}
+		u.views[i] = viewAtomInfo{view: v, paramPos: pos}
+	}
+
+	// r's own variables: those of r read as a query over the views.
+	asQuery := &cq.Query{Head: r.Head, Atoms: slices.Clone(r.BaseAtoms), Comps: r.Comps}
+	for _, va := range r.ViewAtoms {
+		asQuery.Atoms = append(asQuery.Atoms, cq.Atom{Pred: va.View.Name, Args: va.Args})
+	}
+	u.vars = asQuery.Vars()
+	own := make(map[string]bool, len(u.vars))
+	for _, v := range u.vars {
+		own[v] = true
+	}
+	u.dedupe = e.needsDedupe(exp, own)
+	return u, nil
+}
+
+// needsDedupe decides whether the expansion can yield two frames that agree
+// on the rewriting's own variables. It cannot when every atom that mentions
+// an existential variable of a view has its relation's declared key bound to
+// own variables and constants: relations are sets, so the own variables then
+// fix every matched tuple, and with it the whole frame.
+func (e *Engine) needsDedupe(exp *cq.Query, own map[string]bool) bool {
+	schema := e.baseSchema()
+	for _, a := range exp.Atoms {
+		existential := false
+		for _, t := range a.Args {
+			if t.IsVar() && !own[t.Name] {
+				existential = true
+				break
+			}
+		}
+		if existential && !e.keyBound(schema.Relation(a.Pred), a, own) {
+			return true
+		}
+	}
+	return false
+}
+
+// keyBound reports whether the atom binds every column of its relation's
+// primary key to an own variable or a constant, for a key the store enforces
+// over the whole relation. A partitioned store checks keys inside each part,
+// which is global only when the key contains the shard-key column.
+func (e *Engine) keyBound(rs *storage.RelSchema, a cq.Atom, own map[string]bool) bool {
+	if rs == nil || len(rs.Key) == 0 || len(a.Args) != rs.Arity() {
+		return false
+	}
+	routed := e.sdb == nil
+	for _, k := range rs.Key {
+		col := rs.ColIndex(k)
+		if t := a.Args[col]; t.IsVar() && !own[t.Name] {
+			return false
+		}
+		routed = routed || col == rs.ShardKeyIndex()
+	}
+	return routed
+}
+
+// rebind returns u for the query of the same shape whose constants rb
+// renames u's to: the rewriting as a rewriting of q, and its expansion.
+func (u *unfolded) rebind(rb cq.Rebind, q *cq.Query) *unfolded {
+	b := *u
+	b.r, b.exp = u.r.Rebind(rb, q), rb.Query(u.exp)
+	return &b
+}

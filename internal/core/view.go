@@ -116,14 +116,14 @@ func instantiate(q *cq.Query, params []string) (*cq.Query, error) {
 // values, evaluated, and shaped by the citation function — F_V(C_V(a⃗)) in
 // the paper's notation. RelTokens render as a marker record.
 func (v *CitationView) RenderToken(db *storage.DB, tok Token) (*format.Object, error) {
-	return v.renderTokenOn(targetOf(db), tok)
+	return v.renderTokenOn(evalTarget{view: eval.DBViewOf(db)}, tok)
 }
 
 // RenderTokenSharded is RenderToken against a hash-partitioned database:
 // the citation query evaluates scatter-gather with shard pruning, so a
 // λ-parameter binding the shard key touches a single shard.
 func (v *CitationView) RenderTokenSharded(p eval.Partitioned, tok Token) (*format.Object, error) {
-	return v.renderTokenOn(shardedTarget(p), tok)
+	return v.renderTokenOn(evalTarget{view: p}, tok)
 }
 
 func (v *CitationView) renderTokenOn(t evalTarget, tok Token) (*format.Object, error) {

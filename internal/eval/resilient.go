@@ -117,9 +117,9 @@ type Coverage struct {
 
 	PerShard []ShardCoverage `json:"per_shard,omitempty"`
 
-	// SkippedViews names citation views that could not be materialized
-	// because their defining query hit unavailable shards; rewritings using
-	// them were dropped. Filled by the engine, not by this package.
+	// SkippedViews names the citation views of rewritings that were left out
+	// of a partial citation because their evaluation hit unavailable shards.
+	// Filled by the engine, not by this package.
 	SkippedViews []string `json:"skipped_views,omitempty"`
 }
 
@@ -142,8 +142,8 @@ func stateRank(s string) int {
 
 // Merge folds another evaluation's coverage into c: attempt counters add up,
 // and each shard keeps its worst state across the evaluations (a shard that
-// answered the output query but failed during view materialization is
-// skipped overall).
+// answered the output query but failed a rewriting's evaluation is skipped
+// overall).
 func (c *Coverage) Merge(o *Coverage) {
 	if o == nil {
 		return
@@ -458,14 +458,18 @@ func (p *Plan) runResilientShard(ctx context.Context, acc ShardScanner, r *Resil
 		rep.Breaker = string(br.State(si))
 	}
 	// Per-shard deterministic jitter stream: independent of goroutine
-	// interleaving across shards.
-	rng := rand.New(rand.NewSource(r.Seed*0x9E3779B97F4A7C + int64(si) + 1))
+	// interleaving across shards. Seeding one costs microseconds and 5 KB,
+	// more than a pruned point scan, so it waits for the first retry.
+	var rng *rand.Rand
 	maxA := r.maxAttempts()
 	var lastErr error
 	for attempt := 1; attempt <= maxA; attempt++ {
 		if attempt > 1 {
 			if m := r.Metrics; m != nil {
 				m.Retries.Add(1)
+			}
+			if rng == nil {
+				rng = rand.New(rand.NewSource(r.Seed*0x9E3779B97F4A7C + int64(si) + 1))
 			}
 			d := r.backoff(attempt-1, rng)
 			t := time.NewTimer(d)

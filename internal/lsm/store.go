@@ -262,18 +262,8 @@ func Open(dir string, schema *storage.Schema, opt Options) (*Store, error) {
 			r.unref() // drop the creation reference; the set owns them now
 		}
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err := removeUnreferenced(dir, referenced); err != nil {
 		return nil, err
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".sst") {
-			continue
-		}
-		id, err := strconv.ParseUint(strings.TrimSuffix(e.Name(), ".sst"), 10, 64)
-		if err != nil || !referenced[id] {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
 	}
 	// Replay the WAL window past the manifest: records below NextSeq are
 	// already durable in SSTables and are skipped, which makes a crash
@@ -774,7 +764,29 @@ func (s *Store) maybeCompactAsync() {
 	}()
 }
 
+// removeUnreferenced deletes every *.sst file of dir whose id is not listed.
+func removeUnreferenced(dir string, referenced map[uint64]bool) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".sst") {
+			continue
+		}
+		id, err := strconv.ParseUint(strings.TrimSuffix(e.Name(), ".sst"), 10, 64)
+		if err != nil || !referenced[id] {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+	return nil
+}
+
 // Close flushes the memtable, waits for compaction and releases every file.
+// A view must not be used once its store is closed, so an obsolete table that
+// a view never released still pins is deleted here rather than whenever that
+// view's finalizer runs: a closed store's directory holds the tables its
+// manifest names and nothing else, exactly as Open would leave it.
 func (s *Store) Close() error {
 	s.writeMu.Lock()
 	if s.closed {
@@ -796,7 +808,14 @@ func (s *Store) Close() error {
 	if cerr := s.wal.close(); err == nil {
 		err = cerr
 	}
+	current := make(map[uint64]bool)
+	for _, r := range tables.all() {
+		current[r.id] = true
+	}
 	tables.release()
+	if rerr := removeUnreferenced(s.dir, current); err == nil {
+		err = rerr
+	}
 	return err
 }
 

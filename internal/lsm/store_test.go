@@ -403,6 +403,45 @@ func TestOrphanSSTCleanup(t *testing.T) {
 	}
 }
 
+// TestCloseRemovesPinnedObsoleteTables: a view that is never released pins
+// the tables it saw, obsolete ones included, until its finalizer runs; Close
+// must not leave those files behind for the next Open to sweep.
+func TestCloseRemovesPinnedObsoleteTables(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir, Options{DisableBackgroundCompaction: true})
+	for i := 0; i < 3; i++ {
+		st.Insert("cites", fmt.Sprintf("p%d", i), "q")
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaked, err := st.Snapshot() // pins three L0 tables, never released
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	sstFiles := func() int {
+		names, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(names)
+	}
+	live := st.Stats().Levels[1].Tables
+	if n := sstFiles(); n != live+3 {
+		t.Fatalf("%d table files while the view pins the compaction's inputs, want %d", n, live+3)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sstFiles(); n != live {
+		t.Fatalf("%d table files after Close, want the manifest's %d", n, live)
+	}
+	leaked.Release()
+}
+
 func TestWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, Options{DisableBackgroundCompaction: true})

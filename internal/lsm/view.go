@@ -114,7 +114,11 @@ func (m *mergeIter) close() {
 // iterSources builds one iterator per data source over [start, end):
 // the pinned memtable plus every table of every level.
 func (v *View) iterSources(start, end []byte) []kvIter {
-	srcs := []kvIter{v.mem.iter(start, end)}
+	n := 1
+	for _, level := range v.tables.levels {
+		n += len(level)
+	}
+	srcs := append(make([]kvIter, 0, n), v.mem.iter(start, end))
 	for _, level := range v.tables.levels {
 		for _, r := range level {
 			srcs = append(srcs, r.iter(start, end))
@@ -188,20 +192,24 @@ func (r *RelView) Lookup(cols []int, vals []string, fn func(t storage.Tuple) boo
 		return
 	}
 	k := r.rs.Arity()
-	bound := make(map[int]string, len(cols))
+	// want[c] is the value column c is bound to, where bound[c]; two small
+	// slices, on the stack for any relation of ordinary width.
+	var wantBuf [8]string
+	var boundBuf [8]bool
+	want, bound := wantBuf[:], boundBuf[:]
+	if k > len(wantBuf) {
+		want, bound = make([]string, k), make([]bool, k)
+	}
 	for i, c := range cols {
 		if c < 0 || c >= k {
 			return
 		}
-		bound[c] = vals[i]
+		want[c], bound[c] = vals[i], true
 	}
 	bestOrd, bestRun := 0, 0
 	for o := 0; o < k; o++ {
 		run := 0
-		for i := 0; i < k; i++ {
-			if _, ok := bound[(o+i)%k]; !ok {
-				break
-			}
+		for run < k && bound[(o+run)%k] {
 			run++
 		}
 		if run > bestRun {
@@ -211,7 +219,7 @@ func (r *RelView) Lookup(cols []int, vals []string, fn func(t storage.Tuple) boo
 	prefix := appendLogicalPrefix(nil, r.rs.Name, byte(bestOrd))
 	relPrefixLen := len(prefix)
 	for i := 0; i < bestRun; i++ {
-		prefix = appendField(prefix, bound[(bestOrd+i)%k])
+		prefix = appendField(prefix, want[(bestOrd+i)%k])
 	}
 	r.v.scanVisible(prefix, prefixSuccessor(prefix), func(logical []byte) bool {
 		fields, err := decodeFields(logical, relPrefixLen)
@@ -219,8 +227,8 @@ func (r *RelView) Lookup(cols []int, vals []string, fn func(t storage.Tuple) boo
 			return true
 		}
 		t := storage.Tuple(unrotate(fields, bestOrd))
-		for c, want := range bound {
-			if t[c] != want {
+		for _, c := range cols {
+			if t[c] != want[c] {
 				return true
 			}
 		}

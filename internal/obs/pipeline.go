@@ -20,7 +20,7 @@ type PipelineMetrics struct {
 // PipelineStages lists the stages that get a per-stage latency histogram,
 // in pipeline order.
 var PipelineStages = []string{
-	StageRewrite, StageCompile, StageViews, StageEval, StageGather, StageRender,
+	StageRewrite, StageCompile, StageEval, StageGather, StageRender,
 }
 
 // NewPipelineMetrics registers the citare_* pipeline metrics on r and

@@ -14,11 +14,17 @@ const (
 	StageParse   = "parse"
 	StageRewrite = "rewrite"
 	StageCompile = "compile"
-	StageViews   = "views"
 	StageEval    = "eval"
 	StageGather  = "gather"
 	StageRender  = "render"
 )
+
+// StageViews named the stage that materialized citation views. Nothing runs
+// in it any more — rewritings are unfolded and evaluated inside the gather
+// stage — so no span or histogram carries the name; the constant stays
+// because the benchmark (bench/layers.go) compiles against it and reports
+// core.stage_views_us, which therefore reads 0.
+const StageViews = "views"
 
 // SpanID identifies one span within its Trace. NoSpan is the absent span;
 // every Trace method accepts it and no-ops.

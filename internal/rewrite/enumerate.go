@@ -142,28 +142,29 @@ func (vs *Views) Enumerate(min *cq.Query, opts Options) []*Rewriting {
 			}
 		}
 	}
-	SortByKey(out)
+	SortByKey(out, func(r *Rewriting) *Rewriting { return r })
 	return out
 }
 
-// SortByKey puts rewritings into the order Enumerate returns them in. The
-// key spells constants, so the order is the one part of an enumeration that
-// renaming constants does not preserve: a Rebind is followed by a re-sort.
-func SortByKey(rs []*Rewriting) {
-	if len(rs) < 2 {
+// SortByKey puts rewritings — or whatever carries one, which of says — into
+// the order Enumerate returns them in. The key spells constants, so the
+// order is the one part of an enumeration that renaming constants does not
+// preserve: a Rebind is followed by a re-sort.
+func SortByKey[T any](xs []T, of func(T) *Rewriting) {
+	if len(xs) < 2 {
 		return
 	}
 	type keyed struct {
 		key string
-		r   *Rewriting
+		x   T
 	}
-	ks := make([]keyed, len(rs))
-	for i, r := range rs {
-		ks[i] = keyed{r.Key(), r}
+	ks := make([]keyed, len(xs))
+	for i, x := range xs {
+		ks[i] = keyed{of(x).Key(), x}
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 	for i, k := range ks {
-		rs[i] = k.r
+		xs[i] = k.x
 	}
 }
 

@@ -51,10 +51,11 @@
 //     on the gtopdb and advisor workloads).
 //
 // core.Engine composes this with its epoch machinery: a sharded engine
-// snapshots all parts per epoch, materializes citation views and evaluates
-// citation queries scatter-gather, and keeps its execution database (base
-// relations + materialized view relations) sharded as well, so rewriting
-// evaluation fans out per shard too.
+// snapshots all parts per epoch and evaluates everything against that one
+// partitioned snapshot scatter-gather — the query, each rewriting through
+// its expansion over base relations (citation views are unfolded, never
+// stored), and the citation queries — so a rewriting's lookups prune by the
+// base relations' own shard keys.
 //
 // # Caveats
 //

@@ -49,10 +49,9 @@ type Request struct {
 	MaxTuples int
 
 	// Explain asks for a per-stage trace of the request's trip through the
-	// pipeline (parse, rewrite, compile, view materialization, eval,
-	// gather, render — with durations, counts, cache outcomes, the
-	// strategy chosen and per-shard timings), returned via
-	// Citation.Explain. Tracing never changes the citation itself; through
+	// pipeline (parse, rewrite, compile, eval, gather, render — with
+	// durations, counts, cache outcomes, the strategy chosen and per-shard
+	// timings), returned via Citation.Explain. Tracing never changes the citation itself; through
 	// a CachedCiter an Explain request bypasses the citation cache.
 	Explain bool
 

@@ -144,10 +144,10 @@ func TestChaosStalledShard(t *testing.T) {
 
 // TestCitegraphChaosParity runs the citegraph workload through the
 // resilient sharded engine (ISSUE 9 satellite 2): fault-free it is
-// byte-identical to the unsharded baseline; with one shard stalled the
-// strict policy fails fast with ErrShardUnavailable while MinShardCoverage
-// N-1 degrades into a partial citation whose coverage pins the stalled
-// shard.
+// byte-identical to the unsharded baseline; with the shard that owns the
+// probed key stalled the strict policy fails fast with ErrShardUnavailable
+// while MinShardCoverage N-1 degrades into a partial citation whose coverage
+// pins the stalled shard; a strict probe of a key on another shard succeeds.
 func TestCitegraphChaosParity(t *testing.T) {
 	const shards = 3
 	db := citegraph.Generate(citegraph.ScaleSmall())
@@ -172,13 +172,14 @@ func TestCitegraphChaosParity(t *testing.T) {
 		}
 	}
 
-	// One shard stalled. The hot-key probe targets the Zipf head, so under
-	// the default Cited routing the stalled shard may or may not own it —
-	// both outcomes are exercised across the workload's anchors.
-	const stalled = 1
+	// One shard stalled: the one that owns the hot work's incoming
+	// references (Cites is routed by its Cited column), so the hot-key probe
+	// has nowhere else to go.
+	c := shardedCitegraphCiter(t, db, shards, WithResilience(chaosConfig()))
+	sdb := c.engine.ShardDB()
+	stalled := sdb.ShardFor("Cites", citegraph.HotWork())
 	in := fault.NewInjector(17)
 	in.SetFault(stalled, fault.ShardFault{Stall: true})
-	c := shardedCitegraphCiter(t, db, shards, WithResilience(chaosConfig()))
 	c.engine.SetShardWrapper(in.Wrap)
 	if err := c.Reset(); err != nil {
 		t.Fatal(err)
@@ -198,6 +199,35 @@ func TestCitegraphChaosParity(t *testing.T) {
 	}
 	if cov.PerShard[stalled].State != eval.ShardSkipped {
 		t.Fatalf("stalled shard state %q, want %q", cov.PerShard[stalled].State, eval.ShardSkipped)
+	}
+	// The VCites rewriting needs the same shard: it is left out, by name.
+	if len(ct.Rewritings()) != 0 || len(cov.SkippedViews) != 1 || cov.SkippedViews[0] != "VCites" {
+		t.Fatalf("degraded cite kept rewritings %q, skipped views %q; want none kept and VCites skipped", ct.Rewritings(), cov.SkippedViews)
+	}
+
+	// A strict request whose every lookup — the query, its unfolded
+	// rewriting, the token's citation query — prunes away from the stalled
+	// shard never learns of the stall: full coverage, the unsharded bytes.
+	healthy := ""
+	for i := 1; healthy == ""; i++ {
+		if w := citegraph.WorkID(i); sdb.ShardFor("Cites", w) != stalled {
+			healthy = w
+		}
+	}
+	q = citegraph.IncomingQuery(healthy)
+	want, err := base.Cite(context.Background(), Request{Datalog: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Cite(context.Background(), Request{Datalog: q})
+	if err != nil {
+		t.Fatalf("strict cite pruned away from the stalled shard: %v", err)
+	}
+	if g, w := citationFingerprint(t, got), citationFingerprint(t, want); g != w {
+		t.Fatalf("%s:\n got %s\nwant %s", q, g, w)
+	}
+	if cov := got.Coverage(); cov.Partial() || cov.PerShard[stalled].State != eval.ShardPruned {
+		t.Fatalf("coverage %+v, want full with the stalled shard pruned", cov)
 	}
 }
 
