@@ -18,7 +18,7 @@ import (
 	"citare/internal/workload"
 )
 
-// B11 — parallel EvalBindings speedup over the sequential evaluator on the
+// B11 — parallel binding-enumeration speedup over the sequential evaluator on the
 // gtopdb and chain workloads. workers=1 is the sequential baseline.
 func BenchmarkParallelEval(b *testing.B) {
 	workers := []int{1, 2, 4}

@@ -114,7 +114,7 @@ func BenchmarkScatterGatherJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			var out int
 			for i := 0; i < b.N; i++ {
-				res, err := eval.EvalSharded(sdb, q, eval.Options{Parallel: n})
+				res, err := eval.EvalOn(sdb, q, eval.Options{Parallel: n})
 				if err != nil {
 					b.Fatal(err)
 				}

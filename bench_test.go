@@ -163,7 +163,7 @@ func BenchmarkEvalJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			var n int
 			for i := 0; i < b.N; i++ {
-				res, err := eval.Eval(db, q)
+				res, err := eval.EvalOpts(db, q, eval.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -180,7 +180,7 @@ func BenchmarkProvenance(b *testing.B) {
 	q := workload.ChainQuery(2)
 	b.Run("none", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.Eval(db, q); err != nil {
+			if _, err := eval.EvalOpts(db, q, eval.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,7 +11,7 @@ import (
 func equivalentQueries(a, b *cq.Query) bool { return cq.Equivalent(a, b) }
 
 func evalDirect(db *storage.DB, q *cq.Query) (map[string]bool, error) {
-	res, err := eval.Eval(db, q)
+	res, err := eval.EvalOpts(db, q, eval.Options{})
 	if err != nil {
 		return nil, err
 	}

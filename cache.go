@@ -148,6 +148,44 @@ func optionsKey(epoch uint64, req Request) string {
 	return string(append(b, '|'))
 }
 
+// batchMisses classifies a batch against the cache: each request is parsed,
+// resolved and looked up. A hit's citation or a parse failure's error lands
+// in the request's slot of items; the rest come back as the requests still
+// to evaluate, with their positions in reqs and their cache keys ("" for an
+// unsatisfiable query, which is not cached).
+func (c *CachedCiter) batchMisses(reqs []Request) (items []BatchItem, miss []Request, missIdx []int, missKeys []string) {
+	items = make([]BatchItem, len(reqs))
+	epoch := c.epoch.Load()
+	for i, req := range reqs {
+		q, err := req.parse(c.citer.schema)
+		if err != nil {
+			items[i].Err = err
+			continue
+		}
+		key, columns, ok := cacheKey(c.citer.engine.Prepare(q, req.citeOptions()))
+		if ok {
+			key = optionsKey(epoch, req) + key
+			if ct, hit := c.entries.Get(key); hit {
+				items[i].Citation = ct.forRequest(req, columns)
+				continue
+			}
+		}
+		miss = append(miss, req)
+		missIdx = append(missIdx, i)
+		missKeys = append(missKeys, key)
+	}
+	return items, miss, missIdx, missKeys
+}
+
+// putComputed caches the computed citation of a missed request, unless the
+// query is unsatisfiable or the citation degraded: the shards it is missing
+// may answer the next request.
+func (c *CachedCiter) putComputed(key string, ct *Citation) {
+	if key != "" && (ct.Coverage() == nil || !ct.Coverage().Partial()) {
+		c.entries.Put(key, ct)
+	}
+}
+
 // CiteBatch evaluates a batch through the cache: cached requests are served
 // immediately, the remaining distinct queries evaluate through the
 // underlying Citer's plan-shared CiteBatch (one compilation and one
@@ -159,61 +197,31 @@ func (c *CachedCiter) CiteBatch(ctx context.Context, reqs []Request) ([]*Citatio
 	if len(reqs) == 0 {
 		return nil, nil
 	}
+	items, miss, missIdx, missKeys := c.batchMisses(reqs)
 	out := make([]*Citation, len(reqs))
-	var missIdx []int
-	var missKeys []string // "" = unsatisfiable, not cacheable
-	epoch := c.epoch.Load()
-	for i, req := range reqs {
-		q, err := req.parse(c.citer.schema)
-		if err != nil {
-			return nil, &BatchError{Index: i, Err: err}
+	for i, it := range items {
+		if it.Err != nil {
+			return nil, &BatchError{Index: i, Err: it.Err}
 		}
-		key, columns, ok := cacheKey(c.citer.engine.Prepare(q, req.citeOptions()))
-		if !ok {
-			missIdx = append(missIdx, i)
-			missKeys = append(missKeys, "")
-			continue
-		}
-		key = optionsKey(epoch, req) + key
-		if ct, hit := c.entries.Get(key); hit {
-			out[i] = ct.forRequest(req, columns)
-			continue
-		}
-		missIdx = append(missIdx, i)
-		missKeys = append(missKeys, key)
+		out[i] = it.Citation
 	}
-	if len(missIdx) == 0 {
+	if len(miss) == 0 {
 		return out, nil
 	}
-	missReqs := make([]Request, len(missIdx))
-	for j, i := range missIdx {
-		missReqs[j] = reqs[i]
+	computed, err := c.citer.CiteBatch(ctx, miss)
+	var be *BatchError
+	if errors.As(err, &be) {
+		// Map the sub-batch index back to the original request slice.
+		err = &BatchError{Index: missIdx[be.Index], Err: be.Err}
 	}
-	computed, err := c.citer.CiteBatch(ctx, missReqs)
 	if err != nil && (computed == nil || !errors.Is(err, ErrPartial)) {
-		var be *BatchError
-		if errors.As(err, &be) {
-			// Map the sub-batch index back to the original request slice.
-			return nil, &BatchError{Index: missIdx[be.Index], Err: be.Err}
-		}
 		return nil, err
 	}
 	for j, i := range missIdx {
 		out[i] = computed[j]
-		// Degraded citations are never cached: the shards they are missing
-		// may answer the next request.
-		if missKeys[j] != "" && (computed[j].Coverage() == nil || !computed[j].Coverage().Partial()) {
-			c.entries.Put(missKeys[j], computed[j])
-		}
+		c.putComputed(missKeys[j], computed[j])
 	}
-	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) {
-			return out, &BatchError{Index: missIdx[be.Index], Err: be.Err}
-		}
-		return out, err
-	}
-	return out, nil
+	return out, err
 }
 
 // CiteBatchItems evaluates a batch with per-item error isolation through
@@ -223,45 +231,15 @@ func (c *CachedCiter) CiteBatch(ctx context.Context, reqs []Request) ([]*Citatio
 // its typed error in its own slot — errors are never cached. See
 // Citer.CiteBatchItems.
 func (c *CachedCiter) CiteBatchItems(ctx context.Context, reqs []Request) []BatchItem {
-	items := make([]BatchItem, len(reqs))
-	if len(reqs) == 0 {
+	items, miss, missIdx, missKeys := c.batchMisses(reqs)
+	if len(miss) == 0 {
 		return items
 	}
-	var missIdx []int
-	var missKeys []string // "" = unsatisfiable, not cacheable
-	epoch := c.epoch.Load()
-	for i, req := range reqs {
-		q, err := req.parse(c.citer.schema)
-		if err != nil {
-			items[i] = BatchItem{Err: err}
-			continue
-		}
-		key, columns, ok := cacheKey(c.citer.engine.Prepare(q, req.citeOptions()))
-		if !ok {
-			missIdx = append(missIdx, i)
-			missKeys = append(missKeys, "")
-			continue
-		}
-		key = optionsKey(epoch, req) + key
-		if ct, hit := c.entries.Get(key); hit {
-			items[i] = BatchItem{Citation: ct.forRequest(req, columns)}
-			continue
-		}
-		missIdx = append(missIdx, i)
-		missKeys = append(missKeys, key)
-	}
-	if len(missIdx) == 0 {
-		return items
-	}
-	missReqs := make([]Request, len(missIdx))
-	for j, i := range missIdx {
-		missReqs[j] = reqs[i]
-	}
-	computed := c.citer.CiteBatchItems(ctx, missReqs)
+	computed := c.citer.CiteBatchItems(ctx, miss)
 	for j, i := range missIdx {
 		items[i] = computed[j]
-		if computed[j].Err == nil && missKeys[j] != "" {
-			c.entries.Put(missKeys[j], computed[j].Citation)
+		if computed[j].Err == nil {
+			c.putComputed(missKeys[j], computed[j].Citation)
 		}
 	}
 	return items

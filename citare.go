@@ -40,12 +40,13 @@
 //     sharing, but a failing request yields a typed error in its own slot
 //     while the others still evaluate.
 //   - CiteEach(ctx, req, fn) streams per-tuple citations in deterministic
-//     order through a pull-iterator pipeline (eval frames → rewriting
-//     gather → lazy token rendering, with per-tuple backpressure): the
-//     first tuple's citation reaches fn before later tuples render, the
-//     full per-tuple list and the aggregated result-set citation are never
-//     materialized, and the output is byte-identical to Cite's tuples —
-//     the way to page a very large answer. citesrv exposes it as NDJSON on
+//     order. It is Cite's own pipeline with fn as its sink: the answer's
+//     tuples and citation polynomials are gathered and sorted first, then
+//     each citation is rendered right before its delivery and released
+//     right after — the first tuple's citation reaches fn before later
+//     tuples render, the rendered per-tuple list and the aggregated
+//     result-set citation are never built, and the output is
+//     byte-identical to Cite's tuples. citesrv exposes it as NDJSON on
 //     POST /v1/cite/stream.
 //
 // Failures are classified by a typed taxonomy — ErrParse, ErrSchema,
@@ -77,12 +78,12 @@
 //     partitions the enumeration across workers — eval.Auto (the engine
 //     default) derives the worker count from plan cardinalities and
 //     partitions deeper atoms when the first one is too small to split; the
-//     binding multiset and Eval's sorted output are identical to the
-//     sequential evaluation's.
+//     binding multiset (Plan.Each) and the sorted output (Plan.EvalCtx) are
+//     identical to the sequential evaluation's.
 //   - internal/shard: a shard.DB hash-partitions every relation across N
 //     independent storage.DB shards (each with its own locks, indexes and
-//     snapshots). eval.EvalSharded scatter-gathers: the first join atom is
-//     partitioned by shard, shards that cannot match a bound shard key are
+//     snapshots). A plan compiled over one scatter-gathers: the first join
+//     atom is partitioned by shard, shards that cannot match a bound shard key are
 //     skipped entirely, and results merge deterministically — byte-identical
 //     to unsharded evaluation. Build a sharded Citer with NewSharded /
 //     NewShardedFromProgram (see shard.FromDB to partition existing data).
@@ -160,8 +161,8 @@ type Citer struct {
 	// back is the pluggable storage backend, set only by NewBackend — the
 	// handle AsOf builds version-pinned Citers from.
 	back backend.Backend
-	// opts are the resolved construction options, kept so AsOf can clone
-	// the configuration into the pinned Citer.
+	// opts are the construction options, kept so AsOf can clone the
+	// configuration into the pinned Citer.
 	opts []Option
 }
 
@@ -212,9 +213,10 @@ func WithResilience(cfg ResilienceConfig) Option {
 	return func(o *options) { o.resilience = &cfg }
 }
 
-// resolveOptions folds the option list into the effective policy and the
-// remaining knobs, shared by every Citer constructor.
-func resolveOptions(opts []Option) (Policy, options) {
+// newCiter is the one construction path behind every constructor: fold the
+// option list into the effective policy and the remaining knobs, and build
+// the engine over the store's snapshot source.
+func newCiter(src core.SnapshotSource, back backend.Backend, views []*CitationView, opts []Option) (*Citer, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
@@ -224,19 +226,18 @@ func resolveOptions(opts []Option) (Policy, options) {
 		pol = o.policy
 	}
 	pol.Neutral = append(pol.Neutral, o.neutral...)
-	return pol, o
-}
-
-// New assembles a Citer over a database and citation views.
-func New(db *storage.DB, views []*CitationView, opts ...Option) (*Citer, error) {
-	pol, o := resolveOptions(opts)
-	engine, err := core.NewEngine(db, views, pol)
+	engine, err := core.NewEngine(src, views, pol)
 	if err != nil {
 		return nil, err
 	}
 	engine.SetEvalParallelism(o.parallel)
 	engine.SetResilience(o.resilience)
-	return &Citer{engine: engine, schema: db.Schema()}, nil
+	return &Citer{engine: engine, schema: src.Schema(), back: back, opts: opts}, nil
+}
+
+// New assembles a Citer over a database and citation views.
+func New(db *storage.DB, views []*CitationView, opts ...Option) (*Citer, error) {
+	return newCiter(core.DBSource{DB: db}, nil, views, opts)
 }
 
 // NewFromProgram assembles a Citer from a citation-view program in the
@@ -255,14 +256,7 @@ func NewFromProgram(db *storage.DB, viewsProgram string, opts ...Option) (*Citer
 // are byte-identical to an unsharded Citer over the same data. Partition an
 // existing database with shard.FromDB, or populate a shard.New directly.
 func NewSharded(sdb *shard.DB, views []*CitationView, opts ...Option) (*Citer, error) {
-	pol, o := resolveOptions(opts)
-	engine, err := core.NewShardedEngine(sdb, views, pol)
-	if err != nil {
-		return nil, err
-	}
-	engine.SetEvalParallelism(o.parallel)
-	engine.SetResilience(o.resilience)
-	return &Citer{engine: engine, schema: sdb.Schema()}, nil
+	return newCiter(core.ShardSource{DB: sdb}, nil, views, opts)
 }
 
 // NewShardedFromProgram is NewSharded from a citation-view program.
@@ -282,14 +276,7 @@ func NewShardedFromProgram(sdb *shard.DB, viewsProgram string, opts ...Option) (
 // version. After writing to the backend, call Reset to publish the new
 // contents, exactly as with a database-backed Citer.
 func NewBackend(b backend.Backend, views []*CitationView, opts ...Option) (*Citer, error) {
-	pol, o := resolveOptions(opts)
-	engine, err := core.NewSourceEngine(backend.Head(b), views, pol)
-	if err != nil {
-		return nil, err
-	}
-	engine.SetEvalParallelism(o.parallel)
-	engine.SetResilience(o.resilience)
-	return &Citer{engine: engine, schema: b.Schema(), back: b, opts: opts}, nil
+	return newCiter(backend.Head(b), b, views, opts)
 }
 
 // NewBackendFromProgram is NewBackend from a citation-view program.
@@ -316,14 +303,7 @@ func (c *Citer) AsOf(version uint64) (*Citer, error) {
 	} else {
 		v.Release()
 	}
-	pol, o := resolveOptions(c.opts)
-	engine, err := core.NewSourceEngine(backend.At(c.back, version), c.engine.Views(), pol)
-	if err != nil {
-		return nil, err
-	}
-	engine.SetEvalParallelism(o.parallel)
-	engine.SetResilience(o.resilience)
-	return &Citer{engine: engine, schema: c.back.Schema(), back: c.back, opts: c.opts}, nil
+	return newCiter(backend.At(c.back, version), c.back, c.engine.Views(), c.opts)
 }
 
 // Backend returns the Citer's storage backend (nil unless built with

@@ -577,7 +577,7 @@ func runB16() error {
 			return err
 		}
 		d, err := timed(5, func() error {
-			res, err := eval.EvalSharded(sdb, q, eval.Options{Parallel: n})
+			res, err := eval.EvalOn(sdb, q, eval.Options{Parallel: n})
 			if err == nil {
 				tuples = len(res.Tuples)
 			}
@@ -659,12 +659,11 @@ func runB17() error {
 	return nil
 }
 
-// runB18 measures the streamed (pull-iterator) chain3-600 join against the
-// materialized path on allocation footprint. The frame iterator hands out
-// recycled batches, so draining the whole join allocates a near-constant
-// amount; the materialized Result pays one tuple copy, one key and one dedup
-// entry per distinct output. The streamed cite pipeline (CiteEach) rides the
-// same iterators and is reported alongside.
+// runB18 measures the streamed chain3-600 join — Plan.Each into a counting
+// callback — against the materialized path on allocation footprint. The
+// enumeration reuses one slot frame, so draining the whole join allocates a
+// near-constant amount; the materialized Result pays one tuple copy, one key
+// and one dedup entry per distinct output.
 func runB18() error {
 	db := workload.ChainDB(3, 600, 64, 7)
 	q := workload.ChainQuery(3)
@@ -691,15 +690,14 @@ func runB18() error {
 	var frameRows int
 	streamed := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			it := pl.Frames(context.Background(), eval.Options{})
 			n := 0
-			for it.Next() {
+			err := pl.Each(context.Background(), eval.Options{}, func([]string, []eval.Match) error {
 				n++
-			}
-			if err := it.Err(); err != nil {
+				return nil
+			})
+			if err != nil {
 				b.Fatal(err)
 			}
-			it.Close()
 			frameRows = n
 		}
 	})
@@ -942,7 +940,7 @@ func runB22() error {
 		}
 		d, err := timed(3, func() error {
 			for _, q := range queries {
-				if _, err := eval.EvalSharded(sdb, q, eval.Options{Parallel: shards}); err != nil {
+				if _, err := eval.EvalOn(sdb, q, eval.Options{Parallel: shards}); err != nil {
 					return err
 				}
 			}
@@ -1622,24 +1620,19 @@ func writeBenchJSON(path string) error {
 		}},
 		{"stream/chain3-600/frames", func(b *testing.B) { // B18
 			for i := 0; i < b.N; i++ {
-				it := chainPlan.Frames(context.Background(), eval.Options{})
-				for it.Next() {
-				}
-				if err := it.Err(); err != nil {
+				err := chainPlan.Each(context.Background(), eval.Options{}, func([]string, []eval.Match) error { return nil })
+				if err != nil {
 					b.Fatal(err)
 				}
-				it.Close()
 			}
 		}},
 		{"stream/chain3-600/tuples", func(b *testing.B) { // B18
 			for i := 0; i < b.N; i++ {
-				it := chainPlan.Tuples(context.Background(), eval.Options{})
-				for it.Next() {
-				}
-				if err := it.Err(); err != nil {
+				// The distinct-tuple side of the same enumeration: EvalCtx is
+				// Each with set semantics, on the plan compiled once.
+				if _, err := chainPlan.EvalCtx(context.Background(), eval.Options{}); err != nil {
 					b.Fatal(err)
 				}
-				it.Close()
 			}
 		}},
 		{"cite-each/gtopdb-join/families=500", func(b *testing.B) { // B18 cite level
@@ -1652,7 +1645,7 @@ func writeBenchJSON(path string) error {
 		}},
 		{"join/chain3-600/scatter-gather/shards=4", func(b *testing.B) { // B16
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.EvalSharded(chain4, chainQ, eval.Options{Parallel: 4}); err != nil {
+				if _, err := eval.EvalOn(chain4, chainQ, eval.Options{Parallel: 4}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1784,7 +1777,7 @@ func writeBenchJSON(path string) error {
 		{"citegraph/lookup/incoming-mix/routing=cited/shards=4", func(b *testing.B) { // B22 pruned+skewed
 			for i := 0; i < b.N; i++ {
 				for _, q := range citedQs {
-					if _, err := eval.EvalSharded(citedSdb, q, eval.Options{Parallel: 4}); err != nil {
+					if _, err := eval.EvalOn(citedSdb, q, eval.Options{Parallel: 4}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -1793,7 +1786,7 @@ func writeBenchJSON(path string) error {
 		{"citegraph/lookup/incoming-mix/routing=citing/shards=4", func(b *testing.B) { // B22 uniform fan-out
 			for i := 0; i < b.N; i++ {
 				for _, q := range citingQs {
-					if _, err := eval.EvalSharded(citingSdb, q, eval.Options{Parallel: 4}); err != nil {
+					if _, err := eval.EvalOn(citingSdb, q, eval.Options{Parallel: 4}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"citare/internal/core"
 	"citare/internal/obs"
 )
 
@@ -63,7 +64,8 @@ func (s *server) initObservability() {
 		obs.Label{Key: "tier", Value: "physical"})
 
 	// Sharded deployments: scatter-gather op counts, total and per shard.
-	if sdb := eng.ShardDB(); sdb != nil {
+	if src, ok := eng.Source().(core.ShardSource); ok {
+		sdb := src.DB
 		s.reg.CounterFunc("citare_shard_pruned_lookups_total",
 			"Point lookups routed to a single shard by key pruning.",
 			func() uint64 { return sdb.OpStats().PrunedLookups })

@@ -24,7 +24,7 @@ func mustQuery(t testing.TB, src string) *cq.Query {
 
 func paperEngine(t testing.TB, policy core.Policy) *core.Engine {
 	t.Helper()
-	e, err := core.NewEngine(gtopdb.PaperInstance(), gtopdb.MustPaperViews(), policy)
+	e, err := core.NewEngine(core.DBSource{DB: gtopdb.PaperInstance()}, gtopdb.MustPaperViews(), policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPaperExample32(t *testing.T) {
 	// A second family also named Calcitonin, with an introduction.
 	db.MustInsert("Family", "12b", "Calcitonin", "gpcr")
 	db.MustInsert("FamilyIntro", "12b", "Another calcitonin intro")
-	e, err := core.NewEngine(db, gtopdb.MustPaperViews(), plainPolicy())
+	e, err := core.NewEngine(core.DBSource{DB: db}, gtopdb.MustPaperViews(), plainPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ fmt  V2 { "ID": F, "Name": N, "Text": Tx, "Contributors": [Pn] }.
 	cite := func(times core.Interp) string {
 		pol := plainPolicy()
 		pol.Times = times
-		e, err := core.NewEngine(gtopdb.PaperInstance(), views, pol)
+		e, err := core.NewEngine(core.DBSource{DB: gtopdb.PaperInstance()}, views, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ cite VFull λF. CVFull(F, N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx).
 	pol.AllowPartial = true
 	pol.IncludeBaseTokens = true
 	pol.Orders = core.Orders{core.ByUncovered{}}
-	e, err := core.NewEngine(gtopdb.PaperInstance(), views, pol)
+	e, err := core.NewEngine(core.DBSource{DB: gtopdb.PaperInstance()}, views, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestPaperExample38(t *testing.T) {
 	views := gtopdb.MustPaperViews()
 	pol := plainPolicy()
 	pol.Orders = core.Orders{core.NewByViewInclusion(views)}
-	e, err := core.NewEngine(gtopdb.PaperInstance(), views, pol)
+	e, err := core.NewEngine(core.DBSource{DB: gtopdb.PaperInstance()}, views, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestAggNeutralOnEmptyResult(t *testing.T) {
 
 func TestNoViewsFallsBackToBaseTokens(t *testing.T) {
 	pol := core.DefaultPolicy()
-	e, err := core.NewEngine(gtopdb.PaperInstance(), nil, pol)
+	e, err := core.NewEngine(core.DBSource{DB: gtopdb.PaperInstance()}, nil, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestNoViewsFallsBackToBaseTokens(t *testing.T) {
 func TestEngineRejectsDuplicateViews(t *testing.T) {
 	views := gtopdb.MustPaperViews()
 	dup := append(views, views[0])
-	if _, err := core.NewEngine(gtopdb.PaperInstance(), dup, plainPolicy()); err == nil {
+	if _, err := core.NewEngine(core.DBSource{DB: gtopdb.PaperInstance()}, dup, plainPolicy()); err == nil {
 		t.Fatal("duplicate view names accepted")
 	}
 }
@@ -585,7 +585,7 @@ func TestEngineDeterminism(t *testing.T) {
 
 func TestEngineResetAfterUpdate(t *testing.T) {
 	db := gtopdb.PaperInstance()
-	e, err := core.NewEngine(db, gtopdb.MustPaperViews(), plainPolicy())
+	e, err := core.NewEngine(core.DBSource{DB: db}, gtopdb.MustPaperViews(), plainPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,7 +678,7 @@ func TestSQLPathProducesSameCitation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := sqlParse(e.DB().Schema(), `SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'`)
+	qs, err := sqlParse(e.Source().Schema(), `SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"citare/internal/cache"
 	"citare/internal/cq"
@@ -15,7 +16,6 @@ import (
 	"citare/internal/obs"
 	"citare/internal/provenance"
 	"citare/internal/rewrite"
-	"citare/internal/shard"
 	"citare/internal/storage"
 )
 
@@ -28,8 +28,8 @@ const tokenCacheSize = 4096
 // Citation views are never stored: a rewriting is evaluated through its
 // expansion over base relations (unfolded), on the same snapshot the output
 // query and the token citation queries read. That holds for every storage
-// mode — a plain database, a hash-partitioned one, a SnapshotSource — which
-// differ only in how the snapshot is taken.
+// mode — a plain database, a hash-partitioned one, a persistent backend —
+// which differ only in how their SnapshotSource takes the snapshot.
 //
 // Concurrency model: an Engine is safe for concurrent use. At construction
 // (and on every Reset) it takes an immutable storage snapshot and evaluates
@@ -54,9 +54,7 @@ const tokenCacheSize = 4096
 // another key — therefore skips minimization, rewriting enumeration and
 // plan compilation entirely: the compiled plans are bound to its constants.
 type Engine struct {
-	db     *storage.DB    // live database handle, re-snapshotted on Reset
-	sdb    *shard.DB      // sharded mode: live partitioned database (db is nil)
-	src    SnapshotSource // source mode: pluggable backend (db and sdb are nil)
+	src    SnapshotSource // live store, re-snapshotted on Reset
 	views  []*CitationView
 	byName map[string]*CitationView
 	policy Policy
@@ -98,8 +96,8 @@ type Engine struct {
 	resilience *ResilienceConfig
 	breakers   *eval.Breakers
 
-	// shardWrap, when set via SetShardWrapper, wraps each new snapshot of
-	// the partitioned database — the fault injector's seam.
+	// shardWrap, when set via SetShardWrapper, wraps each new snapshot that
+	// is an eval.ShardScanner — the fault injector's seam.
 	shardWrap func(eval.ShardScanner) eval.ShardScanner
 
 	epochCtr atomic.Uint64 // allocates unique epochs across concurrent Resets
@@ -111,33 +109,37 @@ type Engine struct {
 // engineState is one epoch of the engine: an immutable database snapshot
 // with the epoch's physical-plan cache. A Cite call captures the state once
 // and uses it throughout, so a concurrent Reset can never tear a
-// half-finished citation. In sharded mode the snapshot is hash-partitioned
-// and every evaluation scatter-gathers across shards.
+// half-finished citation. Over a partitioned store the snapshot is
+// hash-partitioned and every evaluation scatter-gathers across shards.
 type engineState struct {
 	epoch uint64
 	// tokenPrefix is the epoch as the token cache spells it in its keys.
 	tokenPrefix string
 	snap        evalTarget // immutable snapshot all reads evaluate against
+	// part is the snapshot as a partitioned view, nil over an unpartitioned
+	// store; a source hands out one kind or the other for its lifetime.
+	part eval.Partitioned
 }
 
-// NewEngine assembles an engine. View names must be unique.
-func NewEngine(db *storage.DB, views []*CitationView, policy Policy) (*Engine, error) {
-	return newEngine(db, nil, nil, views, policy)
+// shards returns the number of shards evaluations scatter over (0 when the
+// store is not partitioned).
+func (st *engineState) shards() int {
+	if st.part == nil {
+		return 0
+	}
+	return st.part.NumShards()
 }
 
-// NewShardedEngine assembles an engine over a hash-partitioned database:
-// snapshots are taken per shard, and query, rewriting and citation-query
-// evaluation fan out per shard (pruned by bound shard keys) and merge
-// deterministically. Output is byte-identical to an unsharded engine over
-// the same data.
-func NewShardedEngine(sdb *shard.DB, views []*CitationView, policy Policy) (*Engine, error) {
-	return newEngine(nil, sdb, nil, views, policy)
-}
-
-func newEngine(db *storage.DB, sdb *shard.DB, src SnapshotSource, views []*CitationView, policy Policy) (*Engine, error) {
+// NewEngine assembles an engine over a snapshot source (DBSource,
+// ShardSource, a backend). View names must be unique. An epoch is one
+// snapshot of the source: every read — the query, its unfolded rewritings,
+// the token citation queries — resolves straight to it, so building an epoch
+// costs what the source's Snapshot costs and never re-reads the store. Over
+// a partitioned source, evaluation fans out per shard (pruned by bound shard
+// keys) and merges deterministically: output is byte-identical to an engine
+// over the same data unpartitioned.
+func NewEngine(src SnapshotSource, views []*CitationView, policy Policy) (*Engine, error) {
 	e := &Engine{
-		db:         db,
-		sdb:        sdb,
 		src:        src,
 		views:      views,
 		byName:     make(map[string]*CitationView, len(views)),
@@ -175,12 +177,10 @@ func (e *Engine) Views() []*CitationView { return e.views }
 // Policy returns the engine's policy.
 func (e *Engine) Policy() Policy { return e.policy }
 
-// DB returns the underlying live database (nil in sharded mode).
-func (e *Engine) DB() *storage.DB { return e.db }
-
-// ShardDB returns the underlying partitioned database (nil unless the
-// engine was built with NewShardedEngine).
-func (e *Engine) ShardDB() *shard.DB { return e.sdb }
+// Source returns the engine's live store, as handed to NewEngine: a caller
+// that needs the database behind it asserts the adapter it built
+// (DBSource, ShardSource).
+func (e *Engine) Source() SnapshotSource { return e.src }
 
 // SetMetrics attaches pipeline metrics: every subsequent cite records
 // counters and per-stage latency histograms into m. Pass nil to disable.
@@ -284,43 +284,24 @@ func (e *Engine) Reset() error {
 	return nil
 }
 
-// buildState snapshots the live store into a new epoch. In sharded mode the
-// snapshot is taken per shard, and the optional wrapper (fault injection)
-// stands between the engine and every read of it.
+// buildState snapshots the live store into a new epoch. The optional wrapper
+// (fault injection) stands between the engine and every read of a snapshot
+// that scans per shard.
 func (e *Engine) buildState(epoch uint64) (*engineState, error) {
-	var view eval.DBView
-	switch {
-	case e.src != nil:
-		v, err := e.src.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		view = v
-	case e.sdb != nil:
-		snap := e.sdb.Snapshot()
-		view = snap
-		if e.shardWrap != nil {
-			view = e.shardWrap(snap)
-		}
-	default:
-		view = eval.DBViewOf(e.db.Snapshot())
+	view, err := e.src.Snapshot()
+	if err != nil {
+		return nil, err
 	}
+	if sc, ok := view.(eval.ShardScanner); ok && e.shardWrap != nil {
+		view = e.shardWrap(sc)
+	}
+	part, _ := view.(eval.Partitioned)
 	return &engineState{
 		epoch:       epoch,
 		tokenPrefix: strconv.FormatUint(epoch, 10) + "|",
 		snap:        evalTarget{view: view}.cached(e),
+		part:        part,
 	}, nil
-}
-
-// baseSchema returns the schema of the engine's live store.
-func (e *Engine) baseSchema() *storage.Schema {
-	if e.src != nil {
-		return e.src.Schema()
-	}
-	if e.sdb != nil {
-		return e.sdb.Schema()
-	}
-	return e.db.Schema()
 }
 
 // RewritingCitation is the citation polynomial a single rewriting assigns to
@@ -347,7 +328,7 @@ type TupleCitation struct {
 	// one record (and Kept and Combined with it); all three are read-only.
 	Rendered format.Value
 	// Encoded carries the citation's text forms. CiteEach sets it on every
-	// tuple it streams; the materialized path leaves it nil.
+	// tuple it streams; Cite leaves it nil.
 	Encoded *EncodedCitation
 }
 
@@ -387,40 +368,41 @@ func (e *Engine) Cite(q *cq.Query) (*Result, error) {
 // per-tuple citation assembly — so a canceled request returns the context's
 // error promptly instead of finishing the citation nobody is waiting for.
 func (e *Engine) CiteCtx(ctx context.Context, q *cq.Query, o CiteOptions) (*Result, error) {
-	return e.cite(ctx, q, nil, o)
+	return e.cite(ctx, q, nil, o, nil)
 }
 
 // CitePrepared is CiteCtx for a query already resolved by Prepare (under
 // the same options): the caller needed the minimized form before deciding
 // to cite — a cache key, a batch group — and the citation does not redo it.
 func (e *Engine) CitePrepared(ctx context.Context, p *Prepared, o CiteOptions) (*Result, error) {
-	return e.cite(ctx, nil, p, o)
+	return e.cite(ctx, nil, p, o, nil)
 }
 
 // CiteEach is CiteCtx streaming: each output tuple's citation is handed to
 // fn (in the same deterministic tuple order Cite produces, byte-identical
-// content) instead of being accumulated on the Result, and no aggregated
-// result-set citation is rendered. The returned Result carries the query,
-// columns and rewritings only — Tuples stays nil and Citation zero. The
-// *TupleCitation passed to fn is only valid during the call; fn returning an
-// error aborts the stream. Use it to page through very large result sets
-// without holding every rendered citation in memory at once.
+// content) instead of being kept on the Result, and no aggregated result-set
+// citation is rendered. The returned Result carries the query, columns and
+// rewritings only — Tuples stays nil and Citation zero. The *TupleCitation
+// passed to fn is only valid during the call; fn returning an error aborts
+// the stream.
 //
-// Unlike CiteCtx, CiteEach runs the pull-iterator pipeline (citeStream):
-// output tuples stream off the evaluator with backpressure, rewriting
-// polynomials are gathered directly on slot frames, and each citation is
-// combined and rendered lazily, right before its delivery — the first tuple
-// reaches fn before any later tuple's citation has been rendered.
+// It is the same pipeline as CiteCtx with fn as its sink: the output tuples
+// are gathered and sorted and every rewriting's polynomials gathered before
+// the first delivery, then each citation is combined, rendered and encoded
+// lazily, right before its delivery, and released right after — the first
+// tuple reaches fn before any later tuple's citation has been rendered, and
+// the rendered records are never all in memory at once. The answer's tuples
+// and polynomials are, so memory stays O(answer) until ROADMAP item 1.
 func (e *Engine) CiteEach(ctx context.Context, q *cq.Query, o CiteOptions, fn func(*TupleCitation) error) (*Result, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("core: CiteEach requires a callback")
 	}
-	return e.citeStream(ctx, q, o, fn)
+	return e.cite(ctx, q, nil, o, fn)
 }
 
-// planStage is the rewrite stage of both pipelines, under the stage's span:
-// resolve the query's logical plan, unless the caller brought it, and take
-// its unfolded rewritings under the query's own constants.
+// planStage is the pipeline's rewrite stage, under the stage's span: resolve
+// the query's logical plan, unless the caller brought it, and take its
+// unfolded rewritings under the query's own constants.
 func (e *Engine) planStage(ob *obsCtx, q *cq.Query, p *Prepared, o CiteOptions) (*Prepared, []*unfolded, error) {
 	rw := ob.begin(obs.StageRewrite)
 	if p == nil {
@@ -444,10 +426,13 @@ func (e *Engine) planStage(ob *obsCtx, q *cq.Query, p *Prepared, o CiteOptions) 
 	return p, us, err
 }
 
-// cite is the materialized citation pipeline behind Cite, CiteCtx (q set, p
-// nil) and CitePrepared (p set); citeStream is its pull-iterator twin behind
-// CiteEach, property-tested byte-identical.
-func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptions) (res *Result, err error) {
+// cite is the citation pipeline, the one implementation of Definitions
+// 3.1–3.4 behind every entry point: plan (q set and p nil, or p brought by
+// the caller) → output evaluation → rewriting gather → per-tuple combine and
+// render → delivery. With a sink (CiteEach) each tuple's citation is encoded
+// and handed over as soon as it is rendered, then released; without one the
+// tuples stay on the Result and Agg is applied across them.
+func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptions, each func(*TupleCitation) error) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -456,14 +441,19 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 			return nil, err
 		}
 	}
-	ob, ctx := e.obsStart(ctx, "cite")
+	mode := "cite"
+	if each != nil {
+		mode = "stream"
+	}
+	ob, ctx := e.obsStart(ctx, mode)
+	cited := 0 // tuples delivered to the sink, or kept on the Result
 	if ob.enabled() {
 		defer func() {
-			tuples, rws := 0, 0
+			rws := 0
 			if res != nil {
-				tuples, rws = len(res.Tuples), len(res.Rewritings)
+				rws = len(res.Rewritings)
 			}
-			ob.finish(tuples, rws, err)
+			ob.finish(cited, rws, err)
 		}()
 	}
 
@@ -474,9 +464,7 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 	if !p.Satisfiable() {
 		return e.citeUnsat(p.norm)
 	}
-	min := p.min
-
-	res = &Result{Query: min, Columns: HeadColumns(min)}
+	res = &Result{Query: p.min, Columns: HeadColumns(p.min)}
 
 	// Evaluate the query itself for the output tuples (independent of any
 	// rewriting, so even an un-rewritable query reports its answers). The
@@ -484,52 +472,75 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 	// per-tuple, so a result too large to return is aborted before any
 	// rewriting work happens.
 	st := e.curState()
-	resil := e.resilienceFor(o)
+	resil := e.resilienceFor(st, o)
 	outOpts := e.requestOpts(o)
 	outOpts.MaxTuples = o.MaxTuples
 	outOpts.Resilience = resil
 	ev := ob.begin(obs.StageEval)
-	out, err := st.snap.eval(ob.ctxFor(ctx, ev), min, outOpts)
+	out, err := st.snap.eval(ob.ctxFor(ctx, ev), p.min, outOpts)
 	ob.end(ev)
 	if err != nil {
 		return nil, err
 	}
 	ob.tr.SetInt(ev.id, "tuples", int64(len(out.Tuples)))
-	// The gathered eval buffer is shared straight into the Result: res.Tuples
-	// is sized once and perTuple indexes into it, so the gather/combine
-	// stages fill the final slots in place — no per-tuple heap skeletons and
-	// no copying append at the end. Plan.Eval's contract sorts out.Tuples by
-	// key, so slot order is already the deterministic citation order.
-	res.Tuples = make([]TupleCitation, len(out.Tuples))
-	perTuple := make(map[string]*TupleCitation, len(out.Tuples))
+	// One slab holds every tuple's citation, in the evaluation's sorted key
+	// order — the deterministic citation order. perKey indexes into it, so
+	// the gather and combine stages fill the final slots in place: no
+	// per-tuple heap skeletons, no copying append at the end.
+	tuples := make([]TupleCitation, len(out.Tuples))
+	perKey := make(map[string]*TupleCitation, len(out.Tuples))
 	for i, t := range out.Tuples {
-		res.Tuples[i].Tuple = t
-		perTuple[t.Key()] = &res.Tuples[i]
+		tuples[i].Tuple = t
+		perKey[out.Keys[i]] = &tuples[i]
 	}
 
-	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, o, resil, us, perTuple); err != nil {
+	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, o, resil, us, perKey); err != nil {
 		return nil, err
 	}
 
-	// Combine and render in deterministic tuple order, in place over the
-	// shared buffer. Rendering cancels per tuple and, inside a tuple, per
-	// token.
+	// Combine, render and deliver in tuple order. Rendering cancels per
+	// tuple and, inside a tuple, per token. Render time is accumulated
+	// around combineTuple only — a sink's callback (and its backpressure)
+	// must not count as render cost — and closes the stage's span on every
+	// exit, so the trace of a stream that ends early still says what its
+	// rendering cost.
 	rd := ob.begin(obs.StageRender)
+	var renderDur time.Duration
+	defer func() { ob.endWith(rd, renderDur) }()
 	rdCtx := ob.ctxFor(ctx, rd)
 	ro := renderOptsFor(resil)
 	memo := newRenderMemo()
-	for i := range res.Tuples {
+	for i := range tuples {
 		if err := ctx.Err(); err != nil {
-			ob.end(rd)
 			return nil, err
 		}
-		if _, err := e.combineTuple(rdCtx, st, ro, memo, &res.Tuples[i]); err != nil {
-			ob.end(rd)
+		tc := &tuples[i]
+		var t0 time.Time
+		if rd.on {
+			t0 = time.Now()
+		}
+		sc, err := e.combineTuple(rdCtx, st, ro, memo, tc)
+		if err == nil && each != nil {
+			tc.Encoded = sc.encode()
+		}
+		if rd.on {
+			renderDur += time.Since(t0)
+		}
+		if err != nil {
 			return nil, err
+		}
+		if each != nil {
+			cited++
+			if err := each(tc); err != nil {
+				return nil, err
+			}
+			*tc = TupleCitation{} // delivered: release its polynomials and record
 		}
 	}
-	ob.end(rd)
-	res.Citation = e.aggregate(res.Tuples)
+	if each == nil {
+		res.Tuples, cited = tuples, len(tuples)
+		res.Citation = e.aggregate(tuples)
+	}
 	if resil != nil {
 		res.Coverage = resil.Coverage
 	}

@@ -40,7 +40,7 @@ func TestEpochUnchangedByLaterWrites(t *testing.T) {
 	engines := map[string]*core.Engine{}
 	{
 		db := gtopdb.PaperInstance()
-		e, err := core.NewEngine(db, gtopdb.MustPaperViews(), core.DefaultPolicy())
+		e, err := core.NewEngine(core.DBSource{DB: db}, gtopdb.MustPaperViews(), core.DefaultPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestEpochUnchangedByLaterWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := core.NewShardedEngine(sdb, gtopdb.MustPaperViews(), core.DefaultPolicy())
+		e, err := core.NewEngine(core.ShardSource{DB: sdb}, gtopdb.MustPaperViews(), core.DefaultPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestVersionedEpochsAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := core.NewEngine(db, gtopdb.MustPaperViews(), core.DefaultPolicy())
+		e, err := core.NewEngine(core.DBSource{DB: db}, gtopdb.MustPaperViews(), core.DefaultPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,14 +146,14 @@ func TestResetAllocsDoNotGrowWithInstance(t *testing.T) {
 	}
 	engines := map[string]func(*storage.DB) (*core.Engine, error){
 		"mem": func(db *storage.DB) (*core.Engine, error) {
-			return core.NewEngine(db, views, core.DefaultPolicy())
+			return core.NewEngine(core.DBSource{DB: db}, views, core.DefaultPolicy())
 		},
 		"shards=4": func(db *storage.DB) (*core.Engine, error) {
 			sdb, err := shard.FromDB(db, 4)
 			if err != nil {
 				return nil, err
 			}
-			return core.NewShardedEngine(sdb, views, core.DefaultPolicy())
+			return core.NewEngine(core.ShardSource{DB: sdb}, views, core.DefaultPolicy())
 		},
 	}
 	for name, build := range engines {
@@ -313,7 +313,7 @@ func TestCiteInFlightAcrossReset(t *testing.T) {
 	db.MustInsert("R", "a", "b")
 	db.MustInsert("R", "c", "b")
 	src := newGatedSource(db, "R")
-	e, err := core.NewSourceEngine(src, oracleWorldViews(t), core.DefaultPolicy())
+	e, err := core.NewEngine(src, oracleWorldViews(t), core.DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestFirstReadsAfterResetShareNoLock(t *testing.T) {
 			db.MustInsert("R", "a", "b")
 			db.MustInsert("S", "a", "c")
 			src := newGatedSource(db, "R")
-			e, err := core.NewSourceEngine(src, views, core.DefaultPolicy())
+			e, err := core.NewEngine(src, views, core.DefaultPolicy())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,154 +6,21 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"time"
 
 	"citare/internal/cq"
 	"citare/internal/eval"
 	"citare/internal/obs"
 	"citare/internal/provenance"
 	"citare/internal/rewrite"
-	"citare/internal/storage"
 )
 
-// Streaming citation pipeline.
-//
-// citeStream is CiteEach's engine: the materialized cite pipeline recomposed
-// from pull iterators, so a very large result never sits in memory as a
-// gathered Result plus a full per-tuple citation list at once.
-//
-//   - Output evaluation streams distinct tuples off eval's TupleIterator
-//     (bounded channel, per-tuple backpressure, no eval.Result, no
-//     result-side dedup map) and gathers only the (key, tuple) pairs the
-//     deterministic order requires.
-//   - Rewriting gather consumes the FrameIterator of each rewriting's
-//     expansion directly on slot frames — no Binding map fills, no Match
-//     plumbing — accumulating per-tuple polynomials exactly as the
-//     materialized path does (it is the same gatherStage).
-//   - Combine + render run lazily, one tuple at a time, immediately before
-//     that tuple's delivery: the first citation reaches the caller before
-//     any later tuple's citation has been rendered, and each delivered
-//     entry is released before the next renders.
-//
-// Output is property-tested byte-identical — content and order — to the
-// materialized pipeline across all execution strategies.
-
-// citeStream is the pull-iterator citation pipeline behind CiteEach. Its
-// stages mirror cite() exactly; every divergence in combining order would
-// break the byte-parity contract, so the two share planStage, gatherStage,
-// normalizePolys and combineTuple.
-func (e *Engine) citeStream(ctx context.Context, q *cq.Query, o CiteOptions, each func(*TupleCitation) error) (res *Result, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	ob, ctx := e.obsStart(ctx, "stream")
-	delivered := 0
-	if ob.enabled() {
-		defer func() {
-			rws := 0
-			if res != nil {
-				rws = len(res.Rewritings)
-			}
-			ob.finish(delivered, rws, err)
-		}()
-	}
-
-	p, us, err := e.planStage(&ob, q, nil, o)
-	if err != nil {
-		return nil, err
-	}
-	if !p.Satisfiable() {
-		return e.citeUnsat(p.norm)
-	}
-	min := p.min
-	res = &Result{Query: min, Columns: HeadColumns(min)}
-
-	st := e.curState()
-	resil := e.resilienceFor(o)
-	outOpts := e.requestOpts(o)
-	outOpts.MaxTuples = o.MaxTuples
-	outOpts.Resilience = resil
-
-	ev := ob.begin(obs.StageEval)
-	keys, perKey, err := e.streamOutput(ob.ctxFor(ctx, ev), st, min, outOpts)
-	ob.end(ev)
-	if err != nil {
-		return nil, err
-	}
-	ob.tr.SetInt(ev.id, "tuples", int64(len(keys)))
-
-	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, o, resil, us, perKey); err != nil {
-		return nil, err
-	}
-
-	// Deliver in the deterministic key order, releasing each entry before
-	// its combine+render so the stream holds one rendered citation at a
-	// time. Rendering cancels per tuple and, inside a tuple, per token.
-	// Render time is accumulated around combineTuple only — the consumer's
-	// callback (and its backpressure) must not count as render cost — and
-	// recorded as one completed span at the end of the stream.
-	var renderDur time.Duration
-	ro := renderOptsFor(resil)
-	memo := newRenderMemo()
-	for _, k := range keys {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		tc := perKey[k]
-		delete(perKey, k)
-		var t0 time.Time
-		if ob.enabled() {
-			t0 = time.Now()
-		}
-		sc, err := e.combineTuple(ctx, st, ro, memo, tc)
-		if err != nil {
-			return nil, err
-		}
-		tc.Encoded = sc.encode()
-		if ob.enabled() {
-			renderDur += time.Since(t0)
-		}
-		delivered++
-		if err := each(tc); err != nil {
-			return nil, err
-		}
-	}
-	ob.record(obs.StageRender, renderDur)
-	if resil != nil {
-		res.Coverage = resil.Coverage
-	}
-	return res, nil
-}
-
-// streamOutput streams the query's distinct output tuples and returns their
-// sorted keys plus the per-key citation skeletons. Only keys and tuples are
-// retained — no eval.Result, no dedup map (the iterator dedups on the
-// producer side).
-func (e *Engine) streamOutput(ctx context.Context, st *engineState, q *cq.Query, opts eval.Options) ([]string, map[string]*TupleCitation, error) {
-	it, err := st.snap.tuples(ctx, q, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer it.Close()
-	var keys []string
-	var tuples []storage.Tuple
-	for it.Next() {
-		keys = append(keys, it.Key())
-		tuples = append(tuples, it.Tuple())
-	}
-	if err := it.Err(); err != nil {
-		return nil, nil, err
-	}
-	eval.SortTuplesByKey(keys, tuples)
-	perKey := make(map[string]*TupleCitation, len(keys))
-	for i, k := range keys {
-		perKey[k] = &TupleCitation{Tuple: tuples[i]}
-	}
-	return keys, perKey, nil
-}
+// The gather stage of the citation pipeline (Engine.cite): every certified
+// rewriting is evaluated, unfolded, straight off the push enumeration of its
+// expansion (eval.Plan.Each) — slot frames in, no Binding maps, no Match
+// plumbing — and its Σ-over-bindings polynomials (Definition 3.2) land on
+// the per-tuple citations the output evaluation laid out. The stage has
+// finished before the first citation is combined, in Cite and CiteEach
+// alike: a request holds its whole answer's polynomials until then.
 
 // frameSrc reads one value off a slot frame: a slot index, or a constant
 // when slot < 0. The core-side twin of eval's value sources, resolved once
@@ -170,8 +37,8 @@ func (s frameSrc) value(frame []string) string {
 	return frame[s.slot]
 }
 
-// gatherStage is the gather stage of both pipelines, under the stage's span:
-// every rewriting is evaluated and its polynomials merged into perKey. It
+// gatherStage is the pipeline's gather stage, under the stage's span: every
+// rewriting is evaluated and its polynomials merged into perKey. It
 // returns the rewritings the citation was assembled from — all of them,
 // unless the request accepts partial coverage: a rewriting is all-or-nothing,
 // so its evaluation must reach every shard its lookups touch whatever the
@@ -225,24 +92,25 @@ func appendKeyPart(buf []byte, v string) []byte {
 	return append(buf, v...)
 }
 
-// gatherRewriting evaluates one rewriting, unfolded, through the frame
-// iterator of its expansion on the epoch's snapshot and merges its
-// Σ-over-bindings polynomials (Definition 3.2) into the matching per-key
-// citations. Head values and view λ-parameters are read off the frame slots
-// of the rewriting's own variables, resolved once up front, so each binding
-// costs slot reads rather than a Binding map fill; where the expansion can
-// repeat a binding (u.dedupe), frames equal on those variables count once.
-// Nothing reaches perKey before the enumeration has finished, so a failed
-// evaluation leaves no partial polynomial behind. degraded marks a
-// partial-coverage request: tuples outside the (partial) output are then
-// expected strays, not invariant violations.
+// gatherRewriting evaluates one rewriting, unfolded, by enumerating its
+// expansion on the epoch's snapshot and merges its Σ-over-bindings
+// polynomials (Definition 3.2) into the matching per-key citations. Head
+// values and view λ-parameters are read off the frame slots of the
+// rewriting's own variables, resolved once up front, so each binding costs
+// slot reads rather than a Binding map fill; where the expansion can repeat
+// a binding (u.dedupe), frames equal on those variables count once. The
+// enumeration's callback is serialised and the producers wait on it, so it
+// only does the per-frame monomial work. Nothing reaches perKey before the
+// enumeration has finished, so a failed evaluation leaves no partial
+// polynomial behind. degraded marks a partial-coverage request: tuples
+// outside the (partial) output are then expected strays, not invariant
+// violations.
 func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval.Options, u *unfolded, perKey map[string]*TupleCitation, degraded bool) error {
 	r := u.r
-	it, pl, err := st.snap.frames(ctx, u.exp, opts)
+	pl, err := st.snap.plan(ctx, u.exp)
 	if err != nil {
 		return err
 	}
-	defer it.Close()
 
 	vars := pl.Vars()
 	slotOf := make(map[string]int, len(vars))
@@ -298,8 +166,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 	toks := make([]provenance.Token, 0, len(u.views)+len(baseToks))
 	params := make([]string, 0, 4)
 	deduped := int64(0)
-	for it.Next() {
-		f := it.Frame()
+	err = pl.Each(ctx, opts, func(f []string, _ []eval.Match) error {
 		if u.dedupe {
 			keyBuf = keyBuf[:0]
 			for _, s := range ownSrc {
@@ -307,7 +174,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 			}
 			if _, dup := seen[string(keyBuf)]; dup { // no-alloc map probe
 				deduped++
-				continue
+				return nil
 			}
 			seen[string(keyBuf)] = struct{}{}
 		}
@@ -333,7 +200,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 			k := string(keyBuf)
 			if perKey[k] == nil {
 				if degraded {
-					continue
+					return nil
 				}
 				// A certified rewriting cannot produce extra tuples; guard
 				// anyway to surface bugs instead of silently diverging.
@@ -343,8 +210,9 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 			polys[k] = p
 		}
 		p.Add(m, 1) // mutates the polynomial shared with the map entry
-	}
-	if err := it.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	if tr, sp := obs.FromContext(ctx); tr != nil {

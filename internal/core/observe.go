@@ -66,11 +66,19 @@ func (o *obsCtx) begin(name string) stageTimer {
 
 // end closes the stage span and records its latency histogram sample.
 func (o *obsCtx) end(st stageTimer) {
+	if st.on {
+		o.endWith(st, time.Since(st.t0))
+	}
+}
+
+// endWith closes the stage at a duration measured by the caller — render,
+// whose wall-clock bracket would include a streaming consumer's callbacks.
+func (o *obsCtx) endWith(st stageTimer, d time.Duration) {
 	if !st.on {
 		return
 	}
-	o.tr.End(st.id)
-	o.m.Stage(st.name).Observe(time.Since(st.t0))
+	o.tr.EndWith(st.id, d)
+	o.m.Stage(st.name).Observe(d)
 }
 
 // ctxFor returns ctx with the stage span as the current span, so nested
@@ -81,16 +89,6 @@ func (o *obsCtx) ctxFor(ctx context.Context, st stageTimer) context.Context {
 		return ctx
 	}
 	return obs.NewContext(ctx, o.tr, st.id)
-}
-
-// record registers an already-measured stage (streaming render, whose
-// wall-clock bracket would otherwise include consumer callback time).
-func (o *obsCtx) record(name string, d time.Duration) {
-	if !o.enabled() {
-		return
-	}
-	o.tr.Record(o.root, name, d)
-	o.m.Stage(name).Observe(d)
 }
 
 // finish closes the root span and records the whole-cite metrics. err is

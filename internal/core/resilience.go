@@ -22,7 +22,7 @@ import (
 // ResilienceConfig enables and tunes the fault-tolerant scatter-gather
 // driver for a sharded engine. Zero fields pick the eval package's
 // defaults; the zero value as a whole is a valid "defaults everywhere"
-// configuration. It only affects engines built with NewShardedEngine over
+// configuration. It only affects engines whose store is partitioned over
 // more than one shard — elsewhere it is inert.
 type ResilienceConfig struct {
 	// AttemptTimeout bounds each per-shard scan attempt.
@@ -60,8 +60,8 @@ func (e *Engine) SetResilience(cfg *ResilienceConfig) {
 	}
 	c := *cfg
 	e.resilience = &c
-	if e.sdb != nil {
-		e.breakers = eval.NewBreakers(e.sdb.NumShards(), cfg.BreakerThreshold, cfg.BreakerCooldown)
+	if n := e.curState().shards(); n > 0 {
+		e.breakers = eval.NewBreakers(n, cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
 }
 
@@ -70,9 +70,9 @@ func (e *Engine) SetResilience(cfg *ResilienceConfig) {
 func (e *Engine) BreakerStates() []eval.BreakerInfo { return e.breakers.States() }
 
 // SetShardWrapper installs a wrapper applied to every snapshot the engine
-// takes of its partitioned database — the hook the fault injector
-// (internal/fault) uses to impose faults at the shard-scan seam. It only
-// affects sharded engines. Takes effect at the next Reset.
+// takes that is an eval.ShardScanner — the hook the fault injector
+// (internal/fault) uses to impose faults at the shard-scan seam; other
+// snapshots are left alone. Takes effect at the next Reset.
 func (e *Engine) SetShardWrapper(wrap func(eval.ShardScanner) eval.ShardScanner) {
 	e.shardWrap = wrap
 }
@@ -82,9 +82,9 @@ func (e *Engine) SetShardWrapper(wrap func(eval.ShardScanner) eval.ShardScanner)
 // override, with a fresh Coverage accumulator that every snapshot
 // evaluation of the request merges into. nil when resilience is off or the
 // engine has nothing to scatter over.
-func (e *Engine) resilienceFor(o CiteOptions) *eval.Resilience {
+func (e *Engine) resilienceFor(st *engineState, o CiteOptions) *eval.Resilience {
 	cfg := e.resilience
-	if cfg == nil || e.sdb == nil || e.sdb.NumShards() <= 1 {
+	if cfg == nil || st.shards() <= 1 {
 		return nil
 	}
 	r := &eval.Resilience{

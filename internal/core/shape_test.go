@@ -60,7 +60,7 @@ var valuePool = []string{"a", "b", "c", "1", "2", "3", "10", "k", "p0", "p0,", "
 
 func (w *world) engine(t testing.TB, pol core.Policy) *core.Engine {
 	t.Helper()
-	e, err := core.NewEngine(w.db, w.views, pol)
+	e, err := core.NewEngine(core.DBSource{DB: w.db}, w.views, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func FuzzShape(f *testing.F) {
 	f.Add(`Q(A, B) :- Family(A, N, "gpcr"), Family(B, M, "vgic"), A < B`, "vgic", "gpcr")
 	db, views := gtopdb.PaperInstance(), gtopdb.MustPaperViews()
 	engine := func(t *testing.T) *core.Engine {
-		e, err := core.NewEngine(db, views, core.DefaultPolicy())
+		e, err := core.NewEngine(core.DBSource{DB: db}, views, core.DefaultPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,27 +2,35 @@ package core
 
 import (
 	"citare/internal/eval"
+	"citare/internal/shard"
 	"citare/internal/storage"
 )
 
-// SnapshotSource is a pluggable storage backend for an engine: anything that
-// can describe its schema and produce immutable snapshot views of its data.
-// It is the seam persistent backends (internal/lsm via internal/backend)
-// plug into — the engine never learns whether a snapshot is an in-memory
-// copy-on-write database or an LSM view served from SSTable iterators.
+// SnapshotSource is an engine's store: anything that can describe its schema
+// and produce immutable snapshot views of its data. It is the one seam every
+// storage mode plugs into — DBSource, ShardSource, the persistent backends
+// (internal/lsm via internal/backend) — so the engine never learns whether a
+// snapshot is an in-memory copy-on-write database, a set of shards or an LSM
+// view served from SSTable iterators. A snapshot that is an
+// eval.Partitioned is evaluated scatter-gather.
 type SnapshotSource interface {
 	Schema() *storage.Schema
 	Snapshot() (eval.DBView, error)
 }
 
-// NewSourceEngine assembles an engine over a snapshot source. An epoch is one
-// snapshot of the source: every read — the query, its unfolded rewritings,
-// the token citation queries — resolves straight to it, so building an epoch
-// costs what the source's Snapshot costs and never re-reads the store.
-func NewSourceEngine(src SnapshotSource, views []*CitationView, policy Policy) (*Engine, error) {
-	return newEngine(nil, nil, src, views, policy)
+// DBSource is the SnapshotSource of a live in-memory database: a snapshot is
+// its O(relations) copy-on-write view.
+type DBSource struct{ DB *storage.DB }
+
+func (s DBSource) Schema() *storage.Schema { return s.DB.Schema() }
+func (s DBSource) Snapshot() (eval.DBView, error) {
+	return eval.DBViewOf(s.DB.Snapshot()), nil
 }
 
-// Source returns the engine's snapshot source (nil unless built with
-// NewSourceEngine).
-func (e *Engine) Source() SnapshotSource { return e.src }
+// ShardSource is the SnapshotSource of a live hash-partitioned database:
+// snapshots are taken per shard, and being eval.Partitioned they make every
+// evaluation scatter-gather.
+type ShardSource struct{ DB *shard.DB }
+
+func (s ShardSource) Schema() *storage.Schema        { return s.DB.Schema() }
+func (s ShardSource) Snapshot() (eval.DBView, error) { return s.DB.Snapshot(), nil }

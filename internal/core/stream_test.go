@@ -15,6 +15,7 @@ import (
 
 	"citare/internal/core"
 	"citare/internal/format"
+	"citare/internal/obs"
 	"citare/internal/storage"
 )
 
@@ -43,7 +44,7 @@ func renderHarness(t *testing.T, rows int, hook func()) (*core.Engine, *atomic.I
 		}
 		return format.NewObject().Set("N", format.S(strconv.Itoa(len(rows)))), nil
 	}
-	e, err := core.NewEngine(db, []*core.CitationView{v}, plainPolicy())
+	e, err := core.NewEngine(core.DBSource{DB: db}, []*core.CitationView{v}, plainPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,5 +173,65 @@ func TestCiteEachMatchesCiteCtxEngine(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRenderStageOnEveryExit: a citation that ends inside the render loop —
+// the context canceled, the sink failing — still closes its render span
+// under the cite root, so the trace kept for a slow or abandoned request
+// says what its rendering cost.
+func TestRenderStageOnEveryExit(t *testing.T) {
+	boom := errors.New("boom")
+	q := mustQuery(t, `Q(A, B) :- R(A, B)`) // one token per tuple
+	for _, tc := range []struct {
+		name, mode string
+		want       error
+		run        func(ctx context.Context, cancel func(), e *core.Engine) error
+	}{
+		{"cite/cancel", "cite", context.Canceled, func(ctx context.Context, _ func(), e *core.Engine) error {
+			_, err := e.CiteCtx(ctx, q, core.CiteOptions{Parallel: 1}) // the first token render cancels
+			return err
+		}},
+		{"stream/cancel-after-first-delivery", "stream", context.Canceled, func(ctx context.Context, cancel func(), e *core.Engine) error {
+			_, err := e.CiteEach(ctx, q, core.CiteOptions{Parallel: 1}, func(*core.TupleCitation) error {
+				cancel()
+				return nil
+			})
+			return err
+		}},
+		{"stream/callback-error", "stream", boom, func(ctx context.Context, _ func(), e *core.Engine) error {
+			_, err := e.CiteEach(ctx, q, core.CiteOptions{Parallel: 1}, func(*core.TupleCitation) error { return boom })
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var hook func()
+			if tc.name == "cite/cancel" {
+				hook = cancel
+			}
+			e, _ := renderHarness(t, 50, hook)
+			tr := obs.NewTrace()
+			if err := tc.run(obs.NewContext(ctx, tr, obs.NoSpan), cancel, e); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			rep := tr.Report()
+			if len(rep.Stages) != 1 || rep.Stages[0].Name != obs.StageCite || rep.Stages[0].Attrs["mode"] != tc.mode {
+				t.Fatalf("roots %+v, want one cite root in mode %s", rep.Stages, tc.mode)
+			}
+			renders := 0
+			for _, child := range rep.Stages[0].Children {
+				if child.Name == obs.StageRender {
+					renders++
+					if child.DurationNs <= 0 {
+						t.Fatalf("render span carries no duration: %+v", child)
+					}
+				}
+			}
+			if renders != 1 {
+				t.Fatalf("%d render stages under the cite root, want 1: %+v", renders, rep.Stages[0].Children)
+			}
+		})
 	}
 }

@@ -125,33 +125,3 @@ func (t evalTarget) eval(ctx context.Context, q *cq.Query, opts eval.Options) (*
 	}
 	return pl.EvalCtx(ctx, opts)
 }
-
-func (t evalTarget) evalBindings(ctx context.Context, q *cq.Query, opts eval.Options, fn func(eval.Binding, []eval.Match) error) error {
-	pl, err := t.plan(ctx, q)
-	if err != nil {
-		return err
-	}
-	return pl.EvalBindingsCtx(ctx, opts, fn)
-}
-
-// tuples starts a streaming set-semantics evaluation of q: distinct output
-// tuples arrive through the returned pull iterator with backpressure instead
-// of a gathered Result. The caller must Close the iterator.
-func (t evalTarget) tuples(ctx context.Context, q *cq.Query, opts eval.Options) (*eval.TupleIterator, error) {
-	pl, err := t.plan(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Tuples(ctx, opts), nil
-}
-
-// frames starts a streaming frame enumeration of q, returning the iterator
-// together with the compiled plan (whose Vars order the frames follow). The
-// caller must Close the iterator.
-func (t evalTarget) frames(ctx context.Context, q *cq.Query, opts eval.Options) (*eval.FrameIterator, *eval.Plan, error) {
-	pl, err := t.plan(ctx, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl.Frames(ctx, opts), pl, nil
-}

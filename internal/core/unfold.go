@@ -75,7 +75,8 @@ func (e *Engine) unfold(r *rewrite.Rewriting) (*unfolded, error) {
 // own variables and constants: relations are sets, so the own variables then
 // fix every matched tuple, and with it the whole frame.
 func (e *Engine) needsDedupe(exp *cq.Query, own map[string]bool) bool {
-	schema := e.baseSchema()
+	schema := e.src.Schema()
+	partitioned := e.curState().part != nil
 	for _, a := range exp.Atoms {
 		existential := false
 		for _, t := range a.Args {
@@ -84,7 +85,7 @@ func (e *Engine) needsDedupe(exp *cq.Query, own map[string]bool) bool {
 				break
 			}
 		}
-		if existential && !e.keyBound(schema.Relation(a.Pred), a, own) {
+		if existential && !keyBound(schema.Relation(a.Pred), a, own, partitioned) {
 			return true
 		}
 	}
@@ -95,11 +96,11 @@ func (e *Engine) needsDedupe(exp *cq.Query, own map[string]bool) bool {
 // primary key to an own variable or a constant, for a key the store enforces
 // over the whole relation. A partitioned store checks keys inside each part,
 // which is global only when the key contains the shard-key column.
-func (e *Engine) keyBound(rs *storage.RelSchema, a cq.Atom, own map[string]bool) bool {
+func keyBound(rs *storage.RelSchema, a cq.Atom, own map[string]bool, partitioned bool) bool {
 	if rs == nil || len(rs.Key) == 0 || len(a.Args) != rs.Arity() {
 		return false
 	}
-	routed := e.sdb == nil
+	routed := !partitioned
 	for _, k := range rs.Key {
 		col := rs.ColIndex(k)
 		if t := a.Args[col]; t.IsVar() && !own[t.Name] {

@@ -125,7 +125,7 @@ func oraclePolys(t *testing.T, db *storage.DB, views []*core.CitationView, r *re
 	}
 	params := map[string][]int{}
 	for _, v := range views {
-		res, err := eval.Eval(db, v.Def)
+		res, err := eval.EvalOpts(db, v.Def, eval.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func oraclePolys(t *testing.T, db *storage.DB, views []*core.CitationView, r *re
 		return b[term.Name]
 	}
 	polys := map[string]provenance.Poly{}
-	err := eval.EvalBindings(exec, q, func(b eval.Binding, _ []eval.Match) error {
+	err := eval.EachBinding(eval.DBViewOf(exec), q, eval.Options{}, func(b eval.Binding, _ []eval.Match) error {
 		head := make(storage.Tuple, len(r.Head))
 		for i, term := range r.Head {
 			head[i] = value(b, term)
@@ -197,14 +197,14 @@ func TestUnfoldedMatchesMaterializedOracle(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		db := oracleInstance(r)
 		engines := map[string]*core.Engine{}
-		if engines["plain"], err = core.NewEngine(db, views, pol); err != nil {
+		if engines["plain"], err = core.NewEngine(core.DBSource{DB: db}, views, pol); err != nil {
 			t.Fatal(err)
 		}
 		sdb, err := shard.FromDB(db, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if engines["shards=3"], err = core.NewShardedEngine(sdb, views, pol); err != nil {
+		if engines["shards=3"], err = core.NewEngine(core.ShardSource{DB: sdb}, views, pol); err != nil {
 			t.Fatal(err)
 		}
 		store, err := backend.OpenLSM(t.TempDir(), db.Schema(), lsm.Options{})
@@ -222,7 +222,7 @@ func TestUnfoldedMatchesMaterializedOracle(t *testing.T) {
 		if _, err := store.Commit("seed"); err != nil {
 			t.Fatal(err)
 		}
-		if engines["lsm"], err = core.NewSourceEngine(backend.Head(store), views, pol); err != nil {
+		if engines["lsm"], err = core.NewEngine(backend.Head(store), views, pol); err != nil {
 			t.Fatal(err)
 		}
 
@@ -264,7 +264,7 @@ func TestUnfoldedMatchesMaterializedOracle(t *testing.T) {
 			}
 		}
 		// The instance must be one a naive unfolding gets wrong.
-		res, err := eval.Eval(db, mustQuery(t, `Q(A, B) :- R(A, B)`))
+		res, err := eval.EvalOpts(db, mustQuery(t, `Q(A, B) :- R(A, B)`), eval.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

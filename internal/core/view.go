@@ -168,10 +168,15 @@ func citationRows(ctx context.Context, t evalTarget, inst *cq.Query, opts eval.O
 	// its own token rendering. That cannot poison the shared rendered-token
 	// cache — the cache never stores errors, and waiters of a failed
 	// singleflight retry the computation themselves.
-	err := t.evalBindings(ctx, inst, opts, func(b eval.Binding, _ []eval.Match) error {
-		row := make(map[string]string, len(b)+len(paramNames))
-		for k, v := range b {
-			row[k] = v
+	pl, err := t.plan(ctx, inst)
+	if err != nil {
+		return nil, err
+	}
+	vars := pl.Vars()
+	err = pl.Each(ctx, opts, func(frame []string, _ []eval.Match) error {
+		row := make(map[string]string, len(vars)+len(paramNames))
+		for i, name := range vars {
+			row[name] = frame[i]
 		}
 		for i, name := range paramNames {
 			row[name] = paramVals[i]

@@ -1,8 +1,9 @@
 package eval_test
 
-// Mid-enumeration cancellation across all three execution strategies
-// (sequential descent, worker pools, scatter-gather). External test package:
-// the scatter strategy needs internal/shard, which imports eval.
+// Mid-enumeration cancellation across every execution strategy of Plan.Each
+// (sequential descent, worker pools, scatter-gather, resilient scatter).
+// External test package: the scatter strategies need internal/shard, which
+// imports eval.
 
 import (
 	"context"
@@ -11,32 +12,47 @@ import (
 	"testing"
 	"time"
 
+	"citare/internal/cq"
 	"citare/internal/eval"
+	"citare/internal/fault"
 	"citare/internal/shard"
+	"citare/internal/storage"
 	"citare/internal/workload"
 )
 
-// cancelStrategies enumerates the three execution strategies over the
-// chain-join workload.
-func cancelStrategies(t *testing.T) []struct {
+// strategy is one way Plan.Each can run a query: the view decides between
+// plain and scatter-gather execution, the options between sequential,
+// worker-pool and resilient drivers, the query's first atom between
+// partitioning it and expanding prefixes.
+type strategy struct {
 	name string
+	base *storage.DB // the unpartitioned data, for a sequential reference
 	view eval.DBView
+	q    *cq.Query
 	opts eval.Options
-} {
+}
+
+// strategies enumerates every execution strategy of Plan.Each over the
+// chain-join workload: sequential descent, a worker pool partitioning the
+// first atom, a pool expanding prefixes (a selective first atom: ~37
+// candidates against 16 workers × prefixFanout), scatter-gather, and the
+// resilient scatter driver over a fault-free injector.
+func strategies(t *testing.T) []strategy {
 	t.Helper()
 	db := workload.ChainDB(3, 600, 64, 7)
 	sharded, err := shard.FromDB(db, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []struct {
-		name string
-		view eval.DBView
-		opts eval.Options
-	}{
-		{"sequential", eval.DBViewOf(db), eval.Options{Parallel: 1}},
-		{"pool-4", eval.DBViewOf(db), eval.Options{Parallel: 4}},
-		{"scatter-4", sharded, eval.Options{Parallel: 4}},
+	q := workload.ChainQuery(3)
+	dense := workload.ChainDB(3, 2400, 64, 7)
+	selective := workload.ChainQuery(3).Apply(cq.Subst{"X0": cq.Const("n0_0")})
+	return []strategy{
+		{"sequential", db, eval.DBViewOf(db), q, eval.Options{Parallel: 1}},
+		{"pool-4", db, eval.DBViewOf(db), q, eval.Options{Parallel: 4}},
+		{"expanded-16", dense, eval.DBViewOf(dense), selective, eval.Options{Parallel: 16}},
+		{"scatter-4", db, sharded, q, eval.Options{Parallel: 4}},
+		{"resilient-4", db, fault.NewInjector(42).Wrap(sharded), q, eval.Options{Parallel: 4, Resilience: fastResilience()}},
 	}
 }
 
@@ -46,17 +62,16 @@ func cancelStrategies(t *testing.T) []struct {
 // number of further deliveries (each worker re-checks the context at least
 // every 256 candidate tuples), and (3) no leaked worker goroutines.
 func TestCancelMidEnumeration(t *testing.T) {
-	q := workload.ChainQuery(3)
-	for _, st := range cancelStrategies(t) {
+	for _, st := range strategies(t) {
 		t.Run(st.name, func(t *testing.T) {
-			plan, err := eval.Compile(st.view, q)
+			plan, err := eval.Compile(st.view, st.q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Reference: the full binding count, to prove the cancel run
 			// stopped early rather than finishing.
 			total := 0
-			if err := plan.EvalBindings(st.opts, func(eval.Binding, []eval.Match) error {
+			if err := plan.Each(context.Background(), st.opts, func([]string, []eval.Match) error {
 				total++
 				return nil
 			}); err != nil {
@@ -70,7 +85,7 @@ func TestCancelMidEnumeration(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			delivered := 0
-			err = plan.EvalBindingsCtx(ctx, st.opts, func(eval.Binding, []eval.Match) error {
+			err = plan.Each(ctx, st.opts, func([]string, []eval.Match) error {
 				delivered++
 				if delivered == 1 {
 					cancel()
@@ -80,8 +95,8 @@ func TestCancelMidEnumeration(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled (delivered %d of %d)", err, delivered, total)
 			}
-			// Each of the ≤4 workers may feed up to 256 more candidates (one
-			// check interval) before noticing; anything near the full count
+			// Each worker may feed up to 256 more candidates (one check
+			// interval) before noticing; anything near the full count
 			// means cancellation did not propagate.
 			if delivered > total/2 {
 				t.Fatalf("delivered %d of %d bindings after cancel", delivered, total)
@@ -94,17 +109,16 @@ func TestCancelMidEnumeration(t *testing.T) {
 // TestCancelBeforeEnumeration: an already-canceled context returns without
 // delivering anything, in every strategy.
 func TestCancelBeforeEnumeration(t *testing.T) {
-	q := workload.ChainQuery(3)
-	for _, st := range cancelStrategies(t) {
+	for _, st := range strategies(t) {
 		t.Run(st.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			plan, err := eval.Compile(st.view, q)
+			plan, err := eval.Compile(st.view, st.q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			delivered := 0
-			err = plan.EvalBindingsCtx(ctx, st.opts, func(eval.Binding, []eval.Match) error {
+			err = plan.Each(ctx, st.opts, func([]string, []eval.Match) error {
 				delivered++
 				return nil
 			})
@@ -131,7 +145,7 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done() // deadline definitely passed
-	err = plan.EvalBindingsCtx(ctx, eval.Options{Parallel: 1}, func(eval.Binding, []eval.Match) error {
+	err = plan.Each(ctx, eval.Options{Parallel: 1}, func([]string, []eval.Match) error {
 		return nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -1,0 +1,104 @@
+package eval_test
+
+// Plan.Each's contract across every execution strategy: the same multiset of
+// frames as the sequential enumeration, and no delivery after fn has
+// returned an error. (Cancellation: cancel_test.go.)
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"citare/internal/cq"
+	"citare/internal/eval"
+)
+
+// frameMultiset enumerates q over view and counts each distinct valuation,
+// spelled by variable name so plans with different slot orders compare.
+func frameMultiset(t *testing.T, view eval.DBView, q *cq.Query, opts eval.Options) map[string]int {
+	t.Helper()
+	got := make(map[string]int)
+	err := eval.EachBinding(view, q, opts, func(b eval.Binding, _ []eval.Match) error {
+		got[fmt.Sprint(b)]++ // fmt prints maps in key order
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("enumeration failed: %v", err)
+	}
+	return got
+}
+
+// TestEachFrameParity: every strategy delivers exactly the sequential
+// enumeration's frame multiset.
+func TestEachFrameParity(t *testing.T) {
+	for _, st := range strategies(t) {
+		t.Run(st.name, func(t *testing.T) {
+			want := frameMultiset(t, eval.DBViewOf(st.base), st.q, eval.Options{Parallel: 1})
+			if len(want) == 0 {
+				t.Fatal("empty reference enumeration")
+			}
+			if got := frameMultiset(t, st.view, st.q, st.opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("frame multiset diverges from sequential: %d vs %d distinct frames", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestEachErrorStopsDelivery: once fn returns an error, no strategy invokes
+// it again, Each returns that error, and its workers are gone.
+func TestEachErrorStopsDelivery(t *testing.T) {
+	boom := errors.New("boom")
+	for _, st := range strategies(t) {
+		t.Run(st.name, func(t *testing.T) {
+			plan, err := eval.Compile(st.view, st.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			calls := 0
+			err = plan.Each(context.Background(), st.opts, func([]string, []eval.Match) error {
+				if calls++; calls == 3 {
+					return boom
+				}
+				return nil
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want boom", err)
+			}
+			if calls != 3 {
+				t.Fatalf("fn called %d times after erroring on call 3", calls)
+			}
+			waitForGoroutines(t, before)
+		})
+	}
+}
+
+// TestEvalCtxMaxTuples: the set-semantics evaluation aborts with
+// ErrTupleLimit once the bound is exceeded, in every strategy, and a bound
+// the result fits under changes nothing.
+func TestEvalCtxMaxTuples(t *testing.T) {
+	for _, st := range strategies(t) {
+		t.Run(st.name, func(t *testing.T) {
+			plan, err := eval.Compile(st.view, st.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := plan.EvalCtx(context.Background(), st.opts)
+			if err != nil || len(full.Tuples) <= 5 {
+				t.Fatalf("reference evaluation: %d tuples, %v", len(full.Tuples), err)
+			}
+			opts := st.opts
+			opts.MaxTuples = 5
+			if _, err := plan.EvalCtx(context.Background(), opts); !errors.Is(err, eval.ErrTupleLimit) {
+				t.Fatalf("err = %v, want ErrTupleLimit", err)
+			}
+			opts.MaxTuples = len(full.Tuples)
+			if res, err := plan.EvalCtx(context.Background(), opts); err != nil || !reflect.DeepEqual(res.Tuples, full.Tuples) {
+				t.Fatalf("bound equal to the result size: %v, tuples equal %v", err, err == nil && reflect.DeepEqual(res.Tuples, full.Tuples))
+			}
+		})
+	}
+}

@@ -16,8 +16,7 @@
 // comparison predicates scheduled at the earliest step where both sides are
 // ground. Execution then enumerates bindings on a flat []string slot frame
 // reused across the whole enumeration: no per-binding maps, no cloning, no
-// name lookups. The public EvalBindings* API converts a frame to a Binding
-// only at the callback edge.
+// name lookups.
 //
 // Plans drive all three strategies — sequential descent, worker-partitioned
 // parallel enumeration (Options.Parallel, with Auto deriving the worker
@@ -26,18 +25,29 @@
 // an eval.Partitioned view — with identical binding multisets and
 // byte-identical sorted results.
 //
+// # Entry points
+//
+// Plan.Each is the enumeration: it pushes every satisfying valuation, as a
+// slot frame with its matched base tuples, into a callback. The callback is
+// serialised (never invoked concurrently, whatever the strategy), the
+// enumeration waits while it runs, the frame is valid only during the call,
+// and the delivery order is unspecified unless execution is sequential.
+// Plan.EvalCtx is Each with set semantics — distinct head tuples, sorted.
+// EvalOpts and EvalOn compile and evaluate in one call; EachBinding compiles
+// and enumerates with every frame spelled out as a name→value map.
+//
 // # Cancellation
 //
-// Plan.EvalCtx and Plan.EvalBindingsCtx run the enumeration under a
-// context: every strategy re-checks ctx.Done() at partition boundaries
-// (worker chunks, expansion prefixes, shards) and at least every
-// ctxCheckInterval candidate tuples within a partition, so a canceled
-// enumeration returns the context's error promptly instead of finishing a
-// join nobody is waiting for. Under context.Background() the checks reduce
-// to a nil-channel branch and cost nothing.
+// Each runs under a context: every strategy re-checks ctx.Done() at
+// partition boundaries (worker chunks, expansion prefixes, shards) and at
+// least every ctxCheckInterval candidate tuples within a partition, so a
+// canceled enumeration returns the context's error promptly instead of
+// finishing a join nobody is waiting for. Under context.Background() the
+// checks reduce to a nil-channel branch and cost nothing.
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -52,7 +62,7 @@ import (
 // these so callers can classify them with errors.Is without string matching.
 var ErrSchema = errors.New("eval: schema mismatch")
 
-// ErrTupleLimit is returned by Eval when Options.MaxTuples is set and the
+// ErrTupleLimit is returned by EvalCtx when Options.MaxTuples is set and the
 // enumeration produces more distinct output tuples than allowed. The
 // enumeration aborts promptly across every execution strategy.
 var ErrTupleLimit = errors.New("eval: tuple limit exceeded")
@@ -82,6 +92,10 @@ type Result struct {
 	// constant's value for constant head terms.
 	Cols   []string
 	Tuples []storage.Tuple
+	// Keys holds each tuple's collision-free key (storage.Tuple.Key),
+	// parallel to Tuples; evaluation sorts both by it. Empty on a hand-built
+	// Result.
+	Keys []string
 
 	// keys holds every tuple's collision-free key for O(1) membership
 	// checks; evaluation fills it, Contains builds it lazily otherwise.
@@ -169,15 +183,14 @@ type Options struct {
 	//   - 0 and 1 evaluate sequentially.
 	//
 	// Workers partition the first atom of the join order, or deeper atoms
-	// when the first one yields too few candidates to split. The callback
-	// passed to EvalBindingsOpts is never invoked concurrently, but the
-	// order in which bindings arrive is unspecified; the binding multiset
-	// is identical to the sequential evaluation's. EvalOpts output is
-	// deterministic regardless.
+	// when the first one yields too few candidates to split. Each's callback
+	// is never invoked concurrently, but the order in which bindings arrive
+	// is unspecified; the binding multiset is identical to the sequential
+	// evaluation's. EvalCtx output is deterministic regardless.
 	Parallel int
 
 	// MaxTuples, when > 0, bounds the number of distinct output tuples a
-	// set-semantics Eval may produce: the enumeration aborts with
+	// set-semantics EvalCtx may produce: the enumeration aborts with
 	// ErrTupleLimit as soon as the bound is exceeded, across every
 	// execution strategy. It has no effect on binding enumeration.
 	MaxTuples int
@@ -191,51 +204,42 @@ type Options struct {
 	Resilience *Resilience
 }
 
-// Eval evaluates q over db with set semantics. Output tuples are
-// deterministically sorted.
-func Eval(db *storage.DB, q *cq.Query) (*Result, error) {
-	return EvalOpts(db, q, Options{})
-}
-
-// EvalOpts is Eval with evaluation options. The result is deterministic —
-// identical for every Parallel setting.
+// EvalOpts evaluates q over db with set semantics. Output tuples are
+// deterministically sorted — identical for every Parallel setting.
 func EvalOpts(db *storage.DB, q *cq.Query, opts Options) (*Result, error) {
 	return EvalOn(DBViewOf(db), q, opts)
 }
 
-// EvalBindings enumerates every binding of q's variables that satisfies the
-// body over db, invoking fn with the binding and the matched base tuples.
-// Returning a non-nil error from fn aborts the enumeration.
-func EvalBindings(db *storage.DB, q *cq.Query, fn func(b Binding, matches []Match) error) error {
-	return EvalBindingsOpts(db, q, Options{}, fn)
-}
-
-// EvalBindingsOpts is EvalBindings with evaluation options. With parallel
-// execution the binding multiset is identical to the sequential
-// enumeration's but arrives in unspecified order; fn is still never invoked
-// concurrently, so it needs no internal locking.
-func EvalBindingsOpts(db *storage.DB, q *cq.Query, opts Options, fn func(b Binding, matches []Match) error) error {
-	return EvalBindingsOn(DBViewOf(db), q, opts, fn)
-}
-
-// EvalOn is EvalOpts over any DBView (e.g. a sharded union view): the query
-// is compiled and the plan executed once. Callers evaluating the same query
-// repeatedly should Compile once and reuse the Plan.
+// EvalOn is EvalOpts over any DBView: the query is compiled and the plan
+// executed once. Over a Partitioned view the evaluation scatter-gathers —
+// the first join atom split by shard, shards that cannot hold its bound key
+// skipped — with output identical to the unsharded data's. Callers
+// evaluating the same query repeatedly should Compile once and reuse the
+// Plan.
 func EvalOn(dbv DBView, q *cq.Query, opts Options) (*Result, error) {
 	p, err := Compile(dbv, q)
 	if err != nil {
 		return nil, err
 	}
-	return p.Eval(opts)
+	return p.EvalCtx(context.Background(), opts)
 }
 
-// EvalBindingsOn is EvalBindingsOpts over any DBView.
-func EvalBindingsOn(dbv DBView, q *cq.Query, opts Options, fn func(b Binding, matches []Match) error) error {
+// EachBinding compiles q over dbv and enumerates its bindings by name: it is
+// Plan.Each — same strategies, same serialised callback — with every frame
+// spelled out as a Binding beside the matched base tuples. The map is reused
+// across deliveries and, like the frame, valid only during the call.
+func EachBinding(dbv DBView, q *cq.Query, opts Options, fn func(b Binding, matches []Match) error) error {
 	p, err := Compile(dbv, q)
 	if err != nil {
 		return err
 	}
-	return p.EvalBindings(opts, fn)
+	b := make(Binding, len(p.varOf))
+	return p.Each(context.Background(), opts, func(frame []string, ms []Match) error {
+		for i, name := range p.varOf {
+			b[name] = frame[i]
+		}
+		return fn(b, ms)
+	})
 }
 
 func headCols(q *cq.Query) []string {
@@ -248,35 +252,6 @@ func headCols(q *cq.Query) []string {
 		}
 	}
 	return cols
-}
-
-// Materialize evaluates a view definition and loads its output (head
-// columns) into a fresh relation named after the view inside the returned
-// database. Column names are the head labels.
-func Materialize(db *storage.DB, view *cq.Query) (*storage.Relation, error) {
-	res, err := Eval(db, view)
-	if err != nil {
-		return nil, err
-	}
-	s := storage.NewSchema()
-	cols := make([]storage.Column, len(res.Cols))
-	for i, c := range res.Cols {
-		cols[i] = storage.Column{Name: fmt.Sprintf("c%d_%s", i, c)}
-	}
-	name := view.Name
-	if name == "" {
-		name = "View"
-	}
-	if err := s.AddRelation(&storage.RelSchema{Name: name, Cols: cols}); err != nil {
-		return nil, err
-	}
-	vdb := storage.NewDB(s)
-	for _, t := range res.Tuples {
-		if err := vdb.Insert(name, t...); err != nil {
-			return nil, err
-		}
-	}
-	return vdb.Relation(name), nil
 }
 
 // DBFromFacts builds a database holding the given ground atoms, inferring a

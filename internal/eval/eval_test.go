@@ -36,7 +36,7 @@ func TestEvalSelection(t *testing.T) {
 	db := familyDB(t)
 	q := &cq.Query{Name: "Q", Head: []cq.Term{v("N")},
 		Atoms: []cq.Atom{cq.NewAtom("Family", v("F"), v("N"), c("gpcr"))}}
-	res, err := Eval(db, q)
+	res, err := EvalOpts(db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestEvalJoinWithComparison(t *testing.T) {
 			cq.NewAtom("FamilyIntro", v("F"), v("Tx")),
 		},
 		Comps: []cq.Comparison{{L: v("Ty"), Op: cq.OpEq, R: c("gpcr")}}}
-	res, err := Eval(db, q)
+	res, err := EvalOpts(db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestEvalSetSemantics(t *testing.T) {
 	// Projection collapses duplicates: committee members per family ignored.
 	q := &cq.Query{Name: "Q", Head: []cq.Term{v("F")},
 		Atoms: []cq.Atom{cq.NewAtom("FC", v("F"), v("P"))}}
-	res, err := Eval(db, q)
+	res, err := EvalOpts(db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestEvalSetSemantics(t *testing.T) {
 	}
 }
 
-func TestEvalBindingsEnumeratesAll(t *testing.T) {
+func TestEachBindingEnumeratesAll(t *testing.T) {
 	db := familyDB(t)
 	q := &cq.Query{Name: "Q", Head: []cq.Term{v("F")},
 		Atoms: []cq.Atom{cq.NewAtom("FC", v("F"), v("P"))}}
 	count := 0
-	err := EvalBindings(db, q, func(b Binding, ms []Match) error {
+	err := EachBinding(DBViewOf(db), q, Options{}, func(b Binding, ms []Match) error {
 		count++
 		if len(ms) != 1 || ms[0].Rel != "FC" {
 			t.Fatalf("bad matches %v", ms)
@@ -111,7 +111,7 @@ func TestEvalRepeatedVariable(t *testing.T) {
 	}
 	q := &cq.Query{Name: "Q", Head: []cq.Term{v("X")},
 		Atoms: []cq.Atom{cq.NewAtom("R", v("X"), v("X"))}}
-	res, err := Eval(db, q)
+	res, err := EvalOpts(db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEvalConstantHead(t *testing.T) {
 	db := familyDB(t)
 	q := &cq.Query{Name: "Q", Head: []cq.Term{c("hit"), v("N")},
 		Atoms: []cq.Atom{cq.NewAtom("Family", c("11"), v("N"), v("Ty"))}}
-	res, err := Eval(db, q)
+	res, err := EvalOpts(db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +135,16 @@ func TestEvalConstantHead(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	db := familyDB(t)
-	if _, err := Eval(db, &cq.Query{Head: []cq.Term{v("X")},
-		Atoms: []cq.Atom{cq.NewAtom("Nope", v("X"))}}); err == nil {
+	if _, err := EvalOpts(db, &cq.Query{Head: []cq.Term{v("X")},
+		Atoms: []cq.Atom{cq.NewAtom("Nope", v("X"))}}, Options{}); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
-	if _, err := Eval(db, &cq.Query{Head: []cq.Term{v("X")},
-		Atoms: []cq.Atom{cq.NewAtom("Family", v("X"))}}); err == nil {
+	if _, err := EvalOpts(db, &cq.Query{Head: []cq.Term{v("X")},
+		Atoms: []cq.Atom{cq.NewAtom("Family", v("X"))}}, Options{}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
-	if _, err := Eval(db, &cq.Query{Head: []cq.Term{v("Y")},
-		Atoms: []cq.Atom{cq.NewAtom("FC", v("X"), v("X2"))}}); err == nil {
+	if _, err := EvalOpts(db, &cq.Query{Head: []cq.Term{v("Y")},
+		Atoms: []cq.Atom{cq.NewAtom("FC", v("X"), v("X2"))}}, Options{}); err == nil {
 		t.Fatal("unsafe head accepted")
 	}
 }
@@ -168,27 +168,13 @@ func TestEvalInequalities(t *testing.T) {
 		op   cq.CompOp
 		want int
 	}{{cq.OpLt, 1}, {cq.OpLe, 2}, {cq.OpEq, 1}, {cq.OpNe, 2}, {cq.OpGt, 1}, {cq.OpGe, 2}} {
-		res, err := Eval(db, mk(tc.op))
+		res, err := EvalOpts(db, mk(tc.op), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Tuples) != tc.want {
 			t.Fatalf("op %v: want %d tuples, got %v", tc.op, tc.want, res.Tuples)
 		}
-	}
-}
-
-func TestMaterializeView(t *testing.T) {
-	db := familyDB(t)
-	view := &cq.Query{Name: "V4", Params: []string{"Ty"},
-		Head:  []cq.Term{v("F"), v("N"), v("Ty")},
-		Atoms: []cq.Atom{cq.NewAtom("Family", v("F"), v("N"), v("Ty"))}}
-	rel, err := Materialize(db, view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 3 {
-		t.Fatalf("want 3 view tuples, got %d", rel.Len())
 	}
 }
 
@@ -231,7 +217,7 @@ func TestContainmentAgreesWithCanonicalDB(t *testing.T) {
 			return false
 		}
 		// Unify predicates arities: skip mismatched random draws.
-		res, err := Eval(db, q2)
+		res, err := EvalOpts(db, q2, Options{})
 		if err != nil {
 			return true // arity mismatch between q1/q2 predicates: skip
 		}
@@ -261,14 +247,14 @@ func TestPropEvalMonotone(t *testing.T) {
 				cq.NewAtom("Family", v("F"), v("N"), v("Ty")),
 				cq.NewAtom("FamilyIntro", v("F"), v("Tx")),
 			}}
-		before, err := Eval(db, q)
+		before, err := EvalOpts(db, q, Options{})
 		if err != nil {
 			return false
 		}
 		id := 100 + r.Intn(100)
 		db.MustInsert("Family", itoa(id), "NewFam", "gpcr")
 		db.MustInsert("FamilyIntro", itoa(id), "intro")
-		after, err := Eval(db, q)
+		after, err := EvalOpts(db, q, Options{})
 		if err != nil {
 			return false
 		}

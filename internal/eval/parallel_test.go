@@ -39,12 +39,12 @@ func bindingKey(b Binding, ms []Match) string {
 func bindingMultiset(t *testing.T, db *storage.DB, q *cq.Query, opts Options) map[string]int {
 	t.Helper()
 	out := make(map[string]int)
-	err := EvalBindingsOpts(db, q, opts, func(b Binding, ms []Match) error {
+	err := EachBinding(DBViewOf(db), q, opts, func(b Binding, ms []Match) error {
 		out[bindingKey(b, ms)]++
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("EvalBindingsOpts(%+v): %v", opts, err)
+		t.Fatalf("EachBinding(%+v): %v", opts, err)
 	}
 	return out
 }
@@ -120,7 +120,7 @@ func randomJoinQuery(r *rand.Rand) *cq.Query {
 }
 
 // TestPropParallelMatchesSequential: on random databases and queries,
-// parallel EvalBindings yields exactly the sequential binding multiset and
+// parallel enumeration yields exactly the sequential binding multiset and
 // EvalOpts exactly the sequential tuple list.
 func TestPropParallelMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -135,7 +135,7 @@ func TestPropParallelMatchesSequential(t *testing.T) {
 				return false
 			}
 		}
-		seqRes, err := Eval(db, q)
+		seqRes, err := EvalOpts(db, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestParallelAgainstSnapshot(t *testing.T) {
 	q := &cq.Query{Name: "Q",
 		Head:  []cq.Term{cq.Var("X"), cq.Var("Z")},
 		Atoms: []cq.Atom{cq.NewAtom("R", cq.Var("X"), cq.Var("Y")), cq.NewAtom("S", cq.Var("Y"), cq.Var("Z"))}}
-	seq, err := Eval(snap, q)
+	seq, err := EvalOpts(snap, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestParallelAgainstSnapshot(t *testing.T) {
 }
 
 // TestParallelCallbackErrorAborts: the first error returned by fn is the
-// error EvalBindingsOpts reports, and enumeration stops promptly.
+// error the enumeration reports, and enumeration stops promptly.
 func TestParallelCallbackErrorAborts(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	db := randomFactDB(r)
@@ -188,7 +188,7 @@ func TestParallelCallbackErrorAborts(t *testing.T) {
 		Atoms: []cq.Atom{cq.NewAtom("R", cq.Var("X"), cq.Var("Y"))}}
 	boom := errors.New("boom")
 	calls := 0
-	err := EvalBindingsOpts(db, q, Options{Parallel: 4}, func(Binding, []Match) error {
+	err := EachBinding(DBViewOf(db), q, Options{Parallel: 4}, func(Binding, []Match) error {
 		calls++
 		if calls == 3 {
 			return boom
@@ -214,7 +214,7 @@ func TestParallelCallbackNotConcurrent(t *testing.T) {
 		Head:  []cq.Term{cq.Var("X"), cq.Var("Z")},
 		Atoms: []cq.Atom{cq.NewAtom("R", cq.Var("X"), cq.Var("Y")), cq.NewAtom("S", cq.Var("Y"), cq.Var("Z"))}}
 	inFn := 0
-	err := EvalBindingsOpts(db, q, Options{Parallel: 8}, func(Binding, []Match) error {
+	err := EachBinding(DBViewOf(db), q, Options{Parallel: 8}, func(Binding, []Match) error {
 		inFn++
 		if inFn != 1 {
 			t.Error("fn invoked concurrently")

@@ -519,12 +519,23 @@ func (e *exec) run(depth int) error {
 	return iterErr
 }
 
-// frames enumerates every satisfying valuation of the plan, dispatching to
-// the scatter-gather driver for partitioned views and to the adaptive
-// parallel driver otherwise. fn is never invoked concurrently. Every
-// strategy re-checks ctx at partition and frame boundaries, so a canceled
-// enumeration returns promptly with the context's error.
-func (p *Plan) frames(ctx context.Context, opts Options, fn frameFn) error {
+// Each enumerates every satisfying valuation of the plan, dispatching to the
+// scatter-gather driver for partitioned views and to the adaptive parallel
+// driver otherwise. It is the one enumeration every consumer sits on —
+// EvalCtx, the citation pipeline's rewriting gather, token rendering.
+//
+// The contract, in every strategy: fn is never invoked concurrently, and the
+// enumeration waits for exactly as long as fn takes, so a slow consumer
+// holds the producers back without any buffering in between. frame is
+// aligned with Vars and ms with the query's atoms in join order; both are
+// reused across deliveries and valid only during the call (the string values
+// themselves are immutable and safe to keep). The order of deliveries is
+// deterministic only under sequential execution; the multiset of frames is
+// the same in all of them. An error from fn stops every further delivery
+// and is returned; ctx is re-checked at partition and frame boundaries, so a
+// canceled enumeration returns ctx.Err() promptly with no goroutine left
+// behind. Under context.Background() the checks cost nothing.
+func (p *Plan) Each(ctx context.Context, opts Options, fn func(frame []string, ms []Match) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -537,6 +548,12 @@ func (p *Plan) frames(ctx context.Context, opts Options, fn frameFn) error {
 		return p.framesTraced(ctx, opts, fn, tr, sp)
 	}
 	return p.dispatchFrames(ctx, opts, fn)
+}
+
+// Vars returns the plan's variables in slot order; every frame Each
+// delivers is aligned with this list.
+func (p *Plan) Vars() []string {
+	return append([]string(nil), p.varOf...)
 }
 
 // dispatchFrames routes the enumeration to the chosen execution strategy.
@@ -609,44 +626,16 @@ func (p *Plan) workers(opts Options) int {
 	return 1
 }
 
-// EvalBindings enumerates the plan's bindings, converting each slot frame to
-// a Binding only at this callback edge; the map is reused across deliveries
-// (fn must not retain it — same contract as the package-level entry points).
-func (p *Plan) EvalBindings(opts Options, fn func(Binding, []Match) error) error {
-	return p.EvalBindingsCtx(context.Background(), opts, fn)
-}
-
-// EvalBindingsCtx is EvalBindings under a context: the enumeration re-checks
-// ctx at partition and frame boundaries in every execution strategy
-// (sequential, worker-pool, scatter-gather) and returns ctx.Err() promptly
-// once the context is canceled, so a dead client stops burning cores
-// mid-join. Under context.Background() the checks cost nothing.
-func (p *Plan) EvalBindingsCtx(ctx context.Context, opts Options, fn func(Binding, []Match) error) error {
-	b := make(Binding, len(p.varOf))
-	return p.frames(ctx, opts, func(frame []string, ms []Match) error {
-		for i, name := range p.varOf {
-			b[name] = frame[i]
-		}
-		return fn(b, ms)
-	})
-}
-
-// Eval runs the plan with set semantics: head tuples are deduplicated on a
-// reusable key buffer and deterministically sorted, so every execution
-// strategy produces byte-identical results.
-func (p *Plan) Eval(opts Options) (*Result, error) {
-	return p.EvalCtx(context.Background(), opts)
-}
-
-// EvalCtx is Eval under a context, with the same cancellation contract as
-// EvalBindingsCtx. When opts.MaxTuples is set, the enumeration aborts with
-// ErrTupleLimit as soon as it has produced more distinct tuples than the
-// bound allows.
+// EvalCtx runs the plan with set semantics under a context: head tuples are
+// deduplicated on a reusable key buffer and deterministically sorted by key,
+// so every execution strategy produces byte-identical results. Cancellation
+// follows Each's contract. When opts.MaxTuples is set, the enumeration
+// aborts with ErrTupleLimit as soon as it has produced more distinct tuples
+// than the bound allows.
 func (p *Plan) EvalCtx(ctx context.Context, opts Options) (*Result, error) {
 	res := &Result{Cols: p.cols, keys: make(map[string]bool)}
 	var keyBuf []byte
-	var keys []string
-	err := p.frames(ctx, opts, func(frame []string, _ []Match) error {
+	err := p.Each(ctx, opts, func(frame []string, _ []Match) error {
 		keyBuf = keyBuf[:0]
 		for _, src := range p.headSrc {
 			keyBuf = appendKeyPart(keyBuf, src.value(frame))
@@ -664,12 +653,12 @@ func (p *Plan) EvalCtx(ctx context.Context, opts Options) (*Result, error) {
 			t[i] = src.value(frame)
 		}
 		res.Tuples = append(res.Tuples, t)
-		keys = append(keys, k)
+		res.Keys = append(res.Keys, k)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sortTuplesByKey(keys, res.Tuples)
+	sortTuplesByKey(res.Keys, res.Tuples)
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -27,7 +28,7 @@ func TestPropAutoMatchesSequential(t *testing.T) {
 			t.Logf("query %s: auto multiset diverges", q)
 			return false
 		}
-		seqRes, err := Eval(db, q)
+		seqRes, err := EvalOpts(db, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestParallelDeepPartitioning(t *testing.T) {
 			t.Fatalf("workers=%d: expanded multiset diverges (%d vs %d distinct)", workers, len(seq), len(par))
 		}
 	}
-	seqRes, err := Eval(db, q)
+	seqRes, err := EvalOpts(db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestExpandedCallbackErrorAborts(t *testing.T) {
 	db, q := expansionDB(t)
 	boom := fmt.Errorf("boom")
 	calls := 0
-	err := EvalBindingsOpts(db, q, Options{Parallel: 4}, func(Binding, []Match) error {
+	err := EachBinding(DBViewOf(db), q, Options{Parallel: 4}, func(Binding, []Match) error {
 		calls++
 		if calls == 2 {
 			return boom
@@ -132,7 +133,7 @@ func TestPlanConcurrentReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.Eval(Options{})
+	want, err := p.EvalCtx(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestPlanConcurrentReuse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			opts := Options{Parallel: []int{0, 2, Auto}[g%3]}
-			got, err := p.Eval(opts)
+			got, err := p.EvalCtx(context.Background(), opts)
 			if err != nil {
 				t.Error(err)
 				return
@@ -151,7 +152,7 @@ func TestPlanConcurrentReuse(t *testing.T) {
 				t.Errorf("concurrent plan reuse diverged")
 			}
 			n := 0
-			if err := p.EvalBindings(opts, func(b Binding, ms []Match) error {
+			if err := p.Each(context.Background(), opts, func([]string, []Match) error {
 				n++
 				return nil
 			}); err != nil {
@@ -168,7 +169,7 @@ func TestPlanResultContains(t *testing.T) {
 	db := familyDB(t)
 	q := &cq.Query{Name: "Q", Head: []cq.Term{cq.Var("F")},
 		Atoms: []cq.Atom{cq.NewAtom("FC", cq.Var("F"), cq.Var("P"))}}
-	res, err := Eval(db, q)
+	res, err := EvalOpts(db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestPropBindEqualsCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, err := src.Eval(Options{})
+		before, err := src.EvalCtx(context.Background(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,11 +236,11 @@ func TestPropBindEqualsCompile(t *testing.T) {
 		}
 		bound := src.Bind(rb)
 		for _, opts := range []Options{{}, {Parallel: 3}} {
-			want, err := direct.Eval(opts)
+			want, err := direct.EvalCtx(context.Background(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := bound.Eval(opts)
+			got, err := bound.EvalCtx(context.Background(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +251,7 @@ func TestPropBindEqualsCompile(t *testing.T) {
 		if !reflect.DeepEqual(planMultiset(t, bound), planMultiset(t, direct)) {
 			t.Fatalf("%s bound from %s: binding multiset diverges", q2, q)
 		}
-		after, err := src.Eval(Options{})
+		after, err := src.EvalCtx(context.Background(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +264,11 @@ func TestPropBindEqualsCompile(t *testing.T) {
 func planMultiset(t *testing.T, p *Plan) map[string]int {
 	t.Helper()
 	out := make(map[string]int)
-	if err := p.EvalBindings(Options{}, func(b Binding, ms []Match) error {
+	b := make(Binding, len(p.varOf))
+	if err := p.Each(context.Background(), Options{}, func(frame []string, ms []Match) error {
+		for i, name := range p.varOf {
+			b[name] = frame[i]
+		}
 		out[bindingKey(b, ms)]++
 		return nil
 	}); err != nil {

@@ -67,13 +67,13 @@ func TestResilientNoFaultParity(t *testing.T) {
 	_, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
 	for _, par := range []int{1, 4} {
-		plain, err := eval.EvalSharded(view, q, eval.Options{Parallel: par})
+		plain, err := eval.EvalOn(view, q, eval.Options{Parallel: par})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := fastResilience()
 		r.Coverage = &eval.Coverage{}
-		resil, err := eval.EvalSharded(view, q, eval.Options{Parallel: par, Resilience: r})
+		resil, err := eval.EvalOn(view, q, eval.Options{Parallel: par, Resilience: r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,18 +85,8 @@ func TestResilientNoFaultParity(t *testing.T) {
 		}
 
 		// Binding multisets must agree too (polynomial correctness).
-		count := func(opts eval.Options) map[string]int {
-			m := map[string]int{}
-			if err := eval.EvalBindingsSharded(view, q, opts, func(b eval.Binding, ms []eval.Match) error {
-				m[fmt.Sprint(b)]++
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-		plainB := count(eval.Options{Parallel: par})
-		resilB := count(eval.Options{Parallel: par, Resilience: fastResilience()})
+		plainB := frameMultiset(t, view, q, eval.Options{Parallel: par})
+		resilB := frameMultiset(t, view, q, eval.Options{Parallel: par, Resilience: fastResilience()})
 		if len(plainB) != len(resilB) {
 			t.Fatalf("parallel=%d: binding multisets diverge: %d vs %d distinct", par, len(plainB), len(resilB))
 		}
@@ -114,14 +104,14 @@ func TestResilientNoFaultParity(t *testing.T) {
 func TestResilientRetriesTransient(t *testing.T) {
 	in, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
-	want, err := eval.EvalSharded(view, q, eval.Options{Parallel: 1})
+	want, err := eval.EvalOn(view, q, eval.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	in.SetFault(1, fault.ShardFault{FailOps: 2})
 	r := fastResilience()
 	r.Coverage = &eval.Coverage{}
-	got, err := eval.EvalSharded(view, q, eval.Options{Parallel: 1, Resilience: r})
+	got, err := eval.EvalOn(view, q, eval.Options{Parallel: 1, Resilience: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +131,7 @@ func TestResilientPermanentFailsFast(t *testing.T) {
 	in, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
 	in.SetFault(2, fault.ShardFault{Permanent: true})
-	_, err := eval.EvalSharded(view, q, eval.Options{Parallel: 1, Resilience: fastResilience()})
+	_, err := eval.EvalOn(view, q, eval.Options{Parallel: 1, Resilience: fastResilience()})
 	if !errors.Is(err, eval.ErrShardUnavailable) {
 		t.Fatalf("err = %v, want ErrShardUnavailable", err)
 	}
@@ -162,7 +152,7 @@ func TestResilientPermanentFailsFast(t *testing.T) {
 func TestResilientStallDegrades(t *testing.T) {
 	in, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
-	full, err := eval.EvalSharded(view, q, eval.Options{Parallel: 1})
+	full, err := eval.EvalOn(view, q, eval.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +169,7 @@ func TestResilientStallDegrades(t *testing.T) {
 
 	// Default policy: fail fast.
 	start := time.Now()
-	_, err = eval.EvalSharded(view, q, eval.Options{Parallel: 4, Resilience: stallResilience()})
+	_, err = eval.EvalOn(view, q, eval.Options{Parallel: 4, Resilience: stallResilience()})
 	if !errors.Is(err, eval.ErrShardUnavailable) {
 		t.Fatalf("default policy err = %v, want ErrShardUnavailable", err)
 	}
@@ -192,7 +182,7 @@ func TestResilientStallDegrades(t *testing.T) {
 	r.MinShardCoverage = resilientShards - 1
 	r.Coverage = &eval.Coverage{}
 	start = time.Now()
-	got, err := eval.EvalSharded(view, q, eval.Options{Parallel: 4, Resilience: r})
+	got, err := eval.EvalOn(view, q, eval.Options{Parallel: 4, Resilience: r})
 	if err != nil {
 		t.Fatalf("partial policy err = %v", err)
 	}
@@ -260,19 +250,9 @@ func TestResilientExactlyOnceAcrossRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := workload.ChainQuery(3)
-	count := func(view eval.DBView, opts eval.Options) map[string]int {
-		m := map[string]int{}
-		if err := eval.EvalBindingsOn(view, q, opts, func(b eval.Binding, ms []eval.Match) error {
-			m[fmt.Sprint(b)]++
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	want := count(sharded, eval.Options{Parallel: 1})
+	want := frameMultiset(t, sharded, q, eval.Options{Parallel: 1})
 	flaky := &flakyScanner{ShardScanner: sharded, failShard: 1, failAfter: 40}
-	got := count(flaky, eval.Options{Parallel: 1, Resilience: fastResilience()})
+	got := frameMultiset(t, flaky, q, eval.Options{Parallel: 1, Resilience: fastResilience()})
 	if len(got) != len(want) {
 		t.Fatalf("binding multisets diverge: %d vs %d distinct bindings", len(got), len(want))
 	}
@@ -292,7 +272,7 @@ func TestResilientExactlyOnceAcrossRetry(t *testing.T) {
 func TestResilientHedgingBeatsStraggler(t *testing.T) {
 	in, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
-	want, err := eval.EvalSharded(view, q, eval.Options{Parallel: 1})
+	want, err := eval.EvalOn(view, q, eval.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +283,7 @@ func TestResilientHedgingBeatsStraggler(t *testing.T) {
 	r.HedgeAfter = 5 * time.Millisecond
 	r.Coverage = &eval.Coverage{}
 	start := time.Now()
-	got, err := eval.EvalSharded(view, q, eval.Options{Parallel: 4, Resilience: r})
+	got, err := eval.EvalOn(view, q, eval.Options{Parallel: 4, Resilience: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +317,7 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 		r.Breakers = br
 		r.MinShardCoverage = minCov
 		r.Coverage = &eval.Coverage{}
-		_, err := eval.EvalSharded(view, q, eval.Options{Parallel: 1, Resilience: r})
+		_, err := eval.EvalOn(view, q, eval.Options{Parallel: 1, Resilience: r})
 		return r.Coverage, err
 	}
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"citare/internal/cq"
 	"citare/internal/obs"
 	"citare/internal/storage"
 )
@@ -27,35 +26,6 @@ type Partitioned interface {
 	// projection on cols equals vals. nil means every shard must be
 	// consulted (the lookup does not bind the relation's shard key).
 	CandidateShards(rel string, cols []int, vals []string) []int
-}
-
-// EvalSharded evaluates q over a partitioned database with set semantics,
-// scattering the first join atom across shards and gathering a
-// deterministically sorted result. The output is identical to EvalOpts over
-// the equivalent unsharded database, for every shard count and Parallel
-// setting.
-func EvalSharded(p Partitioned, q *cq.Query, opts Options) (*Result, error) {
-	pl, err := Compile(p, q)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Eval(opts)
-}
-
-// EvalBindingsSharded enumerates bindings scatter-gather: the first atom of
-// the join order is partitioned by shard rather than by a fixed worker
-// count, shards whose hash range cannot hold the atom's bound key are
-// skipped entirely (shard pruning), and deeper atoms evaluate against the
-// union view, which prunes per lookup. The binding multiset is identical to
-// the sequential enumeration over the unsharded data; with more than one
-// candidate shard and Parallel > 1 (or Auto on a multi-core machine)
-// candidate shards run concurrently and fn is serialized.
-func EvalBindingsSharded(p Partitioned, q *cq.Query, opts Options, fn func(b Binding, matches []Match) error) error {
-	pl, err := Compile(p, q)
-	if err != nil {
-		return err
-	}
-	return pl.EvalBindings(opts, fn)
 }
 
 // scatterWorkers resolves the worker count for a scatter-gather run: shards

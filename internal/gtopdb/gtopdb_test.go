@@ -34,7 +34,7 @@ func TestPaperInstanceMatchesExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eval.Eval(db, q)
+	res, err := eval.EvalOpts(db, q, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestPaperInstanceMatchesExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := eval.Eval(db, q2)
+	res2, err := eval.EvalOpts(db, q2, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPaperInstanceMatchesExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res3, err := eval.Eval(db, q3)
+	res3, err := eval.EvalOpts(db, q3, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

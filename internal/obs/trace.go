@@ -78,7 +78,8 @@ func (t *Trace) Start(parent SpanID, name string) SpanID {
 	return id
 }
 
-// End closes the span. Ending twice keeps the first duration.
+// End closes the span at the time elapsed since its Start. Ending twice
+// keeps the first duration.
 func (t *Trace) End(id SpanID) {
 	if t == nil || id < 0 {
 		return
@@ -91,18 +92,19 @@ func (t *Trace) End(id SpanID) {
 	t.mu.Unlock()
 }
 
-// Record appends an already-measured span under parent. Used where the
+// EndWith closes the span at a duration the caller measured. Used where the
 // instrumented work is interleaved with consumer callbacks (streaming
-// render) and a wall-clock bracket would overcount.
-func (t *Trace) Record(parent SpanID, name string, d time.Duration) SpanID {
-	if t == nil {
-		return NoSpan
+// render) and the wall-clock bracket End takes would overcount; spans opened
+// under it meanwhile still nest. Ending twice keeps the first duration.
+func (t *Trace) EndWith(id SpanID, d time.Duration) {
+	if t == nil || id < 0 {
+		return
 	}
 	t.mu.Lock()
-	id := SpanID(len(t.spans))
-	t.spans = append(t.spans, span{name: name, parent: parent, dur: d})
+	if int(id) < len(t.spans) && t.spans[id].dur == 0 {
+		t.spans[id].dur = d
+	}
 	t.mu.Unlock()
-	return id
 }
 
 // SetStr sets a string attribute on the span, replacing any prior value.

@@ -19,7 +19,7 @@ func TestTraceTreeAndAttrs(t *testing.T) {
 	tr.End(ev)
 	tr.AddInt(root, "hits", 2)
 	tr.AddInt(root, "hits", 3)
-	tr.Record(root, StageRender, 5*time.Millisecond)
+	tr.EndWith(tr.Start(root, StageRender), 5*time.Millisecond)
 	tr.End(root)
 
 	rep := tr.Report()
@@ -66,7 +66,7 @@ func TestTraceNilSafe(t *testing.T) {
 	tr.SetStr(id, "k", "v")
 	tr.SetInt(id, "k", 1)
 	tr.AddInt(id, "k", 1)
-	tr.Record(NoSpan, "y", time.Second)
+	tr.EndWith(id, time.Second)
 	if tr.Len() != 0 {
 		t.Fatal("nil trace recorded spans")
 	}

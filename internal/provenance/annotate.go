@@ -42,7 +42,7 @@ type Annotated[T any] struct {
 func Annotate[T any](db *storage.DB, q *cq.Query, sr Semiring[T], annot func(rel string, t storage.Tuple) T) ([]Annotated[T], error) {
 	acc := make(map[string]T)
 	tuples := make(map[string]storage.Tuple)
-	err := eval.EvalBindings(db, q, func(b eval.Binding, matches []eval.Match) error {
+	err := eval.EachBinding(eval.DBViewOf(db), q, eval.Options{}, func(b eval.Binding, matches []eval.Match) error {
 		out := make(storage.Tuple, len(q.Head))
 		for i, t := range q.Head {
 			if t.IsConst {

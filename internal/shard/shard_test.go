@@ -220,7 +220,7 @@ func TestEvalShardedParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{0, 4} {
-				got, err := eval.EvalSharded(sdb, q, eval.Options{Parallel: par})
+				got, err := eval.EvalOn(sdb, q, eval.Options{Parallel: par})
 				if err != nil {
 					t.Fatalf("%s shards=%d parallel=%d: %v", q.Name, n, par, err)
 				}
@@ -247,7 +247,7 @@ func TestEvalShardedChainParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, par := range []int{0, 8} {
-			got, err := eval.EvalSharded(sdb, q, eval.Options{Parallel: par})
+			got, err := eval.EvalOn(sdb, q, eval.Options{Parallel: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,9 +258,9 @@ func TestEvalShardedChainParity(t *testing.T) {
 	}
 }
 
-// TestEvalBindingsShardedMultiset checks the binding multiset (not just the
+// TestEachBindingShardedMultiset checks the binding multiset (not just the
 // deduplicated result) matches the sequential enumeration.
-func TestEvalBindingsShardedMultiset(t *testing.T) {
+func TestEachBindingShardedMultiset(t *testing.T) {
 	db := workload.ChainDB(2, 200, 16, 3)
 	q := workload.ChainQuery(2)
 
@@ -286,7 +286,7 @@ func TestEvalBindingsShardedMultiset(t *testing.T) {
 	}
 
 	want := collect(func(fn func(eval.Binding, []eval.Match) error) error {
-		return eval.EvalBindings(db, q, fn)
+		return eval.EachBinding(eval.DBViewOf(db), q, eval.Options{}, fn)
 	})
 	for _, n := range shardCounts {
 		sdb, err := shard.FromDB(db, n)
@@ -295,7 +295,7 @@ func TestEvalBindingsShardedMultiset(t *testing.T) {
 		}
 		for _, par := range []int{0, 4} {
 			got := collect(func(fn func(eval.Binding, []eval.Match) error) error {
-				return eval.EvalBindingsSharded(sdb, q, eval.Options{Parallel: par}, fn)
+				return eval.EachBinding(sdb, q, eval.Options{Parallel: par}, fn)
 			})
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d parallel=%d: %d distinct bindings, want %d", n, par, len(got), len(want))
@@ -320,7 +320,7 @@ func TestEvalShardedAbort(t *testing.T) {
 	boom := errors.New("boom")
 	for _, par := range []int{0, 4} {
 		calls := 0
-		err := eval.EvalBindingsSharded(sdb, workload.ChainQuery(2), eval.Options{Parallel: par},
+		err := eval.EachBinding(sdb, workload.ChainQuery(2), eval.Options{Parallel: par},
 			func(eval.Binding, []eval.Match) error {
 				calls++
 				if calls == 3 {
@@ -344,7 +344,7 @@ func TestEvalShardedUnknownRelation(t *testing.T) {
 	}
 	q := &cq.Query{Name: "Q", Head: []cq.Term{cq.Var("X")},
 		Atoms: []cq.Atom{cq.NewAtom("Nope", cq.Var("X"))}}
-	if _, err := eval.EvalSharded(sdb, q, eval.Options{}); err == nil {
+	if _, err := eval.EvalOn(sdb, q, eval.Options{}); err == nil {
 		t.Fatal("expected unknown-relation error")
 	}
 }

@@ -195,7 +195,7 @@ func TestEndToEndEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eval.Eval(db, q)
+	res, err := eval.EvalOpts(db, q, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestWindowViewsCoverChain(t *testing.T) {
 
 func TestChainDBEvaluates(t *testing.T) {
 	db := ChainDB(3, 50, 8, 42)
-	res, err := eval.Eval(db, ChainQuery(3))
+	res, err := eval.EvalOpts(db, ChainQuery(3), eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestChainDBEvaluates(t *testing.T) {
 	}
 	// Determinism across identical seeds.
 	db2 := ChainDB(3, 50, 8, 42)
-	res2, err := eval.Eval(db2, ChainQuery(3))
+	res2, err := eval.EvalOpts(db2, ChainQuery(3), eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

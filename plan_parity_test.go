@@ -254,7 +254,7 @@ func TestPlanEvaluatorParity(t *testing.T) {
 				for _, par := range parallels {
 					opts := eval.Options{Parallel: par}
 					ms := map[string]int{}
-					err := eval.EvalBindingsOpts(d.db, q, opts, func(b eval.Binding, m []eval.Match) error {
+					err := eval.EachBinding(eval.DBViewOf(d.db), q, opts, func(b eval.Binding, m []eval.Match) error {
 						ms[bindingFP(b, m)]++
 						return nil
 					})
@@ -272,14 +272,14 @@ func TestPlanEvaluatorParity(t *testing.T) {
 					for _, par := range []int{0, 2, eval.Auto} {
 						opts := eval.Options{Parallel: par}
 						ms := map[string]int{}
-						err := eval.EvalBindingsSharded(sdb, q, opts, func(b eval.Binding, m []eval.Match) error {
+						err := eval.EachBinding(sdb, q, opts, func(b eval.Binding, m []eval.Match) error {
 							ms[bindingFP(b, m)]++
 							return nil
 						})
 						if err != nil {
 							t.Fatal(err)
 						}
-						res, err := eval.EvalSharded(sdb, q, opts)
+						res, err := eval.EvalOn(sdb, q, opts)
 						check(fmt.Sprintf("shards=%d parallel=%d", shards, par), ms, res, err)
 					}
 				}

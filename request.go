@@ -194,10 +194,12 @@ func (t Tuple) AppendCitationWire(dst []byte) []byte {
 }
 
 // CiteEach evaluates one request and streams each answer tuple's citation
-// through fn in the deterministic result order, without materializing the
-// full per-tuple citation list or the aggregated result-set citation — the
-// way to page a very large result. fn returning an error aborts the stream
-// with that error; context cancellation aborts with ErrCanceled.
+// through fn in the deterministic result order: citations are rendered one
+// at a time, right before delivery, so neither the rendered per-tuple list
+// nor the aggregated result-set citation is ever built (the answer's tuples
+// and citation polynomials are, before the first delivery). fn returning an
+// error aborts the stream with that error; context cancellation aborts with
+// ErrCanceled.
 func (c *Citer) CiteEach(ctx context.Context, req Request, fn func(Tuple) error) error {
 	if fn == nil {
 		return fmt.Errorf("%w: CiteEach requires a callback", ErrParse)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"citare/internal/citegraph"
+	"citare/internal/core"
 	"citare/internal/eval"
 	"citare/internal/fault"
 	"citare/internal/gtopdb"
@@ -176,7 +177,7 @@ func TestCitegraphChaosParity(t *testing.T) {
 	// references (Cites is routed by its Cited column), so the hot-key probe
 	// has nowhere else to go.
 	c := shardedCitegraphCiter(t, db, shards, WithResilience(chaosConfig()))
-	sdb := c.engine.ShardDB()
+	sdb := c.engine.Source().(core.ShardSource).DB
 	stalled := sdb.ShardFor("Cites", citegraph.HotWork())
 	in := fault.NewInjector(17)
 	in.SetFault(stalled, fault.ShardFault{Stall: true})
