@@ -4,12 +4,14 @@ package citare
 // are one function: it shares one pre-sized TupleCitation slab between the
 // output evaluation, the rewriting gather and the final Result — no
 // per-tuple heap skeletons, no copying append — and gathers rewriting
-// polynomials straight off eval.Plan.Each's slot frames. These tests pin
-// that behavior two ways: byte-parity of Cite against CiteEach on the
-// citegraph workload, and allocs/op ceilings at the measured count plus
-// about 15%, so that a per-tuple pointer + copy regime (2 extra allocations
-// per tuple), a per-request recompilation or a stack of per-evaluation
-// machinery coming back fails a test.
+// polynomials straight off eval.Plan.Each's slot frames, their monomials
+// from a per-evaluation memo, and renders tokens from one columnar row set.
+// These tests pin that behavior two ways: byte-parity of Cite against
+// CiteEach on the citegraph workload, and allocs/op ceilings at the measured
+// count plus about 15%, so that a per-tuple pointer + copy regime (2 extra
+// allocations per tuple), a per-request recompilation, a map per row, per
+// monomial or per polynomial, or a stack of per-evaluation machinery coming
+// back fails a test.
 
 import (
 	"context"
@@ -19,16 +21,17 @@ import (
 	"testing"
 
 	"citare/internal/citegraph"
+	"citare/internal/core"
 	"citare/internal/gtopdb"
 )
 
 // TestMaterializedCiteAllocs asserts allocs/op ceilings for warm materialized
-// Cite calls on the citegraph workload. Measured: 199 allocs for a
-// single-row resolution, 48 per row on the 210-row hot-key probe, 75 per row
-// on the 17-row venue rollup (208, 50 and 79 while every evaluation ran
-// behind a producer goroutine and two channels); the ceilings carry about
-// 15% headroom. Revisit the constants deliberately if a feature legitimately
-// needs more.
+// Cite calls on the citegraph workload. Measured: 133 allocs for a
+// single-row resolution, 6.8 per row on the 210-row hot-key probe, 16.9 per
+// row on the 17-row venue rollup (199, 47.9 and 75.3 while every frame built
+// its tokens and a map-based monomial and every citation-query row a map and
+// a sorted key string); the ceilings carry about 15% headroom. Revisit the
+// constants deliberately if a feature legitimately needs more.
 func TestMaterializedCiteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -41,9 +44,9 @@ func TestMaterializedCiteAllocs(t *testing.T) {
 		ceiling float64 // absolute allocs/op
 		perRow  float64 // alternatively, allocs per result row
 	}{
-		{"resolution-1row", citegraph.ResolutionQuery(citegraph.HotWork()), 230, 0},
-		{"hotkey-incoming", citegraph.IncomingQuery(citegraph.HotWork()), 0, 55},
-		{"venue-rollup", citegraph.VenueRollupQuery(citegraph.VenueID(1)), 0, 87},
+		{"resolution-1row", citegraph.ResolutionQuery(citegraph.HotWork()), 153, 0},
+		{"hotkey-incoming", citegraph.IncomingQuery(citegraph.HotWork()), 0, 7.8},
+		{"venue-rollup", citegraph.VenueRollupQuery(citegraph.VenueID(1)), 0, 19.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,9 +105,11 @@ func gtopdbTypeInstance(t *testing.T) *Citer {
 // several KB shared by all of them. The tuple's record must alias that
 // citation and, where a tuple's citation repeats an earlier one of the
 // request, be handed out again as is — not rebuilt, re-compared and
-// re-encoded value by value. Measured: 82 allocs per tuple (eval and gather,
-// nearly all of it) with shared records and the per-request memo, 681 when
-// every tuple deep-copied and re-keyed the type citation.
+// re-encoded value by value. Measured: 22 allocs per tuple (eval and gather,
+// nearly all of it) with shared records, the per-request memo and the flat
+// algebra; 82 while every frame built a map-based monomial and its key three
+// times over, 681 when every tuple deep-copied and re-keyed the type
+// citation.
 func TestStreamedTupleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -124,8 +129,8 @@ func TestStreamedTupleAllocs(t *testing.T) {
 	}
 	perTuple := testing.AllocsPerRun(5, stream) / float64(tuples)
 	t.Logf("CiteEach: %.0f allocs per streamed tuple over %d tuples", perTuple, tuples)
-	if perTuple > 95 {
-		t.Fatalf("CiteEach: %.0f allocs per streamed tuple over %d tuples, ceiling 95 — tuples are rebuilding the shared type citation", perTuple, tuples)
+	if perTuple > 26 {
+		t.Fatalf("CiteEach: %.0f allocs per streamed tuple over %d tuples, ceiling 26 — tuples are rebuilding the shared type citation or their monomials", perTuple, tuples)
 	}
 }
 
@@ -189,15 +194,16 @@ var warmShapeQueries = []struct{ name, datalog string }{
 // of a lookup service. Such a request binds the shape's compiled plans; it
 // must not minimize, enumerate rewritings or compile again. Measured per
 // Cite of a family never asked about before (token rendering for that family
-// included): point lookup 345 allocs, committee join 567; when plans were
-// keyed by the query with its constants, 1121 and 2199. The ceilings carry
-// about 15% headroom.
+// included): point lookup 241 allocs, committee join 279 (345 and 567 with a
+// map per citation-query row and per monomial); when plans were keyed by the
+// query with its constants, 1121 and 2199. The ceilings carry about 15%
+// headroom.
 func TestNewConstantOnWarmShapeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	c := gtopdbTypeInstance(t)
-	ceilings := map[string]float64{"point-lookup": 400, "committee-join": 650}
+	ceilings := map[string]float64{"point-lookup": 280, "committee-join": 320}
 	for _, q := range warmShapeQueries {
 		t.Run(q.name, func(t *testing.T) {
 			next := 0
@@ -215,6 +221,45 @@ func TestNewConstantOnWarmShapeAllocs(t *testing.T) {
 				t.Fatalf("Cite of a new constant on a warm shape: %.0f allocs, ceiling %.0f — the request is compiling, not binding", got, ceilings[q.name])
 			}
 		})
+	}
+}
+
+// TestTokenRenderAllocsPerRow is the gate on what one row of a citation
+// query costs its token's rendering. The hottest work's incoming-reference
+// list is the record every ingest touches, so its VCites token is re-rendered
+// after nearly every commit: thousands of rows, which go into one columnar
+// slab and are sorted by index — no map, no key string per row. Measured:
+// 0.04 allocations per row (plan compilation, slab growth and the record's
+// own lists, all told), 12.0 with a map and a sorted, joined key per row.
+func TestTokenRenderAllocsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	db := citegraph.Generate(citegraph.ScaleMedium())
+	var vcites *core.CitationView
+	for _, v := range citegraph.MustViews() {
+		if v.Name() == "VCites" {
+			vcites = v
+		}
+	}
+	tok := core.NewViewToken("VCites", citegraph.HotWork())
+	rows := 0
+	render := func() {
+		obj, err := vcites.RenderToken(db, tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		citedBy, _ := obj.Get("CitedBy")
+		rows = len(citedBy.List)
+	}
+	render()
+	if rows < 1000 {
+		t.Fatalf("VCites(%s) lists %d citing works, want a token worth measuring", citegraph.HotWork(), rows)
+	}
+	perRow := testing.AllocsPerRun(5, render) / float64(rows)
+	t.Logf("RenderToken: %.3f allocs per row over %d rows", perRow, rows)
+	if perRow > 0.5 {
+		t.Fatalf("RenderToken: %.2f allocs per row over %d rows, ceiling 0.5 — rows are being built one by one again", perRow, rows)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"citare/internal/core"
 	"citare/internal/gtopdb"
 )
 
@@ -179,5 +180,72 @@ func TestCachedCiterHitKeepsRequestColumns(t *testing.T) {
 				t.Fatalf("%v: batch-items hit for the %s request: %v, %v", order, name, item.Citation.Columns(), item.Err)
 			}
 		}
+	}
+}
+
+// TestCachedCitationPolynomialsSpelledOnce: a cached citation is read by many
+// goroutines and by every response that hits it, and all its tuples that
+// share a citation share one polynomial. TuplePolynomialAt must spell that
+// polynomial (decode and quote every token) once per distinct citation, on
+// first use, whichever goroutine gets there first — not once per tuple per
+// call. Runs under -race: the first readers race for the spelling.
+func TestCachedCitationPolynomialsSpelledOnce(t *testing.T) {
+	c := NewCached(gtopdbTypeInstance(t))
+	req := Request{Datalog: `Q(N, Pn) :- Family(F, N, Ty), Ty = "type-03", FC(F, P), Person(P, Pn, A)`}
+	ct, err := c.Cite(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ct.NumTuples()
+	if n < 100 {
+		t.Fatalf("type ⋈ committee returned %d tuples, want an answer whose tuples share citations", n)
+	}
+	// Cold: eight readers of the one cached citation, every tuple each.
+	polys := make([][]string, 8)
+	var wg sync.WaitGroup
+	for g := range polys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hit, err := c.Cite(context.Background(), req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < n; i++ {
+				p, err := hit.TuplePolynomialAt(i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				polys[g] = append(polys[g], p)
+			}
+		}()
+	}
+	wg.Wait()
+	distinct := map[string]bool{}
+	for i := 0; i < n; i++ {
+		want := core.PolyString(ct.res.Tuples[i].Combined)
+		distinct[want] = true
+		for g := range polys {
+			if len(polys[g]) != n || polys[g][i] != want {
+				t.Fatalf("reader %d, tuple %d: polynomial differs from PolyString(Combined) %q", g, i, want)
+			}
+		}
+	}
+	if raceEnabled {
+		return // allocation counts are inflated under the race detector
+	}
+	// Warm: a second pass over all tuples builds nothing.
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < n; i++ {
+			if _, err := ct.TuplePolynomialAt(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%d tuples, %d distinct citations: %.0f allocs for a second pass of TuplePolynomialAt", n, len(distinct), allocs)
+	if allocs > float64(len(distinct)) {
+		t.Fatalf("second pass over %d tuples allocates %.0f times, more than the %d distinct citations — polynomials are spelled per tuple per call", n, allocs, len(distinct))
 	}
 }

@@ -412,7 +412,7 @@ func (ct *Citation) TuplePolynomialAt(i int) (string, error) {
 	if i < 0 || i >= len(ct.res.Tuples) {
 		return "", fmt.Errorf("%w: tuple %d of %d", ErrRange, i, len(ct.res.Tuples))
 	}
-	return core.PolyString(ct.res.Tuples[i].Combined), nil
+	return ct.res.Tuples[i].CiteTupleString(), nil
 }
 
 // TupleCitationJSON renders the i-th tuple's citation record as JSON.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"citare/internal/citegraph"
 	"citare/internal/format"
 	"citare/internal/gtopdb"
 )
@@ -193,5 +194,38 @@ func TestCustomNeutralPlusFormat(t *testing.T) {
 	}
 	if s := res.String(); !strings.Contains(s, "tuples") {
 		t.Fatalf("String(): %s", s)
+	}
+}
+
+// TestShippedViewProgramsLoad: a citation function may read only variables
+// its citation query binds (core.NewCitationView); every view program this
+// repository ships — the examples, citesrv and citegen all load
+// gtopdb.ViewsProgram, the benchmark citegraph.ViewsProgram — must pass that
+// check, and a program that does not must be turned away at construction,
+// not render every token with a field missing.
+func TestShippedViewProgramsLoad(t *testing.T) {
+	if _, err := NewFromProgram(gtopdb.PaperInstance(), gtopdb.ViewsProgram); err != nil {
+		t.Errorf("gtopdb.ViewsProgram: %v", err)
+	}
+	if _, err := gtopdb.PaperViews(); err != nil {
+		t.Errorf("gtopdb.PaperViews: %v", err)
+	}
+	if _, err := NewFromProgram(citegraph.Generate(citegraph.ScaleSmall()), citegraph.ViewsProgram); err != nil {
+		t.Errorf("citegraph.ViewsProgram: %v", err)
+	}
+	if _, err := citegraph.Views(); err != nil {
+		t.Errorf("citegraph.Views: %v", err)
+	}
+
+	bad := `
+view λF. V(F, N) :- Family(F, N, Ty).
+cite V λF. C(F, N) :- Family(F, N, Ty).
+fmt  V { "ID": F, "Oops": [Zzz], "S": Nope }.`
+	_, err := NewFromProgram(gtopdb.PaperInstance(), bad)
+	if err == nil {
+		t.Fatal("a fmt spec reading unbound variables was accepted")
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "core: view V:") || !strings.Contains(msg, "Nope") {
+		t.Fatalf("error %q does not name the view and the variable", msg)
 	}
 }

@@ -337,11 +337,11 @@ func hookedServer(t *testing.T, rows int, hook func()) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Fn = func(rows []map[string]string) (*format.Object, error) {
+	v.Fn = func(rows *format.Rows) (*format.Object, error) {
 		if hook != nil {
 			hook()
 		}
-		return format.NewObject().Set("N", format.S(strconv.Itoa(len(rows)))), nil
+		return format.NewObject().Set("N", format.S(strconv.Itoa(rows.Len()))), nil
 	}
 	citer, err := citare.New(db, []*citare.CitationView{v})
 	if err != nil {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"citare/internal/core"
@@ -82,6 +83,49 @@ func TestCitationViewValidation(t *testing.T) {
 	}
 	if _, err := core.NewCitationView(def, nil, nil); err == nil {
 		t.Fatal("nil citation query accepted")
+	}
+}
+
+// TestCitationFunctionReadsOnlyBoundVariables: a fmt spec may name only body
+// variables and λ-parameters of its citation query. A variable nothing binds
+// used to be accepted, and every token of the view then rendered without the
+// field (or with an empty list), silently, forever.
+func TestCitationFunctionReadsOnlyBoundVariables(t *testing.T) {
+	load := func(fmtSpec string) error {
+		prog, err := datalog.ParseProgram(`
+view λA. V(A, B) :- R(A, B).
+cite V λA. C(A, B) :- R(A, B), S(B, D).
+fmt  V ` + fmtSpec + `.`)
+		if err != nil {
+			t.Fatalf("parse %s: %v", fmtSpec, err)
+		}
+		_, err = core.FromProgram(prog)
+		return err
+	}
+	for _, ok := range []string{
+		`{ "A": A, "B": [B] }`, // λ-parameter, head variable
+		`{ "D": D, "ByB": group(B) { "D": [D], "Src": "lit" } }`, // body-only variable, nested
+	} {
+		if err := load(ok); err != nil {
+			t.Errorf("fmt %s rejected: %v", ok, err)
+		}
+	}
+	for spec, unbound := range map[string]string{
+		`{ "A": A, "Oops": [Zzz], "S": Nope }`:         "Nope", // Vars() is sorted: the first one is named
+		`{ "A": A, "S": Nope }`:                        "Nope",
+		`{ "A": A, "Oops": [Zzz] }`:                    "Zzz",
+		`{ "ByB": group(B) { "Deep": [Zzz] } }`:        "Zzz",
+		`{ "ByZ": group(Zzz) { "B": [B] } }`:           "Zzz",
+		`{ "ByB": group(B) { "G": group(D) {"X": X}}}`: "X",
+	} {
+		err := load(spec)
+		if err == nil {
+			t.Errorf("fmt %s accepted: it reads %s, which nothing binds", spec, unbound)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "core: view V:") || !strings.Contains(msg, "variable "+unbound+",") {
+			t.Errorf("fmt %s: error %q does not name view V and variable %s", spec, msg, unbound)
+		}
 	}
 }
 
@@ -494,6 +538,49 @@ func TestPaperExample38(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestViewInclusionConcurrentCites: the inclusion order hangs off the engine's
+// Policy, so every concurrent Cite asks the same ByViewInclusion — through
+// MaximalPolys, PolyLessEq and NormalForm — and its remembered token
+// comparisons are shared state. With a plain map there, this test is a data
+// race under -race and Go's unrecoverable "concurrent map writes" without.
+func TestViewInclusionConcurrentCites(t *testing.T) {
+	views := gtopdb.MustPaperViews()
+	newEngine := func() *core.Engine {
+		pol := plainPolicy()
+		pol.Orders = core.Orders{core.NewByViewInclusion(views)}
+		e, err := core.NewEngine(core.DBSource{DB: gtopdb.PaperInstance()}, views, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	q := mustQuery(t, `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`)
+	want, err := newEngine().Cite(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine() // its order has compared nothing yet: the first cites all write
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				res, err := e.Cite(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, exp := res.Citation.JSON(), want.Citation.JSON(); got != exp {
+					t.Errorf("concurrent cite diverged:\n got %s\nwant %s", got, exp)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestAggNeutralOnEmptyResult(t *testing.T) {

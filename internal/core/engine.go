@@ -330,6 +330,7 @@ type TupleCitation struct {
 	// Encoded carries the citation's text forms. CiteEach sets it on every
 	// tuple it streams; Cite leaves it nil.
 	Encoded *EncodedCitation
+	shared  *sharedCitation // the memo entry Kept, Combined and Rendered are from
 }
 
 // Result is the full citation outcome for a query (Definition 3.4).
@@ -595,20 +596,6 @@ func (e *Engine) citeUnsat(q *cq.Query) (*Result, error) {
 	return res, nil
 }
 
-// normalizePolys applies the policy's +-idempotence and order normal form to
-// every per-tuple polynomial in place (a no-op under a free policy).
-func (e *Engine) normalizePolys(polys map[string]provenance.Poly) {
-	if !e.policy.IdempotentPlus && len(e.policy.Orders) == 0 {
-		return
-	}
-	for k, p := range polys {
-		if e.policy.IdempotentPlus {
-			p = p.Idempotent()
-		}
-		polys[k] = e.policy.Orders.NormalForm(p)
-	}
-}
-
 // combineTuple applies +R across the tuple's rewriting polynomials: order
 // pruning keeps the maximal operands (§3.4), which are then summed into the
 // combined polynomial and rendered under the policy's interpretations. All
@@ -645,7 +632,7 @@ func (e *Engine) combineTuple(ctx context.Context, st *engineState, ro renderOpt
 		sc.rendered = rendered
 		memo.tuples[string(key)] = sc
 	}
-	tc.Kept, tc.Combined, tc.Rendered = sc.kept, sc.combined, sc.rendered
+	tc.Kept, tc.Combined, tc.Rendered, tc.shared = sc.kept, sc.combined, sc.rendered, sc
 	return sc, nil
 }
 
@@ -656,8 +643,8 @@ func (e *Engine) renderTuple(ctx context.Context, st *engineState, ro renderOpts
 	var perRewriting []format.Value
 	for _, i := range kept {
 		var monoVals []format.Value
-		for _, m := range ps[i].Monomials() {
-			v, err := e.renderMonomial(ctx, st, ro, m)
+		for _, t := range ps[i].Terms() {
+			v, err := e.renderMonomial(ctx, st, ro, t.Mono)
 			if err != nil {
 				return format.Value{}, err
 			}
@@ -770,4 +757,10 @@ func (e *Engine) aggregate(tuples []TupleCitation) format.Value {
 //	(CV1("13") + CV4("gpcr")) · CV2("13")
 //
 // is displayed in expanded form CV1("13")·CV2("13") + CV4("gpcr")·CV2("13").
-func (tc *TupleCitation) CiteTupleString() string { return PolyString(tc.Combined) }
+// Tuples that share a citation share the string.
+func (tc *TupleCitation) CiteTupleString() string {
+	if tc.shared == nil {
+		return PolyString(tc.Combined)
+	}
+	return tc.shared.polynomial()
+}

@@ -18,9 +18,12 @@ import (
 // rewriting is evaluated, unfolded, straight off the push enumeration of its
 // expansion (eval.Plan.Each) — slot frames in, no Binding maps, no Match
 // plumbing — and its Σ-over-bindings polynomials (Definition 3.2) land on
-// the per-tuple citations the output evaluation laid out. The stage has
-// finished before the first citation is combined, in Cite and CiteEach
-// alike: a request holds its whole answer's polynomials until then.
+// the per-tuple citations the output evaluation laid out. A frame's view
+// λ-parameter values probe a per-evaluation monomial memo, so tokens are
+// encoded and a monomial built and keyed once per distinct parameter tuple,
+// not once per frame. The stage has finished before the first citation is
+// combined, in Cite and CiteEach alike: a request holds its whole answer's
+// polynomials until then, and they are frozen from then on (provenance).
 
 // frameSrc reads one value off a slot frame: a slot index, or a constant
 // when slot < 0. The core-side twin of eval's value sources, resolved once
@@ -162,7 +165,10 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 	}
 
 	polys := make(map[string]provenance.Poly)
-	var keyBuf []byte
+	// The monomial memo: frames that agree on the view atoms' λ-parameter
+	// values — every frame of a point query about one key — share a monomial.
+	monos := make(map[string]provenance.Monomial)
+	var keyBuf, monoBuf []byte
 	toks := make([]provenance.Token, 0, len(u.views)+len(baseToks))
 	params := make([]string, 0, 4)
 	deduped := int64(0)
@@ -178,23 +184,32 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 			}
 			seen[string(keyBuf)] = struct{}{}
 		}
+		monoBuf = monoBuf[:0]
+		for _, srcs := range paramSrc {
+			for _, s := range srcs {
+				monoBuf = appendKeyPart(monoBuf, s.value(f))
+			}
+		}
+		m, ok := monos[string(monoBuf)] // no-alloc map probe
+		if !ok {
+			// One view token per view atom (parameter values read off the
+			// frame), plus the C_R tokens.
+			toks = toks[:0]
+			for ai, info := range u.views {
+				params = params[:0]
+				for _, s := range paramSrc[ai] {
+					params = append(params, s.value(f))
+				}
+				toks = append(toks, NewViewToken(info.view.Name(), params...).Encode())
+			}
+			m = provenance.NewMonomial(append(toks, baseToks...)...)
+			monos[string(monoBuf)] = m
+		}
 		// Head-tuple key, probed without allocating on repeats.
 		keyBuf = keyBuf[:0]
 		for _, s := range headSrc {
 			keyBuf = appendKeyPart(keyBuf, s.value(f))
 		}
-		// Monomial: one view token per view atom (parameter values read off
-		// the frame), plus the C_R tokens.
-		toks = toks[:0]
-		for ai, info := range u.views {
-			params = params[:0]
-			for _, s := range paramSrc[ai] {
-				params = append(params, s.value(f))
-			}
-			toks = append(toks, NewViewToken(info.view.Name(), params...).Encode())
-		}
-		toks = append(toks, baseToks...)
-		m := provenance.NewMonomial(toks...)
 		p, ok := polys[string(keyBuf)] // no-alloc map probe
 		if !ok {
 			k := string(keyBuf)
@@ -218,10 +233,13 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 	if tr, sp := obs.FromContext(ctx); tr != nil {
 		tr.SetInt(sp, "deduped", deduped)
 	}
-	e.normalizePolys(polys)
+	// +-idempotence and normal form hand a polynomial that is its own image back.
 	for k, p := range polys {
+		if e.policy.IdempotentPlus {
+			p = p.Idempotent()
+		}
 		tc := perKey[k]
-		tc.PerRewriting = append(tc.PerRewriting, RewritingCitation{Rewriting: r, Poly: p})
+		tc.PerRewriting = append(tc.PerRewriting, RewritingCitation{Rewriting: r, Poly: e.policy.Orders.NormalForm(p)})
 	}
 	return nil
 }

@@ -36,6 +36,16 @@ type sharedCitation struct {
 	combined provenance.Poly
 	rendered format.Value
 	encoded  *EncodedCitation // streamed path only, see encode
+
+	polyOnce sync.Once
+	poly     string
+}
+
+// polynomial returns the combined polynomial in the paper's notation, spelled
+// once — by whichever reader of a (possibly cached) citation asks first.
+func (c *sharedCitation) polynomial() string {
+	c.polyOnce.Do(func() { c.poly = PolyString(c.combined) })
+	return c.poly
 }
 
 // tupleKey encodes the tuple's +R operands — everything its citation is a
@@ -86,7 +96,7 @@ func (c *EncodedCitation) AppendWire(dst []byte) []byte {
 func (c *sharedCitation) encode() *EncodedCitation {
 	if c.encoded == nil {
 		c.encoded = &EncodedCitation{
-			Polynomial: PolyString(c.combined),
+			Polynomial: c.polynomial(),
 			JSON:       c.rendered.JSON(),
 			rendered:   c.rendered,
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"citare/internal/cache"
 	"citare/internal/cq"
 	"citare/internal/provenance"
 )
@@ -23,7 +24,7 @@ func (ByViewCount) Name() string { return "view-count" }
 
 // LessEq implements Order.
 func (ByViewCount) LessEq(a, b provenance.Monomial) bool {
-	return viewTokenCount(a) >= viewTokenCount(b)
+	return tokenCount(a, "v|") >= tokenCount(b, "v|")
 }
 
 // ByUncovered prefers monomials with fewer C_R atoms (Example 3.7): M1 ≤ M2
@@ -35,7 +36,7 @@ func (ByUncovered) Name() string { return "uncovered" }
 
 // LessEq implements Order.
 func (ByUncovered) LessEq(a, b provenance.Monomial) bool {
-	return relTokenCount(a) >= relTokenCount(b)
+	return tokenCount(a, "r|") >= tokenCount(b, "r|")
 }
 
 // ByViewInclusion prefers citations stemming from more specific ("best fit")
@@ -44,9 +45,12 @@ func (ByUncovered) LessEq(a, b provenance.Monomial) bool {
 // monomials by first normalizing each monomial (a·b = a if b ≤ a) and then
 // requiring every token of the first to be dominated by some token of the
 // second.
+//
+// Every concurrent Cite asks the order on the engine's Policy: the comparisons
+// it remembers, keyed by token pairs (data values), sit in a bounded shared LRU.
 type ByViewInclusion struct {
 	views map[string]*CitationView
-	cache map[string]bool
+	cache *cache.Sharded[bool]
 }
 
 // NewByViewInclusion builds the inclusion order over the given views.
@@ -55,7 +59,7 @@ func NewByViewInclusion(views []*CitationView) *ByViewInclusion {
 	for _, v := range views {
 		m[v.Name()] = v
 	}
-	return &ByViewInclusion{views: m, cache: make(map[string]bool)}
+	return &ByViewInclusion{views: m, cache: cache.NewSharded[bool](8, 4096)}
 }
 
 // Name implements Order.
@@ -66,12 +70,9 @@ func (o *ByViewInclusion) tokenLessEq(a, b provenance.Token) bool {
 	if a == b {
 		return true
 	}
-	key := string(a) + "\x00" + string(b)
-	if v, ok := o.cache[key]; ok {
-		return v
-	}
-	res := o.tokenLessEqUncached(a, b)
-	o.cache[key] = res
+	res, _, _ := o.cache.GetOrCompute(string(a)+"\x00"+string(b), func() (bool, error) {
+		return o.tokenLessEqUncached(a, b), nil
+	})
 	return res
 }
 
@@ -178,19 +179,19 @@ func (os Orders) LessEq(a, b provenance.Monomial) bool {
 // Ties (mutual domination) keep the deterministically-first monomial.
 // Coefficients of kept monomials are preserved.
 func (os Orders) NormalForm(p provenance.Poly) provenance.Poly {
-	if len(os) == 0 {
+	if len(os) == 0 || p.NumMonomials() <= 1 {
 		return p
 	}
-	monos := p.Monomials()
+	terms := p.Terms()
 	out := provenance.NewPoly()
-	for i, m := range monos {
+	for i, t := range terms {
 		dominated := false
-		for j, u := range monos {
+		for j, u := range terms {
 			if i == j {
 				continue
 			}
-			le := os.LessEq(m, u)
-			ge := os.LessEq(u, m)
+			le := os.LessEq(t.Mono, u.Mono)
+			ge := os.LessEq(u.Mono, t.Mono)
 			if le && !ge {
 				dominated = true
 				break
@@ -201,7 +202,7 @@ func (os Orders) NormalForm(p provenance.Poly) provenance.Poly {
 			}
 		}
 		if !dominated {
-			out.Add(m, p.Coefficient(m))
+			out.Add(t.Mono, t.Coeff) // in key order: out stays sorted
 		}
 	}
 	return out
@@ -215,10 +216,10 @@ func (os Orders) PolyLessEq(p2, p1 provenance.Poly) bool {
 	}
 	n2 := os.NormalForm(p2)
 	n1 := os.NormalForm(p1)
-	for _, m2 := range n2.Monomials() {
+	for _, t2 := range n2.Terms() {
 		found := false
-		for _, m1 := range n1.Monomials() {
-			if os.LessEq(m2, m1) {
+		for _, t1 := range n1.Terms() {
+			if os.LessEq(t2.Mono, t1.Mono) {
 				found = true
 				break
 			}

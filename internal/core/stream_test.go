@@ -37,12 +37,12 @@ func renderHarness(t *testing.T, rows int, hook func()) (*core.Engine, *atomic.I
 		t.Fatal(err)
 	}
 	var renders atomic.Int64
-	v.Fn = func(rows []map[string]string) (*format.Object, error) {
+	v.Fn = func(rows *format.Rows) (*format.Object, error) {
 		renders.Add(1)
 		if hook != nil {
 			hook()
 		}
-		return format.NewObject().Set("N", format.S(strconv.Itoa(len(rows)))), nil
+		return format.NewObject().Set("N", format.S(strconv.Itoa(rows.Len()))), nil
 	}
 	e, err := core.NewEngine(core.DBSource{DB: db}, []*core.CitationView{v}, plainPolicy())
 	if err != nil {

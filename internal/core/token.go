@@ -152,36 +152,23 @@ func PolyString(p provenance.Poly) string {
 	if p.IsZero() {
 		return "0"
 	}
-	var parts []string
-	for _, m := range p.Monomials() {
-		c := p.Coefficient(m)
-		s := monomialString(m)
-		if c != 1 {
-			s = fmt.Sprintf("%d·%s", c, s)
+	terms := p.Terms()
+	parts := make([]string, len(terms))
+	for i, t := range terms {
+		if parts[i] = monomialString(t.Mono); t.Coeff != 1 {
+			parts[i] = fmt.Sprintf("%d·%s", t.Coeff, parts[i])
 		}
-		parts = append(parts, s)
 	}
 	return strings.Join(parts, " + ")
 }
 
-// viewTokenCount counts view tokens (with multiplicity) in a monomial —
-// "note that we only cite views, not base relations" (Example 3.6).
-func viewTokenCount(m provenance.Monomial) int {
+// tokenCount counts a monomial's tokens of one kind, with multiplicity: view
+// tokens ("v|": "we only cite views, not base relations", Example 3.6) or C_R
+// tokens ("r|", Example 3.7).
+func tokenCount(m provenance.Monomial, kind string) int {
 	n := 0
 	for _, pt := range m.Support() {
-		if strings.HasPrefix(string(pt), "v|") {
-			n += m.Exp(pt)
-		}
-	}
-	return n
-}
-
-// relTokenCount counts C_R tokens (with multiplicity) in a monomial
-// (Example 3.7).
-func relTokenCount(m provenance.Monomial) int {
-	n := 0
-	for _, pt := range m.Support() {
-		if strings.HasPrefix(string(pt), "r|") {
+		if strings.HasPrefix(string(pt), kind) {
 			n += m.Exp(pt)
 		}
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"citare/internal/cq"
 	"citare/internal/datalog"
@@ -23,8 +23,11 @@ type CitationView struct {
 	CiteQ *cq.Query
 	// Spec is the declarative citation function F_V.
 	Spec *format.Spec
-	// Fn, when non-nil, overrides Spec with a custom citation function.
-	Fn func(rows []map[string]string) (*format.Object, error)
+	// Fn, when non-nil, overrides Spec with a custom citation function. It
+	// receives what Spec.Render would: the citation query's rows, a column
+	// per variable and λ-parameter, sorted (format.Rows.Sort) by the citation
+	// query's head.
+	Fn func(rows *format.Rows) (*format.Object, error)
 }
 
 // Name returns the view's name.
@@ -32,7 +35,8 @@ func (v *CitationView) Name() string { return v.Def.Name }
 
 // NewCitationView validates and assembles a citation view. Definition 2.1's
 // structural requirements are enforced: both queries are safe, λ-parameters
-// are head variables (X ⊆ Y), and V and C_V share the same λ-term.
+// are head variables (X ⊆ Y), V and C_V share the same λ-term, and F_V reads
+// only variables and λ-parameters of C_V.
 func NewCitationView(def, citeQ *cq.Query, spec *format.Spec) (*CitationView, error) {
 	if def == nil || citeQ == nil {
 		return nil, fmt.Errorf("core: citation view requires both a view definition and a citation query")
@@ -55,6 +59,15 @@ func NewCitationView(def, citeQ *cq.Query, spec *format.Spec) (*CitationView, er
 	}
 	if spec == nil {
 		spec = defaultSpec(citeQ)
+	}
+	// Every token of the view would render such a field empty or drop it,
+	// silently: a citation function may read only what its query provides.
+	bound := append(citeQ.Vars(), citeQ.Params...)
+	for _, name := range spec.Vars() {
+		if !slices.Contains(bound, name) {
+			return nil, fmt.Errorf("core: view %s: citation function reads variable %s, which citation query %s neither binds nor takes as a λ-parameter",
+				def.Name, name, citeQ.Name)
+		}
 	}
 	return &CitationView{Def: def, CiteQ: citeQ, Spec: spec}, nil
 }
@@ -116,18 +129,7 @@ func instantiate(q *cq.Query, params []string) (*cq.Query, error) {
 // values, evaluated, and shaped by the citation function — F_V(C_V(a⃗)) in
 // the paper's notation. RelTokens render as a marker record.
 func (v *CitationView) RenderToken(db *storage.DB, tok Token) (*format.Object, error) {
-	return v.renderTokenOn(evalTarget{view: eval.DBViewOf(db)}, tok)
-}
-
-// RenderTokenSharded is RenderToken against a hash-partitioned database:
-// the citation query evaluates scatter-gather with shard pruning, so a
-// λ-parameter binding the shard key touches a single shard.
-func (v *CitationView) RenderTokenSharded(p eval.Partitioned, tok Token) (*format.Object, error) {
-	return v.renderTokenOn(evalTarget{view: p}, tok)
-}
-
-func (v *CitationView) renderTokenOn(t evalTarget, tok Token) (*format.Object, error) {
-	return v.renderTokenCtx(context.Background(), t, tok, eval.Options{})
+	return v.renderTokenCtx(context.Background(), evalTarget{view: eval.DBViewOf(db)}, tok, eval.Options{})
 }
 
 // renderTokenCtx renders the token's citation with the caller's context and
@@ -142,7 +144,17 @@ func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Tok
 	if err != nil {
 		return nil, err
 	}
-	rows, err := citationRows(ctx, t, inst, opts, v.CiteQ.Params, tok.Params)
+	// The request's ctx flows into the enumeration: a canceled caller aborts
+	// its own token rendering. That cannot poison the shared rendered-token
+	// cache — the cache never stores errors, and waiters of a failed
+	// singleflight retry the computation themselves.
+	pl, err := t.plan(ctx, inst)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := tokenRows(pl.Vars(), func(add func(frame []string)) error {
+		return pl.Each(ctx, opts, func(f []string, _ []eval.Match) error { add(f); return nil })
+	}, inst.Head, v.CiteQ.Params, tok.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -152,70 +164,34 @@ func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Tok
 	return v.Spec.Render(rows)
 }
 
-// citationRows enumerates the bindings of the instantiated citation query
-// as variable→value maps, re-adding the λ-parameter values (instantiation
-// substitutes them away, but citation functions refer to them, e.g. the
-// "ID": F field of FV1). Rows are ordered by the citation query's head
-// values (so lists and groups render in C_V's output order), with the full
-// binding as a tiebreak.
-func citationRows(ctx context.Context, t evalTarget, inst *cq.Query, opts eval.Options, paramNames, paramVals []string) ([]map[string]string, error) {
-	type sortedRow struct {
-		key string
-		row map[string]string
+// tokenRows collects the frames each delivers — valuations of vars — into a
+// token's row set, sorted by the instantiated citation query's head. A column
+// per variable, in slot order, then the λ-parameters: instantiation
+// substitutes them away, but citation functions refer to them (the "ID": F
+// field of FV1). One named like a variable takes its column.
+func tokenRows(vars []string, each func(add func(frame []string)) error, head []cq.Term, paramNames, paramVals []string) (*format.Rows, error) {
+	cols := slices.Clip(vars)
+	paramCol := make([]int, len(paramNames))
+	for i, name := range paramNames {
+		if paramCol[i] = slices.Index(cols, name); paramCol[i] < 0 {
+			paramCol[i], cols = len(cols), append(cols, name)
+		}
 	}
-	var rows []sortedRow
-	// The request's ctx flows into the enumeration: a canceled caller aborts
-	// its own token rendering. That cannot poison the shared rendered-token
-	// cache — the cache never stores errors, and waiters of a failed
-	// singleflight retry the computation themselves.
-	pl, err := t.plan(ctx, inst)
-	if err != nil {
-		return nil, err
-	}
-	vars := pl.Vars()
-	err = pl.Each(ctx, opts, func(frame []string, _ []eval.Match) error {
-		row := make(map[string]string, len(vars)+len(paramNames))
-		for i, name := range vars {
-			row[name] = frame[i]
+	rows := format.NewRows(cols...)
+	row := make([]string, len(cols))
+	err := each(func(frame []string) {
+		copy(row, frame)
+		for i, c := range paramCol {
+			row[c] = paramVals[i]
 		}
-		for i, name := range paramNames {
-			row[name] = paramVals[i]
-		}
-		var head []byte
-		for _, t := range inst.Head {
-			if t.IsConst {
-				head = append(head, t.Value...)
-			} else {
-				head = append(head, row[t.Name]...)
-			}
-			head = append(head, 0)
-		}
-		rows = append(rows, sortedRow{key: string(head) + rowKey(row), row: row})
-		return nil
+		rows.Append(row...)
 	})
-	if err != nil {
-		return nil, err
+	lead := make([]format.KeyPart, len(head))
+	for i, t := range head {
+		if lead[i] = (format.KeyPart{Col: -1, Lit: t.Value}); t.IsVar() {
+			lead[i].Col = rows.Col(t.Name)
+		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
-	out := make([]map[string]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.row
-	}
-	return out, nil
-}
-
-func rowKey(row map[string]string) string {
-	keys := make([]string, 0, len(row))
-	for k := range row {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb []byte
-	for _, k := range keys {
-		sb = append(sb, k...)
-		sb = append(sb, 0)
-		sb = append(sb, row[k]...)
-		sb = append(sb, 0)
-	}
-	return string(sb)
+	rows.Sort(lead)
+	return rows, err
 }

@@ -52,10 +52,9 @@ func TestPaperExample21CitationShape(t *testing.T) {
 		{Key: "Name", Kind: FScalar, Var: "N"},
 		{Key: "Committee", Kind: FList, Var: "Pn"},
 	}}
-	rows := []map[string]string{
-		{"F": "11", "N": "Calcitonin", "Pn": "Hay"},
-		{"F": "11", "N": "Calcitonin", "Pn": "Poyner"},
-	}
+	rows := NewRows("F", "N", "Pn")
+	rows.Append("11", "Calcitonin", "Hay")
+	rows.Append("11", "Calcitonin", "Poyner")
 	obj, err := spec.Render(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -75,13 +74,12 @@ func TestSpecGroupNested(t *testing.T) {
 			{Key: "Committee", Kind: FList, Var: "Pn"},
 		}},
 	}}
-	rows := []map[string]string{
-		{"Ty": "gpcr", "N": "Calcitonin", "Pn": "Hay"},
-		{"Ty": "gpcr", "N": "Calcitonin", "Pn": "Poyner"},
-		{"Ty": "gpcr", "N": "Calcium-sensing", "Pn": "Bilke"},
-		{"Ty": "gpcr", "N": "Calcium-sensing", "Pn": "Conigrave"},
-		{"Ty": "gpcr", "N": "Calcium-sensing", "Pn": "Shoback"},
-	}
+	rows := NewRows("Ty", "N", "Pn")
+	rows.Append("gpcr", "Calcitonin", "Hay")
+	rows.Append("gpcr", "Calcitonin", "Poyner")
+	rows.Append("gpcr", "Calcium-sensing", "Bilke")
+	rows.Append("gpcr", "Calcium-sensing", "Conigrave")
+	rows.Append("gpcr", "Calcium-sensing", "Shoback")
 	obj, err := spec.Render(rows)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package format
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -41,56 +41,56 @@ type Spec struct {
 	Fields []Field
 }
 
-// Render shapes rows (variable → value maps) into a record. Rendering is
-// deterministic: list and group orders follow first appearance in rows.
-func (s *Spec) Render(rows []map[string]string) (*Object, error) {
-	return renderFields(s.Fields, rows)
+// Render shapes the row set into a record. Rendering is deterministic: list
+// and group orders follow first appearance in the rows' reading order. A
+// variable the rows have no column for reads as absent from every row.
+func (s *Spec) Render(rows *Rows) (*Object, error) {
+	if rows == nil {
+		rows = &Rows{}
+	}
+	return renderFields(s.Fields, rows, rows.order)
 }
 
-func renderFields(fields []Field, rows []map[string]string) (*Object, error) {
+// renderFields renders fields over the rows idx lists, in that order.
+func renderFields(fields []Field, rows *Rows, idx []int) (*Object, error) {
 	out := NewObject()
 	for _, f := range fields {
+		col, idx := rows.Col(f.Var), idx
+		if col < 0 {
+			idx = nil
+		}
 		switch f.Kind {
 		case FLiteral:
 			out.Set(f.Key, S(f.Lit))
 		case FScalar:
-			for _, r := range rows {
-				if v, ok := r[f.Var]; ok {
-					out.Set(f.Key, S(v))
-					break
-				}
+			if len(idx) > 0 {
+				out.Set(f.Key, S(rows.val(idx[0], col)))
 			}
 		case FList:
-			var list []Value
+			list := []Value{}
 			seen := make(map[string]bool)
-			for _, r := range rows {
-				v, ok := r[f.Var]
-				if !ok || seen[v] {
-					continue
+			for _, i := range idx {
+				if v := rows.val(i, col); !seen[v] {
+					seen[v] = true
+					list = append(list, S(v))
 				}
-				seen[v] = true
-				list = append(list, S(v))
-			}
-			if list == nil {
-				list = []Value{}
 			}
 			out.Set(f.Key, Value{Kind: KList, List: list})
 		case FGroup:
-			var order []string
-			groups := make(map[string][]map[string]string)
-			for _, r := range rows {
-				v, ok := r[f.Var]
+			var groups [][]int // in first-appearance order
+			byValue := make(map[string]int)
+			for _, i := range idx {
+				v := rows.val(i, col)
+				g, ok := byValue[v]
 				if !ok {
-					continue
+					g = len(groups)
+					byValue[v], groups = g, append(groups, nil)
 				}
-				if _, seen := groups[v]; !seen {
-					order = append(order, v)
-				}
-				groups[v] = append(groups[v], r)
+				groups[g] = append(groups[g], i)
 			}
-			list := make([]Value, 0, len(order))
-			for _, g := range order {
-				obj, err := renderFields(f.Sub, groups[g])
+			list := make([]Value, 0, len(groups))
+			for _, g := range groups {
+				obj, err := renderFields(f.Sub, rows, g)
 				if err != nil {
 					return nil, err
 				}
@@ -106,25 +106,19 @@ func renderFields(fields []Field, rows []map[string]string) (*Object, error) {
 
 // Vars returns every variable the spec reads, sorted.
 func (s *Spec) Vars() []string {
-	seen := make(map[string]bool)
+	var out []string
 	var walk func(fs []Field)
 	walk = func(fs []Field) {
 		for _, f := range fs {
 			if f.Var != "" {
-				seen[f.Var] = true
+				out = append(out, f.Var)
 			}
-			if len(f.Sub) > 0 {
-				walk(f.Sub)
-			}
+			walk(f.Sub)
 		}
 	}
 	walk(s.Fields)
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // String renders the spec in the surface syntax accepted by the datalog

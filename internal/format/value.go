@@ -20,6 +20,15 @@
 // citations at the cost of a pointer each, lets Equal short-circuit on
 // identity, and lets an Object remember its structural hash. There is no
 // Clone: a caller that wants a private record builds one.
+//
+// # Rows
+//
+// A citation function reads its citation query's result as a Rows: one
+// columnar row set per token — a column per variable of the query and per
+// λ-parameter of its view, values in one slab — not a map per row. Rows.Sort
+// fixes the reading order: the citation query's head values first, then the
+// whole row by column name. Spec.Render and a custom core.CitationView.Fn
+// both receive the sorted set and read it by column index (Col, At).
 package format
 
 import (

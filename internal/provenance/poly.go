@@ -2,38 +2,72 @@ package provenance
 
 import (
 	"slices"
-	"sort"
 	"strings"
 )
 
 // Monomial is a finite multiset of tokens (a product x1^e1 · … · xk^ek in
-// the free semiring ℕ[X]).
+// the free semiring ℕ[X]). Immutable; see the package comment.
 type Monomial struct {
-	exps map[Token]int
+	toks []Token // distinct, sorted
+	exps []int   // aligned with toks, every exponent ≥ 1
+	key  string
 }
 
 // NewMonomial builds a monomial from tokens (repeats raise exponents).
 func NewMonomial(tokens ...Token) Monomial {
-	m := Monomial{exps: make(map[Token]int, len(tokens))}
-	for _, t := range tokens {
-		m.exps[t]++
+	toks := slices.Clone(tokens)
+	slices.Sort(toks)
+	exps := make([]int, 0, len(toks))
+	for i, t := range toks {
+		if i > 0 && toks[i-1] == t {
+			exps[len(exps)-1]++
+		} else {
+			exps = append(exps, 1)
+		}
 	}
-	return m
+	return newMonomial(slices.Compact(toks), exps)
+}
+
+// newMonomial keeps toks — distinct, sorted — and their exponents.
+func newMonomial(toks []Token, exps []int) Monomial {
+	return Monomial{toks: toks, exps: exps, key: spell(toks, exps, true)}
+}
+
+// spell writes a monomial out, "x^1·y^2" with unit exponents and "x·y^2"
+// without.
+func spell(toks []Token, exps []int, units bool) string {
+	n := 0
+	for _, t := range toks {
+		n += len(t) + len("^1·")
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, t := range toks {
+		if i > 0 {
+			sb.WriteString("·")
+		}
+		sb.WriteString(string(t))
+		if units || exps[i] != 1 {
+			sb.WriteByte('^')
+			sb.WriteString(itoa(exps[i]))
+		}
+	}
+	return sb.String()
 }
 
 // One returns the empty monomial (the multiplicative unit).
-func MonomialOne() Monomial { return Monomial{exps: map[Token]int{}} }
+func MonomialOne() Monomial { return Monomial{} }
 
 // Times multiplies two monomials (multiset union).
 func (m Monomial) Times(n Monomial) Monomial {
-	out := Monomial{exps: make(map[Token]int, len(m.exps)+len(n.exps))}
-	for t, e := range m.exps {
-		out.exps[t] += e
+	toks := slices.Concat(m.toks, n.toks)
+	slices.Sort(toks)
+	toks = slices.Compact(toks)
+	exps := make([]int, len(toks))
+	for i, t := range toks {
+		exps[i] = m.Exp(t) + n.Exp(t)
 	}
-	for t, e := range n.exps {
-		out.exps[t] += e
-	}
-	return out
+	return newMonomial(toks, exps)
 }
 
 // Degree returns the total degree (with multiplicity).
@@ -45,54 +79,39 @@ func (m Monomial) Degree() int {
 	return d
 }
 
-// Support returns the distinct tokens in sorted order.
-func (m Monomial) Support() []Token {
-	out := make([]Token, 0, len(m.exps))
-	for t := range m.exps {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Support returns the distinct tokens in sorted order. The slice is the
+// monomial's own: read-only.
+func (m Monomial) Support() []Token { return m.toks }
 
 // Exp returns the exponent of a token.
-func (m Monomial) Exp(t Token) int { return m.exps[t] }
+func (m Monomial) Exp(t Token) int {
+	if i, ok := slices.BinarySearch(m.toks, t); ok {
+		return m.exps[i]
+	}
+	return 0
+}
+
+// flat reports whether every exponent is 1.
+func (m Monomial) flat() bool { return m.Degree() == len(m.toks) }
 
 // Flatten returns the monomial with all exponents clipped to 1 (idempotent
 // multiplication, as in the why/posbool semirings).
 func (m Monomial) Flatten() Monomial {
-	out := Monomial{exps: make(map[Token]int, len(m.exps))}
-	for t := range m.exps {
-		out.exps[t] = 1
+	if m.flat() {
+		return m
 	}
-	return out
+	return newMonomial(m.toks, slices.Repeat([]int{1}, len(m.toks)))
 }
 
 // Key returns a canonical encoding of the monomial.
-func (m Monomial) Key() string {
-	toks := m.Support()
-	parts := make([]string, 0, len(toks))
-	for _, t := range toks {
-		parts = append(parts, string(t)+"^"+itoa(m.exps[t]))
-	}
-	return strings.Join(parts, "·")
-}
+func (m Monomial) Key() string { return m.key }
 
 // String renders the monomial, e.g. "x·y^2"; the unit renders as "1".
 func (m Monomial) String() string {
-	if len(m.exps) == 0 {
+	if len(m.toks) == 0 {
 		return "1"
 	}
-	toks := m.Support()
-	parts := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if e := m.exps[t]; e == 1 {
-			parts = append(parts, string(t))
-		} else {
-			parts = append(parts, string(t)+"^"+itoa(e))
-		}
-	}
-	return strings.Join(parts, "·")
+	return spell(m.toks, m.exps, false)
 }
 
 func itoa(n int) string {
@@ -111,69 +130,107 @@ func itoa(n int) string {
 
 // Poly is a provenance polynomial: an ℕ-linear combination of monomials.
 // It is the free commutative semiring over tokens; any Semiring receives it
-// homomorphically via EvalPoly.
-type Poly struct {
-	coeff map[string]int
-	mono  map[string]Monomial
+// homomorphically via EvalPoly. Copies share one body (package comment); Add
+// is the only mutation, and a function returning a new polynomial merges it.
+type Poly struct{ b *polyBody }
+
+// polyBody holds a polynomial's terms. The first clean of them are merged:
+// one per key, none with a zero coefficient, in key order. Add appends behind
+// them; the next read merges the whole.
+type polyBody struct {
+	terms []Term
+	clean int
 }
 
 // NewPoly returns the zero polynomial.
-func NewPoly() Poly {
-	return Poly{coeff: map[string]int{}, mono: map[string]Monomial{}}
-}
+func NewPoly() Poly { return Poly{b: &polyBody{}} }
 
-// PolyFromMonomial returns a polynomial holding one monomial with
-// coefficient 1.
+// PolyFromMonomial returns the polynomial 1·m.
 func PolyFromMonomial(m Monomial) Poly {
-	p := NewPoly()
-	p.Add(m, 1)
-	return p
+	return Poly{b: &polyBody{terms: []Term{{Key: m.key, Mono: m, Coeff: 1}}, clean: 1}}
 }
 
 // PolyFromToken returns the polynomial consisting of the single token.
 func PolyFromToken(t Token) Poly { return PolyFromMonomial(NewMonomial(t)) }
 
-// Add adds coefficient·m into the polynomial (mutating).
+func compareKey(t Term, key string) int { return strings.Compare(t.Key, key) }
+
+// merged returns the terms merged: what Add appended since the last call is
+// sorted and folded into the rest.
+func (b *polyBody) merged() []Term {
+	if head, tail := b.terms[:b.clean], b.terms[b.clean:]; len(tail) > 0 {
+		slices.SortFunc(tail, func(x, y Term) int { return compareKey(x, y.Key) })
+		out := make([]Term, 0, len(b.terms))
+		for len(head)+len(tail) > 0 {
+			var t Term
+			if len(tail) == 0 || len(head) > 0 && head[0].Key <= tail[0].Key {
+				t, head = head[0], head[1:]
+			} else {
+				t, tail = tail[0], tail[1:]
+			}
+			if k := len(out); k > 0 && out[k-1].Key == t.Key {
+				out[k-1].Coeff += t.Coeff
+			} else {
+				out = append(out, t)
+			}
+		}
+		b.terms = slices.DeleteFunc(out, func(t Term) bool { return t.Coeff == 0 })
+		b.clean = len(b.terms)
+	}
+	return b.terms
+}
+
+// Add adds coefficient·m into the polynomial (mutating). It costs an append,
+// or nothing when m was added last (a single-term polynomial's one monomial);
+// appended terms are merged on the next read, and by Add itself once they
+// outnumber the merged ones, so repeats of a few monomials never pile up.
 func (p *Poly) Add(m Monomial, coefficient int) {
-	k := m.Key()
-	if _, ok := p.mono[k]; !ok {
-		p.mono[k] = m
+	b := p.b
+	n := len(b.terms)
+	if n-b.clean > b.clean+16 {
+		n = len(b.merged())
 	}
-	p.coeff[k] += coefficient
-	if p.coeff[k] == 0 {
-		delete(p.coeff, k)
-		delete(p.mono, k)
+	switch {
+	case n > 0 && b.terms[n-1].Key == m.key:
+		if b.terms[n-1].Coeff += coefficient; b.terms[n-1].Coeff == 0 {
+			b.terms, b.clean = b.terms[:n-1], min(b.clean, n-1)
+		}
+	case coefficient != 0:
+		if b.clean == n && (n == 0 || b.terms[n-1].Key < m.key) {
+			b.clean++ // in key order still
+		}
+		b.terms = append(b.terms, Term{Key: m.key, Mono: m, Coeff: coefficient})
 	}
+}
+
+// collect returns the polynomial of the given terms, merged.
+func collect(terms []Term) Poly {
+	b := &polyBody{terms: terms}
+	b.merged()
+	return Poly{b: b}
 }
 
 // Plus returns p + q.
-func (p Poly) Plus(q Poly) Poly {
-	out := NewPoly()
-	for k, c := range p.coeff {
-		out.Add(p.mono[k], c)
-	}
-	for k, c := range q.coeff {
-		out.Add(q.mono[k], c)
-	}
-	return out
-}
+func (p Poly) Plus(q Poly) Poly { return collect(slices.Concat(p.Terms(), q.Terms())) }
 
 // Times returns p · q (distributing over monomials).
 func (p Poly) Times(q Poly) Poly {
-	out := NewPoly()
-	for k1, c1 := range p.coeff {
-		for k2, c2 := range q.coeff {
-			out.Add(p.mono[k1].Times(q.mono[k2]), c1*c2)
+	ps, qs := p.Terms(), q.Terms()
+	out := make([]Term, 0, len(ps)*len(qs))
+	for _, t1 := range ps {
+		for _, t2 := range qs {
+			m := t1.Mono.Times(t2.Mono)
+			out = append(out, Term{Key: m.key, Mono: m, Coeff: t1.Coeff * t2.Coeff})
 		}
 	}
-	return out
+	return collect(out)
 }
 
 // IsZero reports whether the polynomial has no terms.
-func (p Poly) IsZero() bool { return len(p.coeff) == 0 }
+func (p Poly) IsZero() bool { return len(p.Terms()) == 0 }
 
 // NumMonomials returns the number of distinct monomials.
-func (p Poly) NumMonomials() int { return len(p.coeff) }
+func (p Poly) NumMonomials() int { return len(p.Terms()) }
 
 // Term is one monomial of a polynomial with its canonical key and its
 // coefficient.
@@ -183,14 +240,13 @@ type Term struct {
 	Coeff int
 }
 
-// Terms returns the polynomial's terms in deterministic (key) order.
+// Terms returns the polynomial's terms in deterministic (key) order. The
+// slice is the polynomial's own: read-only.
 func (p Poly) Terms() []Term {
-	out := make([]Term, 0, len(p.mono))
-	for k, m := range p.mono {
-		out = append(out, Term{Key: k, Mono: m, Coeff: p.coeff[k]})
+	if p.b == nil {
+		return nil
 	}
-	slices.SortFunc(out, func(a, b Term) int { return strings.Compare(a.Key, b.Key) })
-	return out
+	return p.b.merged()
 }
 
 // Monomials returns the monomials in deterministic (key) order.
@@ -204,31 +260,38 @@ func (p Poly) Monomials() []Monomial {
 }
 
 // Coefficient returns the coefficient of a monomial.
-func (p Poly) Coefficient(m Monomial) int { return p.coeff[m.Key()] }
+func (p Poly) Coefficient(m Monomial) int {
+	terms := p.Terms()
+	if i, ok := slices.BinarySearchFunc(terms, m.key, compareKey); ok {
+		return terms[i].Coeff
+	}
+	return 0
+}
 
 // Equal reports structural equality of polynomials.
 func (p Poly) Equal(q Poly) bool {
-	if len(p.coeff) != len(q.coeff) {
-		return false
-	}
-	for k, c := range p.coeff {
-		if q.coeff[k] != c {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(p.Terms(), q.Terms(), func(a, b Term) bool {
+		return a.Key == b.Key && a.Coeff == b.Coeff
+	})
 }
 
 // Idempotent returns the polynomial with all coefficients and exponents
 // clipped to 1 — the image of p in the why-provenance quotient. This is the
-// "assume + is idempotent" step of the paper's Example 3.4.
+// "assume + is idempotent" step of the paper's Example 3.4. A polynomial
+// that is its own image is returned as is.
 func (p Poly) Idempotent() Poly {
-	out := NewPoly()
-	for k := range p.coeff {
-		m := p.mono[k].Flatten()
-		if out.Coefficient(m) == 0 {
-			out.Add(m, 1)
-		}
+	terms := p.Terms()
+	if !slices.ContainsFunc(terms, func(t Term) bool { return t.Coeff != 1 || !t.Mono.flat() }) {
+		return p
+	}
+	flat := make([]Term, len(terms))
+	for i, t := range terms {
+		m := t.Mono.Flatten()
+		flat[i] = Term{Key: m.key, Mono: m, Coeff: 1}
+	}
+	out := collect(flat)
+	for i := range out.b.terms {
+		out.b.terms[i].Coeff = 1
 	}
 	return out
 }
@@ -238,15 +301,11 @@ func (p Poly) String() string {
 	if p.IsZero() {
 		return "0"
 	}
-	monos := p.Monomials()
-	parts := make([]string, 0, len(monos))
-	for _, m := range monos {
-		c := p.coeff[m.Key()]
-		switch {
-		case c == 1:
-			parts = append(parts, m.String())
-		default:
-			parts = append(parts, itoa(c)+"·"+m.String())
+	terms := p.Terms()
+	parts := make([]string, len(terms))
+	for i, t := range terms {
+		if parts[i] = t.Mono.String(); t.Coeff != 1 {
+			parts[i] = itoa(t.Coeff) + "·" + parts[i]
 		}
 	}
 	return strings.Join(parts, " + ")
@@ -256,15 +315,14 @@ func (p Poly) String() string {
 // tokens through val — the unique semiring homomorphism extending val.
 func EvalPoly[T any](p Poly, sr Semiring[T], val func(Token) T) T {
 	acc := sr.Zero()
-	for _, m := range p.Monomials() {
+	for _, t := range p.Terms() {
 		term := sr.One()
-		for _, t := range m.Support() {
-			for i := 0; i < m.Exp(t); i++ {
-				term = sr.Times(term, val(t))
+		for i, tok := range t.Mono.toks {
+			for range t.Mono.exps[i] {
+				term = sr.Times(term, val(tok))
 			}
 		}
-		c := p.Coefficient(m)
-		for i := 0; i < c; i++ {
+		for range t.Coeff {
 			acc = sr.Plus(acc, term)
 		}
 	}

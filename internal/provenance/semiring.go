@@ -6,6 +6,22 @@
 // lineage, why-provenance, PosBool, tropical), semiring-annotated query
 // evaluation, and the homomorphic specialization of polynomials into any
 // concrete semiring.
+//
+// # Representation
+//
+// The algebra is flat: no map and no sorted, joined key string is built per
+// monomial or per polynomial. A Monomial is its distinct tokens in sorted
+// order beside their exponents, with the canonical Key made once, at
+// construction; it is immutable and copies share its slices. A Poly is its
+// Terms in key order behind one pointer: copies share them, and an Add
+// through one shows in all. Add only appends (or bumps the term added last);
+// the next read merges equal keys, drops cancelled terms and sorts.
+//
+// Sharing is safe under one contract. Monomial.Support and Poly.Terms return
+// the value's own slices: read-only. And a Poly is frozen once it leaves the
+// stage that built and read it — the citation pipeline's gather stage — like
+// format's records: no Add afterwards, so concurrent readers of a cached
+// citation find merged terms and never write.
 package provenance
 
 import (
