@@ -180,6 +180,72 @@ func TestCachedCitationRetainedSize(t *testing.T) {
 		t.Fatalf("one cached citation of %d tuples retains %d KB, ceiling %d KB — tuples are holding private copies of the shared type citation", tuples, perCitation>>10, ceiling>>10)
 	}
 	t.Logf("one cached citation of %d tuples retains %d KB", tuples, perCitation>>10)
+
+	// After its first hit a cached citation also keeps its response bytes
+	// (Citation.AppendWire's memo): the answer's part and the citation string
+	// in the one format asked for here, about what the response weighs.
+	cached := NewCached(c)
+	hit := func() *Citation {
+		ct, err := cached.Cite(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	hit() // the miss that fills the entry
+	ct := hit()
+	before = heap()
+	body, err := ct.AppendWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := len(body)
+	body = nil
+	memo := int64(heap()) - int64(before)
+	_, counted := cached.WireStats()
+	runtime.KeepAlive(cached)
+	if int(counted) < size*9/10 || int(counted) > size {
+		t.Fatalf("memo counts %d bytes for a response of %d", counted, size)
+	}
+	if memoCeiling := int64(size) * 5 / 4; memo > memoCeiling {
+		t.Fatalf("after its first hit the citation retains %d KB more for a response of %d KB, ceiling %d KB — the memo keeps more than the response", memo>>10, size>>10, memoCeiling>>10)
+	}
+	t.Logf("after its first hit it retains %d KB more (response %d KB, %d bytes counted)", memo>>10, size>>10, counted)
+}
+
+// TestCachedHitAllocs is the gate on what a repeated request costs before its
+// response is written: the text looked up in the resolve memo, the canonical
+// key in the citation cache. Measured: 3 allocations (the two lookup keys and
+// the compute closure), and one more where the request's column labels or
+// format differ from the entry's (its own Citation header); 153 and 154 when
+// every hit parsed, prepared and re-keyed its text.
+func TestCachedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	c := NewCached(gtopdbTypeInstance(t))
+	for _, tc := range []struct {
+		name    string
+		req     Request
+		ceiling float64
+	}{
+		{"same-request", Request{Datalog: `Q(N, Pn) :- Family(F, N, Ty), Ty = "type-03", FC(F, P), Person(P, Pn, A)`}, 4},
+		{"other-labels", Request{Datalog: `Q(Name, Person) :- Family(F, Name, Ty), Ty = "type-03", FC(F, P), Person(P, Person, A)`, Format: "bibtex"}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cite := func() {
+				if _, err := c.Cite(context.Background(), tc.req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cite() // the text is seen, the entry filled
+			got := testing.AllocsPerRun(100, cite)
+			t.Logf("cached Cite hit: %.0f allocs", got)
+			if got > tc.ceiling {
+				t.Fatalf("cached Cite hit: %.0f allocs, ceiling %.0f — a repeated request is being parsed or keyed again", got, tc.ceiling)
+			}
+		})
+	}
 }
 
 // warmShapeQueries are the point workload's two datalog shapes; %q takes

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"citare/internal/core"
-	"citare/internal/cq"
 )
 
 // batchGroup is one equivalence class of a batch: requests whose queries
@@ -24,37 +23,48 @@ type batchGroup struct {
 	columns [][]string
 }
 
-// batchKey canonicalizes a parsed request for grouping: syntactic variants
-// of the same query — reordered bodies, renamed variables, redundant atoms —
-// share a key, suffixed with the options that can change the citation or
+// batchKey is a resolved request's group: syntactic variants of the same
+// query — reordered bodies, renamed variables, redundant atoms — share the
+// canonical key, suffixed with the options that can change the citation or
 // the error behavior (MaxRewritings, MaxTuples, and the resilience policy
 // knobs MinShardCoverage/ShardAttempts; Parallel only changes the schedule,
 // never the output). Unsatisfiable queries fall back to the raw syntactic
 // key — they are cheap to evaluate and need no sharing. The query's own
 // column labels, which the canonical key abstracts from, come back with it.
-func batchKey(q *cq.Query, p *core.Prepared, req Request) (string, []string) {
-	key, columns, ok := cacheKey(p)
-	if !ok {
-		key = "unsat\x00" + q.Key()
+func batchKey(r *resolved, req Request) (string, []string) {
+	key, columns := r.canonical()
+	if key == "" {
+		key = "unsat\x00" + r.q.Key()
 	}
 	return key + "\x00mr=" + strconv.Itoa(req.MaxRewritings) + "\x00mt=" + strconv.Itoa(req.MaxTuples) +
 		"\x00msc=" + strconv.Itoa(req.MinShardCoverage) + "\x00sa=" + strconv.Itoa(req.ShardAttempts), columns
 }
 
-// group files request i of a batch under its equivalence class, opening the
-// class on first sight; order lists the classes in first-member order.
-func (c *Citer) group(groups map[string]*batchGroup, order []*batchGroup, i int, q *cq.Query, req Request) []*batchGroup {
-	p := c.engine.Prepare(q, req.citeOptions())
-	key, columns := batchKey(q, p, req)
-	g := groups[key]
-	if g == nil {
-		g = &batchGroup{p: p, opts: req.citeOptions()}
-		groups[key] = g
-		order = append(order, g)
+// groupBatch resolves every request of a batch and files it under its
+// equivalence class, opening the class on first sight; order lists the
+// classes in first-member order, whose request supplies the class's
+// evaluation options. A request that does not resolve leaves its error
+// (already tagged with the taxonomy) in its slot of errs and joins no class.
+func (c *Citer) groupBatch(reqs []Request) (order []*batchGroup, errs []error) {
+	errs = make([]error, len(reqs))
+	groups := make(map[string]*batchGroup, len(reqs))
+	for i, req := range reqs {
+		r, _, err := c.resolve(req)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		key, columns := batchKey(r, req)
+		g := groups[key]
+		if g == nil {
+			g = &batchGroup{p: r.p, opts: req.citeOptions()}
+			groups[key] = g
+			order = append(order, g)
+		}
+		g.indices = append(g.indices, i)
+		g.columns = append(g.columns, columns)
 	}
-	g.indices = append(g.indices, i)
-	g.columns = append(g.columns, columns)
-	return order
+	return order, errs
 }
 
 // CiteBatch evaluates a batch of requests, amortizing work across them:
@@ -75,20 +85,14 @@ func (c *Citer) CiteBatch(ctx context.Context, reqs []Request) ([]*Citation, err
 		return nil, nil
 	}
 	out := make([]*Citation, len(reqs))
-	errs := make([]error, len(reqs))
 
-	// Group requests by canonical query + output-affecting options. The
-	// first member's request supplies the group's evaluation options. Parse
-	// failures are cheap and known up front, so they abort the whole batch
-	// before any evaluation is spent on it.
-	groups := make(map[string]*batchGroup, len(reqs))
-	var order []*batchGroup
-	for i, req := range reqs {
-		q, err := req.parse(c.schema)
+	// Parse failures are cheap and known up front, so they abort the whole
+	// batch before any evaluation is spent on it.
+	order, errs := c.groupBatch(reqs)
+	for i, err := range errs {
 		if err != nil {
 			return nil, &BatchError{Index: i, Err: err}
 		}
-		order = c.group(groups, order, i, q, req)
 	}
 
 	c.evalGroups(ctx, reqs, order, out, errs, true)
@@ -203,17 +207,7 @@ func (c *Citer) CiteBatchItems(ctx context.Context, reqs []Request) []BatchItem 
 		return items
 	}
 	out := make([]*Citation, len(reqs))
-	errs := make([]error, len(reqs))
-	groups := make(map[string]*batchGroup, len(reqs))
-	var order []*batchGroup
-	for i, req := range reqs {
-		q, err := req.parse(c.schema)
-		if err != nil {
-			errs[i] = err // parse already tags with the taxonomy
-			continue
-		}
-		order = c.group(groups, order, i, q, req)
-	}
+	order, errs := c.groupBatch(reqs)
 	c.evalGroups(ctx, reqs, order, out, errs, false)
 	for i := range reqs {
 		items[i] = BatchItem{Citation: out[i], Err: errs[i]}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"citare/internal/cache"
-	"citare/internal/core"
 )
 
 // citationCacheSize bounds the citation cache (sharded LRU, entries).
@@ -35,6 +34,8 @@ type CachedCiter struct {
 	// afterwards, even if its computation was in flight across the
 	// invalidation.
 	epoch atomic.Uint64
+	// wire counts what the cached citations' response memos built.
+	wire wireStats
 }
 
 // NewCached wraps a Citer with a citation cache.
@@ -57,17 +58,16 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 		// the citation content is identical either way (Explain parity).
 		return c.citer.Cite(ctx, req)
 	}
-	q, err := req.parse(c.citer.schema)
+	// Resolved once per text: the cache key is the minimized query's, and a
+	// miss cites the same prepared query instead of minimizing again.
+	r, _, err := c.citer.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	// Resolved once: the cache key needs the minimized query, and a miss
-	// cites the same prepared query instead of minimizing again.
-	p := c.citer.engine.Prepare(q, req.citeOptions())
-	key, columns, ok := cacheKey(p)
-	if !ok {
+	canon, columns := r.canonical()
+	if canon == "" {
 		// Unsatisfiable queries are cheap; skip the cache.
-		res, err := c.citer.engine.CitePrepared(ctx, p, req.citeOptions())
+		res, err := c.citer.engine.CitePrepared(ctx, r.p, req.citeOptions())
 		if err != nil {
 			return nil, classify(err)
 		}
@@ -80,9 +80,9 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	// selects a renderer, the others label the columns of an answer that
 	// equivalent queries share), so whatever the cache returns is re-wrapped
 	// with this request's own.
-	key = optionsKey(c.epoch.Load(), req) + key
+	key := optionsKey(c.epoch.Load(), req) + canon
 	compute := func() (*Citation, error) {
-		res, err := c.citer.engine.CitePrepared(ctx, p, req.citeOptions())
+		res, err := c.citer.engine.CitePrepared(ctx, r.p, req.citeOptions())
 		if err != nil {
 			return nil, classify(err)
 		}
@@ -93,11 +93,13 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 		if res.Coverage != nil && res.Coverage.Partial() {
 			return ct, &PartialError{Coverage: res.Coverage}
 		}
+		ct.wire = &wireMemo{stats: &c.wire}
 		return ct, nil
 	}
 	var ct *Citation
+	var hit bool
 	for attempt := 0; ; attempt++ {
-		ct, _, err = c.entries.GetOrCompute(key, compute)
+		ct, hit, err = c.entries.GetOrCompute(key, compute)
 		// Concurrent misses share one computation, which runs under the
 		// *leader's* context: if the leader's client went away, every waiter
 		// inherits its cancellation. A waiter whose own context is still
@@ -117,6 +119,9 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	// the next request recomputes against shards that may be back.
 	if err != nil && (ct == nil || !errors.Is(err, ErrPartial)) {
 		return nil, err
+	}
+	if hit { // served from the cache, or by a flight another request led
+		ct.wire.markHit()
 	}
 	return ct.forRequest(req, columns), err
 }
@@ -148,8 +153,8 @@ func optionsKey(epoch uint64, req Request) string {
 	return string(append(b, '|'))
 }
 
-// batchMisses classifies a batch against the cache: each request is parsed,
-// resolved and looked up. A hit's citation or a parse failure's error lands
+// batchMisses classifies a batch against the cache: each request is resolved
+// and looked up. A hit's citation or a parse failure's error lands
 // in the request's slot of items; the rest come back as the requests still
 // to evaluate, with their positions in reqs and their cache keys ("" for an
 // unsatisfiable query, which is not cached).
@@ -157,15 +162,16 @@ func (c *CachedCiter) batchMisses(reqs []Request) (items []BatchItem, miss []Req
 	items = make([]BatchItem, len(reqs))
 	epoch := c.epoch.Load()
 	for i, req := range reqs {
-		q, err := req.parse(c.citer.schema)
+		r, _, err := c.citer.resolve(req)
 		if err != nil {
 			items[i].Err = err
 			continue
 		}
-		key, columns, ok := cacheKey(c.citer.engine.Prepare(q, req.citeOptions()))
-		if ok {
+		key, columns := r.canonical()
+		if key != "" {
 			key = optionsKey(epoch, req) + key
 			if ct, hit := c.entries.Get(key); hit {
+				ct.wire.markHit()
 				items[i].Citation = ct.forRequest(req, columns)
 				continue
 			}
@@ -182,6 +188,9 @@ func (c *CachedCiter) batchMisses(reqs []Request) (items []BatchItem, miss []Req
 // may answer the next request.
 func (c *CachedCiter) putComputed(key string, ct *Citation) {
 	if key != "" && (ct.Coverage() == nil || !ct.Coverage().Partial()) {
+		if ct.wire == nil { // members of one class may share the citation
+			ct.wire = &wireMemo{stats: &c.wire}
+		}
 		c.entries.Put(key, ct)
 	}
 }
@@ -267,18 +276,6 @@ func (c *CachedCiter) CiteDatalog(src string) (*Citation, error) {
 	return c.Cite(context.Background(), Request{Datalog: src})
 }
 
-// cacheKey is the canonical identity of a prepared query: the
-// variable-renamed key of its normalized, minimized form. Renaming is what
-// lets equivalent queries share an entry, and what the key therefore loses —
-// the query's own column labels — is returned beside it. ok is false for an
-// unsatisfiable query.
-func cacheKey(p *core.Prepared) (key string, columns []string, ok bool) {
-	if !p.Satisfiable() {
-		return "", nil, false
-	}
-	return p.Min().CanonicalKey(), core.HeadColumns(p.Min()), true
-}
-
 // Stats reports cache hits and misses so far (callers that joined an
 // in-flight computation count as hits).
 func (c *CachedCiter) Stats() (hits, misses int) {
@@ -292,6 +289,17 @@ func (c *CachedCiter) CacheStats() cache.Stats { return c.entries.Stats() }
 
 // CacheShardStats returns each cache shard's counters in shard order.
 func (c *CachedCiter) CacheShardStats() []cache.Stats { return c.entries.PerShard() }
+
+// WireStats reports what the cached citations' response memos (see
+// Citation.AppendWire) built so far: builds is the number of cached citations
+// that were hit and then encoded, bytes the bytes kept for them — the
+// answer's part once per citation, the citation string once per render format
+// asked for. The count is cumulative, not a gauge: it is not reduced when an
+// entry is evicted or purged, so the memos of the live entries retain at most
+// this much.
+func (c *CachedCiter) WireStats() (builds, bytes uint64) {
+	return c.wire.builds.Load(), c.wire.bytes.Load()
+}
 
 // Invalidate refreshes the underlying engine and drops all cached
 // citations (call after database updates). The engine resets first and the

@@ -108,6 +108,22 @@
 //
 // After updating the database, call (*Citer).Reset or
 // (*CachedCiter).Invalidate to publish the new contents.
+//
+// # Caching
+//
+// What is a function of less than the whole request is made once, at three
+// levels:
+//
+//   - Request text → resolved request. Every Citer remembers, per query text
+//     (and MaxRewritings), the parsed query, its logical plan and its
+//     canonical key — a bounded LRU that holds no data, so nothing
+//     invalidates it; Reset and Invalidate leave it alone.
+//   - Canonical query → citation. A CachedCiter keeps whole citations,
+//     shared by equivalent queries; Invalidate drops them all.
+//   - Citation → response bytes. A cached citation keeps, from its first
+//     cache hit on, the bytes of its /v1/cite response that do not depend
+//     on the asking request (Citation.AppendWire); they live and die with
+//     the cache entry, and about double what a hit entry retains.
 package citare
 
 import (
@@ -115,6 +131,7 @@ import (
 	"fmt"
 
 	"citare/internal/backend"
+	"citare/internal/cache"
 	"citare/internal/core"
 	"citare/internal/datalog"
 	"citare/internal/eval"
@@ -164,6 +181,8 @@ type Citer struct {
 	// opts are the construction options, kept so AsOf can clone the
 	// configuration into the pinned Citer.
 	opts []Option
+	// resolves memoizes resolve by request text.
+	resolves *cache.Sharded[*resolved]
 }
 
 // Option customizes a Citer.
@@ -232,7 +251,10 @@ func newCiter(src core.SnapshotSource, back backend.Backend, views []*CitationVi
 	}
 	engine.SetEvalParallelism(o.parallel)
 	engine.SetResilience(o.resilience)
-	return &Citer{engine: engine, schema: src.Schema(), back: back, opts: opts}, nil
+	return &Citer{
+		engine: engine, schema: src.Schema(), back: back, opts: opts,
+		resolves: cache.NewSharded[*resolved](16, resolveMemoSize),
+	}, nil
 }
 
 // New assembles a Citer over a database and citation views.
@@ -325,6 +347,12 @@ func (c *Citer) Engine() *core.Engine { return c.engine }
 // Reset refreshes the engine's caches after the database was updated.
 func (c *Citer) Reset() error { return c.engine.Reset() }
 
+// ResolveStats reports the resolve memo's counters: a hit is a request whose
+// query text (under its MaxRewritings) had been parsed, prepared and keyed
+// before, a miss one that did that work, an eviction a text dropped for a
+// newer one.
+func (c *Citer) ResolveStats() cache.Stats { return c.resolves.Stats() }
+
 // CiteSQL parses a conjunctive SQL query and computes its citation.
 //
 // Deprecated: use Cite with a Request — it adds cancellation, per-request
@@ -360,6 +388,9 @@ type Citation struct {
 	// explain is the per-stage trace report, set only when the request
 	// asked for one (Request.Explain).
 	explain *Explain
+	// wire, set on a citation a CachedCiter keeps, memoizes its response
+	// bytes for AppendWire; every forRequest copy shares it.
+	wire *wireMemo
 }
 
 // Explain returns the request's per-stage trace report, or nil unless the

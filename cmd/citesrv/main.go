@@ -110,6 +110,7 @@
 //	timeout      408  (server -timeout or client deadline exceeded)
 //	canceled     499  (client went away mid-evaluation)
 //	limit        422  (max_tuples exceeded)
+//	limit        413  (request body over 1 MiB, or 8 MiB for a batch)
 //	unavailable  503  (a shard stayed unreachable past its attempt budget)
 //	partial      206  (degraded citation accepted under min_shard_coverage)
 //	internal     500
@@ -139,7 +140,13 @@
 //
 // All requests are served concurrently from one shared, cached citation
 // engine: the engine cites against an immutable database snapshot, and
-// equivalent concurrent queries collapse into a single computation. With
+// equivalent concurrent queries collapse into a single computation. A
+// repeated request is two lookups and one write: its text resolves to the
+// parsed, prepared, keyed request made the first time, its canonical key to
+// the cached citation, and the citation keeps its response bytes from its
+// first cache hit on — the answer is assembled from them around the
+// request's own columns and format and written at once under its
+// Content-Length. With
 // -shards N > 1 the database is hash-partitioned and every request routes
 // through the sharded engine (scatter-gather evaluation with shard
 // pruning); citations are byte-identical to the unsharded engine's.
@@ -154,7 +161,11 @@
 // GET /metrics serves the Prometheus text format: cite latency and
 // per-stage histograms (citare_cite_duration_seconds,
 // citare_stage_duration_seconds{stage=...}), cite/tuple/error counters,
-// result- and token-cache counters, plan-cache counters by tier
+// result- and token-cache counters, the resolve memo's and the response-bytes
+// memo's counters (citare_resolve_memo_{hits,misses,evictions}_total,
+// citare_wire_memo_builds_total, citare_wire_memo_built_bytes_total — bytes
+// built so far, an upper bound on what the live cache entries retain, since
+// the cache does not report evictions per entry), plan-cache counters by tier
 // (citare_plan_cache_{hits,misses}_total{tier="logical"|"physical"}),
 // per-shard scan/lookup counts on sharded deployments, HTTP request
 // counters and latencies by route, and uptime.
@@ -197,6 +208,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -204,6 +216,7 @@ import (
 	"citare"
 	"citare/internal/backend"
 	"citare/internal/eval"
+	"citare/internal/format"
 	"citare/internal/gtopdb"
 	"citare/internal/lsm"
 	"citare/internal/obs"
@@ -222,12 +235,13 @@ type server struct {
 	timeout      time.Duration // per-request deadline (0 = none)
 
 	// Observability (all optional: a zero server serves without them).
-	start    time.Time     // for /stats uptime and the uptime gauge
-	quiet    bool          // -quiet: suppress the access log
-	reg      *obs.Registry // /metrics registry; nil = not initialized
-	slow     *slowLog      // /v1/slow ring; nil = capture disabled
-	idPrefix string        // per-process request-ID prefix
-	reqSeq   atomic.Uint64 // request-ID sequence
+	start    time.Time                // for /stats uptime and the uptime gauge
+	quiet    bool                     // -quiet: suppress the access log
+	reg      *obs.Registry            // /metrics registry; nil = not initialized
+	routes   map[string]*routeMetrics // HTTP metric handles by route label, set with reg
+	slow     *slowLog                 // /v1/slow ring; nil = capture disabled
+	idPrefix string                   // per-process request-ID prefix
+	reqSeq   atomic.Uint64            // request-ID sequence
 
 	// lsm is the persistent store behind -data-dir; nil on an in-memory
 	// server. Surfaced on /stats ("lsm" section) and /metrics.
@@ -276,6 +290,10 @@ func (r citeRequest) queryText() string {
 	return r.Datalog
 }
 
+// citeResponse is the /v1/cite response object (and a batch slot's result).
+// The handlers write it with citare.Citation.AppendWire, which spells it
+// exactly as encoding/json spells this struct — TestResponsesMatchEncodingJSON
+// holds them to it; clients (and the tests) decode it through the struct.
 type citeResponse struct {
 	Columns     []string        `json:"columns"`
 	Rows        [][]string      `json:"rows"`
@@ -353,10 +371,14 @@ type errorBody struct {
 }
 
 // classifyStatus maps a tagged citare error to its HTTP status and wire
-// code: 400 parse/schema, 408 deadline, 499 client-gone, 422 limit, 503
-// shards unavailable, 206 partial citation, 500 anything untagged.
+// code: 400 parse/schema, 408 deadline, 499 client-gone, 422 limit (413 when
+// the limit is the request body's), 503 shards unavailable, 206 partial
+// citation, 500 anything untagged.
 func classifyStatus(err error) (int, string) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, "limit"
 	case errors.Is(err, citare.ErrParse):
 		return http.StatusBadRequest, "parse"
 	case errors.Is(err, citare.ErrSchema):
@@ -401,27 +423,46 @@ func (s *server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithCancel(r.Context())
 }
 
-// respond shapes one citation into the wire response.
-func respond(res *citare.Citation) (citeResponse, error) {
-	rendered, err := res.Rendered()
-	if err != nil {
-		return citeResponse{}, err
+// Request bodies are bounded: one client must not make the server buffer an
+// arbitrarily large query text or batch.
+const (
+	maxRequestBody = 1 << 20 // /v1/cite, /v1/cite/stream
+	maxBatchBody   = 8 << 20 // /v1/cite/batch
+)
+
+// decodeBody decodes the request's JSON body, of at most limit bytes, into v.
+// On failure it has answered — 413 "limit" for an oversized body, 400 "parse"
+// for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
 	}
-	resp := citeResponse{
-		Columns:    res.Columns(),
-		Rows:       res.Rows(),
-		Rewritings: res.Rewritings(),
-		Citation:   rendered,
-		Format:     res.Format(),
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		err = fmt.Errorf("%w: request body exceeds %d bytes: %w", citare.ErrLimit, limit, err)
+	} else {
+		err = fmt.Errorf("%w: %v", citare.ErrParse, err)
 	}
-	for i := 0; i < res.NumTuples(); i++ {
-		p, err := res.TuplePolynomialAt(i)
-		if err != nil {
-			return citeResponse{}, err
-		}
-		resp.Polynomials = append(resp.Polynomials, p)
+	writeError(w, r, err, -1)
+	return false
+}
+
+// bodyPool recycles response-body buffers: a /v1/cite answer is tens of KB,
+// assembled from a cached citation's stored bytes and written at once.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody keeps the rare huge answer's buffer out of the pool.
+const maxPooledBody = 1 << 20
+
+// writeBody sends a finished JSON body in one Write, with its length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		log.Printf("citesrv: write response: %v", err)
 	}
-	return resp, nil
 }
 
 // handleCite serves POST /v1/cite (and, via the shim, the legacy /cite).
@@ -431,8 +472,7 @@ func (s *server) handleCite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req citeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, r, fmt.Errorf("%w: %v", citare.ErrParse, err), -1)
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -451,27 +491,26 @@ func (s *server) handleCite(w http.ResponseWriter, r *http.Request) {
 	// A degraded citation travels as (non-nil Citation, *PartialError): the
 	// response body is the usable citation plus its coverage report, under
 	// 206 rather than 200. Every other error is terminal.
-	var partial *citare.PartialError
-	if err != nil && !(errors.As(err, &partial) && res != nil) {
-		writeError(w, r, err, -1)
-		return
+	status := http.StatusOK
+	if err != nil {
+		if !errors.Is(err, citare.ErrPartial) || res == nil {
+			writeError(w, r, err, -1)
+			return
+		}
+		status = http.StatusPartialContent
 	}
 	ri.setTuples(res.NumTuples())
-	resp, err := respond(res)
+	buf := bodyPool.Get().(*[]byte)
+	body, err := res.AppendWire((*buf)[:0])
 	if err != nil {
 		writeError(w, r, err, -1)
-		return
+	} else {
+		body = append(body, '\n')
+		writeBody(w, status, body)
 	}
-	if req.Explain {
-		resp.Explain = res.Explain()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if partial != nil {
-		resp.Coverage = partial.Coverage
-		w.WriteHeader(http.StatusPartialContent)
-	}
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		log.Printf("citesrv: encode: %v", err)
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodyPool.Put(buf)
 	}
 }
 
@@ -485,8 +524,7 @@ func (s *server) handleCiteStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req citeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, r, fmt.Errorf("%w: %v", citare.ErrParse, err), -1)
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -554,40 +592,12 @@ func (s *server) handleCiteStream(w http.ResponseWriter, r *http.Request) {
 func appendStreamLine(dst []byte, t citare.Tuple) []byte {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(t.Index), 10)
-	dst = append(dst, `,"values":`...)
-	if t.Values == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, v := range t.Values {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, v)
-		}
-		dst = append(dst, ']')
-	}
+	dst = format.AppendJSONStrings(append(dst, `,"values":`...), t.Values)
 	dst = append(dst, `,"polynomial":`...)
-	dst = appendJSONString(dst, t.Polynomial)
+	dst = format.AppendJSONString(dst, t.Polynomial)
 	dst = append(dst, `,"citation":`...)
 	dst = t.AppendCitationWire(dst)
 	return append(dst, '}', '\n')
-}
-
-// appendJSONString appends s as encoding/json spells a string (HTML escaping
-// on). Printable ASCII with nothing to escape — most column values — is
-// copied; anything else is left to json.Marshal, which cannot fail on a
-// string.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s)
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // handleCiteBatch serves POST /v1/cite/batch: the whole batch shares one
@@ -600,8 +610,7 @@ func (s *server) handleCiteBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var breq batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
-		writeError(w, r, fmt.Errorf("%w: %v", citare.ErrParse, err), -1)
+	if !decodeBody(w, r, maxBatchBody, &breq) {
 		return
 	}
 	if len(breq.Requests) == 0 {
@@ -617,52 +626,48 @@ func (s *server) handleCiteBatch(w http.ResponseWriter, r *http.Request) {
 	ri := infoFrom(ctx)
 	ri.setQuery(fmt.Sprintf("batch of %d", len(reqs)))
 	items := s.citer.CiteBatchItems(ctx, reqs)
-	resp := batchResponse{Results: make([]batchItemResult, len(items))}
+	// The envelope is appended as encoding/json spells batchResponse: every
+	// slot its status, then the citation's response object or the error body.
+	body := append([]byte(nil), `{"results":[`...)
 	uniform := 0 // shared status of every slot so far; -1 once they diverge
 	for i, item := range items {
+		if i > 0 {
+			body = append(body, ',')
+		}
 		itemErr := item.Err
 		// A degraded item carries both a usable Citation and a *PartialError:
 		// its slot gets the result with coverage under its own 206 status.
-		var partial *citare.PartialError
-		if itemErr != nil && errors.As(itemErr, &partial) && item.Citation != nil {
-			itemErr = nil
+		status := http.StatusOK
+		if itemErr != nil && errors.Is(itemErr, citare.ErrPartial) && item.Citation != nil {
+			itemErr, status = nil, http.StatusPartialContent
 		}
-		if itemErr == nil && item.Citation != nil {
-			shaped, err := respond(item.Citation)
-			if err == nil {
-				ri.addTuples(item.Citation.NumTuples())
-				status := http.StatusOK
-				if partial != nil {
-					shaped.Coverage = partial.Coverage
-					status = http.StatusPartialContent
-				}
-				resp.Results[i] = batchItemResult{Status: status, Result: &shaped}
-				if uniform == 0 {
-					uniform = status
-				} else if uniform != status {
-					uniform = -1
-				}
-				continue
-			}
-			itemErr = err
+		slot := len(body)
+		if itemErr == nil {
+			body = strconv.AppendInt(append(body, `{"status":`...), int64(status), 10)
+			body, itemErr = item.Citation.AppendWire(append(body, `,"result":`...))
 		}
-		status, code := classifyStatus(itemErr)
-		resp.Results[i] = batchItemResult{Status: status, Error: &errorBody{Code: code, Message: itemErr.Error()}}
+		if itemErr == nil {
+			ri.addTuples(item.Citation.NumTuples())
+		} else {
+			var code string
+			status, code = classifyStatus(itemErr)
+			errJSON, _ := json.Marshal(errorBody{Code: code, Message: itemErr.Error()}) // two strings: cannot fail
+			body = strconv.AppendInt(append(body[:slot], `{"status":`...), int64(status), 10)
+			body = append(append(body, `,"error":`...), errJSON...)
+		}
+		body = append(body, '}')
 		if uniform == 0 {
 			uniform = status
 		} else if uniform != status {
 			uniform = -1
 		}
 	}
+	body = append(body, "]}\n"...)
 	status := http.StatusOK
 	if uniform > 0 && uniform != http.StatusOK {
 		status = uniform // every request failed the same way
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		log.Printf("citesrv: encode: %v", err)
-	}
+	writeBody(w, status, body)
 }
 
 func (s *server) handleViews(w http.ResponseWriter, _ *http.Request) {
@@ -683,12 +688,22 @@ type planCacheStats struct {
 	Misses uint64 `json:"misses"`
 }
 
+// wireMemoStats is the cached citations' response-bytes memo on /stats:
+// citations that got one, and the bytes built for them — cumulative, so an
+// upper bound on what the live cache entries' memos retain.
+type wireMemoStats struct {
+	Builds uint64 `json:"builds"`
+	Bytes  uint64 `json:"bytes_built"`
+}
+
 type statsResponse struct {
 	shardStats                   // aggregated totals across cache shards
 	CacheShards   []shardStats   `json:"cache_shards"`
 	EngineShards  int            `json:"engine_shards"`
 	Waits         uint64         `json:"singleflight_waits"`
 	TokenCache    shardStats     `json:"token_cache"`
+	ResolveMemo   shardStats     `json:"resolve_memo"` // request text → resolved request
+	WireMemo      wireMemoStats  `json:"wire_memo"`
 	LogicalPlans  planCacheStats `json:"logical_plans"`
 	PhysicalPlans planCacheStats `json:"physical_plans"`
 	UptimeSeconds float64        `json:"uptime_seconds"`
@@ -704,30 +719,33 @@ type statsResponse struct {
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	total := s.citer.CacheStats()
 	per := s.citer.CacheShardStats()
-	resp := statsResponse{
+	stats := statsResponse{
 		shardStats:   shardStats{Hits: total.Hits, Misses: total.Misses, Evictions: total.Evictions},
 		CacheShards:  make([]shardStats, len(per)),
 		EngineShards: s.shards,
 		Waits:        total.Waits,
 	}
 	for i, st := range per {
-		resp.CacheShards[i] = shardStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions}
+		stats.CacheShards[i] = shardStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions}
 	}
 	eng := s.citer.Citer().Engine()
 	tok := eng.TokenCacheStats()
-	resp.TokenCache = shardStats{Hits: tok.Hits, Misses: tok.Misses, Evictions: tok.Evictions}
-	resp.LogicalPlans.Hits, resp.LogicalPlans.Misses = eng.LogicalPlanStats()
-	resp.PhysicalPlans.Hits, resp.PhysicalPlans.Misses = eng.PhysicalPlanStats()
+	stats.TokenCache = shardStats{Hits: tok.Hits, Misses: tok.Misses, Evictions: tok.Evictions}
+	rs := s.citer.Citer().ResolveStats()
+	stats.ResolveMemo = shardStats{Hits: rs.Hits, Misses: rs.Misses, Evictions: rs.Evictions}
+	stats.WireMemo.Builds, stats.WireMemo.Bytes = s.citer.WireStats()
+	stats.LogicalPlans.Hits, stats.LogicalPlans.Misses = eng.LogicalPlanStats()
+	stats.PhysicalPlans.Hits, stats.PhysicalPlans.Misses = eng.PhysicalPlanStats()
 	if !s.start.IsZero() {
-		resp.UptimeSeconds = time.Since(s.start).Seconds()
+		stats.UptimeSeconds = time.Since(s.start).Seconds()
 	}
-	resp.Breakers = eng.BreakerStates()
+	stats.Breakers = eng.BreakerStates()
 	if s.lsm != nil {
 		st := s.lsm.Stats()
-		resp.LSM = &st
+		stats.LSM = &st
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	if err := json.NewEncoder(w).Encode(stats); err != nil {
 		log.Printf("citesrv: encode: %v", err)
 	}
 }
@@ -748,18 +766,18 @@ type healthResponse struct {
 // balancer should prefer a healthier replica. /healthz stays the dumb
 // liveness probe.
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	resp := healthResponse{Status: "ok", Breakers: s.citer.Citer().Engine().BreakerStates()}
+	health := healthResponse{Status: "ok", Breakers: s.citer.Citer().Engine().BreakerStates()}
 	status := http.StatusOK
-	for _, b := range resp.Breakers {
+	for _, b := range health.Breakers {
 		if b.State != string(eval.BreakerClosed) {
-			resp.Status = "degraded"
+			health.Status = "degraded"
 			status = http.StatusServiceUnavailable
 			break
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	if err := json.NewEncoder(w).Encode(health); err != nil {
 		log.Printf("citesrv: encode: %v", err)
 	}
 }

@@ -18,6 +18,7 @@ import (
 func (s *server) initObservability() {
 	s.start = time.Now()
 	s.reg = obs.NewRegistry()
+	s.routes = newRouteMetrics()
 	eng := s.citer.Citer().Engine()
 	eng.SetMetrics(obs.NewPipelineMetrics(s.reg))
 
@@ -34,6 +35,24 @@ func (s *server) initObservability() {
 	s.reg.CounterFunc("citare_result_cache_waits_total",
 		"Callers that joined an in-flight citation computation.",
 		func() uint64 { return s.citer.CacheStats().Waits })
+
+	// The two memos around the citation cache: request text → resolved
+	// request, cached citation → response bytes.
+	s.reg.CounterFunc("citare_resolve_memo_hits_total",
+		"Requests whose query text had been parsed, prepared and keyed before.",
+		func() uint64 { return s.citer.Citer().ResolveStats().Hits })
+	s.reg.CounterFunc("citare_resolve_memo_misses_total",
+		"Requests whose query text was parsed, prepared and keyed.",
+		func() uint64 { return s.citer.Citer().ResolveStats().Misses })
+	s.reg.CounterFunc("citare_resolve_memo_evictions_total",
+		"Resolved request texts dropped for newer ones (LRU).",
+		func() uint64 { return s.citer.Citer().ResolveStats().Evictions })
+	s.reg.CounterFunc("citare_wire_memo_builds_total",
+		"Cached citations whose response bytes were built and kept after a cache hit.",
+		func() uint64 { b, _ := s.citer.WireStats(); return b })
+	s.reg.CounterFunc("citare_wire_memo_built_bytes_total",
+		"Response bytes built and kept on cached citations (cumulative: evictions do not reduce it).",
+		func() uint64 { _, n := s.citer.WireStats(); return n })
 
 	// Token render cache (per-epoch, inside the engine).
 	s.reg.CounterFunc("citare_token_cache_hits_total",

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"citare/internal/obs"
@@ -103,18 +104,63 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// routeLabel collapses a request path to one of the server's known routes,
-// keeping the metric label set bounded no matter what paths clients probe.
-func routeLabel(path string) string {
-	switch path {
-	case "/v1/cite", "/v1/cite/stream", "/v1/cite/batch", "/cite",
-		"/views", "/stats", "/metrics", "/v1/slow", "/v1/health", "/healthz":
-		return path
+// routeLabels are the values of the route label of the HTTP metrics: the
+// server's known routes, the profiler's subtree and "other" — a bounded set
+// no matter what paths clients probe.
+var routeLabels = []string{"/v1/cite", "/v1/cite/stream", "/v1/cite/batch", "/cite",
+	"/views", "/stats", "/metrics", "/v1/slow", "/v1/health", "/healthz", "/debug/pprof/", "other"}
+
+// routeMetrics holds one route's HTTP metric handles, so that a request
+// updates two atomics instead of looking both series up in the registry by
+// name and label set. A handle is resolved on first use — a route nobody
+// asked for has no series on /metrics.
+type routeMetrics struct {
+	route    string
+	mu       sync.Mutex
+	duration *obs.Histogram
+	requests map[int]*obs.Counter // by status
+}
+
+// newRouteMetrics builds the table of routes, read-only from then on.
+func newRouteMetrics() map[string]*routeMetrics {
+	table := make(map[string]*routeMetrics, len(routeLabels))
+	for _, route := range routeLabels {
+		table[route] = &routeMetrics{route: route, requests: make(map[int]*obs.Counter)}
 	}
+	return table
+}
+
+// routeMetricsFor collapses a request path to its route's entry.
+func (s *server) routeMetricsFor(path string) *routeMetrics {
 	if strings.HasPrefix(path, "/debug/pprof/") {
-		return "/debug/pprof/"
+		path = "/debug/pprof/"
 	}
-	return "other"
+	if m := s.routes[path]; m != nil {
+		return m
+	}
+	return s.routes["other"]
+}
+
+// observe records one served request.
+func (m *routeMetrics) observe(reg *obs.Registry, status int, dur time.Duration) {
+	m.mu.Lock()
+	requests := m.requests[status]
+	if requests == nil {
+		requests = reg.Counter("citesrv_http_requests_total",
+			"HTTP requests served, by route and status.",
+			obs.Label{Key: "route", Value: m.route},
+			obs.Label{Key: "status", Value: strconv.Itoa(status)})
+		m.requests[status] = requests
+	}
+	if m.duration == nil {
+		m.duration = reg.Histogram("citesrv_http_request_duration_seconds",
+			"HTTP request latency, by route.", obs.DefLatencyBuckets,
+			obs.Label{Key: "route", Value: m.route})
+	}
+	duration := m.duration
+	m.mu.Unlock()
+	requests.Inc()
+	duration.Observe(dur)
 }
 
 // withObservability wraps the route mux with the request middleware: it
@@ -135,15 +181,8 @@ func (s *server) withObservability(next http.Handler) http.Handler {
 			status = http.StatusOK
 		}
 		dur := time.Since(start)
-		route := routeLabel(r.URL.Path)
 		if s.reg != nil {
-			s.reg.Counter("citesrv_http_requests_total",
-				"HTTP requests served, by route and status.",
-				obs.Label{Key: "route", Value: route},
-				obs.Label{Key: "status", Value: strconv.Itoa(status)}).Inc()
-			s.reg.Histogram("citesrv_http_request_duration_seconds",
-				"HTTP request latency, by route.", obs.DefLatencyBuckets,
-				obs.Label{Key: "route", Value: route}).Observe(dur)
+			s.routeMetricsFor(r.URL.Path).observe(s.reg, status, dur)
 		}
 		if !s.quiet {
 			log.Printf("citesrv: request id=%s method=%s route=%s status=%d dur=%s tuples=%d",

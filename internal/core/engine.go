@@ -401,6 +401,15 @@ func (e *Engine) CiteEach(ctx context.Context, q *cq.Query, o CiteOptions, fn fu
 	return e.cite(ctx, q, nil, o, fn)
 }
 
+// CiteEachPrepared is CiteEach for a query already resolved by Prepare
+// (under the same options), as CitePrepared is CiteCtx for one.
+func (e *Engine) CiteEachPrepared(ctx context.Context, p *Prepared, o CiteOptions, fn func(*TupleCitation) error) (*Result, error) {
+	if fn == nil {
+		return nil, fmt.Errorf("core: CiteEach requires a callback")
+	}
+	return e.cite(ctx, nil, p, o, fn)
+}
+
 // planStage is the pipeline's rewrite stage, under the stage's span: resolve
 // the query's logical plan, unless the caller brought it, and take its
 // unfolded rewritings under the query's own constants.

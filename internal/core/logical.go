@@ -36,9 +36,12 @@ type compiledQuery struct {
 // cache: normalized, minimized, and tied to the compiled plan of its shape.
 // It is what the citation cache and batch grouping key on (Min) and what
 // CitePrepared cites, so that one request normalizes, minimizes and looks
-// its plan up once however many layers need the result.
+// its plan up once however many layers need the result. Like the plan it is
+// tied to, it depends on nothing but the query, the views and the policy and
+// is read-only once made: it outlives Reset and may be cited from many
+// goroutines at once — by this engine only, whose plan cache it points into.
 type Prepared struct {
-	norm *cq.Query
+	norm *cq.Query      // the normalized query, kept only when it is unsatisfiable
 	min  *cq.Query      // nil: the query is unsatisfiable
 	plan *compiledQuery // the shape's plan; min is plan.min under rb
 	rb   cq.Rebind
@@ -92,7 +95,7 @@ func (e *Engine) logicalPlan(q *cq.Query, o CiteOptions) *Prepared {
 	if !rb.Identity() {
 		min = rb.Query(min)
 	}
-	return &Prepared{norm: norm, min: min, plan: plan, rb: rb}
+	return &Prepared{min: min, plan: plan, rb: rb}
 }
 
 // rewritingsFor returns the prepared query's certified rewritings in

@@ -289,6 +289,12 @@ func TestUnionMatchesKeyedUnion(t *testing.T) {
 	}
 }
 
+// oracleString is encoding/json's spelling of a Go string.
+func oracleString(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
+}
+
 // FuzzAppendJSON pins the encoder to the bytes citations have always had. The
 // spaced and indented spellings are strconv.Quote's; the wire spelling is
 // encoding/json's compaction of the spaced one, which escapes <, > and & on
@@ -316,6 +322,10 @@ func FuzzAppendJSON(f *testing.F) {
 			if got, want := string(AppendJSON(nil, v, indent)), oracleJSON(v, indent); got != want {
 				t.Fatalf("indent %d:\n got %s\nwant %s", indent, got, want)
 			}
+		}
+		// The third spelling, a Go string as encoding/json marshals it.
+		if got, want := AppendJSONString([]byte("x"), s)[1:], oracleString(s); string(got) != want {
+			t.Fatalf("string:\n got %s\nwant %s", got, want)
 		}
 		// Appending must extend dst, not restart it.
 		wire := string(AppendJSON([]byte("x"), v, Wire))[1:]

@@ -32,10 +32,12 @@
 package format
 
 import (
+	"encoding/json"
 	"hash/maphash"
 	"strconv"
 	"sync/atomic"
 	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // ValueKind discriminates Value.
@@ -390,6 +392,76 @@ func appendQuotedWire(dst []byte, s string) []byte {
 		}
 	}
 	return dst
+}
+
+// AppendJSONString appends s as encoding/json spells a Go string (HTML
+// escaping on): the spelling of every string field of citesrv's responses,
+// which is not appendQuoted's — encoding/json leaves DEL and unprintable
+// runes alone and writes a byte that is not UTF-8 as the escape of U+FFFD.
+// Quotes, backslashes, \n, \r, \t, <, > and &, multi-byte runes and
+// U+2028/2029 are spelled here; the other control bytes, two of which changed
+// spelling between Go releases (\b and \f used to be six-byte escapes), are
+// left to json.Marshal, which cannot fail on a string.
+func AppendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	mark := len(dst)
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= ' ' && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			i++
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		size := 1
+		switch {
+		case c == '"' || c == '\\':
+			dst = append(dst, '\\', c)
+		case c == '\n':
+			dst = append(dst, '\\', 'n')
+		case c == '\r':
+			dst = append(dst, '\\', 'r')
+		case c == '\t':
+			dst = append(dst, '\\', 't')
+		case c == '<' || c == '>' || c == '&':
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		case c < ' ':
+			b, _ := json.Marshal(s)
+			return append(dst[:mark], b...)
+		default:
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+			case r == 0x2028 || r == 0x2029:
+				dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xf])
+			default:
+				dst = append(dst, s[i:i+size]...)
+			}
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendJSONStrings appends a []string as encoding/json spells it: null for a
+// nil slice, the elements in AppendJSONString's spelling otherwise.
+func AppendJSONStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendJSONString(dst, s)
+	}
+	return append(dst, ']')
 }
 
 // ---------------------------------------------------------------------------

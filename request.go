@@ -3,6 +3,8 @@ package citare
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"sync"
 
 	"citare/internal/core"
 	"citare/internal/cq"
@@ -71,17 +73,84 @@ type Request struct {
 	ShardAttempts int
 }
 
-// parse validates the request shape and translates the query text into the
-// internal query form. All failures are tagged ErrParse.
-func (r Request) parse(schema *storage.Schema) (*cq.Query, error) {
-	if (r.SQL == "") == (r.Datalog == "") {
-		return nil, fmt.Errorf("%w: provide exactly one of SQL or Datalog", ErrParse)
+// resolveMemoSize bounds a Citer's resolve memo (sharded LRU, entries): as
+// many request texts as the citation cache holds citations.
+const resolveMemoSize = citationCacheSize
+
+// resolved is everything about a request that its query text decides (with
+// MaxRewritings, which selects the logical plan): none of it depends on the
+// data, so it outlives Reset, and all of it is read-only once made — one
+// resolved serves any number of concurrent requests of the same text.
+type resolved struct {
+	p *core.Prepared // the parsed, validated query against the engine's logical-plan cache
+	// q is the query as parsed, kept only when it is unsatisfiable: batch
+	// grouping keys such a query by its syntax.
+	q *cq.Query
+
+	// Made on first use: citing needs neither, a cache or batch key both.
+	canonOnce sync.Once
+	key       string
+	columns   []string
+}
+
+// canonical returns the canonical identity of the query — the
+// variable-renamed key of its normalized, minimized form, which equivalent
+// queries share and the citation cache and batch grouping key on — and what
+// that key abstracts from, the query's own column labels. key is "" for an
+// unsatisfiable query.
+func (r *resolved) canonical() (key string, columns []string) {
+	r.canonOnce.Do(func() {
+		if r.p.Satisfiable() {
+			r.key, r.columns = r.p.Min().CanonicalKey(), core.HeadColumns(r.p.Min())
+		}
+	})
+	return r.key, r.columns
+}
+
+// resolve turns a request into its resolved form: the request shape and the
+// render format are validated (per request — Format is not part of the text),
+// the query text is parsed, validated and prepared against the engine's
+// logical-plan cache; its canonical key follows on first demand. It is the
+// one place a request's text is read: Cite, CiteEach, both batch entry points
+// and the CachedCiter all start here. The work is done once per text — source
+// language, text and MaxRewritings key a bounded LRU that belongs to the
+// Citer (a Prepared points into its own engine's plan cache, so an AsOf
+// Citer resolves for itself) and holds no data and no epoch, so Reset and
+// Invalidate leave it alone. hit reports a text resolved before. Failures are
+// tagged ErrParse and never stored: the same bad text fails again
+// (TestResolveMemoStoresNoFailure), and the same good text sees the data of
+// whichever epoch it is cited in (TestResolveMemoHoldsNoData).
+func (c *Citer) resolve(req Request) (r *resolved, hit bool, err error) {
+	if (req.SQL == "") == (req.Datalog == "") {
+		return nil, false, fmt.Errorf("%w: provide exactly one of SQL or Datalog", ErrParse)
 	}
-	if r.Format != "" {
-		if _, err := format.RendererByName(r.Format); err != nil {
-			return nil, parseError(err)
+	if req.Format != "" {
+		if _, err := format.RendererByName(req.Format); err != nil {
+			return nil, false, parseError(err)
 		}
 	}
+	memoKey := "d" + strconv.Itoa(req.MaxRewritings) + "|" + req.Datalog
+	if req.SQL != "" {
+		memoKey = "s" + strconv.Itoa(req.MaxRewritings) + "|" + req.SQL
+	}
+	if r, ok := c.resolves.Get(memoKey); ok {
+		return r, true, nil
+	}
+	q, err := req.parse(c.schema)
+	if err != nil {
+		return nil, false, err
+	}
+	r = &resolved{p: c.engine.Prepare(q, req.citeOptions())}
+	if !r.p.Satisfiable() {
+		r.q = q
+	}
+	c.resolves.Put(memoKey, r)
+	return r, false, nil
+}
+
+// parse translates the request's query text into the internal query form and
+// validates it. All failures are tagged ErrParse.
+func (r Request) parse(schema *storage.Schema) (*cq.Query, error) {
 	var (
 		q   *cq.Query
 		err error
@@ -91,13 +160,29 @@ func (r Request) parse(schema *storage.Schema) (*cq.Query, error) {
 	} else {
 		q, err = datalog.ParseQuery(r.Datalog)
 	}
+	if err == nil {
+		err = q.Validate()
+	}
 	if err != nil {
 		return nil, parseError(err)
 	}
-	if err := q.Validate(); err != nil {
-		return nil, parseError(err)
-	}
 	return q, nil
+}
+
+// resolveTraced is resolve under the parse span of the trace riding ctx, if
+// one does (Start, End and SetInt no-op on a nil trace); the span says whether
+// the text had been resolved before, as the rewrite span says of the plan.
+func (c *Citer) resolveTraced(ctx context.Context, req Request) (*resolved, error) {
+	tr, cur := obs.FromContext(ctx)
+	psp := tr.Start(cur, obs.StageParse)
+	r, hit, err := c.resolve(req)
+	tr.End(psp)
+	cached := int64(0)
+	if hit {
+		cached = 1
+	}
+	tr.SetInt(psp, "cached", cached)
+	return r, err
 }
 
 // renderFormat is the request's effective render format.
@@ -127,8 +212,8 @@ func (r Request) citeOptions() core.CiteOptions {
 // taxonomy (ErrParse, ErrSchema, ErrCanceled, ErrLimit).
 func (c *Citer) Cite(ctx context.Context, req Request) (*Citation, error) {
 	// Explain: ensure a trace rides the context (reusing one the caller —
-	// e.g. citesrv's slow-query logger — already injected), bracket the
-	// parse in its own span, and attach the rendered report to the result.
+	// e.g. citesrv's slow-query logger — already injected) and attach the
+	// rendered report to the result.
 	var tr *obs.Trace
 	if req.Explain {
 		if tr, _ = obs.FromContext(ctx); tr == nil {
@@ -136,17 +221,11 @@ func (c *Citer) Cite(ctx context.Context, req Request) (*Citation, error) {
 			ctx = obs.NewContext(ctx, tr, obs.NoSpan)
 		}
 	}
-	psp := obs.NoSpan
-	if tr != nil {
-		_, cur := obs.FromContext(ctx)
-		psp = tr.Start(cur, obs.StageParse)
-	}
-	q, err := req.parse(c.schema)
-	tr.End(psp)
+	r, err := c.resolveTraced(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.engine.CiteCtx(ctx, q, req.citeOptions())
+	res, err := c.engine.CitePrepared(ctx, r.p, req.citeOptions())
 	if err != nil {
 		return nil, classify(err)
 	}
@@ -204,18 +283,14 @@ func (c *Citer) CiteEach(ctx context.Context, req Request, fn func(Tuple) error)
 	if fn == nil {
 		return fmt.Errorf("%w: CiteEach requires a callback", ErrParse)
 	}
-	// When a trace rides the context (citesrv's stream trailer), bracket
-	// the parse so per-stage totals cover the whole pipeline; Start no-ops
-	// on a nil trace.
-	tr, cur := obs.FromContext(ctx)
-	psp := tr.Start(cur, obs.StageParse)
-	q, err := req.parse(c.schema)
-	tr.End(psp)
+	// The parse is bracketed in the trace riding the context (citesrv's stream
+	// trailer), so per-stage totals cover the whole pipeline.
+	r, err := c.resolveTraced(ctx, req)
 	if err != nil {
 		return err
 	}
 	i := 0
-	res, err := c.engine.CiteEach(ctx, q, req.citeOptions(), func(tc *core.TupleCitation) error {
+	res, err := c.engine.CiteEachPrepared(ctx, r.p, req.citeOptions(), func(tc *core.TupleCitation) error {
 		t := Tuple{
 			Index:        i,
 			Values:       append([]string(nil), tc.Tuple...),
