@@ -211,6 +211,85 @@ func TestCachedCitationRetainedSize(t *testing.T) {
 		t.Fatalf("after its first hit the citation retains %d KB more for a response of %d KB, ceiling %d KB — the memo keeps more than the response", memo>>10, size>>10, memoCeiling>>10)
 	}
 	t.Logf("after its first hit it retains %d KB more (response %d KB, %d bytes counted)", memo>>10, size>>10, counted)
+
+	// A stream of the cached citation is a replay. What it leaves behind is
+	// the text forms of the entry's distinct per-tuple citations — record and
+	// wire spelling, once each (the polynomial the response memo spelled
+	// already) — never the stream's body: a line embeds its tuple's whole
+	// record, so the body of these 118 lines weighs many times that. Keeping
+	// bodies is what took the benchmark's server from 123 to 185 MB.
+	distinct, streamBody := map[string]int{}, 0
+	replay := func() {
+		streamBody = 0
+		err := cached.CiteEach(context.Background(), req, func(tu Tuple) error {
+			wire := tu.AppendCitationWire(nil)
+			distinct[tu.CitationJSON] = len(tu.CitationJSON) + len(wire)
+			streamBody += len(wire) + len(tu.Polynomial) + 64
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = heap()
+	replay()
+	replay()
+	forms := 0
+	for _, n := range distinct {
+		forms += n
+	}
+	distinct = nil
+	kept := int64(heap()) - int64(before)
+	runtime.KeepAlive(cached)
+	if misses := cached.CacheStats().Misses; misses != 1 {
+		t.Fatalf("%d cache misses: the streams were not replays", misses)
+	}
+	if formsCeiling := int64(forms)*5/4 + 4<<10; kept > formsCeiling || forms*4 > streamBody {
+		t.Fatalf("after two streams the citation retains %d KB more; its %d KB of text forms allow %d KB, a stream's body is %d KB — a body is being kept", kept>>10, forms>>10, formsCeiling>>10, streamBody>>10)
+	}
+	t.Logf("after two streams it retains %d KB more (text forms %d KB, one stream's body %d KB)", kept>>10, forms>>10, streamBody>>10)
+}
+
+// TestCachedStreamHitAllocs is the gate on what a stream of a cached citation
+// costs in the library: two lookups, then per tuple the copy of its values —
+// the cached tuple is shared — and nothing else: no evaluation, no render, no
+// encoding after the entry's first replay. Measured: 3 allocations per stream
+// (the two lookup keys and the callback) plus 1.00 per tuple; the cold stream
+// of the same request makes 22 per tuple (TestStreamedTupleAllocs).
+func TestCachedStreamHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	c := NewCached(gtopdbTypeInstance(t))
+	req := Request{Datalog: `Q(N, Pn) :- Family(F, N, Ty), Ty = "type-03", FC(F, P), Person(P, Pn, A)`}
+	if _, err := c.Cite(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	tuples := 0
+	var line []byte
+	stream := func() {
+		tuples = 0
+		err := c.CiteEach(context.Background(), req, func(tu Tuple) error {
+			tuples++
+			line = tu.AppendCitationWire(line[:0])
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream() // the replay that makes the text forms
+	if tuples < 100 {
+		t.Fatalf("type ⋈ committee returned %d tuples, want a result worth streaming", tuples)
+	}
+	got := testing.AllocsPerRun(20, stream)
+	t.Logf("cached CiteEach: %.0f allocs for %d tuples", got, tuples)
+	if ceiling := float64(tuples + 6); got > ceiling {
+		t.Fatalf("cached CiteEach: %.0f allocs for %d tuples, ceiling %.0f (a constant and one per tuple) — a replay is evaluating, rendering or encoding", got, tuples, ceiling)
+	}
+	if _, misses := c.Stats(); misses != 1 {
+		t.Fatalf("%d cache misses: the streams were not replays", misses)
+	}
 }
 
 // TestCachedHitAllocs is the gate on what a repeated request costs before its

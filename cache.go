@@ -6,8 +6,10 @@ import (
 	"slices"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"citare/internal/cache"
+	"citare/internal/obs"
 )
 
 // citationCacheSize bounds the citation cache (sharded LRU, entries).
@@ -60,12 +62,11 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	}
 	// Resolved once per text: the cache key is the minimized query's, and a
 	// miss cites the same prepared query instead of minimizing again.
-	r, _, err := c.citer.resolve(req)
+	r, key, columns, err := c.key(req)
 	if err != nil {
 		return nil, err
 	}
-	canon, columns := r.canonical()
-	if canon == "" {
+	if key == "" {
 		// Unsatisfiable queries are cheap; skip the cache.
 		res, err := c.citer.engine.CitePrepared(ctx, r.p, req.citeOptions())
 		if err != nil {
@@ -73,14 +74,6 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 		}
 		return &Citation{res: res, format: req.renderFormat()}, nil
 	}
-	// Read the epoch before citing: a result computed against an older
-	// engine state then lands under an old-epoch key, invisible to readers
-	// of the new epoch. Option fields that change the output are part of
-	// the key; the render format and the head's variable names are not (one
-	// selects a renderer, the others label the columns of an answer that
-	// equivalent queries share), so whatever the cache returns is re-wrapped
-	// with this request's own.
-	key := optionsKey(c.epoch.Load(), req) + canon
 	compute := func() (*Citation, error) {
 		res, err := c.citer.engine.CitePrepared(ctx, r.p, req.citeOptions())
 		if err != nil {
@@ -126,6 +119,56 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	return ct.forRequest(req, columns), err
 }
 
+// key resolves the request and spells its citation-cache key, the one key
+// every path of the cache reads and fills under: the cache epoch, the options
+// that change the citation or the error behavior (optionsKey), the canonical
+// form of the minimized query. key is "" for an unsatisfiable query, which is
+// not cached. The epoch is read here, before any citing, so a result computed
+// against an older engine state lands under an old-epoch key, invisible to
+// readers of the new epoch. The render format and the head's variable names
+// (columns) are not part of the key — one selects a renderer, the others label
+// an answer equivalent queries share — so whatever the cache returns is
+// re-wrapped with the asking request's own (forRequest).
+func (c *CachedCiter) key(req Request) (r *resolved, key string, columns []string, err error) {
+	if r, _, err = c.citer.resolve(req); err != nil {
+		return nil, "", nil, err
+	}
+	if key, columns = r.canonical(); key != "" {
+		key = optionsKey(c.epoch.Load(), req) + key
+	}
+	return r, key, columns, nil
+}
+
+// Cached returns the citation the cache holds for the request, as the request
+// should see it, and evaluates nothing. It reports false for whatever Cite
+// would not answer from the cache either: an Explain request, a text that does
+// not resolve, an unsatisfiable query, a key that is absent — never cited,
+// cited under other MaxRewritings / MaxTuples / coverage options, degraded and
+// so never stored, evicted, or dropped by Invalidate.
+//
+// It is a lookup like Cite's: a hit refreshes the entry's LRU position and
+// counts in Stats' hits, a miss in its misses — with no fill behind it, so
+// misses exceed the citations computed by the Cached calls that missed. On a
+// hit the trace riding ctx gets the one span a replay has, parse: the time the
+// two lookups took. A miss leaves that span to whoever evaluates the request.
+func (c *CachedCiter) Cached(ctx context.Context, req Request) (*Citation, bool) {
+	if req.Explain {
+		return nil, false
+	}
+	t0 := time.Now()
+	_, key, columns, err := c.key(req)
+	if err != nil || key == "" {
+		return nil, false
+	}
+	ct, ok := c.entries.Get(key)
+	if !ok {
+		return nil, false
+	}
+	tr, cur := obs.FromContext(ctx)
+	tr.EndWith(tr.Start(cur, obs.StageParse), time.Since(t0))
+	return ct.forRequest(req, columns), true
+}
+
 // forRequest returns the citation as the given request should see it. A
 // cached citation was computed for whichever equivalent request came first —
 // a datalog query and its SQL twin share one entry — so the render format
@@ -160,16 +203,13 @@ func optionsKey(epoch uint64, req Request) string {
 // unsatisfiable query, which is not cached).
 func (c *CachedCiter) batchMisses(reqs []Request) (items []BatchItem, miss []Request, missIdx []int, missKeys []string) {
 	items = make([]BatchItem, len(reqs))
-	epoch := c.epoch.Load()
 	for i, req := range reqs {
-		r, _, err := c.citer.resolve(req)
+		_, key, columns, err := c.key(req)
 		if err != nil {
 			items[i].Err = err
 			continue
 		}
-		key, columns := r.canonical()
 		if key != "" {
-			key = optionsKey(epoch, req) + key
 			if ct, hit := c.entries.Get(key); hit {
 				ct.wire.markHit()
 				items[i].Citation = ct.forRequest(req, columns)
@@ -254,9 +294,18 @@ func (c *CachedCiter) CiteBatchItems(ctx context.Context, reqs []Request) []Batc
 	return items
 }
 
-// CiteEach streams per-tuple citations for one request; streaming results
-// are not cached. See Citer.CiteEach.
+// CiteEach streams per-tuple citations for one request. A request whose
+// citation the cache holds (Cached) is a replay — Citation.EachTuple: the
+// tuples, order and bytes the evaluation would deliver, nothing evaluated or
+// rendered, each distinct citation's text forms made once for every stream of
+// the entry. Any other request runs Citer.CiteEach and stores nothing: a
+// stream never builds the aggregate a cached citation carries.
 func (c *CachedCiter) CiteEach(ctx context.Context, req Request, fn func(Tuple) error) error {
+	if fn != nil { // a nil callback is Citer.CiteEach's to reject
+		if ct, ok := c.Cached(ctx, req); ok {
+			return ct.EachTuple(fn)
+		}
+	}
 	return c.citer.CiteEach(ctx, req, fn)
 }
 

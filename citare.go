@@ -47,7 +47,9 @@
 //     tuples render, the rendered per-tuple list and the aggregated
 //     result-set citation are never built, and the output is
 //     byte-identical to Cite's tuples. citesrv exposes it as NDJSON on
-//     POST /v1/cite/stream.
+//     POST /v1/cite/stream. Through a CachedCiter, a request whose citation
+//     the cache holds is a replay of it (Citation.EachTuple): the same
+//     tuples, nothing evaluated.
 //
 // Failures are classified by a typed taxonomy — ErrParse, ErrSchema,
 // ErrCanceled, ErrLimit, ErrShardUnavailable, ErrPartial — inspected with
@@ -124,6 +126,10 @@
 //     cache hit on, the bytes of its /v1/cite response that do not depend
 //     on the asking request (Citation.AppendWire); they live and die with
 //     the cache entry, and about double what a hit entry retains.
+//
+// A stream reads the second level and adds none: CachedCiter.CiteEach replays
+// a cached citation's tuples and keeps, per distinct per-tuple citation, its
+// text forms — never a stream's body.
 package citare
 
 import (

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -841,4 +842,70 @@ func TestStreamLineMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 	}
+
+	// Through the handler, evaluated and replayed: the same lines whether each
+	// leaves in its own flushed write (a miss) or gathered into streamChunk-sized
+	// writes (a stream of a cached citation), over a body of several chunks.
+	big := gtopdb.Generate(gtopdb.Config{Seed: 5, Families: 300, Types: 3, Persons: 80, CommitteeMin: 2, CommitteeMax: 4, IntroFraction: 0.5})
+	big.MustInsert("Family", "30", `<b>"R&D"</b> caf\u00e9`+"\u2028\t", "type-01")
+	big.MustInsert("FC", "30", "p0001")
+	citer, err = citare.NewFromProgram(big, gtopdb.ViewsProgram, citare.WithNeutralCitation(gtopdb.DatabaseCitation()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `Q(N, Pn) :- Family(F, N, Ty), Ty = "type-01", FC(F, P), Person(P, Pn, A)`
+	var lines strings.Builder
+	tuples := 0
+	if err := citer.CiteEach(context.Background(), citare.Request{Datalog: q}, func(tu citare.Tuple) error {
+		tuples++
+		lines.WriteString(want(tu))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if lines.Len() < 3*streamChunk {
+		t.Fatalf("a body of %d bytes, want several chunks", lines.Len())
+	}
+	s := &server{citer: citare.NewCached(citer)}
+	reqBody, _ := json.Marshal(citeRequest{Datalog: q})
+	stream := func(wantCached bool) *countingRecorder {
+		t.Helper()
+		w := &countingRecorder{ResponseRecorder: httptest.NewRecorder()}
+		s.handleCiteStream(w, httptest.NewRequest(http.MethodPost, "/v1/cite/stream", bytes.NewReader(reqBody)))
+		body := w.Body.String()
+		cut := strings.LastIndex(strings.TrimRight(body, "\n"), "\n") + 1
+		if body[:cut] != lines.String() {
+			t.Fatalf("cached=%v: the tuple lines differ from json.Encoder's", wantCached)
+		}
+		trailer := roundTrips[streamTrailerLine](t, body[cut:]).Trailer
+		if trailer.Cached != wantCached || trailer.Tuples != tuples || trailer.Error != nil {
+			t.Fatalf("trailer %+v, want cached=%v and %d tuples", trailer, wantCached, tuples)
+		}
+		return w
+	}
+	if w := stream(false); w.flushes != tuples+1 || w.writes != tuples+1 {
+		t.Fatalf("evaluated stream: %d writes, %d flushes for %d lines and a trailer", w.writes, w.flushes, tuples)
+	}
+	s.handleCite(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/cite", bytes.NewReader(reqBody)))
+	w := stream(true)
+	if chunks := lines.Len()/streamChunk + 1; w.flushes != 1 || w.writes < 3 || w.writes > chunks || w.longest >= 2*streamChunk {
+		t.Fatalf("replayed stream of %d bytes: %d writes (longest %d), %d flushes; want at most %d chunked writes and the one final flush", lines.Len(), w.writes, w.longest, w.flushes, chunks)
+	}
+}
+
+// countingRecorder records how a handler wrote its answer.
+type countingRecorder struct {
+	*httptest.ResponseRecorder
+	writes, flushes, longest int
+}
+
+func (c *countingRecorder) Write(p []byte) (int, error) {
+	c.writes++
+	c.longest = max(c.longest, len(p))
+	return c.ResponseRecorder.Write(p)
+}
+
+func (c *countingRecorder) Flush() {
+	c.flushes++
+	c.ResponseRecorder.Flush()
 }

@@ -53,6 +53,12 @@ func (s *server) initObservability() {
 	s.reg.CounterFunc("citare_wire_memo_built_bytes_total",
 		"Response bytes built and kept on cached citations (cumulative: evictions do not reduce it).",
 		func() uint64 { _, n := s.citer.WireStats(); return n })
+	s.reg.CounterFunc("citare_stream_cache_hits_total",
+		"Streams replayed from the citation the cache holds for the request.",
+		s.streamHits.Load)
+	s.reg.CounterFunc("citare_stream_cache_misses_total",
+		"Streams the citation cache did not answer: evaluated, or failed.",
+		s.streamMisses.Load)
 
 	// Token render cache (per-epoch, inside the engine).
 	s.reg.CounterFunc("citare_token_cache_hits_total",

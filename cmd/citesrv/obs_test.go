@@ -198,8 +198,21 @@ func TestStreamTrailerStageTotals(t *testing.T) {
 			t.Fatalf("trailer stage_ns missing %q: %v", stage, trailer.StageNs)
 		}
 	}
-	if trailer.StageNs["cite"] <= 0 {
-		t.Fatalf("cite total not positive: %v", trailer.StageNs)
+	if trailer.StageNs["cite"] <= 0 || trailer.Cached {
+		t.Fatalf("an evaluated stream's trailer: %+v", trailer)
+	}
+
+	// A stream of a cached citation is a replay: the trailer says so, and the
+	// lookup — the parse span — is the only stage it has.
+	s.handleCite(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body)))
+	w = httptest.NewRecorder()
+	s.handleCiteStream(w, httptest.NewRequest(http.MethodPost, "/v1/cite/stream", strings.NewReader(body)))
+	tuples, trailer := decodeStream(t, w.Body.String())
+	if !trailer.Cached || trailer.Tuples != len(tuples) || len(tuples) != 3 {
+		t.Fatalf("replayed stream: %d lines, trailer %+v", len(tuples), trailer)
+	}
+	if len(trailer.StageNs) != 1 || trailer.StageNs["parse"] <= 0 {
+		t.Fatalf("replayed stream's stage_ns: %v, want the parse span alone", trailer.StageNs)
 	}
 }
 

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"citare"
 	"citare/internal/fault"
+	"citare/internal/gtopdb"
 )
 
 // respondReference shapes a citation into the wire struct through its public
@@ -261,8 +263,56 @@ func TestHandleCiteHitAllocs(t *testing.T) {
 	}
 }
 
+// TestHandleStreamHitAllocs is the gate on what a stream of a cached citation
+// costs through the handler: the request decoded, two lookups, per tuple the
+// copy of its values, the lines appended into a pooled buffer and written a
+// chunk at a time. Nothing may grow with the body: measured through httptest,
+// 51 allocations (a dozen of them the test's own request and recorder) and
+// 1.00 per tuple, 13 KB allocated for a body of 352 KB.
+func TestHandleStreamHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	db := gtopdb.Generate(gtopdb.Config{Seed: 7, Families: 2000, Types: 50, Persons: 1000, CommitteeMin: 2, CommitteeMax: 6, IntroFraction: 0.6})
+	citer, err := citare.NewFromProgram(db, gtopdb.ViewsProgram, citare.WithNeutralCitation(gtopdb.DatabaseCitation()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{citer: citare.NewCached(citer)}
+	body := `{"datalog": "Q(N, Pn) :- Family(F, N, Ty), Ty = \"type-03\", FC(F, P), Person(P, Pn, A)"}`
+	s.handleCite(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body)))
+	w := httptest.NewRecorder()
+	s.handleCiteStream(w, httptest.NewRequest(http.MethodPost, "/v1/cite/stream", strings.NewReader(body)))
+	size, tuples := w.Body.Len(), strings.Count(w.Body.String(), "\n")-1
+	if tuples < 100 || size < 4*streamChunk || !strings.Contains(w.Body.String(), `"cached":true`) {
+		t.Fatalf("a stream of %d tuples and %d bytes, want a replay of several chunks", tuples, size)
+	}
+	post := func() {
+		w := httptest.NewRecorder()
+		w.Body = nil // the answer's bytes are not the handler's allocations
+		s.handleCiteStream(w, httptest.NewRequest(http.MethodPost, "/v1/cite/stream", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d", w.Code)
+		}
+	}
+	const runs = 50
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	got := testing.AllocsPerRun(runs, post)
+	runtime.ReadMemStats(&m1)
+	perStream := int(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1)
+	t.Logf("handleCiteStream hit: %.0f allocs, %d KB allocated for %d tuples and a body of %d KB", got, perStream>>10, tuples, size>>10)
+	if ceiling := float64(tuples + 60); got > ceiling {
+		t.Fatalf("handleCiteStream hit: %.0f allocs for %d tuples, ceiling %.0f — the handler is evaluating or re-encoding the cached citation", got, tuples, ceiling)
+	}
+	if perStream > size/4 {
+		t.Fatalf("handleCiteStream hit allocates %d KB for a body of %d KB — the chunk buffer is not pooled, or a body is being assembled", perStream>>10, size>>10)
+	}
+}
+
 // TestMemoCountersExposed: /stats and /metrics report the resolve memo's
-// hits, misses and evictions and the wire memo's builds and bytes.
+// hits, misses and evictions, the wire memo's builds and bytes, and how many
+// streams the citation cache answered and did not.
 func TestMemoCountersExposed(t *testing.T) {
 	s := obsServer(t)
 	s.quiet = true
@@ -277,14 +327,29 @@ func TestMemoCountersExposed(t *testing.T) {
 		}
 		size = w.Body.Len()
 	}
+	// Streams: one of the cached citation (a replay), one of a query the cache
+	// has not seen (evaluated, nothing stored), one that fails.
+	for _, b := range []string{body, `{"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"lgic\""}`, `{"sql": "SELEKT"}`} {
+		mux.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/cite/stream", strings.NewReader(b)))
+	}
 	w := httptest.NewRecorder()
 	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
 	var stats statsResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.ResolveMemo != (shardStats{Hits: 2, Misses: 1}) {
-		t.Fatalf("/stats resolve_memo: %+v, want 2 hits / 1 miss", stats.ResolveMemo)
+	// An evaluated stream reads its text twice, the lookup and the evaluation:
+	// a miss and a hit for the new query, two misses for the one that fails.
+	if stats.ResolveMemo != (shardStats{Hits: 4, Misses: 4}) {
+		t.Fatalf("/stats resolve_memo: %+v, want 4 hits / 4 misses", stats.ResolveMemo)
+	}
+	if stats.StreamHits != 1 || stats.StreamMisses != 2 {
+		t.Fatalf("/stats stream_hits %d, stream_misses %d, want 1 and 2", stats.StreamHits, stats.StreamMisses)
+	}
+	// A stream's lookup is a lookup of the citation cache: its hit and its miss
+	// count there too (the failed text never got as far as a key).
+	if stats.Hits != 3 || stats.Misses != 2 {
+		t.Fatalf("/stats citation cache: %d hits / %d misses, want 3 / 2", stats.Hits, stats.Misses)
 	}
 	if stats.WireMemo.Builds != 1 || stats.WireMemo.Bytes == 0 || int(stats.WireMemo.Bytes) >= size {
 		t.Fatalf("/stats wire_memo: %+v for a response of %d bytes, want 1 build of nearly that", stats.WireMemo, size)
@@ -292,8 +357,10 @@ func TestMemoCountersExposed(t *testing.T) {
 	w = httptest.NewRecorder()
 	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
-		"citare_resolve_memo_hits_total 2",
-		"citare_resolve_memo_misses_total 1",
+		"citare_resolve_memo_hits_total 4",
+		"citare_resolve_memo_misses_total 4",
+		"citare_stream_cache_hits_total 1",
+		"citare_stream_cache_misses_total 2",
 		"citare_resolve_memo_evictions_total 0",
 		"citare_wire_memo_builds_total 1",
 		fmt.Sprintf("citare_wire_memo_built_bytes_total %d", stats.WireMemo.Bytes),

@@ -35,10 +35,11 @@ type sharedCitation struct {
 	kept     []int
 	combined provenance.Poly
 	rendered format.Value
-	encoded  *EncodedCitation // streamed path only, see encode
 
 	polyOnce sync.Once
 	poly     string
+	encOnce  sync.Once
+	encoded  *EncodedCitation // streamed and replayed tuples only, see encode
 }
 
 // polynomial returns the combined polynomial in the paper's notation, spelled
@@ -92,14 +93,30 @@ func (c *EncodedCitation) AppendWire(dst []byte) []byte {
 	return append(dst, c.wire...)
 }
 
-// encode returns the citation's text forms, producing them on first use.
+// encode returns the citation's text forms, produced once — by the request
+// that streams the citation, or by whichever replay of a cached one asks first
+// (concurrent streams of one cached citation share it).
 func (c *sharedCitation) encode() *EncodedCitation {
-	if c.encoded == nil {
+	c.encOnce.Do(func() {
 		c.encoded = &EncodedCitation{
 			Polynomial: c.polynomial(),
 			JSON:       c.rendered.JSON(),
 			rendered:   c.rendered,
 		}
-	}
+	})
 	return c.encoded
+}
+
+// Encoding returns the text forms of the tuple's citation: Encoded on a tuple
+// CiteEach is streaming, the shared citation's own — made on first demand,
+// once per distinct citation, and kept with it — on a tuple of a Result (a
+// tuple the engine did not make shares nothing and gets forms of its own).
+func (tc *TupleCitation) Encoding() *EncodedCitation {
+	switch {
+	case tc.Encoded != nil:
+		return tc.Encoded
+	case tc.shared != nil:
+		return tc.shared.encode()
+	}
+	return &EncodedCitation{Polynomial: PolyString(tc.Combined), JSON: tc.Rendered.JSON(), rendered: tc.Rendered}
 }

@@ -272,6 +272,35 @@ func (t Tuple) AppendCitationWire(dst []byte) []byte {
 	return t.enc.AppendWire(dst)
 }
 
+// streamedTuple is the i-th tuple of an answer as a stream delivers it. The
+// values are copied: tc belongs to the engine during a stream and to every
+// reader of the cache during a replay.
+func streamedTuple(i int, tc *core.TupleCitation) Tuple {
+	enc := tc.Encoding()
+	return Tuple{
+		Index:        i,
+		Values:       append([]string(nil), tc.Tuple...),
+		Polynomial:   enc.Polynomial,
+		CitationJSON: enc.JSON,
+		enc:          enc,
+	}
+}
+
+// EachTuple hands fn the citation's tuples in their stored order — the order
+// CiteEach streams them in — exactly as CiteEach would: same Index, Values,
+// Polynomial, CitationJSON and wire spelling, nothing evaluated or rendered. A
+// citation's text forms are made once per distinct citation, on its first
+// EachTuple, and kept with it. fn returning an error ends the walk with that
+// error.
+func (ct *Citation) EachTuple(fn func(Tuple) error) error {
+	for i := range ct.res.Tuples {
+		if err := fn(streamedTuple(i, &ct.res.Tuples[i])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CiteEach evaluates one request and streams each answer tuple's citation
 // through fn in the deterministic result order: citations are rendered one
 // at a time, right before delivery, so neither the rendered per-tuple list
@@ -291,13 +320,7 @@ func (c *Citer) CiteEach(ctx context.Context, req Request, fn func(Tuple) error)
 	}
 	i := 0
 	res, err := c.engine.CiteEachPrepared(ctx, r.p, req.citeOptions(), func(tc *core.TupleCitation) error {
-		t := Tuple{
-			Index:        i,
-			Values:       append([]string(nil), tc.Tuple...),
-			Polynomial:   tc.Encoded.Polynomial,
-			CitationJSON: tc.Encoded.JSON,
-			enc:          tc.Encoded,
-		}
+		t := streamedTuple(i, tc)
 		i++
 		return fn(t)
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -287,5 +288,66 @@ func TestSharedEntryConcurrentResponses(t *testing.T) {
 	}
 	if !bytes.Contains(m.answer, []byte(`"rewritings":[`)) {
 		t.Fatalf("memoized answer part: %s", m.answer)
+	}
+}
+
+// TestSharedEntryConcurrentStreams: many goroutines stream and cite one cached
+// citation at once — a datalog query and its SQL twin — from the very first
+// replay on, so the text forms of its per-tuple citations (made on demand,
+// once per distinct citation) are made under contention. Every stream must
+// deliver the cold stream's lines. Runs under -race: with a bare nil check in
+// sharedCitation.encode this is a data race.
+func TestSharedEntryConcurrentStreams(t *testing.T) {
+	citer, err := NewFromProgram(nastyInstance(), gtopdb.ViewsProgram, WithNeutralCitation(gtopdb.DatabaseCitation()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []Request{
+		{Datalog: `Q(Name, Pn) :- Family(F, Name, Ty), FC(F, P), Person(P, Pn, A)`},
+		{SQL: "SELECT f.FName, p.PName FROM Family f, FC c, Person p WHERE f.FID = c.FID AND c.PID = p.PID", Format: "bibtex"},
+	}
+	want, _, err := collectStream(citer.CiteEach, reqs[0])
+	if err != nil || len(want) < 8 {
+		t.Fatalf("cold stream: %d lines, %v", len(want), err)
+	}
+	cached := NewCached(citer)
+	first, err := cached.Cite(context.Background(), reqs[0]) // the entry all of them read
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBody := wireOracle(t, first)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				req := reqs[(g+round)%len(reqs)]
+				got, evaluated, err := collectStream(cached.CiteEach, req)
+				if err == nil && evaluated {
+					err = errors.New("the stream was evaluated, not replayed")
+				}
+				if err == nil {
+					err = sameLines(got, want)
+				}
+				if err != nil {
+					t.Errorf("goroutine %d, round %d: %v", g, round, err)
+					return
+				}
+				ct, err := cached.Cite(context.Background(), reqs[0])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if body, err := ct.AppendWire(nil); err != nil || string(body) != wantBody {
+					t.Errorf("goroutine %d, round %d: response beside the streams: %v\n got %s\nwant %s", g, round, err, body, wantBody)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if _, misses := cached.Stats(); misses != 1 {
+		t.Fatalf("%d cache misses, want the one entry", misses)
 	}
 }
