@@ -81,8 +81,10 @@
 // A request that fails before the first tuple is written — parse error,
 // unsatisfiable bound, pre-stream cancellation — gets the plain typed error
 // envelope with its usual HTTP status instead of a 200 NDJSON stream.
-// Citations stream per tuple; the aggregated result-set citation is never
-// materialized, so very large answers flow in constant server memory.
+// Citations stream per tuple and the aggregated result-set citation is never
+// materialized, so no rendered record outlives its line; an evaluated stream
+// still holds the answer's tuples and polynomials until its last line, so
+// its server memory is O(answer) until [evaluate-once].
 //
 // # Batches: /v1/cite/batch
 //

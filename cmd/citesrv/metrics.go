@@ -129,6 +129,15 @@ func (s *server) initObservability() {
 		s.reg.CounterFunc("citare_lsm_compactions_total",
 			"Background compactions completed since open.",
 			func() uint64 { return st.Stats().Compactions })
+		s.reg.CounterFunc("citare_lsm_block_cache_hits_total",
+			"SSTable data blocks served from the block cache.",
+			func() uint64 { return st.Stats().BlockCache.Hits })
+		s.reg.CounterFunc("citare_lsm_block_cache_misses_total",
+			"SSTable data blocks read from disk, CRC-checked and parsed into the block cache.",
+			func() uint64 { return st.Stats().BlockCache.Misses })
+		s.reg.CounterFunc("citare_lsm_block_cache_evictions_total",
+			"SSTable data blocks evicted from the block cache.",
+			func() uint64 { return st.Stats().BlockCache.Evictions })
 		for lvl := 0; lvl < 2; lvl++ {
 			lvl := lvl
 			label := obs.Label{Key: "level", Value: strconv.Itoa(lvl)}

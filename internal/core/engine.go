@@ -393,7 +393,7 @@ func (e *Engine) CitePrepared(ctx context.Context, p *Prepared, o CiteOptions) (
 // lazily, right before its delivery, and released right after — the first
 // tuple reaches fn before any later tuple's citation has been rendered, and
 // the rendered records are never all in memory at once. The answer's tuples
-// and polynomials are, so memory stays O(answer) until ROADMAP item 1.
+// and polynomials are, so memory stays O(answer) until [evaluate-once].
 func (e *Engine) CiteEach(ctx context.Context, q *cq.Query, o CiteOptions, fn func(*TupleCitation) error) (*Result, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("core: CiteEach requires a callback")

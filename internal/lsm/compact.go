@@ -40,12 +40,9 @@ func (s *Store) Compact() error {
 
 	// Merge newest-first sources; within one (logical, version) pair the
 	// highest sequence arrives first and later duplicates are dropped.
-	srcs := make([]kvIter, len(inputs))
-	for i, r := range inputs {
-		srcs[i] = r.iter([]byte{}, nil)
-	}
-	m := newMergeIter(srcs)
-	defer m.close()
+	sc := getScratch()
+	defer sc.put()
+	m := sc.mergeSources(nil, captured.levels, nil, nil)
 
 	var outputs []*sstReader
 	var sw *sstWriter
@@ -104,6 +101,9 @@ func (s *Store) Compact() error {
 				return fail(err)
 			}
 		}
+	}
+	if err := sc.err(); err != nil {
+		return fail(err) // a block that fails its checks must not shorten the run
 	}
 	if err := finishCurrent(); err != nil {
 		return fail(err)

@@ -16,7 +16,9 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
+	"errors"
+
+	"citare/internal/storage"
 )
 
 // Key layout
@@ -99,38 +101,89 @@ func stampOf(full []byte) (version, seq uint64) {
 	return ^binary.BigEndian.Uint64(s[:8]), ^binary.BigEndian.Uint64(s[8:])
 }
 
-// decodeFields parses the escaped fields of a logical key after the given
-// prefix length (rel 0x00 ord).
-func decodeFields(logical []byte, prefixLen int) ([]string, error) {
-	var out []string
-	buf := logical[prefixLen:]
-	var cur []byte
-	for i := 0; i < len(buf); {
-		c := buf[i]
-		if c != 0x00 {
-			cur = append(cur, c)
-			i++
-			continue
+// Errors of a malformed logical key, shared so a scan skipping one formats
+// nothing.
+var (
+	errFieldEscape = errors.New("lsm: invalid field escape in key")
+	errFieldCount  = errors.New("lsm: key field count differs from arity")
+)
+
+// rowDecoder turns logical keys into tuples. Its buffers are reused across
+// rows; the tuples it returns are fresh and never alias them.
+type rowDecoder struct {
+	ends []int  // end offset of every field's terminator in the key
+	buf  []byte // unescaped field bytes of a key with an escaped 0x00
+}
+
+// decode parses the k escaped fields of a logical key after prefixLen
+// (rel 0x00 ord) straight into their unrotated slots: field i of ordering
+// ord is column (ord+i) mod k. A key without an escape costs one string,
+// sliced at the terminators, and the row; a key with one is unescaped into
+// the decoder's buffer first, then made one string. A key that does not
+// frame exactly k fields is an error.
+func (d *rowDecoder) decode(logical []byte, prefixLen, ord, k int) (storage.Tuple, error) {
+	src := logical[prefixLen:]
+	d.ends = d.ends[:0]
+	escaped := false
+	tail := 0 // where the bytes after the last terminator start
+	for i := 0; ; i += 2 {
+		j := bytes.IndexByte(src[i:], 0x00)
+		if j < 0 {
+			break
 		}
-		if i+1 >= len(buf) {
-			return nil, fmt.Errorf("lsm: truncated field escape in key")
+		i += j
+		if i+1 >= len(src) {
+			return nil, errFieldEscape
 		}
-		switch buf[i+1] {
-		case 0x01: // terminator
-			out = append(out, string(cur))
-			cur = cur[:0]
-			i += 2
-		case 0xff: // escaped 0x00
-			cur = append(cur, 0x00)
-			i += 2
+		switch src[i+1] {
+		case 0x01:
+			if len(d.ends) == k {
+				return nil, errFieldCount
+			}
+			d.ends = append(d.ends, i)
+			tail = i + 2
+		case 0xff:
+			escaped = true
 		default:
-			return nil, fmt.Errorf("lsm: invalid field escape 0x%02x", buf[i+1])
+			return nil, errFieldEscape
 		}
 	}
-	if len(cur) != 0 {
-		return nil, fmt.Errorf("lsm: unterminated field in key")
+	if tail != len(src) {
+		return nil, errFieldEscape // an unterminated last field
 	}
-	return out, nil
+	if len(d.ends) != k {
+		return nil, errFieldCount
+	}
+	row := make(storage.Tuple, k)
+	if !escaped {
+		s := string(src)
+		from := 0
+		for i, end := range d.ends {
+			row[(ord+i)%k] = s[from:end]
+			from = end + 2
+		}
+		return row, nil
+	}
+	// Unescape field by field; ends switch to offsets into buf.
+	d.buf = d.buf[:0]
+	from := 0
+	for i, end := range d.ends {
+		for p := from; p < end; p++ {
+			d.buf = append(d.buf, src[p])
+			if src[p] == 0x00 {
+				p++ // the 0xff of an escape
+			}
+		}
+		d.ends[i] = len(d.buf)
+		from = end + 2
+	}
+	s := string(d.buf)
+	from = 0
+	for i, end := range d.ends {
+		row[(ord+i)%k] = s[from:end]
+		from = end
+	}
+	return row, nil
 }
 
 // rotate returns the tuple's values rotated to start at column ord.
@@ -143,33 +196,15 @@ func rotate(vals []string, ord int) []string {
 	return out
 }
 
-// unrotate inverts rotate: fields holds vals rotated by ord.
-func unrotate(fields []string, ord int) []string {
-	k := len(fields)
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[(ord+i)%k] = fields[i]
-	}
-	return out
-}
-
-// prefixSuccessor returns the smallest byte string greater than every string
-// with the given prefix, or nil when the prefix is all 0xff (scan to end).
-func prefixSuccessor(prefix []byte) []byte {
-	end := append([]byte(nil), prefix...)
-	for i := len(end) - 1; i >= 0; i-- {
-		if end[i] != 0xff {
-			end[i]++
-			return end[:i+1]
+// successor turns prefix, in place, into the smallest byte string greater
+// than every string with that prefix, or returns nil when the prefix is all
+// 0xff (scan to end).
+func successor(prefix []byte) []byte {
+	for i := len(prefix) - 1; i >= 0; i-- {
+		if prefix[i] != 0xff {
+			prefix[i]++
+			return prefix[:i+1]
 		}
 	}
 	return nil
-}
-
-// inRange reports whether key belongs to [start, end); a nil end means +∞.
-func inRange(key, start, end []byte) bool {
-	if bytes.Compare(key, start) < 0 {
-		return false
-	}
-	return end == nil || bytes.Compare(key, end) < 0
 }

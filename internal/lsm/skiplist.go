@@ -92,15 +92,17 @@ func (s *skiplist) seek(target []byte) *skipNode {
 	return n.next[0].Load()
 }
 
-// memIter iterates the skiplist ascending within [start, end).
+// memIter iterates the skiplist ascending within [start, end). A zero
+// memIter is ready for seek.
 type memIter struct {
 	node  *skipNode
 	end   []byte
 	first bool
 }
 
-func (s *skiplist) iter(start, end []byte) *memIter {
-	return &memIter{node: s.seek(start), end: end, first: true}
+// seek positions the iterator before the first key ≥ start of s.
+func (it *memIter) seek(s *skiplist, start, end []byte) {
+	*it = memIter{node: s.seek(start), end: end, first: true}
 }
 
 func (it *memIter) next() bool {
@@ -123,4 +125,3 @@ func (it *memIter) next() bool {
 
 func (it *memIter) key() []byte { return it.node.key }
 func (it *memIter) op() byte    { return it.node.op }
-func (it *memIter) close()      {}

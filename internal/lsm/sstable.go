@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -23,6 +24,12 @@ import (
 // offset, length and CRC; the bloom filter covers the logical key of every
 // entry. The fixed-size footer points at both and carries a CRC over them,
 // so a torn write anywhere in the metadata is detected at open.
+//
+// The file carries no per-entry offsets. A reader builds them when a block
+// enters the block cache: the fill checks the CRC and the framing of every
+// entry once and keeps the entry offsets beside the bytes (dataBlock), so a
+// seek is a binary search over the index and then over the block's entries,
+// O(log entries) key compares.
 
 const (
 	sstMagic         = 0xC17A_4E5D_B01D_FACE
@@ -170,10 +177,11 @@ type sstReader struct {
 	size    uint64
 	refs    atomic.Int32
 	dead    atomic.Bool // obsolete: remove the file when refs hit zero
-	blocks  *cache.Sharded[[]byte]
+	blocks  *cache.Sharded[*dataBlock]
+	keys    []string // block cache key of every block, built at open
 }
 
-func openSSTable(path string, id uint64, blocks *cache.Sharded[[]byte]) (*sstReader, error) {
+func openSSTable(path string, id uint64, blocks *cache.Sharded[*dataBlock]) (*sstReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -248,6 +256,7 @@ func openSSTable(path string, id uint64, blocks *cache.Sharded[[]byte]) (*sstRea
 		bm.crc = binary.LittleEndian.Uint32(raw)
 		raw = raw[4:]
 		r.index = append(r.index, bm)
+		r.keys = append(r.keys, strconv.FormatUint(id, 16)+":"+strconv.FormatUint(i, 10))
 	}
 	if r.bloom, err = unmarshalBloom(meta[idxLen:]); err != nil {
 		f.Close()
@@ -275,111 +284,170 @@ func (r *sstReader) markObsolete() {
 	r.unref()
 }
 
+// dataBlock is one verified data block as the block cache holds it: the
+// block's bytes and the offset of every entry in them.
+type dataBlock struct {
+	data []byte
+	offs []uint32
+}
+
+// Framing errors of a data block, shared so a hot path never formats one.
+var (
+	errBlockSize = errCorrupt("data block size")
+	errEntry     = errCorrupt("data block entry")
+)
+
+// parseBlock checks the framing of every entry of a block and records where
+// each one starts. Every full key carries a stamp, so an entry is at least
+// 2+stampLen bytes and offs never outgrows the block.
+func parseBlock(data []byte) (*dataBlock, error) {
+	if len(data) == 0 || len(data) > 1<<31 {
+		return nil, errBlockSize
+	}
+	n := 0
+	for pos := 0; pos < len(data); n++ {
+		next, ok := entryEnd(data, pos)
+		if !ok {
+			return nil, errEntry
+		}
+		pos = next
+	}
+	offs := make([]uint32, 0, n)
+	for pos := 0; pos < len(data); {
+		offs = append(offs, uint32(pos))
+		pos, _ = entryEnd(data, pos)
+	}
+	return &dataBlock{data: data, offs: offs}, nil
+}
+
+// entryEnd returns where the entry starting at pos ends, or false when it
+// does not frame: a bad length, a key shorter than its stamp, or a key or
+// op byte running past the block.
+func entryEnd(data []byte, pos int) (int, bool) {
+	klen, n := binary.Uvarint(data[pos:])
+	if n <= 0 || klen < stampLen || klen >= uint64(len(data)-pos-n) {
+		return 0, false
+	}
+	return pos + n + int(klen) + 1, true
+}
+
+// entry returns the key and op of entry i; parseBlock vouched for its framing.
+func (b *dataBlock) entry(i int) ([]byte, byte) {
+	pos := int(b.offs[i])
+	klen, n := binary.Uvarint(b.data[pos:])
+	key := b.data[pos+n : pos+n+int(klen)]
+	return key, b.data[pos+n+int(klen)]
+}
+
+// search returns the index of the first entry whose key is ≥ target.
+func (b *dataBlock) search(target []byte) int {
+	return sort.Search(len(b.offs), func(i int) bool {
+		key, _ := b.entry(i)
+		return bytes.Compare(key, target) >= 0
+	})
+}
+
+// loadBlock reads one data block, verifies its CRC and parses its entry
+// offsets: the block cache's fill.
+func loadBlock(f io.ReaderAt, bm blockMeta, path string) (*dataBlock, error) {
+	buf := make([]byte, bm.len)
+	if _, err := f.ReadAt(buf, int64(bm.off)); err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(buf) != bm.crc {
+		return nil, errCorrupt("block checksum " + path)
+	}
+	blk, err := parseBlock(buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w in %s", err, path)
+	}
+	return blk, nil
+}
+
 // readBlock fetches (and caches) one verified data block.
-func (r *sstReader) readBlock(i int) ([]byte, error) {
-	bm := r.index[i]
-	key := strconv.FormatUint(r.id, 16) + ":" + strconv.Itoa(i)
-	blk, _, err := r.blocks.GetOrCompute(key, func() ([]byte, error) {
-		buf := make([]byte, bm.len)
-		if _, err := r.f.ReadAt(buf, int64(bm.off)); err != nil {
-			return nil, err
-		}
-		if crc32.ChecksumIEEE(buf) != bm.crc {
-			return nil, errCorrupt("block checksum " + r.path)
-		}
-		return buf, nil
+func (r *sstReader) readBlock(i int) (*dataBlock, error) {
+	blk, _, err := r.blocks.GetOrCompute(r.keys[i], func() (*dataBlock, error) {
+		return loadBlock(r.f, r.index[i], r.path)
 	})
 	return blk, err
 }
 
-// tableIter iterates one SSTable ascending within [start, end).
+// tableIter iterates one SSTable ascending within [start, end). It is the
+// only table iterator: lookups, scans, write-path probes and compaction all
+// position it with seek. A zero tableIter is ready for seek, so iterators
+// live in pooled scan state rather than on the heap per call.
 type tableIter struct {
 	r        *sstReader
 	blockIdx int
-	block    []byte
-	pos      int
-	start    []byte
+	blk      *dataBlock // nil once the table or the range is exhausted
+	pos      int        // index of the next entry of blk
 	end      []byte
 	curKey   []byte
 	curOp    byte
 	err      error
-	started  bool
 }
 
-// iter positions an iterator at the first key ≥ start.
-func (r *sstReader) iter(start, end []byte) *tableIter {
-	// Last block whose first key ≤ start (earlier blocks cannot contain it).
+// seek positions the iterator before the first key ≥ start of r: a binary
+// search over the index picks the last block whose first key is ≤ start
+// (earlier blocks cannot contain it), a second one over that block's entry
+// offsets finds the entry.
+func (it *tableIter) seek(r *sstReader, start, end []byte) {
 	i := sort.Search(len(r.index), func(i int) bool {
 		return bytes.Compare(r.index[i].firstKey, start) > 0
 	}) - 1
 	if i < 0 {
 		i = 0
 	}
-	return &tableIter{r: r, blockIdx: i, start: start, end: end}
+	*it = tableIter{r: r, blockIdx: i, end: end}
+	if it.load(); it.blk != nil {
+		it.pos = it.blk.search(start)
+	}
+}
+
+// load makes block blockIdx current, or leaves blk nil past the last block,
+// at a block starting at or past end (it cannot contribute), or on error.
+func (it *tableIter) load() {
+	it.blk, it.pos = nil, 0
+	if it.blockIdx >= len(it.r.index) ||
+		it.end != nil && bytes.Compare(it.r.index[it.blockIdx].firstKey, it.end) >= 0 {
+		return
+	}
+	it.blk, it.err = it.r.readBlock(it.blockIdx)
 }
 
 func (it *tableIter) next() bool {
-	if it.err != nil {
-		return false
-	}
-	for {
-		if it.block == nil {
-			if it.blockIdx >= len(it.r.index) {
-				return false
-			}
-			// A block starting at or past end cannot contribute.
-			if it.end != nil && bytes.Compare(it.r.index[it.blockIdx].firstKey, it.end) >= 0 {
-				return false
-			}
-			blk, err := it.r.readBlock(it.blockIdx)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			it.block, it.pos = blk, 0
+	for it.blk != nil {
+		if it.pos == len(it.blk.offs) {
+			it.blockIdx++
+			it.load()
+			continue
 		}
-		for it.pos < len(it.block) {
-			klen, n := binary.Uvarint(it.block[it.pos:])
-			if n <= 0 || it.pos+n+int(klen)+1 > len(it.block) {
-				it.err = errCorrupt("entry in " + it.r.path)
-				return false
-			}
-			key := it.block[it.pos+n : it.pos+n+int(klen)]
-			op := it.block[it.pos+n+int(klen)]
-			it.pos += n + int(klen) + 1
-			if !it.started && bytes.Compare(key, it.start) < 0 {
-				continue
-			}
-			it.started = true
-			if it.end != nil && bytes.Compare(key, it.end) >= 0 {
-				return false
-			}
-			it.curKey, it.curOp = key, op
-			return true
+		key, op := it.blk.entry(it.pos)
+		it.pos++
+		if it.end != nil && bytes.Compare(key, it.end) >= 0 {
+			it.blk = nil
+			return false
 		}
-		it.block = nil
-		it.blockIdx++
+		it.curKey, it.curOp = key, op
+		return true
 	}
+	return false
 }
 
 func (it *tableIter) key() []byte { return it.curKey }
 func (it *tableIter) op() byte    { return it.curOp }
-func (it *tableIter) close()      {}
 
 // probe returns the newest (first-sorting) entry whose logical key equals
 // logical, using the bloom filter to skip tables that cannot contain it.
-func (r *sstReader) probe(logical []byte) (op byte, version, seq uint64, ok bool, err error) {
+// end is the successor of logical; it positions the caller's iterator.
+func (r *sstReader) probe(it *tableIter, logical, end []byte) (op byte, seq uint64, ok bool, err error) {
 	if !r.bloom.mayContain(logical) {
-		return 0, 0, 0, false, nil
+		return 0, 0, false, nil
 	}
-	end := prefixSuccessor(logical)
-	it := r.iter(logical, end)
-	if it.next() {
-		if !bytes.Equal(logicalOf(it.key()), logical) {
-			return 0, 0, 0, false, it.err
-		}
-		v, s := stampOf(it.key())
-		return it.op(), v, s, true, nil
+	it.seek(r, logical, end)
+	if it.next() && bytes.Equal(logicalOf(it.key()), logical) {
+		_, seq := stampOf(it.key())
+		return it.op(), seq, true, nil
 	}
-	return 0, 0, 0, false, it.err
+	return 0, 0, false, it.err
 }

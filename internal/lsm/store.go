@@ -147,7 +147,7 @@ type Store struct {
 	opt    Options
 	schema *storage.Schema
 	rels   map[string]*relMeta
-	blocks *cache.Sharded[[]byte]
+	blocks *cache.Sharded[*dataBlock]
 
 	// writeMu serializes logical mutations (Insert/Delete/Commit), flush,
 	// compaction install and Close end to end.
@@ -212,7 +212,7 @@ func Open(dir string, schema *storage.Schema, opt Options) (*Store, error) {
 		opt:      opt,
 		schema:   schema,
 		rels:     make(map[string]*relMeta),
-		blocks:   cache.NewSharded[[]byte](8, opt.BlockCacheEntries),
+		blocks:   cache.NewSharded[*dataBlock](8, opt.BlockCacheEntries),
 		mem:      newSkiplist(),
 		version:  man.Version,
 		nextSeq:  man.NextSeq,
@@ -346,19 +346,25 @@ func checkVal(rel string, col storage.Column, val string) error {
 // and every table. Called on the write path under writeMu, where the store
 // state is stable and everything written so far is visible.
 func (s *Store) probeNewest(logical []byte) (op byte, ok bool, err error) {
+	sc := getScratch()
+	defer sc.put()
+	sc.prefix = append(sc.prefix[:0], logical...)
+	end := sc.setRange()
 	var bestSeq uint64
-	end := prefixSuccessor(logical)
-	if it := s.mem.iter(logical, end); it.next() {
-		_, seq := stampOf(it.key())
-		op, ok, bestSeq = it.op(), true, seq
+	if sc.mem.seek(s.mem, logical, end); sc.mem.next() {
+		_, seq := stampOf(sc.mem.key())
+		op, ok, bestSeq = sc.mem.op(), true, seq
 	}
-	for _, r := range s.tables.all() {
-		top, _, tseq, tok, terr := r.probe(logical)
-		if terr != nil {
-			return 0, false, terr
-		}
-		if tok && (!ok || tseq > bestSeq) {
-			op, ok, bestSeq = top, true, tseq
+	it := &sc.tableIters(1)[0]
+	for _, level := range s.tables.levels {
+		for _, r := range level {
+			top, tseq, tok, terr := r.probe(it, logical, end)
+			if terr != nil {
+				return 0, false, terr
+			}
+			if tok && (!ok || tseq > bestSeq) {
+				op, ok, bestSeq = top, true, tseq
+			}
 		}
 	}
 	return op, ok, nil
@@ -633,7 +639,8 @@ func (s *Store) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	for it := s.mem.iter([]byte{}, nil); it.next(); {
+	var it memIter
+	for it.seek(s.mem, nil, nil); it.next(); {
 		if err := sw.add(it.key(), it.op()); err != nil {
 			sw.f.Close()
 			return err
@@ -828,14 +835,23 @@ type LevelStats struct {
 
 // StoreStats is a point-in-time snapshot of store internals.
 type StoreStats struct {
-	Version         uint64         `json:"version"`
-	MemtableEntries int            `json:"memtable_entries"`
-	MemtableBytes   int            `json:"memtable_bytes"`
-	WALBytes        int64          `json:"wal_bytes"`
-	Levels          []LevelStats   `json:"levels"`
-	Flushes         uint64         `json:"flushes"`
-	Compactions     uint64         `json:"compactions"`
-	Live            map[string]int `json:"live"`
+	Version         uint64          `json:"version"`
+	MemtableEntries int             `json:"memtable_entries"`
+	MemtableBytes   int             `json:"memtable_bytes"`
+	WALBytes        int64           `json:"wal_bytes"`
+	Levels          []LevelStats    `json:"levels"`
+	Flushes         uint64          `json:"flushes"`
+	Compactions     uint64          `json:"compactions"`
+	Live            map[string]int  `json:"live"`
+	BlockCache      BlockCacheStats `json:"block_cache"`
+}
+
+// BlockCacheStats counts the shared data-block cache's traffic over the
+// store's lifetime: a miss is a block read from disk, CRC-checked and parsed.
+type BlockCacheStats struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
 }
 
 // Stats reports current store internals.
@@ -851,6 +867,8 @@ func (s *Store) Stats() StoreStats {
 		Compactions:     s.compactions.Load(),
 		Live:            make(map[string]int, len(s.live)),
 	}
+	bc := s.blocks.Stats()
+	st.BlockCache = BlockCacheStats{Hits: bc.Hits, Misses: bc.Misses, Evictions: bc.Evictions}
 	for rel, n := range s.live {
 		st.Live[rel] = n
 	}

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"citare/internal/storage"
@@ -66,7 +67,6 @@ type kvIter interface {
 	next() bool
 	key() []byte
 	op() byte
-	close()
 }
 
 // mergeIter interleaves several sorted iterators into one ascending stream.
@@ -78,12 +78,13 @@ type mergeIter struct {
 	cur   int
 }
 
-func newMergeIter(srcs []kvIter) *mergeIter {
-	m := &mergeIter{srcs: srcs, valid: make([]bool, len(srcs)), cur: -1}
-	for i, s := range srcs {
-		m.valid[i] = s.next()
+// prime advances every (positioned) source to its first entry.
+func (m *mergeIter) prime() {
+	m.valid = m.valid[:0]
+	for _, s := range m.srcs {
+		m.valid = append(m.valid, s.next())
 	}
-	return m
+	m.cur = -1
 }
 
 func (m *mergeIter) next() bool {
@@ -105,26 +106,82 @@ func (m *mergeIter) next() bool {
 func (m *mergeIter) key() []byte { return m.srcs[m.cur].key() }
 func (m *mergeIter) op() byte    { return m.srcs[m.cur].op() }
 
-func (m *mergeIter) close() {
-	for _, s := range m.srcs {
-		s.close()
-	}
+// scanScratch is the state of one range scan: an iterator per source, their
+// merge, the key-range buffers and the row decoder. Scans nest — a lookup's
+// callback runs the next join step's lookup — so every scan takes its own
+// scratch from scratchPool and puts it back on exit.
+type scanScratch struct {
+	mem    memIter
+	tables []tableIter
+	merge  mergeIter
+	prefix []byte
+	end    []byte
+	dec    rowDecoder
 }
 
-// iterSources builds one iterator per data source over [start, end):
-// the pinned memtable plus every table of every level.
-func (v *View) iterSources(start, end []byte) []kvIter {
-	n := 1
-	for _, level := range v.tables.levels {
-		n += len(level)
+var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+func getScratch() *scanScratch { return scratchPool.Get().(*scanScratch) }
+
+// put returns the scratch to the pool. It first drops every reference into
+// memtables, tables and blocks, so a pooled scratch pins no memory.
+func (sc *scanScratch) put() {
+	sc.mem = memIter{}
+	clear(sc.tables)
+	scratchPool.Put(sc)
+}
+
+// tableIters returns n table iterators, each to be positioned with seek.
+func (sc *scanScratch) tableIters(n int) []tableIter {
+	if cap(sc.tables) < n {
+		sc.tables = make([]tableIter, n)
 	}
-	srcs := append(make([]kvIter, 0, n), v.mem.iter(start, end))
-	for _, level := range v.tables.levels {
-		for _, r := range level {
-			srcs = append(srcs, r.iter(start, end))
+	sc.tables = sc.tables[:n]
+	return sc.tables
+}
+
+// err returns the first error a table iterator of the last merge met.
+func (sc *scanScratch) err() error {
+	for i := range sc.tables {
+		if err := sc.tables[i].err; err != nil {
+			return err
 		}
 	}
-	return srcs
+	return nil
+}
+
+// setRange makes [sc.prefix, end) the scan range: end is the prefix's
+// successor, nil when the prefix is all 0xff.
+func (sc *scanScratch) setRange() (end []byte) {
+	sc.end = append(sc.end[:0], sc.prefix...)
+	return successor(sc.end)
+}
+
+// mergeSources positions one iterator per source over [start, end) — the
+// memtable (none when mem is nil) and every table of every level — and
+// returns their merge.
+func (sc *scanScratch) mergeSources(mem *skiplist, levels [][]*sstReader, start, end []byte) *mergeIter {
+	n := 0
+	for _, level := range levels {
+		n += len(level)
+	}
+	tables := sc.tableIters(n)
+	srcs := sc.merge.srcs[:0]
+	if mem != nil {
+		sc.mem.seek(mem, start, end)
+		srcs = append(srcs, &sc.mem)
+	}
+	i := 0
+	for _, level := range levels {
+		for _, r := range level {
+			tables[i].seek(r, start, end)
+			srcs = append(srcs, &tables[i])
+			i++
+		}
+	}
+	sc.merge.srcs = srcs
+	sc.merge.prime()
+	return &sc.merge
 }
 
 // scanVisible walks the key range [start, end) and calls fn with the logical
@@ -133,9 +190,8 @@ func (v *View) iterSources(start, end []byte) []kvIter {
 // sequence ceiling decides: a set is live, a tombstone hides everything
 // older. Invisible entries (too-new version or sequence) are skipped without
 // deciding, letting an older entry of the same logical key speak.
-func (v *View) scanVisible(start, end []byte, fn func(logical []byte) bool) {
-	m := newMergeIter(v.iterSources(start, end))
-	defer m.close()
+func (v *View) scanVisible(sc *scanScratch, start, end []byte, fn func(logical []byte) bool) {
+	m := sc.mergeSources(v.mem, v.tables.levels, start, end)
 	var decided []byte
 	for m.next() {
 		key := m.key()
@@ -172,14 +228,10 @@ func (r *RelView) Len() int { return r.n }
 
 // Scan visits every live tuple in ordering-0 key order.
 func (r *RelView) Scan(fn func(t storage.Tuple) bool) {
-	prefix := appendLogicalPrefix(nil, r.rs.Name, 0)
-	r.v.scanVisible(prefix, prefixSuccessor(prefix), func(logical []byte) bool {
-		fields, err := decodeFields(logical, len(prefix))
-		if err != nil || len(fields) != r.rs.Arity() {
-			return true // skip undecodable entries rather than abort the scan
-		}
-		return fn(storage.Tuple(fields))
-	})
+	sc := getScratch()
+	defer sc.put()
+	sc.prefix = appendLogicalPrefix(sc.prefix[:0], r.rs.Name, 0)
+	r.scanRows(sc, 0, len(sc.prefix), fn)
 }
 
 // Lookup visits live tuples whose projection on cols equals vals. It picks
@@ -216,21 +268,33 @@ func (r *RelView) Lookup(cols []int, vals []string, fn func(t storage.Tuple) boo
 			bestOrd, bestRun = o, run
 		}
 	}
-	prefix := appendLogicalPrefix(nil, r.rs.Name, byte(bestOrd))
-	relPrefixLen := len(prefix)
+	sc := getScratch()
+	defer sc.put()
+	sc.prefix = appendLogicalPrefix(sc.prefix[:0], r.rs.Name, byte(bestOrd))
+	relPrefixLen := len(sc.prefix)
 	for i := 0; i < bestRun; i++ {
-		prefix = appendField(prefix, want[(bestOrd+i)%k])
+		sc.prefix = appendField(sc.prefix, want[(bestOrd+i)%k])
 	}
-	r.v.scanVisible(prefix, prefixSuccessor(prefix), func(logical []byte) bool {
-		fields, err := decodeFields(logical, relPrefixLen)
-		if err != nil || len(fields) != k {
-			return true
-		}
-		t := storage.Tuple(unrotate(fields, bestOrd))
+	r.scanRows(sc, bestOrd, relPrefixLen, func(t storage.Tuple) bool {
 		for _, c := range cols {
 			if t[c] != want[c] {
 				return true
 			}
+		}
+		return fn(t)
+	})
+}
+
+// scanRows visits every live tuple whose ordering-ord key starts with
+// sc.prefix, each decoded into a fresh row; relPrefixLen is the length of
+// the keyspace prefix (rel 0x00 ord). Undecodable entries are skipped
+// rather than abort the scan.
+func (r *RelView) scanRows(sc *scanScratch, ord, relPrefixLen int, fn func(t storage.Tuple) bool) {
+	k := r.rs.Arity()
+	r.v.scanVisible(sc, sc.prefix, sc.setRange(), func(logical []byte) bool {
+		t, err := sc.dec.decode(logical, relPrefixLen, ord, k)
+		if err != nil {
+			return true
 		}
 		return fn(t)
 	})
