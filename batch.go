@@ -27,10 +27,10 @@ type batchGroup struct {
 // query — reordered bodies, renamed variables, redundant atoms — share the
 // canonical key, suffixed with the options that can change the citation or
 // the error behavior (MaxRewritings, MaxTuples, and the resilience policy
-// knobs MinShardCoverage/ShardAttempts; Parallel only changes the schedule,
-// never the output). Unsatisfiable queries fall back to the raw syntactic
-// key — they are cheap to evaluate and need no sharing. The query's own
-// column labels, which the canonical key abstracts from, come back with it.
+// knobs MinShardCoverage/ShardAttempts). Unsatisfiable queries fall back to
+// the raw syntactic key — they are cheap to evaluate and need no sharing.
+// The query's own column labels, which the canonical key abstracts from,
+// come back with it.
 func batchKey(r *resolved, req Request) (string, []string) {
 	key, columns := r.canonical()
 	if key == "" {

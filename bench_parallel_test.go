@@ -1,67 +1,19 @@
 package citare
 
-// B11–B13 — concurrency benchmarks for the parallel read path: parallel
-// binding enumeration speedup, shared-engine throughput under concurrent
-// Cite load (lock contention), and snapshot cost.
+// B12–B13 — concurrency benchmarks for the read path: shared-engine
+// throughput under concurrent Cite load (lock contention), and snapshot
+// cost.
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"citare/internal/backend"
-	"citare/internal/eval"
 	"citare/internal/gtopdb"
 	"citare/internal/lsm"
 	"citare/internal/shard"
 	"citare/internal/storage"
-	"citare/internal/workload"
 )
-
-// B11 — parallel binding-enumeration speedup over the sequential evaluator on the
-// gtopdb and chain workloads. workers=1 is the sequential baseline.
-func BenchmarkParallelEval(b *testing.B) {
-	workers := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		workers = append(workers, p)
-	}
-
-	cfg := gtopdb.DefaultConfig()
-	cfg.Families = 3000
-	gdb := gtopdb.Generate(cfg)
-	committee := workload.GtoPdbQueries()[2] // Family ⋈ FC ⋈ Person
-	cdb := workload.ChainDB(3, 1500, 64, 7)
-	chain := workload.ChainQuery(3)
-
-	for _, w := range workers {
-		w := w
-		b.Run(fmt.Sprintf("gtopdb-committee/workers=%d", w), func(b *testing.B) {
-			var n int
-			for i := 0; i < b.N; i++ {
-				res, err := eval.EvalOpts(gdb, committee, eval.Options{Parallel: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(res.Tuples)
-			}
-			b.ReportMetric(float64(n), "out-tuples")
-		})
-	}
-	for _, w := range workers {
-		w := w
-		b.Run(fmt.Sprintf("chain3/workers=%d", w), func(b *testing.B) {
-			var n int
-			for i := 0; i < b.N; i++ {
-				res, err := eval.EvalOpts(cdb, chain, eval.Options{Parallel: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(res.Tuples)
-			}
-			b.ReportMetric(float64(n), "out-tuples")
-		})
-	}
-}
 
 // B12 — shared-engine throughput under concurrent Cite load: one engine,
 // GOMAXPROCS client goroutines, mixed query set. Compares against the same

@@ -133,10 +133,16 @@ func (c *CachedCiter) key(req Request) (r *resolved, key string, columns []strin
 	if r, _, err = c.citer.resolve(req); err != nil {
 		return nil, "", nil, err
 	}
+	key, columns = c.keyOf(r, req)
+	return r, key, columns, nil
+}
+
+// keyOf is key for a request already resolved.
+func (c *CachedCiter) keyOf(r *resolved, req Request) (key string, columns []string) {
 	if key, columns = r.canonical(); key != "" {
 		key = optionsKey(c.epoch.Load(), req) + key
 	}
-	return r, key, columns, nil
+	return key, columns
 }
 
 // Cached returns the citation the cache holds for the request, as the request
@@ -294,19 +300,27 @@ func (c *CachedCiter) CiteBatchItems(ctx context.Context, reqs []Request) []Batc
 	return items
 }
 
-// CiteEach streams per-tuple citations for one request. A request whose
-// citation the cache holds (Cached) is a replay — Citation.EachTuple: the
-// tuples, order and bytes the evaluation would deliver, nothing evaluated or
-// rendered, each distinct citation's text forms made once for every stream of
-// the entry. Any other request runs Citer.CiteEach and stores nothing: a
-// stream never builds the aggregate a cached citation carries.
+// CiteEach streams per-tuple citations for one request, whose text it
+// resolves once. A request whose citation the cache holds (what Cached would
+// return) is a replay — Citation.EachTuple: the tuples, order and bytes the
+// evaluation would deliver, nothing evaluated or rendered, each distinct
+// citation's text forms made once for every stream of the entry. Any other
+// request cites the resolved query as Citer.CiteEach would and stores
+// nothing: a stream never builds the aggregate a cached citation carries.
 func (c *CachedCiter) CiteEach(ctx context.Context, req Request, fn func(Tuple) error) error {
-	if fn != nil { // a nil callback is Citer.CiteEach's to reject
-		if ct, ok := c.Cached(ctx, req); ok {
-			return ct.EachTuple(fn)
+	if fn == nil || req.Explain { // a nil callback is Citer.CiteEach's to reject
+		return c.citer.CiteEach(ctx, req, fn)
+	}
+	r, err := c.citer.resolveTraced(ctx, req)
+	if err != nil {
+		return err
+	}
+	if key, columns := c.keyOf(r, req); key != "" {
+		if ct, ok := c.entries.Get(key); ok {
+			return ct.forRequest(req, columns).EachTuple(fn)
 		}
 	}
-	return c.citer.CiteEach(ctx, req, fn)
+	return c.citer.citeEach(ctx, r, req, fn)
 }
 
 // CiteSQL parses and cites a SQL query through the cache.

@@ -1,9 +1,9 @@
 package citare
 
 // Facade-level cancellation property tests on the gtopdb join workload:
-// prompt ErrCanceled across all three execution strategies (sequential,
-// worker-pool, scatter-gather), no goroutine leaks, race-clean under
-// GOMAXPROCS 1 and 4 (CI runs both).
+// prompt ErrCanceled in both execution strategies (sequential descent,
+// scatter-gather with and without resilience), no goroutine leaks,
+// race-clean under GOMAXPROCS 1 and 4 (CI runs both).
 
 import (
 	"context"
@@ -19,7 +19,8 @@ import (
 const gtopdbJoinQuery = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "type-01"`
 
 // cancelCiters builds one Citer per execution strategy over a generated
-// gtopdb instance large enough that the join runs long.
+// gtopdb instance large enough that the join runs long — and the scatter's
+// plans large enough for Auto to run a shard pool where cores allow.
 func cancelCiters(t testing.TB) map[string]*Citer {
 	t.Helper()
 	cfg := gtopdb.DefaultConfig()
@@ -30,13 +31,13 @@ func cancelCiters(t testing.TB) map[string]*Citer {
 		t.Fatal(err)
 	}
 	out := make(map[string]*Citer, 3)
-	if out["sequential"], err = NewFromProgram(db, gtopdb.ViewsProgram, WithParallelEval(1)); err != nil {
+	if out["sequential"], err = NewFromProgram(db, gtopdb.ViewsProgram); err != nil {
 		t.Fatal(err)
 	}
-	if out["pool-4"], err = NewFromProgram(db, gtopdb.ViewsProgram, WithParallelEval(4)); err != nil {
+	if out["resilient-4"], err = NewShardedFromProgram(sdb, gtopdb.ViewsProgram, WithResilience(ResilienceConfig{Seed: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if out["scatter-4"], err = NewShardedFromProgram(sdb, gtopdb.ViewsProgram, WithParallelEval(4)); err != nil {
+	if out["scatter-4"], err = NewShardedFromProgram(sdb, gtopdb.ViewsProgram); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -24,11 +24,11 @@
 // The request API is context-first: every entry point takes a
 // context.Context and a Request. The context governs the whole pipeline —
 // cancel it (or let its deadline expire) and the evaluation stops at the
-// next partition or frame boundary in whichever execution strategy is
-// running, returning an error tagged ErrCanceled instead of burning cores
-// on an answer nobody is waiting for. The Request carries per-request
-// knobs: the render Format, a Parallel override, a MaxRewritings bound and
-// a MaxTuples result cap (exceeding it fails with ErrLimit).
+// next shard or frame boundary in whichever execution strategy is running,
+// returning an error tagged ErrCanceled instead of burning cores on an
+// answer nobody is waiting for. The Request carries per-request knobs: the
+// render Format, a MaxRewritings bound and a MaxTuples result cap
+// (exceeding it fails with ErrLimit).
 //
 //   - Cite(ctx, req) evaluates one request.
 //   - CiteBatch(ctx, reqs) evaluates many at once: requests whose queries
@@ -76,19 +76,20 @@
 //     never invalidate in-flight snapshot readers.
 //   - internal/eval: queries compile once into physical plans (variables
 //     mapped to integer slots, precomputed access paths, cardinality-aware
-//     join order) executed on reusable slot frames. eval.Options{Parallel}
-//     partitions the enumeration across workers — eval.Auto (the engine
-//     default) derives the worker count from plan cardinalities and
-//     partitions deeper atoms when the first one is too small to split; the
-//     binding multiset (Plan.Each) and the sorted output (Plan.EvalCtx) are
-//     identical to the sequential evaluation's.
+//     join order) executed on reusable slot frames. A plan over an
+//     unpartitioned store descends sequentially, on the request's own
+//     goroutine; citations are plan-independent, so concurrency comes from
+//     serving requests side by side, and from sharding.
 //   - internal/shard: a shard.DB hash-partitions every relation across N
 //     independent storage.DB shards (each with its own locks, indexes and
 //     snapshots). A plan compiled over one scatter-gathers: the first join
-//     atom is partitioned by shard, shards that cannot match a bound shard key are
-//     skipped entirely, and results merge deterministically — byte-identical
-//     to unsharded evaluation. Build a sharded Citer with NewSharded /
-//     NewShardedFromProgram (see shard.FromDB to partition existing data).
+//     atom is read shard by shard — on several workers when the plan's
+//     relations are large enough (eval.Auto) — shards that cannot match a
+//     bound shard key are skipped entirely, and results merge
+//     deterministically: the binding multiset (Plan.Each) and the sorted
+//     output (Plan.EvalCtx) are byte-identical to unsharded evaluation.
+//     Build a sharded Citer with NewSharded / NewShardedFromProgram (see
+//     shard.FromDB to partition existing data).
 //   - internal/core: an Engine snapshots the database at construction and
 //     on Reset. An epoch is that snapshot, its number and the physical
 //     plans compiled against it, captured once per Cite; citation views are
@@ -198,7 +199,6 @@ type options struct {
 	policy     Policy
 	policySet  bool
 	neutral    []*format.Object
-	parallel   int
 	resilience *ResilienceConfig
 }
 
@@ -217,23 +217,16 @@ func WithNeutralCitation(obj *format.Object) Option {
 	return func(o *options) { o.neutral = append(o.neutral, obj) }
 }
 
-// WithParallelEval evaluates queries and unfolded rewritings with n
-// workers (see eval.Options.Parallel). Results are identical to sequential
-// evaluation. n == 0 (the default) adapts the worker count to each compiled
-// plan's relation cardinalities and GOMAXPROCS; n == 1 forces sequential
-// evaluation; n > 1 fixes the worker cap.
-func WithParallelEval(n int) Option {
-	return func(o *options) { o.parallel = n }
-}
-
 // WithResilience arms a sharded Citer's scatter-gather evaluations with the
 // fault-tolerant driver: per-shard attempt deadlines, bounded retries with
 // exponential backoff and seeded jitter, optional hedged duplicate attempts
 // for stragglers, and per-shard circuit breakers shared across requests.
-// With zero faults the output stays byte-identical to the plain scatter
-// path. The zero ResilienceConfig enables the driver with defaults; on an
-// unsharded (or single-shard) Citer the option is inert. Degradation policy
-// is per request: see Request.MinShardCoverage.
+// With zero faults the output stays byte-identical to a sharded Citer
+// without it, which reads each shard once and fails the request with
+// ErrShardUnavailable when a shard read fails. The zero ResilienceConfig
+// enables the policy with defaults; on an unsharded (or single-shard) Citer
+// the option is inert. Degradation policy is per request: see
+// Request.MinShardCoverage.
 func WithResilience(cfg ResilienceConfig) Option {
 	return func(o *options) { o.resilience = &cfg }
 }
@@ -255,7 +248,6 @@ func newCiter(src core.SnapshotSource, back backend.Backend, views []*CitationVi
 	if err != nil {
 		return nil, err
 	}
-	engine.SetEvalParallelism(o.parallel)
 	engine.SetResilience(o.resilience)
 	return &Citer{
 		engine: engine, schema: src.Schema(), back: back, opts: opts,

@@ -18,13 +18,13 @@
 // # v1 wire schema
 //
 // A citation request is a JSON object with exactly one query field and
-// optional per-request knobs (zero values mean "server default"):
+// optional per-request knobs (zero values mean "server default"; unknown
+// fields are ignored):
 //
 //	{
 //	  "sql":            "SELECT f.FName FROM Family f ...",  // xor "datalog"
 //	  "datalog":        "Q(N) :- Family(F, N, Ty), ...",
 //	  "format":         "json",   // json | json-compact | xml | bibtex | text
-//	  "parallel":       0,        // 1 = sequential, n > 1 caps the workers
 //	  "max_rewritings": 0,        // bound rewriting enumeration
 //	  "max_tuples":     0,        // bound the answer size; beyond it → 422
 //	  "explain":        false,    // attach a per-stage pipeline trace
@@ -139,6 +139,8 @@
 // case a citation covering at least k shards is returned as 206 with a
 // "coverage" object naming the shards that answered, were pruned, or were
 // skipped (and, on /v1/cite/stream, the same object on the trailer line).
+// With -resilience=false each shard is read once, with no deadline, and a
+// failed read answers 503 "unavailable".
 // Breaker states are surfaced on /stats, on the /v1/health readiness
 // probe (503 once any breaker opens), and as citare_shard_* /metrics
 // series. On SIGTERM/SIGINT the server stops accepting connections and
@@ -268,7 +270,6 @@ type citeRequest struct {
 	SQL           string `json:"sql,omitempty"`
 	Datalog       string `json:"datalog,omitempty"`
 	Format        string `json:"format,omitempty"`
-	Parallel      int    `json:"parallel,omitempty"`
 	MaxRewritings int    `json:"max_rewritings,omitempty"`
 	MaxTuples     int    `json:"max_tuples,omitempty"`
 	Explain       bool   `json:"explain,omitempty"`
@@ -286,7 +287,6 @@ func (r citeRequest) request() citare.Request {
 		SQL:              r.SQL,
 		Datalog:          r.Datalog,
 		Format:           r.Format,
-		Parallel:         r.Parallel,
 		MaxRewritings:    r.MaxRewritings,
 		MaxTuples:        r.MaxTuples,
 		Explain:          r.Explain,
@@ -900,7 +900,6 @@ func main() {
 		dataDir   = flag.String("data", "", "directory of <Relation>.csv files (defaults to the paper instance)")
 		lsmDir    = flag.String("data-dir", "", "persistent LSM store directory: recover on boot if populated, else seed from -data or the paper instance")
 		viewsPath = flag.String("views", "", "citation-views program file (defaults to the paper's views)")
-		parallel  = flag.Int("parallel", 0, "binding-enumeration workers per query (0 = adaptive from plan cardinalities, 1 = sequential)")
 		shards    = flag.Int("shards", 1, "hash-partition the database across N shards (<=1 unsharded)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request evaluation deadline (0 disables)")
 		quiet     = flag.Bool("quiet", false, "suppress the per-request access log")
@@ -933,7 +932,6 @@ func main() {
 	}
 	opts := []citare.Option{
 		citare.WithNeutralCitation(gtopdb.DatabaseCitation()),
-		citare.WithParallelEval(*parallel),
 	}
 	var (
 		citer *citare.Citer

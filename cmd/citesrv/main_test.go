@@ -457,6 +457,24 @@ func TestV1AndLegacyCiteAgree(t *testing.T) {
 	}
 }
 
+// TestRetiredParallelFieldIgnored: a client still sending the retired
+// "parallel" knob gets the response a request without it gets.
+func TestRetiredParallelFieldIgnored(t *testing.T) {
+	mux := testServer(t).mux()
+	get := func(body string) string {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, w.Code, w.Body.String())
+		}
+		return w.Body.String()
+	}
+	plain := get(`{"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\""}`)
+	if old := get(`{"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"", "parallel": 4}`); old != plain {
+		t.Fatalf("with \"parallel\":\n%s\nwithout:\n%s", old, plain)
+	}
+}
+
 func TestHandleViews(t *testing.T) {
 	s := testServer(t)
 	req := httptest.NewRequest(http.MethodGet, "/views", nil)

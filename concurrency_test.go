@@ -42,13 +42,15 @@ func cite(c *Citer, q mixedQuery) (*Citation, error) {
 // TestConcurrentCiteMixedFrontends issues N goroutines of mixed SQL and
 // datalog citations against a single fresh engine (so first compilations and
 // first token renderings happen under contention) and checks every result
-// against a sequentially computed baseline.
+// against a sequentially computed baseline. parallel=N is the engine's
+// scatter fan-out: 0 an unsharded engine, N a store of N shards.
 func TestConcurrentCiteMixedFrontends(t *testing.T) {
 	queries := mixedWorkload()
 
 	// Sequential baseline from an independent engine.
 	baseline := make([]string, len(queries))
-	seq := newPaperCiter(t)
+	neutral := WithNeutralCitation(gtopdb.DatabaseCitation())
+	seq := newPaperCiter(t, neutral)
 	for i, q := range queries {
 		res, err := cite(seq, q)
 		if err != nil {
@@ -59,7 +61,12 @@ func TestConcurrentCiteMixedFrontends(t *testing.T) {
 
 	for _, parallel := range []int{0, 4} {
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
-			shared := newPaperCiter(t, WithParallelEval(parallel))
+			var shared *Citer
+			if parallel == 0 {
+				shared = newPaperCiter(t, neutral)
+			} else { // with the same neutral citation
+				shared = shardedPaperCiter(t, gtopdb.PaperInstance(), parallel)
+			}
 			const goroutines = 24
 			const rounds = 8
 			var wg sync.WaitGroup

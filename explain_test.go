@@ -3,41 +3,33 @@ package citare
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"strings"
 	"testing"
 
 	"citare/internal/gtopdb"
 	"citare/internal/obs"
-	"citare/internal/shard"
 )
 
 const explainTestSQL = "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"
 
 // explainCiters builds one citer per evaluation configuration: unsharded
-// sequential / parallel / adaptive, and sharded (scatter-gather) at two
-// shard counts.
+// ("auto"), a single shard (its plans descend sequentially), and sharded
+// (scatter-gather) at two shard counts, plus four shards under the
+// resilient attempt policy.
 func explainCiters(t *testing.T) map[string]*Citer {
 	t.Helper()
-	citers := make(map[string]*Citer)
-	for name, parallel := range map[string]int{"sequential": 1, "parallel4": 4, "auto": 0} {
-		c, err := NewFromProgram(gtopdb.PaperInstance(), gtopdb.ViewsProgram,
-			WithNeutralCitation(gtopdb.DatabaseCitation()), WithParallelEval(parallel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		citers[name] = c
+	c, err := NewFromProgram(gtopdb.PaperInstance(), gtopdb.ViewsProgram,
+		WithNeutralCitation(gtopdb.DatabaseCitation()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range []int{2, 4} {
-		sdb, err := shard.FromDB(gtopdb.PaperInstance(), n)
-		if err != nil {
-			t.Fatal(err)
+	citers := map[string]*Citer{"auto": c}
+	for name, n := range map[string]int{"sequential": 1, "scatter2": 2, "scatter4": 4, "resilient4": 4} {
+		var opts []Option
+		if name == "resilient4" {
+			opts = append(opts, WithResilience(ResilienceConfig{Seed: 1}))
 		}
-		c, err := NewShardedFromProgram(sdb, gtopdb.ViewsProgram,
-			WithNeutralCitation(gtopdb.DatabaseCitation()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		citers[fmt.Sprintf("scatter%d", n)] = c
+		citers[name] = shardedPaperCiter(t, gtopdb.PaperInstance(), n, opts...)
 	}
 	return citers
 }
@@ -85,7 +77,7 @@ func TestExplainReportShape(t *testing.T) {
 
 	for name, wantStrategy := range map[string]string{
 		"sequential": "sequential",
-		"parallel4":  "parallel",
+		"resilient4": "scatter-resilient",
 		"scatter4":   "scatter",
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -136,7 +128,7 @@ func TestExplainReportShape(t *testing.T) {
 			if got := eval.Attrs["strategy"]; got != wantStrategy {
 				t.Fatalf("eval strategy %v, want %q", got, wantStrategy)
 			}
-			if name == "scatter4" {
+			if strings.HasPrefix(wantStrategy, "scatter") {
 				if eval.Attrs["shards"] == nil {
 					t.Fatalf("scatter eval has no shards attr: %v", eval.Attrs)
 				}

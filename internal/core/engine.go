@@ -59,11 +59,6 @@ type Engine struct {
 	byName map[string]*CitationView
 	policy Policy
 
-	// parallel configures binding-enumeration workers: 0 adapts the worker
-	// count to each plan's cardinalities (eval.Auto), 1 forces sequential,
-	// n > 1 fixes the cap. Set via SetEvalParallelism before concurrent use.
-	parallel int
-
 	tokenCache *cache.Sharded[*format.Object]
 
 	// plans is the engine-lifetime logical-plan cache, one entry per query
@@ -97,8 +92,8 @@ type Engine struct {
 	breakers   *eval.Breakers
 
 	// shardWrap, when set via SetShardWrapper, wraps each new snapshot that
-	// is an eval.ShardScanner — the fault injector's seam.
-	shardWrap func(eval.ShardScanner) eval.ShardScanner
+	// is an eval.Partitioned — the fault injector's seam.
+	shardWrap func(eval.Partitioned) eval.Partitioned
 
 	epochCtr atomic.Uint64 // allocates unique epochs across concurrent Resets
 
@@ -199,39 +194,9 @@ func (e *Engine) PhysicalPlanStats() (hits, misses uint64) {
 	return e.physHits.Load(), e.physMisses.Load()
 }
 
-// SetEvalParallelism sets the worker count for parallel binding
-// enumeration: 0 (the default) adapts the count to each compiled plan's
-// relation cardinalities and GOMAXPROCS (eval.Auto), 1 forces sequential
-// evaluation, and n > 1 fixes the worker cap. Call before sharing the
-// engine across goroutines; it is not synchronized with in-flight Cite
-// calls.
-func (e *Engine) SetEvalParallelism(n int) { e.parallel = n }
-
-// requestOpts resolves one request's evaluation options: a non-zero
-// per-request Parallel overrides the engine's configuration, otherwise the
-// engine default applies. Unset parallelism is adaptive: the evaluator
-// derives the worker count from the plan's first-atom cardinality
-// (partitioning deeper atoms when the first is too small to split) instead
-// of a blind flag default.
-func (e *Engine) requestOpts(o CiteOptions) eval.Options {
-	p := e.parallel
-	if o.Parallel != 0 {
-		p = o.Parallel
-	}
-	if p == 0 {
-		p = eval.Auto
-	}
-	return eval.Options{Parallel: p}
-}
-
 // CiteOptions are the per-request knobs of one citation call. The zero
 // value means "use the engine's configuration" for every field.
 type CiteOptions struct {
-	// Parallel overrides the engine's binding-enumeration worker setting
-	// for this request: 1 forces sequential evaluation, n > 1 caps the
-	// pool, eval.Auto adapts to plan cardinalities. 0 keeps the engine
-	// default.
-	Parallel int
 	// MaxRewritings tightens the policy's rewriting-enumeration bound for
 	// this request; 0 keeps the policy's bound, and a request can never
 	// raise a non-zero policy bound (the engine clamps to the minimum), so
@@ -292,10 +257,11 @@ func (e *Engine) buildState(epoch uint64) (*engineState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sc, ok := view.(eval.ShardScanner); ok && e.shardWrap != nil {
-		view = e.shardWrap(sc)
-	}
 	part, _ := view.(eval.Partitioned)
+	if part != nil && e.shardWrap != nil {
+		part = e.shardWrap(part)
+		view = part
+	}
 	return &engineState{
 		epoch:       epoch,
 		tokenPrefix: strconv.FormatUint(epoch, 10) + "|",
@@ -483,9 +449,7 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 	// rewriting work happens.
 	st := e.curState()
 	resil := e.resilienceFor(st, o)
-	outOpts := e.requestOpts(o)
-	outOpts.MaxTuples = o.MaxTuples
-	outOpts.Resilience = resil
+	outOpts := eval.Options{Parallel: eval.Auto, MaxTuples: o.MaxTuples, Resilience: resil}
 	ev := ob.begin(obs.StageEval)
 	out, err := st.snap.eval(ob.ctxFor(ctx, ev), p.min, outOpts)
 	ob.end(ev)
@@ -504,7 +468,7 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 		perKey[out.Keys[i]] = &tuples[i]
 	}
 
-	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, o, resil, us, perKey); err != nil {
+	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, resil, us, perKey); err != nil {
 		return nil, err
 	}
 

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"citare/internal/cq"
 	"citare/internal/eval"
 	"citare/internal/obs"
 	"citare/internal/provenance"
 	"citare/internal/rewrite"
+	"citare/internal/storage"
 )
 
 // The gather stage of the citation pipeline (Engine.cite): every certified
@@ -47,9 +47,8 @@ func (s frameSrc) value(frame []string) string {
 // so its evaluation must reach every shard its lookups touch whatever the
 // output policy allows, and one that cannot is left out, with its views
 // named in the request's coverage report, instead of failing the request.
-func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, o CiteOptions, resil *eval.Resilience, us []*unfolded, perKey map[string]*TupleCitation) ([]*rewrite.Rewriting, error) {
-	opts := e.requestOpts(o)
-	opts.Resilience = fullCoverage(resil)
+func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, resil *eval.Resilience, us []*unfolded, perKey map[string]*TupleCitation) ([]*rewrite.Rewriting, error) {
+	opts := eval.Options{Parallel: eval.Auto, Resilience: fullCoverage(resil)}
 	allowSkip := resil != nil && resil.MinShardCoverage > 0
 	// A degraded output evaluation lacks the skipped shards' tuples, which a
 	// rewriting whose own lookups prune away from those shards still
@@ -85,14 +84,6 @@ func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, o
 		}
 	}
 	return used, nil
-}
-
-// appendKeyPart appends v in the collision-free length-prefixed encoding of
-// storage.Tuple.Key.
-func appendKeyPart(buf []byte, v string) []byte {
-	buf = strconv.AppendInt(buf, int64(len(v)), 10)
-	buf = append(buf, ':')
-	return append(buf, v...)
 }
 
 // gatherRewriting evaluates one rewriting, unfolded, by enumerating its
@@ -176,7 +167,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 		if u.dedupe {
 			keyBuf = keyBuf[:0]
 			for _, s := range ownSrc {
-				keyBuf = appendKeyPart(keyBuf, s.value(f))
+				keyBuf = storage.AppendKeyPart(keyBuf, s.value(f))
 			}
 			if _, dup := seen[string(keyBuf)]; dup { // no-alloc map probe
 				deduped++
@@ -187,7 +178,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 		monoBuf = monoBuf[:0]
 		for _, srcs := range paramSrc {
 			for _, s := range srcs {
-				monoBuf = appendKeyPart(monoBuf, s.value(f))
+				monoBuf = storage.AppendKeyPart(monoBuf, s.value(f))
 			}
 		}
 		m, ok := monos[string(monoBuf)] // no-alloc map probe
@@ -208,7 +199,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 		// Head-tuple key, probed without allocating on repeats.
 		keyBuf = keyBuf[:0]
 		for _, s := range headSrc {
-			keyBuf = appendKeyPart(keyBuf, s.value(f))
+			keyBuf = storage.AppendKeyPart(keyBuf, s.value(f))
 		}
 		p, ok := polys[string(keyBuf)] // no-alloc map probe
 		if !ok {

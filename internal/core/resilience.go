@@ -70,10 +70,11 @@ func (e *Engine) SetResilience(cfg *ResilienceConfig) {
 func (e *Engine) BreakerStates() []eval.BreakerInfo { return e.breakers.States() }
 
 // SetShardWrapper installs a wrapper applied to every snapshot the engine
-// takes that is an eval.ShardScanner — the hook the fault injector
-// (internal/fault) uses to impose faults at the shard-scan seam; other
-// snapshots are left alone. Takes effect at the next Reset.
-func (e *Engine) SetShardWrapper(wrap func(eval.ShardScanner) eval.ShardScanner) {
+// takes that is an eval.Partitioned — the hook the fault injector
+// (internal/fault) uses to impose faults at the shard-scan seam, seen by the
+// engine with or without resilience; other snapshots are left alone. Takes
+// effect at the next Reset.
+func (e *Engine) SetShardWrapper(wrap func(eval.Partitioned) eval.Partitioned) {
 	e.shardWrap = wrap
 }
 

@@ -61,7 +61,7 @@ func TestCiteCancelDuringRender(t *testing.T) {
 	// Control: uncanceled, every distinct token renders.
 	ctrl, ctrlRenders := renderHarness(t, rows, nil)
 	q := mustQuery(t, `Q(B) :- R(A, B)`)
-	if _, err := ctrl.CiteCtx(context.Background(), q, core.CiteOptions{Parallel: 1}); err != nil {
+	if _, err := ctrl.CiteCtx(context.Background(), q, core.CiteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := ctrlRenders.Load(); n != rows {
@@ -75,9 +75,9 @@ func TestCiteCancelDuringRender(t *testing.T) {
 			e, renders := renderHarness(t, rows, cancel) // first render cancels
 			var err error
 			if mode == "materialized" {
-				_, err = e.CiteCtx(ctx, q, core.CiteOptions{Parallel: 1})
+				_, err = e.CiteCtx(ctx, q, core.CiteOptions{})
 			} else {
-				_, err = e.CiteEach(ctx, q, core.CiteOptions{Parallel: 1}, func(*core.TupleCitation) error { return nil })
+				_, err = e.CiteEach(ctx, q, core.CiteOptions{}, func(*core.TupleCitation) error { return nil })
 			}
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
@@ -101,7 +101,7 @@ func TestCiteEachRendersLazily(t *testing.T) {
 	// λ-token and renders exactly once.
 	q := mustQuery(t, `Q(A, B) :- R(A, B)`)
 	delivered := 0
-	_, err := e.CiteEach(context.Background(), q, core.CiteOptions{Parallel: 1}, func(tc *core.TupleCitation) error {
+	_, err := e.CiteEach(context.Background(), q, core.CiteOptions{}, func(tc *core.TupleCitation) error {
 		delivered++
 		if delivered == 1 {
 			if n := renders.Load(); n != 1 {
@@ -189,18 +189,18 @@ func TestRenderStageOnEveryExit(t *testing.T) {
 		run        func(ctx context.Context, cancel func(), e *core.Engine) error
 	}{
 		{"cite/cancel", "cite", context.Canceled, func(ctx context.Context, _ func(), e *core.Engine) error {
-			_, err := e.CiteCtx(ctx, q, core.CiteOptions{Parallel: 1}) // the first token render cancels
+			_, err := e.CiteCtx(ctx, q, core.CiteOptions{}) // the first token render cancels
 			return err
 		}},
 		{"stream/cancel-after-first-delivery", "stream", context.Canceled, func(ctx context.Context, cancel func(), e *core.Engine) error {
-			_, err := e.CiteEach(ctx, q, core.CiteOptions{Parallel: 1}, func(*core.TupleCitation) error {
+			_, err := e.CiteEach(ctx, q, core.CiteOptions{}, func(*core.TupleCitation) error {
 				cancel()
 				return nil
 			})
 			return err
 		}},
 		{"stream/callback-error", "stream", boom, func(ctx context.Context, _ func(), e *core.Engine) error {
-			_, err := e.CiteEach(ctx, q, core.CiteOptions{Parallel: 1}, func(*core.TupleCitation) error { return boom })
+			_, err := e.CiteEach(ctx, q, core.CiteOptions{}, func(*core.TupleCitation) error { return boom })
 			return err
 		}},
 	} {

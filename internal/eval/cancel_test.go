@@ -1,7 +1,8 @@
 package eval_test
 
-// Mid-enumeration cancellation across every execution strategy of Plan.Each
-// (sequential descent, worker pools, scatter-gather, resilient scatter).
+// Mid-enumeration cancellation across both execution strategies of Plan.Each
+// (sequential descent, scatter-gather) and the scatter's worker and attempt
+// configurations.
 // External test package: the scatter strategies need internal/shard, which
 // imports eval.
 
@@ -21,9 +22,9 @@ import (
 )
 
 // strategy is one way Plan.Each can run a query: the view decides between
-// plain and scatter-gather execution, the options between sequential,
-// worker-pool and resilient drivers, the query's first atom between
-// partitioning it and expanding prefixes.
+// the sequential descent and scatter-gather, the options between one worker
+// and a pool of them and between the one-attempt and the resilient policy,
+// the query's first atom between reading every shard and a pruned one.
 type strategy struct {
 	name string
 	base *storage.DB // the unpartitioned data, for a sequential reference
@@ -32,25 +33,29 @@ type strategy struct {
 	opts eval.Options
 }
 
-// strategies enumerates every execution strategy of Plan.Each over the
-// chain-join workload: sequential descent, a worker pool partitioning the
-// first atom, a pool expanding prefixes (a selective first atom: ~37
-// candidates against 16 workers × prefixFanout), scatter-gather, and the
-// resilient scatter driver over a fault-free injector.
+// strategies enumerates the execution configurations of Plan.Each over the
+// chain-join workload: sequential descent; a pool of 4 workers draining 8
+// shards; a selective first atom (~37 candidates) pruned to one of 16
+// shards, whose join expands through the union view; one worker per shard
+// of 4; and the resilient policy over a fault-free injector.
 func strategies(t *testing.T) []strategy {
 	t.Helper()
 	db := workload.ChainDB(3, 600, 64, 7)
-	sharded, err := shard.FromDB(db, 4)
-	if err != nil {
-		t.Fatal(err)
+	split := func(db *storage.DB, n int) eval.Partitioned {
+		sdb, err := shard.FromDB(db, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sdb
 	}
+	sharded := split(db, 4)
 	q := workload.ChainQuery(3)
 	dense := workload.ChainDB(3, 2400, 64, 7)
 	selective := workload.ChainQuery(3).Apply(cq.Subst{"X0": cq.Const("n0_0")})
 	return []strategy{
 		{"sequential", db, eval.DBViewOf(db), q, eval.Options{Parallel: 1}},
-		{"pool-4", db, eval.DBViewOf(db), q, eval.Options{Parallel: 4}},
-		{"expanded-16", dense, eval.DBViewOf(dense), selective, eval.Options{Parallel: 16}},
+		{"pool-4", db, split(db, 8), q, eval.Options{Parallel: 4}},
+		{"expanded-16", dense, split(dense, 16), selective, eval.Options{Parallel: 16}},
 		{"scatter-4", db, sharded, q, eval.Options{Parallel: 4}},
 		{"resilient-4", db, fault.NewInjector(42).Wrap(sharded), q, eval.Options{Parallel: 4, Resilience: fastResilience()}},
 	}
@@ -107,7 +112,7 @@ func TestCancelMidEnumeration(t *testing.T) {
 }
 
 // TestCancelBeforeEnumeration: an already-canceled context returns without
-// delivering anything, in every strategy.
+// delivering anything, in every configuration.
 func TestCancelBeforeEnumeration(t *testing.T) {
 	for _, st := range strategies(t) {
 		t.Run(st.name, func(t *testing.T) {

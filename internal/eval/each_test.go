@@ -1,6 +1,6 @@
 package eval_test
 
-// Plan.Each's contract across every execution strategy: the same multiset of
+// Plan.Each's contract in every execution configuration: the same multiset of
 // frames as the sequential enumeration, and no delivery after fn has
 // returned an error. (Cancellation: cancel_test.go.)
 

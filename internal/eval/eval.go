@@ -18,12 +18,15 @@
 // reused across the whole enumeration: no per-binding maps, no cloning, no
 // name lookups.
 //
-// Plans drive all three strategies — sequential descent, worker-partitioned
-// parallel enumeration (Options.Parallel, with Auto deriving the worker
-// count from plan cardinalities and partitioning deeper atoms when the
-// first one is too small to split), and scatter-gather across the shards of
-// an eval.Partitioned view — with identical binding multisets and
-// byte-identical sorted results.
+// Plans drive two strategies with identical binding multisets and
+// byte-identical sorted results: the sequential descent over an
+// unpartitioned view, and scatter-gather across the shards of an
+// eval.Partitioned one — the first join atom read shard by shard, on up to
+// Options.Parallel workers (Auto derives the count from plan
+// cardinalities), under the resilient attempt policy when
+// Options.Resilience is set. Citations are plan-independent (the paper's
+// note after Example 3.3), so the strategies differ only in speed; an
+// unpartitioned plan never starts a goroutine.
 //
 // # Entry points
 //
@@ -38,12 +41,12 @@
 //
 // # Cancellation
 //
-// Each runs under a context: every strategy re-checks ctx.Done() at
-// partition boundaries (worker chunks, expansion prefixes, shards) and at
-// least every ctxCheckInterval candidate tuples within a partition, so a
-// canceled enumeration returns the context's error promptly instead of
-// finishing a join nobody is waiting for. Under context.Background() the
-// checks reduce to a nil-channel branch and cost nothing.
+// Each runs under a context: both strategies re-check ctx.Done() at least
+// every ctxCheckInterval candidate tuples, and scatter-gather also at shard
+// boundaries, so a canceled enumeration returns the context's error promptly
+// instead of finishing a join nobody is waiting for. Under
+// context.Background() the checks reduce to a nil-channel branch and cost
+// nothing.
 package eval
 
 import (
@@ -51,7 +54,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"citare/internal/cq"
 	"citare/internal/storage"
@@ -64,7 +66,7 @@ var ErrSchema = errors.New("eval: schema mismatch")
 
 // ErrTupleLimit is returned by EvalCtx when Options.MaxTuples is set and the
 // enumeration produces more distinct output tuples than allowed. The
-// enumeration aborts promptly across every execution strategy.
+// enumeration aborts promptly in both execution strategies.
 var ErrTupleLimit = errors.New("eval: tuple limit exceeded")
 
 // Binding is a valuation of query variables.
@@ -96,37 +98,10 @@ type Result struct {
 	// parallel to Tuples; evaluation sorts both by it. Empty on a hand-built
 	// Result.
 	Keys []string
-
-	// keys holds every tuple's collision-free key for O(1) membership
-	// checks; evaluation fills it, Contains builds it lazily otherwise.
-	keys map[string]bool
-}
-
-// Contains reports whether the result includes the tuple. The first call on
-// a hand-built Result indexes the tuples once; results produced by
-// evaluation are pre-indexed. Not safe for concurrent first use on a
-// hand-built Result.
-func (r *Result) Contains(t storage.Tuple) bool {
-	if r.keys == nil {
-		r.keys = make(map[string]bool, len(r.Tuples))
-		for _, u := range r.Tuples {
-			r.keys[u.Key()] = true
-		}
-	}
-	return r.keys[t.Key()]
-}
-
-// appendKeyPart appends one value in the collision-free length-prefixed
-// encoding of storage.Tuple.Key, so frame-built keys and Tuple.Key agree
-// byte for byte.
-func appendKeyPart(buf []byte, v string) []byte {
-	buf = strconv.AppendInt(buf, int64(len(v)), 10)
-	buf = append(buf, ':')
-	return append(buf, v...)
 }
 
 // sortTuplesByKey sorts tuples (and their parallel key slice) by key — the
-// same deterministic order every evaluation strategy produces.
+// same deterministic order both evaluation strategies produce.
 func sortTuplesByKey(keys []string, tuples []storage.Tuple) {
 	sort.Sort(&keyedTuples{keys: keys, tuples: tuples})
 }
@@ -175,37 +150,39 @@ func DBViewOf(db *storage.DB) DBView { return dbView{db} }
 
 // Options tunes an evaluation.
 type Options struct {
-	// Parallel partitions the enumeration across workers:
+	// Parallel caps the workers a scatter-gather enumeration reads its
+	// candidate shards on:
 	//
-	//   - Auto derives the worker count from the compiled plan's relation
-	//     cardinalities (sequential on small data or a single core);
-	//   - values > 1 fix the worker cap;
-	//   - 0 and 1 evaluate sequentially.
+	//   - Auto derives the count from the compiled plan's relation
+	//     cardinalities (one worker on small data or a single core);
+	//   - values > 1 fix the cap;
+	//   - 0 and 1 read the shards one at a time.
 	//
-	// Workers partition the first atom of the join order, or deeper atoms
-	// when the first one yields too few candidates to split. Each's callback
-	// is never invoked concurrently, but the order in which bindings arrive
-	// is unspecified; the binding multiset is identical to the sequential
-	// evaluation's. EvalCtx output is deterministic regardless.
+	// Each's callback is never invoked concurrently, but the order in which
+	// bindings arrive is unspecified; the binding multiset is identical to
+	// the sequential evaluation's. EvalCtx output is deterministic
+	// regardless. Unpartitioned and single-shard views ignore it: they
+	// always evaluate sequentially.
 	Parallel int
 
 	// MaxTuples, when > 0, bounds the number of distinct output tuples a
 	// set-semantics EvalCtx may produce: the enumeration aborts with
-	// ErrTupleLimit as soon as the bound is exceeded, across every
-	// execution strategy. It has no effect on binding enumeration.
+	// ErrTupleLimit as soon as the bound is exceeded, in both execution
+	// strategies. It has no effect on binding enumeration.
 	MaxTuples int
 
-	// Resilience, when non-nil, runs scatter-gather enumerations through
-	// the fault-tolerant driver: per-shard attempt deadlines, bounded
-	// retries with backoff, hedged straggler attempts, circuit breakers and
-	// a graceful partial-coverage policy (see Resilience). nil — the
-	// default — keeps the plain scatter path, bit for bit. It has no effect
-	// on unpartitioned or single-shard views.
+	// Resilience, when non-nil, is the scatter-gather attempt policy:
+	// per-shard attempt deadlines, bounded retries with backoff, hedged
+	// straggler attempts, circuit breakers and a graceful partial-coverage
+	// policy (see Resilience). nil — the default — is one attempt per shard
+	// with no deadline: a shard whose scan fails fails the enumeration with
+	// ErrShardUnavailable. It has no effect on unpartitioned or single-shard
+	// views.
 	Resilience *Resilience
 }
 
 // EvalOpts evaluates q over db with set semantics. Output tuples are
-// deterministically sorted — identical for every Parallel setting.
+// deterministically sorted.
 func EvalOpts(db *storage.DB, q *cq.Query, opts Options) (*Result, error) {
 	return EvalOn(DBViewOf(db), q, opts)
 }

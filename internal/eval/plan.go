@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"citare/internal/cq"
@@ -11,20 +10,16 @@ import (
 	"citare/internal/storage"
 )
 
-// Auto, as an Options.Parallel value, derives the worker count from the
-// compiled plan's relation cardinalities and GOMAXPROCS instead of a fixed
-// flag: enumerations over small data run sequentially (no pool overhead),
-// large ones fan out up to the core count.
+// Auto, as an Options.Parallel value, derives the scatter worker count from
+// the compiled plan's relation cardinalities and GOMAXPROCS instead of a
+// fixed flag: scatters over small data visit their shards one at a time (no
+// pool overhead), large ones fan out up to the core count.
 const Auto = -1
 
 const (
 	// tuplesPerWorker is the enumeration size one worker should amortize;
 	// Auto adds workers only in these increments.
 	tuplesPerWorker = 128
-	// prefixFanout is the minimum number of work units per worker the
-	// parallel driver aims for; when the first atom yields fewer candidates
-	// than workers×prefixFanout, deeper atoms are partitioned instead.
-	prefixFanout = 4
 	// ctxCheckInterval is how many candidate tuples an execution feeds
 	// between context checks: frequent enough that a canceled enumeration
 	// stops within microseconds, rare enough that the check is free on the
@@ -104,7 +99,9 @@ type planStep struct {
 // Bind has renamed its constants; core.Engine caches plans per epoch by
 // shape, so citations of a known shape skip compilation entirely.
 type Plan struct {
-	part Partitioned // non-nil: the view is hash-partitioned, execute scatter-gather
+	// part is the view when it is partitioned over more than one shard:
+	// executions then scatter-gather; otherwise they descend sequentially.
+	part Partitioned
 
 	varOf    []string // slot -> variable name (all slots bound at full depth)
 	steps    []planStep
@@ -113,16 +110,15 @@ type Plan struct {
 	cols     []string       // head column labels
 
 	// maxCard is the largest step cardinality at compile time; Auto derives
-	// worker counts from it (the first step's own size is observed live by
-	// the parallel driver, which switches to prefix expansion when the
-	// first atom yields too few candidates to split).
+	// the scatter worker count from it.
 	maxCard int
 }
 
 // Compile builds the physical plan of q over dbv. It validates the query and
 // its atoms (unknown relations, arity mismatches) and resolves every
 // relation view once, so execution touches no name maps. When dbv is an
-// eval.Partitioned, executions scatter-gather across its shards.
+// eval.Partitioned over more than one shard, executions scatter-gather
+// across its shards.
 func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -144,7 +140,9 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 	}
 
 	p := &Plan{cols: headCols(q)}
-	p.part, _ = dbv.(Partitioned)
+	if part, ok := dbv.(Partitioned); ok && part.NumShards() > 1 {
+		p.part = part
+	}
 
 	// Slot assignment: first occurrence order across atoms. Validate
 	// guarantees every head and comparison variable occurs in some atom, so
@@ -519,22 +517,22 @@ func (e *exec) run(depth int) error {
 	return iterErr
 }
 
-// Each enumerates every satisfying valuation of the plan, dispatching to the
-// scatter-gather driver for partitioned views and to the adaptive parallel
-// driver otherwise. It is the one enumeration every consumer sits on —
-// EvalCtx, the citation pipeline's rewriting gather, token rendering.
+// Each enumerates every satisfying valuation of the plan: scatter-gather
+// across the shards of a partitioned view, the sequential descent otherwise.
+// It is the one enumeration every consumer sits on — EvalCtx, the citation
+// pipeline's rewriting gather, token rendering.
 //
-// The contract, in every strategy: fn is never invoked concurrently, and the
+// The contract, in both strategies: fn is never invoked concurrently, and the
 // enumeration waits for exactly as long as fn takes, so a slow consumer
 // holds the producers back without any buffering in between. frame is
 // aligned with Vars and ms with the query's atoms in join order; both are
 // reused across deliveries and valid only during the call (the string values
 // themselves are immutable and safe to keep). The order of deliveries is
 // deterministic only under sequential execution; the multiset of frames is
-// the same in all of them. An error from fn stops every further delivery
-// and is returned; ctx is re-checked at partition and frame boundaries, so a
-// canceled enumeration returns ctx.Err() promptly with no goroutine left
-// behind. Under context.Background() the checks cost nothing.
+// the same in both. An error from fn stops every further delivery and is
+// returned; ctx is re-checked at shard and frame boundaries, so a canceled
+// enumeration returns ctx.Err() promptly with no goroutine left behind.
+// Under context.Background() the checks cost nothing.
 func (p *Plan) Each(ctx context.Context, opts Options, fn func(frame []string, ms []Match) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -556,16 +554,10 @@ func (p *Plan) Vars() []string {
 	return append([]string(nil), p.varOf...)
 }
 
-// dispatchFrames routes the enumeration to the chosen execution strategy.
+// dispatchFrames routes the enumeration to its strategy.
 func (p *Plan) dispatchFrames(ctx context.Context, opts Options, fn frameFn) error {
-	if p.part != nil && p.part.NumShards() > 1 {
-		if opts.Resilience != nil {
-			return p.resilientFrames(ctx, opts, fn)
-		}
-		return p.scatterFrames(ctx, opts, fn)
-	}
-	if w := p.workers(opts); w > 1 {
-		return p.parallelFrames(ctx, w, fn)
+	if p.part != nil {
+		return p.resilientFrames(ctx, opts, fn)
 	}
 	return p.newExec(ctx, fn).run(0)
 }
@@ -576,78 +568,45 @@ func (p *Plan) dispatchFrames(ctx context.Context, opts Options, fn frameFn) err
 // closure and counter cost nothing on the disabled path.
 func (p *Plan) framesTraced(ctx context.Context, opts Options, fn frameFn, tr *obs.Trace, sp obs.SpanID) error {
 	switch {
-	case p.part != nil && p.part.NumShards() > 1:
-		if opts.Resilience != nil {
-			tr.SetStr(sp, "strategy", "scatter-resilient")
-		} else {
-			tr.SetStr(sp, "strategy", "scatter")
-		}
+	case p.part == nil:
+		tr.SetStr(sp, "strategy", "sequential")
+	case opts.Resilience != nil:
+		tr.SetStr(sp, "strategy", "scatter-resilient")
 	default:
-		if w := p.workers(opts); w > 1 {
-			tr.SetStr(sp, "strategy", "parallel")
-			tr.SetInt(sp, "workers", int64(w))
-		} else {
-			tr.SetStr(sp, "strategy", "sequential")
-		}
+		tr.SetStr(sp, "strategy", "scatter")
 	}
 	var frames int64
 	err := p.dispatchFrames(ctx, opts, func(frame []string, ms []Match) error {
-		frames++ // fn is never invoked concurrently, in any strategy
+		frames++ // fn is never invoked concurrently, in either strategy
 		return fn(frame, ms)
 	})
 	tr.AddInt(sp, "frames", frames)
 	return err
 }
 
-// workers resolves the effective worker count for a plain (unpartitioned)
-// enumeration: explicit Parallel values are honored as before, Auto derives
-// the count from the plan's largest relation cardinality — the enumeration
-// can't be larger than useful work for one worker per tuplesPerWorker tuples
-// — capped at GOMAXPROCS. On a single-core runner Auto always evaluates
-// sequentially, paying zero pool overhead.
-func (p *Plan) workers(opts Options) int {
-	switch {
-	case opts.Parallel == Auto:
-		gmp := runtime.GOMAXPROCS(0)
-		if gmp <= 1 {
-			return 1
-		}
-		w := p.maxCard / tuplesPerWorker
-		if w > gmp {
-			w = gmp
-		}
-		if w < 1 {
-			w = 1
-		}
-		return w
-	case opts.Parallel > 1:
-		return opts.Parallel
-	}
-	return 1
-}
-
 // EvalCtx runs the plan with set semantics under a context: head tuples are
 // deduplicated on a reusable key buffer and deterministically sorted by key,
-// so every execution strategy produces byte-identical results. Cancellation
-// follows Each's contract. When opts.MaxTuples is set, the enumeration
-// aborts with ErrTupleLimit as soon as it has produced more distinct tuples
-// than the bound allows.
+// so both strategies produce byte-identical results. Cancellation follows
+// Each's contract. When opts.MaxTuples is set, the enumeration aborts with
+// ErrTupleLimit as soon as it has produced more distinct tuples than the
+// bound allows.
 func (p *Plan) EvalCtx(ctx context.Context, opts Options) (*Result, error) {
-	res := &Result{Cols: p.cols, keys: make(map[string]bool)}
+	res := &Result{Cols: p.cols}
+	seen := make(map[string]struct{})
 	var keyBuf []byte
 	err := p.Each(ctx, opts, func(frame []string, _ []Match) error {
 		keyBuf = keyBuf[:0]
 		for _, src := range p.headSrc {
-			keyBuf = appendKeyPart(keyBuf, src.value(frame))
+			keyBuf = storage.AppendKeyPart(keyBuf, src.value(frame))
 		}
-		if res.keys[string(keyBuf)] { // no-alloc map probe
+		if _, dup := seen[string(keyBuf)]; dup { // no-alloc map probe
 			return nil
 		}
 		if opts.MaxTuples > 0 && len(res.Tuples) >= opts.MaxTuples {
 			return fmt.Errorf("%w: more than %d output tuples", ErrTupleLimit, opts.MaxTuples)
 		}
 		k := string(keyBuf)
-		res.keys[k] = true
+		seen[k] = struct{}{}
 		t := make(storage.Tuple, len(p.headSrc))
 		for i, src := range p.headSrc {
 			t[i] = src.value(frame)

@@ -14,16 +14,17 @@ import (
 	"citare/internal/storage"
 )
 
-// TestPropAutoMatchesSequential: Auto-parallel evaluation (worker count
-// derived from plan cardinalities) yields exactly the sequential binding
-// multiset and tuple list on random databases and queries.
+// TestPropAutoMatchesSequential: a scatter under Auto (worker count derived
+// from plan cardinalities) yields exactly the sequential binding multiset
+// and tuple list on random databases and queries.
 func TestPropAutoMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	f := func() bool {
 		db := randomFactDB(r)
 		q := randomJoinQuery(r)
-		seq := bindingMultiset(t, db, q, Options{})
-		auto := bindingMultiset(t, db, q, Options{Parallel: Auto})
+		view := partition(t, db, 3)
+		seq := bindingMultiset(t, DBViewOf(db), q, Options{})
+		auto := bindingMultiset(t, view, q, Options{Parallel: Auto})
 		if !reflect.DeepEqual(seq, auto) {
 			t.Logf("query %s: auto multiset diverges", q)
 			return false
@@ -32,7 +33,7 @@ func TestPropAutoMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		autoRes, err := EvalOpts(db, q, Options{Parallel: Auto})
+		autoRes, err := EvalOn(view, q, Options{Parallel: Auto})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,9 +44,9 @@ func TestPropAutoMatchesSequential(t *testing.T) {
 	}
 }
 
-// expansionDB builds a join whose first atom is far too small to split
-// across workers while the deeper atoms carry the fan-out, forcing the
-// parallel driver down the prefix-expansion path.
+// expansionDB builds a join whose first atom is far too small to spread
+// across shards while the deeper atoms carry the fan-out: most shards scan
+// nothing, and the few that do expand through the union view.
 func expansionDB(t *testing.T) (*storage.DB, *cq.Query) {
 	t.Helper()
 	var facts []cq.Atom
@@ -70,14 +71,15 @@ func expansionDB(t *testing.T) (*storage.DB, *cq.Query) {
 	return db, q
 }
 
-// TestParallelDeepPartitioning: with a 2-tuple first atom and 4 workers the
-// driver must partition deeper atoms (prefix expansion); the binding
+// TestParallelDeepPartitioning: with a 2-tuple first atom scattered over
+// 2 to 8 shards, one worker each, the shards that hold no first-atom tuple
+// contribute nothing and the deep atoms carry the whole fan-out; the binding
 // multiset and result stay identical to the sequential evaluation.
 func TestParallelDeepPartitioning(t *testing.T) {
 	db, q := expansionDB(t)
-	seq := bindingMultiset(t, db, q, Options{})
+	seq := bindingMultiset(t, DBViewOf(db), q, Options{})
 	for _, workers := range []int{2, 4, 8} {
-		par := bindingMultiset(t, db, q, Options{Parallel: workers})
+		par := bindingMultiset(t, partition(t, db, workers), q, Options{Parallel: workers})
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("workers=%d: expanded multiset diverges (%d vs %d distinct)", workers, len(seq), len(par))
 		}
@@ -86,7 +88,7 @@ func TestParallelDeepPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := EvalOpts(db, q, Options{Parallel: 4})
+	parRes, err := EvalOn(partition(t, db, 4), q, Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +97,14 @@ func TestParallelDeepPartitioning(t *testing.T) {
 	}
 }
 
-// TestExpandedCallbackErrorAborts: the abort contract holds on the
-// prefix-expansion path too — after fn errors it is never invoked again.
+// TestExpandedCallbackErrorAborts: the abort contract holds when the frames
+// come from the deep atoms of a scatter too — after fn errors it is never
+// invoked again.
 func TestExpandedCallbackErrorAborts(t *testing.T) {
 	db, q := expansionDB(t)
 	boom := fmt.Errorf("boom")
 	calls := 0
-	err := EachBinding(DBViewOf(db), q, Options{Parallel: 4}, func(Binding, []Match) error {
+	err := EachBinding(partition(t, db, 4), q, Options{Parallel: 4}, func(Binding, []Match) error {
 		calls++
 		if calls == 2 {
 			return boom
@@ -117,19 +120,19 @@ func TestExpandedCallbackErrorAborts(t *testing.T) {
 }
 
 // TestPlanConcurrentReuse: one compiled plan is safe for concurrent
-// executions — each run owns its frame — and every execution returns the
-// same sorted result. Run with -race (CI does).
+// executions — each run owns its frames — and every execution returns the
+// same sorted result, whatever its scatter worker cap. Run with -race (CI
+// does).
 func TestPlanConcurrentReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	db := randomFactDB(r)
-	snap := db.Snapshot()
 	q := &cq.Query{Name: "Q",
 		Head: []cq.Term{cq.Var("X"), cq.Var("Z")},
 		Atoms: []cq.Atom{
 			cq.NewAtom("R", cq.Var("X"), cq.Var("Y")),
 			cq.NewAtom("S", cq.Var("Y"), cq.Var("Z")),
 		}}
-	p, err := Compile(DBViewOf(snap), q)
+	p, err := Compile(partition(t, db, 3).snapshot(db), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +166,8 @@ func TestPlanConcurrentReuse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPlanResultContains: results are pre-indexed for O(1) membership and
-// hand-built results index lazily.
+// TestPlanResultContains: an evaluated result contains exactly its distinct
+// tuples, each beside its Tuple.Key, in key order.
 func TestPlanResultContains(t *testing.T) {
 	db := familyDB(t)
 	q := &cq.Query{Name: "Q", Head: []cq.Term{cq.Var("F")},
@@ -173,12 +176,16 @@ func TestPlanResultContains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Contains(storage.Tuple{"11"}) || res.Contains(storage.Tuple{"999"}) {
-		t.Fatalf("evaluated-result membership wrong: %v", res.Tuples)
+	if len(res.Keys) != len(res.Tuples) {
+		t.Fatalf("%d keys for %d tuples", len(res.Keys), len(res.Tuples))
 	}
-	hand := &Result{Tuples: []storage.Tuple{{"a", "b"}}}
-	if !hand.Contains(storage.Tuple{"a", "b"}) || hand.Contains(storage.Tuple{"a", "c"}) {
-		t.Fatal("hand-built result membership wrong")
+	for i, tu := range res.Tuples {
+		if res.Keys[i] != tu.Key() || i > 0 && res.Keys[i-1] >= res.Keys[i] {
+			t.Fatalf("keys %q for tuples %v: want each tuple's key, strictly ascending", res.Keys, res.Tuples)
+		}
+	}
+	if !slices.Contains(res.Keys, storage.Tuple{"11"}.Key()) || slices.Contains(res.Keys, storage.Tuple{"999"}.Key()) {
+		t.Fatalf("evaluated-result membership wrong: %v", res.Tuples)
 	}
 }
 
@@ -198,10 +205,10 @@ func TestCompileErrors(t *testing.T) {
 
 // TestPropBindEqualsCompile: a plan compiled for one query and bound to the
 // constants of another query of its shape evaluates — columns, tuples and
-// the binding multiset, sequentially and on a worker pool — exactly as the
+// the binding multiset, sequentially and scatter-gather — exactly as the
 // plan compiled for that other query; the source plan is unchanged. (The
-// scatter-gather strategy reads the same bound fields; the root package's
-// TestShardedPointLookupsBindConstants covers shard pruning on bound keys.)
+// root package's TestShardedPointLookupsBindConstants covers shard pruning
+// on bound keys.)
 func TestPropBindEqualsCompile(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	pool := []string{"a", "b", "c", "d", "k", "zz"}
@@ -230,12 +237,17 @@ func TestPropBindEqualsCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := Compile(view, q2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := src.Bind(rb)
-		for _, opts := range []Options{{}, {Parallel: 3}} {
+		for _, v := range []DBView{view, partition(t, db, 3)} {
+			src, err := Compile(v, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := Compile(v, q2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := src.Bind(rb)
+			opts := Options{Parallel: 3}
 			want, err := direct.EvalCtx(context.Background(), opts)
 			if err != nil {
 				t.Fatal(err)
@@ -247,9 +259,9 @@ func TestPropBindEqualsCompile(t *testing.T) {
 			if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Tuples, want.Tuples) {
 				t.Fatalf("%s bound from %s: %v %v, compiled directly: %v %v", q2, q, got.Cols, got.Tuples, want.Cols, want.Tuples)
 			}
-		}
-		if !reflect.DeepEqual(planMultiset(t, bound), planMultiset(t, direct)) {
-			t.Fatalf("%s bound from %s: binding multiset diverges", q2, q)
+			if !reflect.DeepEqual(planMultiset(t, bound), planMultiset(t, direct)) {
+				t.Fatalf("%s bound from %s: binding multiset diverges", q2, q)
+			}
 		}
 		after, err := src.EvalCtx(context.Background(), Options{})
 		if err != nil {

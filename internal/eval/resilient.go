@@ -12,45 +12,37 @@ import (
 	"citare/internal/storage"
 )
 
-// Fault-tolerant scatter-gather.
+// Scatter-gather: one code path (resilientFrames) behind every enumeration
+// over a partitioned view. The first join atom is read shard by shard
+// through Partitioned.ShardScan — candidate shards only, pruned through
+// CandidateShards when the atom binds the shard key — on up to
+// Options.Parallel workers, and deeper atoms read through the union view.
+// Each candidate shard is driven by an attempt policy:
 //
-// The plain scatter driver (scatterFrames) assumes every shard answers: one
-// stalled or erroring shard fails or hangs the whole enumeration. The
-// resilient driver (resilientFrames) engages when Options.Resilience is set
-// and the partitioned view exposes the ShardScanner seam, and adds:
-//
-//   - per-shard attempt deadlines (Resilience.AttemptTimeout);
-//   - bounded retries with exponential backoff + seeded jitter, for
-//     transient failures only;
-//   - one hedged duplicate attempt per straggling shard
-//     (Resilience.HedgeAfter), first complete scan wins;
-//   - a per-shard circuit breaker (closed/open/half-open) shared across
-//     enumerations via Resilience.Breakers;
-//   - a graceful-degradation policy: a shard that stays unreachable is
-//     either fatal (ErrShardUnavailable, the default) or skipped when the
-//     answered+pruned shard count still meets Resilience.MinShardCoverage,
-//     with the outcome reported in a machine-readable Coverage.
+//   - with Options.Resilience nil, one attempt with no deadline, breaker or
+//     coverage report: a shard whose scan fails fails the enumeration with
+//     the *UnavailableError a one-attempt policy gives;
+//   - with it set, per-shard attempt deadlines (Resilience.AttemptTimeout),
+//     bounded retries with exponential backoff + seeded jitter for
+//     transient failures only, one hedged duplicate attempt per straggling
+//     shard (Resilience.HedgeAfter, first complete scan wins), a per-shard
+//     circuit breaker (closed/open/half-open) shared across enumerations via
+//     Resilience.Breakers, and a graceful-degradation policy: a shard that
+//     stays unreachable is either fatal (ErrShardUnavailable, the default)
+//     or skipped when the answered+pruned shard count still meets
+//     Resilience.MinShardCoverage, with the outcome reported in a
+//     machine-readable Coverage.
 //
 // Exactly-once delivery under retries and hedges relies on deterministic
 // replay: shard-local scans iterate immutable snapshots in insertion order,
-// so a re-attempt re-produces the same frame sequence and a per-shard
-// delivered-frame cursor (resilientSink) suppresses frames a previous
-// attempt already delivered. With zero faults the delivered frame multiset
-// is identical to scatterFrames', so results stay byte-identical.
+// so a re-attempt re-produces the same frame sequence and the sink's
+// per-shard delivered-frame cursor suppresses frames a previous attempt
+// already delivered. With zero faults every policy delivers the same frame
+// multiset, so results stay byte-identical.
 //
 // Faults surface at the ShardScan seam only — the first join atom's
 // per-shard scan, modeling a failed or slow request to the shard backend.
-// Deeper join atoms read through the union view exactly as before.
-
-// ShardScanner extends Partitioned with a context-aware, error-returning
-// per-shard scan — the seam the resilient driver and the fault injector
-// share. ShardScan enumerates rel's live tuples inside shard si matching the
-// lookup (cols empty means a full scan), honoring ctx, in a deterministic
-// order that is stable across calls on an immutable view.
-type ShardScanner interface {
-	Partitioned
-	ShardScan(ctx context.Context, si int, rel string, cols []int, vals []string, fn func(t storage.Tuple) bool) error
-}
+// Deeper join atoms read through the union view.
 
 // ErrShardUnavailable tags enumeration failures where one or more shards
 // stayed unreachable after every attempt and the coverage policy did not
@@ -191,10 +183,9 @@ func (c *Coverage) recount() {
 	}
 }
 
-// Resilience configures the fault-tolerant scatter driver. The zero value of
-// each field picks a conservative default; a nil *Resilience in Options
-// disables the driver entirely (the plain scatter path runs, bit-for-bit as
-// before).
+// Resilience configures scatter-gather's attempt policy. The zero value
+// of each field picks a conservative default; a nil *Resilience in Options
+// is one attempt per shard with no deadline (oneAttempt).
 type Resilience struct {
 	// MinShardCoverage sets the degradation policy: 0 (the default) requires
 	// full coverage — any shard still unreachable after its attempt budget
@@ -235,6 +226,9 @@ type Resilience struct {
 	// Coverage, when set, receives this enumeration's coverage report,
 	// merged into whatever the caller accumulated so far.
 	Coverage *Coverage
+
+	// unbounded runs attempts without a deadline: oneAttempt's, only.
+	unbounded bool
 }
 
 const (
@@ -244,11 +238,23 @@ const (
 	defaultBackoffMax     = 50 * time.Millisecond
 )
 
+// oneAttempt is the policy of a scatter without Options.Resilience: one
+// attempt per shard, no deadline, breaker, hedge or coverage report.
+var oneAttempt = Resilience{MaxAttempts: -1, unbounded: true}
+
 func (r *Resilience) attemptTimeout() time.Duration {
 	if r.AttemptTimeout > 0 {
 		return r.AttemptTimeout
 	}
 	return defaultAttemptTimeout
+}
+
+// attemptCtx bounds one attempt by the policy's deadline, if it has one.
+func (r *Resilience) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if r.unbounded {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, r.attemptTimeout())
 }
 
 func (r *Resilience) maxAttempts() int {
@@ -280,38 +286,6 @@ func (r *Resilience) backoff(retry int, rng *rand.Rand) time.Duration {
 	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 }
 
-// resilientSink is the serialSink plus per-shard delivered-frame cursors:
-// deliverAt suppresses frames a previous (failed or hedged) attempt of the
-// same shard already delivered, turning at-least-once attempts into
-// exactly-once delivery as long as attempts replay deterministically.
-type resilientSink struct {
-	serialSink
-	cursor []int
-}
-
-func newResilientSink(fn frameFn, shards int) *resilientSink {
-	return &resilientSink{serialSink: serialSink{fn: fn}, cursor: make([]int, shards)}
-}
-
-// deliverAt hands frame number idx of shard si to the callback, serialized
-// across workers and deduplicated against the shard's cursor.
-func (s *resilientSink) deliverAt(si, idx int, frame []string, ms []Match) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stop.Load() {
-		return errStopped
-	}
-	if idx < s.cursor[si] {
-		return nil // a previous attempt of this shard already delivered it
-	}
-	if err := s.fn(frame, ms); err != nil {
-		s.abort(err)
-		return err
-	}
-	s.cursor[si] = idx + 1
-	return nil
-}
-
 // scatterLookupVals resolves the first step's constant lookup values (only
 // constants can be bound at depth 0); nil when the step scans.
 func (p *Plan) scatterLookupVals() []string {
@@ -326,17 +300,19 @@ func (p *Plan) scatterLookupVals() []string {
 	return vals
 }
 
-// resilientFrames is the fault-tolerant twin of scatterFrames. Candidate
-// shards run under per-attempt deadlines with retries, hedging and breaker
-// gating; the coverage policy decides whether missing shards fail the
-// enumeration or degrade it. When the partitioned view does not expose the
-// ShardScan seam the plain scatter path runs unchanged.
+// resilientFrames enumerates the plan scatter-gather across the partitioned
+// view's candidate shards, each driven to a terminal state by the attempt
+// policy (Options.Resilience, or oneAttempt): the coverage policy decides
+// whether missing shards fail the enumeration or degrade it. Shard
+// boundaries are cancellation points, and each attempt's exec re-checks ctx
+// between candidate tuples. When a trace rides the context, each attempt
+// gets its own "shard" span under the current one — the per-shard timing
+// breakdown Explain reports.
 func (p *Plan) resilientFrames(ctx context.Context, opts Options, fn frameFn) error {
-	acc, ok := p.part.(ShardScanner)
-	if !ok {
-		return p.scatterFrames(ctx, opts, fn)
-	}
 	r := opts.Resilience
+	if r == nil {
+		r = &oneAttempt
+	}
 	st0 := &p.steps[0]
 	lookupVals := p.scatterLookupVals()
 	n := p.part.NumShards()
@@ -357,12 +333,12 @@ func (p *Plan) resilientFrames(ctx context.Context, opts Options, fn frameFn) er
 	if len(cands) > 0 {
 		tr, cur := obs.FromContext(ctx)
 		tr.SetInt(cur, "shards", int64(len(cands)))
-		sink := newResilientSink(fn, n)
+		sink := newSerialSink(fn, n)
 		workers := p.scatterWorkers(opts, len(cands))
 		tr.SetInt(cur, "workers", int64(workers))
 
 		run := func(si int) {
-			reports[si] = p.runResilientShard(ctx, acc, r, sink, si, st0, lookupVals, tr, cur)
+			reports[si] = p.runResilientShard(ctx, r, sink, si, st0, lookupVals, tr, cur)
 		}
 		if workers <= 1 {
 			for _, si := range cands {
@@ -444,7 +420,7 @@ func countHedges(reports []ShardCoverage) int {
 // or skipped with the failure recorded. Global aborts (callback errors,
 // parent-context cancellation) raise the sink's stop flag and are reported
 // by the caller, not in the shard's coverage.
-func (p *Plan) runResilientShard(ctx context.Context, acc ShardScanner, r *Resilience, sink *resilientSink, si int, st0 *planStep, lookupVals []string, tr *obs.Trace, cur obs.SpanID) ShardCoverage {
+func (p *Plan) runResilientShard(ctx context.Context, r *Resilience, sink *serialSink, si int, st0 *planStep, lookupVals []string, tr *obs.Trace, cur obs.SpanID) ShardCoverage {
 	rep := ShardCoverage{Shard: si, State: ShardSkipped}
 	if br := r.Breakers; br != nil {
 		if !br.Allow(si) {
@@ -482,10 +458,10 @@ func (p *Plan) runResilientShard(ctx context.Context, acc ShardScanner, r *Resil
 			}
 		}
 		rep.Attempts++
-		asp := tr.Start(cur, "shard-attempt")
+		asp := tr.Start(cur, "shard")
 		tr.SetInt(asp, "shard", int64(si))
 		tr.SetInt(asp, "attempt", int64(attempt))
-		err := p.attemptShard(ctx, acc, r, sink, si, st0, lookupVals, &rep)
+		err := p.attemptShard(ctx, r, sink, si, st0, lookupVals, &rep)
 		if err != nil {
 			tr.SetStr(asp, "error", err.Error())
 		}
@@ -541,20 +517,21 @@ func transientErr(err error) bool {
 	return false
 }
 
-// attemptShard runs one deadline-bounded attempt on a shard, optionally
-// hedged: when the primary scan has not completed after HedgeAfter, one
-// duplicate starts, the first complete scan wins and the loser is canceled
-// and joined (no goroutine outlives the attempt). Both scans deliver
-// through the cursor-guarded sink, so overlap cannot duplicate frames.
-func (p *Plan) attemptShard(ctx context.Context, acc ShardScanner, r *Resilience, sink *resilientSink, si int, st0 *planStep, lookupVals []string, rep *ShardCoverage) error {
-	actx, cancel := context.WithTimeout(ctx, r.attemptTimeout())
+// attemptShard runs one attempt on a shard, bounded by the policy's
+// deadline and optionally hedged: when the primary scan has not completed
+// after HedgeAfter, one duplicate starts, the first complete scan wins and
+// the loser is canceled and joined (no goroutine outlives the attempt). Both
+// scans deliver through the cursor-guarded sink, so overlap cannot duplicate
+// frames.
+func (p *Plan) attemptShard(ctx context.Context, r *Resilience, sink *serialSink, si int, st0 *planStep, lookupVals []string, rep *ShardCoverage) error {
+	actx, cancel := r.attemptCtx(ctx)
 	defer cancel()
 	if r.HedgeAfter <= 0 {
-		return p.scanShardOnce(actx, acc, sink, si, st0, lookupVals)
+		return p.scanShardOnce(actx, sink, si, st0, lookupVals)
 	}
 
 	done := make(chan error, 2)
-	scan := func() { done <- p.scanShardOnce(actx, acc, sink, si, st0, lookupVals) }
+	scan := func() { done <- p.scanShardOnce(actx, sink, si, st0, lookupVals) }
 	launched := 1
 	go scan()
 	timer := time.NewTimer(r.HedgeAfter)
@@ -595,7 +572,7 @@ func (p *Plan) attemptShard(ctx context.Context, acc ShardScanner, r *Resilience
 // scanShardOnce performs one scan of shard si's first-step relation through
 // the ShardScan seam, descending deeper steps through a private exec and
 // delivering frames through the shard's cursor.
-func (p *Plan) scanShardOnce(ctx context.Context, acc ShardScanner, sink *resilientSink, si int, st0 *planStep, lookupVals []string) error {
+func (p *Plan) scanShardOnce(ctx context.Context, sink *serialSink, si int, st0 *planStep, lookupVals []string) error {
 	idx := 0
 	e := p.newExec(ctx, func(frame []string, ms []Match) error {
 		err := sink.deliverAt(si, idx, frame, ms)
@@ -603,7 +580,7 @@ func (p *Plan) scanShardOnce(ctx context.Context, acc ShardScanner, sink *resili
 		return err
 	})
 	var iterErr error
-	err := acc.ShardScan(ctx, si, st0.pred, st0.lookupCols, lookupVals, func(t storage.Tuple) bool {
+	err := p.part.ShardScan(ctx, si, st0.pred, st0.lookupCols, lookupVals, func(t storage.Tuple) bool {
 		if ferr := e.feed(0, t); ferr != nil {
 			iterErr = ferr
 			return false

@@ -1,10 +1,11 @@
 package eval_test
 
-// Driver-level tests for the fault-tolerant scatter-gather path: no-fault
-// parity with the plain driver, retry/hedge/breaker behavior under the
-// deterministic fault injector, exactly-once delivery across retries, the
-// graceful-degradation coverage policy, and prompt cancellation mid-backoff
-// and mid-hedge without goroutine leaks. External test package: the
+// Tests of the scatter-gather attempt policies: no-fault parity between the
+// resilient and the one-attempt policy, faults seen without a policy,
+// retry/hedge/breaker behavior under the deterministic fault injector,
+// exactly-once delivery across retries, the graceful-degradation coverage
+// policy, and prompt cancellation mid-backoff and mid-hedge without
+// goroutine leaks. External test package: the
 // fixtures need internal/shard and internal/fault, which import eval.
 
 import (
@@ -12,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,7 +28,7 @@ const resilientShards = 4
 
 // resilientFixture builds the chain-join workload over 4 shards plus a
 // fault injector wrapping the partitioned view.
-func resilientFixture(t testing.TB) (*fault.Injector, eval.ShardScanner, *storage.DB) {
+func resilientFixture(t testing.TB) (*fault.Injector, eval.Partitioned, *storage.DB) {
 	t.Helper()
 	db := workload.ChainDB(3, 600, 64, 7)
 	sharded, err := shard.FromDB(db, resilientShards)
@@ -61,8 +63,8 @@ func tupleFingerprint(res *eval.Result) string {
 }
 
 // TestResilientNoFaultParity: with zero faults injected, the resilient
-// driver's output is byte-identical to the plain scatter driver's, for
-// sequential and concurrent scatter and for both entry points.
+// policy's output is byte-identical to the one-attempt policy's, on one
+// worker and on a pool, and for both entry points.
 func TestResilientNoFaultParity(t *testing.T) {
 	_, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
@@ -145,6 +147,38 @@ func TestResilientPermanentFailsFast(t *testing.T) {
 	}
 }
 
+// TestResilientNilPolicySeesFaults: the scatter without a resilience
+// policy reads every shard through the same seam, once and with no
+// deadline — a permanently failing shard fails it with the typed
+// *UnavailableError, a transient one too (nothing retries it), and a clean
+// shard set answers in full.
+func TestResilientNilPolicySeesFaults(t *testing.T) {
+	in, view, _ := resilientFixture(t)
+	q := workload.ChainQuery(3)
+	want, err := eval.EvalOn(view, q, eval.Options{Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []fault.ShardFault{{Permanent: true}, {FailOps: 1}} {
+		for _, par := range []int{1, 4} {
+			in.SetFault(1, f) // restarts the schedule: FailOps fails the next call
+			_, err := eval.EvalOn(view, q, eval.Options{Parallel: par})
+			var ue *eval.UnavailableError
+			if !errors.Is(err, eval.ErrShardUnavailable) || !errors.As(err, &ue) {
+				t.Fatalf("fault %+v, parallel=%d: err = %v, want *UnavailableError", f, par, err)
+			}
+			if sc := ue.Coverage.PerShard[1]; sc.State != eval.ShardSkipped || sc.Attempts != 1 {
+				t.Fatalf("fault %+v, parallel=%d: shard 1 coverage = %+v, want skipped after one attempt", f, par, sc)
+			}
+		}
+	}
+	in.Clear()
+	got, err := eval.EvalOn(view, q, eval.Options{Parallel: 4})
+	if err != nil || tupleFingerprint(got) != tupleFingerprint(want) {
+		t.Fatalf("fault-free scatter after clearing: %v", err)
+	}
+}
+
 // TestResilientStallDegrades is the driver half of the chaos acceptance
 // property: with 1 of 4 shards stalled until cancel, MinShardCoverage 3
 // returns a partial result promptly with accurate coverage, while the
@@ -200,7 +234,7 @@ func TestResilientStallDegrades(t *testing.T) {
 		t.Fatalf("partial result has %d tuples, full has %d; want a strict non-empty subset", len(got.Tuples), len(full.Tuples))
 	}
 	for _, tp := range got.Tuples {
-		if !full.Contains(tp) {
+		if !slices.Contains(full.Keys, tp.Key()) {
 			t.Fatalf("partial result invented tuple %v", tp)
 		}
 	}
@@ -211,7 +245,7 @@ func TestResilientStallDegrades(t *testing.T) {
 // frames downstream — to prove the retry's replay delivers each frame
 // exactly once.
 type flakyScanner struct {
-	eval.ShardScanner
+	eval.Partitioned
 	failShard int
 	failAfter int
 	calls     int
@@ -227,7 +261,7 @@ func (f *flakyScanner) ShardScan(ctx context.Context, si int, rel string, cols [
 		f.calls++ // sequential driver only: no synchronization needed
 		if f.calls == 1 {
 			n := 0
-			_ = f.ShardScanner.ShardScan(ctx, si, rel, cols, vals, func(t storage.Tuple) bool {
+			_ = f.Partitioned.ShardScan(ctx, si, rel, cols, vals, func(t storage.Tuple) bool {
 				if n >= f.failAfter {
 					return false
 				}
@@ -237,7 +271,7 @@ func (f *flakyScanner) ShardScan(ctx context.Context, si int, rel string, cols [
 			return testTransientErr{}
 		}
 	}
-	return f.ShardScanner.ShardScan(ctx, si, rel, cols, vals, fn)
+	return f.Partitioned.ShardScan(ctx, si, rel, cols, vals, fn)
 }
 
 // TestResilientExactlyOnceAcrossRetry: frames delivered before a mid-scan
@@ -251,7 +285,7 @@ func TestResilientExactlyOnceAcrossRetry(t *testing.T) {
 	}
 	q := workload.ChainQuery(3)
 	want := frameMultiset(t, sharded, q, eval.Options{Parallel: 1})
-	flaky := &flakyScanner{ShardScanner: sharded, failShard: 1, failAfter: 40}
+	flaky := &flakyScanner{Partitioned: sharded, failShard: 1, failAfter: 40}
 	got := frameMultiset(t, flaky, q, eval.Options{Parallel: 1, Resilience: fastResilience()})
 	if len(got) != len(want) {
 		t.Fatalf("binding multisets diverge: %d vs %d distinct bindings", len(got), len(want))

@@ -2,37 +2,100 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
-	"citare/internal/obs"
 	"citare/internal/storage"
 )
 
 // Partitioned exposes a hash-partitioned database to the evaluator. The
 // interface doubles as the union DBView across every shard (deep join atoms
 // look up through it, with per-lookup pruning inside the implementation);
-// the extra methods let the scatter-gather driver partition the first join
-// atom by shard and skip shards that provably cannot match. Compile detects
-// a Partitioned view automatically, so plans compiled over one scatter-
-// gather without a separate entry point.
+// the extra methods let scatter-gather read the first join atom shard by
+// shard and skip shards that provably cannot match. Compile detects a
+// Partitioned view automatically, so plans compiled over one scatter-gather
+// without a separate entry point.
 type Partitioned interface {
 	DBView
 	// NumShards returns the number of shards.
 	NumShards() int
-	// Shard returns the shard-local view of one partition.
-	Shard(i int) DBView
 	// CandidateShards reports which shards can contain tuples of rel whose
 	// projection on cols equals vals. nil means every shard must be
 	// consulted (the lookup does not bind the relation's shard key).
 	CandidateShards(rel string, cols []int, vals []string) []int
+	// ShardScan enumerates rel's live tuples inside shard si matching the
+	// lookup (cols empty means a full scan), honoring ctx, in a
+	// deterministic order that is stable across calls on an immutable view.
+	// It is the one per-shard read: the seam where a shard backend fails or
+	// stalls, and where the fault injector sits.
+	ShardScan(ctx context.Context, si int, rel string, cols []int, vals []string, fn func(t storage.Tuple) bool) error
+}
+
+// errStopped signals workers that another worker already aborted the
+// enumeration; it never escapes to callers.
+var errStopped = errors.New("eval: enumeration stopped")
+
+// serialSink funnels frame deliveries from concurrent shard scans onto the
+// single-threaded callback and latches the first error: once a delivery
+// errors (recorded while still holding the mutex), the callback is never
+// invoked again. Its per-shard cursors count the frames each shard has
+// delivered, so a re-attempt of a shard — a retry or a hedge, which replay
+// the same frame sequence — skips what an earlier attempt delivered: at-least-
+// once attempts, exactly-once delivery.
+type serialSink struct {
+	fn       frameFn
+	mu       sync.Mutex
+	stop     atomic.Bool
+	errOnce  sync.Once
+	firstErr error
+	cursor   []int
+}
+
+func newSerialSink(fn frameFn, shards int) *serialSink {
+	return &serialSink{fn: fn, cursor: make([]int, shards)}
+}
+
+// abort records the first error and raises the stop flag.
+func (s *serialSink) abort(err error) {
+	s.errOnce.Do(func() { s.firstErr = err })
+	s.stop.Store(true)
+}
+
+// stopped reports whether workers should cease enumerating.
+func (s *serialSink) stopped() bool { return s.stop.Load() }
+
+// err returns the first recorded error, for use after all workers joined.
+func (s *serialSink) err() error { return s.firstErr }
+
+// deliverAt hands frame number idx of shard si to the callback, serialized
+// across workers and deduplicated against the shard's cursor.
+func (s *serialSink) deliverAt(si, idx int, frame []string, ms []Match) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stop.Load() {
+		return errStopped
+	}
+	if idx < s.cursor[si] {
+		return nil // a previous attempt of this shard already delivered it
+	}
+	if err := s.fn(frame, ms); err != nil {
+		// Record and raise stop while still holding the mutex, so no other
+		// worker can deliver a frame after fn errored.
+		s.abort(err)
+		return err
+	}
+	s.cursor[si] = idx + 1
+	return nil
 }
 
 // scatterWorkers resolves the worker count for a scatter-gather run: shards
 // are the unit of partitioning, so the pool never exceeds the candidate
-// shard count. Auto applies the same cardinality rule as the plain driver —
-// small enumerations stay sequential regardless of shard count — capped at
-// GOMAXPROCS (always sequential on a single core).
+// shard count. Auto derives the count from the plan's largest relation —
+// one worker per tuplesPerWorker tuples, so small enumerations stay on one
+// worker regardless of shard count — capped at GOMAXPROCS (always one
+// worker on a single core).
 func (p *Plan) scatterWorkers(opts Options, cands int) int {
 	w := 1
 	switch {
@@ -51,109 +114,4 @@ func (p *Plan) scatterWorkers(opts Options, cands int) int {
 		w = 1
 	}
 	return w
-}
-
-// scatterFrames enumerates the plan scatter-gather across the partitioned
-// view's shards: the first step scans each candidate shard's local relation
-// (pruned through CandidateShards when the step binds the shard key), and
-// deeper steps run against the union view, which prunes per lookup. Shard
-// boundaries are cancellation points, and each shard's exec re-checks ctx
-// between candidate tuples.
-func (p *Plan) scatterFrames(ctx context.Context, opts Options, fn frameFn) error {
-	part := p.part
-	st0 := &p.steps[0]
-	var lookupVals []string
-	if len(st0.lookupCols) > 0 {
-		// Only constants can be bound at depth 0; they determine both the
-		// in-shard lookup and the shard pruning.
-		lookupVals = make([]string, len(st0.lookupSrc))
-		for i, src := range st0.lookupSrc {
-			lookupVals[i] = src.konst
-		}
-	}
-	cands := part.CandidateShards(st0.pred, st0.lookupCols, lookupVals)
-	if cands == nil {
-		cands = make([]int, part.NumShards())
-		for i := range cands {
-			cands[i] = i
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	// When a trace rides the context, each candidate shard's enumeration
-	// gets its own child span under the current one — that is the
-	// per-shard timing breakdown Explain reports. tr is nil otherwise and
-	// every call below is a no-op.
-	tr, cur := obs.FromContext(ctx)
-	tr.SetInt(cur, "shards", int64(len(cands)))
-
-	// scanShard enumerates the first step inside one shard and descends the
-	// remaining steps against the union view through e.
-	scanShard := func(e *exec, si int) error {
-		rel := part.Shard(si).Relation(st0.pred)
-		if rel == nil {
-			return nil
-		}
-		ssp := tr.Start(cur, "shard")
-		tr.SetInt(ssp, "shard", int64(si))
-		var iterErr error
-		iter := func(t storage.Tuple) bool {
-			if err := e.feed(0, t); err != nil {
-				iterErr = err
-				return false
-			}
-			return true
-		}
-		if len(st0.lookupCols) > 0 {
-			rel.Lookup(st0.lookupCols, lookupVals, iter)
-		} else {
-			rel.Scan(iter)
-		}
-		tr.End(ssp)
-		return iterErr
-	}
-
-	workers := p.scatterWorkers(opts, len(cands))
-	tr.SetInt(cur, "workers", int64(workers))
-	if workers <= 1 {
-		e := p.newExec(ctx, fn)
-		for _, si := range cands {
-			if err := ctx.Err(); err != nil { // shard boundary
-				return err
-			}
-			if err := scanShard(e, si); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Concurrent scatter: one worker per candidate shard, capped at the
-	// resolved worker count; deliveries are serialized through the sink so
-	// the callback keeps the sequential single-threaded contract.
-	sink := newSerialSink(fn)
-	shardCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := p.newExec(ctx, sink.deliver)
-			for si := range shardCh {
-				if sink.stopped() {
-					continue // drain remaining shard indexes
-				}
-				if err := scanShard(e, si); err != nil && err != errStopped {
-					sink.abort(err)
-				}
-			}
-		}()
-	}
-	for _, si := range cands {
-		shardCh <- si
-	}
-	close(shardCh)
-	wg.Wait()
-	return sink.err()
 }

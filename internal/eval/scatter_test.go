@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -12,6 +14,56 @@ import (
 	"citare/internal/cq"
 	"citare/internal/storage"
 )
+
+// partitionedDB is a stand-in for internal/shard, which imports eval: every
+// relation's tuples split across the parts by the hash of their first value,
+// the union view the unsplit database, no pruning.
+type partitionedDB struct {
+	DBView
+	parts []*storage.DB
+}
+
+func partition(t testing.TB, db *storage.DB, n int) *partitionedDB {
+	t.Helper()
+	p := &partitionedDB{DBView: DBViewOf(db), parts: make([]*storage.DB, n)}
+	for i := range p.parts {
+		p.parts[i] = storage.NewDB(db.Schema())
+	}
+	for _, rs := range db.Schema().Relations() {
+		db.Relation(rs.Name).Scan(func(tu storage.Tuple) bool {
+			h := fnv.New32a()
+			h.Write([]byte(tu[0]))
+			if err := p.parts[h.Sum32()%uint32(n)].Insert(rs.Name, tu...); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		})
+	}
+	return p
+}
+
+// snapshot returns the partitioned database frozen, parts and union alike —
+// what the citation engine reads.
+func (p *partitionedDB) snapshot(db *storage.DB) *partitionedDB {
+	out := &partitionedDB{DBView: DBViewOf(db.Snapshot()), parts: make([]*storage.DB, len(p.parts))}
+	for i, part := range p.parts {
+		out.parts[i] = part.Snapshot()
+	}
+	return out
+}
+
+func (p *partitionedDB) NumShards() int { return len(p.parts) }
+
+func (p *partitionedDB) CandidateShards(string, []int, []string) []int { return nil }
+
+func (p *partitionedDB) ShardScan(ctx context.Context, si int, rel string, cols []int, vals []string, fn func(storage.Tuple) bool) error {
+	if r := p.parts[si].Relation(rel); len(cols) > 0 {
+		r.Lookup(cols, vals, fn)
+	} else {
+		r.Scan(fn)
+	}
+	return ctx.Err()
+}
 
 // bindingKey canonically encodes a binding plus its matches so multisets can
 // be compared across evaluation strategies.
@@ -36,10 +88,10 @@ func bindingKey(b Binding, ms []Match) string {
 	return key
 }
 
-func bindingMultiset(t *testing.T, db *storage.DB, q *cq.Query, opts Options) map[string]int {
+func bindingMultiset(t *testing.T, view DBView, q *cq.Query, opts Options) map[string]int {
 	t.Helper()
 	out := make(map[string]int)
-	err := EachBinding(DBViewOf(db), q, opts, func(b Binding, ms []Match) error {
+	err := EachBinding(view, q, opts, func(b Binding, ms []Match) error {
 		out[bindingKey(b, ms)]++
 		return nil
 	})
@@ -119,19 +171,20 @@ func randomJoinQuery(r *rand.Rand) *cq.Query {
 	return q
 }
 
-// TestPropParallelMatchesSequential: on random databases and queries,
-// parallel enumeration yields exactly the sequential binding multiset and
-// EvalOpts exactly the sequential tuple list.
+// TestPropParallelMatchesSequential: on random databases and queries, the
+// concurrent scatter — one worker per shard, 2 to 8 of them — yields exactly
+// the sequential binding multiset, and its set-semantics evaluation exactly
+// the sequential tuple list.
 func TestPropParallelMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	f := func() bool {
 		db := randomFactDB(r)
 		q := randomJoinQuery(r)
-		seq := bindingMultiset(t, db, q, Options{})
+		seq := bindingMultiset(t, DBViewOf(db), q, Options{})
 		for _, workers := range []int{2, 4, 8} {
-			par := bindingMultiset(t, db, q, Options{Parallel: workers})
+			par := bindingMultiset(t, partition(t, db, workers), q, Options{Parallel: workers})
 			if !reflect.DeepEqual(seq, par) {
-				t.Logf("query %s: sequential %d distinct bindings, parallel(%d) %d", q, len(seq), workers, len(par))
+				t.Logf("query %s: sequential %d distinct bindings, scatter(%d) %d", q, len(seq), workers, len(par))
 				return false
 			}
 		}
@@ -140,7 +193,7 @@ func TestPropParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4} {
-			parRes, err := EvalOpts(db, q, Options{Parallel: workers})
+			parRes, err := EvalOn(partition(t, db, workers), q, Options{Parallel: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,20 +209,20 @@ func TestPropParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelAgainstSnapshot checks the parallel evaluator over a frozen
-// snapshot — the configuration the citation engine actually runs.
+// TestParallelAgainstSnapshot checks the concurrent scatter over frozen
+// snapshots — the configuration the citation engine actually runs.
 func TestParallelAgainstSnapshot(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	db := randomFactDB(r)
-	snap := db.Snapshot()
+	snap := partition(t, db, 4).snapshot(db)
 	q := &cq.Query{Name: "Q",
 		Head:  []cq.Term{cq.Var("X"), cq.Var("Z")},
 		Atoms: []cq.Atom{cq.NewAtom("R", cq.Var("X"), cq.Var("Y")), cq.NewAtom("S", cq.Var("Y"), cq.Var("Z"))}}
-	seq, err := EvalOpts(snap, q, Options{})
+	seq, err := EvalOpts(db.Snapshot(), q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := EvalOpts(snap, q, Options{Parallel: 4})
+	par, err := EvalOn(snap, q, Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +231,9 @@ func TestParallelAgainstSnapshot(t *testing.T) {
 	}
 }
 
-// TestParallelCallbackErrorAborts: the first error returned by fn is the
-// error the enumeration reports, and enumeration stops promptly.
+// TestParallelCallbackErrorAborts: under the concurrent scatter, the first
+// error returned by fn is the error the enumeration reports, and fn is never
+// invoked again.
 func TestParallelCallbackErrorAborts(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	db := randomFactDB(r)
@@ -188,7 +242,7 @@ func TestParallelCallbackErrorAborts(t *testing.T) {
 		Atoms: []cq.Atom{cq.NewAtom("R", cq.Var("X"), cq.Var("Y"))}}
 	boom := errors.New("boom")
 	calls := 0
-	err := EachBinding(DBViewOf(db), q, Options{Parallel: 4}, func(Binding, []Match) error {
+	err := EachBinding(partition(t, db, 4), q, Options{Parallel: 4}, func(Binding, []Match) error {
 		calls++
 		if calls == 3 {
 			return boom
@@ -198,15 +252,15 @@ func TestParallelCallbackErrorAborts(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err %v, want boom", err)
 	}
-	// The sequential abort contract holds under parallelism: fn is never
+	// The sequential abort contract holds under concurrency: fn is never
 	// invoked again after it returns an error.
 	if calls != 3 {
 		t.Fatalf("fn called %d times after erroring on call 3", calls)
 	}
 }
 
-// TestParallelCallbackNotConcurrent: fn must never run concurrently even
-// with many workers.
+// TestParallelCallbackNotConcurrent: fn must never run concurrently, even
+// with one worker per shard of eight.
 func TestParallelCallbackNotConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	db := randomFactDB(r)
@@ -214,7 +268,7 @@ func TestParallelCallbackNotConcurrent(t *testing.T) {
 		Head:  []cq.Term{cq.Var("X"), cq.Var("Z")},
 		Atoms: []cq.Atom{cq.NewAtom("R", cq.Var("X"), cq.Var("Y")), cq.NewAtom("S", cq.Var("Y"), cq.Var("Z"))}}
 	inFn := 0
-	err := EachBinding(DBViewOf(db), q, Options{Parallel: 8}, func(Binding, []Match) error {
+	err := EachBinding(partition(t, db, 8), q, Options{Parallel: 8}, func(Binding, []Match) error {
 		inFn++
 		if inFn != 1 {
 			t.Error("fn invoked concurrently")

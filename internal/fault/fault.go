@@ -2,7 +2,7 @@
 // the sharded evaluation backend — the chaos-testing harness behind the
 // resilient scatter-gather driver.
 //
-// An Injector wraps an eval.ShardScanner (in practice *shard.DB or one of
+// An Injector wraps an eval.Partitioned (in practice *shard.DB or one of
 // its snapshots) and imposes configured faults at the ShardScan seam: added
 // latency, stalls that hold the scan until the attempt's context cancels,
 // transient errors that clear after a scheduled number of operations, and
@@ -13,8 +13,10 @@
 //
 // The injector models request failures to a shard backend: the fault fires
 // before any tuple is produced, matching an RPC that fails or times out
-// before a response streams back. Deeper join atoms reading through the
-// union view are not injected.
+// before a response streams back. Every scatter-gather evaluation reads its
+// first join atom through the seam, with or without a resilience policy, so
+// an injected fault is seen by every engine over the wrapped view; deeper
+// join atoms reading through the union view are not injected.
 package fault
 
 import (
@@ -74,7 +76,7 @@ type ShardFault struct {
 	Permanent bool
 }
 
-// Injector wraps an eval.ShardScanner with scheduled faults. Wrap the live
+// Injector wraps an eval.Partitioned with scheduled faults. Wrap the live
 // or snapshot shard view once and flip faults per shard with SetFault; the
 // zero schedule passes everything through untouched.
 type Injector struct {
@@ -119,17 +121,17 @@ func (in *Injector) Clear() {
 }
 
 // Wrap returns p with the injector's faults imposed at the ShardScan seam.
-// Everything else — the union view, shard pruning, shard-local views —
-// passes through. Re-wrap after an engine Reset swaps snapshots: the fault
-// table and its counters live on the Injector and survive re-wrapping.
-func (in *Injector) Wrap(p eval.ShardScanner) eval.ShardScanner {
-	return &faultyDB{ShardScanner: p, in: in}
+// Everything else — the union view, shard pruning — passes through.
+// Re-wrap after an engine Reset swaps snapshots: the fault table and its
+// counters live on the Injector and survive re-wrapping.
+func (in *Injector) Wrap(p eval.Partitioned) eval.Partitioned {
+	return &faultyDB{Partitioned: p, in: in}
 }
 
 // faultyDB is the injected view: eval.Partitioned calls delegate, ShardScan
 // consults the fault schedule first.
 type faultyDB struct {
-	eval.ShardScanner
+	eval.Partitioned
 	in *Injector
 }
 
@@ -138,7 +140,7 @@ func (f *faultyDB) ShardScan(ctx context.Context, si int, rel string, cols []int
 	if err := f.in.inject(ctx, si); err != nil {
 		return err
 	}
-	return f.ShardScanner.ShardScan(ctx, si, rel, cols, vals, fn)
+	return f.Partitioned.ShardScan(ctx, si, rel, cols, vals, fn)
 }
 
 // inject applies shard si's fault for one operation. It returns nil when

@@ -65,18 +65,26 @@ func (b *bloom) marshal() []byte {
 	return append(out, b.bits...)
 }
 
+// maxBloomProbes bounds the hash probes a stored filter may ask of every
+// lookup; the writer uses 7.
+const maxBloomProbes = 32
+
+// unmarshalBloom parses a serialized filter. The bit count must be positive
+// and fit the bit array, which holds exactly the bytes it needs, and the
+// probe count must lie in [1, maxBloomProbes]: mayContain divides by nbits
+// and probes k times per lookup.
 func unmarshalBloom(raw []byte) (*bloom, error) {
 	nbits, n := binary.Uvarint(raw)
-	if n <= 0 {
+	if n <= 0 || nbits == 0 {
 		return nil, errCorrupt("bloom nbits")
 	}
 	raw = raw[n:]
 	k, n := binary.Uvarint(raw)
-	if n <= 0 {
+	if n <= 0 || k < 1 || k > maxBloomProbes {
 		return nil, errCorrupt("bloom k")
 	}
 	raw = raw[n:]
-	if uint64(len(raw)) != (nbits+7)/8 {
+	if uint64(len(raw)) != (nbits-1)/8+1 { // ⌈nbits/8⌉, without wrapping
 		return nil, errCorrupt("bloom bits length")
 	}
 	return &bloom{bits: raw, nbits: nbits, k: uint32(k)}, nil

@@ -210,7 +210,10 @@ func openSSTable(path string, id uint64, blocks *cache.Sharded[*dataBlock]) (*ss
 	bloomLen := binary.LittleEndian.Uint64(footer[24:])
 	entries := binary.LittleEndian.Uint64(footer[32:])
 	wantCRC := binary.LittleEndian.Uint32(footer[40:])
-	if idxOff+idxLen != bloomOff || bloomOff+bloomLen != uint64(st.Size())-footerLen {
+	// Index and bloom tile the bytes between the data blocks and the
+	// footer; every comparison is on differences, so no extent can wrap.
+	metaEnd := uint64(st.Size()) - footerLen
+	if idxOff > metaEnd || idxLen > metaEnd-idxOff || bloomOff != idxOff+idxLen || bloomLen != metaEnd-bloomOff {
 		f.Close()
 		return nil, errCorrupt("metadata extents")
 	}
@@ -249,6 +252,10 @@ func openSSTable(path string, id uint64, blocks *cache.Sharded[*dataBlock]) (*ss
 			return nil, errCorrupt("index length")
 		}
 		raw = raw[n:]
+		if bm.len > idxOff || bm.off > idxOff-bm.len {
+			f.Close()
+			return nil, errCorrupt("index block extent")
+		}
 		if len(raw) < 4 {
 			f.Close()
 			return nil, errCorrupt("index crc")

@@ -135,7 +135,9 @@ func parseWALRecord(p []byte) (walRec, error) {
 			return rec, io.ErrUnexpectedEOF
 		}
 		n, ok := readU()
-		if !ok {
+		// Every value takes at least its length byte: a count beyond the
+		// bytes left is corrupt, and must not size an allocation.
+		if !ok || n > uint64(len(p)) {
 			return rec, io.ErrUnexpectedEOF
 		}
 		rec.vals = make([]string, n)
@@ -157,9 +159,8 @@ func parseWALRecord(p []byte) (walRec, error) {
 	return rec, nil
 }
 
-func (w *wal) append(rec walRec) error {
-	p := w.buf[:0]
-	p = append(p, 0, 0, 0, 0, 0, 0, 0, 0) // room for crc+len
+// appendWALPayload appends rec's payload, the bytes parseWALRecord reads.
+func appendWALPayload(p []byte, rec walRec) []byte {
 	p = append(p, rec.typ)
 	p = binary.AppendUvarint(p, rec.seq)
 	switch rec.typ {
@@ -176,6 +177,12 @@ func (w *wal) append(rec walRec) error {
 		p = binary.AppendUvarint(p, uint64(len(rec.label)))
 		p = append(p, rec.label...)
 	}
+	return p
+}
+
+func (w *wal) append(rec walRec) error {
+	p := append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0) // room for crc+len
+	p = appendWALPayload(p, rec)
 	payload := p[8:]
 	binary.LittleEndian.PutUint32(p[0:], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint32(p[4:], uint32(len(payload)))

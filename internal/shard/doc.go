@@ -1,6 +1,5 @@
 // Package shard hash-partitions the storage engine so citation evaluation
-// scales past one lock domain. It is the sharding layer the ROADMAP names
-// as the first remaining scale item after the concurrent read path of PR 1.
+// scales past one lock domain.
 //
 // # Shard layout
 //
@@ -31,24 +30,27 @@
 //     scatter phase: when a query atom binds the shard key with a constant,
 //     all other shards are skipped entirely (shard pruning), turning point
 //     lookups into single-shard work regardless of n.
+//   - ShardScan reads one part's tuples of a relation, matching a lookup or
+//     in full: the evaluator's one per-shard read, and the seam where the
+//     fault injector (internal/fault) imposes failures.
 //
 // # Scatter-gather evaluation and merge semantics
 //
-// eval.Compile detects a Partitioned view and compiles a scatter-gather
-// plan: the first step of the physical join order is partitioned by shard
-// instead of by fixed worker count — each candidate shard enumerates its
-// slice of the first atom locally (its relation handle resolved per shard
-// at execution), and the descent through deeper steps runs against the
-// union-view handles resolved once at compile time (pruning per lookup).
-// Because the parts partition every relation, the union of the per-shard
-// enumerations is exactly the sequential binding multiset, so
+// eval.Compile detects a Partitioned view over more than one shard and
+// compiles a scatter-gather plan: the first step of the physical join order
+// is partitioned by shard — each candidate shard enumerates its slice of
+// the first atom through ShardScan, on up to eval.Options.Parallel workers —
+// and the descent through deeper steps runs against the union-view handles
+// resolved once at compile time (pruning per lookup). Because the parts
+// partition every relation, the union of the per-shard enumerations is
+// exactly the sequential binding multiset, so
 //
 //   - binding callbacks see the same multiset in unspecified order (they are
 //     serialized, never concurrent), and
 //   - set-semantics results are gathered, deduplicated and sorted by tuple
 //     key — byte-identical to unsharded evaluation for every shard count
-//     and parallelism setting (property-tested against the unsharded engine
-//     on the gtopdb and advisor workloads).
+//     and worker cap (property-tested against the unsharded engine on the
+//     gtopdb and advisor workloads).
 //
 // core.Engine composes this with its epoch machinery: a sharded engine
 // snapshots all parts per epoch and evaluates everything against that one

@@ -18,9 +18,9 @@ import (
 // count instead of a single lock domain.
 //
 // A DB implements eval.Partitioned: Relation returns the union view across
-// all shards (with per-lookup shard pruning), Shard returns one partition's
-// local view, and CandidateShards reports which shards a bound shard-key
-// lookup can possibly match.
+// all shards (with per-lookup shard pruning), ShardScan reads one
+// partition's tuples, and CandidateShards reports which shards a bound
+// shard-key lookup can possibly match.
 type DB struct {
 	schema *storage.Schema
 	parts  []*storage.DB
@@ -285,16 +285,13 @@ func (d *DB) Relation(name string) eval.RelView {
 	return f
 }
 
-// Shard returns the shard-local view of one partition.
-func (d *DB) Shard(i int) eval.DBView { return eval.DBViewOf(d.parts[i]) }
-
 // ShardScan enumerates rel's live tuples inside shard si matching the
-// lookup (cols empty means a full scan) — the eval.ShardScanner seam the
-// fault-tolerant scatter driver and the fault injector share. Iteration
-// order is insertion order, stable across calls on a frozen snapshot, which
-// the resilient driver's exactly-once replay cursor relies on. The local
-// in-memory backend never fails on its own; ctx is honored at entry (the
-// evaluator re-checks it between candidate tuples).
+// lookup (cols empty means a full scan) — the per-shard read of
+// eval.Partitioned, which scatter-gather and the fault injector share.
+// Iteration order is insertion order, stable across calls on a frozen
+// snapshot, which the exactly-once replay of a retried shard relies on. The
+// local in-memory backend never fails on its own; ctx is honored at entry
+// (the evaluator re-checks it between candidate tuples).
 func (d *DB) ShardScan(ctx context.Context, si int, rel string, cols []int, vals []string, fn func(t storage.Tuple) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -22,6 +22,16 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
+// AppendKeyPart appends one value in the encoding of Tuple.Key: its length,
+// a colon, its bytes. Appending a tuple's values in order yields its Key
+// byte for byte, so a key built straight off an evaluation frame probes the
+// same map entries Tuple.Key fills.
+func AppendKeyPart(buf []byte, v string) []byte {
+	buf = strconv.AppendInt(buf, int64(len(v)), 10)
+	buf = append(buf, ':')
+	return append(buf, v...)
+}
+
 // encodeValues length-prefixes each value, yielding a collision-free key
 // for arbitrary value contents. It is the key builder behind every hash
 // probe, so it appends into one sized buffer instead of formatting.
@@ -32,9 +42,7 @@ func encodeValues(vals []string) string {
 	}
 	buf := make([]byte, 0, n)
 	for _, v := range vals {
-		buf = strconv.AppendInt(buf, int64(len(v)), 10)
-		buf = append(buf, ':')
-		buf = append(buf, v...)
+		buf = AppendKeyPart(buf, v)
 	}
 	return string(buf)
 }

@@ -1,8 +1,8 @@
 package citare
 
 // Property tests for the compiled-plan evaluator: plan-based evaluation —
-// sequential, worker-parallel, and scatter-gather across shard counts —
-// must yield binding multisets and sorted results byte-identical to a
+// the sequential descent, and scatter-gather across shard counts and worker
+// caps — must yield binding multisets and sorted results byte-identical to a
 // reference evaluator written in the pre-plan style (per-binding maps, no
 // indexes, no join-order heuristics), on the paper's gtopdb workload and
 // the advisor example workload.
@@ -103,8 +103,8 @@ func refEvalBindings(dbv eval.DBView, q *cq.Query, fn func(eval.Binding, []eval.
 }
 
 // refEval gathers the oracle's bindings with set semantics: head tuples
-// deduplicated and sorted by their collision-free key — the contract every
-// plan execution strategy must reproduce byte for byte.
+// deduplicated and sorted by their collision-free key — the contract both
+// plan execution strategies must reproduce byte for byte.
 func refEval(dbv eval.DBView, q *cq.Query) (cols []string, tuples []storage.Tuple, err error) {
 	for _, t := range q.Head {
 		if t.IsVar() {
@@ -204,11 +204,11 @@ func evalQueries(t *testing.T, schema *storage.Schema) map[string][]*cq.Query {
 	}
 }
 
-// TestPlanEvaluatorParity: on the gtopdb and advisor workloads, every
-// compiled-plan execution strategy — sequential, fixed worker pools,
-// adaptive (Auto), and scatter-gather across shard counts — produces the
-// reference evaluator's binding multiset exactly and its sorted tuple list
-// byte for byte.
+// TestPlanEvaluatorParity: on the gtopdb and advisor workloads, both
+// compiled-plan execution strategies — the sequential descent, and
+// scatter-gather across shard counts under fixed and adaptive (Auto) worker
+// caps — produce the reference evaluator's binding multiset exactly and its
+// sorted tuple list byte for byte.
 func TestPlanEvaluatorParity(t *testing.T) {
 	dbs := []struct {
 		name string
@@ -221,7 +221,6 @@ func TestPlanEvaluatorParity(t *testing.T) {
 			return gtopdb.Generate(cfg)
 		}()},
 	}
-	parallels := []int{0, 2, 4, eval.Auto}
 	shardCounts := []int{1, 2, 3, 5}
 	for _, d := range dbs {
 		workloads := evalQueries(t, d.db.Schema())
@@ -251,25 +250,22 @@ func TestPlanEvaluatorParity(t *testing.T) {
 							d.name, wl, qi, label, res.Cols, res.Tuples, wantCols, wantTuples)
 					}
 				}
-				for _, par := range parallels {
-					opts := eval.Options{Parallel: par}
-					ms := map[string]int{}
-					err := eval.EachBinding(eval.DBViewOf(d.db), q, opts, func(b eval.Binding, m []eval.Match) error {
-						ms[bindingFP(b, m)]++
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := eval.EvalOpts(d.db, q, opts)
-					check(fmt.Sprintf("parallel=%d", par), ms, res, err)
+				ms := map[string]int{}
+				err = eval.EachBinding(eval.DBViewOf(d.db), q, eval.Options{}, func(b eval.Binding, m []eval.Match) error {
+					ms[bindingFP(b, m)]++
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
+				res, err := eval.EvalOpts(d.db, q, eval.Options{})
+				check("sequential", ms, res, err)
 				for _, shards := range shardCounts {
 					sdb, err := shard.FromDB(d.db, shards)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, par := range []int{0, 2, eval.Auto} {
+					for _, par := range []int{0, 2, 4, eval.Auto} {
 						opts := eval.Options{Parallel: par}
 						ms := map[string]int{}
 						err := eval.EachBinding(sdb, q, opts, func(b eval.Binding, m []eval.Match) error {

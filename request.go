@@ -33,11 +33,6 @@ type Request struct {
 	// itself. Empty means json.
 	Format string
 
-	// Parallel overrides the Citer's binding-enumeration workers for this
-	// request: 1 forces sequential evaluation, n > 1 caps the worker pool,
-	// and 0 keeps the Citer's setting (adaptive by default).
-	Parallel int
-
 	// MaxRewritings tightens rewriting enumeration for this request; 0
 	// keeps the policy's bound, and a non-zero policy bound can only be
 	// lowered, never raised. Tighter bounds trade citation completeness
@@ -196,7 +191,6 @@ func (r Request) renderFormat() string {
 // citeOptions translates the request's knobs to the engine's options.
 func (r Request) citeOptions() core.CiteOptions {
 	return core.CiteOptions{
-		Parallel:         r.Parallel,
 		MaxRewritings:    r.MaxRewritings,
 		MaxTuples:        r.MaxTuples,
 		MinShardCoverage: r.MinShardCoverage,
@@ -207,7 +201,7 @@ func (r Request) citeOptions() core.CiteOptions {
 // Cite evaluates one request: the query is parsed, rewritten over the
 // citation views, evaluated against the engine's snapshot, and its citation
 // assembled. The context governs the whole pipeline — a canceled or expired
-// ctx aborts evaluation at the next partition or frame boundary and returns
+// ctx aborts evaluation at the next shard or frame boundary and returns
 // an error tagged ErrCanceled. All errors are tagged with the package's
 // taxonomy (ErrParse, ErrSchema, ErrCanceled, ErrLimit).
 func (c *Citer) Cite(ctx context.Context, req Request) (*Citation, error) {
@@ -318,6 +312,11 @@ func (c *Citer) CiteEach(ctx context.Context, req Request, fn func(Tuple) error)
 	if err != nil {
 		return err
 	}
+	return c.citeEach(ctx, r, req, fn)
+}
+
+// citeEach is CiteEach for a request already resolved.
+func (c *Citer) citeEach(ctx context.Context, r *resolved, req Request, fn func(Tuple) error) error {
 	i := 0
 	res, err := c.engine.CiteEachPrepared(ctx, r.p, req.citeOptions(), func(tc *core.TupleCitation) error {
 		t := streamedTuple(i, tc)

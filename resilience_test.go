@@ -81,6 +81,38 @@ func TestResilienceNoFaultParity(t *testing.T) {
 	}
 }
 
+// TestChaosWithoutResilienceFailsTyped: a sharded Citer without resilience
+// reads every shard once, through the seam the injector wraps — a
+// permanently failing shard fails the request and its stream with
+// ErrShardUnavailable instead of being read around, and answers again once
+// the fault clears.
+func TestChaosWithoutResilienceFailsTyped(t *testing.T) {
+	ctx := context.Background()
+	in := fault.NewInjector(42)
+	c := shardedPaperCiter(t, gtopdb.PaperInstance(), 3)
+	c.engine.SetShardWrapper(in.Wrap)
+	if err := c.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`}
+	want, err := c.Cite(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.SetFault(1, fault.ShardFault{Permanent: true})
+	if _, err := c.Cite(ctx, req); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("cite with shard 1 failing: %v, want ErrShardUnavailable", err)
+	}
+	if err := c.CiteEach(ctx, req, func(Tuple) error { return nil }); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("stream with shard 1 failing: %v, want ErrShardUnavailable", err)
+	}
+	in.Clear()
+	got, err := c.Cite(ctx, req)
+	if err != nil || citationFingerprint(t, got) != citationFingerprint(t, want) {
+		t.Fatalf("after the fault cleared: %v", err)
+	}
+}
+
 // TestChaosStalledShard is the headline chaos property: with 1 of N shards
 // stalled (holding every scan until its attempt deadline), the default
 // policy fails fast with ErrShardUnavailable, while MinShardCoverage N-1

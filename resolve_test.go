@@ -186,3 +186,37 @@ func TestParseSpanSaysCached(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedStreamResolvesOnce: a stream through the cache reads its text
+// once, whether the cache answers it or not — one memo miss for a new text,
+// then one hit per later stream; a text that does not parse is parsed once
+// per stream.
+func TestCachedStreamResolvesOnce(t *testing.T) {
+	c := newPaperCiter(t)
+	cached := NewCached(c)
+	ctx := context.Background()
+	req := Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`}
+	none := func(Tuple) error { return nil }
+	if err := cached.CiteEach(ctx, req, none); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.ResolveStats(); st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("one stream of a new text: %d misses / %d hits, want 1 / 0", st.Misses, st.Hits)
+	}
+	if _, err := cached.Cite(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if err := cached.CiteEach(ctx, req, none); err != nil { // a replay
+		t.Fatal(err)
+	}
+	if st := c.ResolveStats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("then a Cite and a replay: %d misses / %d hits, want 1 / 2", st.Misses, st.Hits)
+	}
+	bad := Request{Datalog: `Q(N) :- Family(F, N`}
+	if err := cached.CiteEach(ctx, bad, none); !errors.Is(err, ErrParse) {
+		t.Fatalf("unparsable text: %v, want ErrParse", err)
+	}
+	if st := c.ResolveStats(); st.Misses != 2 || st.Hits != 2 {
+		t.Fatalf("then a stream of an unparsable text: %d misses / %d hits, want 2 / 2", st.Misses, st.Hits)
+	}
+}

@@ -4,8 +4,8 @@ package citare
 // for every query of the gtopdb and advisor workloads, the tuples streamed
 // by CiteEach must be byte-identical — values, polynomials, rendered
 // citation records, order, and count — to the materialized Cite result, for
-// every execution strategy (sequential, parallel, adaptive, scatter-gather)
-// and across shard counts.
+// both execution strategies (the sequential descent, scatter-gather across
+// shard counts) and under concurrent streams of one Citer.
 
 import (
 	"context"
@@ -29,9 +29,17 @@ import (
 // citation — for one request.
 func assertStreamMatchesCite(t *testing.T, c *Citer, req Request) {
 	t.Helper()
+	if err := streamMatchesCite(c, req); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// streamMatchesCite is assertStreamMatchesCite's check, safe to run from
+// several goroutines at once.
+func streamMatchesCite(c *Citer, req Request) error {
 	want, err := c.Cite(context.Background(), req)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	rows := want.Rows()
 	i := 0
@@ -63,34 +71,39 @@ func assertStreamMatchesCite(t *testing.T, c *Citer, req Request) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if i != len(rows) {
-		t.Fatalf("streamed %d tuples, want %d", i, len(rows))
+		return fmt.Errorf("streamed %d tuples, want %d", i, len(rows))
 	}
+	return nil
 }
 
+// TestCiteEachMatchesCiteAllStrategies: "sequential" is a single-shard store
+// (its plans take the sequential descent), "adaptive" an unsharded one,
+// "parallel-N" an unsharded Citer asked by N streams at once, "scatter-N"
+// an N-shard store.
 func TestCiteEachMatchesCiteAllStrategies(t *testing.T) {
 	db := gtopdb.PaperInstance()
-	newUnsharded := func(par int) *Citer {
-		c, err := NewFromProgram(db, gtopdb.ViewsProgram,
-			WithNeutralCitation(gtopdb.DatabaseCitation()), WithParallelEval(par))
+	newUnsharded := func() *Citer {
+		c, err := NewFromProgram(db, gtopdb.ViewsProgram, WithNeutralCitation(gtopdb.DatabaseCitation()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
 	cfgs := []struct {
-		name  string
-		citer *Citer
+		name    string
+		citer   *Citer
+		streams int // concurrent streams of each request
 	}{
-		{"sequential", newUnsharded(1)},
-		{"parallel-2", newUnsharded(2)},
-		{"parallel-4", newUnsharded(4)},
-		{"adaptive", newUnsharded(0)},
-		{"scatter-2", shardedPaperCiter(t, db, 2)},
-		{"scatter-3", shardedPaperCiter(t, db, 3)},
-		{"scatter-5", shardedPaperCiter(t, db, 5)},
+		{"sequential", shardedPaperCiter(t, db, 1), 1},
+		{"parallel-2", newUnsharded(), 2},
+		{"parallel-4", newUnsharded(), 4},
+		{"adaptive", newUnsharded(), 1},
+		{"scatter-2", shardedPaperCiter(t, db, 2), 1},
+		{"scatter-3", shardedPaperCiter(t, db, 3), 1},
+		{"scatter-5", shardedPaperCiter(t, db, 5), 1},
 	}
 	workloads := []struct {
 		name    string
@@ -109,7 +122,15 @@ func TestCiteEachMatchesCiteAllStrategies(t *testing.T) {
 					} else {
 						req.Datalog = mq.src
 					}
-					assertStreamMatchesCite(t, cfg.citer, req)
+					errs := make(chan error, cfg.streams)
+					for range cfg.streams {
+						go func() { errs <- streamMatchesCite(cfg.citer, req) }()
+					}
+					for range cfg.streams {
+						if err := <-errs; err != nil {
+							t.Fatal(err)
+						}
+					}
 				})
 			}
 		}
@@ -118,15 +139,15 @@ func TestCiteEachMatchesCiteAllStrategies(t *testing.T) {
 
 // TestCitegraphStreamParity repeats the streamed-vs-materialized byte-parity
 // property on a small citegraph instance — hot-key probes and deep joins —
-// for the sequential, adaptive and scatter-gather strategies (ISSUE 9
-// satellite 2).
+// over a single-shard store ("sequential"), an unsharded one ("adaptive")
+// and scatter-gather across shard counts.
 func TestCitegraphStreamParity(t *testing.T) {
 	db := citegraph.Generate(citegraph.ScaleSmall())
 	cfgs := []struct {
 		name  string
 		citer *Citer
 	}{
-		{"sequential", citegraphCiter(t, db, WithParallelEval(1))},
+		{"sequential", shardedCitegraphCiter(t, db, 1)},
 		{"adaptive", citegraphCiter(t, db)},
 		{"scatter-3", shardedCitegraphCiter(t, db, 3)},
 		{"scatter-5", shardedCitegraphCiter(t, db, 5)},
