@@ -6,7 +6,7 @@ package citare
 // §4 names the quantities a practical implementation must control — cost of
 // rewriting enumeration, cost of citation construction, and citation size
 // under idempotence and order pruning. Each benchmark below regenerates one
-// row group of EXPERIMENTS.md (B1–B10).
+// row group of EXPERIMENTS.md (B1–B9).
 
 import (
 	"fmt"
@@ -283,47 +283,6 @@ func BenchmarkPrunedVsExhaustive(b *testing.B) {
 		}
 		b.ReportMetric(float64(n), "rewritings")
 	})
-}
-
-// B10 — fixity overhead (§4): versioned store vs. flat store, and AsOf
-// snapshot materialization.
-func BenchmarkVersionedInsert(b *testing.B) {
-	schema := gtopdb.Schema()
-	b.Run("flat", func(b *testing.B) {
-		db := storage.NewDB(schema)
-		for i := 0; i < b.N; i++ {
-			_ = db.Insert("Family", fmt.Sprint(i), "N", "gpcr")
-		}
-	})
-	b.Run("versioned", func(b *testing.B) {
-		v := storage.NewVersionedDB(schema)
-		for i := 0; i < b.N; i++ {
-			_ = v.Insert("Family", fmt.Sprint(i), "N", "gpcr")
-			if i%1000 == 999 {
-				v.Commit("")
-			}
-		}
-	})
-}
-
-// B10 (continued) — AsOf snapshot cost.
-func BenchmarkVersionedAsOf(b *testing.B) {
-	v := storage.NewVersionedDB(gtopdb.Schema())
-	for i := 0; i < 5000; i++ {
-		v.MustInsert("Family", fmt.Sprint(i), "N", "gpcr")
-		if i%500 == 499 {
-			v.Commit("")
-		}
-	}
-	versions := v.Versions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Alternate between cached and uncached snapshot reads.
-		ver := versions[i%len(versions)]
-		if _, err := v.AsOf(ver); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // Baseline — the naive "cite by provenance only" strategy the paper argues

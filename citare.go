@@ -288,8 +288,8 @@ func NewShardedFromProgram(sdb *shard.DB, viewsProgram string, opts ...Option) (
 	return NewSharded(sdb, views, opts...)
 }
 
-// NewBackend assembles a Citer over a pluggable storage backend — the
-// in-memory backend.Memory or the persistent backend.LSM. The engine reads
+// NewBackend assembles a Citer over a versioned storage backend, such as the
+// persistent backend.LSM. The engine reads
 // through snapshot-isolated backend views (for the LSM backend, straight
 // from SSTable iterators; no in-memory copy of the data is built), and the
 // Citer keeps the backend handle so AsOf can cite against any committed
@@ -313,16 +313,22 @@ func NewBackendFromProgram(b backend.Backend, viewsProgram string, opts ...Optio
 // fixity requirement — a citation must be able to bring back the cited
 // data). Only available on Citers built with NewBackend; the pinned Citer
 // shares the backend but compiles its own plans, and stays valid for as
-// long as the backend is open.
+// long as the backend is open. The version must be committed — one that the
+// backend's Versions lists, 1 ≤ version < Version(); any other version,
+// the one still being written included, fails with an error tagged
+// ErrRange.
 func (c *Citer) AsOf(version uint64) (*Citer, error) {
 	if c.back == nil {
 		return nil, fmt.Errorf("citare: AsOf requires a backend-built Citer (NewBackend)")
 	}
-	if v, err := c.back.AsOf(version); err != nil { // validate the version now
+	v, err := c.back.AsOf(version) // validate the version now
+	if err != nil {
+		if version == 0 || version >= c.back.Version() {
+			err = fmt.Errorf("%w: %w", ErrRange, err)
+		}
 		return nil, err
-	} else {
-		v.Release()
 	}
+	v.Release()
 	return newCiter(backend.At(c.back, version), c.back, c.engine.Views(), c.opts)
 }
 

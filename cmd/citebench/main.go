@@ -94,7 +94,6 @@ func main() {
 		{"B3", "citation cost vs database scale", runB3},
 		{"B4", "citation size ablation (idempotence, orders)", runB4},
 		{"B9", "minimality checks vs raw covers", runB9},
-		{"B10", "versioned snapshots", runB10},
 		{"B14", "sharded snapshot cost vs shard count", runB14},
 		{"B15", "pruned point-lookup citations", runB15},
 		{"B16", "scatter-gather join throughput", runB16},
@@ -104,7 +103,6 @@ func main() {
 		{"B20", "hedging payoff against a straggling shard", runB20},
 		{"B21", "citegraph deep-join citation latency at stress scale", runB21},
 		{"B22", "citegraph hot-key skew vs uniform shard routing", runB22},
-		{"B23", "citegraph mixed read/write-version traffic", runB23},
 		{"B24", "citegraph batch vs streaming client patterns", runB24},
 		{"B25", "LSM persistence: write throughput, cold open, read delta", runB25},
 	}
@@ -264,21 +262,36 @@ func runE9() error {
 }
 
 func runE12() error {
-	v := storage.NewVersionedDB(gtopdb.Schema())
-	v.MustInsert("Family", "11", "Calcitonin", "gpcr")
-	v.MustInsert("FC", "11", "p1")
-	v.MustInsert("Person", "p1", "Hay", "U. Auckland")
-	ver1 := v.Commit("release-1")
-	v.MustInsert("FC", "11", "p2")
-	v.MustInsert("Person", "p2", "Poyner", "Aston U.")
-	ver2 := v.Commit("release-2")
-
-	for _, ver := range []uint64{ver1, ver2} {
-		db, err := v.AsOf(ver)
-		if err != nil {
+	dir, err := os.MkdirTemp("", "citebench-e12-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	b, err := backend.OpenLSM(dir, gtopdb.Schema(), lsm.Options{})
+	if err != nil {
+		return err
+	}
+	defer b.Close()
+	releases := [][][]string{
+		{{"Family", "11", "Calcitonin", "gpcr"}, {"FC", "11", "p1"}, {"Person", "p1", "Hay", "U. Auckland"}},
+		{{"FC", "11", "p2"}, {"Person", "p2", "Poyner", "Aston U."}},
+	}
+	for i, writes := range releases {
+		for _, w := range writes {
+			if err := b.Insert(w[0], w[1:]...); err != nil {
+				return err
+			}
+		}
+		if _, err := b.Commit(fmt.Sprintf("release-%d", i+1)); err != nil {
 			return err
 		}
-		c, err := citare.NewFromProgram(db, gtopdb.ViewsProgram)
+	}
+	head, err := citare.NewBackendFromProgram(b, gtopdb.ViewsProgram)
+	if err != nil {
+		return err
+	}
+	for _, ver := range b.Versions() {
+		c, err := head.AsOf(ver)
 		if err != nil {
 			return err
 		}
@@ -286,13 +299,8 @@ func runE12() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("   version %d (%s): %s\n", ver, v.Label(ver), res.TupleCitationJSON(0))
+		fmt.Printf("   version %d (%s): %s\n", ver, b.Label(ver), res.TupleCitationJSON(0))
 	}
-	diff, err := v.Diff(ver1, ver2)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("   diff v%d→v%d: %d change(s)\n", ver1, ver2, len(diff))
 	return nil
 }
 
@@ -448,33 +456,6 @@ func runB9() error {
 		}
 		fmt.Printf("   | %-18s | %10d | %7s |\n", mode.name, count, d.Round(time.Microsecond))
 	}
-	return nil
-}
-
-func runB10() error {
-	v := storage.NewVersionedDB(gtopdb.Schema())
-	for i := 0; i < 5000; i++ {
-		v.MustInsert("Family", fmt.Sprint(i), "N", "gpcr")
-		if i%500 == 499 {
-			v.Commit("")
-		}
-	}
-	versions := v.Versions()
-	var d time.Duration
-	uncached, err := timed(len(versions), func() error {
-		for _, ver := range versions {
-			if _, err := v.AsOf(ver); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	d = uncached / time.Duration(len(versions))
-	fmt.Printf("   %d committed versions over 5000 rows; AsOf ≈ %s per snapshot (amortized, cached)\n",
-		len(versions), d.Round(time.Microsecond))
 	return nil
 }
 
@@ -987,88 +968,6 @@ func runB22() error {
 	return nil
 }
 
-// runB23 measures mixed read/write-version traffic on storage.VersionedDB:
-// steady-state citation reads pinned to historical snapshots while writers
-// append new works and commit, plus the write+commit cost itself. The pinned
-// reader's row count must not move while writes land — the §4 fixity
-// property the versioned store exists for.
-func runB23() error {
-	cfg := citegraph.ScaleMedium()
-	batch := 200
-	if quick {
-		cfg = citegraph.ScaleSmall()
-		batch = 40
-	}
-	const commits = 6
-	start := time.Now()
-	v, versions := citegraph.GenerateVersioned(cfg, commits, batch)
-	fmt.Printf("   versioned instance: %d commits over base %d-tuple load, built in %v\n",
-		len(versions), cfg.TupleCount(), time.Since(start).Round(time.Millisecond))
-	hot := citegraph.HotWork()
-	readQ := citegraph.IncomingQuery(hot)
-	pinned := []uint64{versions[0], versions[len(versions)/2], versions[len(versions)-1]}
-	citers := make(map[uint64]*citare.Citer, len(pinned))
-	fmt.Println("   | pinned version | rows |     read/op |")
-	fmt.Println("   |---------------:|-----:|------------:|")
-	var pinnedRows int
-	for _, ver := range pinned {
-		db, err := v.AsOf(ver)
-		if err != nil {
-			return err
-		}
-		c, err := citare.NewFromProgram(db, citegraph.ViewsProgram,
-			citare.WithNeutralCitation(citegraph.DatasetCitation()))
-		if err != nil {
-			return err
-		}
-		citers[ver] = c
-		res, err := c.CiteDatalog(readQ) // cold: snapshot + plan compilation
-		if err != nil {
-			return err
-		}
-		d, err := timed(5, func() error {
-			_, err := c.CiteDatalog(readQ)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		pinnedRows = res.NumTuples()
-		fmt.Printf("   | %14d | %4d | %11v |\n", ver, pinnedRows, d.Round(time.Microsecond))
-	}
-	// Write side: append a fresh work citing the hot key, one commit per op,
-	// with pinned readers interleaved so snapshots and writers contend.
-	next := 1000000 // WorkIDs far past anything the generator handed out
-	base := citers[pinned[0]]
-	writes := 0
-	wd, err := timed(20, func() error {
-		w := citegraph.WorkID(next)
-		next++
-		writes++
-		v.MustInsert("Work", w, "Title-bench-"+w, citegraph.VenueID(0), "2026")
-		v.MustInsert("Cites", w, hot)
-		v.Commit("bench-" + w)
-		_, err := base.CiteDatalog(readQ) // pinned read under write traffic
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("   write work+cite+commit (with pinned read): %v/op, head now v%d\n",
-		wd.Round(time.Microsecond), v.Version())
-	// Fixity: the version pinned before the writes still answers identically.
-	res, err := citers[pinned[len(pinned)-1]].CiteDatalog(readQ)
-	if err != nil {
-		return err
-	}
-	if res.NumTuples() != pinnedRows {
-		return fmt.Errorf("pinned version drifted under writes: %d rows, want %d", res.NumTuples(), pinnedRows)
-	}
-	fmt.Printf("   fixity: pinned v%d still returns %d rows after %d head commits\n",
-		pinned[len(pinned)-1], pinnedRows, writes)
-	return nil
-}
-
 // runB24 compares the three client patterns citesrv exposes over the same
 // Zipf-drawn citegraph mix: k independent materialized Cites (the /v1/cite
 // loop), one CiteBatchItems call (the /v1/cite/batch body, which groups
@@ -1145,8 +1044,8 @@ func runB24() error {
 // (-quick drops to the small instance): WAL-append write throughput for the
 // bulk load, the cold-open path — manifest + SSTable open time plus the
 // first citation, which evaluates straight off the SSTables — and
-// the steady-state read delta between the in-memory backend and the
-// persistent one serving the identical citegraph workload.
+// the steady-state read delta between an in-memory Citer and the
+// LSM-backed one serving the identical citegraph workload.
 func runB25() error {
 	cfg := citegraph.ScaleStress()
 	if quick {
@@ -1507,9 +1406,6 @@ func writeBenchJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	cgVer, _ := citegraph.GenerateVersioned(cgCfg, 2, 40)
-	verNext := 1000000 // WorkIDs far past anything the generator handed out
-
 	// B25 persistence entries: the small citegraph instance in a temp LSM
 	// store. One populated store backs the reopen and read-delta entries;
 	// a second, write-only store takes the WAL-append and commit entries so
@@ -1559,7 +1455,7 @@ func writeBenchJSON(path string) error {
 		return err
 	}
 	defer writeBack.Close()
-	lsmNext := 2000000 // disjoint from both the generator and the B23 entry
+	lsmNext := 2000000 // WorkIDs far past anything the generator handed out
 
 	mustCite := func(b *testing.B, c *citare.Citer, q string) {
 		if _, err := c.CiteDatalog(q); err != nil {
@@ -1751,9 +1647,8 @@ func writeBenchJSON(path string) error {
 				mustCite(b, hedgeOnCiter, joinQ)
 			}
 		}},
-		// Citegraph stress-workload entries (B21–B24) at small scale: the
-		// deep-join / skew / versioned-write / streaming quartet the ISSUE 9
-		// acceptance gate requires in BENCH_9.json.
+		// Citegraph stress-workload entries (B21, B22, B24) at small scale:
+		// deep joins, hot-key skew and the batch / streaming clients.
 		{"citegraph/cite/resolution-hot/scale=small", func(b *testing.B) { // B21
 			for i := 0; i < b.N; i++ {
 				mustCite(b, cgCiter, cgQueries[0])
@@ -1790,15 +1685,6 @@ func writeBenchJSON(path string) error {
 						b.Fatal(err)
 					}
 				}
-			}
-		}},
-		{"citegraph/versioned/work-cite-commit", func(b *testing.B) { // B23 write path
-			for i := 0; i < b.N; i++ {
-				w := citegraph.WorkID(verNext)
-				verNext++
-				cgVer.MustInsert("Work", w, "Title-bench-"+w, citegraph.VenueID(0), "2026")
-				cgVer.MustInsert("Cites", w, citegraph.HotWork())
-				cgVer.Commit("bench-" + w)
 			}
 		}},
 		{"citegraph/cite-batch/items-k=8/mix", func(b *testing.B) { // B24 batch client

@@ -43,7 +43,8 @@ var (
 	// producing more output tuples than Request.MaxTuples allows.
 	ErrLimit = errors.New("citare: limit exceeded")
 	// ErrRange tags out-of-range index accesses on new-style Citation
-	// accessors (TuplePolynomialAt, TupleCitationJSONAt).
+	// accessors (TuplePolynomialAt, TupleCitationJSONAt), and versions
+	// Citer.AsOf rejects because they are not committed.
 	ErrRange = errors.New("citare: index out of range")
 	// ErrShardUnavailable tags requests that failed because one or more
 	// shards of a resilient sharded engine stayed unreachable after their

@@ -3,8 +3,9 @@
 // Thus data sources must support versioning, and citations must include
 // timestamps or version numbers."
 //
-// This example evolves a GtoPdb database across three releases and shows
-// that citing the same query AsOf each version yields version-faithful,
+// This example evolves a GtoPdb database across three releases of a
+// persistent LSM store (in a temporary directory) and shows that citing the
+// same query AsOf each committed version yields version-faithful,
 // version-stamped citations.
 //
 //	go run ./examples/versioning
@@ -14,53 +15,75 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"citare"
+	"citare/internal/backend"
 	"citare/internal/format"
 	"citare/internal/gtopdb"
-	"citare/internal/storage"
+	"citare/internal/lsm"
 )
 
 func main() {
-	v := storage.NewVersionedDB(gtopdb.Schema())
-
-	// Release 1: family 11 exists with a one-person committee.
-	v.MustInsert("Family", "11", "Calcitonin", "gpcr")
-	v.MustInsert("Person", "p1", "Hay", "U. Auckland")
-	v.MustInsert("FC", "11", "p1")
-	rel1 := v.Commit("release-1")
-
-	// Release 2: Poyner joins the committee; an introduction is added.
-	v.MustInsert("Person", "p2", "Poyner", "Aston U.")
-	v.MustInsert("FC", "11", "p2")
-	v.MustInsert("FamilyIntro", "11", "The calcitonin peptide family")
-	v.MustInsert("Person", "p3", "Brown", "U. Cambridge")
-	v.MustInsert("FIC", "11", "p3")
-	rel2 := v.Commit("release-2")
-
-	// Release 3: the family is renamed; Hay leaves the committee.
-	if err := v.Update("Family",
-		storage.Tuple{"11", "Calcitonin", "gpcr"},
-		storage.Tuple{"11", "Calcitonin receptors", "gpcr"}); err != nil {
+	dir, err := os.MkdirTemp("", "citare-versioning-*")
+	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := v.Delete("FC", "11", "p1"); err != nil {
+	defer os.RemoveAll(dir)
+	b, err := backend.OpenLSM(dir, gtopdb.Schema(), lsm.Options{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	rel3 := v.Commit("release-3")
-
-	query := `Q(N) :- Family(F, N, Ty), F = "11"`
-	for _, rel := range []uint64{rel1, rel2, rel3} {
-		db, err := v.AsOf(rel)
+	defer b.Close()
+	insert := func(rel string, vals ...string) {
+		if err := b.Insert(rel, vals...); err != nil {
+			log.Fatal(err)
+		}
+	}
+	commit := func(label string) uint64 {
+		v, err := b.Commit(label)
 		if err != nil {
 			log.Fatal(err)
 		}
+		return v
+	}
+
+	// Release 1: family 11 exists with a one-person committee.
+	insert("Family", "11", "Calcitonin", "gpcr")
+	insert("Person", "p1", "Hay", "U. Auckland")
+	insert("FC", "11", "p1")
+	rel1 := commit("release-1")
+
+	// Release 2: Poyner joins the committee; an introduction is added.
+	insert("Person", "p2", "Poyner", "Aston U.")
+	insert("FC", "11", "p2")
+	insert("FamilyIntro", "11", "The calcitonin peptide family")
+	insert("Person", "p3", "Brown", "U. Cambridge")
+	insert("FIC", "11", "p3")
+	rel2 := commit("release-2")
+
+	// Release 3: the family is renamed (the old row goes, the new one
+	// comes); Hay leaves the committee.
+	for _, del := range [][]string{{"Family", "11", "Calcitonin", "gpcr"}, {"FC", "11", "p1"}} {
+		if _, err := b.Delete(del[0], del[1:]...); err != nil {
+			log.Fatal(err)
+		}
+	}
+	insert("Family", "11", "Calcitonin receptors", "gpcr")
+	rel3 := commit("release-3")
+
+	query := `Q(N) :- Family(F, N, Ty), F = "11"`
+	for _, rel := range []uint64{rel1, rel2, rel3} {
 		// Version-stamped neutral citation: the fixity anchor.
 		stamp := format.NewObject().
 			Set("Database", format.S("GtoPdb (demo)")).
-			Set("Version", format.S(fmt.Sprintf("%d (%s)", rel, v.Label(rel))))
-		citer, err := citare.NewFromProgram(db, gtopdb.ViewsProgram,
+			Set("Version", format.S(fmt.Sprintf("%d (%s)", rel, b.Label(rel))))
+		head, err := citare.NewBackendFromProgram(b, gtopdb.ViewsProgram,
 			citare.WithNeutralCitation(stamp))
+		if err != nil {
+			log.Fatal(err)
+		}
+		citer, err := head.AsOf(rel)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -68,22 +91,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("=== as of version %d (%s) ===\n", rel, v.Label(rel))
+		fmt.Printf("=== as of version %d (%s) ===\n", rel, b.Label(rel))
 		fmt.Printf("answers: %v\n", res.Rows())
 		fmt.Printf("citation: %s\n\n", res.CitationJSON())
-	}
-
-	// What changed between releases 1 and 3?
-	diff, err := v.Diff(rel1, rel3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("tuple-level diff release-1 → release-3:")
-	for _, d := range diff {
-		op := "-"
-		if d.Added {
-			op = "+"
-		}
-		fmt.Printf("  %s %s%v\n", op, d.Rel, d.Tuple)
 	}
 }

@@ -4,62 +4,158 @@ package citare
 // plan independence, and certification of every rewriting the engine uses.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"citare/internal/backend"
 	"citare/internal/core"
 	"citare/internal/format"
 	"citare/internal/gtopdb"
-	"citare/internal/storage"
+	"citare/internal/lsm"
 	"citare/internal/workload"
 )
 
-// TestFixityEndToEnd reproduces §4's fixity requirement: the same query
-// cited against two versions returns the data — and the credit — as of each
-// version.
+// TestFixityEndToEnd reproduces §4's fixity requirement on the store that
+// serves it: the same query cited through Citer.AsOf against each release
+// of an LSM backend returns the data — and the credit — as of that release,
+// and every such citation stays byte-identical after a later commit that
+// retracts a tuple, a flush, a compaction, and a close and reopen from disk.
 func TestFixityEndToEnd(t *testing.T) {
-	v := storage.NewVersionedDB(gtopdb.Schema())
-	v.MustInsert("Family", "11", "Calcitonin", "gpcr")
-	v.MustInsert("Person", "p1", "Hay", "U. Auckland")
-	v.MustInsert("FC", "11", "p1")
-	rel1 := v.Commit("release-1")
-	v.MustInsert("Person", "p2", "Poyner", "Aston U.")
-	v.MustInsert("FC", "11", "p2")
-	rel2 := v.Commit("release-2")
+	dir := t.TempDir()
+	opt := lsm.Options{DisableBackgroundCompaction: true}
+	b, err := backend.OpenLSM(dir, gtopdb.Schema(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { b.Close() }()
+	insert := func(rel string, vals ...string) {
+		t.Helper()
+		if err := b.Insert(rel, vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func(label string) uint64 {
+		t.Helper()
+		v, err := b.Commit(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	insert("Family", "11", "Calcitonin", "gpcr")
+	insert("Person", "p1", "Hay", "U. Auckland")
+	insert("FC", "11", "p1")
+	rel1 := commit("release-1")
+	if err := b.Store().Flush(); err != nil { // release 1 on a table, release 2 in the memtable
+		t.Fatal(err)
+	}
+	insert("Person", "p2", "Poyner", "Aston U.")
+	insert("FC", "11", "p2")
+	rel2 := commit("release-2")
 
 	citeAt := func(rel uint64) string {
-		db, err := v.AsOf(rel)
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Helper()
 		stamp := format.NewObject().Set("Version", format.S(fmt.Sprint(rel)))
-		c, err := NewFromProgram(db, gtopdb.ViewsProgram, WithNeutralCitation(stamp))
+		head, err := NewBackendFromProgram(b, gtopdb.ViewsProgram, WithNeutralCitation(stamp))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), F = "11"`)
+		pinned, err := head.AsOf(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pinned.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), F = "11"`})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.CitationJSON()
 	}
 
-	at1, at2 := citeAt(rel1), citeAt(rel2)
-	if !strings.Contains(at1, `"Committee": ["Hay"]`) {
-		t.Fatalf("release-1 citation must credit only Hay: %s", at1)
+	cited := map[uint64]string{rel1: citeAt(rel1), rel2: citeAt(rel2)}
+	if !strings.Contains(cited[rel1], `"Committee": ["Hay"]`) {
+		t.Fatalf("release-1 citation must credit only Hay: %s", cited[rel1])
 	}
-	if !strings.Contains(at2, `"Committee": ["Hay", "Poyner"]`) {
-		t.Fatalf("release-2 citation must credit Hay and Poyner: %s", at2)
+	if !strings.Contains(cited[rel2], `"Committee": ["Hay", "Poyner"]`) {
+		t.Fatalf("release-2 citation must credit Hay and Poyner: %s", cited[rel2])
 	}
-	if !strings.Contains(at1, `"Version": "1"`) || !strings.Contains(at2, `"Version": "2"`) {
+	if !strings.Contains(cited[rel1], `"Version": "1"`) || !strings.Contains(cited[rel2], `"Version": "2"`) {
 		t.Fatal("citations must carry their version stamps")
 	}
-	// Re-citing at release-1 after release-2 exists must be unchanged.
-	if again := citeAt(rel1); again != at1 {
-		t.Fatal("as-of citation changed after later commits (fixity violated)")
+	recite := func(step string) {
+		t.Helper()
+		for rel, want := range cited {
+			if got := citeAt(rel); got != want {
+				t.Fatalf("after %s, release %d's citation changed (fixity violated):\n got %s\nwant %s", step, rel, got, want)
+			}
+		}
+	}
+
+	// Hay leaves the committee in release 3.
+	if ok, err := b.Delete("FC", "11", "p1"); !ok || err != nil {
+		t.Fatalf("retract = (%v, %v), want a live delete", ok, err)
+	}
+	rel3 := commit("release-3")
+	recite("a commit that retracts a tuple")
+	if cited[rel3] = citeAt(rel3); !strings.Contains(cited[rel3], `"Committee": ["Poyner"]`) {
+		t.Fatalf("release-3 citation must credit only Poyner: %s", cited[rel3])
+	}
+
+	if err := b.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recite("a flush")
+	if err := b.Store().Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Store().Stats(); st.Compactions != 1 || st.Levels[0].Tables != 0 {
+		t.Fatalf("compaction did not merge the two flushed tables: %+v", st)
+	}
+	recite("a compaction")
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = backend.OpenLSM(dir, nil, opt); err != nil {
+		t.Fatal(err)
+	}
+	recite("a close and reopen")
+}
+
+// TestAsOfOnlyCommittedVersions: Citer.AsOf pins committed versions only.
+// The version still being written has no fixed contents — a Citer "pinned"
+// to it would see the next write after its next Reset — so it is rejected
+// with ErrRange, like version 0 and versions past it.
+func TestAsOfOnlyCommittedVersions(t *testing.T) {
+	b, err := backend.OpenLSM(t.TempDir(), gtopdb.Schema(), lsm.Options{DisableBackgroundCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	citer, err := NewBackendFromProgram(b, gtopdb.ViewsProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Insert("Family", "11", "Calcitonin", "gpcr"); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := b.Commit("release-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Insert("Family", "12", "Orexin", "gpcr"); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{b.Version(), 0, b.Version() + 1} {
+		if _, err := citer.AsOf(v); !errors.Is(err, ErrRange) {
+			t.Fatalf("AsOf(%d) with Versions() = %v: err = %v, want ErrRange", v, b.Versions(), err)
+		}
+	}
+	if _, err := citer.AsOf(committed); err != nil {
+		t.Fatalf("AsOf(%d), a committed version: %v", committed, err)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package backend defines the pluggable storage layer of the citation
 // engine: a mutable, versioned store that hands out snapshot-isolated read
-// views. Two implementations exist — Memory, pairing the in-memory
-// copy-on-write store with the versioned row log, and LSM, the persistent
-// log-structured store (internal/lsm) whose views are served from SSTable
-// iterators. Both satisfy the same conformance suite (backend_test.go), and
-// either can drive a core engine through the Head/At snapshot sources.
+// views. Its one implementation is LSM, the persistent log-structured store
+// (internal/lsm) whose views are served from SSTable iterators; it passes
+// the conformance suite (conformance_test.go) and drives a core engine
+// through the Head/At snapshot sources.
 package backend
 
 import (
@@ -13,8 +12,8 @@ import (
 )
 
 // View is a snapshot-isolated read view: an eval.DBView plus a release hook
-// returning any resources pinned by the snapshot (SSTable references for the
-// LSM backend; a no-op in memory).
+// returning any resources pinned by the snapshot (the LSM backend's SSTable
+// references).
 type View interface {
 	eval.DBView
 	Release()

@@ -214,38 +214,10 @@ func Generate(cfg Config) *storage.DB {
 	return db
 }
 
-// GenerateVersioned builds the same base instance into a VersionedDB,
-// commits it as version 1, then applies `commits` follow-up update batches —
-// each inserting batchWorks fresh works with authorship and references into
-// the existing graph — committing after every batch. It returns the store
-// and the committed version numbers in order (base first). Deterministic
-// like Generate: the follow-up batches extend the same seeded stream.
-func GenerateVersioned(cfg Config, commits, batchWorks int) (*storage.VersionedDB, []uint64) {
-	cfg = cfg.normalized()
-	if batchWorks < 1 {
-		batchWorks = 1
-	}
-	v := storage.NewVersionedDB(Schema(cfg))
-	g := newGen(cfg)
-	ins := func(rel string, vals ...string) { v.MustInsert(rel, vals...) }
-	g.entities(ins)
-	g.edges(ins)
-	versions := []uint64{v.Commit("base")}
-	next := cfg.Works
-	for c := 0; c < commits; c++ {
-		for w := 0; w < batchWorks; w++ {
-			g.work(next, ins)
-			next++
-		}
-		versions = append(versions, v.Commit("batch-"+strconv.Itoa(c+1)))
-	}
-	return v, versions
-}
-
 // inserter receives generated tuples in deterministic order.
 type inserter func(rel string, vals ...string)
 
-// gen is the shared generation state behind Generate and GenerateVersioned.
+// gen is the generation state behind Generate.
 type gen struct {
 	cfg  Config
 	r    *rand.Rand
@@ -291,20 +263,9 @@ func (g *gen) edges(ins inserter) {
 	}
 }
 
-// work emits one fresh work plus its edges (the versioned update batches).
-func (g *gen) work(w int, ins inserter) {
-	cfg := g.cfg
-	ins("Work", WorkID(w), "Title-"+pad7(w),
-		VenueID(g.r.Intn(cfg.Venues)),
-		strconv.Itoa(cfg.YearMax))
-	g.workEdges(w, ins)
-}
-
 // workEdges emits authorship and the Zipf-drawn reference list of work w.
 // Authors are a contiguous window (cheap, distinct by construction); cited
 // works redraw on self-cites and duplicates so the reference count is exact.
-// Only base works (< cfg.Works) are cited, keeping later versioned inserts
-// FK-consistent without re-ranking the Zipf.
 func (g *gen) workEdges(w int, ins inserter) {
 	cfg := g.cfg
 	wid := WorkID(w)

@@ -150,57 +150,6 @@ func TestGenerateShape(t *testing.T) {
 	}
 }
 
-// TestGenerateVersioned: base version matches Generate byte-for-byte, each
-// commit adds exactly one batch of works with edges, and the whole history
-// is deterministic.
-func TestGenerateVersioned(t *testing.T) {
-	cfg := ScaleSmall()
-	const commits, batch = 3, 10
-	v, versions := GenerateVersioned(cfg, commits, batch)
-	if len(versions) != commits+1 {
-		t.Fatalf("got %d versions, want %d", len(versions), commits+1)
-	}
-	base, err := v.AsOf(versions[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dbFingerprint(base), dbFingerprint(Generate(cfg)); got != want {
-		t.Fatalf("base version differs from Generate: %s vs %s", got, want)
-	}
-	perBatch := batch * (1 + cfg.AuthorsPerWork + cfg.RefsPerWork)
-	for i := 1; i < len(versions); i++ {
-		prev, err := v.AsOf(versions[i-1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur, err := v.AsOf(versions[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := countTuples(cur) - countTuples(prev); d != perBatch {
-			t.Fatalf("commit %d added %d tuples, want %d", i, d, perBatch)
-		}
-		if err := cur.CheckForeignKeys(); err != nil {
-			t.Fatalf("version %d: %v", versions[i], err)
-		}
-	}
-	// Replay determinism.
-	v2, versions2 := GenerateVersioned(cfg, commits, batch)
-	last, _ := v.AsOf(versions[len(versions)-1])
-	last2, _ := v2.AsOf(versions2[len(versions2)-1])
-	if dbFingerprint(last) != dbFingerprint(last2) {
-		t.Fatal("versioned generation not deterministic")
-	}
-}
-
-func countTuples(db *storage.DB) int {
-	n := 0
-	for _, rs := range db.Schema().Relations() {
-		n += db.Relation(rs.Name).Len()
-	}
-	return n
-}
-
 // TestViewsParse: the policy library parses and exposes the four views.
 func TestViewsParse(t *testing.T) {
 	vs, err := Views()

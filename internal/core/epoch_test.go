@@ -2,8 +2,8 @@ package core_test
 
 // Epoch-stability tests: a citation computed at epoch E reads the snapshot
 // taken at E and is unchanged by any later write — to the live database
-// (until Reset) or to the versioned store the epoch's database was
-// materialized from. An epoch is a snapshot and a plan cache and nothing
+// (until Reset) or to the versioned store whose committed version the
+// engine is pinned to. An epoch is a snapshot and a plan cache and nothing
 // else: Reset costs O(relations), and requests of one epoch share no lock.
 
 import (
@@ -13,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"citare/internal/backend"
 	"citare/internal/core"
 	"citare/internal/eval"
 	"citare/internal/gtopdb"
+	"citare/internal/lsm"
 	"citare/internal/shard"
 	"citare/internal/storage"
 )
@@ -80,27 +82,41 @@ func TestEpochUnchangedByLaterWrites(t *testing.T) {
 }
 
 // TestVersionedEpochsAcrossEngines pins one engine per committed version of
-// a versioned store and checks each keeps citing its own version's data
-// while the store keeps evolving — the paper's §4 fixity requirement
-// carried through the engine's epoch machinery.
+// an LSM store and checks each keeps citing its own version's data — across
+// a Reset, too — while the store keeps evolving: the paper's §4 fixity
+// requirement carried through the engine's epoch machinery.
 func TestVersionedEpochsAcrossEngines(t *testing.T) {
-	v := storage.NewVersionedDB(gtopdb.Schema())
-	v.MustInsert("Family", "11", "Calcitonin", "gpcr")
-	v.MustInsert("FamilyIntro", "11", "intro-v1")
-	ver1 := v.Commit("release-1")
-	v.MustInsert("Family", "12", "Calcium", "gpcr")
-	v.MustInsert("FamilyIntro", "12", "intro-v2")
-	ver2 := v.Commit("release-2")
+	b, err := backend.OpenLSM(t.TempDir(), gtopdb.Schema(), lsm.Options{DisableBackgroundCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	insert := func(rel string, vals ...string) {
+		t.Helper()
+		if err := b.Insert(rel, vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func(label string) uint64 {
+		t.Helper()
+		v, err := b.Commit(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	insert("Family", "11", "Calcitonin", "gpcr")
+	insert("FamilyIntro", "11", "intro-v1")
+	ver1 := commit("release-1")
+	insert("Family", "12", "Calcium", "gpcr")
+	insert("FamilyIntro", "12", "intro-v2")
+	ver2 := commit("release-2")
 
 	const q = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`
 	want := map[uint64]int{ver1: 1, ver2: 2}
 	engines := map[uint64]*core.Engine{}
 	for _, ver := range []uint64{ver1, ver2} {
-		db, err := v.AsOf(ver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := core.NewEngine(core.DBSource{DB: db}, gtopdb.MustPaperViews(), core.DefaultPolicy())
+		e, err := core.NewEngine(backend.At(b, ver), gtopdb.MustPaperViews(), core.DefaultPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +134,15 @@ func TestVersionedEpochsAcrossEngines(t *testing.T) {
 
 	// The store keeps evolving after the epochs were pinned.
 	for i := 0; i < 3; i++ {
-		v.MustInsert("Family", fmt.Sprint(100+i), "Later", "gpcr")
-		v.MustInsert("FamilyIntro", fmt.Sprint(100+i), "later-intro")
-		v.Commit("")
+		insert("Family", fmt.Sprint(100+i), "Later", "gpcr")
+		insert("FamilyIntro", fmt.Sprint(100+i), "later-intro")
+		commit("")
 	}
 
 	for ver, e := range engines {
+		if err := e.Reset(); err != nil { // a new epoch of a pinned source reads the same version
+			t.Fatal(err)
+		}
 		rows, cite := citeJSON(t, e, q)
 		if rows != want[ver] || cite != baseline[ver] {
 			t.Fatalf("version %d drifted after later commits: %d rows", ver, rows)

@@ -5,9 +5,9 @@
 // indexes and bloom filters, and leveled background compaction.
 //
 // Versions are encoded into the keys themselves (inverted, so newer versions
-// sort first within a logical key), which makes VersionedDB-style time travel
-// durable: AsOf(V) reads are answered directly from the persistent key space
-// by skipping entries stamped after V — no materialized per-version database.
+// sort first within a logical key), which makes time travel durable: AsOf(V)
+// reads are answered directly from the persistent key space by skipping
+// entries stamped after V — no materialized per-version database.
 // Snapshot isolation mirrors storage.DB's copy-on-write Snapshot: a snapshot
 // pins the immutable SSTable set plus a memtable sequence-number ceiling, so
 // concurrent writers never perturb an in-flight reader.

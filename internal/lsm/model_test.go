@@ -3,9 +3,11 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"citare/internal/storage"
@@ -34,13 +36,23 @@ func modelSchema() *storage.Schema {
 }
 
 // lsmModel is the sorted-map model of a store: the live tuples of every
-// relation at the head, and a frozen copy per committed version.
+// relation at the head, and a frozen copy and the label per committed
+// version.
 type lsmModel struct {
 	head     map[string]map[string]storage.Tuple // rel → row key → tuple
 	versions map[uint64]map[string]map[string]storage.Tuple
+	labels   map[uint64]string
 }
 
-func rowKey(t storage.Tuple) string { return fmt.Sprintf("%q", []string(t)) }
+func newLSMModel() *lsmModel {
+	return &lsmModel{
+		head:     map[string]map[string]storage.Tuple{"t": {}, "u": {}},
+		versions: map[uint64]map[string]map[string]storage.Tuple{},
+		labels:   map[uint64]string{},
+	}
+}
+
+func rowKey(t storage.Tuple) string { return t.Key() }
 
 func (m *lsmModel) clone() map[string]map[string]storage.Tuple {
 	out := make(map[string]map[string]storage.Tuple, len(m.head))
@@ -110,7 +122,7 @@ func (r *modelRun) write(ops int) {
 			r.delete(rel, tu)
 		}
 		if r.rng.Intn(150) == 0 {
-			r.commit()
+			r.commit(fmt.Sprintf("v%d", r.st.Version()))
 		}
 	}
 }
@@ -142,20 +154,35 @@ func (r *modelRun) delete(rel string, tu storage.Tuple) {
 	}
 }
 
-func (r *modelRun) commit() {
+func (r *modelRun) commit(label string) {
 	r.t.Helper()
-	v, err := r.st.Commit(fmt.Sprintf("v%d", r.st.Version()))
+	v, err := r.st.Commit(label)
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	r.model.versions[v] = r.model.clone()
+	r.model.labels[v] = label
 }
 
-// check holds the head and every committed version against the model: Len,
-// Scan and Lookup on every bound-column subset, with probe values drawn from
-// live tuples, dead tuples and random combinations.
+// check holds the head and every committed version against the model: the
+// version list and every label, then Len, Scan and Lookup on every
+// bound-column subset, with probe values drawn from live tuples, dead tuples
+// and random combinations.
 func (r *modelRun) check(stage string) {
 	r.t.Helper()
+	want := make([]uint64, 0, len(r.model.versions))
+	for v := range r.model.versions {
+		want = append(want, v)
+	}
+	slices.Sort(want)
+	if got := r.st.Versions(); !slices.Equal(got, want) || r.st.Version() != uint64(len(want))+1 {
+		r.t.Fatalf("%s: Versions() = %v, Version() = %d; model committed %v", stage, got, r.st.Version(), want)
+	}
+	for _, v := range want {
+		if got := r.st.Label(v); got != r.model.labels[v] {
+			r.t.Fatalf("%s: Label(%d) = %q, model %q", stage, v, got, r.model.labels[v])
+		}
+	}
 	head, err := r.st.Snapshot()
 	if err != nil {
 		r.t.Fatal(err)
@@ -194,7 +221,7 @@ func (r *modelRun) checkView(stage string, v *View, want map[string]map[string]s
 			got = append(got, rowKey(tu))
 			return true
 		})
-		r.compare(stage, rel+".Scan", got, rows, nil, nil)
+		r.compare(stage, rel, got, rows, nil, nil)
 
 		arity := len(modelSchema().Relation(rel).Cols)
 		probes := make([]storage.Tuple, 0, 24)
@@ -231,14 +258,15 @@ func (r *modelRun) checkView(stage string, v *View, want map[string]map[string]s
 					got = append(got, rowKey(tu))
 					return true
 				})
-				r.compare(stage, fmt.Sprintf("%s.Lookup(%v, %q)", rel, cols, vals), got, rows, cols, vals)
+				r.compare(stage, rel, got, rows, cols, vals)
 			}
 		}
 	}
 }
 
-// compare checks got against the model rows matching vals on cols.
-func (r *modelRun) compare(stage, what string, got []string, rows map[string]storage.Tuple, cols []int, vals []string) {
+// compare checks got — rel's Scan if cols is nil, else its Lookup of vals
+// on cols — against the model rows matching vals on cols.
+func (r *modelRun) compare(stage, rel string, got []string, rows map[string]storage.Tuple, cols []int, vals []string) {
 	r.t.Helper()
 	var want []string
 	for k, tu := range rows {
@@ -254,7 +282,11 @@ func (r *modelRun) compare(stage, what string, got []string, rows map[string]sto
 	sort.Strings(got)
 	sort.Strings(want)
 	if !slices.Equal(got, want) {
-		r.t.Fatalf("%s: %s = %v, model %v", stage, what, got, want)
+		what := rel + ".Scan"
+		if cols != nil {
+			what = fmt.Sprintf("%s.Lookup(%v, %q)", rel, cols, vals)
+		}
+		r.t.Fatalf("%s: %s = %q, model %q", stage, what, got, want)
 	}
 }
 
@@ -271,10 +303,7 @@ func TestLSMModelSeek(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { st.Close() }()
-	model := &lsmModel{
-		head:     map[string]map[string]storage.Tuple{"t": {}, "u": {}},
-		versions: map[uint64]map[string]map[string]storage.Tuple{},
-	}
+	model := newLSMModel()
 	run := &modelRun{t: t, rng: rand.New(rand.NewSource(27)), st: st, model: model}
 
 	for i := 0; i < 3; i++ {
@@ -300,7 +329,7 @@ func TestLSMModelSeek(t *testing.T) {
 	checkTableSeeks(t, st, 0)
 
 	run.write(600)
-	run.commit()
+	run.commit("") // an unlabelled version: Label must answer ""
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +339,133 @@ func TestLSMModelSeek(t *testing.T) {
 	run.st = st
 	run.check("reopened")
 	checkTableSeeks(t, st, 0)
+}
+
+// FuzzLSMOps input is a sequence of 4-byte records [op, x, y, z]: op modulo
+// fuzzOps picks the operation, x, y and z are its operands.
+const (
+	fuzzInsertT  = iota // insert values x, y, z into t
+	fuzzInsertT2        // the same: t takes two inserts in three, as in modelRun.write
+	fuzzInsertU         // insert values x, y into u
+	fuzzDelete          // delete from t (z even) or u: the y-th live tuple if x is odd, else values x>>1, y, z>>1
+	fuzzReinsert        // re-insert the (x·256 + y)-th deleted tuple
+	fuzzCommit          // commit, labelled "" if x is 0, else "L" and y
+	fuzzFlush           // flush, then check
+	fuzzCompact         // compact, then check
+	fuzzReopen          // close, reopen with a nil schema, then check
+	fuzzOps
+
+	// fuzzMaxRecords bounds one input: every check reads each committed
+	// version, so checks cost quadratically in the record count.
+	fuzzMaxRecords = 64
+)
+
+// FuzzLSMOps drives a store with 256-byte blocks through an op sequence
+// decoded from its input — inserts, deletes, re-inserts, labelled commits,
+// flushes, compactions, closes and reopens — and checks it against
+// TestLSMModelSeek's model after every flush, compaction and reopen, and at
+// the end: Versions, every Label, and Scan, Lookup on every bound-column
+// subset and Len at the head and at every committed version.
+func FuzzLSMOps(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(walkSeed(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 4*fuzzMaxRecords)]
+		dir := t.TempDir()
+		opt := Options{BlockBytes: 256, MemtableBytes: 1 << 20, DisableBackgroundCompaction: true}
+		st, err := Open(dir, modelSchema(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := &modelRun{t: t, rng: rand.New(rand.NewSource(1)), st: st, model: newLSMModel()}
+		defer func() { run.st.Close() }()
+		val := func(b byte) string { return modelVals[int(b)%len(modelVals)] }
+		for i := 0; i+4 <= len(data); i += 4 {
+			op, x, y, z := data[i]%fuzzOps, data[i+1], data[i+2], data[i+3]
+			stage := fmt.Sprintf("record %d", i/4)
+			switch op {
+			case fuzzInsertT, fuzzInsertT2:
+				run.insert("t", storage.Tuple{val(x), val(y), val(z)})
+			case fuzzInsertU:
+				run.insert("u", storage.Tuple{val(x), val(y)})
+			case fuzzDelete:
+				rel, tu := "t", storage.Tuple{val(x >> 1), val(y), val(z >> 1)}
+				if z&1 == 1 {
+					rel, tu = "u", tu[:2]
+				}
+				if live := run.model.head[rel]; x&1 == 1 && len(live) > 0 {
+					keys := slices.Sorted(maps.Keys(live))
+					tu = live[keys[int(y)%len(keys)]]
+				}
+				run.delete(rel, tu)
+			case fuzzReinsert:
+				if len(run.dead) > 0 {
+					tu := run.dead[(int(x)<<8|int(y))%len(run.dead)]
+					rel := "t"
+					if len(tu) == 2 {
+						rel = "u"
+					}
+					run.insert(rel, tu)
+				}
+			case fuzzCommit:
+				label := ""
+				if x != 0 {
+					label = "L" + strconv.Itoa(int(y))
+				}
+				run.commit(label)
+			case fuzzFlush:
+				if err := run.st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				run.check(stage + " flush")
+			case fuzzCompact:
+				if err := run.st.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				run.check(stage + " compact")
+			case fuzzReopen:
+				if err := run.st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if run.st, err = Open(dir, nil, opt); err != nil {
+					t.Fatal(err)
+				}
+				run.check(stage + " reopen")
+			}
+		}
+		run.check("end")
+	})
+}
+
+// walkSeed encodes a walk shaped like TestLSMModelSeek's, at fuzzing size:
+// three rounds of writes (inserts, deletes, re-inserts, now and then a
+// commit) each ended by a flush, a round left in the memtable, a
+// compaction, one more round and a commit, and a close and reopen.
+func walkSeed(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var out []byte
+	rec := func(op byte) {
+		out = append(out, op, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	writes := func(n int) {
+		for i := 0; i < n; i++ {
+			rec([]byte{fuzzInsertT, fuzzInsertT2, fuzzInsertU, fuzzDelete, fuzzReinsert}[rng.Intn(5)])
+			if rng.Intn(8) == 0 {
+				rec(fuzzCommit)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		writes(10)
+		rec(fuzzFlush)
+	}
+	writes(6)
+	rec(fuzzCompact)
+	writes(6)
+	rec(fuzzCommit)
+	rec(fuzzReopen)
+	return out
 }
 
 // checkTableSeeks positions a table iterator of every table at keys chosen

@@ -564,16 +564,18 @@ func (s *Store) Snapshot() (*View, error) {
 	return s.viewLocked(s.version), nil
 }
 
-// AsOf returns a view of the database as of a version. Historical versions
-// are immutable, so the view is stable forever.
+// AsOf returns a view of the database as of a committed version — one that
+// Versions lists, 1 ≤ version < Version(). Committed versions are immutable,
+// so the view is stable forever; the version still being written is not one
+// of them (Snapshot views it).
 func (s *Store) AsOf(version uint64) (*View, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, errClosed
 	}
-	if version == 0 || version > s.version {
-		return nil, fmt.Errorf("lsm: version %d out of range [1,%d]", version, s.version)
+	if version == 0 || version >= s.version {
+		return nil, fmt.Errorf("lsm: version %d is not committed (committed versions: 1 to %d)", version, s.version-1)
 	}
 	return s.viewLocked(version), nil
 }

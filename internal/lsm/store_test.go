@@ -216,6 +216,47 @@ func TestSnapshotIsolationAndAsOf(t *testing.T) {
 	}
 }
 
+// TestAsOfOnlyCommittedVersions: the version still being written is not in
+// Versions() and its contents still move, so AsOf refuses it rather than
+// hand out a "pinned" view that a later view of the same version disagrees
+// with. Once committed, it is accepted and stable.
+func TestAsOfOnlyCommittedVersions(t *testing.T) {
+	st := openTestStore(t, t.TempDir(), Options{DisableBackgroundCompaction: true})
+	defer st.Close()
+	st.Insert("cites", "a", "b")
+	if _, err := st.Commit("first"); err != nil {
+		t.Fatal(err)
+	}
+	st.Insert("cites", "c", "d")
+	open := st.Version()
+	if got := st.Versions(); fmt.Sprint(got) != "[1]" || open != 2 {
+		t.Fatalf("Versions() = %v, Version() = %d; want [1] and 2", got, open)
+	}
+	for _, v := range []uint64{0, open, open + 1} {
+		if view, err := st.AsOf(v); err == nil {
+			n := view.Relation("cites").Len()
+			view.Release()
+			t.Fatalf("AsOf(%d) accepted (Len %d) with Versions() = %v", v, n, st.Versions())
+		}
+	}
+	st.Insert("cites", "e", "f")
+	if _, err := st.Commit("second"); err != nil {
+		t.Fatal(err)
+	}
+	st.Insert("cites", "g", "h")
+	for i := 0; i < 2; i++ { // a later write between two views changes neither
+		view, err := st.AsOf(open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := scanAll(t, view, "cites"); fmt.Sprint(got) != "[a|b c|d e|f]" || view.Relation("cites").Len() != 3 {
+			t.Fatalf("AsOf(%d) after its commit: %v, Len %d", open, got, view.Relation("cites").Len())
+		}
+		view.Release()
+		st.Insert("cites", "i", "j")
+	}
+}
+
 func TestFlushReopenAndWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, Options{DisableBackgroundCompaction: true})

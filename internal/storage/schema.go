@@ -1,8 +1,8 @@
 // Package storage implements the in-memory relational store that stands in
 // for the DBMS underlying GtoPdb in the paper. It provides schemas with keys
-// and foreign keys, set-semantics relations with hash indexes, a versioned
-// store supporting the paper's §4 "fixity" discussion (citations must be able
-// to bring back the data as of a version), and CSV import/export.
+// and foreign keys, set-semantics relations with hash indexes, copy-on-write
+// snapshots, and CSV import/export. Versioned data — the paper's §4 "fixity"
+// requirement — lives in the persistent store (internal/lsm).
 package storage
 
 import (

@@ -67,6 +67,26 @@ func TestSnapshotRejectsWrites(t *testing.T) {
 	}
 }
 
+// TestFrozenSnapshotRejectsWrites: storage-level writes against a frozen
+// snapshot fail without corrupting the snapshot.
+func TestFrozenSnapshotRejectsWrites(t *testing.T) {
+	db := NewDB(snapSchema(t))
+	db.MustInsert("R", "1", "A")
+	snap := db.Snapshot()
+	if !snap.Frozen() {
+		t.Fatal("snapshot not frozen")
+	}
+	if err := snap.Insert("R", "9", "X"); err == nil {
+		t.Fatal("insert into frozen snapshot succeeded")
+	}
+	if _, err := snap.Delete("R", "1", "A"); err == nil {
+		t.Fatal("delete from frozen snapshot succeeded")
+	}
+	if snap.Relation("R").Len() != 1 {
+		t.Fatal("rejected writes mutated the snapshot")
+	}
+}
+
 func TestSnapshotOfSnapshot(t *testing.T) {
 	db := NewDB(snapSchema(t))
 	db.MustInsert("R", "1", "x")

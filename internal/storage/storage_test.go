@@ -2,10 +2,8 @@ package storage
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func testSchema(t *testing.T) *Schema {
@@ -168,88 +166,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestVersionedAsOf(t *testing.T) {
-	v := NewVersionedDB(testSchema(t))
-	v.MustInsert("Family", "11", "Calcitonin", "gpcr")
-	v1 := v.Commit("release-1")
-	v.MustInsert("Family", "12", "Orexin", "gpcr")
-	if _, err := v.Delete("Family", "11", "Calcitonin", "gpcr"); err != nil {
-		t.Fatal(err)
-	}
-	v2 := v.Commit("release-2")
-
-	db1, err := v.AsOf(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db1.Relation("Family").Len() != 1 || !db1.Relation("Family").Contains(Tuple{"11", "Calcitonin", "gpcr"}) {
-		t.Fatalf("v1 snapshot wrong: %v", db1.Relation("Family").Tuples())
-	}
-	db2, err := v.AsOf(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.Relation("Family").Contains(Tuple{"11", "Calcitonin", "gpcr"}) {
-		t.Fatal("deleted tuple visible at v2")
-	}
-	if !db2.Relation("Family").Contains(Tuple{"12", "Orexin", "gpcr"}) {
-		t.Fatal("inserted tuple missing at v2")
-	}
-	if v.Label(v1) != "release-1" {
-		t.Fatalf("label lost: %q", v.Label(v1))
-	}
-	if _, err := v.AsOf(0); err == nil {
-		t.Fatal("version 0 accepted")
-	}
-	if _, err := v.AsOf(99); err == nil {
-		t.Fatal("future version accepted")
-	}
-}
-
-func TestVersionedUpdateAndDiff(t *testing.T) {
-	v := NewVersionedDB(testSchema(t))
-	v.MustInsert("Family", "11", "Calcitonin", "gpcr")
-	v1 := v.Commit("")
-	if err := v.Update("Family", Tuple{"11", "Calcitonin", "gpcr"}, Tuple{"11", "Calcitonin-2", "gpcr"}); err != nil {
-		t.Fatal(err)
-	}
-	v2 := v.Commit("")
-	diff, err := v.Diff(v1, v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diff) != 2 {
-		t.Fatalf("want 1 add + 1 remove, got %v", diff)
-	}
-	adds, rems := 0, 0
-	for _, d := range diff {
-		if d.Added {
-			adds++
-		} else {
-			rems++
-		}
-	}
-	if adds != 1 || rems != 1 {
-		t.Fatalf("diff adds=%d rems=%d", adds, rems)
-	}
-	if err := v.Update("Family", Tuple{"404", "x", "y"}, Tuple{"1", "a", "b"}); err == nil {
-		t.Fatal("update of missing tuple accepted")
-	}
-}
-
-func TestVersionedSnapshotImmutability(t *testing.T) {
-	v := NewVersionedDB(testSchema(t))
-	v.MustInsert("Family", "11", "A", "gpcr")
-	v1 := v.Commit("")
-	snapA, _ := v.AsOf(v1)
-	v.MustInsert("Family", "12", "B", "gpcr")
-	v.Commit("")
-	snapB, _ := v.AsOf(v1)
-	if snapA.Relation("Family").Len() != snapB.Relation("Family").Len() {
-		t.Fatal("committed snapshot changed across later commits")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	db := NewDB(testSchema(t))
 	db.MustInsert("Family", "11", "Calcitonin, the peptide", "gpcr")
@@ -285,105 +201,4 @@ func TestLoadCSVHeaderReorder(t *testing.T) {
 	if _, err := LoadCSV(db, "Family", strings.NewReader("A,B\n1,2\n"), true); err == nil {
 		t.Fatal("bad header accepted")
 	}
-}
-
-func TestPropVersionedAsOfConsistent(t *testing.T) {
-	// Random insert/delete/commit streams: AsOf(v) must equal the state
-	// tracked by a reference map at each commit.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		v := NewVersionedDB(testSchema(t))
-		type state map[string]bool
-		ref := make(state)
-		var commits []uint64
-		var refs []state
-		for i := 0; i < 40; i++ {
-			switch r.Intn(4) {
-			case 0, 1: // insert
-				id := r.Intn(10)
-				tup := Tuple{itoa(id), "N" + itoa(id), "gpcr"}
-				if !ref[tup.Key()] {
-					// Key column must be free.
-					conflict := false
-					for k := range ref {
-						if strings.HasPrefix(k, itoa(len(itoa(id)))+":"+itoa(id)) && k != tup.Key() {
-							conflict = true
-						}
-					}
-					if !conflict {
-						if err := v.Insert("Family", tup...); err == nil {
-							ref[tup.Key()] = true
-						}
-					}
-				}
-			case 2: // delete random live tuple
-				for k := range ref {
-					_ = k
-					id := r.Intn(10)
-					tup := Tuple{itoa(id), "N" + itoa(id), "gpcr"}
-					if ref[tup.Key()] {
-						ok, _ := v.Delete("Family", tup...)
-						if ok {
-							delete(ref, tup.Key())
-						}
-					}
-					break
-				}
-			case 3: // commit
-				cv := v.Commit("")
-				commits = append(commits, cv)
-				snap := make(state, len(ref))
-				for k := range ref {
-					snap[k] = true
-				}
-				refs = append(refs, snap)
-			}
-		}
-		for i, cv := range commits {
-			db, err := v.AsOf(cv)
-			if err != nil {
-				return false
-			}
-			if db.Relation("Family").Len() != len(refs[i]) {
-				return false
-			}
-			ok := true
-			db.Relation("Family").Scan(func(tup Tuple) bool {
-				if !refs[i][tup.Key()] {
-					ok = false
-					return false
-				}
-				return true
-			})
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

@@ -1,11 +1,13 @@
 package citare
 
-// Durable time-travel acceptance for the LSM backend (ISSUE 10): the
-// citegraph workload is loaded into a persistent store along with
-// follow-up versioned commits, the store is closed and reopened from disk
-// with no reload, and everything observable (head citations, AsOf reads at
-// every committed version, sharded scatter-gather, streaming, resilient
-// evaluation) is byte-identical to the in-memory reference backend.
+// Durable time-travel acceptance for the LSM backend: the citegraph
+// workload is loaded into a persistent store along with follow-up versioned
+// commits, the store is closed and reopened from disk with no reload, and
+// everything observable (head citations, AsOf reads at every committed
+// version, sharded scatter-gather, streaming, resilient evaluation) is
+// byte-identical to plain in-memory Citers over storage.DB snapshots taken
+// at each commit of the same history — a reference with no versioned store
+// in it.
 //
 // Scale follows the repo's stress convention: ScaleSmall in ordinary test
 // runs (CI included — it fits -race), ScaleStress (1.05M tuples, the
@@ -50,12 +52,21 @@ func durableWorkload(cfg citegraph.Config) []mixedQuery {
 	}
 }
 
-// applyCitegraphHistory loads the generated citegraph base instance as
-// version 1, then applies two late-breaking update batches — fresh works
-// citing the anchor work, with one reference retracted in the second
-// batch — committing after each. Identical calls against any Backend
-// produce identical histories (generation and iteration are deterministic).
-func applyCitegraphHistory(t *testing.T, b backend.Backend, cfg citegraph.Config) []uint64 {
+// citegraphCommit is one committed version of the durable history: its
+// number and label in the backend, and the reference database as of it.
+type citegraphCommit struct {
+	version uint64
+	label   string
+	ref     *storage.DB
+}
+
+// applyCitegraphHistory loads the generated citegraph base instance into b
+// as version 1, then applies two late-breaking update batches — fresh works
+// citing the anchor work, with one reference retracted in the second batch
+// — committing after each. Every write also lands in the generated
+// storage.DB, and each commit keeps a snapshot of it as the reference for
+// that version.
+func applyCitegraphHistory(t *testing.T, b backend.Backend, cfg citegraph.Config) []citegraphCommit {
 	t.Helper()
 	db := citegraph.Generate(cfg)
 	for _, rs := range db.Schema().Relations() {
@@ -68,15 +79,16 @@ func applyCitegraphHistory(t *testing.T, b backend.Backend, cfg citegraph.Config
 			t.Fatalf("load %s: %v", rs.Name, ierr)
 		}
 	}
-	commit := func(label string) uint64 {
+	var history []citegraphCommit
+	commit := func(label string) {
 		v, err := b.Commit(label)
 		if err != nil {
 			t.Fatalf("commit %s: %v", label, err)
 		}
-		return v
+		history = append(history, citegraphCommit{version: v, label: label, ref: db.Snapshot()})
 	}
 	anchor := durableAnchor(cfg)
-	versions := []uint64{commit("base")}
+	commit("base")
 	for batch := 0; batch < 2; batch++ {
 		for j := 0; j < 5; j++ {
 			w := citegraph.WorkID(cfg.Works + batch*5 + j)
@@ -88,19 +100,36 @@ func applyCitegraphHistory(t *testing.T, b backend.Backend, cfg citegraph.Config
 				if err := b.Insert(ins[0], ins[1:]...); err != nil {
 					t.Fatalf("batch %d insert %v: %v", batch, ins, err)
 				}
+				db.MustInsert(ins[0], ins[1:]...)
 			}
 		}
 		if batch == 1 {
 			// Retract one of the first batch's references: AsOf must see it
 			// at versions 2..2 only.
-			ok, err := b.Delete("Cites", citegraph.WorkID(cfg.Works), anchor)
+			retract := []string{citegraph.WorkID(cfg.Works), anchor}
+			ok, err := b.Delete("Cites", retract...)
 			if err != nil || !ok {
 				t.Fatalf("retract = (%v, %v), want live delete", ok, err)
 			}
+			if ok, err := db.Delete("Cites", retract...); err != nil || !ok {
+				t.Fatalf("reference retract = (%v, %v), want live delete", ok, err)
+			}
 		}
-		versions = append(versions, commit(fmt.Sprintf("batch-%d", batch+1)))
+		commit(fmt.Sprintf("batch-%d", batch+1))
 	}
-	return versions
+	return history
+}
+
+// refCitegraphCiter builds a plain in-memory Citer over a reference
+// snapshot with the citegraph policy library.
+func refCitegraphCiter(t *testing.T, db *storage.DB) *Citer {
+	t.Helper()
+	c, err := NewFromProgram(db, citegraph.ViewsProgram,
+		WithNeutralCitation(citegraph.DatasetCitation()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // backendCitegraphCiter builds a citer over any backend with the citegraph
@@ -115,8 +144,8 @@ func backendCitegraphCiter(t *testing.T, b backend.Backend) *Citer {
 	return c
 }
 
-// TestLSMDurableCitegraphParity is the ISSUE 10 acceptance walk: load,
-// restart, verify everything against the in-memory reference.
+// TestLSMDurableCitegraphParity is the acceptance walk: load, restart,
+// verify everything against the plain in-memory reference.
 func TestLSMDurableCitegraphParity(t *testing.T) {
 	cfg := citegraph.ScaleSmall()
 	opt := lsm.Options{}
@@ -126,17 +155,11 @@ func TestLSMDurableCitegraphParity(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	mem := backend.NewMemory(citegraph.Schema(cfg))
-	memVers := applyCitegraphHistory(t, mem, cfg)
-
 	ldb, err := backend.OpenLSM(dir, citegraph.Schema(cfg), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsmVers := applyCitegraphHistory(t, ldb, cfg)
-	if fmt.Sprint(lsmVers) != fmt.Sprint(memVers) {
-		t.Fatalf("committed versions diverge: lsm %v, memory %v", lsmVers, memVers)
-	}
+	history := applyCitegraphHistory(t, ldb, cfg)
 	if err := ldb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,15 +171,27 @@ func TestLSMDurableCitegraphParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	var versions []uint64
+	for _, c := range history {
+		versions = append(versions, c.version)
+	}
+	if got := re.Versions(); fmt.Sprint(got) != fmt.Sprint(versions) {
+		t.Fatalf("reopened store lists versions %v, history committed %v", got, versions)
+	}
 
-	base := backendCitegraphCiter(t, mem)
-	durable := backendCitegraphCiter(t, re)
+	// Nothing was written after the last commit: its snapshot is the head.
+	base := refCitegraphCiter(t, history[len(history)-1].ref)
+	durable, err := NewBackendFromProgram(re, citegraph.ViewsProgram,
+		WithNeutralCitation(citegraph.DatasetCitation()))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Head citations: byte-identical through the reopened store.
 	for _, q := range durableWorkload(cfg) {
 		want, err := cite(base, q)
 		if err != nil {
-			t.Fatalf("memory %s: %v", q.src, err)
+			t.Fatalf("reference %s: %v", q.src, err)
 		}
 		got, err := cite(durable, q)
 		if err != nil {
@@ -172,34 +207,36 @@ func TestLSMDurableCitegraphParity(t *testing.T) {
 	// probe on the anchor work changes at every version (insertions, then a
 	// retraction), so these fingerprints genuinely differ across versions.
 	asOfQ := mixedQuery{false, citegraph.IncomingQuery(durableAnchor(cfg))}
-	for _, v := range memVers {
-		if got, want := re.Label(v), mem.Label(v); got != want {
-			t.Fatalf("label(%d) = %q, want %q", v, got, want)
+	seen := map[string]bool{}
+	for _, c := range history {
+		if got := re.Label(c.version); got != c.label {
+			t.Fatalf("label(%d) = %q, want %q", c.version, got, c.label)
 		}
-		mc, err := base.AsOf(v)
+		lc, err := durable.AsOf(c.version)
 		if err != nil {
-			t.Fatalf("memory AsOf(%d): %v", v, err)
+			t.Fatalf("lsm AsOf(%d): %v", c.version, err)
 		}
-		lc, err := durable.AsOf(v)
+		want, err := cite(refCitegraphCiter(t, c.ref), asOfQ)
 		if err != nil {
-			t.Fatalf("lsm AsOf(%d): %v", v, err)
-		}
-		want, err := cite(mc, asOfQ)
-		if err != nil {
-			t.Fatalf("memory AsOf(%d) cite: %v", v, err)
+			t.Fatalf("reference at %d cite: %v", c.version, err)
 		}
 		got, err := cite(lc, asOfQ)
 		if err != nil {
-			t.Fatalf("lsm AsOf(%d) cite: %v", v, err)
+			t.Fatalf("lsm AsOf(%d) cite: %v", c.version, err)
 		}
-		if g, w := citationFingerprint(t, got), citationFingerprint(t, want); g != w {
-			t.Fatalf("AsOf(%d):\n got %s\nwant %s", v, g, w)
+		w := citationFingerprint(t, want)
+		if g := citationFingerprint(t, got); g != w {
+			t.Fatalf("AsOf(%d):\n got %s\nwant %s", c.version, g, w)
 		}
+		seen[w] = true
+	}
+	if len(seen) != len(history) {
+		t.Fatalf("the AsOf probe reads %d distinct citations over %d versions: it does not tell them apart", len(seen), len(history))
 	}
 
 	// Sharded scatter-gather over the persistent head: hash-partition a
-	// snapshot view straight off the store and compare against the
-	// in-memory baseline, with resilience armor on (fault-free runs must be
+	// snapshot view straight off the store and compare against the plain
+	// reference, with resilience armor on (fault-free runs must be
 	// invisible and full-coverage).
 	v, err := re.Snapshot()
 	if err != nil {
@@ -219,7 +256,7 @@ func TestLSMDurableCitegraphParity(t *testing.T) {
 	for _, q := range durableWorkload(cfg) {
 		want, err := cite(base, q)
 		if err != nil {
-			t.Fatalf("memory %s: %v", q.src, err)
+			t.Fatalf("reference %s: %v", q.src, err)
 		}
 		got, err := cite(sharded, q)
 		if err != nil {
