@@ -97,7 +97,10 @@
 //     base relations (unfolded) on the snapshot, collapsing frames that
 //     differ only in a view's existential variables — so nothing in an
 //     epoch fills in lazily, its requests share no lock, and Reset is
-//     O(relations). Rendered tokens are cached in a sharded LRU. A single
+//     O(relations). Rendered tokens are cached in a sharded LRU keyed by
+//     view and λ-values that outlives Reset: an entry serves the snapshot
+//     it was rendered at, and over a persistent backend's head a commit
+//     that only inserted rows is applied to it by the delta rule. A single
 //     Engine serves concurrent Cite calls, and Reset after updates never
 //     tears an in-flight citation. Citations reuse two compilation caches,
 //     both keyed by query shape — the query with its constants lifted to

@@ -748,19 +748,29 @@ type wireMemoStats struct {
 	Bytes  uint64 `json:"bytes_built"`
 }
 
+// tokenCacheStats is the engine's rendered-token cache on /stats: hits
+// include tokens brought forward to a newer snapshot of a persistent store
+// (revalidated), and those of them the delta rule gave new rows
+// (delta_applied).
+type tokenCacheStats struct {
+	shardStats
+	Revalidated  uint64 `json:"revalidated"`
+	DeltaApplied uint64 `json:"delta_applied"`
+}
+
 type statsResponse struct {
-	shardStats                   // aggregated totals across cache shards
-	CacheShards   []shardStats   `json:"cache_shards"`
-	EngineShards  int            `json:"engine_shards"`
-	Waits         uint64         `json:"singleflight_waits"`
-	TokenCache    shardStats     `json:"token_cache"`
-	ResolveMemo   shardStats     `json:"resolve_memo"` // request text → resolved request
-	WireMemo      wireMemoStats  `json:"wire_memo"`
-	StreamHits    uint64         `json:"stream_hits"`   // streams replayed from the citation cache
-	StreamMisses  uint64         `json:"stream_misses"` // streams evaluated (or failed); both also count in hits / misses
-	LogicalPlans  planCacheStats `json:"logical_plans"`
-	PhysicalPlans planCacheStats `json:"physical_plans"`
-	UptimeSeconds float64        `json:"uptime_seconds"`
+	shardStats                    // aggregated totals across cache shards
+	CacheShards   []shardStats    `json:"cache_shards"`
+	EngineShards  int             `json:"engine_shards"`
+	Waits         uint64          `json:"singleflight_waits"`
+	TokenCache    tokenCacheStats `json:"token_cache"`
+	ResolveMemo   shardStats      `json:"resolve_memo"` // request text → resolved request
+	WireMemo      wireMemoStats   `json:"wire_memo"`
+	StreamHits    uint64          `json:"stream_hits"`   // streams replayed from the citation cache
+	StreamMisses  uint64          `json:"stream_misses"` // streams evaluated (or failed); both also count in hits / misses
+	LogicalPlans  planCacheStats  `json:"logical_plans"`
+	PhysicalPlans planCacheStats  `json:"physical_plans"`
+	UptimeSeconds float64         `json:"uptime_seconds"`
 	// Breakers reports each shard's circuit-breaker state on a resilient
 	// sharded server; absent otherwise.
 	Breakers []eval.BreakerInfo `json:"breakers,omitempty"`
@@ -784,7 +794,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	eng := s.citer.Citer().Engine()
 	tok := eng.TokenCacheStats()
-	stats.TokenCache = shardStats{Hits: tok.Hits, Misses: tok.Misses, Evictions: tok.Evictions}
+	stats.TokenCache = tokenCacheStats{
+		shardStats:   shardStats{Hits: tok.Hits, Misses: tok.Misses, Evictions: tok.Evictions},
+		Revalidated:  tok.Revalidated,
+		DeltaApplied: tok.DeltaApplied,
+	}
 	rs := s.citer.Citer().ResolveStats()
 	stats.ResolveMemo = shardStats{Hits: rs.Hits, Misses: rs.Misses, Evictions: rs.Evictions}
 	stats.WireMemo.Builds, stats.WireMemo.Bytes = s.citer.WireStats()

@@ -60,13 +60,20 @@ func (s *server) initObservability() {
 		"Streams the citation cache did not answer: evaluated, or failed.",
 		s.streamMisses.Load)
 
-	// Token render cache (per-epoch, inside the engine).
+	// Token render cache (inside the engine; over a persistent store its
+	// entries outlive Reset and are brought forward to newer snapshots).
 	s.reg.CounterFunc("citare_token_cache_hits_total",
-		"Rendered-token cache hits.",
+		"Rendered-token cache hits, tokens brought forward to a newer snapshot included.",
 		func() uint64 { return eng.TokenCacheStats().Hits })
 	s.reg.CounterFunc("citare_token_cache_misses_total",
-		"Rendered-token cache misses.",
+		"Tokens rendered from scratch.",
 		func() uint64 { return eng.TokenCacheStats().Misses })
+	s.reg.CounterFunc("citare_token_cache_revalidated_total",
+		"Cached tokens brought forward to a newer snapshot instead of rendered again.",
+		func() uint64 { return eng.TokenCacheStats().Revalidated })
+	s.reg.CounterFunc("citare_token_cache_delta_applied_total",
+		"Tokens brought forward whose rows the delta rule extended, re-rendered from the merged rows.",
+		func() uint64 { return eng.TokenCacheStats().DeltaApplied })
 
 	// Plan caches: the engine-lifetime logical tier (rewriting enumeration)
 	// and the per-epoch physical tier (compiled eval plans), both per query

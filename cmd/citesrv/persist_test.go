@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,6 +119,58 @@ func TestPersistentServerSeedRecoverParity(t *testing.T) {
 	}
 	if got := stats(t, s2).LSM.BlockCache; got.Hits == 0 || got.Misses != misses {
 		t.Errorf("lsm block_cache = %+v after a warm read, want hits > 0 and misses %d", got, misses)
+	}
+}
+
+// TestPersistentServerTokenDeltas: a commit that adds a committee member,
+// published by Invalidate, is cited at once — and the next citation brings
+// its cached tokens forward instead of rendering them again: /stats counts
+// them revalidated, the changed one delta-applied, and /metrics carries the
+// same counters.
+func TestPersistentServerTokenDeltas(t *testing.T) {
+	s, pers, _ := openPersistentServer(t, t.TempDir())
+	defer pers.Close()
+	cite := func() string {
+		w := httptest.NewRecorder()
+		s.handleCite(w, httptest.NewRequest(http.MethodPost, "/v1/cite",
+			strings.NewReader(`{"datalog": "Q(N, Pn) :- Family(F, N, Ty), FC(F, P), Person(P, Pn, A)"}`)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("cite status = %d: %s", w.Code, w.Body.String())
+		}
+		return w.Body.String()
+	}
+	// Two new members: the first change renders the committee token afresh
+	// and keeps its rows, the second is applied to them by the delta rule.
+	for _, pid := range []string{"9001", "9002"} {
+		before := cite()
+		for _, tu := range [][]string{{"Person", pid, "Member " + pid, "Somewhere"}, {"FC", "11", pid}} {
+			if err := pers.Insert(tu[0], tu[1:]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := pers.Commit("new member"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.citer.Invalidate(); err != nil {
+			t.Fatal(err)
+		}
+		if after := cite(); after == before || !strings.Contains(after, "Member "+pid) {
+			t.Fatalf("the committed member is not cited:\n%s", after)
+		}
+	}
+	tc := stats(t, s).TokenCache
+	if tc.Revalidated == 0 || tc.DeltaApplied == 0 || tc.DeltaApplied > tc.Revalidated {
+		t.Fatalf("/stats token_cache = %+v: want tokens revalidated, some delta-applied", tc)
+	}
+	w := httptest.NewRecorder()
+	s.handleMetrics(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, series := range []string{
+		"citare_token_cache_revalidated_total " + strconv.FormatUint(tc.Revalidated, 10),
+		"citare_token_cache_delta_applied_total " + strconv.FormatUint(tc.DeltaApplied, 10),
+	} {
+		if !strings.Contains(w.Body.String(), series) {
+			t.Errorf("/metrics missing %q", series)
+		}
 	}
 }
 

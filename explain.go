@@ -27,9 +27,12 @@ type ExplainStage struct {
 	DurationNs int64 `json:"duration_ns"`
 	// Attrs holds the span's annotations: string or int64 values such as
 	// "strategy", "workers", "frames", "tuples", "cached", "plan" (the
-	// compiled join order), "shard", "token_cache_hits"; on a "rewriting"
-	// span "atoms" (of the expansion it is evaluated through), "frames"
-	// and "deduped" (frames that repeated a binding).
+	// compiled join order), "shard"; on "render" the token cache's
+	// "token_cache_hits" and "token_cache_misses", and over a persistent
+	// store "token_cache_revalidated" (hits brought forward from an older
+	// snapshot) and "token_delta_rows" (rows the delta rule added); on a
+	// "rewriting" span "atoms" (of the expansion it is evaluated through),
+	// "frames" and "deduped" (frames that repeated a binding).
 	Attrs map[string]any `json:"attrs,omitempty"`
 	// Children are the nested spans.
 	Children []*ExplainStage `json:"children,omitempty"`

@@ -6,11 +6,86 @@ import (
 	"strings"
 	"testing"
 
+	"citare/internal/backend"
 	"citare/internal/gtopdb"
+	"citare/internal/lsm"
 	"citare/internal/obs"
 )
 
 const explainTestSQL = "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"
+
+// TestExplainTokenDeltas reads the token cache's outcome back through
+// explain: over a persistent store, the first citation after a commit brings
+// its cached tokens forward — the render span counts them revalidated and
+// the rows the delta rule added — instead of rendering them again, and the
+// engine's counters agree. A token keeps its rows from its first change on,
+// so the delta rule applies from the second.
+func TestExplainTokenDeltas(t *testing.T) {
+	b, err := backend.OpenLSM(t.TempDir(), gtopdb.Schema(), lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	write := func(tuples ...[]string) {
+		t.Helper()
+		for _, tu := range tuples {
+			if err := b.Insert(tu[0], tu[1:]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := b.Commit(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := gtopdb.PaperInstance()
+	for _, rs := range db.Schema().Relations() {
+		for _, tu := range db.Relation(rs.Name).Tuples() {
+			write(append([]string{rs.Name}, tu...))
+		}
+	}
+	c, err := NewBackendFromProgram(b, gtopdb.ViewsProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `Q(N, Pn) :- Family(F, N, Ty), FC(F, P), Person(P, Pn, A)`
+	render := func() map[string]any {
+		t.Helper()
+		ct, err := c.Cite(context.Background(), Request{Datalog: q, Explain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ct.Explain().Stage("render")
+		if st == nil {
+			t.Fatal("no render stage in the report")
+		}
+		return st.Attrs
+	}
+	if a := render(); a["token_cache_misses"] == nil || a["token_cache_revalidated"] != nil {
+		t.Fatalf("first citation: render attrs %v, want misses and nothing revalidated", a)
+	}
+	member := func(pid string) {
+		t.Helper()
+		write([]string{"Person", pid, "Member " + pid, "Somewhere"}, []string{"FC", "11", pid})
+		if err := c.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first change of family 11's committee renders its token afresh,
+	// keeping its rows; every other token is kept as it was.
+	member("9001")
+	if a := render(); a["token_cache_misses"] != int64(1) || a["token_cache_revalidated"] == nil || a["token_delta_rows"] != int64(0) {
+		t.Fatalf("after the first commit: render attrs %v, want one miss, the rest revalidated", a)
+	}
+	// The next change is applied to those rows by the delta rule.
+	member("9002")
+	a := render()
+	if a["token_cache_misses"] != nil || a["token_cache_revalidated"] == nil || a["token_delta_rows"] != int64(1) {
+		t.Fatalf("after the second commit: render attrs %v, want every token revalidated, one delta row and no miss", a)
+	}
+	if st := c.Engine().TokenCacheStats(); st.DeltaApplied != 1 || st.Revalidated < uint64(a["token_cache_revalidated"].(int64)) {
+		t.Fatalf("engine counters %+v disagree with the report %v", st, a)
+	}
+}
 
 // explainCiters builds one citer per evaluation configuration: unsharded
 // ("auto"), a single shard (its plans descend sequentially), and sharded

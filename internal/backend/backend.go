@@ -4,6 +4,13 @@
 // (internal/lsm) whose views are served from SSTable iterators; it passes
 // the conformance suite (conformance_test.go) and drives a core engine
 // through the Head/At snapshot sources.
+//
+// A backend also keeps a write log: every head view has a Position in the
+// store's write order, and Changes lists the inserts and deletes of a
+// relation between two positions while the store still holds them in memory
+// (since its last flush). The head source hands both to the engine, which
+// brings its cached citation tokens forward across a commit instead of
+// rendering them again; a source pinned to a version has no position.
 package backend
 
 import (
@@ -16,6 +23,10 @@ import (
 // references).
 type View interface {
 	eval.DBView
+	// Position places a head view in the store's write order: it sees every
+	// write below the position and none at or above it. A view of a
+	// committed version (AsOf) has none: ok is false.
+	Position() (pos uint64, ok bool)
 	Release()
 }
 
@@ -33,6 +44,11 @@ type Backend interface {
 	Label(version uint64) string
 	Snapshot() (View, error)
 	AsOf(version uint64) (View, error)
+	// Changes calls fn with every insert and delete of rel at positions in
+	// [from, to), oldest first, until fn returns false. When the range starts
+	// before the writes the store still holds in memory (its last flush) it
+	// calls fn with nothing and returns false: the changes are unknown.
+	Changes(rel string, from, to uint64, fn func(deleted bool, t storage.Tuple) bool) bool
 	Close() error
 }
 
@@ -69,4 +85,21 @@ func (s Source) Snapshot() (eval.DBView, error) {
 		return nil, err
 	}
 	return v, nil
+}
+
+// Position places a snapshot of the head source in the store's write order
+// (View.Position). A source pinned to a version has no position: its
+// snapshots all read that version.
+func (s Source) Position(view eval.DBView) (uint64, bool) {
+	v, ok := view.(View)
+	if s.version != 0 || !ok {
+		return 0, false
+	}
+	return v.Position()
+}
+
+// Changes lists the writes to rel between two positions (Backend.Changes);
+// a pinned source answers unknown.
+func (s Source) Changes(rel string, from, to uint64, fn func(deleted bool, t storage.Tuple) bool) bool {
+	return s.version == 0 && s.b.Changes(rel, from, to, fn)
 }

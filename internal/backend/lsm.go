@@ -56,6 +56,8 @@ func (w lsmView) Relation(name string) eval.RelView {
 	return nil
 }
 
+func (w lsmView) Position() (uint64, bool) { return w.v.Position() }
+
 func (w lsmView) Release() { w.v.Release() }
 
 // Snapshot views the current state, isolated from later writes.
@@ -75,6 +77,12 @@ func (l *LSM) AsOf(version uint64) (View, error) {
 		return nil, err
 	}
 	return lsmView{v: v}, nil
+}
+
+// Changes lists the writes to rel between two positions, while the store
+// still holds them in memory (see lsm.Store.Changes).
+func (l *LSM) Changes(rel string, from, to uint64, fn func(deleted bool, t storage.Tuple) bool) bool {
+	return l.store.Changes(rel, from, to, fn)
 }
 
 // Close flushes and closes the store.

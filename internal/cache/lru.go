@@ -126,17 +126,31 @@ func (c *Sharded[V]) Put(key string, v V) {
 // bool reports whether the value was served without running compute in
 // this call (cache hit or joined successful flight).
 func (c *Sharded[V]) GetOrCompute(key string, compute func() (V, error)) (V, bool, error) {
+	return c.GetOrRefresh(key, key, nil, func(V, bool) (V, error) { return compute() }, nil)
+}
+
+// GetOrRefresh is GetOrCompute for values that go stale. The value cached
+// under key serves only when fresh accepts it (nil fresh accepts any);
+// otherwise refresh computes a replacement, given the stale value (ok false
+// when key holds none). The replacement is stored unless keep(cached,
+// replacement) says the value cached by then must stay — another caller's,
+// newer than this one (nil keep replaces it). Callers missing with the same
+// flight key share one refresh, as GetOrCompute's callers missing on one key
+// do; callers with different flight keys — whose fresh values differ —
+// refresh independently. A cache should be used through one of the two
+// methods, not both.
+func (c *Sharded[V]) GetOrRefresh(key, flight string, fresh func(V) bool, refresh func(stale V, ok bool) (V, error), keep func(cached, v V) bool) (V, bool, error) {
 	s := c.shard(key)
 	s.mu.Lock()
 	for {
-		if e, ok := s.m[key]; ok {
+		if e, ok := s.m[key]; ok && (fresh == nil || fresh(e.val)) {
 			s.moveToFront(e)
 			s.stats.Hits++
 			v := e.val
 			s.mu.Unlock()
 			return v, true, nil
 		}
-		cl, ok := s.inflight[key]
+		cl, ok := s.inflight[flight]
 		if !ok {
 			break
 		}
@@ -154,26 +168,33 @@ func (c *Sharded[V]) GetOrCompute(key string, compute func() (V, error)) (V, boo
 		// flight may be up, or we become the new leader.
 		s.mu.Lock()
 	}
+	var stale V
+	e, had := s.m[key]
+	if had {
+		stale = e.val
+	}
 	cl := &call[V]{done: make(chan struct{})}
-	s.inflight[key] = cl
+	s.inflight[flight] = cl
 	s.stats.Misses++
 	s.mu.Unlock()
 
-	// Unregister and release waiters even if compute panics: otherwise the
-	// key would be wedged forever with every waiter blocked on done.
+	// Unregister and release waiters even if refresh panics: otherwise the
+	// flight would be wedged forever with every waiter blocked on done.
 	finished := false
 	defer func() {
 		s.mu.Lock()
-		delete(s.inflight, key)
+		delete(s.inflight, flight)
 		if finished && cl.err == nil {
-			s.put(key, cl.val)
+			if e, ok := s.m[key]; !ok || keep == nil || !keep(e.val, cl.val) {
+				s.put(key, cl.val)
+			}
 		} else if !finished {
 			cl.err = errComputePanicked
 		}
 		s.mu.Unlock()
 		close(cl.done)
 	}()
-	cl.val, cl.err = compute()
+	cl.val, cl.err = refresh(stale, had)
 	finished = true
 	return cl.val, false, cl.err
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -37,10 +36,18 @@ const tokenCacheSize = 4096
 // corrupt in-flight citations — they simply are not visible until Reset.
 // An epoch is that snapshot, its number and its physical-plan cache, captured
 // once per Cite call; nothing in it is filled in later, so concurrent
-// requests share no lock beyond the caches' own. Rendered citation tokens
-// are cached in a sharded LRU keyed by epoch. Reset costs O(relations): it
+// requests share no lock beyond the caches' own. Reset costs O(relations): it
 // swaps in a fresh state atomically, leaving in-flight Cite calls to finish
 // consistently against the old epoch.
+//
+// Rendered citation tokens are cached in a sharded LRU keyed by the token —
+// view and λ-values — that outlives Reset. An entry carries the snapshot it
+// is valid at and serves a request only at that snapshot. Over a
+// ChangeSource (the head of a persistent backend) a later snapshot brings the
+// entry forward instead of rendering the token again: kept as it is when no
+// relation its citation query reads moved, extended by the delta rule when
+// rows were only inserted (tokencache.go). Over any other source an entry
+// serves only its own epoch, and a Reset makes every token render afresh.
 //
 // Query compilation is cached at two levels, both keyed by query *shape* —
 // the query with its constants lifted to parameters (cq.Query.Shape) — and
@@ -59,7 +66,14 @@ type Engine struct {
 	byName map[string]*CitationView
 	policy Policy
 
-	tokenCache *cache.Sharded[*format.Object]
+	// tokenCache holds rendered tokens across epochs (tokencache.go);
+	// changes is src as a ChangeSource, nil when it keeps no write log.
+	// revalidated and deltaApplied count tokens brought forward to a newer
+	// snapshot, and those of them the delta rule gave new rows.
+	tokenCache   *cache.Sharded[*tokenEntry]
+	changes      ChangeSource
+	revalidated  atomic.Uint64
+	deltaApplied atomic.Uint64
 
 	// plans is the engine-lifetime logical-plan cache, one entry per query
 	// shape; lift says which constants a shape abstracts from, and viewSet
@@ -108,7 +122,16 @@ type Engine struct {
 // hash-partitioned and every evaluation scatter-gathers across shards.
 type engineState struct {
 	epoch uint64
-	// tokenPrefix is the epoch as the token cache spells it in its keys.
+	// pos is the snapshot's position in the source's write order, when
+	// logged: the source is a ChangeSource that could place it.
+	pos    uint64
+	logged bool
+	// changes memoizes the source's writes since earlier positions, per
+	// relation (changesSince).
+	changes sync.Map
+	// tokenPrefix names the data the snapshot holds — its position when
+	// logged, else its epoch — as the token cache's in-flight renders spell
+	// it: two requests share a render only when they read the same data.
 	tokenPrefix string
 	snap        evalTarget // immutable snapshot all reads evaluate against
 	// part is the snapshot as a partitioned view, nil over an unpartitioned
@@ -139,9 +162,10 @@ func NewEngine(src SnapshotSource, views []*CitationView, policy Policy) (*Engin
 		views:      views,
 		byName:     make(map[string]*CitationView, len(views)),
 		policy:     policy,
-		tokenCache: cache.NewSharded[*format.Object](8, tokenCacheSize),
+		tokenCache: cache.NewSharded[*tokenEntry](8, tokenCacheSize),
 		plans:      cache.NewSharded[*compiledQuery](8, logicalPlanCacheSize),
 	}
+	e.changes, _ = src.(ChangeSource)
 	defs := make([]*cq.Query, len(views))
 	for i, v := range views {
 		if v == nil {
@@ -182,10 +206,6 @@ func (e *Engine) Source() SnapshotSource { return e.src }
 // Call before sharing the engine across goroutines; it is not synchronized
 // with in-flight Cite calls.
 func (e *Engine) SetMetrics(m *obs.PipelineMetrics) { e.metrics = m }
-
-// TokenCacheStats reports the rendered-token cache counters (hits, misses,
-// evictions, singleflight waits) accumulated over the engine's lifetime.
-func (e *Engine) TokenCacheStats() cache.Stats { return e.tokenCache.Stats() }
 
 // PhysicalPlanStats reports the physical plan-cache counters summed across
 // all epochs: hits served from a per-epoch compiled-plan cache, and misses
@@ -228,11 +248,13 @@ func (e *Engine) curState() *engineState {
 	return e.state
 }
 
-// Reset re-snapshots the database and drops the epoch's plan and rendering
-// caches (call after updating the database). In-flight Cite calls finish
-// against the previous snapshot. Taking a snapshot costs O(relations) and
-// happens outside the state lock, so concurrent Cite calls keep serving the
-// old epoch meanwhile.
+// Reset re-snapshots the database and drops the epoch's physical-plan cache
+// (call after updating the database). In-flight Cite calls finish against
+// the previous snapshot. Taking a snapshot costs O(relations) and happens
+// outside the state lock, so concurrent Cite calls keep serving the old
+// epoch meanwhile. The token cache is left alone: an entry serves only the
+// snapshot it is valid at, and the first request of the new epoch to use it
+// brings it forward or renders it again.
 func (e *Engine) Reset() error {
 	st, err := e.buildState(e.epochCtr.Add(1))
 	if err != nil {
@@ -245,7 +267,6 @@ func (e *Engine) Reset() error {
 		e.state = st
 	}
 	e.stateMu.Unlock()
-	e.tokenCache.Purge()
 	return nil
 }
 
@@ -257,17 +278,20 @@ func (e *Engine) buildState(epoch uint64) (*engineState, error) {
 	if err != nil {
 		return nil, err
 	}
+	st := &engineState{epoch: epoch, tokenPrefix: strconv.FormatUint(epoch, 10) + "|"}
+	if e.changes != nil {
+		if st.pos, st.logged = e.changes.Position(view); st.logged {
+			var buf [24]byte
+			st.tokenPrefix = string(append(strconv.AppendUint(append(buf[:0], '@'), st.pos, 10), '|'))
+		}
+	}
 	part, _ := view.(eval.Partitioned)
 	if part != nil && e.shardWrap != nil {
 		part = e.shardWrap(part)
 		view = part
 	}
-	return &engineState{
-		epoch:       epoch,
-		tokenPrefix: strconv.FormatUint(epoch, 10) + "|",
-		snap:        evalTarget{view: view}.cached(e),
-		part:        part,
-	}, nil
+	st.snap, st.part = evalTarget{view: view}.cached(e), part
+	return st, nil
 }
 
 // RewritingCitation is the citation polynomial a single rewriting assigns to
@@ -640,72 +664,6 @@ func (e *Engine) renderMonomial(ctx context.Context, st *engineState, ro renderO
 		vals = append(vals, format.O(obj))
 	}
 	return combine(e.policy.Times, vals), nil
-}
-
-// renderTokenCached renders a token through the sharded LRU. Keys carry the
-// state epoch so a Cite racing a Reset can never serve a rendering from a
-// different snapshot.
-//
-// ctx gates entry per token and flows into the citation-query evaluation,
-// so a canceled request aborts its own rendering mid-token. Per-request
-// failures — cancellation, attempt deadlines, unreachable shards — are
-// returned to the caller and never cached: the singleflight layer below
-// retries waiters of a failed flight instead of handing them the leader's
-// error, so one doomed request cannot poison the rendering its concurrent
-// waiters share. Deterministic rendering failures still cache as embedded
-// error records. Under a partial-coverage policy (ro.degraded) a token
-// whose shards stay unreachable renders as an explicit per-request
-// Unavailable record, outside the cache — the shards may be back for the
-// next request.
-func (e *Engine) renderTokenCached(ctx context.Context, st *engineState, ro renderOpts, pt provenance.Token) (*format.Object, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	obj, hit, err := e.tokenCache.GetOrCompute(st.tokenPrefix+string(pt), func() (*format.Object, error) {
-		return e.renderToken(ctx, st, ro, pt)
-	})
-	if err != nil {
-		if ro.degraded && errors.Is(err, eval.ErrShardUnavailable) {
-			return unavailableToken(pt, err), nil
-		}
-		return nil, err
-	}
-	if tr, sp := obs.FromContext(ctx); tr != nil {
-		if hit {
-			tr.AddInt(sp, "token_cache_hits", 1)
-		} else {
-			tr.AddInt(sp, "token_cache_misses", 1)
-		}
-	}
-	return obj, nil
-}
-
-// renderToken renders one token's citation record. The returned error is
-// per-request (cancellation, deadline, unavailable shards) and must not be
-// cached; every deterministic failure is embedded in the record itself.
-func (e *Engine) renderToken(ctx context.Context, st *engineState, ro renderOpts, pt provenance.Token) (*format.Object, error) {
-	tok, err := DecodeToken(pt)
-	if err != nil {
-		return format.NewObject().Set("InvalidToken", format.S(string(pt))), nil
-	}
-	if tok.Kind == RelToken {
-		return format.NewObject().Set("UncitedRelation", format.S(tok.Name)), nil
-	}
-	v := e.byName[tok.Name]
-	if v == nil {
-		return format.NewObject().Set("UnknownView", format.S(tok.Name)), nil
-	}
-	opts := eval.Options{Resilience: ro.resil}
-	obj, err := v.renderTokenCtx(ctx, st.snap, tok, opts)
-	if err != nil {
-		if transientRenderErr(err) {
-			return nil, err
-		}
-		return format.NewObject().
-			Set("View", format.S(tok.Name)).
-			Set("Error", format.S(err.Error())), nil
-	}
-	return obj, nil
 }
 
 // aggregate applies Agg across tuple citations and injects the policy's

@@ -196,6 +196,62 @@ func TestResetAllocsDoNotGrowWithInstance(t *testing.T) {
 	}
 }
 
+// TestResetAllocsDoNotGrowWithCachedTokens: Reset leaves the token cache as
+// it is — no purge, no walk over the entries — so what it allocates is the
+// same with five cached tokens and with five hundred, over an in-memory
+// database and over the head of a persistent backend, whose tokens outlive
+// it.
+func TestResetAllocsDoNotGrowWithCachedTokens(t *testing.T) {
+	views := oracleWorldViews(t)
+	const q = `Q(A) :- R(A, B)` // a VE token per value of R.a
+	load := func(insert func(rel string, vals ...string) error, n int) {
+		for i := 0; i < n; i++ {
+			if err := insert("R", strconv.Itoa(i), strconv.Itoa(i%7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	engines := map[string]func(n int) core.SnapshotSource{
+		"mem": func(n int) core.SnapshotSource {
+			db := storage.NewDB(oracleSchema())
+			load(db.Insert, n)
+			return core.DBSource{DB: db}
+		},
+		"lsm": func(n int) core.SnapshotSource {
+			b, err := backend.OpenLSM(t.TempDir(), oracleSchema(), lsm.Options{DisableBackgroundCompaction: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { b.Close() })
+			load(b.Insert, n)
+			return backend.Head(b)
+		},
+	}
+	for name, source := range engines {
+		t.Run(name, func(t *testing.T) {
+			allocs := func(tokens int) float64 {
+				e, err := core.NewEngine(source(tokens), views, core.DefaultPolicy())
+				if err != nil {
+					t.Fatal(err)
+				}
+				citeJSON(t, e, q)
+				if n := e.TokenCacheStats().Misses; n < uint64(tokens) {
+					t.Fatalf("%d tokens rendered, want ≥ %d cached", n, tokens)
+				}
+				return testing.AllocsPerRun(10, func() {
+					if err := e.Reset(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			few, many := allocs(5), allocs(500)
+			if many > few {
+				t.Fatalf("Reset allocates %.0f objects with 5 cached tokens and %.0f with 500: it must not grow with the cache", few, many)
+			}
+		})
+	}
+}
+
 // gatedSource is a SnapshotSource over a live database whose snapshots can
 // stall the reads of one relation: after close(pass), the next pass reads of
 // it go through and every later one blocks, announcing itself on entered,

@@ -26,7 +26,8 @@ type CitationView struct {
 	// Fn, when non-nil, overrides Spec with a custom citation function. It
 	// receives what Spec.Render would: the citation query's rows, a column
 	// per variable and λ-parameter, sorted (format.Rows.Sort) by the citation
-	// query's head.
+	// query's head. It must not modify them: the engine's token cache keeps
+	// them to bring the token forward across later commits.
 	Fn func(rows *format.Rows) (*format.Object, error)
 }
 
@@ -129,20 +130,22 @@ func instantiate(q *cq.Query, params []string) (*cq.Query, error) {
 // values, evaluated, and shaped by the citation function — F_V(C_V(a⃗)) in
 // the paper's notation. RelTokens render as a marker record.
 func (v *CitationView) RenderToken(db *storage.DB, tok Token) (*format.Object, error) {
-	return v.renderTokenCtx(context.Background(), evalTarget{view: eval.DBViewOf(db)}, tok, eval.Options{})
+	obj, _, err := v.renderTokenCtx(context.Background(), evalTarget{view: eval.DBViewOf(db)}, tok, eval.Options{})
+	return obj, err
 }
 
 // renderTokenCtx renders the token's citation with the caller's context and
 // evaluation options flowing into the citation-query evaluation — the
 // engine's path, where cancellation and the resilient scatter driver must
-// reach the underlying shard scans.
-func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Token, opts eval.Options) (*format.Object, error) {
+// reach the underlying shard scans. It returns the rows the record was
+// rendered from beside it.
+func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Token, opts eval.Options) (*format.Object, *format.Rows, error) {
 	if tok.Kind != ViewToken || tok.Name != v.Name() {
-		return nil, fmt.Errorf("core: token %s does not belong to view %s", tok, v.Name())
+		return nil, nil, fmt.Errorf("core: token %s does not belong to view %s", tok, v.Name())
 	}
 	inst, err := v.InstantiatedCiteQ(tok.Params)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The request's ctx flows into the enumeration: a canceled caller aborts
 	// its own token rendering. That cannot poison the shared rendered-token
@@ -150,18 +153,167 @@ func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Tok
 	// singleflight retry the computation themselves.
 	pl, err := t.plan(ctx, inst)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rows, err := tokenRows(pl.Vars(), func(add func(frame []string)) error {
 		return pl.Each(ctx, opts, func(f []string, _ []eval.Match) error { add(f); return nil })
 	}, inst.Head, v.CiteQ.Params, tok.Params)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	obj, err := v.render(rows)
+	return obj, rows, err
+}
+
+// render applies the citation function F_V to the citation query's rows.
+func (v *CitationView) render(rows *format.Rows) (*format.Object, error) {
 	if v.Fn != nil {
 		return v.Fn(rows)
 	}
 	return v.Spec.Render(rows)
+}
+
+// deltaRows is the semi-naive delta rule for a token's citation query over
+// inserts: the rows C_V(a⃗) — inst, instantiated at params — gained between
+// an earlier snapshot and the target's, when every relation C_V reads only
+// gained rows in between; changes reports a relation's writes between the
+// two. The query is evaluated once per
+// atom whose relation gained any, that atom reading only the inserted rows
+// and every other atom the new snapshot: a new row binds some atom to an
+// inserted tuple, and an old one binds none. Rows two atoms' evaluations
+// share are kept once. ok is false when the rule does not apply — a
+// relation of C_V lost a row, or its changes are no longer known — and the
+// token must be rendered afresh.
+func (v *CitationView) deltaRows(ctx context.Context, changes func(rel string) *relChanges, t evalTarget, inst *cq.Query, params []string) (rows *format.Rows, ok bool, err error) {
+	// The inserted tuples each atom can bind: those that agree with its
+	// constants — a token's instantiated query is mostly a few point lookups,
+	// and most inserts of a commit bind none of them.
+	inserted := make([][]storage.Tuple, len(inst.Atoms))
+	for i, a := range inst.Atoms {
+		c := changes(a.Pred)
+		if !c.known || c.deleted {
+			return nil, false, nil
+		}
+		for _, t := range c.inserted {
+			if agrees(a, t) {
+				inserted[i] = append(inserted[i], t)
+			}
+		}
+	}
+	var plans []*eval.Plan
+	for i, a := range inst.Atoms {
+		ins := inserted[i]
+		if len(ins) == 0 {
+			continue
+		}
+		rel := t.view.Relation(a.Pred)
+		if rel == nil {
+			return nil, false, nil
+		}
+		q := *inst
+		q.Atoms = slices.Clone(inst.Atoms)
+		q.Atoms[i].Pred = deltaPred
+		pl, err := eval.Compile(deltaView{DBView: t.view, delta: insertedRel{rs: rel.Schema(), rows: ins}}, &q)
+		if err != nil {
+			return nil, false, nil
+		}
+		plans = append(plans, pl)
+	}
+	if len(plans) == 0 {
+		return nil, true, nil
+	}
+	seen := make(map[string]bool)
+	rows, err = tokenRows(plans[0].Vars(), func(add func(frame []string)) error {
+		for _, pl := range plans {
+			err := pl.Each(ctx, eval.Options{}, func(f []string, _ []eval.Match) error {
+				if k := storage.Tuple(f).Key(); !seen[k] {
+					seen[k] = true
+					add(f)
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}, inst.Head, v.CiteQ.Params, params)
+	if err != nil {
+		return nil, false, err
+	}
+	return rows, true, nil
+}
+
+// relChanges is what a relation's writes between two snapshots come to:
+// known false when they are no longer known, deleted when one of them is a
+// delete, else the inserted tuples.
+type relChanges struct {
+	known, deleted bool
+	inserted       []storage.Tuple
+}
+
+// agrees reports whether atom a can bind tuple t: t has a's arity and a's
+// constants where a has them.
+func agrees(a cq.Atom, t storage.Tuple) bool {
+	if len(t) != len(a.Args) {
+		return false
+	}
+	for i, arg := range a.Args {
+		if arg.IsConst && t[i] != arg.Value {
+			return false
+		}
+	}
+	return true
+}
+
+// deltaPred names the atom that reads the inserted rows in one evaluation of
+// the delta rule; no relation of a schema can be called so.
+const deltaPred = "\x00inserted"
+
+// deltaView is a snapshot with one more relation, deltaPred: a relation's
+// inserted rows.
+type deltaView struct {
+	eval.DBView
+	delta insertedRel
+}
+
+func (d deltaView) Relation(name string) eval.RelView {
+	if name == deltaPred {
+		return d.delta
+	}
+	return d.DBView.Relation(name)
+}
+
+// insertedRel is the rows inserted into a relation between two snapshots,
+// as the delta rule's one atom reads them: few, so a lookup filters a scan.
+type insertedRel struct {
+	rs   *storage.RelSchema
+	rows []storage.Tuple
+}
+
+func (r insertedRel) Schema() *storage.RelSchema { return r.rs }
+func (r insertedRel) Len() int                   { return len(r.rows) }
+
+func (r insertedRel) Scan(fn func(t storage.Tuple) bool) {
+	for _, t := range r.rows {
+		if !fn(t) {
+			return
+		}
+	}
+}
+
+func (r insertedRel) Lookup(cols []int, vals []string, fn func(t storage.Tuple) bool) {
+rows:
+	for _, t := range r.rows {
+		for i, c := range cols {
+			if t[c] != vals[i] {
+				continue rows
+			}
+		}
+		if !fn(t) {
+			return
+		}
+	}
 }
 
 // tokenRows collects the frames each delivers — valuations of vars — into a
@@ -186,12 +338,18 @@ func tokenRows(vars []string, each func(add func(frame []string)) error, head []
 		}
 		rows.Append(row...)
 	})
+	rows.Sort(headOrder(head, rows))
+	return rows, err
+}
+
+// headOrder is the lead of a token's row order: the instantiated citation
+// query's head, a column of rows per variable.
+func headOrder(head []cq.Term, rows *format.Rows) []format.KeyPart {
 	lead := make([]format.KeyPart, len(head))
 	for i, t := range head {
 		if lead[i] = (format.KeyPart{Col: -1, Lit: t.Value}); t.IsVar() {
 			lead[i].Col = rows.Col(t.Name)
 		}
 	}
-	rows.Sort(lead)
-	return rows, err
+	return lead
 }

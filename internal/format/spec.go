@@ -67,13 +67,18 @@ func renderFields(fields []Field, rows *Rows, idx []int) (*Object, error) {
 				out.Set(f.Key, S(rows.val(idx[0], col)))
 			}
 		case FList:
-			list := []Value{}
-			seen := make(map[string]bool)
+			// Sized for every row distinct, the usual case; a list with
+			// repeats is copied to its length, as records are kept in caches.
+			list := make([]Value, 0, len(idx))
+			seen := make(map[string]bool, len(idx))
 			for _, i := range idx {
 				if v := rows.val(i, col); !seen[v] {
 					seen[v] = true
 					list = append(list, S(v))
 				}
+			}
+			if len(list) < cap(list) {
+				list = slices.Clone(list)
 			}
 			out.Set(f.Key, Value{Kind: KList, List: list})
 		case FGroup:

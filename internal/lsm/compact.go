@@ -124,7 +124,7 @@ func (s *Store) Compact() error {
 	}
 	levels := [][]*sstReader{keptL0, outputs}
 	newSet := newTableSet(levels)
-	if err := s.writeManifestLevels(levels); err != nil {
+	if err := s.relevelManifest(levels); err != nil {
 		newSet.release()
 		return fail(err)
 	}

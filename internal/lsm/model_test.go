@@ -36,12 +36,29 @@ func modelSchema() *storage.Schema {
 }
 
 // lsmModel is the sorted-map model of a store: the live tuples of every
-// relation at the head, and a frozen copy and the label per committed
-// version.
+// relation at the head, a frozen copy and the label per committed version,
+// and the write log Changes answers from.
 type lsmModel struct {
 	head     map[string]map[string]storage.Tuple // rel → row key → tuple
 	versions map[uint64]map[string]map[string]storage.Tuple
 	labels   map[uint64]string
+
+	// seq is the store's next sequence number: every write — an insert of a
+	// tuple not live, a delete of a live one — and every commit takes one.
+	// log holds the writes from logFrom on: a flush that has writes to
+	// persist (Close's included) empties it and moves logFrom to seq, and
+	// a write that finds maxChanges writes in it starts it over from itself.
+	seq     uint64
+	logFrom uint64
+	log     []modelChange
+}
+
+// modelChange is one write of the model's log.
+type modelChange struct {
+	seq     uint64
+	rel     string
+	deleted bool
+	t       storage.Tuple
 }
 
 func newLSMModel() *lsmModel {
@@ -49,6 +66,23 @@ func newLSMModel() *lsmModel {
 		head:     map[string]map[string]storage.Tuple{"t": {}, "u": {}},
 		versions: map[uint64]map[string]map[string]storage.Tuple{},
 		labels:   map[uint64]string{},
+		seq:      1,
+		logFrom:  1,
+	}
+}
+
+func (m *lsmModel) write(rel string, deleted bool, t storage.Tuple) {
+	if len(m.log) == maxChanges {
+		m.log, m.logFrom = nil, m.seq
+	}
+	m.log = append(m.log, modelChange{seq: m.seq, rel: rel, deleted: deleted, t: t})
+	m.seq++
+}
+
+// flushed records a flush: one with no write to persist changes nothing.
+func (m *lsmModel) flushed() {
+	if len(m.log) > 0 {
+		m.log, m.logFrom = nil, m.seq
 	}
 }
 
@@ -134,8 +168,9 @@ func (r *modelRun) insert(rel string, tu storage.Tuple) {
 	if wantErr := !live && rel == "u" && r.model.keyTaken(tu); wantErr != (err != nil) {
 		r.t.Fatalf("Insert(%s, %q) = %v, model expects an error: %v", rel, tu, err, wantErr)
 	}
-	if err == nil {
+	if err == nil && !live {
 		r.model.head[rel][rowKey(tu)] = tu
+		r.model.write(rel, false, tu)
 	}
 }
 
@@ -151,6 +186,7 @@ func (r *modelRun) delete(rel string, tu storage.Tuple) {
 	if ok {
 		delete(r.model.head[rel], rowKey(tu))
 		r.dead = append(r.dead, tu)
+		r.model.write(rel, true, tu)
 	}
 }
 
@@ -162,6 +198,49 @@ func (r *modelRun) commit(label string) {
 	}
 	r.model.versions[v] = r.model.clone()
 	r.model.labels[v] = label
+	r.model.seq++
+}
+
+func (r *modelRun) flush() {
+	r.t.Helper()
+	if err := r.st.Flush(); err != nil {
+		r.t.Fatal(err)
+	}
+	r.model.flushed()
+}
+
+func (r *modelRun) compact() {
+	r.t.Helper()
+	if err := r.st.Compact(); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// reopen closes the store — or drops it as a killed process would, with no
+// flush — and opens its directory again, which replays the WAL.
+func (r *modelRun) reopen(dir string, opt Options, killed bool) {
+	r.t.Helper()
+	if killed {
+		crash(r.st)
+	} else {
+		if err := r.st.Close(); err != nil {
+			r.t.Fatal(err)
+		}
+		r.model.flushed()
+	}
+	st, err := Open(dir, nil, opt)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.st = st
+}
+
+// capLog lowers the write-log bound, for the store and the model alike, so a
+// short walk starts the log over too; the returned func restores it.
+func capLog(n int) func() {
+	prev := maxChanges
+	maxChanges = n
+	return func() { maxChanges = prev }
 }
 
 // check holds the head and every committed version against the model: the
@@ -188,6 +267,9 @@ func (r *modelRun) check(stage string) {
 		r.t.Fatal(err)
 	}
 	r.checkView(stage+" head", head, r.model.head)
+	if pos, ok := head.Position(); !ok || pos != r.model.seq {
+		r.t.Fatalf("%s: head Position() = %d, %v; model's next sequence number %d", stage, pos, ok, r.model.seq)
+	}
 	head.Release()
 	for v, want := range r.model.versions {
 		view, err := r.st.AsOf(v)
@@ -195,7 +277,65 @@ func (r *modelRun) check(stage string) {
 			r.t.Fatal(err)
 		}
 		r.checkView(fmt.Sprintf("%s AsOf(%d)", stage, v), view, want)
+		if _, ok := view.Position(); ok {
+			r.t.Fatalf("%s: AsOf(%d) has a Position", stage, v)
+		}
 		view.Release()
+	}
+	r.checkChanges(stage)
+}
+
+// checkChanges holds Changes against the model's log over every range of
+// positions from two before the last flush to the head — past 96 positions,
+// over every range between a sample of them that keeps both ends of the log:
+// a range that starts before the flush answers unknown, with no call of fn;
+// any other lists exactly the model's writes to the relation inside it,
+// oldest first, and stops when fn says so.
+func (r *modelRun) checkChanges(stage string) {
+	r.t.Helper()
+	m := r.model
+	lo := m.logFrom - min(m.logFrom, 2)
+	var pos []uint64
+	for p := lo; p <= m.seq; p++ {
+		if m.seq-lo <= 96 || p < m.logFrom+3 || p+3 > m.seq || (p-lo)%((m.seq-lo)/48) == 0 {
+			pos = append(pos, p)
+		}
+	}
+	spell := func(deleted bool, t storage.Tuple) string { return fmt.Sprintf("%v%q", deleted, t) }
+	for _, rel := range []string{"t", "u"} {
+		for i, from := range pos {
+			var want []string // the writes to rel from `from` on, with their sequence numbers
+			var seqs []uint64
+			for _, c := range m.log {
+				if c.rel == rel && c.seq >= from {
+					want, seqs = append(want, spell(c.deleted, c.t)), append(seqs, c.seq)
+				}
+			}
+			for _, to := range pos[i:] {
+				var got []string
+				known := r.st.Changes(rel, from, to, func(deleted bool, t storage.Tuple) bool {
+					got = append(got, spell(deleted, t))
+					return true
+				})
+				if from < m.logFrom {
+					if known || got != nil {
+						r.t.Fatalf("%s: Changes(%s, %d, %d) = %v, %q; the log starts at %d: want unknown", stage, rel, from, to, known, got, m.logFrom)
+					}
+					continue
+				}
+				n := sort.Search(len(seqs), func(i int) bool { return seqs[i] >= to })
+				if !known || !slices.Equal(got, want[:n]) {
+					r.t.Fatalf("%s: Changes(%s, %d, %d) = %v, %q; model %q", stage, rel, from, to, known, got, want[:n])
+				}
+			}
+			if from >= m.logFrom && len(want) > 1 {
+				calls := 0
+				r.st.Changes(rel, from, m.seq, func(bool, storage.Tuple) bool { calls++; return false })
+				if calls != 1 {
+					r.t.Fatalf("%s: Changes(%s, %d, %d) called fn %d times after it returned false", stage, rel, from, m.seq, calls)
+				}
+			}
+		}
 	}
 }
 
@@ -292,25 +432,24 @@ func (r *modelRun) compare(stage, rel string, got []string, rows map[string]stor
 
 // TestLSMModelSeek checks every read surface of a store whose tables have
 // hundreds of 256-byte blocks — several flushed L0 tables plus a live
-// memtable, then one compacted level, then a reopened store — against a
-// sorted-map model, and every table iterator seek against a linear walk of
-// the table.
+// memtable, then one compacted level, then a store killed and one closed
+// and reopened — against a sorted-map model, the write log Changes reads
+// included, and every table iterator seek against a linear walk of the
+// table.
 func TestLSMModelSeek(t *testing.T) {
+	defer capLog(100)()
 	dir := t.TempDir()
 	opt := Options{BlockBytes: 256, MemtableBytes: 1 << 20, DisableBackgroundCompaction: true}
 	st, err := Open(dir, modelSchema(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { st.Close() }()
 	model := newLSMModel()
 	run := &modelRun{t: t, rng: rand.New(rand.NewSource(27)), st: st, model: model}
-
+	defer func() { run.st.Close() }()
 	for i := 0; i < 3; i++ {
 		run.write(1500)
-		if err := st.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		run.flush()
 	}
 	run.write(400) // a live memtable beside the tables
 	stats := st.Stats()
@@ -322,23 +461,23 @@ func TestLSMModelSeek(t *testing.T) {
 	run.check("L0")
 	checkTableSeeks(t, st, 200)
 
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	run.compact()
 	run.check("compacted")
 	checkTableSeeks(t, st, 0)
 
+	// Killed beside a live memtable: replaying the WAL rebuilds it, and the
+	// write log with it, past the compaction.
+	run.commit("")
+	run.reopen(dir, opt, true)
+	run.check("replayed")
+
 	run.write(600)
 	run.commit("") // an unlabelled version: Label must answer ""
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st, err = Open(dir, nil, opt); err != nil {
-		t.Fatal(err)
-	}
-	run.st = st
+	run.reopen(dir, opt, false)
 	run.check("reopened")
-	checkTableSeeks(t, st, 0)
+	checkTableSeeks(t, run.st, 0)
+	run.write(100)
+	run.check("written after reopen")
 }
 
 // FuzzLSMOps input is a sequence of 4-byte records [op, x, y, z]: op modulo
@@ -352,7 +491,7 @@ const (
 	fuzzCommit          // commit, labelled "" if x is 0, else "L" and y
 	fuzzFlush           // flush, then check
 	fuzzCompact         // compact, then check
-	fuzzReopen          // close, reopen with a nil schema, then check
+	fuzzReopen          // close (x even) or kill (x odd), reopen with a nil schema, then check
 	fuzzOps
 
 	// fuzzMaxRecords bounds one input: every check reads each committed
@@ -362,14 +501,16 @@ const (
 
 // FuzzLSMOps drives a store with 256-byte blocks through an op sequence
 // decoded from its input — inserts, deletes, re-inserts, labelled commits,
-// flushes, compactions, closes and reopens — and checks it against
+// flushes, compactions, closes or kills and reopens — and checks it against
 // TestLSMModelSeek's model after every flush, compaction and reopen, and at
 // the end: Versions, every Label, and Scan, Lookup on every bound-column
-// subset and Len at the head and at every committed version.
+// subset and Len at the head and at every committed version, the head's
+// Position, and Changes over every range.
 func FuzzLSMOps(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(walkSeed(seed))
 	}
+	defer capLog(4)()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = data[:min(len(data), 4*fuzzMaxRecords)]
 		dir := t.TempDir()
@@ -415,22 +556,13 @@ func FuzzLSMOps(f *testing.F) {
 				}
 				run.commit(label)
 			case fuzzFlush:
-				if err := run.st.Flush(); err != nil {
-					t.Fatal(err)
-				}
+				run.flush()
 				run.check(stage + " flush")
 			case fuzzCompact:
-				if err := run.st.Compact(); err != nil {
-					t.Fatal(err)
-				}
+				run.compact()
 				run.check(stage + " compact")
 			case fuzzReopen:
-				if err := run.st.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if run.st, err = Open(dir, nil, opt); err != nil {
-					t.Fatal(err)
-				}
+				run.reopen(dir, opt, x&1 == 1)
 				run.check(stage + " reopen")
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -164,6 +165,15 @@ type Store struct {
 	live     map[string]int
 	counts   map[string][]versionCount
 	closed   bool
+	// changes is the write log Changes answers from: the inserts and deletes
+	// the memtable holds, per relation in sequence order, from changesFrom —
+	// the next sequence number at the last flush, or at open, where WAL
+	// replay rebuilds it. It holds changesLen writes; at maxChanges it starts
+	// over from the next one. A flush replaces it rather than truncating it,
+	// so a slice of it handed to a reader is never overwritten.
+	changes     map[string]relLog
+	changesFrom uint64
+	changesLen  int
 
 	wal      *wal
 	walBytes atomic.Int64 // published copy of wal.size for lock-free Stats
@@ -220,6 +230,9 @@ func Open(dir string, schema *storage.Schema, opt Options) (*Store, error) {
 		labels:   man.Labels,
 		live:     man.Live,
 		counts:   man.Counts,
+
+		changes:     make(map[string]relLog),
+		changesFrom: man.NextSeq,
 	}
 	if s.labels == nil {
 		s.labels = make(map[uint64]string)
@@ -447,6 +460,7 @@ func (s *Store) applyInsert(rm *relMeta, vals []string, seq uint64) {
 		s.mem.put(encodeKey(nil, rm.rs.Name, pkOrd, project(vals, rm.keyIdx), s.version, seq), opSet)
 	}
 	s.live[rm.rs.Name]++
+	s.logChange(rm.rs.Name, seq, false, vals)
 	s.nextSeq = seq + 1
 }
 
@@ -497,7 +511,68 @@ func (s *Store) applyDelete(rm *relMeta, vals []string, seq uint64) {
 		s.mem.put(encodeKey(nil, rm.rs.Name, pkOrd, project(vals, rm.keyIdx), s.version, seq), opTombstone)
 	}
 	s.live[rm.rs.Name]--
+	s.logChange(rm.rs.Name, seq, true, vals)
 	s.nextSeq = seq + 1
+}
+
+// maxChanges bounds the write log: a log that reaches it starts over, and a
+// range reaching before the new start answers unknown. A burst of writes
+// that large — a bulk load — is past what bringing a cached token forward
+// saves anyway, and without the bound the log would hold a second copy of
+// the memtable's tuples. A variable only so that tests can make it small.
+var maxChanges = 1 << 14
+
+// relLog is one relation's part of the write log: per write its sequence
+// number and whether it deleted, and its values back to back, the
+// relation's arity of them per write — so logging a write allocates nothing
+// of its own.
+type relLog struct {
+	seqs    []uint64
+	deleted []bool
+	vals    []string
+}
+
+// logChange appends a write to its relation's log; caller holds mu (or is
+// Open's replay). The values are copied: the caller may reuse its slice.
+func (s *Store) logChange(rel string, seq uint64, deleted bool, vals []string) {
+	if s.changesLen == maxChanges {
+		s.changes, s.changesFrom, s.changesLen = make(map[string]relLog), seq, 0
+	}
+	l := s.changes[rel]
+	l.seqs, l.deleted, l.vals = append(l.seqs, seq), append(l.deleted, deleted), append(l.vals, vals...)
+	s.changes[rel] = l
+	s.changesLen++
+}
+
+// Changes calls fn with every insert and delete of rel whose sequence number
+// lies in [from, to), oldest first, until fn returns false. A head view's
+// Position is such a number: between the positions of two head views it
+// lists exactly what the later one sees and the earlier does not. Changes
+// answers from the writes the store still holds in memory; when the range
+// starts before them — before the last flush, before the store was opened,
+// or more than maxChanges writes back — it calls fn with nothing and returns
+// false: the answer is unknown.
+func (s *Store) Changes(rel string, from, to uint64, fn func(deleted bool, t storage.Tuple) bool) bool {
+	s.mu.RLock()
+	if from < s.changesFrom {
+		s.mu.RUnlock()
+		return false
+	}
+	log := s.changes[rel]
+	s.mu.RUnlock()
+	// Entries below the lengths read are immutable: writers append past
+	// them, and a flush or a new start replaces the whole log.
+	k := 0
+	if rm := s.rels[rel]; rm != nil {
+		k = rm.rs.Arity()
+	}
+	i, _ := slices.BinarySearch(log.seqs, from)
+	for ; i < len(log.seqs) && log.seqs[i] < to; i++ {
+		if !fn(log.deleted[i], log.vals[i*k:(i+1)*k:(i+1)*k]) {
+			break
+		}
+	}
+	return true
 }
 
 // Commit freezes the current version under an optional label and advances to
@@ -674,6 +749,7 @@ func (s *Store) flushLocked() error {
 	old := s.tables
 	s.tables = newSet
 	s.mem = newSkiplist()
+	s.changes, s.changesFrom, s.changesLen = make(map[string]relLog), s.nextSeq, 0
 	s.mu.Unlock()
 	old.release()
 	r.unref() // creation reference; the new set owns it
@@ -701,23 +777,46 @@ func (s *Store) allocFileID() uint64 {
 	return id
 }
 
-// writeManifestLevels persists the catalog with the given table levels;
-// caller holds writeMu (version/sequence state is stable — only nextFile can
-// move concurrently, bumped by a background compaction under mu).
+// writeManifestLevels persists the catalog of the store's current state
+// with the given table levels — at a flush, when the memtable's writes are
+// in those tables; caller holds writeMu (version/sequence state is stable —
+// only nextFile can move concurrently, bumped by a background compaction
+// under mu).
 func (s *Store) writeManifestLevels(levels [][]*sstReader) error {
-	s.mu.RLock()
-	nextFile := s.nextFile
-	s.mu.RUnlock()
-	man := manifest{
-		Version:  s.version,
-		NextSeq:  s.nextSeq,
-		NextFile: nextFile,
-		Labels:   s.labels,
-		Live:     s.live,
-		Counts:   s.counts,
-		Levels:   make([][]tableMeta, len(levels)),
-		Schema:   s.schema.Relations(),
+	return s.installManifest(&manifest{
+		Version: s.version,
+		NextSeq: s.nextSeq,
+		Labels:  s.labels,
+		Live:    s.live,
+		Counts:  s.counts,
+		Schema:  s.schema.Relations(),
+	}, levels)
+}
+
+// relevelManifest persists the durable catalog with new table levels and
+// its version and sequence state unchanged — at a compaction, which moves
+// tables while the memtable's writes are durable only in the WAL: replay
+// skips every record below the catalog's NextSeq, which must stay the last
+// flush's. Caller holds writeMu.
+func (s *Store) relevelManifest(levels [][]*sstReader) error {
+	raw, err := os.ReadFile(filepath.Join(s.dir, manifestName))
+	if err != nil {
+		return err
 	}
+	var man manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		return fmt.Errorf("lsm: corrupt manifest: %w", err)
+	}
+	return s.installManifest(&man, levels)
+}
+
+// installManifest gives man the table levels and the file counter and
+// replaces the catalog with it atomically.
+func (s *Store) installManifest(man *manifest, levels [][]*sstReader) error {
+	s.mu.RLock()
+	man.NextFile = s.nextFile
+	s.mu.RUnlock()
+	man.Levels = make([][]tableMeta, len(levels))
 	for lvl, level := range levels {
 		metas := []tableMeta{}
 		for _, r := range level {
@@ -725,7 +824,7 @@ func (s *Store) writeManifestLevels(levels [][]*sstReader) error {
 		}
 		man.Levels[lvl] = metas
 	}
-	raw, err := json.MarshalIndent(&man, "", " ")
+	raw, err := json.MarshalIndent(man, "", " ")
 	if err != nil {
 		return err
 	}

@@ -41,6 +41,18 @@ func newView(schema *storage.Schema, mem *skiplist, tables *tableSet, maxVersion
 // Version returns the newest version visible in the view.
 func (v *View) Version() uint64 { return v.maxVersion }
 
+// Position places a head view (Snapshot) in the store's write order: the view
+// sees every write with a sequence number below it and none at or above it,
+// so Store.Changes between two head views' positions lists what the later
+// one sees and the earlier does not. A view of a committed version (AsOf)
+// reads by version and has no place in that order: ok is false.
+func (v *View) Position() (pos uint64, ok bool) {
+	if v.seqCeil == ^uint64(0) {
+		return 0, false
+	}
+	return v.seqCeil, true
+}
+
 // Schema returns the store schema.
 func (v *View) Schema() *storage.Schema { return v.schema }
 
