@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"citare/internal/core"
@@ -14,8 +13,12 @@ import (
 // canonicalize to the same key (and share the output-affecting options)
 // evaluate once and share the resulting citation.
 type batchGroup struct {
-	p       *core.Prepared // the first member's query, resolved
-	opts    core.CiteOptions
+	p   *core.Prepared // the first member's query, resolved
+	req Request        // the first member, whose options evaluate the class
+	// key is the class's citationKey; cached says that the batch's cache
+	// stores the class's citation under it.
+	key     string
+	cached  bool
 	indices []int // positions in the original request slice
 	// columns holds each member's own head labels, parallel to indices:
 	// members are equivalent up to renaming variables, and the shared
@@ -23,30 +26,21 @@ type batchGroup struct {
 	columns [][]string
 }
 
-// batchKey is a resolved request's group: syntactic variants of the same
-// query — reordered bodies, renamed variables, redundant atoms — share the
-// canonical key, suffixed with the options that can change the citation or
-// the error behavior (MaxRewritings, MaxTuples, and the resilience policy
-// knobs MinShardCoverage/ShardAttempts). Unsatisfiable queries fall back to
-// the raw syntactic key — they are cheap to evaluate and need no sharing.
-// The query's own column labels, which the canonical key abstracts from,
-// come back with it.
-func batchKey(r *resolved, req Request) (string, []string) {
-	key, columns := r.canonical()
-	if key == "" {
-		key = "unsat\x00" + r.q.Key()
-	}
-	return key + "\x00mr=" + strconv.Itoa(req.MaxRewritings) + "\x00mt=" + strconv.Itoa(req.MaxTuples) +
-		"\x00msc=" + strconv.Itoa(req.MinShardCoverage) + "\x00sa=" + strconv.Itoa(req.ShardAttempts), columns
-}
-
 // groupBatch resolves every request of a batch and files it under its
-// equivalence class, opening the class on first sight; order lists the
-// classes in first-member order, whose request supplies the class's
-// evaluation options. A request that does not resolve leaves its error
-// (already tagged with the taxonomy) in its slot of errs and joins no class.
-func (c *Citer) groupBatch(reqs []Request) (order []*batchGroup, errs []error) {
-	errs = make([]error, len(reqs))
+// equivalence class (citationKey), opening the class on first sight; order
+// lists the classes in first-member order. A request that does not resolve
+// leaves its error (already tagged with the taxonomy) in its slot of errs and
+// joins no class. Through a cache (cc non-nil) a request the cache holds fills
+// its slot of out and joins no class either; every cacheable request is one
+// lookup, hit or miss, as it would be on its own.
+func (c *Citer) groupBatch(reqs []Request, cc *CachedCiter) (order []*batchGroup, out []*Citation, errs []error) {
+	out, errs = make([]*Citation, len(reqs)), make([]error, len(reqs))
+	// The epoch is read once, before any evaluation, so a result computed
+	// across an Invalidate lands under the old epoch.
+	epoch := uint64(0)
+	if cc != nil {
+		epoch = cc.epoch.Load()
+	}
 	groups := make(map[string]*batchGroup, len(reqs))
 	for i, req := range reqs {
 		r, _, err := c.resolve(req)
@@ -54,17 +48,25 @@ func (c *Citer) groupBatch(reqs []Request) (order []*batchGroup, errs []error) {
 			errs[i] = err
 			continue
 		}
-		key, columns := batchKey(r, req)
+		key, columns, cacheable := citationKey(epoch, r, req)
+		cached := cc != nil && cacheable
+		if cached {
+			if ct := cc.get(key, req, columns); ct != nil {
+				ct.wire.markHit()
+				out[i] = ct
+				continue
+			}
+		}
 		g := groups[key]
 		if g == nil {
-			g = &batchGroup{p: r.p, opts: req.citeOptions()}
+			g = &batchGroup{p: r.p, req: req, key: key, cached: cached}
 			groups[key] = g
 			order = append(order, g)
 		}
 		g.indices = append(g.indices, i)
 		g.columns = append(g.columns, columns)
 	}
-	return order, errs
+	return order, out, errs
 }
 
 // CiteBatch evaluates a batch of requests, amortizing work across them:
@@ -81,21 +83,24 @@ func (c *Citer) groupBatch(reqs []Request) (order []*batchGroup, errs []error) {
 // and the remaining groups are canceled rather than evaluated to
 // completion. Canceling ctx aborts every in-flight group with ErrCanceled.
 func (c *Citer) CiteBatch(ctx context.Context, reqs []Request) ([]*Citation, error) {
+	return c.citeBatch(ctx, reqs, nil)
+}
+
+// citeBatch is CiteBatch's one body, through the cache cc when non-nil.
+func (c *Citer) citeBatch(ctx context.Context, reqs []Request, cc *CachedCiter) ([]*Citation, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	out := make([]*Citation, len(reqs))
-
 	// Parse failures are cheap and known up front, so they abort the whole
 	// batch before any evaluation is spent on it.
-	order, errs := c.groupBatch(reqs)
+	order, out, errs := c.groupBatch(reqs, cc)
 	for i, err := range errs {
 		if err != nil {
 			return nil, &BatchError{Index: i, Err: err}
 		}
 	}
 
-	c.evalGroups(ctx, reqs, order, out, errs, true)
+	c.evalGroups(ctx, reqs, order, out, errs, true, cc)
 
 	var partial *BatchError
 	for i, err := range errs {
@@ -130,22 +135,18 @@ func (c *Citer) CiteBatch(ctx context.Context, reqs []Request) ([]*Citation, err
 // (which is safe for concurrent Cite) with a worker cap; each group's
 // members share the single evaluated citation — each under its own render
 // format and column labels — landing in their out slots on success and
-// their errs slots (taxonomy-tagged) on failure. With failFast
-// set, the first failing group cancels the shared context so sibling groups
-// stop instead of finishing work the batch will discard; without it,
-// failures stay confined to their own groups and every other group runs to
-// completion (external ctx cancellation still stops everything).
-func (c *Citer) evalGroups(ctx context.Context, reqs []Request, order []*batchGroup, out []*Citation, errs []error, failFast bool) {
+// their errs slots (taxonomy-tagged) on failure. Through a cache (cc
+// non-nil) a cacheable group that evaluated to a full citation is stored
+// once. With failFast set, the first failing group cancels the shared
+// context so sibling groups stop instead of finishing work the batch will
+// discard; without it, failures stay confined to their own groups and every
+// other group runs to completion (external ctx cancellation still stops
+// everything).
+func (c *Citer) evalGroups(ctx context.Context, reqs []Request, order []*batchGroup, out []*Citation, errs []error, failFast bool, cc *CachedCiter) {
 	ctx, cancelBatch := context.WithCancel(ctx)
 	defer cancelBatch()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
+	workers := min(runtime.GOMAXPROCS(0), len(order))
+	sem := make(chan struct{}, max(workers, 1))
 	var wg sync.WaitGroup
 	for _, g := range order {
 		wg.Add(1)
@@ -153,22 +154,19 @@ func (c *Citer) evalGroups(ctx context.Context, reqs []Request, order []*batchGr
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, err := c.engine.CitePrepared(ctx, g.p, g.opts)
-			shared := &Citation{res: res, format: reqs[g.indices[0]].renderFormat()}
+			shared, err := c.cite(ctx, g.p, g.req)
+			if err == nil && g.cached {
+				cc.put(g.key, shared)
+			}
 			for k, i := range g.indices {
-				if err != nil {
-					errs[i] = classify(err)
-					continue
-				}
-				out[i] = shared.forRequest(reqs[i], g.columns[k])
 				// A degraded citation fills both slots: the Citation is
 				// usable, the *PartialError carries the Coverage report.
 				// Partial success never fail-fasts the batch.
-				if res.Coverage != nil && res.Coverage.Partial() {
-					errs[i] = &PartialError{Coverage: res.Coverage}
+				if errs[i] = err; shared != nil {
+					out[i] = shared.forRequest(reqs[i], g.columns[k])
 				}
 			}
-			if err != nil && failFast {
+			if shared == nil && failFast {
 				cancelBatch()
 			}
 		}(g)
@@ -202,13 +200,18 @@ type BatchItem struct {
 // remaining evaluation; unfinished requests report ErrCanceled in their
 // slots. Use CiteBatch for the all-or-nothing contract.
 func (c *Citer) CiteBatchItems(ctx context.Context, reqs []Request) []BatchItem {
+	return c.citeBatchItems(ctx, reqs, nil)
+}
+
+// citeBatchItems is CiteBatchItems' one body, through the cache cc when
+// non-nil.
+func (c *Citer) citeBatchItems(ctx context.Context, reqs []Request, cc *CachedCiter) []BatchItem {
 	items := make([]BatchItem, len(reqs))
 	if len(reqs) == 0 {
 		return items
 	}
-	out := make([]*Citation, len(reqs))
-	order, errs := c.groupBatch(reqs)
-	c.evalGroups(ctx, reqs, order, out, errs, false)
+	order, out, errs := c.groupBatch(reqs, cc)
+	c.evalGroups(ctx, reqs, order, out, errs, false, cc)
 	for i := range reqs {
 		items[i] = BatchItem{Citation: out[i], Err: errs[i]}
 	}

@@ -7,9 +7,11 @@ package citare
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
+	"citare/internal/fault"
 	"citare/internal/gtopdb"
 )
 
@@ -326,6 +328,58 @@ func TestCiteBatchMembersKeepOwnColumns(t *testing.T) {
 				t.Fatal(item.Err)
 			}
 			check(order, "CiteBatchItems", order[i], item.Citation)
+		}
+	}
+}
+
+// TestCachedBatchStoresEachClassOnce: through the cache, a batch looks every
+// request up — hits and misses count per request — and stores what each
+// class of equivalent requests evaluated to once, with the response memo its
+// members and later hits share; a degraded class stores nothing.
+func TestCachedBatchStoresEachClassOnce(t *testing.T) {
+	const shards, stalled = 3, 1
+	in := fault.NewInjector(42)
+	in.SetFault(stalled, fault.ShardFault{Stall: true})
+	c := resilientPaperCiter(t, shards, in, chaosConfig())
+	ctx := context.Background()
+	// A point lookup whose key lives off the stalled shard evaluates fully.
+	fid := ""
+	for _, f := range []string{"11", "12", "13", "14", "20"} {
+		if ct, err := c.Cite(ctx, Request{Datalog: fmt.Sprintf(`Q(N) :- Family(F, N, Ty), F = %q`, f)}); err == nil && ct.NumTuples() == 1 {
+			fid = f
+			break
+		}
+	}
+	if fid == "" {
+		t.Fatal("every family lives on the stalled shard")
+	}
+	reqs := []Request{
+		{Datalog: fmt.Sprintf(`Q(N) :- Family(F, N, Ty), F = %q`, fid)},
+		{Datalog: fmt.Sprintf(`Q(Name) :- Family(G, Name, T), G = %q`, fid)}, // the same class, its own column label
+		{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`, MinShardCoverage: shards - 1},
+	}
+	cached := NewCached(c)
+	first := cached.CiteBatchItems(ctx, reqs)
+	if first[0].Err != nil || first[1].Err != nil || first[2].Citation == nil || !errors.Is(first[2].Err, ErrPartial) {
+		t.Fatalf("first batch: errs [%v %v %v], want the point class whole and the last request degraded", first[0].Err, first[1].Err, first[2].Err)
+	}
+	if st := cached.CacheStats(); st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("first batch: %d hits / %d misses, want a miss per request", st.Hits, st.Misses)
+	}
+	memo := first[0].Citation.wire
+	if memo == nil || first[1].Citation.wire != memo {
+		t.Fatal("the two members of one class do not share one stored citation")
+	}
+	if n := cached.entries.Len(); n != 1 {
+		t.Fatalf("%d entries stored, want the point class alone: a degraded citation is never stored", n)
+	}
+	again := cached.CiteBatchItems(ctx, reqs)
+	if st := cached.CacheStats(); st.Hits != 2 || st.Misses != 4 {
+		t.Fatalf("second batch: %d hits / %d misses in all, want the class's two members hits and the degraded request a miss", st.Hits, st.Misses)
+	}
+	for i, it := range again[:2] {
+		if it.Err != nil || it.Citation.wire != memo || !slices.Equal(it.Citation.Columns(), first[i].Citation.Columns()) {
+			t.Fatalf("second batch, request %d: not the stored citation under its own labels (%v)", i, it.Err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ package citare
 // cost.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -34,13 +35,13 @@ func BenchmarkConcurrentCite(b *testing.B) {
 				b.Fatal(err)
 			}
 			// Warm plans and tokens so both modes measure steady state.
-			if _, err := c.CiteDatalog(queries[0]); err != nil {
+			if _, err := c.Cite(context.Background(), Request{Datalog: queries[0]}); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			if mode == "serial" {
 				for i := 0; i < b.N; i++ {
-					if _, err := c.CiteDatalog(queries[i%len(queries)]); err != nil {
+					if _, err := c.Cite(context.Background(), Request{Datalog: queries[i%len(queries)]}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -49,7 +50,7 @@ func BenchmarkConcurrentCite(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if _, err := c.CiteDatalog(queries[i%len(queries)]); err != nil {
+					if _, err := c.Cite(context.Background(), Request{Datalog: queries[i%len(queries)]}); err != nil {
 						b.Fatal(err)
 					}
 					i++
@@ -71,13 +72,13 @@ func BenchmarkConcurrentCachedCite(b *testing.B) {
 	}
 	c := NewCached(base)
 	query := `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "type-01"`
-	if _, err := c.CiteDatalog(query); err != nil {
+	if _, err := c.Cite(context.Background(), Request{Datalog: query}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := c.CiteDatalog(query); err != nil {
+			if _, err := c.Cite(context.Background(), Request{Datalog: query}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@ package citare
 // hedging payoff against a straggling shard.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -56,12 +57,12 @@ func BenchmarkPrunedPointCite(b *testing.B) {
 
 	bench := func(b *testing.B, c *Citer) {
 		b.Helper()
-		if _, err := c.CiteDatalog(q); err != nil { // warm plans and tokens once
+		if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil { // warm plans and tokens once
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.CiteDatalog(q); err != nil {
+			if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -155,13 +156,13 @@ func BenchmarkHedgedStraggler(b *testing.B) {
 			if err := c.Reset(); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := c.CiteDatalog(q); err != nil { // warm plans and tokens once
+			if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil { // warm plans and tokens once
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				in.SetFault(0, fault.ShardFault{Latency: lag, SlowOps: 1})
-				if _, err := c.CiteDatalog(q); err != nil {
+				if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,6 +9,7 @@ package citare
 // row group of EXPERIMENTS.md (B1–B9).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -80,7 +81,7 @@ func BenchmarkCitePerTuple(b *testing.B) {
 			var tuples int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := c.CiteDatalog(`Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "type-01"`)
+				res, err := c.Cite(context.Background(), Request{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "type-01"`})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -117,7 +118,7 @@ func BenchmarkCitationSize(b *testing.B) {
 			var monomials, bytes int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := c.CiteDatalog(queryText)
+				res, err := c.Cite(context.Background(), Request{Datalog: queryText})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -146,7 +147,7 @@ func BenchmarkPolicies(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "type-02", FamilyIntro(F, Tx)`); err != nil {
+					if _, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "type-02", FamilyIntro(F, Tx)`}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -6,10 +6,8 @@ import (
 	"slices"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"citare/internal/cache"
-	"citare/internal/obs"
 )
 
 // citationCacheSize bounds the citation cache (sharded LRU, entries).
@@ -22,7 +20,9 @@ const citationCacheSize = 4096
 // same entry. That is safe precisely because citations are plan-independent
 // (the paper's note after Example 3.3): equivalent queries have equal
 // citations. Requests whose options change the citation or the error
-// behavior (MaxRewritings, MaxTuples) key separate entries.
+// behavior (MaxRewritings, MaxTuples) key separate entries. The cache is a
+// lookup in front of the Citer's one implementation of each entry point and a
+// store behind it: it keeps no batch, key or stream logic of its own.
 //
 // CachedCiter is safe for concurrent use: entries live in a sharded LRU
 // whose shards lock independently, and concurrent misses on the same query
@@ -62,32 +62,23 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	}
 	// Resolved once per text: the cache key is the minimized query's, and a
 	// miss cites the same prepared query instead of minimizing again.
-	r, key, columns, err := c.key(req)
+	r, _, err := c.citer.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	if key == "" {
-		// Unsatisfiable queries are cheap; skip the cache.
-		res, err := c.citer.engine.CitePrepared(ctx, r.p, req.citeOptions())
-		if err != nil {
-			return nil, classify(err)
-		}
-		return &Citation{res: res, format: req.renderFormat()}, nil
+	key, columns, cacheable := citationKey(c.epoch.Load(), r, req)
+	if !cacheable {
+		return c.citer.cite(ctx, r.p, req)
 	}
+	// A degraded citation comes back as the compute error, a *PartialError,
+	// beside the Citation: GetOrCompute stores nothing on error, so the next
+	// request recomputes against shards that may be back.
 	compute := func() (*Citation, error) {
-		res, err := c.citer.engine.CitePrepared(ctx, r.p, req.citeOptions())
-		if err != nil {
-			return nil, classify(err)
+		ct, err := c.citer.cite(ctx, r.p, req)
+		if err == nil {
+			ct.wire = &wireMemo{stats: &c.wire}
 		}
-		ct := &Citation{res: res, format: req.renderFormat()}
-		// Degraded citations pair with a *PartialError; returning it as the
-		// compute error keeps them out of the cache (GetOrCompute stores
-		// nothing on error) while the leader still receives the Citation.
-		if res.Coverage != nil && res.Coverage.Partial() {
-			return ct, &PartialError{Coverage: res.Coverage}
-		}
-		ct.wire = &wireMemo{stats: &c.wire}
-		return ct, nil
+		return ct, err
 	}
 	var ct *Citation
 	var hit bool
@@ -107,10 +98,7 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 			break
 		}
 	}
-	// A degraded citation travels as (non-nil Citation, *PartialError) and
-	// is never cached — GetOrCompute stores nothing when compute errors, so
-	// the next request recomputes against shards that may be back.
-	if err != nil && (ct == nil || !errors.Is(err, ErrPartial)) {
+	if ct == nil {
 		return nil, err
 	}
 	if hit { // served from the cache, or by a flight another request led
@@ -119,60 +107,38 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	return ct.forRequest(req, columns), err
 }
 
-// key resolves the request and spells its citation-cache key, the one key
-// every path of the cache reads and fills under: the cache epoch, the options
-// that change the citation or the error behavior (optionsKey), the canonical
-// form of the minimized query. key is "" for an unsatisfiable query, which is
-// not cached. The epoch is read here, before any citing, so a result computed
-// against an older engine state lands under an old-epoch key, invisible to
-// readers of the new epoch. The render format and the head's variable names
-// (columns) are not part of the key — one selects a renderer, the others label
-// an answer equivalent queries share — so whatever the cache returns is
-// re-wrapped with the asking request's own (forRequest).
-func (c *CachedCiter) key(req Request) (r *resolved, key string, columns []string, err error) {
-	if r, _, err = c.citer.resolve(req); err != nil {
-		return nil, "", nil, err
+// lookup returns the citation the cache holds for a resolved request, as the
+// request should see it, or nil for whatever Cite would not answer from the
+// cache either: an Explain request, an unsatisfiable query, a key that is
+// absent — never cited, cited under other MaxRewritings / MaxTuples /
+// coverage options, degraded and so never stored, evicted, or dropped by
+// Invalidate. A lookup counts in CacheStats' hits or misses. On a nil
+// CachedCiter — a Citer without a cache — it finds nothing.
+func (c *CachedCiter) lookup(r *resolved, req Request) *Citation {
+	if c == nil || req.Explain {
+		return nil
 	}
-	key, columns = c.keyOf(r, req)
-	return r, key, columns, nil
+	key, columns, cacheable := citationKey(c.epoch.Load(), r, req)
+	if !cacheable {
+		return nil
+	}
+	return c.get(key, req, columns)
 }
 
-// keyOf is key for a request already resolved.
-func (c *CachedCiter) keyOf(r *resolved, req Request) (key string, columns []string) {
-	if key, columns = r.canonical(); key != "" {
-		key = optionsKey(c.epoch.Load(), req) + key
-	}
-	return key, columns
-}
-
-// Cached returns the citation the cache holds for the request, as the request
-// should see it, and evaluates nothing. It reports false for whatever Cite
-// would not answer from the cache either: an Explain request, a text that does
-// not resolve, an unsatisfiable query, a key that is absent — never cited,
-// cited under other MaxRewritings / MaxTuples / coverage options, degraded and
-// so never stored, evicted, or dropped by Invalidate.
-//
-// It is a lookup like Cite's: a hit refreshes the entry's LRU position and
-// counts in Stats' hits, a miss in its misses — with no fill behind it, so
-// misses exceed the citations computed by the Cached calls that missed. On a
-// hit the trace riding ctx gets the one span a replay has, parse: the time the
-// two lookups took. A miss leaves that span to whoever evaluates the request.
-func (c *CachedCiter) Cached(ctx context.Context, req Request) (*Citation, bool) {
-	if req.Explain {
-		return nil, false
-	}
-	t0 := time.Now()
-	_, key, columns, err := c.key(req)
-	if err != nil || key == "" {
-		return nil, false
-	}
+// get is lookup under a key already spelled.
+func (c *CachedCiter) get(key string, req Request, columns []string) *Citation {
 	ct, ok := c.entries.Get(key)
 	if !ok {
-		return nil, false
+		return nil
 	}
-	tr, cur := obs.FromContext(ctx)
-	tr.EndWith(tr.Start(cur, obs.StageParse), time.Since(t0))
-	return ct.forRequest(req, columns), true
+	return ct.forRequest(req, columns)
+}
+
+// put stores the citation a class of equivalent requests evaluated to,
+// under the class's key, with the response memo its later hits share.
+func (c *CachedCiter) put(key string, ct *Citation) {
+	ct.wire = &wireMemo{stats: &c.wire}
+	c.entries.Put(key, ct)
 }
 
 // forRequest returns the citation as the given request should see it. A
@@ -189,161 +155,69 @@ func (ct *Citation) forRequest(req Request, columns []string) *Citation {
 	return &own
 }
 
-// optionsKey prefixes a citation-cache key with the cache epoch and every
-// request option that changes the citation or the error behavior. The
-// resilience policy knobs are included: a partial-tolerant request must
-// never collide with a strict one.
-func optionsKey(epoch uint64, req Request) string {
-	b := strconv.AppendUint(make([]byte, 0, 48), epoch, 10)
+// citationKey spells what decides a resolved request's citation — the one key
+// the citation cache and batch grouping both read: the cache epoch, every
+// request option that changes the citation or the error behavior
+// (MaxRewritings, MaxTuples, and the resilience knobs MinShardCoverage /
+// ShardAttempts: a partial-tolerant request must never collide with a strict
+// one), and the canonical form of the minimized query, which syntactic
+// variants — reordered bodies, renamed variables, redundant atoms — share.
+// That is safe because citations are plan-independent (the paper's note after
+// Example 3.3). The render format and the head's variable names (columns) are
+// not part of it: one selects a renderer, the others label an answer
+// equivalent queries share, so whatever the key finds is re-wrapped with the
+// asking request's own (forRequest). An unsatisfiable query has no canonical
+// form; it is keyed by its syntax and is not cacheable — it is cheap to
+// evaluate and needs no sharing.
+func citationKey(epoch uint64, r *resolved, req Request) (key string, columns []string, cacheable bool) {
+	canon, columns := r.canonical()
+	var buf [128]byte
+	b := strconv.AppendUint(buf[:0], epoch, 10)
 	b = strconv.AppendInt(append(b, "|mr="...), int64(req.MaxRewritings), 10)
 	b = strconv.AppendInt(append(b, "|mt="...), int64(req.MaxTuples), 10)
 	b = strconv.AppendInt(append(b, "|msc="...), int64(req.MinShardCoverage), 10)
 	b = strconv.AppendInt(append(b, "|sa="...), int64(req.ShardAttempts), 10)
-	return string(append(b, '|'))
-}
-
-// batchMisses classifies a batch against the cache: each request is resolved
-// and looked up. A hit's citation or a parse failure's error lands
-// in the request's slot of items; the rest come back as the requests still
-// to evaluate, with their positions in reqs and their cache keys ("" for an
-// unsatisfiable query, which is not cached).
-func (c *CachedCiter) batchMisses(reqs []Request) (items []BatchItem, miss []Request, missIdx []int, missKeys []string) {
-	items = make([]BatchItem, len(reqs))
-	for i, req := range reqs {
-		_, key, columns, err := c.key(req)
-		if err != nil {
-			items[i].Err = err
-			continue
-		}
-		if key != "" {
-			if ct, hit := c.entries.Get(key); hit {
-				ct.wire.markHit()
-				items[i].Citation = ct.forRequest(req, columns)
-				continue
-			}
-		}
-		miss = append(miss, req)
-		missIdx = append(missIdx, i)
-		missKeys = append(missKeys, key)
+	if canon == "" {
+		return string(append(append(b, "|unsat|"...), r.q.Key()...)), columns, false
 	}
-	return items, miss, missIdx, missKeys
+	return string(append(append(b, '|'), canon...)), columns, true
 }
 
-// putComputed caches the computed citation of a missed request, unless the
-// query is unsatisfiable or the citation degraded: the shards it is missing
-// may answer the next request.
-func (c *CachedCiter) putComputed(key string, ct *Citation) {
-	if key != "" && (ct.Coverage() == nil || !ct.Coverage().Partial()) {
-		if ct.wire == nil { // members of one class may share the citation
-			ct.wire = &wireMemo{stats: &c.wire}
-		}
-		c.entries.Put(key, ct)
-	}
-}
-
-// CiteBatch evaluates a batch through the cache: cached requests are served
-// immediately, the remaining distinct queries evaluate through the
-// underlying Citer's plan-shared CiteBatch (one compilation and one
-// evaluation per equivalence class, concurrent across classes), and their
-// results are cached for later requests. Semantics match Citer.CiteBatch:
-// all-or-nothing, parse failures abort before any evaluation, and a
-// *BatchError names the failing request.
+// CiteBatch evaluates a batch through the cache: it is Citer.CiteBatch with
+// the cache in front — a request the cache holds is served from it and joins
+// no equivalence class — and behind, where each class that evaluated to a
+// full citation is stored once. Degraded citations and unsatisfiable queries
+// are never stored.
 func (c *CachedCiter) CiteBatch(ctx context.Context, reqs []Request) ([]*Citation, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	items, miss, missIdx, missKeys := c.batchMisses(reqs)
-	out := make([]*Citation, len(reqs))
-	for i, it := range items {
-		if it.Err != nil {
-			return nil, &BatchError{Index: i, Err: it.Err}
-		}
-		out[i] = it.Citation
-	}
-	if len(miss) == 0 {
-		return out, nil
-	}
-	computed, err := c.citer.CiteBatch(ctx, miss)
-	var be *BatchError
-	if errors.As(err, &be) {
-		// Map the sub-batch index back to the original request slice.
-		err = &BatchError{Index: missIdx[be.Index], Err: be.Err}
-	}
-	if err != nil && (computed == nil || !errors.Is(err, ErrPartial)) {
-		return nil, err
-	}
-	for j, i := range missIdx {
-		out[i] = computed[j]
-		c.putComputed(missKeys[j], computed[j])
-	}
-	return out, err
+	return c.citer.citeBatch(ctx, reqs, c)
 }
 
-// CiteBatchItems evaluates a batch with per-item error isolation through
-// the cache: cached requests are served immediately, the remaining distinct
-// queries evaluate through the underlying Citer's CiteBatchItems, and the
-// successful results are cached for later requests. A failing request yields
-// its typed error in its own slot — errors are never cached. See
-// Citer.CiteBatchItems.
+// CiteBatchItems is Citer.CiteBatchItems with the cache in front and behind,
+// as in CiteBatch: errors are never cached.
 func (c *CachedCiter) CiteBatchItems(ctx context.Context, reqs []Request) []BatchItem {
-	items, miss, missIdx, missKeys := c.batchMisses(reqs)
-	if len(miss) == 0 {
-		return items
-	}
-	computed := c.citer.CiteBatchItems(ctx, miss)
-	for j, i := range missIdx {
-		items[i] = computed[j]
-		if computed[j].Err == nil {
-			c.putComputed(missKeys[j], computed[j].Citation)
-		}
-	}
-	return items
+	return c.citer.citeBatchItems(ctx, reqs, c)
 }
 
 // CiteEach streams per-tuple citations for one request, whose text it
-// resolves once. A request whose citation the cache holds (what Cached would
-// return) is a replay — Citation.EachTuple: the tuples, order and bytes the
-// evaluation would deliver, nothing evaluated or rendered, each distinct
-// citation's text forms made once for every stream of the entry. Any other
-// request cites the resolved query as Citer.CiteEach would and stores
-// nothing: a stream never builds the aggregate a cached citation carries.
+// resolves once. A request whose citation the cache holds is a replay —
+// Citation.EachTuple: the tuples, order and bytes the evaluation would
+// deliver, nothing evaluated or rendered, each distinct citation's text forms
+// made once for every stream of the entry. Any other request cites the
+// resolved query as Citer.CiteEach would and stores nothing: a stream never
+// builds the aggregate a cached citation carries.
 func (c *CachedCiter) CiteEach(ctx context.Context, req Request, fn func(Tuple) error) error {
-	if fn == nil || req.Explain { // a nil callback is Citer.CiteEach's to reject
-		return c.citer.CiteEach(ctx, req, fn)
-	}
-	r, err := c.citer.resolveTraced(ctx, req)
-	if err != nil {
-		return err
-	}
-	if key, columns := c.keyOf(r, req); key != "" {
-		if ct, ok := c.entries.Get(key); ok {
-			return ct.forRequest(req, columns).EachTuple(fn)
-		}
-	}
-	return c.citer.citeEach(ctx, r, req, fn)
+	_, err := c.citer.stream(ctx, req, fn, c, nil)
+	return err
 }
 
-// CiteSQL parses and cites a SQL query through the cache.
-//
-// Deprecated: use Cite with a Request — it adds cancellation, per-request
-// options and typed errors.
-func (c *CachedCiter) CiteSQL(sql string) (*Citation, error) {
-	return c.Cite(context.Background(), Request{SQL: sql})
-}
-
-// CiteDatalog parses and cites a datalog query through the cache.
-//
-// Deprecated: use Cite with a Request — it adds cancellation, per-request
-// options and typed errors.
-func (c *CachedCiter) CiteDatalog(src string) (*Citation, error) {
-	return c.Cite(context.Background(), Request{Datalog: src})
-}
-
-// Stats reports cache hits and misses so far (callers that joined an
-// in-flight computation count as hits).
-func (c *CachedCiter) Stats() (hits, misses int) {
-	s := c.entries.Stats()
-	return int(s.Hits), int(s.Misses)
+// Stream is CiteEach for a caller that writes a replay differently from an
+// evaluation: replay, when non-nil, is called before the first tuple of a
+// stream the cache answers, and replayed reports whether it did. The
+// stream's lookup counts in CacheStats like Cite's; on a replay the trace
+// riding ctx gets the one span a replay has, parse: the time the text's and
+// the citation's lookups took.
+func (c *CachedCiter) Stream(ctx context.Context, req Request, fn func(Tuple) error, replay func()) (replayed bool, err error) {
+	return c.citer.stream(ctx, req, fn, c, replay)
 }
 
 // CacheStats returns the aggregated hit/miss/evict counters across every

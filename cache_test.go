@@ -9,6 +9,7 @@ import (
 
 	"citare/internal/core"
 	"citare/internal/gtopdb"
+	"citare/internal/storage"
 )
 
 func TestCachedCiterHitsOnEquivalentQueries(t *testing.T) {
@@ -21,7 +22,7 @@ func TestCachedCiterHitsOnEquivalentQueries(t *testing.T) {
 	}
 	var first string
 	for i, v := range variants {
-		res, err := c.CiteDatalog(v)
+		res, err := c.Cite(context.Background(), Request{Datalog: v})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -31,7 +32,8 @@ func TestCachedCiterHitsOnEquivalentQueries(t *testing.T) {
 			t.Fatalf("variant %d citation differs", i)
 		}
 	}
-	hits, misses := c.Stats()
+	st := c.CacheStats()
+	hits, misses := st.Hits, st.Misses
 	if misses != 1 || hits != 2 {
 		t.Fatalf("want 1 miss + 2 hits, got %d misses %d hits", misses, hits)
 	}
@@ -39,13 +41,14 @@ func TestCachedCiterHitsOnEquivalentQueries(t *testing.T) {
 
 func TestCachedCiterSQLAndDatalogShareEntries(t *testing.T) {
 	c := NewCached(newPaperCiter(t))
-	if _, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`); err != nil {
+	if _, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CiteSQL(`SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'`); err != nil {
+	if _, err := c.Cite(context.Background(), Request{SQL: `SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'`}); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := c.Stats()
+	st := c.CacheStats()
+	hits, misses := st.Hits, st.Misses
 	if misses != 1 || hits != 1 {
 		t.Fatalf("SQL should hit the datalog entry: %d misses %d hits", misses, hits)
 	}
@@ -58,7 +61,7 @@ func TestCachedCiterInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCached(base)
-	res1, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr"`)
+	res1, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +69,15 @@ func TestCachedCiterInvalidate(t *testing.T) {
 	if err := c.Invalidate(); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr"`)
+	res2, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.NumTuples() != res1.NumTuples()+1 {
 		t.Fatalf("stale citation after Invalidate: %d vs %d", res2.NumTuples(), res1.NumTuples())
 	}
-	hits, misses := c.Stats()
+	st := c.CacheStats()
+	hits, misses := st.Hits, st.Misses
 	if hits != 0 || misses != 2 {
 		t.Fatalf("stats after invalidate: %d hits %d misses", hits, misses)
 	}
@@ -82,11 +86,12 @@ func TestCachedCiterInvalidate(t *testing.T) {
 func TestCachedCiterUnsatBypassesCache(t *testing.T) {
 	c := NewCached(newPaperCiter(t))
 	for i := 0; i < 2; i++ {
-		if _, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "a", Ty = "b"`); err != nil {
+		if _, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "a", Ty = "b"`}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hits, misses := c.Stats()
+	st := c.CacheStats()
+	hits, misses := st.Hits, st.Misses
 	if hits != 0 || misses != 0 {
 		t.Fatalf("unsat queries must bypass the cache: %d hits %d misses", hits, misses)
 	}
@@ -105,7 +110,7 @@ func TestCachedCiterConcurrent(t *testing.T) {
 			if i%2 == 1 {
 				q = `Q(N) :- Family(F, N, Ty), Ty = "lgic"`
 			}
-			if _, err := c.CiteDatalog(q); err != nil {
+			if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil {
 				errs <- fmt.Errorf("goroutine %d: %w", i, err)
 			}
 		}(i)
@@ -115,7 +120,8 @@ func TestCachedCiterConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	hits, misses := c.Stats()
+	st := c.CacheStats()
+	hits, misses := st.Hits, st.Misses
 	if hits+misses != 32 {
 		t.Fatalf("accounting: %d hits + %d misses != 32", hits, misses)
 	}
@@ -161,8 +167,8 @@ func TestCachedCiterHitKeepsRequestColumns(t *testing.T) {
 				t.Fatalf("%v: the hit's citation differs from the entry's", order)
 			}
 		}
-		if hits, misses := c.Stats(); misses != 1 || hits != 1 {
-			t.Fatalf("%v: want one engine call and one hit, got %d misses %d hits", order, misses, hits)
+		if st := c.CacheStats(); st.Misses != 1 || st.Hits != 1 {
+			t.Fatalf("%v: want one engine call and one hit, got %d misses %d hits", order, st.Misses, st.Hits)
 		}
 		// Both served from the cache now, in one batch.
 		cts, err := c.CiteBatch(context.Background(), []Request{dl, sql})
@@ -247,5 +253,64 @@ func TestCachedCitationPolynomialsSpelledOnce(t *testing.T) {
 	t.Logf("%d tuples, %d distinct citations: %.0f allocs for a second pass of TuplePolynomialAt", n, len(distinct), allocs)
 	if allocs > float64(len(distinct)) {
 		t.Fatalf("second pass over %d tuples allocates %.0f times, more than the %d distinct citations — polynomials are spelled per tuple per call", n, allocs, len(distinct))
+	}
+}
+
+// TestCachedHitIsTheQuerysOwnCitation: a query served from the entry a
+// renamed twin filled gets the citation it would have got on its own. A
+// tuple's record lists its rewritings' records in rewriting order, and a
+// preference order that ties keeps the first rewriting, so that order must
+// not depend on how the query names its variables: named as written,
+// V1(W)·V2(Z) sorts before V1(Z)·V2(W) here and after its image in the twin.
+func TestCachedHitIsTheQuerysOwnCitation(t *testing.T) {
+	schema := storage.NewSchema()
+	schema.MustAddRelation(&storage.RelSchema{Name: "S", Cols: []storage.Column{{Name: "a"}}})
+	db := storage.NewDB(schema)
+	db.MustInsert("S", "a")
+	db.MustInsert("S", "c")
+	const views = `
+view V1(A) :- S(A).
+cite V1 CV1(A) :- S(A).
+fmt V1 { "View": "V1", "All": [A] }.
+view λA. V2(A) :- S(A).
+cite V2 λA. CV2(A) :- S(A).
+fmt V2 { "View": "V2", "Key": A }.
+`
+	pol := WithPolicy(Policy{Times: Union, Plus: Union, PlusR: Union, Agg: Union})
+	own, err := NewFromProgram(db, views, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewFromProgram(db, views, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := NewCached(shared)
+	ctx := context.Background()
+	if _, err := cached.Cite(ctx, Request{Datalog: `Q(W, Y) :- S(Y), S(W)`}); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Datalog: `Q(Z, W) :- S(W), S(Z)`}
+	hit, err := cached.Cite(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cached.CacheStats(); st.Hits != 1 {
+		t.Fatalf("%d hits: the renamed twin missed the entry", st.Hits)
+	}
+	want, err := own.Cite(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.NumTuples() {
+		if got, want := tuplePoly(t, hit, i), tuplePoly(t, want, i); got != want {
+			t.Fatalf("tuple %v: cached %s, its own citation %s", hit.Rows()[i], got, want)
+		}
+		if got, want := tupleJSON(t, hit, i), tupleJSON(t, want, i); got != want {
+			t.Fatalf("tuple %v: cached record %s, its own %s", hit.Rows()[i], got, want)
+		}
+	}
+	if hit.CitationJSON() != want.CitationJSON() {
+		t.Fatalf("aggregate: cached %s, its own %s", hit.CitationJSON(), want.CitationJSON())
 	}
 }

@@ -56,9 +56,6 @@
 // errors.Is; the original cause (parser position errors, context errors,
 // the *PartialError coverage report) stays reachable via errors.As.
 //
-// The old CiteSQL / CiteDatalog methods remain as deprecated one-line
-// wrappers over Cite with a background context.
-//
 // The package wires together the internal engine; the model itself lives in
 // internal/core (citation views, semiring, orders, policies), internal/
 // rewrite (answering queries using views) and internal/cq (conjunctive-query
@@ -137,7 +134,6 @@
 package citare
 
 import (
-	"context"
 	"fmt"
 
 	"citare/internal/backend"
@@ -360,28 +356,6 @@ func (c *Citer) Reset() error { return c.engine.Reset() }
 // newer one.
 func (c *Citer) ResolveStats() cache.Stats { return c.resolves.Stats() }
 
-// CiteSQL parses a conjunctive SQL query and computes its citation.
-//
-// Deprecated: use Cite with a Request — it adds cancellation, per-request
-// options and typed errors. CiteSQL is Cite(context.Background(),
-// Request{SQL: sql}).
-func (c *Citer) CiteSQL(sql string) (*Citation, error) {
-	return c.Cite(context.Background(), Request{SQL: sql})
-}
-
-// CiteDatalog parses a query in the paper's notation, e.g.
-//
-//	Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)
-//
-// and computes its citation.
-//
-// Deprecated: use Cite with a Request — it adds cancellation, per-request
-// options and typed errors. CiteDatalog is Cite(context.Background(),
-// Request{Datalog: src}).
-func (c *Citer) CiteDatalog(src string) (*Citation, error) {
-	return c.Cite(context.Background(), Request{Datalog: src})
-}
-
 // Citation is the outcome of citing one query: the answer tuples, the
 // per-tuple citations, and the aggregated result-set citation.
 type Citation struct {
@@ -431,17 +405,6 @@ func (ct *Citation) Rewritings() []string {
 	return out
 }
 
-// TuplePolynomial renders the i-th tuple's citation polynomial, e.g.
-// CV1("13")·CV2("13") + CV4("gpcr")·CV2("13").
-//
-// Deprecated: an out-of-range index silently returns "", indistinguishable
-// from an empty citation; use TuplePolynomialAt, which reports it as an
-// error tagged ErrRange.
-func (ct *Citation) TuplePolynomial(i int) string {
-	s, _ := ct.TuplePolynomialAt(i)
-	return s
-}
-
 // TuplePolynomialAt renders the i-th tuple's citation polynomial, e.g.
 // CV1("13")·CV2("13") + CV4("gpcr")·CV2("13"). An out-of-range index fails
 // with an error tagged ErrRange, so a missing tuple can never be mistaken
@@ -451,16 +414,6 @@ func (ct *Citation) TuplePolynomialAt(i int) (string, error) {
 		return "", fmt.Errorf("%w: tuple %d of %d", ErrRange, i, len(ct.res.Tuples))
 	}
 	return ct.res.Tuples[i].CiteTupleString(), nil
-}
-
-// TupleCitationJSON renders the i-th tuple's citation record as JSON.
-//
-// Deprecated: an out-of-range index silently returns "", indistinguishable
-// from an empty citation; use TupleCitationJSONAt, which reports it as an
-// error tagged ErrRange.
-func (ct *Citation) TupleCitationJSON(i int) string {
-	s, _ := ct.TupleCitationJSONAt(i)
-	return s
 }
 
 // TupleCitationJSONAt renders the i-th tuple's citation record as JSON. An

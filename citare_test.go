@@ -1,7 +1,9 @@
 package citare
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -21,7 +23,7 @@ func newPaperCiter(t testing.TB, opts ...Option) *Citer {
 
 func TestEndToEndSQL(t *testing.T) {
 	c := newPaperCiter(t)
-	res, err := c.CiteSQL(`SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'`)
+	res, err := c.Cite(context.Background(), Request{SQL: `SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestEndToEndSQL(t *testing.T) {
 
 func TestEndToEndDatalog(t *testing.T) {
 	c := newPaperCiter(t)
-	res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`)
+	res, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,34 +60,37 @@ func TestEndToEndDatalog(t *testing.T) {
 	}
 	// Under the default policy, order pruning keeps the most compact
 	// citation: the single-view V5("gpcr") rewriting.
-	if poly := res.TuplePolynomial(bIdx); poly != `V5("gpcr")` {
+	if poly := tuplePoly(t, res, bIdx); poly != `V5("gpcr")` {
 		t.Fatalf("default policy should prune to V5(gpcr): %s", poly)
 	}
-	if res.TupleCitationJSON(bIdx) == "" {
+	if tupleJSON(t, res, bIdx) == "" {
 		t.Fatal("tuple citation missing")
 	}
 	// Without pruning, the alternative rewritings survive (Example 3.3).
 	plain := Policy{Times: Join, Plus: Union, PlusR: Union, Agg: Union}
 	c2 := newPaperCiter(t, WithPolicy(plain))
-	res2, err := c2.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`)
+	res2, err := c2.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if poly := res2.TuplePolynomial(bIdx); !strings.Contains(poly, `V2("13")`) {
+	if poly := tuplePoly(t, res2, bIdx); !strings.Contains(poly, `V2("13")`) {
 		t.Fatalf("plain policy should keep V2(13) alternatives: %s", poly)
 	}
-	if res.TuplePolynomial(99) != "" || res.TupleCitationJSON(-1) != "" {
-		t.Fatal("out-of-range accessors must return empty strings")
+	if _, err := res.TuplePolynomialAt(99); !errors.Is(err, ErrRange) {
+		t.Fatalf("out-of-range polynomial: %v, want ErrRange", err)
+	}
+	if _, err := res.TupleCitationJSONAt(-1); !errors.Is(err, ErrRange) {
+		t.Fatalf("out-of-range citation record: %v, want ErrRange", err)
 	}
 }
 
 func TestSQLAndDatalogAgree(t *testing.T) {
 	c := newPaperCiter(t)
-	a, err := c.CiteSQL(`SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'`)
+	a, err := c.Cite(context.Background(), Request{SQL: `SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`)
+	b, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +101,7 @@ func TestSQLAndDatalogAgree(t *testing.T) {
 
 func TestNeutralCitationOption(t *testing.T) {
 	c := newPaperCiter(t, WithNeutralCitation(gtopdb.DatabaseCitation()))
-	res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "nope"`)
+	res, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "nope"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +120,7 @@ func TestWithPolicyOption(t *testing.T) {
 		PreferredRewritings: true,
 	}
 	c := newPaperCiter(t, WithPolicy(pol))
-	res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr"`)
+	res, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +133,7 @@ func TestWithPolicyOption(t *testing.T) {
 
 func TestRenderFormats(t *testing.T) {
 	c := newPaperCiter(t)
-	res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), F = "11"`)
+	res, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), F = "11"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +153,10 @@ func TestRenderFormats(t *testing.T) {
 
 func TestParseErrorsSurface(t *testing.T) {
 	c := newPaperCiter(t)
-	if _, err := c.CiteSQL(`SELECT nope FROM Nope`); err == nil {
+	if _, err := c.Cite(context.Background(), Request{SQL: `SELECT nope FROM Nope`}); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
-	if _, err := c.CiteDatalog(`Q(X) :- `); err == nil {
+	if _, err := c.Cite(context.Background(), Request{Datalog: `Q(X) :- `}); err == nil {
 		t.Fatal("bad datalog accepted")
 	}
 	if _, err := NewFromProgram(gtopdb.PaperInstance(), `view broken(`); err == nil {
@@ -165,7 +170,7 @@ func TestResetPicksUpUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr"`)
+	before, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +178,7 @@ func TestResetPicksUpUpdates(t *testing.T) {
 	if err := c.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr"`)
+	after, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +190,7 @@ func TestResetPicksUpUpdates(t *testing.T) {
 func TestCustomNeutralPlusFormat(t *testing.T) {
 	neutral := format.NewObject().Set("Database", format.S("demo"))
 	c := newPaperCiter(t, WithNeutralCitation(neutral))
-	res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), F = "11"`)
+	res, err := c.Cite(context.Background(), Request{Datalog: `Q(N) :- Family(F, N, Ty), F = "11"`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,4 +233,26 @@ fmt  V { "ID": F, "Oops": [Zzz], "S": Nope }.`
 	if msg := err.Error(); !strings.HasPrefix(msg, "core: view V:") || !strings.Contains(msg, "Nope") {
 		t.Fatalf("error %q does not name the view and the variable", msg)
 	}
+}
+
+// tuplePoly is the i-th tuple's citation polynomial; an index out of range
+// fails the test.
+func tuplePoly(t *testing.T, ct *Citation, i int) string {
+	t.Helper()
+	s, err := ct.TuplePolynomialAt(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// tupleJSON is the i-th tuple's citation record as JSON; an index out of
+// range fails the test.
+func tupleJSON(t *testing.T, ct *Citation, i int) string {
+	t.Helper()
+	s, err := ct.TupleCitationJSONAt(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

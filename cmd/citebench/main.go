@@ -189,12 +189,13 @@ func runE4() error {
 	if err != nil {
 		return err
 	}
-	res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`)
+	res, err := c.Cite(context.Background(), citare.Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`})
 	if err != nil {
 		return err
 	}
 	for i, row := range res.Rows() {
-		fmt.Printf("   cite(%v) = %s\n", row, res.TuplePolynomial(i))
+		poly, _ := res.TuplePolynomialAt(i) // in range: i walks the rows
+		fmt.Printf("   cite(%v) = %s\n", row, poly)
 	}
 	return nil
 }
@@ -207,7 +208,7 @@ func runE7() error {
 	if err != nil {
 		return err
 	}
-	res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr"`)
+	res, err := c.Cite(context.Background(), citare.Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`})
 	if err != nil {
 		return err
 	}
@@ -224,11 +225,12 @@ func runE8() error {
 		if err != nil {
 			return err
 		}
-		res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), F = "11", FamilyIntro(F, Tx)`)
+		res, err := c.Cite(context.Background(), citare.Request{Datalog: `Q(N) :- Family(F, N, Ty), F = "11", FamilyIntro(F, Tx)`})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("   · as %-5v : %s\n", times, res.TupleCitationJSON(0))
+		record, _ := res.TupleCitationJSONAt(0) // "" for an empty answer
+		fmt.Printf("   · as %-5v : %s\n", times, record)
 	}
 	return nil
 }
@@ -252,11 +254,12 @@ func runE9() error {
 		if err != nil {
 			return err
 		}
-		res, err := c.CiteDatalog(q)
+		res, err := c.Cite(context.Background(), citare.Request{Datalog: q})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("   %-26s cite(first tuple) = %s\n", cfg.name, res.TuplePolynomial(0))
+		poly, _ := res.TuplePolynomialAt(0) // "" for an empty answer
+		fmt.Printf("   %-26s cite(first tuple) = %s\n", cfg.name, poly)
 	}
 	return nil
 }
@@ -295,11 +298,12 @@ func runE12() error {
 		if err != nil {
 			return err
 		}
-		res, err := c.CiteDatalog(`Q(N) :- Family(F, N, Ty), F = "11"`)
+		res, err := c.Cite(context.Background(), citare.Request{Datalog: `Q(N) :- Family(F, N, Ty), F = "11"`})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("   version %d (%s): %s\n", ver, b.Label(ver), res.TupleCitationJSON(0))
+		record, _ := res.TupleCitationJSONAt(0) // "" for an empty answer
+		fmt.Printf("   version %d (%s): %s\n", ver, b.Label(ver), record)
 	}
 	return nil
 }
@@ -372,7 +376,7 @@ func runB3() error {
 		}
 		var tuples int
 		d, err := timed(10, func() error {
-			res, err := c.CiteDatalog(`Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "type-01"`)
+			res, err := c.Cite(context.Background(), citare.Request{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "type-01"`})
 			if err == nil {
 				tuples = res.NumTuples()
 			}
@@ -414,7 +418,7 @@ func runB4() error {
 		}
 		var monomials, bytes int
 		d, err := timed(5, func() error {
-			res, err := c.CiteDatalog(queryText)
+			res, err := c.Cite(context.Background(), citare.Request{Datalog: queryText})
 			if err != nil {
 				return err
 			}
@@ -499,11 +503,11 @@ func runB15() error {
 	fmt.Println("   | engine      | time/op |")
 	fmt.Println("   |-------------|--------:|")
 	run := func(name string, c *citare.Citer) error {
-		if _, err := c.CiteDatalog(q); err != nil { // warm plans and tokens once
+		if _, err := c.Cite(context.Background(), citare.Request{Datalog: q}); err != nil { // warm plans and tokens once
 			return err
 		}
 		d, err := timed(50, func() error {
-			_, err := c.CiteDatalog(q)
+			_, err := c.Cite(context.Background(), citare.Request{Datalog: q})
 			return err
 		})
 		if err != nil {
@@ -708,7 +712,7 @@ func runB19() error {
 		if err != nil {
 			return nil, err
 		}
-		_, err = c.CiteDatalog(pointQ) // warm plans and tokens: steady state
+		_, err = c.Cite(context.Background(), citare.Request{Datalog: pointQ}) // warm plans and tokens: steady state
 		return c, err
 	}
 	disabled, err := newCiter()
@@ -778,7 +782,7 @@ func runB20() error {
 		if err := c.Reset(); err != nil {
 			return testing.BenchmarkResult{}, err
 		}
-		if _, err := c.CiteDatalog(joinQ); err != nil { // warm plans and tokens once
+		if _, err := c.Cite(context.Background(), citare.Request{Datalog: joinQ}); err != nil { // warm plans and tokens once
 			return testing.BenchmarkResult{}, err
 		}
 		return testing.Benchmark(func(b *testing.B) {
@@ -786,7 +790,7 @@ func runB20() error {
 				// SetFault resets the shard's op counter, so every iteration
 				// sees the same one-slow-scan world.
 				in.SetFault(0, fault.ShardFault{Latency: lag, SlowOps: 1})
-				if _, err := c.CiteDatalog(joinQ); err != nil {
+				if _, err := c.Cite(context.Background(), citare.Request{Datalog: joinQ}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -856,7 +860,7 @@ func runB21() error {
 	rows := make(map[string]int, len(cases))
 	coldStart := time.Now()
 	for _, tc := range cases {
-		res, err := c.CiteDatalog(tc.datalog)
+		res, err := c.Cite(context.Background(), citare.Request{Datalog: tc.datalog})
 		if err != nil {
 			return fmt.Errorf("%s: %w", tc.name, err)
 		}
@@ -872,7 +876,7 @@ func runB21() error {
 	fmt.Println("   |-------------------|-----:|------------:|")
 	for _, tc := range cases {
 		d, err := timed(tc.iters, func() error {
-			_, err := c.CiteDatalog(tc.datalog)
+			_, err := c.Cite(context.Background(), citare.Request{Datalog: tc.datalog})
 			return err
 		})
 		if err != nil {
@@ -1114,7 +1118,7 @@ func runB25() error {
 	hot := citegraph.HotWork()
 	mid := citegraph.WorkID(cfg.Works / 120)
 	coldStart := time.Now()
-	if _, err := lsmCiter.CiteDatalog(citegraph.ResolutionQuery(hot)); err != nil {
+	if _, err := lsmCiter.Cite(context.Background(), citare.Request{Datalog: citegraph.ResolutionQuery(hot)}); err != nil {
 		return err
 	}
 	fmt.Printf("   cold open: %v to open (%d SSTables), %v to first citation (evaluated off SSTables)\n",
@@ -1141,7 +1145,10 @@ func runB25() error {
 	fmt.Println("   | query          |   memory/op |      lsm/op | delta |")
 	fmt.Println("   |----------------|------------:|------------:|------:|")
 	for _, tc := range cases {
-		warm := func(c *citare.Citer) error { _, err := c.CiteDatalog(tc.datalog); return err }
+		warm := func(c *citare.Citer) error {
+			_, err := c.Cite(context.Background(), citare.Request{Datalog: tc.datalog})
+			return err
+		}
 		if err := warm(memCiter); err != nil {
 			return fmt.Errorf("%s: %w", tc.name, err)
 		}
@@ -1295,10 +1302,10 @@ func writeBenchJSON(path string) error {
 	const pointQ = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = "250"`
 	const joinQ = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "type-01"`
 	// Materialize views once so steady-state cost is measured.
-	if _, err := citer.CiteDatalog(pointQ); err != nil {
+	if _, err := citer.Cite(context.Background(), citare.Request{Datalog: pointQ}); err != nil {
 		return err
 	}
-	if _, err := shardedCiter.CiteDatalog(pointQ); err != nil {
+	if _, err := shardedCiter.Cite(context.Background(), citare.Request{Datalog: pointQ}); err != nil {
 		return err
 	}
 	// A separate instrumented citer so `citer` stays uninstrumented for
@@ -1308,7 +1315,7 @@ func writeBenchJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := obsCiter.CiteDatalog(pointQ); err != nil {
+	if _, err := obsCiter.Cite(context.Background(), citare.Request{Datalog: pointQ}); err != nil {
 		return err
 	}
 	obsCiter.Engine().SetMetrics(obs.NewPipelineMetrics(obs.NewRegistry()))
@@ -1333,7 +1340,7 @@ func writeBenchJSON(path string) error {
 				return nil, err
 			}
 		}
-		if _, err := c.CiteDatalog(joinQ); err != nil { // warm plans and tokens once
+		if _, err := c.Cite(context.Background(), citare.Request{Datalog: joinQ}); err != nil { // warm plans and tokens once
 			return nil, err
 		}
 		return c, nil
@@ -1369,7 +1376,7 @@ func writeBenchJSON(path string) error {
 		citegraph.AuthorProvenanceQuery(citegraph.AuthorID(3)),
 	}
 	for _, q := range cgQueries { // compile citegraph plans + fill token caches
-		if _, err := cgCiter.CiteDatalog(q); err != nil {
+		if _, err := cgCiter.Cite(context.Background(), citare.Request{Datalog: q}); err != nil {
 			return err
 		}
 	}
@@ -1447,7 +1454,7 @@ func writeBenchJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := lsmCiter.CiteDatalog(cgQueries[0]); err != nil { // first citation off SSTables
+	if _, err := lsmCiter.Cite(context.Background(), citare.Request{Datalog: cgQueries[0]}); err != nil { // first citation off SSTables
 		return err
 	}
 	writeBack, err := backend.OpenLSM(writeDir, citegraph.Schema(cgCfg), lsm.Options{})
@@ -1458,7 +1465,7 @@ func writeBenchJSON(path string) error {
 	lsmNext := 2000000 // WorkIDs far past anything the generator handed out
 
 	mustCite := func(b *testing.B, c *citare.Citer, q string) {
-		if _, err := c.CiteDatalog(q); err != nil {
+		if _, err := c.Cite(context.Background(), citare.Request{Datalog: q}); err != nil {
 			b.Fatal(err)
 		}
 	}

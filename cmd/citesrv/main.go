@@ -591,16 +591,12 @@ func (s *server) handleCiteStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return err
 	}
-	var err error
-	creq := req.request()
-	ct, cached := s.citer.Cached(ctx, creq)
+	// A replay has nothing left to render: its lines leave in chunks.
+	cached, err := s.citer.Stream(ctx, req.request(), emit, func() { chunk = streamChunk })
 	if cached {
 		s.streamHits.Add(1)
-		chunk = streamChunk
-		err = ct.EachTuple(emit)
 	} else {
 		s.streamMisses.Add(1)
-		err = s.citer.Citer().CiteEach(ctx, creq, emit)
 	}
 	ri.setTuples(sent)
 	// A degraded stream still delivered every tuple it could; the partial

@@ -29,7 +29,7 @@ import (
 	"citare/internal/storage"
 )
 
-func testServer(t *testing.T) *server {
+func testServer(t testing.TB) *server {
 	t.Helper()
 	citer, err := citare.NewFromProgram(gtopdb.PaperInstance(), gtopdb.ViewsProgram,
 		citare.WithNeutralCitation(gtopdb.DatabaseCitation()))

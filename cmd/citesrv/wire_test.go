@@ -310,6 +310,37 @@ func TestHandleStreamHitAllocs(t *testing.T) {
 	}
 }
 
+// TestStreamResolvesOnce: a /v1/cite/stream request reads its text from the
+// resolve memo exactly once — whether the cache replays it, it is evaluated,
+// or it does not parse — and the trailer says which.
+func TestStreamResolvesOnce(t *testing.T) {
+	s := testServer(t)
+	cited := `{"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\""}`
+	s.handleCite(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(cited)))
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		replay     bool
+	}{
+		{"cached text", cited, http.StatusOK, true},
+		{"new text", `{"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"lgic\""}`, http.StatusOK, false},
+		{"unparsable text", `{"sql": "SELEKT"}`, http.StatusBadRequest, false},
+	} {
+		before := s.citer.Citer().ResolveStats()
+		w := httptest.NewRecorder()
+		s.handleCiteStream(w, httptest.NewRequest(http.MethodPost, "/v1/cite/stream", strings.NewReader(tc.body)))
+		after := s.citer.Citer().ResolveStats()
+		if lookups := after.Hits + after.Misses - before.Hits - before.Misses; lookups != 1 || w.Code != tc.status {
+			t.Fatalf("%s: status %d and %d resolve-memo lookups, want %d and one", tc.name, w.Code, lookups, tc.status)
+		}
+		if tc.status == http.StatusOK {
+			if _, trailer := decodeStream(t, w.Body.String()); trailer.Cached != tc.replay {
+				t.Fatalf("%s: trailer cached=%v, want %v", tc.name, trailer.Cached, tc.replay)
+			}
+		}
+	}
+}
+
 // TestMemoCountersExposed: /stats and /metrics report the resolve memo's
 // hits, misses and evictions, the wire memo's builds and bytes, and how many
 // streams the citation cache answered and did not.
@@ -338,10 +369,11 @@ func TestMemoCountersExposed(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	// An evaluated stream reads its text twice, the lookup and the evaluation:
-	// a miss and a hit for the new query, two misses for the one that fails.
-	if stats.ResolveMemo != (shardStats{Hits: 4, Misses: 4}) {
-		t.Fatalf("/stats resolve_memo: %+v, want 4 hits / 4 misses", stats.ResolveMemo)
+	// Every request reads its text once: a miss and two hits for the cited
+	// text, a hit for its replay, a miss each for the new query and the one
+	// that fails.
+	if stats.ResolveMemo != (shardStats{Hits: 3, Misses: 3}) {
+		t.Fatalf("/stats resolve_memo: %+v, want 3 hits / 3 misses", stats.ResolveMemo)
 	}
 	if stats.StreamHits != 1 || stats.StreamMisses != 2 {
 		t.Fatalf("/stats stream_hits %d, stream_misses %d, want 1 and 2", stats.StreamHits, stats.StreamMisses)
@@ -357,8 +389,8 @@ func TestMemoCountersExposed(t *testing.T) {
 	w = httptest.NewRecorder()
 	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
-		"citare_resolve_memo_hits_total 4",
-		"citare_resolve_memo_misses_total 4",
+		"citare_resolve_memo_hits_total 3",
+		"citare_resolve_memo_misses_total 3",
 		"citare_stream_cache_hits_total 1",
 		"citare_stream_cache_misses_total 2",
 		"citare_resolve_memo_evictions_total 0",

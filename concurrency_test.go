@@ -7,6 +7,7 @@ package citare
 // Run with -race (CI does).
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,9 +35,9 @@ func mixedWorkload() []mixedQuery {
 
 func cite(c *Citer, q mixedQuery) (*Citation, error) {
 	if q.sql {
-		return c.CiteSQL(q.src)
+		return c.Cite(context.Background(), Request{SQL: q.src})
 	}
-	return c.CiteDatalog(q.src)
+	return c.Cite(context.Background(), Request{Datalog: q.src})
 }
 
 // TestConcurrentCiteMixedFrontends issues N goroutines of mixed SQL and
@@ -104,7 +105,7 @@ func TestConcurrentCiteWithReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	const query = `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`
-	before, err := c.CiteDatalog(query)
+	before, err := c.Cite(context.Background(), Request{Datalog: query})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestConcurrentCiteWithReset(t *testing.T) {
 					return
 				default:
 				}
-				res, err := c.CiteDatalog(query)
+				res, err := c.Cite(context.Background(), Request{Datalog: query})
 				if err != nil {
 					t.Errorf("cite during reset: %v", err)
 					return
@@ -143,7 +144,7 @@ func TestConcurrentCiteWithReset(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	after, err := c.CiteDatalog(query)
+	after, err := c.Cite(context.Background(), Request{Datalog: query})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +184,9 @@ func TestConcurrentCachedCiterStress(t *testing.T) {
 					err error
 				)
 				if q.sql {
-					res, err = cc.CiteSQL(q.src)
+					res, err = cc.Cite(context.Background(), Request{SQL: q.src})
 				} else {
-					res, err = cc.CiteDatalog(q.src)
+					res, err = cc.Cite(context.Background(), Request{Datalog: q.src})
 				}
 				if err != nil {
 					t.Errorf("%s: %v", q.src, err)
@@ -199,13 +200,14 @@ func TestConcurrentCachedCiterStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	hits, misses := cc.Stats()
-	if hits+misses != goroutines*rounds {
+	st := cc.CacheStats()
+	hits, misses := st.Hits, st.Misses
+	if hits+misses != uint64(goroutines*rounds) {
 		t.Fatalf("accounting: %d hits + %d misses != %d", hits, misses, goroutines*rounds)
 	}
 	// The SQL and datalog variants of the gpcr query share one entry, so
 	// distinct entries number at most len(queries)-1.
-	if misses < 2 || misses > len(queries)-1 {
+	if misses < 2 || misses > uint64(len(queries)-1) {
 		t.Fatalf("misses %d outside [2,%d]", misses, len(queries)-1)
 	}
 }

@@ -1,6 +1,7 @@
 package citare_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -8,21 +9,25 @@ import (
 	"citare/internal/gtopdb"
 )
 
-// ExampleCiter_CiteDatalog reproduces the paper's Example 2.2: rewriting a
+// ExampleCiter_Cite reproduces the paper's Example 2.2: rewriting a datalog
 // query over the citation views and assembling its citation.
-func ExampleCiter_CiteDatalog() {
+func ExampleCiter_Cite() {
 	citer, err := citare.NewFromProgram(gtopdb.PaperInstance(), gtopdb.ViewsProgram)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := citer.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`)
+	res, err := citer.Cite(context.Background(), citare.Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, row := range res.Rows() {
 		fmt.Println(row[0])
 	}
-	fmt.Println(res.TuplePolynomial(0))
+	poly, err := res.TuplePolynomialAt(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(poly)
 	// Output:
 	// Calcitonin
 	// b
@@ -30,18 +35,22 @@ func ExampleCiter_CiteDatalog() {
 	// V5("gpcr")
 }
 
-// ExampleCiter_CiteSQL cites a SQL query; the SQL and datalog front ends
+// ExampleCiter_Cite_sql cites a SQL query; the SQL and datalog front ends
 // produce identical citations for equivalent queries.
-func ExampleCiter_CiteSQL() {
+func ExampleCiter_Cite_sql() {
 	citer, err := citare.NewFromProgram(gtopdb.PaperInstance(), gtopdb.ViewsProgram)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := citer.CiteSQL(`SELECT f.FName FROM Family f WHERE f.FID = '11'`)
+	res, err := citer.Cite(context.Background(), citare.Request{SQL: `SELECT f.FName FROM Family f WHERE f.FID = '11'`})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(res.TupleCitationJSON(0))
+	record, err := res.TupleCitationJSONAt(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(record)
 	// Output:
 	// {"ID": "11", "Name": "Calcitonin", "Committee": ["Hay", "Poyner"]}
 }
@@ -54,14 +63,14 @@ func ExampleNewCached() {
 		log.Fatal(err)
 	}
 	cached := citare.NewCached(citer)
-	if _, err := cached.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "gpcr"`); err != nil {
+	if _, err := cached.Cite(context.Background(), citare.Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`}); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := cached.CiteDatalog(`Q(Nm) :- Family(G, Nm, "gpcr")`); err != nil {
+	if _, err := cached.Cite(context.Background(), citare.Request{Datalog: `Q(Nm) :- Family(G, Nm, "gpcr")`}); err != nil {
 		log.Fatal(err)
 	}
-	hits, misses := cached.Stats()
-	fmt.Printf("hits=%d misses=%d\n", hits, misses)
+	st := cached.CacheStats()
+	fmt.Printf("hits=%d misses=%d\n", st.Hits, st.Misses)
 	// Output:
 	// hits=1 misses=1
 }
@@ -74,7 +83,7 @@ func ExampleCitation_Render() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := citer.CiteDatalog(`Q(N) :- Family(F, N, Ty), Ty = "no-matches"`)
+	res, err := citer.Cite(context.Background(), citare.Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "no-matches"`})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -244,12 +244,12 @@ func TestExplainThroughCachedCiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preHits, _ := cached.Stats()
+	preHits := cached.CacheStats().Hits
 	explained, err := cached.Cite(ctx, Request{SQL: explainTestSQL, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := cached.Stats(); hits != preHits {
+	if hits := cached.CacheStats().Hits; hits != preHits {
 		t.Fatalf("explain request touched the cache: hits %d -> %d", preHits, hits)
 	}
 	if explained.Explain() == nil {
@@ -262,7 +262,7 @@ func TestExplainThroughCachedCiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := cached.Stats(); hits != preHits+1 {
+	if hits := cached.CacheStats().Hits; hits != preHits+1 {
 		t.Fatalf("plain request after explain missed the cache")
 	}
 	if again.Explain() != nil {

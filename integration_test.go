@@ -212,7 +212,7 @@ func TestEngineRewritingsAlwaysCertified(t *testing.T) {
 		`Q(N) :- Family(F, N, Ty), F = "11"`,
 	}
 	for _, qs := range queries {
-		res, err := citer.CiteDatalog(qs)
+		res, err := citer.Cite(context.Background(), Request{Datalog: qs})
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
@@ -264,7 +264,7 @@ func TestCitationAgreesWithDirectEvaluation(t *testing.T) {
 // GtoPdb schema and partial rewritings admitted, no tuple is left uncited.
 func TestEveryAnswerTupleGetsACitation(t *testing.T) {
 	citer := newPaperCiter(t)
-	res, err := citer.CiteDatalog(`Q(N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)`)
+	res, err := citer.Cite(context.Background(), Request{Datalog: `Q(N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestEveryAnswerTupleGetsACitation(t *testing.T) {
 		t.Fatal("query should have answers")
 	}
 	for i := 0; i < res.NumTuples(); i++ {
-		if res.TuplePolynomial(i) == "0" || res.TuplePolynomial(i) == "" {
+		if poly := tuplePoly(t, res, i); poly == "0" || poly == "" {
 			t.Fatalf("tuple %v has no citation", res.Rows()[i])
 		}
 	}

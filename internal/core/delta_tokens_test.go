@@ -35,9 +35,18 @@ import (
 // put in citation order (format.Rows.Sort by the instantiated head) and F_V
 // is applied.
 func naiveToken(view eval.DBView, v *core.CitationView, tok core.Token) (string, error) {
-	q, err := v.InstantiatedCiteQ(tok.Params)
+	obj, err := naiveRecord(view, v, tok)
 	if err != nil {
 		return "", err
+	}
+	return obj.JSON(), nil
+}
+
+// naiveRecord is naiveToken's record before it is spelled.
+func naiveRecord(view eval.DBView, v *core.CitationView, tok core.Token) (*format.Object, error) {
+	q, err := v.InstantiatedCiteQ(tok.Params)
+	if err != nil {
+		return nil, err
 	}
 	var cols []string
 	for _, a := range q.Atoms {
@@ -113,16 +122,10 @@ func naiveToken(view eval.DBView, v *core.CitationView, tok core.Token) (string,
 		}
 	}
 	rows.Sort(lead)
-	var obj *format.Object
 	if v.Fn != nil {
-		obj, err = v.Fn(rows)
-	} else {
-		obj, err = v.Spec.Render(rows)
+		return v.Fn(rows)
 	}
-	if err != nil {
-		return "", err
-	}
-	return obj.JSON(), nil
+	return v.Spec.Render(rows)
 }
 
 // deltaWorld is a schema with its views, the queries whose head citations

@@ -25,21 +25,6 @@ import (
 // combined, in Cite and CiteEach alike: a request holds its whole answer's
 // polynomials until then, and they are frozen from then on (provenance).
 
-// frameSrc reads one value off a slot frame: a slot index, or a constant
-// when slot < 0. The core-side twin of eval's value sources, resolved once
-// per rewriting against Plan.Vars.
-type frameSrc struct {
-	slot  int
-	konst string
-}
-
-func (s frameSrc) value(frame []string) string {
-	if s.slot < 0 {
-		return s.konst
-	}
-	return frame[s.slot]
-}
-
 // gatherStage is the pipeline's gather stage, under the stage's span: every
 // rewriting is evaluated and its polynomials merged into perKey. It
 // returns the rewritings the citation was assembled from — all of them,
@@ -106,32 +91,17 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 		return err
 	}
 
-	vars := pl.Vars()
-	slotOf := make(map[string]int, len(vars))
-	for i, v := range vars {
-		slotOf[v] = i
-	}
-	src := func(t cq.Term) (frameSrc, error) {
-		if t.IsConst {
-			return frameSrc{slot: -1, konst: t.Value}, nil
-		}
-		s, ok := slotOf[t.Name]
-		if !ok {
-			return frameSrc{}, fmt.Errorf("core: rewriting variable %s unbound in plan", t.Name)
-		}
-		return frameSrc{slot: s}, nil
-	}
-	headSrc := make([]frameSrc, len(r.Head))
+	headSrc := make([]eval.Src, len(r.Head))
 	for i, t := range r.Head {
-		if headSrc[i], err = src(t); err != nil {
+		if headSrc[i], err = pl.TermSrc(t); err != nil {
 			return err
 		}
 	}
-	paramSrc := make([][]frameSrc, len(u.views))
+	paramSrc := make([][]eval.Src, len(u.views))
 	for ai, info := range u.views {
-		paramSrc[ai] = make([]frameSrc, len(info.paramPos))
+		paramSrc[ai] = make([]eval.Src, len(info.paramPos))
 		for pi, hp := range info.paramPos {
-			if paramSrc[ai][pi], err = src(r.ViewAtoms[ai].Args[hp]); err != nil {
+			if paramSrc[ai][pi], err = pl.TermSrc(r.ViewAtoms[ai].Args[hp]); err != nil {
 				return err
 			}
 		}
@@ -143,12 +113,12 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 			baseToks = append(baseToks, NewRelToken(a.Pred).Encode())
 		}
 	}
-	var ownSrc []frameSrc
+	var ownSrc []eval.Src
 	var seen map[string]struct{}
 	if u.dedupe {
-		ownSrc = make([]frameSrc, len(u.vars))
+		ownSrc = make([]eval.Src, len(u.vars))
 		for i, v := range u.vars {
-			if ownSrc[i], err = src(cq.Var(v)); err != nil {
+			if ownSrc[i], err = pl.TermSrc(cq.Var(v)); err != nil {
 				return err
 			}
 		}
@@ -167,7 +137,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 		if u.dedupe {
 			keyBuf = keyBuf[:0]
 			for _, s := range ownSrc {
-				keyBuf = storage.AppendKeyPart(keyBuf, s.value(f))
+				keyBuf = storage.AppendKeyPart(keyBuf, s.Value(f))
 			}
 			if _, dup := seen[string(keyBuf)]; dup { // no-alloc map probe
 				deduped++
@@ -178,7 +148,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 		monoBuf = monoBuf[:0]
 		for _, srcs := range paramSrc {
 			for _, s := range srcs {
-				monoBuf = storage.AppendKeyPart(monoBuf, s.value(f))
+				monoBuf = storage.AppendKeyPart(monoBuf, s.Value(f))
 			}
 		}
 		m, ok := monos[string(monoBuf)] // no-alloc map probe
@@ -189,7 +159,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 			for ai, info := range u.views {
 				params = params[:0]
 				for _, s := range paramSrc[ai] {
-					params = append(params, s.value(f))
+					params = append(params, s.Value(f))
 				}
 				toks = append(toks, NewViewToken(info.view.Name(), params...).Encode())
 			}
@@ -199,7 +169,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 		// Head-tuple key, probed without allocating on repeats.
 		keyBuf = keyBuf[:0]
 		for _, s := range headSrc {
-			keyBuf = storage.AppendKeyPart(keyBuf, s.value(f))
+			keyBuf = storage.AppendKeyPart(keyBuf, s.Value(f))
 		}
 		p, ok := polys[string(keyBuf)] // no-alloc map probe
 		if !ok {

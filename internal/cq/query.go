@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -313,19 +314,34 @@ func (q *Query) Key() string {
 // equivalent but non-isomorphic queries may still differ (use Equivalent for
 // semantic comparison).
 func (q *Query) CanonicalKey() string {
+	key, _ := q.canonicalOrder()
+	return key
+}
+
+// CanonicalRenaming returns the renaming of the query's variables that
+// CanonicalKey spells it under: isomorphic queries are renamed alike, up to
+// the query's own symmetries.
+func (q *Query) CanonicalRenaming() Subst {
+	_, order := q.canonicalOrder()
+	ren, _ := q.prefixRenaming(order)
+	return ren
+}
+
+// canonicalOrder returns the canonical key and the atom order it was
+// spelled in.
+func (q *Query) canonicalOrder() (best string, bestOrder []int) {
 	n := len(q.Atoms)
 	if n > 10 {
 		// Fall back to the identity order for pathological inputs; still a
 		// valid (weaker) key.
-		return q.canonicalKeyInOrder(identityPerm(n))
+		return q.canonicalKeyInOrder(identityPerm(n)), identityPerm(n)
 	}
-	best := ""
 	var rec func(chosen []int, used []bool)
 	rec = func(chosen []int, used []bool) {
 		if len(chosen) == n {
 			key := q.canonicalKeyInOrder(chosen)
 			if best == "" || key < best {
-				best = key
+				best, bestOrder = key, slices.Clone(chosen)
 			}
 			return
 		}
@@ -355,7 +371,7 @@ func (q *Query) CanonicalKey() string {
 		}
 	}
 	rec(make([]int, 0, n), make([]bool, n))
-	return best
+	return best, bestOrder
 }
 
 func identityPerm(n int) []int {

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"citare/internal/cq"
@@ -27,16 +28,18 @@ const (
 	ctxCheckInterval = 256
 )
 
-// valSrc names where a runtime value comes from: a frame slot (slot >= 0) or
+// Src names where a runtime value comes from: a frame slot (slot >= 0) or
 // a compile-time constant (slot < 0).
-type valSrc struct {
+type Src struct {
 	slot  int
 	konst string
 }
 
-func constSrc(v string) valSrc { return valSrc{slot: -1, konst: v} }
-func slotSrc(slot int) valSrc  { return valSrc{slot: slot} }
-func (s valSrc) value(frame []string) string {
+func constSrc(v string) Src { return Src{slot: -1, konst: v} }
+func slotSrc(slot int) Src  { return Src{slot: slot} }
+
+// Value reads the source's value off a frame of its plan.
+func (s Src) Value(frame []string) string {
 	if s.slot < 0 {
 		return s.konst
 	}
@@ -63,12 +66,12 @@ type bindOp struct {
 // is scheduled at the earliest step where both sides are bound, so it can
 // never fail on an unbound variable at run time.
 type compiledComp struct {
-	l, r valSrc
+	l, r Src
 	op   cq.CompOp
 }
 
 func (c compiledComp) holds(frame []string) bool {
-	return cq.CompareValues(c.l.value(frame), c.op, c.r.value(frame))
+	return cq.CompareValues(c.l.Value(frame), c.op, c.r.Value(frame))
 }
 
 // planStep is one atom of the physical join order: the resolved relation
@@ -80,7 +83,7 @@ type planStep struct {
 	pred       string
 	rel        RelView
 	lookupCols []int
-	lookupSrc  []valSrc
+	lookupSrc  []Src
 	binds      []bindOp
 	comps      []compiledComp
 }
@@ -94,7 +97,7 @@ type planStep struct {
 //
 // A Plan is immutable after Compile and safe for concurrent executions.
 // Nothing Compile decides depends on the value of a constant — the join
-// order reads only which positions hold one, and values sit in valSrc
+// order reads only which positions hold one, and values sit in Src
 // fields — so a plan serves every query of its shape (cq.Query.Shape) once
 // Bind has renamed its constants; core.Engine caches plans per epoch by
 // shape, so citations of a known shape skip compilation entirely.
@@ -106,7 +109,7 @@ type Plan struct {
 	varOf    []string // slot -> variable name (all slots bound at full depth)
 	steps    []planStep
 	preComps []compiledComp // constant-only comparisons gating the enumeration
-	headSrc  []valSrc       // head tuple construction
+	headSrc  []Src          // head tuple construction
 	cols     []string       // head column labels
 
 	// maxCard is the largest step cardinality at compile time; Auto derives
@@ -204,7 +207,7 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 				continue
 			}
 			ready := true
-			var srcs [2]valSrc
+			var srcs [2]Src
 			for j, t := range [2]cq.Term{c.L, c.R} {
 				if t.IsConst {
 					srcs[j] = constSrc(t.Value)
@@ -321,7 +324,7 @@ func (p *Plan) Bind(rb cq.Rebind) *Plan {
 }
 
 // firstConst returns the index of the first constant among srcs, or -1.
-func firstConst(srcs []valSrc) int {
+func firstConst(srcs []Src) int {
 	for i, s := range srcs {
 		if s.slot < 0 {
 			return i
@@ -331,12 +334,12 @@ func firstConst(srcs []valSrc) int {
 }
 
 // bindSrcs renames the constants among srcs; a list without one is shared.
-func bindSrcs(srcs []valSrc, rb cq.Rebind) []valSrc {
+func bindSrcs(srcs []Src, rb cq.Rebind) []Src {
 	first := firstConst(srcs)
 	if first < 0 {
 		return srcs
 	}
-	out := append([]valSrc(nil), srcs...)
+	out := append([]Src(nil), srcs...)
 	for i := first; i < len(out); i++ {
 		if out[i].slot < 0 {
 			out[i].konst = rb.Value(out[i].konst)
@@ -508,7 +511,7 @@ func (e *exec) run(depth int) error {
 	if len(st.lookupCols) > 0 {
 		buf := e.lookupBuf[depth]
 		for i, src := range st.lookupSrc {
-			buf[i] = src.value(e.frame)
+			buf[i] = src.Value(e.frame)
 		}
 		st.rel.Lookup(st.lookupCols, buf, iter)
 	} else {
@@ -554,6 +557,20 @@ func (p *Plan) Vars() []string {
 	return append([]string(nil), p.varOf...)
 }
 
+// TermSrc resolves a term of the compiled query to where the plan's frames
+// hold its value: a constant is itself, a variable its slot. A variable the
+// plan does not bind is an error.
+func (p *Plan) TermSrc(t cq.Term) (Src, error) {
+	if t.IsConst {
+		return constSrc(t.Value), nil
+	}
+	slot := slices.Index(p.varOf, t.Name)
+	if slot < 0 {
+		return Src{}, fmt.Errorf("eval: variable %s unbound in plan", t.Name)
+	}
+	return slotSrc(slot), nil
+}
+
 // dispatchFrames routes the enumeration to its strategy.
 func (p *Plan) dispatchFrames(ctx context.Context, opts Options, fn frameFn) error {
 	if p.part != nil {
@@ -597,7 +614,7 @@ func (p *Plan) EvalCtx(ctx context.Context, opts Options) (*Result, error) {
 	err := p.Each(ctx, opts, func(frame []string, _ []Match) error {
 		keyBuf = keyBuf[:0]
 		for _, src := range p.headSrc {
-			keyBuf = storage.AppendKeyPart(keyBuf, src.value(frame))
+			keyBuf = storage.AppendKeyPart(keyBuf, src.Value(frame))
 		}
 		if _, dup := seen[string(keyBuf)]; dup { // no-alloc map probe
 			return nil
@@ -609,7 +626,7 @@ func (p *Plan) EvalCtx(ctx context.Context, opts Options) (*Result, error) {
 		seen[k] = struct{}{}
 		t := make(storage.Tuple, len(p.headSrc))
 		for i, src := range p.headSrc {
-			t[i] = src.value(frame)
+			t[i] = src.Value(frame)
 		}
 		res.Tuples = append(res.Tuples, t)
 		res.Keys = append(res.Keys, k)

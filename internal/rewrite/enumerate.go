@@ -146,10 +146,13 @@ func (vs *Views) Enumerate(min *cq.Query, opts Options) []*Rewriting {
 	return out
 }
 
-// SortByKey puts rewritings — or whatever carries one, which of says — into
-// the order Enumerate returns them in. The key spells constants, so the
-// order is the one part of an enumeration that renaming constants does not
-// preserve: a Rebind is followed by a re-sort.
+// SortByKey puts rewritings of one query — or whatever carries one, which of
+// says — into the order Enumerate returns them in: by Key with the query's
+// variables renamed canonically (cq.Query.CanonicalRenaming), so that queries
+// equal up to renaming variables, which share a citation, order their
+// rewritings alike; where a preference order ties, the first one is kept. The
+// key spells constants, so the order is the one part of an enumeration that
+// renaming constants does not preserve: a Rebind is followed by a re-sort.
 func SortByKey[T any](xs []T, of func(T) *Rewriting) {
 	if len(xs) < 2 {
 		return
@@ -159,8 +162,9 @@ func SortByKey[T any](xs []T, of func(T) *Rewriting) {
 		x   T
 	}
 	ks := make([]keyed, len(xs))
+	ren := of(xs[0]).Query.CanonicalRenaming()
 	for i, x := range xs {
-		ks[i] = keyed{of(x).Key(), x}
+		ks[i] = keyed{of(x).renamed(ren).Key(), x}
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 	for i, k := range ks {

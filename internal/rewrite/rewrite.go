@@ -249,6 +249,21 @@ func (r *Rewriting) Rebind(rb cq.Rebind, q *cq.Query) *Rewriting {
 	return out
 }
 
+// renamed returns the rewriting's subgoals with its variables renamed.
+func (r *Rewriting) renamed(s cq.Subst) *Rewriting {
+	out := &Rewriting{Query: r.Query, Head: r.Head}
+	for _, va := range r.ViewAtoms {
+		out.ViewAtoms = append(out.ViewAtoms, ViewAtom{View: va.View, Args: s.ApplyAtom(cq.Atom{Args: va.Args}).Args})
+	}
+	for _, a := range r.BaseAtoms {
+		out.BaseAtoms = append(out.BaseAtoms, s.ApplyAtom(a))
+	}
+	for _, c := range r.Comps {
+		out.Comps = append(out.Comps, s.ApplyComparison(c))
+	}
+	return out
+}
+
 // Expand replaces every view atom by the view's body (existential variables
 // freshened, head unified with the atom's arguments) yielding a query over
 // base relations only — the rewriting's semantics.

@@ -335,3 +335,29 @@ func TestEnumerateDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestEnumerateOrderIgnoresVariableNames: queries equal up to renaming their
+// variables share a citation (the citation cache serves one for the other),
+// so they must order their rewritings alike — the order decides which of two
+// tied rewritings a preference order keeps. Named as written, V1(W) sorts
+// before V1(Z) in the first query and after its image V1(Y) in the second.
+func TestEnumerateOrderIgnoresVariableNames(t *testing.T) {
+	views := []*cq.Query{mustQ(t, `V1(A) :- S(A)`), mustQ(t, `V2(A) :- S(A)`)}
+	a, err := Enumerate(mustQ(t, `Q(Z, W) :- S(W), S(Z)`), views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Enumerate(mustQ(t, `Q(W, Y) :- S(Y), S(W)`), views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != 4 || len(a) != len(b) {
+		t.Fatalf("%d and %d rewritings, want 4 each", len(a), len(b))
+	}
+	ren := cq.Subst{"Z": cq.Var("W"), "W": cq.Var("Y")}
+	for i := range a {
+		if got, want := a[i].renamed(ren).Key(), b[i].Key(); got != want {
+			t.Fatalf("rewriting %d: %s renamed is %s, the renamed query's is %s", i, a[i], got, want)
+		}
+	}
+}

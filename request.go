@@ -167,17 +167,27 @@ func (r Request) parse(schema *storage.Schema) (*cq.Query, error) {
 // resolveTraced is resolve under the parse span of the trace riding ctx, if
 // one does (Start, End and SetInt no-op on a nil trace); the span says whether
 // the text had been resolved before, as the rewrite span says of the plan.
-func (c *Citer) resolveTraced(ctx context.Context, req Request) (*resolved, error) {
+// Through a cache (cc non-nil) the span also covers the cache lookup, and ct
+// is the citation the cache holds for the request, nil when it holds none;
+// the span of such a replay — its only one — carries no attribute, so that
+// a replay allocates nothing for its trace.
+func (c *Citer) resolveTraced(ctx context.Context, req Request, cc *CachedCiter) (r *resolved, ct *Citation, err error) {
 	tr, cur := obs.FromContext(ctx)
 	psp := tr.Start(cur, obs.StageParse)
 	r, hit, err := c.resolve(req)
+	if err == nil {
+		ct = cc.lookup(r, req)
+	}
 	tr.End(psp)
+	if ct != nil {
+		return r, ct, nil
+	}
 	cached := int64(0)
 	if hit {
 		cached = 1
 	}
 	tr.SetInt(psp, "cached", cached)
-	return r, err
+	return r, nil, err
 }
 
 // renderFormat is the request's effective render format.
@@ -215,25 +225,36 @@ func (c *Citer) Cite(ctx context.Context, req Request) (*Citation, error) {
 			ctx = obs.NewContext(ctx, tr, obs.NoSpan)
 		}
 	}
-	r, err := c.resolveTraced(ctx, req)
+	r, _, err := c.resolveTraced(ctx, req, nil)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.engine.CitePrepared(ctx, r.p, req.citeOptions())
+	ct, err := c.cite(ctx, r.p, req)
+	if ct != nil && tr != nil {
+		ct.explain = explainFromReport(tr.Report())
+	}
+	return ct, err
+}
+
+// cite evaluates a resolved request: the one place a Citation is made. A
+// degraded citation is returned, not swallowed: the Citation is valid for the
+// shards that answered, and the paired *PartialError carries the
+// machine-readable Coverage so callers can decide whether it is enough.
+func (c *Citer) cite(ctx context.Context, p *core.Prepared, req Request) (*Citation, error) {
+	res, err := c.engine.CitePrepared(ctx, p, req.citeOptions())
 	if err != nil {
 		return nil, classify(err)
 	}
-	ct := &Citation{res: res, format: req.renderFormat()}
-	if tr != nil {
-		ct.explain = explainFromReport(tr.Report())
+	return &Citation{res: res, format: req.renderFormat()}, partial(res)
+}
+
+// partial is the *PartialError a degraded result travels with, nil for a
+// result of full coverage.
+func partial(res *core.Result) error {
+	if res == nil || res.Coverage == nil || !res.Coverage.Partial() {
+		return nil
 	}
-	// A degraded citation is returned, not swallowed: the Citation is valid
-	// for the shards that answered, and the paired *PartialError carries the
-	// machine-readable Coverage so callers can decide whether it is enough.
-	if res.Coverage != nil && res.Coverage.Partial() {
-		return ct, &PartialError{Coverage: res.Coverage}
-	}
-	return ct, nil
+	return &PartialError{Coverage: res.Coverage}
 }
 
 // Tuple is one answer tuple streamed by CiteEach, carrying its citation in
@@ -303,20 +324,31 @@ func (ct *Citation) EachTuple(fn func(Tuple) error) error {
 // error aborts the stream with that error; context cancellation aborts with
 // ErrCanceled.
 func (c *Citer) CiteEach(ctx context.Context, req Request, fn func(Tuple) error) error {
-	if fn == nil {
-		return fmt.Errorf("%w: CiteEach requires a callback", ErrParse)
-	}
-	// The parse is bracketed in the trace riding the context (citesrv's stream
-	// trailer), so per-stage totals cover the whole pipeline.
-	r, err := c.resolveTraced(ctx, req)
-	if err != nil {
-		return err
-	}
-	return c.citeEach(ctx, r, req, fn)
+	_, err := c.stream(ctx, req, fn, nil, nil)
+	return err
 }
 
-// citeEach is CiteEach for a request already resolved.
-func (c *Citer) citeEach(ctx context.Context, r *resolved, req Request, fn func(Tuple) error) error {
+// stream is CiteEach's one body. Through a cache (cc non-nil) a request whose
+// citation the cache holds is a replay of it — replay, when non-nil, is told
+// before the first tuple, and replayed reports it; any other request is
+// evaluated and stores nothing: a stream never builds the aggregate a cached
+// citation carries. Either way the text is resolved once, under the parse
+// span of the trace riding ctx (citesrv's stream trailer), so per-stage
+// totals cover the whole pipeline.
+func (c *Citer) stream(ctx context.Context, req Request, fn func(Tuple) error, cc *CachedCiter, replay func()) (replayed bool, err error) {
+	if fn == nil {
+		return false, fmt.Errorf("%w: CiteEach requires a callback", ErrParse)
+	}
+	r, ct, err := c.resolveTraced(ctx, req, cc)
+	if err != nil {
+		return false, err
+	}
+	if ct != nil {
+		if replay != nil {
+			replay()
+		}
+		return true, ct.EachTuple(fn)
+	}
 	i := 0
 	res, err := c.engine.CiteEachPrepared(ctx, r.p, req.citeOptions(), func(tc *core.TupleCitation) error {
 		t := streamedTuple(i, tc)
@@ -324,14 +356,11 @@ func (c *Citer) citeEach(ctx context.Context, r *resolved, req Request, fn func(
 		return fn(t)
 	})
 	if err != nil {
-		return classify(err)
+		return false, classify(err)
 	}
 	// Degraded stream: every delivered tuple is valid, but skipped shards
 	// may have withheld others. Reported after the last delivery as a
 	// *PartialError so streaming callers (citesrv's NDJSON trailer) can
 	// attach the Coverage without a second channel.
-	if res != nil && res.Coverage != nil && res.Coverage.Partial() {
-		return &PartialError{Coverage: res.Coverage}
-	}
-	return nil
+	return false, partial(res)
 }

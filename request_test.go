@@ -63,33 +63,6 @@ func TestRequestCanceledContext(t *testing.T) {
 	}
 }
 
-func TestDeprecatedWrappersMatchCite(t *testing.T) {
-	c := newPaperCiter(t)
-	want, err := c.Cite(context.Background(), Request{Datalog: gpcrJoinDatalog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.CiteDatalog(gpcrJoinDatalog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CitationJSON() != want.CitationJSON() {
-		t.Fatalf("CiteDatalog diverged from Cite:\n got %s\nwant %s", got.CitationJSON(), want.CitationJSON())
-	}
-	sql := `SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'`
-	wantSQL, err := c.Cite(context.Background(), Request{SQL: sql})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSQL, err := c.CiteSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSQL.CitationJSON() != wantSQL.CitationJSON() {
-		t.Fatal("CiteSQL diverged from Cite")
-	}
-}
-
 func TestTupleAccessorsRangeErrors(t *testing.T) {
 	c := newPaperCiter(t)
 	res, err := c.Cite(context.Background(), Request{Datalog: gpcrJoinDatalog})
@@ -107,13 +80,14 @@ func TestTupleAccessorsRangeErrors(t *testing.T) {
 			t.Fatalf("TupleCitationJSONAt(%d) err = %v, want ErrRange", i, err)
 		}
 	}
-	// In-range accessors agree with the deprecated silent ones.
+	// In range, the accessors render the tuple's own citation.
+	tc := res.Result().Tuples[0]
 	poly, err := res.TuplePolynomialAt(0)
-	if err != nil || poly == "" || poly != res.TuplePolynomial(0) {
-		t.Fatalf("TuplePolynomialAt(0) = %q, %v; deprecated %q", poly, err, res.TuplePolynomial(0))
+	if err != nil || poly == "" || poly != tc.CiteTupleString() {
+		t.Fatalf("TuplePolynomialAt(0) = %q, %v; the tuple's polynomial is %q", poly, err, tc.CiteTupleString())
 	}
 	cj, err := res.TupleCitationJSONAt(0)
-	if err != nil || cj != res.TupleCitationJSON(0) {
+	if err != nil || cj != tc.Rendered.JSON() {
 		t.Fatalf("TupleCitationJSONAt(0) = %q, %v", cj, err)
 	}
 }
@@ -240,8 +214,8 @@ func TestCachedCiterRequestAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := cached.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	if st := cached.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/1", st.Hits, st.Misses)
 	}
 	if a.CitationJSON() != b.CitationJSON() {
 		t.Fatal("cached variant diverged")
@@ -251,7 +225,7 @@ func TestCachedCiterRequestAPI(t *testing.T) {
 	if _, err := cached.Cite(ctx, Request{Datalog: gpcrJoinDatalog, MaxRewritings: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := cached.Stats(); misses != 2 {
+	if misses := cached.CacheStats().Misses; misses != 2 {
 		t.Fatalf("MaxRewritings variant shared an entry: misses = %d, want 2", misses)
 	}
 
@@ -263,7 +237,7 @@ func TestCachedCiterRequestAPI(t *testing.T) {
 	if x.Format() != "xml" {
 		t.Fatalf("hit lost the request format: %q", x.Format())
 	}
-	if hits, _ := cached.Stats(); hits != 2 {
+	if hits := cached.CacheStats().Hits; hits != 2 {
 		t.Fatalf("format variant missed the cache: hits = %d", hits)
 	}
 }

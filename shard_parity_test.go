@@ -3,9 +3,10 @@ package citare
 // Property tests for the sharded engine: citations produced through
 // shard-partitioned storage with scatter-gather evaluation must be
 // byte-identical to the unsharded engine's, on the paper's gtopdb workload
-// and the advisor example workload, for every shard count.
+// and the advisor query log, for every shard count.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -26,8 +27,9 @@ func gtopdbWorkload() []mixedQuery {
 	)
 }
 
-// advisorWorkload replays the examples/advisor log shapes: family landing
-// pages and type pages — the workloads behind the paper's V1 and V5.
+// advisorWorkload is a query log of family landing pages and type pages —
+// the workloads behind the paper's V1 and V5, from which a view advisor
+// would mine those views.
 func advisorWorkload() []mixedQuery {
 	var out []mixedQuery
 	for _, fid := range []string{"11", "13", "20"} {
@@ -46,7 +48,7 @@ func citationFingerprint(t *testing.T, res *Citation) string {
 	t.Helper()
 	s := fmt.Sprintf("cols=%v rows=%v rewritings=%v|", res.Columns(), res.Rows(), res.Rewritings())
 	for i := 0; i < res.NumTuples(); i++ {
-		s += res.TuplePolynomial(i) + "§" + res.TupleCitationJSON(i) + ";"
+		s += tuplePoly(t, res, i) + "§" + tupleJSON(t, res, i) + ";"
 	}
 	return s + res.CitationJSON()
 }
@@ -227,12 +229,12 @@ func TestShardedReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`
-	before, err := c.CiteDatalog(q)
+	before, err := c.Cite(context.Background(), Request{Datalog: q})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sdb.MustInsert("Family", "777", "Shardin", "gpcr")
-	mid, err := c.CiteDatalog(q)
+	mid, err := c.Cite(context.Background(), Request{Datalog: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestShardedReset(t *testing.T) {
 	if err := c.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := c.CiteDatalog(q)
+	after, err := c.Cite(context.Background(), Request{Datalog: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,21 +309,21 @@ func TestShardedCachedCiter(t *testing.T) {
 	}
 	c := NewCached(base)
 	const q = `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`
-	first, err := c.CiteDatalog(q)
+	first, err := c.Cite(context.Background(), Request{Datalog: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CiteDatalog(q); err != nil {
+	if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := c.Stats(); hits == 0 {
+	if c.CacheStats().Hits == 0 {
 		t.Fatal("no cache hits on repeated sharded citation")
 	}
 	sdb.MustInsert("Family", "888", "CacheFam", "gpcr")
 	if err := c.Invalidate(); err != nil {
 		t.Fatal(err)
 	}
-	refreshed, err := c.CiteDatalog(q)
+	refreshed, err := c.Cite(context.Background(), Request{Datalog: q})
 	if err != nil {
 		t.Fatal(err)
 	}

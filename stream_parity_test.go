@@ -297,8 +297,8 @@ func TestCachedStreamMatchesColdStream(t *testing.T) {
 			if streamed < 30 {
 				t.Fatalf("only %d lines compared", streamed)
 			}
-			if hits, misses := cached.Stats(); misses != 2*len(inst.groups) {
-				t.Fatalf("%d hits / %d misses, want two misses per group: the first stream's lookup and the Cite that filled the entry", hits, misses)
+			if st := cached.CacheStats(); st.Misses != uint64(2*len(inst.groups)) {
+				t.Fatalf("%d hits / %d misses, want two misses per group: the first stream's lookup and the Cite that filled the entry", st.Hits, st.Misses)
 			}
 		})
 	}

@@ -271,7 +271,7 @@ func TestSharedEntryConcurrentResponses(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, misses := cached.Stats(); misses != 1 {
+	if misses := cached.CacheStats().Misses; misses != 1 {
 		t.Fatalf("%d cache misses, want the one entry", misses)
 	}
 	ct, err := cached.Cite(context.Background(), plain[0])
@@ -347,7 +347,7 @@ func TestSharedEntryConcurrentStreams(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, misses := cached.Stats(); misses != 1 {
+	if misses := cached.CacheStats().Misses; misses != 1 {
 		t.Fatalf("%d cache misses, want the one entry", misses)
 	}
 }
