@@ -193,17 +193,18 @@
 // # Persistence
 //
 // With -data-dir the server keeps the database in a log-structured store
-// on disk (internal/lsm). The first boot seeds the store from -data (or
-// the paper instance) and commits it as version 1; every later boot
+// on disk (internal/lsm). The first boot streams the rows of -data's CSV
+// files straight into the store (or copies the paper instance) and commits
+// them as version 1; a boot that failed mid-seed committed nothing, so the
+// next boot deletes the rows it left and seeds again. Every later boot
 // recovers the exact state from the WAL and SSTables — no CSV reload —
-// including all committed versions for time travel. On shutdown the
-// memtable is flushed and the WAL synced, so a restart reopens without
-// replay work. Store internals (memtable and WAL bytes, per-level SSTable
-// counts, flush and compaction totals) appear in the "lsm" section of
-// /stats and as citare_lsm_* series on /metrics. With -shards N > 1 the
-// persistent head snapshot is hash-partitioned into memory for
-// scatter-gather serving; the store on disk stays the durable source of
-// truth.
+// including all committed versions for time travel. On shutdown the memtable is flushed and the WAL synced, so
+// a restart reopens without replay work. Store internals (memtable and WAL
+// bytes, per-level SSTable counts, flush and compaction totals) appear in
+// the "lsm" section of /stats and as citare_lsm_* series on /metrics. With
+// -shards N > 1 the persistent head snapshot is hash-partitioned into
+// memory for scatter-gather serving; the store on disk stays the durable
+// source of truth.
 package main
 
 import (
@@ -925,7 +926,6 @@ func main() {
 	)
 	flag.Parse()
 
-	db := gtopdb.PaperInstance()
 	viewsProgram := gtopdb.ViewsProgram
 	if *viewsPath != "" {
 		raw, err := os.ReadFile(*viewsPath)
@@ -934,12 +934,6 @@ func main() {
 		}
 		viewsProgram = string(raw)
 	}
-	loadCSV := func() {
-		db = storage.NewDB(gtopdb.Schema())
-		if _, err := storage.LoadDir(db, *dataDir); err != nil {
-			log.Fatalf("citesrv: %v", err)
-		}
-	}
 	opts := []citare.Option{
 		citare.WithNeutralCitation(gtopdb.DatabaseCitation()),
 	}
@@ -947,38 +941,19 @@ func main() {
 		citer *citare.Citer
 		err   error
 		pers  *backend.LSM // persistent backend behind -data-dir; nil otherwise
+		db    *storage.DB  // in-memory database otherwise
 	)
 	if *lsmDir != "" {
-		pers, err = backend.OpenLSM(*lsmDir, gtopdb.Schema(), lsm.Options{})
-		if err != nil {
-			log.Fatalf("citesrv: open persistent store %s: %v", *lsmDir, err)
-		}
-		if storeIsEmpty(pers) {
-			// First boot: seed the store from -data (or the paper instance)
-			// and commit it as version 1. Every later boot recovers from the
-			// WAL and SSTables instead — no CSV reload.
-			if *dataDir != "" {
-				loadCSV()
-			}
-			n, serr := seedStore(pers, db)
-			if serr != nil {
-				log.Fatalf("citesrv: seed persistent store %s: %v", *lsmDir, serr)
-			}
-			log.Printf("citesrv: seeded persistent store %s (%d tuples, committed as version 1)", *lsmDir, n)
-		} else {
-			if *dataDir != "" {
-				log.Printf("citesrv: persistent store %s already populated; ignoring -data", *lsmDir)
-			}
-			st := pers.Store().Stats()
-			total := 0
-			for _, n := range st.Live {
-				total += n
-			}
-			log.Printf("citesrv: recovered persistent store %s (version %d, %d live tuples, %d committed versions)",
-				*lsmDir, st.Version, total, len(pers.Versions()))
+		if pers, err = openStore(*lsmDir, *dataDir); err != nil {
+			log.Fatalf("citesrv: %v", err)
 		}
 	} else if *dataDir != "" {
-		loadCSV()
+		db = storage.NewDB(gtopdb.Schema())
+		if _, err := storage.LoadDir(db, *dataDir); err != nil {
+			log.Fatalf("citesrv: %v", err)
+		}
+	} else {
+		db = gtopdb.PaperInstance()
 	}
 	switch {
 	case pers != nil && *shards > 1:
@@ -1063,40 +1038,92 @@ func main() {
 	log.Printf("citesrv: drained, bye")
 }
 
-// storeIsEmpty reports whether a just-opened persistent store has neither
-// committed versions nor live tuples — i.e. this is the first boot and the
-// store needs seeding.
-func storeIsEmpty(b *backend.LSM) bool {
-	if len(b.Versions()) > 0 {
-		return false
+// openStore opens the persistent store in dir. A store with no committed
+// version — a first boot, or one that failed mid-seed — is seeded from
+// csvDir (or the paper instance) and committed as version 1; any other is
+// recovered as it stands, with no CSV reload.
+func openStore(dir, csvDir string) (*backend.LSM, error) {
+	pers, err := backend.OpenLSM(dir, gtopdb.Schema(), lsm.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("open persistent store %s: %w", dir, err)
 	}
-	for _, n := range b.Store().Stats().Live {
-		if n > 0 {
-			return false
+	if len(pers.Versions()) > 0 {
+		if csvDir != "" {
+			log.Printf("citesrv: persistent store %s already populated; ignoring -data", dir)
 		}
+		st := pers.Store().Stats()
+		total := 0
+		for _, n := range st.Live {
+			total += n
+		}
+		log.Printf("citesrv: recovered persistent store %s (version %d, %d live tuples, %d committed versions)",
+			dir, st.Version, total, len(pers.Versions()))
+		return pers, nil
 	}
-	return true
+	n, err := seedStore(pers, csvDir)
+	if err != nil {
+		// What the seed wrote stays in the store, uncommitted: the next
+		// boot deletes it and seeds again.
+		return nil, errors.Join(fmt.Errorf("seed persistent store %s: %w", dir, err), pers.Close())
+	}
+	log.Printf("citesrv: seeded persistent store %s (%d tuples, committed as version 1)", dir, n)
+	return pers, nil
 }
 
-// seedStore copies every live tuple of db into the persistent backend and
-// commits the result as version 1, returning the tuple count.
-func seedStore(b *backend.LSM, db *storage.DB) (int, error) {
-	n := 0
-	for _, rs := range db.Schema().Relations() {
-		var ierr error
-		db.Relation(rs.Name).Scan(func(t storage.Tuple) bool {
-			if ierr = b.Insert(rs.Name, t...); ierr != nil {
-				return false
+// seedStore loads a store with no committed version and commits it as
+// version 1, returning the number of tuples it read. It first deletes every
+// live tuple, which only a seed that died mid-way can have left, so that
+// version 1 holds exactly what this seed reads. The rows of csvDir's
+// <Relation>.csv files then stream straight into the store; without csvDir
+// it copies the paper instance.
+func seedStore(b *backend.LSM, csvDir string) (int, error) {
+	if err := deleteHead(b); err != nil {
+		return 0, err
+	}
+	var (
+		n   int
+		err error
+	)
+	if csvDir != "" {
+		n, err = storage.LoadDir(b, csvDir)
+	} else {
+		db := gtopdb.PaperInstance()
+		for _, rs := range db.Schema().Relations() {
+			db.Relation(rs.Name).Scan(func(t storage.Tuple) bool {
+				if err = b.Insert(rs.Name, t...); err != nil {
+					return false
+				}
+				n++
+				return true
+			})
+			if err != nil {
+				break
 			}
-			n++
-			return true
-		})
-		if ierr != nil {
-			return n, ierr
 		}
 	}
-	if _, err := b.Commit("initial load"); err != nil {
+	if err != nil {
 		return n, err
 	}
-	return n, nil
+	_, err = b.Commit("initial load")
+	return n, err
+}
+
+// deleteHead deletes every live tuple of b.
+func deleteHead(b *backend.LSM) error {
+	v, err := b.Snapshot()
+	if err != nil {
+		return err
+	}
+	defer v.Release()
+	for _, rs := range b.Schema().Relations() {
+		// The snapshot does not see the deletes it drives.
+		v.Relation(rs.Name).Scan(func(t storage.Tuple) bool {
+			_, err = b.Delete(rs.Name, t...)
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,23 +15,17 @@ import (
 	"citare/internal/backend"
 	"citare/internal/gtopdb"
 	"citare/internal/lsm"
+	"citare/internal/storage"
 )
 
-// openPersistentServer mirrors main()'s -data-dir path: open-or-recover the
-// store in dir, seed it from the paper instance on first boot, and build a
-// backend-backed server. It reports whether this boot seeded.
-func openPersistentServer(t *testing.T, dir string) (*server, *backend.LSM, bool) {
+// openPersistentServer boots as main() does with -data-dir and no -data:
+// open-or-recover the store in dir, seed it from the paper instance on first
+// boot, and build a backend-backed server.
+func openPersistentServer(t *testing.T, dir string) (*server, *backend.LSM) {
 	t.Helper()
-	pers, err := backend.OpenLSM(dir, gtopdb.Schema(), lsm.Options{})
+	pers, err := openStore(dir, "")
 	if err != nil {
 		t.Fatal(err)
-	}
-	seeded := false
-	if storeIsEmpty(pers) {
-		if _, err := seedStore(pers, gtopdb.PaperInstance()); err != nil {
-			t.Fatal(err)
-		}
-		seeded = true
 	}
 	citer, err := citare.NewBackendFromProgram(pers, gtopdb.ViewsProgram,
 		citare.WithNeutralCitation(gtopdb.DatabaseCitation()))
@@ -37,7 +34,7 @@ func openPersistentServer(t *testing.T, dir string) (*server, *backend.LSM, bool
 	}
 	s := &server{citer: citare.NewCached(citer), viewsProgram: gtopdb.ViewsProgram, lsm: pers.Store()}
 	s.initObservability()
-	return s, pers, seeded
+	return s, pers
 }
 
 // TestPersistentServerSeedRecoverParity boots a -data-dir server twice on
@@ -59,9 +56,9 @@ func TestPersistentServerSeedRecoverParity(t *testing.T) {
 	}
 	want := cite(testServer(t))
 
-	s1, pers1, seeded := openPersistentServer(t, dir)
-	if !seeded {
-		t.Fatal("first boot on an empty dir did not seed")
+	s1, pers1 := openPersistentServer(t, dir)
+	if got := pers1.Versions(); len(got) != 1 {
+		t.Fatalf("first boot on an empty dir: versions %v, want the seed's [1]", got)
 	}
 	if got := cite(s1); got != want {
 		t.Errorf("persistent citation differs from in-memory:\n got %s\nwant %s", got, want)
@@ -92,10 +89,10 @@ func TestPersistentServerSeedRecoverParity(t *testing.T) {
 	}
 
 	// Second boot: recover, don't reseed, serve identical bytes.
-	s2, pers2, seeded := openPersistentServer(t, dir)
+	s2, pers2 := openPersistentServer(t, dir)
 	defer pers2.Close()
-	if seeded {
-		t.Fatal("second boot reseeded a populated store")
+	if got := pers2.Versions(); len(got) != 1 {
+		t.Fatalf("second boot: versions %v, want [1]: a reseed commits again", got)
 	}
 	if got := pers2.Label(1); got != "initial load" {
 		t.Errorf("recovered label(1) = %q, want %q", got, "initial load")
@@ -122,13 +119,110 @@ func TestPersistentServerSeedRecoverParity(t *testing.T) {
 	}
 }
 
+// TestFailedSeedIsSeededAgain: a first boot on a CSV with a malformed row
+// after 1,000 good ones fails and commits nothing, leaving the good rows in
+// the store uncommitted. The next boot, on a corrected CSV that renames one
+// of those rows and drops another, deletes what the failed seed left, seeds
+// again and serves exactly the corrected CSV as version 1.
+func TestFailedSeedIsSeededAgain(t *testing.T) {
+	dir, csvDir := t.TempDir(), t.TempDir()
+	const families = 1500
+	writeCSV := func(rel, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(csvDir, rel+".csv"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeFamilies := func(corrected bool) {
+		var b strings.Builder
+		b.WriteString("FID,FName,Type\n")
+		for i := 0; i < families; i++ {
+			switch {
+			case !corrected && i == 1000:
+				fmt.Fprintf(&b, "f%d,Family %d\n", i, i) // no Type
+			case corrected && i == 5:
+				b.WriteString("f5,Renamed 5,gpcr\n") // a keyed row the failed seed wrote, changed
+			case corrected && i == 7: // a row the failed seed wrote, dropped
+			default:
+				fmt.Fprintf(&b, "f%d,Family %d,gpcr\n", i, i)
+			}
+		}
+		writeCSV("Family", b.String())
+	}
+	writeCSV("FamilyIntro", "FID,Text\nf1499,Intro 1499\n")
+	writeFamilies(false)
+	if pers, err := openStore(dir, csvDir); err == nil {
+		pers.Close()
+		t.Fatal("a boot on a malformed CSV seeded the store")
+	} else if !strings.Contains(err.Error(), "Family.csv") {
+		t.Fatalf("seed error %q does not name the file", err)
+	}
+	failed, err := backend.OpenLSM(dir, nil, lsm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, versions := failed.Store().Stats().Live["Family"], failed.Versions(); live != 1000 || len(versions) != 0 {
+		t.Fatalf("the failed seed left %d live families and versions %v, want 1000 and none", live, versions)
+	}
+	if err := failed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	writeFamilies(true)
+	pers, err := openStore(dir, csvDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pers.Close()
+	if got := pers.Versions(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("versions = %v, want [1]", got)
+	}
+	v, err := pers.AsOf(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	for rel, want := range map[string]int{"Family": families - 1, "FamilyIntro": 1} {
+		if got := v.Relation(rel).Len(); got != want {
+			t.Errorf("version 1 holds %d %s tuples, want %d", got, rel, want)
+		}
+	}
+	names := map[string][]string{}
+	v.Relation("Family").Scan(func(t storage.Tuple) bool {
+		if t[0] == "f5" || t[0] == "f7" {
+			names[t[0]] = append(names[t[0]], t[1])
+		}
+		return true
+	})
+	if got := names["f5"]; len(got) != 1 || got[0] != "Renamed 5" {
+		t.Errorf("version 1 names f5 %q, want only the corrected %q", got, "Renamed 5")
+	}
+	if got := names["f7"]; len(got) != 0 {
+		t.Errorf("version 1 holds f7 as %q, which the corrected CSV dropped", got)
+	}
+
+	citer, err := citare.NewBackendFromProgram(pers, gtopdb.ViewsProgram,
+		citare.WithNeutralCitation(gtopdb.DatabaseCitation()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{citer: citare.NewCached(citer), viewsProgram: gtopdb.ViewsProgram, lsm: pers.Store()}
+	s.initObservability()
+	w := httptest.NewRecorder()
+	s.handleCite(w, httptest.NewRequest(http.MethodPost, "/v1/cite",
+		strings.NewReader(`{"sql": "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID"}`)))
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "Family 1499") {
+		t.Errorf("cite status = %d: %s", w.Code, w.Body.String())
+	}
+}
+
 // TestPersistentServerTokenDeltas: a commit that adds a committee member,
 // published by Invalidate, is cited at once — and the next citation brings
 // its cached tokens forward instead of rendering them again: /stats counts
 // them revalidated, the changed one delta-applied, and /metrics carries the
 // same counters.
 func TestPersistentServerTokenDeltas(t *testing.T) {
-	s, pers, _ := openPersistentServer(t, t.TempDir())
+	s, pers := openPersistentServer(t, t.TempDir())
 	defer pers.Close()
 	cite := func() string {
 		w := httptest.NewRecorder()

@@ -46,8 +46,9 @@ func (b *bloom) add(key []byte) {
 	}
 }
 
-func (b *bloom) mayContain(key []byte) bool {
-	h1, h2 := bloomHash(key)
+// mayContain tests the key whose bloomHash is h1, h2: a caller probing many
+// tables for one key hashes it once.
+func (b *bloom) mayContain(h1, h2 uint64) bool {
 	for i := uint64(0); i < uint64(b.k); i++ {
 		bit := (h1 + i*h2) % b.nbits
 		if b.bits[bit/8]&(1<<(bit%8)) == 0 {

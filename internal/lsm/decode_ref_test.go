@@ -83,7 +83,7 @@ func TestRowDecoderMatchesReference(t *testing.T) {
 	}
 	for _, vals := range rows {
 		for ord := range vals {
-			key := logicalOf(encodeKey(nil, "rel", byte(ord), rotate(vals, ord), 1, 1))
+			key := appendRotation(nil, "rel", ord, vals)
 			got, err := d.decode(key, len("rel")+2, ord, len(vals))
 			if err != nil || !slices.Equal([]string(got), vals) {
 				t.Fatalf("decode %q ord %d: %q, %v", vals, ord, got, err)
@@ -145,7 +145,7 @@ func FuzzDecodeRow(f *testing.F) {
 func FuzzDataBlock(f *testing.F) {
 	var good []byte
 	for i := 0; i < 4; i++ {
-		key := encodeKey(nil, "r", 0, []string{fmt.Sprint(i)}, 1, uint64(i))
+		key := appendStamp(appendRotation(nil, "r", 0, []string{fmt.Sprint(i)}), 1, uint64(i))
 		good = binary.AppendUvarint(good, uint64(len(key)))
 		good = append(append(good, key...), opSet)
 	}

@@ -81,15 +81,24 @@ func appendStamp(dst []byte, version, seq uint64) []byte {
 	return append(dst, b[:]...)
 }
 
-// encodeKey builds the full key of one entry: the tuple rotated to start at
-// column ord (or projected to the key columns for pkOrd), stamped with
-// version and sequence.
-func encodeKey(dst []byte, rel string, ord byte, fields []string, version, seq uint64) []byte {
-	dst = appendLogicalPrefix(dst, rel, ord)
-	for _, f := range fields {
-		dst = appendField(dst, f)
+// appendRotation appends the logical key of vals in ordering ord: the tuple
+// rotated to start at column ord. A full key appends the stamp after it.
+func appendRotation(dst []byte, rel string, ord int, vals []string) []byte {
+	dst = appendLogicalPrefix(dst, rel, byte(ord))
+	for i := range vals {
+		dst = appendField(dst, vals[(ord+i)%len(vals)])
 	}
-	return appendStamp(dst, version, seq)
+	return dst
+}
+
+// appendKeyProjection appends the pkOrd logical key of vals: the values of
+// the key columns idx.
+func appendKeyProjection(dst []byte, rel string, vals []string, idx []int) []byte {
+	dst = appendLogicalPrefix(dst, rel, pkOrd)
+	for _, j := range idx {
+		dst = appendField(dst, vals[j])
+	}
+	return dst
 }
 
 // logicalOf strips the version/sequence stamp, returning the logical key.
@@ -184,16 +193,6 @@ func (d *rowDecoder) decode(logical []byte, prefixLen, ord, k int) (storage.Tupl
 		from = end
 	}
 	return row, nil
-}
-
-// rotate returns the tuple's values rotated to start at column ord.
-func rotate(vals []string, ord int) []string {
-	k := len(vals)
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = vals[(ord+i)%k]
-	}
-	return out
 }
 
 // successor turns prefix, in place, into the smallest byte string greater

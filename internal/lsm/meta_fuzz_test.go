@@ -68,7 +68,7 @@ func sstParts(tb testing.TB) (data, meta []byte, idxLen uint64) {
 		tb.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		if err := sw.add(encodeKey(nil, "R", 0, []string{string(rune('a' + i))}, 1, uint64(i)), opSet); err != nil {
+		if err := sw.add(appendStamp(appendRotation(nil, "R", 0, []string{string(rune('a' + i))}), 1, uint64(i)), opSet); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func openAndScan(path string) error {
 	var it tableIter
 	for it.seek(r, nil, nil); it.next(); {
 	}
-	r.bloom.mayContain([]byte("R"))
+	r.bloom.mayContain(bloomHash([]byte("R")))
 	return it.err
 }
 
@@ -162,7 +162,7 @@ func TestBloomRejectsBadGeometry(t *testing.T) {
 			t.Fatalf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 		if b != nil {
-			b.mayContain([]byte("probe"))
+			b.mayContain(bloomHash([]byte("probe")))
 		}
 	}
 }

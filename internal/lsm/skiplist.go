@@ -13,7 +13,19 @@ import (
 // so a reader traversing with atomic loads always sees a consistent list and
 // readers pinned to a sequence-number ceiling simply skip entries stamped
 // after their snapshot.
+//
+// put copies each key into a byte slab and takes each node from a node
+// slab, so an insert allocates nothing of its own; the tower stays inline in
+// the node, so a read walk follows one pointer per step. The flush estimate
+// counts a node as len(key)+1+48 bytes whatever the slabs hold, so they
+// move no flush point.
 const skipMaxHeight = 16
+
+// Slab sizes double from the minimum, so a small memtable wastes little.
+const (
+	keySlabMin, keySlabMax   = 1 << 10, 64 << 10
+	nodeSlabMin, nodeSlabMax = 8, 512
+)
 
 type skipNode struct {
 	key  []byte
@@ -27,6 +39,8 @@ type skiplist struct {
 	rnd    *rand.Rand
 	count  int
 	bytes  int
+	keys   []byte     // key slab: put appends within its capacity
+	nodes  []skipNode // node slab: put takes the next element
 }
 
 func newSkiplist() *skiplist {
@@ -43,8 +57,25 @@ func (s *skiplist) randomHeight() int {
 	return h
 }
 
-// put inserts a key (full keys are unique: the sequence stamp differs on
-// every write, so no update path is needed). Writer-side only.
+// newNode returns a node from the slab holding a copy of key.
+func (s *skiplist) newNode(key []byte, op byte) *skipNode {
+	if len(s.keys)+len(key) > cap(s.keys) {
+		s.keys = make([]byte, 0, max(len(key), min(2*cap(s.keys), keySlabMax), keySlabMin))
+	}
+	n := len(s.keys)
+	s.keys = append(s.keys, key...)
+	if len(s.nodes) == cap(s.nodes) {
+		s.nodes = make([]skipNode, 0, max(min(2*cap(s.nodes), nodeSlabMax), nodeSlabMin))
+	}
+	s.nodes = s.nodes[:len(s.nodes)+1]
+	node := &s.nodes[len(s.nodes)-1]
+	node.key, node.op = s.keys[n:len(s.keys):len(s.keys)], op
+	return node
+}
+
+// put inserts a copy of key (full keys are unique: the sequence stamp
+// differs on every write, so no update path is needed); the caller may
+// reuse key afterwards. Writer-side only.
 func (s *skiplist) put(key []byte, op byte) {
 	var prev [skipMaxHeight]*skipNode
 	h := int(s.height.Load())
@@ -66,7 +97,7 @@ func (s *skiplist) put(key []byte, op byte) {
 		}
 		s.height.Store(int32(nh))
 	}
-	node := &skipNode{key: key, op: op}
+	node := s.newNode(key, op)
 	// Publish bottom-up: once the node is reachable at level 0 every reader
 	// sees a fully initialized node (key/op are written before any link).
 	for lvl := 0; lvl < nh; lvl++ {
@@ -77,19 +108,22 @@ func (s *skiplist) put(key []byte, op byte) {
 	s.bytes += len(key) + 1 + 48 // node overhead estimate for flush sizing
 }
 
-// seek returns the first node with key ≥ target (nil at end).
+// seek returns the first node with key ≥ target (nil at end). It returns
+// the node its walk compared, not a fresh load of the link, which a
+// concurrent put may have swung to a node below target.
 func (s *skiplist) seek(target []byte) *skipNode {
 	n := s.head
+	var nx *skipNode
 	for lvl := int(s.height.Load()) - 1; lvl >= 0; lvl-- {
 		for {
-			nx := n.next[lvl].Load()
+			nx = n.next[lvl].Load()
 			if nx == nil || bytes.Compare(nx.key, target) >= 0 {
 				break
 			}
 			n = nx
 		}
 	}
-	return n.next[0].Load()
+	return nx
 }
 
 // memIter iterates the skiplist ascending within [start, end). A zero

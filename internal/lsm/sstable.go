@@ -445,10 +445,11 @@ func (it *tableIter) key() []byte { return it.curKey }
 func (it *tableIter) op() byte    { return it.curOp }
 
 // probe returns the newest (first-sorting) entry whose logical key equals
-// logical, using the bloom filter to skip tables that cannot contain it.
-// end is the successor of logical; it positions the caller's iterator.
-func (r *sstReader) probe(it *tableIter, logical, end []byte) (op byte, seq uint64, ok bool, err error) {
-	if !r.bloom.mayContain(logical) {
+// logical, using the bloom filter to skip tables that cannot contain it;
+// h1, h2 are logical's bloomHash. end is the successor of logical; it
+// positions the caller's iterator.
+func (r *sstReader) probe(it *tableIter, logical, end []byte, h1, h2 uint64) (op byte, seq uint64, ok bool, err error) {
+	if !r.bloom.mayContain(h1, h2) {
 		return 0, 0, false, nil
 	}
 	it.seek(r, logical, end)

@@ -177,6 +177,10 @@ type Store struct {
 
 	wal      *wal
 	walBytes atomic.Int64 // published copy of wal.size for lock-free Stats
+	// keyBuf is the write path's one key buffer: Insert and Delete build
+	// their probe keys in it, applyInsert and applyDelete every entry's key,
+	// which the memtable copies. Guarded by writeMu; Open's replay runs alone.
+	keyBuf []byte
 
 	compactMu   sync.Mutex // one compaction at a time
 	compactBusy atomic.Bool
@@ -355,32 +359,36 @@ func checkVal(rel string, col storage.Column, val string) error {
 	return nil
 }
 
-// probeNewest returns the newest entry for a logical key across the memtable
-// and every table. Called on the write path under writeMu, where the store
-// state is stable and everything written so far is visible.
-func (s *Store) probeNewest(logical []byte) (op byte, ok bool, err error) {
+// probeLive reports whether the newest entry for a logical key across the
+// memtable and every table is a set. Called on the write path under
+// writeMu, where the store state is stable and everything written so far is
+// visible.
+func (s *Store) probeLive(logical []byte) (bool, error) {
 	sc := getScratch()
 	defer sc.put()
-	sc.prefix = append(sc.prefix[:0], logical...)
-	end := sc.setRange()
+	sc.end = append(sc.end[:0], logical...)
+	end := successor(sc.end)
+	var op byte
+	var ok bool
 	var bestSeq uint64
 	if sc.mem.seek(s.mem, logical, end); sc.mem.next() {
 		_, seq := stampOf(sc.mem.key())
 		op, ok, bestSeq = sc.mem.op(), true, seq
 	}
 	it := &sc.tableIters(1)[0]
+	h1, h2 := bloomHash(logical)
 	for _, level := range s.tables.levels {
 		for _, r := range level {
-			top, tseq, tok, terr := r.probe(it, logical, end)
+			top, tseq, tok, terr := r.probe(it, logical, end, h1, h2)
 			if terr != nil {
-				return 0, false, terr
+				return false, terr
 			}
 			if tok && (!ok || tseq > bestSeq) {
 				op, ok, bestSeq = top, true, tseq
 			}
 		}
 	}
-	return op, ok, nil
+	return ok && op == opSet, nil
 }
 
 func project(vals []string, idx []int) []string {
@@ -412,29 +420,30 @@ func (s *Store) Insert(rel string, vals ...string) error {
 			return err
 		}
 	}
-	logical := appendLogicalPrefix(nil, rel, 0)
-	for _, v := range vals {
-		logical = appendField(logical, v)
-	}
-	op, ok, err := s.probeNewest(logical)
-	if err != nil {
-		return err
-	}
-	if ok && op == opSet {
-		return nil // live duplicate
-	}
-	if rm.keyIdx != nil {
-		keyVals := project(vals, rm.keyIdx)
-		pk := appendLogicalPrefix(nil, rel, pkOrd)
-		for _, v := range keyVals {
-			pk = appendField(pk, v)
-		}
-		op, ok, err := s.probeNewest(pk)
+	// A keyed relation writes a tuple's entries and its key's together, so
+	// a tuple whose key is not live is not live either: the key's probe
+	// decides, unless the key is live — then the tuple's own probe tells a
+	// live duplicate from a key clash.
+	probeTuple := rm.keyIdx == nil
+	if !probeTuple {
+		s.keyBuf = appendKeyProjection(s.keyBuf[:0], rel, vals, rm.keyIdx)
+		live, err := s.probeLive(s.keyBuf)
 		if err != nil {
 			return err
 		}
-		if ok && op == opSet {
-			return fmt.Errorf("lsm: %s: duplicate key %v", rel, keyVals)
+		probeTuple = live
+	}
+	if probeTuple {
+		s.keyBuf = appendRotation(s.keyBuf[:0], rel, 0, vals)
+		live, err := s.probeLive(s.keyBuf)
+		if err != nil {
+			return err
+		}
+		if live {
+			return nil // live duplicate
+		}
+		if rm.keyIdx != nil {
+			return fmt.Errorf("lsm: %s: duplicate key %v", rel, project(vals, rm.keyIdx))
 		}
 	}
 	seq := s.nextSeq
@@ -448,20 +457,26 @@ func (s *Store) Insert(rel string, vals ...string) error {
 	return s.maybeFlush()
 }
 
-// applyInsert writes the memtable entries of one insert: one key per
-// ordering, plus the primary-key probe entry. Caller holds mu (or is Open's
-// single-threaded replay).
+// applyInsert writes the memtable entries of one insert. Caller holds
+// writeMu and mu (or is Open's single-threaded replay).
 func (s *Store) applyInsert(rm *relMeta, vals []string, seq uint64) {
-	k := rm.rs.Arity()
-	for ord := 0; ord < k; ord++ {
-		s.mem.put(encodeKey(nil, rm.rs.Name, byte(ord), rotate(vals, ord), s.version, seq), opSet)
-	}
-	if rm.keyIdx != nil {
-		s.mem.put(encodeKey(nil, rm.rs.Name, pkOrd, project(vals, rm.keyIdx), s.version, seq), opSet)
-	}
+	s.putEntries(rm, vals, seq, opSet)
 	s.live[rm.rs.Name]++
 	s.logChange(rm.rs.Name, seq, false, vals)
 	s.nextSeq = seq + 1
+}
+
+// putEntries writes one key per ordering, plus the primary-key entry, each
+// encoded into keyBuf.
+func (s *Store) putEntries(rm *relMeta, vals []string, seq uint64, op byte) {
+	for ord := 0; ord < rm.rs.Arity(); ord++ {
+		s.keyBuf = appendStamp(appendRotation(s.keyBuf[:0], rm.rs.Name, ord, vals), s.version, seq)
+		s.mem.put(s.keyBuf, op)
+	}
+	if rm.keyIdx != nil {
+		s.keyBuf = appendStamp(appendKeyProjection(s.keyBuf[:0], rm.rs.Name, vals, rm.keyIdx), s.version, seq)
+		s.mem.put(s.keyBuf, op)
+	}
 }
 
 // Delete removes a live tuple at the current version, reporting whether it
@@ -480,16 +495,9 @@ func (s *Store) Delete(rel string, vals ...string) (bool, error) {
 	if len(vals) != rm.rs.Arity() {
 		return false, fmt.Errorf("lsm: %s: arity %d, tuple has %d values", rel, rm.rs.Arity(), len(vals))
 	}
-	logical := appendLogicalPrefix(nil, rel, 0)
-	for _, v := range vals {
-		logical = appendField(logical, v)
-	}
-	op, ok, err := s.probeNewest(logical)
-	if err != nil {
+	s.keyBuf = appendRotation(s.keyBuf[:0], rel, 0, vals)
+	if live, err := s.probeLive(s.keyBuf); err != nil || !live {
 		return false, err
-	}
-	if !ok || op != opSet {
-		return false, nil
 	}
 	seq := s.nextSeq
 	if err := s.wal.append(walRec{typ: walDelete, seq: seq, rel: rel, vals: vals}); err != nil {
@@ -503,13 +511,7 @@ func (s *Store) Delete(rel string, vals ...string) (bool, error) {
 }
 
 func (s *Store) applyDelete(rm *relMeta, vals []string, seq uint64) {
-	k := rm.rs.Arity()
-	for ord := 0; ord < k; ord++ {
-		s.mem.put(encodeKey(nil, rm.rs.Name, byte(ord), rotate(vals, ord), s.version, seq), opTombstone)
-	}
-	if rm.keyIdx != nil {
-		s.mem.put(encodeKey(nil, rm.rs.Name, pkOrd, project(vals, rm.keyIdx), s.version, seq), opTombstone)
-	}
+	s.putEntries(rm, vals, seq, opTombstone)
 	s.live[rm.rs.Name]--
 	s.logChange(rm.rs.Name, seq, true, vals)
 	s.nextSeq = seq + 1
@@ -847,11 +849,16 @@ func (s *Store) installManifest(man *manifest, levels [][]*sstReader) error {
 	if err := os.Rename(tmp, filepath.Join(s.dir, manifestName)); err != nil {
 		return err
 	}
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync()
-		d.Close()
+	// The rename is durable only once the directory is synced.
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (s *Store) maybeCompactAsync() {

@@ -62,7 +62,7 @@ func TestEncodingRoundtrip(t *testing.T) {
 	}
 	for _, vals := range cases {
 		for ord := 0; ord < len(vals); ord++ {
-			key := encodeKey(nil, "rel", byte(ord), rotate(vals, ord), 7, 42)
+			key := appendStamp(appendRotation(nil, "rel", ord, vals), 7, 42)
 			ver, seq := stampOf(key)
 			if ver != 7 || seq != 42 {
 				t.Fatalf("stamp roundtrip: got (%d,%d)", ver, seq)

@@ -8,20 +8,30 @@ import (
 	"path/filepath"
 )
 
+// Inserter is what the CSV loaders write through: a *DB, or a persistent
+// store that takes the rows straight to disk. Insert must not keep vals: the
+// loaders reuse it from row to row.
+type Inserter interface {
+	Schema() *Schema
+	Insert(rel string, vals ...string) error
+}
+
 // LoadCSV reads rows from r into the named relation. When header is true the
 // first record must list the relation's column names (in any order) and
 // values are mapped accordingly; otherwise records are taken positionally.
-func LoadCSV(db *DB, rel string, r io.Reader, header bool) (int, error) {
+func LoadCSV(db Inserter, rel string, r io.Reader, header bool) (int, error) {
 	rs := db.Schema().Relation(rel)
 	if rs == nil {
 		return 0, fmt.Errorf("storage: unknown relation %s", rel)
 	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true // the values are fresh strings on every read
 	perm := make([]int, rs.Arity())
 	for i := range perm {
 		perm[i] = i
 	}
+	vals := make([]string, rs.Arity())
 	first := true
 	n := 0
 	for {
@@ -50,7 +60,6 @@ func LoadCSV(db *DB, rel string, r io.Reader, header bool) (int, error) {
 		if len(rec) != rs.Arity() {
 			return n, fmt.Errorf("storage: csv row for %s has %d values, want %d", rel, len(rec), rs.Arity())
 		}
-		vals := make([]string, rs.Arity())
 		for i := range vals {
 			vals[i] = rec[perm[i]]
 		}
@@ -87,8 +96,9 @@ func DumpCSV(db *DB, rel string, w io.Writer) error {
 }
 
 // LoadDir loads <dir>/<relation>.csv (with header) for every relation in the
-// schema that has a file present, returning the number of tuples loaded.
-func LoadDir(db *DB, dir string) (int, error) {
+// schema that has a file present, in schema order, returning the number of
+// tuples loaded.
+func LoadDir(db Inserter, dir string) (int, error) {
 	total := 0
 	for _, rs := range db.Schema().Relations() {
 		path := filepath.Join(dir, rs.Name+".csv")
