@@ -158,7 +158,9 @@
 // Content-Length. With
 // -shards N > 1 the database is hash-partitioned and every request routes
 // through the sharded engine (scatter-gather evaluation with shard
-// pruning); citations are byte-identical to the unsharded engine's.
+// pruning); citations are byte-identical to the unsharded engine's. The
+// rows of -data's CSV files then stream straight into the shards: no
+// unsharded copy of the database is built on the way.
 //
 // # Observability
 //
@@ -941,19 +943,16 @@ func main() {
 		citer *citare.Citer
 		err   error
 		pers  *backend.LSM // persistent backend behind -data-dir; nil otherwise
-		db    *storage.DB  // in-memory database otherwise
+		db    *storage.DB  // in-memory database, unsharded
+		sdb   *shard.DB    // in-memory database, -shards N > 1
 	)
 	if *lsmDir != "" {
-		if pers, err = openStore(*lsmDir, *dataDir); err != nil {
-			log.Fatalf("citesrv: %v", err)
-		}
-	} else if *dataDir != "" {
-		db = storage.NewDB(gtopdb.Schema())
-		if _, err := storage.LoadDir(db, *dataDir); err != nil {
-			log.Fatalf("citesrv: %v", err)
-		}
+		pers, err = openStore(*lsmDir, *dataDir)
 	} else {
-		db = gtopdb.PaperInstance()
+		db, sdb, err = openMemory(*dataDir, *shards)
+	}
+	if err != nil {
+		log.Fatalf("citesrv: %v", err)
 	}
 	switch {
 	case pers != nil && *shards > 1:
@@ -964,19 +963,15 @@ func main() {
 		if verr != nil {
 			log.Fatalf("citesrv: %v", verr)
 		}
-		sdb, serr := shard.FromView(pers.Schema(), v, *shards)
+		sdb, err = shard.FromView(pers.Schema(), v, *shards)
 		v.Release()
-		if serr != nil {
-			log.Fatalf("citesrv: %v", serr)
+		if err != nil {
+			log.Fatalf("citesrv: %v", err)
 		}
 		citer, err = citare.NewShardedFromProgram(sdb, viewsProgram, opts...)
 	case pers != nil:
 		citer, err = citare.NewBackendFromProgram(pers, viewsProgram, opts...)
-	case *shards > 1:
-		sdb, serr := shard.FromDB(db, *shards)
-		if serr != nil {
-			log.Fatalf("citesrv: %v", serr)
-		}
+	case sdb != nil:
 		citer, err = citare.NewShardedFromProgram(sdb, viewsProgram, opts...)
 	default:
 		*shards = 1
@@ -1036,6 +1031,28 @@ func main() {
 		log.Printf("citesrv: persistent store flushed and closed")
 	}
 	log.Printf("citesrv: drained, bye")
+}
+
+// openMemory loads the in-memory database from csvDir's <Relation>.csv
+// files, or the paper instance without csvDir. With shards > 1 it returns
+// only the hash-partitioned database, into which the CSV rows stream
+// straight, with no unsharded copy on the way; otherwise only the unsharded
+// one.
+func openMemory(csvDir string, shards int) (*storage.DB, *shard.DB, error) {
+	switch {
+	case shards > 1 && csvDir == "":
+		sdb, err := shard.FromDB(gtopdb.PaperInstance(), shards)
+		return nil, sdb, err
+	case shards > 1:
+		sdb := shard.New(gtopdb.Schema(), shards)
+		_, err := storage.LoadDir(sdb, csvDir)
+		return nil, sdb, err
+	case csvDir == "":
+		return gtopdb.PaperInstance(), nil, nil
+	}
+	db := storage.NewDB(gtopdb.Schema())
+	_, err := storage.LoadDir(db, csvDir)
+	return db, nil, err
 }
 
 // openStore opens the persistent store in dir. A store with no committed

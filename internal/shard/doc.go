@@ -64,8 +64,11 @@
 // Primary-key uniqueness is enforced inside each part. The check is global
 // exactly when the primary key includes the shard-key column (true for the
 // whole GtoPdb schema); otherwise a duplicate key can land on two different
-// shards undetected. Foreign keys are validated per part and should be
-// checked on the unsharded source before partitioning (shard.FromDB).
+// shards undetected. Foreign keys are not checked across parts: a part's
+// CheckForeignKeys misses a referenced tuple that hashed to another part,
+// so a caller that wants them checked runs it on an unsharded database.
+// citesrv never checked them on -data, so loading its CSV files straight
+// into the parts drops no check it made before.
 package shard
 
 import "citare/internal/eval"

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Inserter is what the CSV loaders write through: a *DB, or a persistent
@@ -51,6 +52,9 @@ func LoadCSV(db Inserter, rel string, r io.Reader, header bool) (int, error) {
 				idx := rs.ColIndex(name)
 				if idx < 0 {
 					return 0, fmt.Errorf("storage: csv header for %s: unknown column %q", rel, name)
+				}
+				if slices.Contains(rec[:i], name) {
+					return 0, fmt.Errorf("storage: csv header for %s: repeated column %q", rel, name)
 				}
 				perm[idx] = i
 			}

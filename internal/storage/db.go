@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,6 +51,11 @@ func encodeValues(vals []string) string {
 
 // Relation is a set of tuples with on-demand hash indexes.
 //
+// Each live tuple is one entry in one map, keyed by its primary-key
+// projection (every column when the schema declares no key), so set
+// semantics and key uniqueness are one probe and one row comparison. Rows
+// are cut from slabs that grow geometrically: a new tuple allocates its key.
+//
 // Concurrency model: a relation is safe for any mix of concurrent readers
 // and writers. Writers mutate under an exclusive lock; readers capture an
 // immutable view (row prefix + tombstone map) under a brief shared lock and
@@ -60,24 +67,33 @@ func encodeValues(vals []string) string {
 type Relation struct {
 	mu      sync.RWMutex
 	schema  *RelSchema
+	keyCols []int // column positions of the key: every column without a declared key
 	rows    []Tuple
-	present map[string]int        // tuple key -> row index (set semantics)
-	keyIdx  map[string]int        // primary-key projection -> row index
+	keys    map[string]int        // key projection -> live row index
 	indexes map[string]*hashIndex // built on demand per column subset
 	deleted map[int]bool          // tombstones; copy-on-write, never mutated once shared
+	slab    []string              // free values new rows are cut from
+	buf     []byte                // probe key, built under the write lock
 	nLive   int
 	frozen  bool // snapshot view: writes are rejected
-	shared  bool // bookkeeping maps are shared with a snapshot; clone before writing
+	shared  bool // the key map is shared with a snapshot; clone before writing
 }
 
 func newRelation(rs *RelSchema) *Relation {
-	return &Relation{
+	r := &Relation{
 		schema:  rs,
-		present: make(map[string]int),
-		keyIdx:  make(map[string]int),
+		keys:    make(map[string]int),
 		indexes: make(map[string]*hashIndex),
 		deleted: make(map[int]bool),
 	}
+	key := rs.Key
+	if len(key) == 0 {
+		key = rs.ColNames()
+	}
+	for _, name := range key {
+		r.keyCols = append(r.keyCols, rs.ColIndex(name))
+	}
+	return r
 }
 
 // snapshot returns a frozen view of the relation's current contents. It is
@@ -89,9 +105,9 @@ func (r *Relation) snapshot() *Relation {
 	r.shared = true
 	return &Relation{
 		schema:  r.schema,
+		keyCols: r.keyCols,
 		rows:    r.rows[:len(r.rows):len(r.rows)],
-		present: r.present,
-		keyIdx:  r.keyIdx,
+		keys:    r.keys,
 		indexes: make(map[string]*hashIndex),
 		deleted: r.deleted,
 		nLive:   r.nLive,
@@ -99,22 +115,12 @@ func (r *Relation) snapshot() *Relation {
 	}
 }
 
-// unshare clones bookkeeping maps shared with snapshots. Must hold r.mu.
+// unshare clones the key map shared with snapshots. Must hold r.mu.
 func (r *Relation) unshare() {
-	if !r.shared {
-		return
+	if r.shared {
+		r.keys = maps.Clone(r.keys)
+		r.shared = false
 	}
-	present := make(map[string]int, len(r.present))
-	for k, v := range r.present {
-		present[k] = v
-	}
-	r.present = present
-	keyIdx := make(map[string]int, len(r.keyIdx))
-	for k, v := range r.keyIdx {
-		keyIdx[k] = v
-	}
-	r.keyIdx = keyIdx
-	r.shared = false
 }
 
 // Schema returns the relation's schema.
@@ -139,12 +145,21 @@ func project(t Tuple, cols []int) []string {
 	return out
 }
 
-func (r *Relation) keyCols() []int {
-	cols := make([]int, len(r.schema.Key))
-	for i, k := range r.schema.Key {
-		cols[i] = r.schema.ColIndex(k)
+// probe encodes t's key projection into buf and returns the index of the
+// live row stored under that key, or -1, with the encoded key. The caller
+// holds r.mu or r is frozen. A tuple of the wrong arity is never stored.
+func (r *Relation) probe(buf []byte, t Tuple) (int, []byte) {
+	buf = buf[:0]
+	if len(t) != len(r.schema.Cols) {
+		return -1, buf
 	}
-	return cols
+	for _, c := range r.keyCols {
+		buf = AppendKeyPart(buf, t[c])
+	}
+	if idx, ok := r.keys[string(buf)]; ok {
+		return idx, buf
+	}
+	return -1, buf
 }
 
 // insert adds a tuple. Duplicate tuples are ignored (set semantics);
@@ -163,52 +178,54 @@ func (r *Relation) insert(t Tuple) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tk := t.Key()
-	if _, dup := r.present[tk]; dup {
-		return nil
+	var idx int
+	if idx, r.buf = r.probe(r.buf, t); idx >= 0 {
+		if slices.Equal(r.rows[idx], t) {
+			return nil
+		}
+		return fmt.Errorf("storage: %s: duplicate key %v", r.schema.Name, project(t, r.keyCols))
 	}
 	r.unshare()
-	if len(r.schema.Key) > 0 {
-		kk := encodeValues(project(t, r.keyCols()))
-		if prev, clash := r.keyIdx[kk]; clash && !r.deleted[prev] {
-			return fmt.Errorf("storage: %s: duplicate key %v", r.schema.Name, project(t, r.keyCols()))
-		}
-		r.keyIdx[kk] = len(r.rows)
+	r.keys[string(r.buf)] = len(r.rows)
+	if len(r.slab) < len(t) {
+		// Each slab holds as many rows as are stored, from 8 up to 1024.
+		r.slab = make([]string, min(max(len(r.rows), 8), 1024)*len(t))
 	}
-	r.present[tk] = len(r.rows)
-	r.rows = append(r.rows, t.Clone())
+	row := r.slab[:len(t):len(t)] // an append to row cannot reach the next one
+	r.slab = r.slab[len(t):]
+	copy(row, t)
+	r.rows = append(r.rows, row)
 	r.nLive++
-	// Invalidate indexes; rebuilt on demand. In-flight readers keep their
+	// Drop the indexes, rebuilt on demand; in-flight readers keep their
 	// captured (index, rows, tombstones) triple, which stays consistent.
-	r.indexes = make(map[string]*hashIndex)
+	if len(r.indexes) > 0 {
+		r.indexes = make(map[string]*hashIndex)
+	}
 	return nil
 }
 
-// delete removes a tuple if present and reports whether it was.
+// delete removes a tuple if present and reports whether it was. A tuple
+// that shares its key with a different stored tuple is not present.
 func (r *Relation) delete(t Tuple) (bool, error) {
 	if r.frozen {
 		return false, fmt.Errorf("storage: %s: delete from read-only snapshot", r.schema.Name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx, ok := r.present[t.Key()]
-	if !ok || r.deleted[idx] {
+	var idx int
+	if idx, r.buf = r.probe(r.buf, t); idx < 0 || !slices.Equal(r.rows[idx], t) {
 		return false, nil
 	}
 	r.unshare()
 	// Copy-on-write: lock-free readers may hold the old tombstone map.
-	deleted := make(map[int]bool, len(r.deleted)+1)
-	for k, v := range r.deleted {
-		deleted[k] = v
-	}
+	deleted := maps.Clone(r.deleted)
 	deleted[idx] = true
 	r.deleted = deleted
-	delete(r.present, t.Key())
-	if len(r.schema.Key) > 0 {
-		delete(r.keyIdx, encodeValues(project(t, r.keyCols())))
-	}
+	delete(r.keys, string(r.buf))
 	r.nLive--
-	r.indexes = make(map[string]*hashIndex)
+	if len(r.indexes) > 0 {
+		r.indexes = make(map[string]*hashIndex)
+	}
 	return true, nil
 }
 
@@ -250,14 +267,13 @@ func (r *Relation) Tuples() []Tuple {
 
 // Contains reports whether the tuple is present.
 func (r *Relation) Contains(t Tuple) bool {
-	if r.frozen {
-		idx, ok := r.present[t.Key()]
-		return ok && !r.deleted[idx]
+	if !r.frozen {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	idx, ok := r.present[t.Key()]
-	return ok && !r.deleted[idx]
+	var buf [64]byte
+	idx, _ := r.probe(buf[:0], t)
+	return idx >= 0 && slices.Equal(r.rows[idx], t)
 }
 
 // hashIndex maps a projection of column values to the row indexes holding it.
