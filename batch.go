@@ -102,18 +102,8 @@ func (c *Citer) citeBatch(ctx context.Context, reqs []Request, cc *CachedCiter) 
 
 	c.evalGroups(ctx, reqs, order, out, errs, true, cc)
 
-	var partial *BatchError
 	for i, err := range errs {
 		if err != nil {
-			// A degraded group is a (qualified) success: every slot is
-			// filled, so the batch survives and the first partial is
-			// reported alongside the full slice.
-			if errors.Is(err, ErrPartial) {
-				if partial == nil {
-					partial = &BatchError{Index: i, Err: err}
-				}
-				continue
-			}
 			// Siblings canceled by the batch's own abort are collateral: the
 			// earliest non-cancellation failure is the one to report, when
 			// there is one.
@@ -125,9 +115,6 @@ func (c *Citer) citeBatch(ctx context.Context, reqs []Request, cc *CachedCiter) 
 			return nil, &BatchError{Index: i, Err: err}
 		}
 	}
-	if partial != nil {
-		return out, partial
-	}
 	return out, nil
 }
 
@@ -136,8 +123,7 @@ func (c *Citer) citeBatch(ctx context.Context, reqs []Request, cc *CachedCiter) 
 // members share the single evaluated citation — each under its own render
 // format and column labels — landing in their out slots on success and
 // their errs slots (taxonomy-tagged) on failure. Through a cache (cc
-// non-nil) a cacheable group that evaluated to a full citation is stored
-// once. With failFast set, the first failing group cancels the shared
+// non-nil) a cacheable group that evaluated is stored once. With failFast set, the first failing group cancels the shared
 // context so sibling groups stop instead of finishing work the batch will
 // discard; without it, failures stay confined to their own groups and every
 // other group runs to completion (external ctx cancellation still stops
@@ -159,9 +145,6 @@ func (c *Citer) evalGroups(ctx context.Context, reqs []Request, order []*batchGr
 				cc.put(g.key, shared)
 			}
 			for k, i := range g.indices {
-				// A degraded citation fills both slots: the Citation is
-				// usable, the *PartialError carries the Coverage report.
-				// Partial success never fail-fasts the batch.
 				if errs[i] = err; shared != nil {
 					out[i] = shared.forRequest(reqs[i], g.columns[k])
 				}
@@ -175,15 +158,13 @@ func (c *Citer) evalGroups(ctx context.Context, reqs []Request, order []*batchGr
 }
 
 // BatchItem is one request's outcome in a per-item batch (CiteBatchItems):
-// exactly one of Citation and Err is set — except for a degraded citation,
-// where Citation holds the usable partial result and Err is the
-// *PartialError carrying its Coverage report.
+// exactly one of Citation and Err is set.
 type BatchItem struct {
 	// Citation is the request's citation; nil when the request failed.
 	Citation *Citation
 	// Err is the request's error, tagged with the package taxonomy
-	// (ErrParse, ErrSchema, ErrCanceled, ErrLimit, ErrShardUnavailable,
-	// ErrPartial); nil on full success.
+	// (ErrParse, ErrSchema, ErrCanceled, ErrLimit, ErrShardUnavailable);
+	// nil on success.
 	Err error
 }
 
@@ -218,12 +199,11 @@ func (c *Citer) citeBatchItems(ctx context.Context, reqs []Request, cc *CachedCi
 	return items
 }
 
-// firstRealError returns the first batch error that is not a cancellation
-// (or a partial-coverage report, which never aborts a batch), wrapped with
-// its index — the failure that triggered the batch abort.
+// firstRealError returns the first batch error that is not a cancellation,
+// wrapped with its index — the failure that triggered the batch abort.
 func firstRealError(errs []error) *BatchError {
 	for i, err := range errs {
-		if err != nil && !errors.Is(err, ErrCanceled) && !errors.Is(err, ErrPartial) {
+		if err != nil && !errors.Is(err, ErrCanceled) {
 			return &BatchError{Index: i, Err: err}
 		}
 	}

@@ -335,7 +335,7 @@ func TestCiteBatchMembersKeepOwnColumns(t *testing.T) {
 // TestCachedBatchStoresEachClassOnce: through the cache, a batch looks every
 // request up — hits and misses count per request — and stores what each
 // class of equivalent requests evaluated to once, with the response memo its
-// members and later hits share; a degraded class stores nothing.
+// members and later hits share; a class that failed stores nothing.
 func TestCachedBatchStoresEachClassOnce(t *testing.T) {
 	const shards, stalled = 3, 1
 	in := fault.NewInjector(42)
@@ -355,13 +355,13 @@ func TestCachedBatchStoresEachClassOnce(t *testing.T) {
 	}
 	reqs := []Request{
 		{Datalog: fmt.Sprintf(`Q(N) :- Family(F, N, Ty), F = %q`, fid)},
-		{Datalog: fmt.Sprintf(`Q(Name) :- Family(G, Name, T), G = %q`, fid)}, // the same class, its own column label
-		{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`, MinShardCoverage: shards - 1},
+		{Datalog: fmt.Sprintf(`Q(Name) :- Family(G, Name, T), G = %q`, fid)},       // the same class, its own column label
+		{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`}, // reads the stalled shard
 	}
 	cached := NewCached(c)
 	first := cached.CiteBatchItems(ctx, reqs)
-	if first[0].Err != nil || first[1].Err != nil || first[2].Citation == nil || !errors.Is(first[2].Err, ErrPartial) {
-		t.Fatalf("first batch: errs [%v %v %v], want the point class whole and the last request degraded", first[0].Err, first[1].Err, first[2].Err)
+	if first[0].Err != nil || first[1].Err != nil || first[2].Citation != nil || !errors.Is(first[2].Err, ErrShardUnavailable) {
+		t.Fatalf("first batch: errs [%v %v %v], want the point class whole and the last request unavailable", first[0].Err, first[1].Err, first[2].Err)
 	}
 	if st := cached.CacheStats(); st.Hits != 0 || st.Misses != 3 {
 		t.Fatalf("first batch: %d hits / %d misses, want a miss per request", st.Hits, st.Misses)
@@ -371,11 +371,11 @@ func TestCachedBatchStoresEachClassOnce(t *testing.T) {
 		t.Fatal("the two members of one class do not share one stored citation")
 	}
 	if n := cached.entries.Len(); n != 1 {
-		t.Fatalf("%d entries stored, want the point class alone: a degraded citation is never stored", n)
+		t.Fatalf("%d entries stored, want the point class alone: a failure is never stored", n)
 	}
 	again := cached.CiteBatchItems(ctx, reqs)
 	if st := cached.CacheStats(); st.Hits != 2 || st.Misses != 4 {
-		t.Fatalf("second batch: %d hits / %d misses in all, want the class's two members hits and the degraded request a miss", st.Hits, st.Misses)
+		t.Fatalf("second batch: %d hits / %d misses in all, want the class's two members hits and the failed request a miss", st.Hits, st.Misses)
 	}
 	for i, it := range again[:2] {
 		if it.Err != nil || it.Citation.wire != memo || !slices.Equal(it.Citation.Columns(), first[i].Citation.Columns()) {

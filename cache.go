@@ -70,8 +70,7 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	if !cacheable {
 		return c.citer.cite(ctx, r.p, req)
 	}
-	// A degraded citation comes back as the compute error, a *PartialError,
-	// beside the Citation: GetOrCompute stores nothing on error, so the next
+	// GetOrCompute stores nothing on error, so after a failure the next
 	// request recomputes against shards that may be back.
 	compute := func() (*Citation, error) {
 		ct, err := c.citer.cite(ctx, r.p, req)
@@ -110,9 +109,8 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 // lookup returns the citation the cache holds for a resolved request, as the
 // request should see it, or nil for whatever Cite would not answer from the
 // cache either: an Explain request, an unsatisfiable query, a key that is
-// absent — never cited, cited under other MaxRewritings / MaxTuples /
-// coverage options, degraded and so never stored, evicted, or dropped by
-// Invalidate. A lookup counts in CacheStats' hits or misses. On a nil
+// absent — never cited, cited under other MaxRewritings / MaxTuples
+// options, failed and so never stored, evicted, or dropped by Invalidate. A lookup counts in CacheStats' hits or misses. On a nil
 // CachedCiter — a Citer without a cache — it finds nothing.
 func (c *CachedCiter) lookup(r *resolved, req Request) *Citation {
 	if c == nil || req.Explain {
@@ -158,9 +156,7 @@ func (ct *Citation) forRequest(req Request, columns []string) *Citation {
 // citationKey spells what decides a resolved request's citation — the one key
 // the citation cache and batch grouping both read: the cache epoch, every
 // request option that changes the citation or the error behavior
-// (MaxRewritings, MaxTuples, and the resilience knobs MinShardCoverage /
-// ShardAttempts: a partial-tolerant request must never collide with a strict
-// one), and the canonical form of the minimized query, which syntactic
+// (MaxRewritings, MaxTuples), and the canonical form of the minimized query, which syntactic
 // variants — reordered bodies, renamed variables, redundant atoms — share.
 // That is safe because citations are plan-independent (the paper's note after
 // Example 3.3). The render format and the head's variable names (columns) are
@@ -175,8 +171,6 @@ func citationKey(epoch uint64, r *resolved, req Request) (key string, columns []
 	b := strconv.AppendUint(buf[:0], epoch, 10)
 	b = strconv.AppendInt(append(b, "|mr="...), int64(req.MaxRewritings), 10)
 	b = strconv.AppendInt(append(b, "|mt="...), int64(req.MaxTuples), 10)
-	b = strconv.AppendInt(append(b, "|msc="...), int64(req.MinShardCoverage), 10)
-	b = strconv.AppendInt(append(b, "|sa="...), int64(req.ShardAttempts), 10)
 	if canon == "" {
 		return string(append(append(b, "|unsat|"...), r.q.Key()...)), columns, false
 	}
@@ -185,9 +179,8 @@ func citationKey(epoch uint64, r *resolved, req Request) (key string, columns []
 
 // CiteBatch evaluates a batch through the cache: it is Citer.CiteBatch with
 // the cache in front — a request the cache holds is served from it and joins
-// no equivalence class — and behind, where each class that evaluated to a
-// full citation is stored once. Degraded citations and unsatisfiable queries
-// are never stored.
+// no equivalence class — and behind, where each class that evaluated is
+// stored once. Failures and unsatisfiable queries are never stored.
 func (c *CachedCiter) CiteBatch(ctx context.Context, reqs []Request) ([]*Citation, error) {
 	return c.citer.citeBatch(ctx, reqs, c)
 }

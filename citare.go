@@ -52,9 +52,9 @@
 //     tuples, nothing evaluated.
 //
 // Failures are classified by a typed taxonomy — ErrParse, ErrSchema,
-// ErrCanceled, ErrLimit, ErrShardUnavailable, ErrPartial — inspected with
-// errors.Is; the original cause (parser position errors, context errors,
-// the *PartialError coverage report) stays reachable via errors.As.
+// ErrCanceled, ErrLimit, ErrShardUnavailable — inspected with errors.Is;
+// the original cause (parser position errors, context errors, the shard
+// that failed) stays reachable via errors.As.
 //
 // The package wires together the internal engine; the model itself lives in
 // internal/core (citation views, semiring, orders, policies), internal/
@@ -140,7 +140,6 @@ import (
 	"citare/internal/cache"
 	"citare/internal/core"
 	"citare/internal/datalog"
-	"citare/internal/eval"
 	"citare/internal/format"
 	"citare/internal/shard"
 	"citare/internal/storage"
@@ -157,16 +156,10 @@ type (
 	Interp = core.Interp
 	// CitationView is the (V, C_V, F_V) triple of Definition 2.1.
 	CitationView = core.CitationView
-	// ResilienceConfig tunes the fault-tolerant scatter-gather driver of a
-	// sharded Citer (WithResilience): per-shard attempt deadlines, bounded
-	// retries with backoff, hedged straggler attempts and circuit breakers.
+	// ResilienceConfig tunes the attempt policy of a sharded Citer's shard
+	// scans (WithResilience): per-shard attempt deadlines, bounded retries
+	// with backoff, hedged straggler attempts and circuit breakers.
 	ResilienceConfig = core.ResilienceConfig
-	// Coverage is the machine-readable shard-coverage report attached to
-	// citations computed by a resilient sharded Citer (Citation.Coverage,
-	// PartialError.Coverage).
-	Coverage = eval.Coverage
-	// ShardCoverage is one shard's outcome inside a Coverage report.
-	ShardCoverage = eval.ShardCoverage
 )
 
 // Interpretation constants.
@@ -216,16 +209,15 @@ func WithNeutralCitation(obj *format.Object) Option {
 	return func(o *options) { o.neutral = append(o.neutral, obj) }
 }
 
-// WithResilience arms a sharded Citer's scatter-gather evaluations with the
-// fault-tolerant driver: per-shard attempt deadlines, bounded retries with
+// WithResilience arms a sharded Citer's shard scans with the fault-tolerant
+// attempt policy: per-shard attempt deadlines, bounded retries with
 // exponential backoff and seeded jitter, optional hedged duplicate attempts
 // for stragglers, and per-shard circuit breakers shared across requests.
 // With zero faults the output stays byte-identical to a sharded Citer
-// without it, which reads each shard once and fails the request with
-// ErrShardUnavailable when a shard read fails. The zero ResilienceConfig
-// enables the policy with defaults; on an unsharded (or single-shard) Citer
-// the option is inert. Degradation policy is per request: see
-// Request.MinShardCoverage.
+// without it, which reads each shard once. Either way a shard that stays
+// unreachable fails the request with ErrShardUnavailable: a citation is
+// whole or not given. The zero ResilienceConfig enables the policy with
+// defaults; on an unsharded (or single-shard) Citer the option is inert.
 func WithResilience(cfg ResilienceConfig) Option {
 	return func(o *options) { o.resilience = &cfg }
 }
@@ -247,7 +239,11 @@ func newCiter(src core.SnapshotSource, back backend.Backend, views []*CitationVi
 	if err != nil {
 		return nil, err
 	}
-	engine.SetResilience(o.resilience)
+	if o.resilience != nil {
+		if err := engine.SetResilience(o.resilience); err != nil {
+			return nil, err
+		}
+	}
 	return &Citer{
 		engine: engine, schema: src.Schema(), back: back, opts: opts,
 		resolves: cache.NewSharded[*resolved](16, resolveMemoSize),
@@ -452,13 +448,6 @@ func (ct *Citation) Format() string {
 	}
 	return ct.format
 }
-
-// Coverage returns the citation's shard-coverage report, or nil when the
-// Citer ran without resilience (or over a single shard). A non-nil report
-// with Partial() true accompanies an ErrPartial from Cite: some shards were
-// skipped under the request's MinShardCoverage policy and the citation may
-// be incomplete.
-func (ct *Citation) Coverage() *Coverage { return ct.res.Coverage }
 
 // NumTuples returns the number of answer tuples.
 func (ct *Citation) NumTuples() int { return len(ct.res.Tuples) }

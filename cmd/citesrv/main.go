@@ -27,9 +27,7 @@
 //	  "format":         "json",   // json | json-compact | xml | bibtex | text
 //	  "max_rewritings": 0,        // bound rewriting enumeration
 //	  "max_tuples":     0,        // bound the answer size; beyond it → 422
-//	  "explain":        false,    // attach a per-stage pipeline trace
-//	  "min_shard_coverage": 0,    // accept partial citations from >= k shards
-//	  "shard_attempts":     0     // per-shard attempt budget override
+//	  "explain":        false     // attach a per-stage pipeline trace
 //	}
 //
 // A successful response:
@@ -119,7 +117,6 @@
 //	limit        422  (max_tuples exceeded)
 //	limit        413  (request body over 1 MiB, or 8 MiB for a batch)
 //	unavailable  503  (a shard stayed unreachable past its attempt budget)
-//	partial      206  (degraded citation accepted under min_shard_coverage)
 //	internal     500
 //
 // Every request runs under a context: the -timeout flag wraps each request
@@ -128,19 +125,16 @@
 //
 // # Resilience
 //
-// With -shards N > 1 and -resilience (the default), scatter-gather
-// evaluation runs through the fault-tolerant driver: per-shard attempt
-// deadlines (-shard-attempt-timeout), bounded retries with jittered
-// exponential backoff (-shard-attempts), optional hedged duplicate scans
+// With -shards N > 1 and -resilience (the default), every shard scan runs
+// under the fault-tolerant attempt policy: per-shard attempt deadlines
+// (-shard-attempt-timeout), bounded retries with jittered exponential
+// backoff (-shard-attempts), optional hedged duplicate scans
 // (-shard-hedge-after), and a per-shard circuit breaker
 // (-breaker-threshold, -breaker-cooldown) shared across requests. A shard
 // that stays unreachable past its budget fails the request with 503
-// "unavailable" — unless the request set "min_shard_coverage": k, in which
-// case a citation covering at least k shards is returned as 206 with a
-// "coverage" object naming the shards that answered, were pruned, or were
-// skipped (and, on /v1/cite/stream, the same object on the trailer line).
-// With -resilience=false each shard is read once, with no deadline, and a
-// failed read answers 503 "unavailable".
+// "unavailable": a citation is whole or not given. With -resilience=false
+// each shard is read once, with no deadline, and a failed read answers 503
+// "unavailable".
 // Breaker states are surfaced on /stats, on the /v1/health readiness
 // probe (503 once any breaker opens), and as citare_shard_* /metrics
 // series. On SIGTERM/SIGINT the server stops accepting connections and
@@ -276,25 +270,17 @@ type citeRequest struct {
 	MaxRewritings int    `json:"max_rewritings,omitempty"`
 	MaxTuples     int    `json:"max_tuples,omitempty"`
 	Explain       bool   `json:"explain,omitempty"`
-	// MinShardCoverage and ShardAttempts set the request's degradation
-	// policy on a resilient sharded server: accept a partial citation from
-	// at least k shards (206 + coverage), and override the per-shard attempt
-	// budget. Zero keeps the server defaults (full coverage required).
-	MinShardCoverage int `json:"min_shard_coverage,omitempty"`
-	ShardAttempts    int `json:"shard_attempts,omitempty"`
 }
 
 // request translates the wire form to the library's Request.
 func (r citeRequest) request() citare.Request {
 	return citare.Request{
-		SQL:              r.SQL,
-		Datalog:          r.Datalog,
-		Format:           r.Format,
-		MaxRewritings:    r.MaxRewritings,
-		MaxTuples:        r.MaxTuples,
-		Explain:          r.Explain,
-		MinShardCoverage: r.MinShardCoverage,
-		ShardAttempts:    r.ShardAttempts,
+		SQL:           r.SQL,
+		Datalog:       r.Datalog,
+		Format:        r.Format,
+		MaxRewritings: r.MaxRewritings,
+		MaxTuples:     r.MaxTuples,
+		Explain:       r.Explain,
 	}
 }
 
@@ -318,9 +304,6 @@ type citeResponse struct {
 	Citation    string          `json:"citation"`
 	Format      string          `json:"format"`
 	Explain     *citare.Explain `json:"explain,omitempty"`
-	// Coverage reports which shards contributed; present only on degraded
-	// (206) responses from a resilient sharded server.
-	Coverage *citare.Coverage `json:"coverage,omitempty"`
 }
 
 type batchRequest struct {
@@ -368,10 +351,6 @@ type streamTrailer struct {
 	// Error reports a stream that died after tuples were already written;
 	// absent on a complete stream.
 	Error *errorBody `json:"error,omitempty"`
-	// Coverage reports which shards contributed when the stream completed
-	// degraded (every delivered tuple is valid, skipped shards may have
-	// withheld others); absent on a full-coverage stream.
-	Coverage *citare.Coverage `json:"coverage,omitempty"`
 }
 
 // errorEnvelope is the v1 error wire form.
@@ -391,8 +370,8 @@ type errorBody struct {
 
 // classifyStatus maps a tagged citare error to its HTTP status and wire
 // code: 400 parse/schema, 408 deadline, 499 client-gone, 422 limit (413 when
-// the limit is the request body's), 503 shards unavailable, 206 partial
-// citation, 500 anything untagged.
+// the limit is the request body's), 503 shards unavailable, 500 anything
+// untagged.
 func classifyStatus(err error) (int, string) {
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -404,14 +383,14 @@ func classifyStatus(err error) (int, string) {
 		return http.StatusBadRequest, "schema"
 	case errors.Is(err, citare.ErrLimit):
 		return http.StatusUnprocessableEntity, "limit"
+	// Before the deadline: a shard's failure wraps its cause, which may be
+	// an expired attempt deadline.
+	case errors.Is(err, citare.ErrShardUnavailable):
+		return http.StatusServiceUnavailable, "unavailable"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusRequestTimeout, "timeout"
 	case errors.Is(err, citare.ErrCanceled):
 		return statusClientClosedRequest, "canceled"
-	case errors.Is(err, citare.ErrShardUnavailable):
-		return http.StatusServiceUnavailable, "unavailable"
-	case errors.Is(err, citare.ErrPartial):
-		return http.StatusPartialContent, "partial"
 	}
 	return http.StatusInternalServerError, "internal"
 }
@@ -515,16 +494,9 @@ func (s *server) handleCite(w http.ResponseWriter, r *http.Request) {
 		ri.setTrace(tr)
 	}
 	res, err := s.citer.Cite(ctx, req.request())
-	// A degraded citation travels as (non-nil Citation, *PartialError): the
-	// response body is the usable citation plus its coverage report, under
-	// 206 rather than 200. Every other error is terminal.
-	status := http.StatusOK
 	if err != nil {
-		if !errors.Is(err, citare.ErrPartial) || res == nil {
-			writeError(w, r, err, -1)
-			return
-		}
-		status = http.StatusPartialContent
+		writeError(w, r, err, -1)
+		return
 	}
 	ri.setTuples(res.NumTuples())
 	buf := bodyPool.Get().(*[]byte)
@@ -533,7 +505,7 @@ func (s *server) handleCite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err, -1)
 	} else {
 		body = append(body, '\n')
-		writeBody(w, status, body)
+		writeBody(w, http.StatusOK, body)
 	}
 	putBody(buf, body)
 }
@@ -602,20 +574,11 @@ func (s *server) handleCiteStream(w http.ResponseWriter, r *http.Request) {
 		s.streamMisses.Add(1)
 	}
 	ri.setTuples(sent)
-	// A degraded stream still delivered every tuple it could; the partial
-	// report rides the trailer's coverage field, not the error path.
-	var partial *citare.PartialError
-	if errors.As(err, &partial) {
-		err = nil
-	}
 	if err != nil && sent == 0 {
 		writeError(w, r, err, -1)
 		return
 	}
 	trailer := streamTrailer{Tuples: sent, Cached: cached, StageNs: tr.Report().StageTotalsNs()}
-	if partial != nil {
-		trailer.Coverage = partial.Coverage
-	}
 	if err != nil {
 		// The stream is already committed as 200 NDJSON; the trailer carries
 		// the typed error instead of a status line.
@@ -686,12 +649,7 @@ func (s *server) handleCiteBatch(w http.ResponseWriter, r *http.Request) {
 			body = append(body, ',')
 		}
 		itemErr := item.Err
-		// A degraded item carries both a usable Citation and a *PartialError:
-		// its slot gets the result with coverage under its own 206 status.
 		status := http.StatusOK
-		if itemErr != nil && errors.Is(itemErr, citare.ErrPartial) && item.Citation != nil {
-			itemErr, status = nil, http.StatusPartialContent
-		}
 		slot := len(body)
 		if itemErr == nil {
 			body = strconv.AppendInt(append(body, `{"status":`...), int64(status), 10)
@@ -830,8 +788,8 @@ type healthResponse struct {
 
 // handleHealth serves GET /v1/health: a readiness probe that reflects the
 // shard circuit breakers. A server with an open breaker answers 503 — it is
-// still serving (partial-tolerant requests keep working) but a load
-// balancer should prefer a healthier replica. /healthz stays the dumb
+// still serving (requests whose lookups prune away from the broken shard
+// keep working) but a load balancer should prefer a healthier replica. /healthz stays the dumb
 // liveness probe.
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	health := healthResponse{Status: "ok", Breakers: s.citer.Citer().Engine().BreakerStates()}
@@ -919,7 +877,7 @@ func main() {
 		slowThr   = flag.Duration("slow-threshold", 500*time.Millisecond, "capture requests at least this slow in the /v1/slow ring (0 disables)")
 		slowCap   = flag.Int("slow-capacity", 128, "slow-query ring capacity")
 
-		resilience = flag.Bool("resilience", true, "fault-tolerant scatter-gather on sharded deployments (retries, breakers, partial citations)")
+		resilience = flag.Bool("resilience", true, "fault-tolerant scatter-gather on sharded deployments (retries, hedging, breakers)")
 		attemptTO  = flag.Duration("shard-attempt-timeout", 2*time.Second, "per-shard scan attempt deadline (resilient sharded only)")
 		attempts   = flag.Int("shard-attempts", 3, "per-shard attempt budget, first try included (resilient sharded only)")
 		hedgeAfter = flag.Duration("shard-hedge-after", 0, "duplicate a straggling shard scan after this long, first finisher wins (0 disables)")
@@ -1000,15 +958,17 @@ func main() {
 	// breaker counters land on /metrics. SetResilience is a pre-serving
 	// configuration call; no requests are in flight yet.
 	if *shards > 1 && *resilience {
-		citer.Engine().SetResilience(&citare.ResilienceConfig{
+		if err := citer.Engine().SetResilience(&citare.ResilienceConfig{
 			AttemptTimeout:   *attemptTO,
 			MaxAttempts:      *attempts,
 			HedgeAfter:       *hedgeAfter,
 			BreakerThreshold: *brkThresh,
 			BreakerCooldown:  *brkCool,
 			Metrics:          obs.NewResilienceMetrics(s.reg),
-		})
-		log.Printf("citesrv: resilient scatter-gather enabled (attempt timeout %v, %d attempts, hedge %v, breaker %d/%v)",
+		}); err != nil {
+			log.Fatalf("citesrv: resilience: %v", err)
+		}
+		log.Printf("citesrv: shard-scan attempt policy enabled (attempt timeout %v, %d attempts, hedge %v, breaker %d/%v)",
 			*attemptTO, *attempts, *hedgeAfter, *brkThresh, *brkCool)
 	}
 

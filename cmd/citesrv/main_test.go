@@ -521,8 +521,8 @@ func TestShardedServerParity(t *testing.T) {
 }
 
 // resilientTestServer builds a sharded server with the fault injector at the
-// shard-scan seam and the resilient driver tuned for fast tests: no real
-// backoff waits, a hair-trigger breaker that stays open once tripped.
+// shard-scan seam and the attempt policy over it, tuned for fast tests: no
+// real backoff waits, a hair-trigger breaker that stays open once tripped.
 func resilientTestServer(t *testing.T, shards int, in *fault.Injector) *server {
 	t.Helper()
 	sdb, err := shard.FromDB(gtopdb.PaperInstance(), shards)
@@ -535,8 +535,10 @@ func resilientTestServer(t *testing.T, shards int, in *fault.Injector) *server {
 		t.Fatal(err)
 	}
 	eng := citer.Engine()
+	// The shard wrapper applies from the next snapshot the engine takes,
+	// which SetResilience takes at once.
 	eng.SetShardWrapper(in.Wrap)
-	eng.SetResilience(&citare.ResilienceConfig{
+	if err := eng.SetResilience(&citare.ResilienceConfig{
 		AttemptTimeout:   200 * time.Millisecond,
 		MaxAttempts:      2,
 		BackoffBase:      time.Millisecond,
@@ -544,58 +546,57 @@ func resilientTestServer(t *testing.T, shards int, in *fault.Injector) *server {
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour,
 		Seed:             1,
-	})
-	// The shard wrapper applies to the next snapshot the engine takes;
-	// construction already built one, so cycle the epoch.
-	if err := citer.Reset(); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return &server{citer: citare.NewCached(citer), viewsProgram: gtopdb.ViewsProgram, shards: shards}
 }
 
-// TestResilientServerDegradation drives the partial-citation wire contract
-// end to end against a permanently dead shard: strict requests answer 503
-// "unavailable", the readiness probe and /stats surface the open breaker,
-// and min_shard_coverage requests get a 206 citation with its coverage
-// report — on /v1/cite, on the stream trailer, and in a batch slot.
-func TestResilientServerDegradation(t *testing.T) {
+// TestResilientServerUnavailable drives the wire contract of a permanently
+// dead shard end to end: requests that read it answer 503 "unavailable" —
+// on /v1/cite, before a stream's first line, and in a batch slot — and the
+// readiness probe and /stats surface the open breaker, which outlives Reset.
+func TestResilientServerUnavailable(t *testing.T) {
 	in := fault.NewInjector(1)
 	in.SetFault(1, fault.ShardFault{Permanent: true})
 	s := resilientTestServer(t, 3, in)
 	strict := `{"sql": "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"}`
-	tolerant := `{"sql": "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'", "min_shard_coverage": 2}`
 
-	// Default policy: full coverage required, the dead shard fails the
-	// request with the typed 503.
 	w := httptest.NewRecorder()
 	s.handleCite(w, httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(strict)))
 	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("strict: status %d, want 503 (%s)", w.Code, w.Body.String())
+		t.Fatalf("cite: status %d, want 503 (%s)", w.Code, w.Body.String())
 	}
 	var env errorEnvelope
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Error.Code != "unavailable" {
-		t.Fatalf("strict: error code %q, want unavailable", env.Error.Code)
+		t.Fatalf("cite: error code %q, want unavailable", env.Error.Code)
 	}
 
-	// The failure tripped shard 1's breaker; readiness flips to 503.
-	w = httptest.NewRecorder()
-	s.handleHealth(w, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("health: status %d, want 503 (%s)", w.Code, w.Body.String())
+	// The failure tripped shard 1's breaker; readiness flips to 503, and
+	// stays there across an epoch change.
+	health := func(when string) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.handleHealth(w, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
+		if w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("health %s: status %d, want 503 (%s)", when, w.Code, w.Body.String())
+		}
+		var health healthResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &health); err != nil {
+			t.Fatal(err)
+		}
+		if health.Status != "degraded" || len(health.Breakers) != 3 || health.Breakers[1].State != string(eval.BreakerOpen) {
+			t.Fatalf("health %s: %+v, want degraded with shard 1's breaker of 3 open", when, health)
+		}
 	}
-	var health healthResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &health); err != nil {
+	health("after the failure")
+	if err := s.citer.Invalidate(); err != nil { // the engine's Reset, and the cache's
 		t.Fatal(err)
 	}
-	if health.Status != "degraded" || len(health.Breakers) != 3 {
-		t.Fatalf("health: %+v, want degraded with 3 breakers", health)
-	}
-	if health.Breakers[1].State != string(eval.BreakerOpen) {
-		t.Fatalf("health: shard 1 breaker %+v, want open", health.Breakers[1])
-	}
+	health("after Reset")
 
 	// /stats carries the same breaker snapshot.
 	w = httptest.NewRecorder()
@@ -608,38 +609,15 @@ func TestResilientServerDegradation(t *testing.T) {
 		t.Fatalf("stats breakers: %+v, want shard 1 open", stats.Breakers)
 	}
 
-	// min_shard_coverage 2: the citation degrades instead of failing — 206
-	// with the coverage report naming the skipped shard.
+	// A stream that fails before its first line answers with the typed 503.
 	w = httptest.NewRecorder()
-	s.handleCite(w, httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(tolerant)))
-	if w.Code != http.StatusPartialContent {
-		t.Fatalf("tolerant: status %d, want 206 (%s)", w.Code, w.Body.String())
-	}
-	var resp citeResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Coverage == nil || resp.Coverage.Shards != 3 || resp.Coverage.Skipped < 1 {
-		t.Fatalf("tolerant: coverage %+v, want 3 shards with >= 1 skipped", resp.Coverage)
-	}
-	if resp.Citation == "" {
-		t.Fatal("tolerant: degraded response carries no citation")
+	s.handleCiteStream(w, httptest.NewRequest(http.MethodPost, "/v1/cite/stream", strings.NewReader(strict)))
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("stream: status %d, want 503 (%s)", w.Code, w.Body.String())
 	}
 
-	// Same policy on the stream: 200 NDJSON, coverage rides the trailer.
-	w = httptest.NewRecorder()
-	s.handleCiteStream(w, httptest.NewRequest(http.MethodPost, "/v1/cite/stream", strings.NewReader(tolerant)))
-	if w.Code != http.StatusOK {
-		t.Fatalf("stream: status %d (%s)", w.Code, w.Body.String())
-	}
-	_, trailer := decodeStream(t, w.Body.String())
-	if trailer.Error != nil || trailer.Coverage == nil || trailer.Coverage.Skipped < 1 {
-		t.Fatalf("stream trailer: %+v, want coverage with >= 1 skipped and no error", trailer)
-	}
-
-	// A batch mixes both policies: the strict slot fails 503, the tolerant
-	// slot degrades to 206 with its coverage, and the envelope stays 200.
-	batch := `{"requests": [` + strict + `, ` + tolerant + `]}`
+	// A batch slot that reads the dead shard fails 503 on its own.
+	batch := `{"requests": [` + strict + `, {"datalog": "Q(N) :- Family(F, N"}]}`
 	w = httptest.NewRecorder()
 	s.handleCiteBatch(w, httptest.NewRequest(http.MethodPost, "/v1/cite/batch", strings.NewReader(batch)))
 	if w.Code != http.StatusOK {
@@ -651,9 +629,6 @@ func TestResilientServerDegradation(t *testing.T) {
 	}
 	if bresp.Results[0].Status != http.StatusServiceUnavailable || bresp.Results[0].Error == nil || bresp.Results[0].Error.Code != "unavailable" {
 		t.Fatalf("batch slot 0: %+v, want 503 unavailable", bresp.Results[0])
-	}
-	if bresp.Results[1].Status != http.StatusPartialContent || bresp.Results[1].Result == nil || bresp.Results[1].Result.Coverage == nil {
-		t.Fatalf("batch slot 1: %+v, want 206 with coverage", bresp.Results[1])
 	}
 }
 

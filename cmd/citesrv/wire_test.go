@@ -90,8 +90,9 @@ func roundTrips[T any](t *testing.T, body string) T {
 // batchResponse: on the miss that computes a citation, on the hit that builds
 // its response memo and on the hits that copy it; for answers without tuples,
 // an unsatisfiable query, every render format, SQL and datalog twins sharing
-// an entry under their own column labels; with explain and coverage present;
-// and for batch envelopes mixing results and errors.
+// an entry under their own column labels; with explain present; and for
+// batch envelopes mixing results and errors, an unavailable shard's among
+// them.
 func TestResponsesMatchEncodingJSON(t *testing.T) {
 	s := testServer(t)
 	queries := []string{
@@ -169,19 +170,15 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 		t.Fatalf("uniform failure: status %d: %s", w.Code, w.Body.String())
 	}
 
-	// Degraded answers carry coverage, on /v1/cite and in a batch slot.
+	// A dead shard's slot holds the typed 503 beside the others.
 	in := fault.NewInjector(1)
 	in.SetFault(1, fault.ShardFault{Permanent: true})
 	rs := resilientTestServer(t, 3, in)
-	tolerant := "{" + queries[0] + `, "min_shard_coverage": 2}`
-	w = postJSON(t, rs.handleCite, "/v1/cite", tolerant)
-	if resp := roundTrips[citeResponse](t, w.Body.String()); w.Code != http.StatusPartialContent || resp.Coverage == nil {
-		t.Fatalf("degraded answer: status %d: %s", w.Code, w.Body.String())
-	}
-	w = postJSON(t, rs.handleCiteBatch, "/v1/cite/batch", `{"requests": [`+tolerant+`, {`+queries[0]+`}]}`)
-	if resp := roundTrips[batchResponse](t, w.Body.String()); resp.Results[0].Status != http.StatusPartialContent ||
-		resp.Results[0].Result.Coverage == nil || resp.Results[1].Status != http.StatusServiceUnavailable {
-		t.Fatalf("degraded batch: %s", w.Body.String())
+	w = postJSON(t, rs.handleCiteBatch, "/v1/cite/batch", `{"requests": [{`+queries[0]+`}, `+slots[8]+`]}`)
+	if resp := roundTrips[batchResponse](t, w.Body.String()); w.Code != http.StatusOK ||
+		resp.Results[0].Status != http.StatusServiceUnavailable || resp.Results[0].Error.Code != "unavailable" ||
+		resp.Results[1].Status != http.StatusBadRequest {
+		t.Fatalf("batch with a dead shard: status %d: %s", w.Code, w.Body.String())
 	}
 }
 

@@ -20,12 +20,15 @@ import (
 //	case errors.Is(err, citare.ErrSchema):   // 4xx: query vs schema mismatch
 //	case errors.Is(err, citare.ErrCanceled): // client gone / deadline hit
 //	case errors.Is(err, citare.ErrLimit):    // per-request bound exceeded
+//	case errors.Is(err, citare.ErrShardUnavailable): // 503: no whole citation
 //	}
 //
 // The underlying cause stays reachable through errors.As / errors.Is — e.g.
 // a deadline failure satisfies both ErrCanceled and context.DeadlineExceeded,
-// and a SQL syntax error satisfies ErrParse while *sqlfe.Error still carries
-// the byte offset.
+// a SQL syntax error satisfies ErrParse while *sqlfe.Error still carries
+// the byte offset, and a shard's failure satisfies ErrShardUnavailable while
+// *eval.UnavailableError names the shard and wraps its cause — an expired
+// attempt deadline, too, which is not the request's and so not ErrCanceled.
 var (
 	// ErrParse tags query-text failures: SQL or datalog syntax errors,
 	// malformed requests (no query, or both SQL and datalog), unknown render
@@ -46,39 +49,13 @@ var (
 	// accessors (TuplePolynomialAt, TupleCitationJSONAt), and versions
 	// Citer.AsOf rejects because they are not committed.
 	ErrRange = errors.New("citare: index out of range")
-	// ErrShardUnavailable tags requests that failed because one or more
-	// shards of a resilient sharded engine stayed unreachable after their
-	// attempt budget and the request required full coverage (the default).
-	// The eval-level *eval.UnavailableError (with its Coverage report) stays
-	// reachable via errors.As.
+	// ErrShardUnavailable tags requests that failed because a shard of a
+	// sharded engine stayed unreachable — after its attempt budget, on a
+	// resilient one. A citation is whole or not given: there is no partial
+	// one. The eval-level *eval.UnavailableError, naming the shard and
+	// wrapping the cause, stays reachable via errors.As.
 	ErrShardUnavailable = errors.New("citare: shard unavailable")
-	// ErrPartial tags citations computed under a degraded-coverage policy:
-	// the request set MinShardCoverage, some shards were skipped, and the
-	// returned Citation — which is still valid for the shards that answered —
-	// may be incomplete. Returned alongside a non-nil Citation as a
-	// *PartialError carrying the machine-readable Coverage report.
-	ErrPartial = errors.New("citare: partial citation")
 )
-
-// PartialError reports a degraded citation: the request allowed partial
-// shard coverage and some shards were skipped. It accompanies a usable,
-// possibly incomplete Citation; Coverage details which shards answered,
-// were pruned, or were skipped, and the attempt economics.
-type PartialError struct {
-	// Coverage is the request's merged shard-coverage report.
-	Coverage *Coverage
-}
-
-func (e *PartialError) Error() string {
-	if e.Coverage == nil {
-		return ErrPartial.Error()
-	}
-	return fmt.Sprintf("citare: partial citation: %d of %d shards skipped",
-		e.Coverage.Skipped, e.Coverage.Shards)
-}
-
-// Unwrap exposes ErrPartial to errors.Is.
-func (e *PartialError) Unwrap() error { return ErrPartial }
 
 // BatchError reports which request of a CiteBatch failed first. It wraps
 // the underlying tagged error, so errors.Is sees through it.
@@ -100,7 +77,7 @@ func (e *BatchError) Unwrap() error { return e.Err }
 func tagged(err error) bool {
 	return errors.Is(err, ErrParse) || errors.Is(err, ErrSchema) ||
 		errors.Is(err, ErrCanceled) || errors.Is(err, ErrLimit) || errors.Is(err, ErrRange) ||
-		errors.Is(err, ErrShardUnavailable) || errors.Is(err, ErrPartial)
+		errors.Is(err, ErrShardUnavailable)
 }
 
 // classify tags an engine- or evaluation-level error with the matching
@@ -112,14 +89,16 @@ func classify(err error) error {
 		return nil
 	case tagged(err):
 		return err
+	// Before the context errors: a shard's failure wraps its cause, which
+	// may be an expired attempt deadline.
+	case errors.Is(err, eval.ErrShardUnavailable):
+		return fmt.Errorf("%w: %w", ErrShardUnavailable, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	case errors.Is(err, eval.ErrTupleLimit):
 		return fmt.Errorf("%w: %w", ErrLimit, err)
 	case errors.Is(err, eval.ErrSchema):
 		return fmt.Errorf("%w: %w", ErrSchema, err)
-	case errors.Is(err, eval.ErrShardUnavailable):
-		return fmt.Errorf("%w: %w", ErrShardUnavailable, err)
 	}
 	var sqlErr *sqlfe.Error
 	var dlErr *datalog.Error

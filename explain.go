@@ -32,7 +32,9 @@ type ExplainStage struct {
 	// store "token_cache_revalidated" (hits brought forward from an older
 	// snapshot) and "token_delta_rows" (rows the delta rule added); on a
 	// "rewriting" span "atoms" (of the expansion it is evaluated through),
-	// "frames" and "deduped" (frames that repeated a binding).
+	// "frames" and "deduped" (frames that repeated a binding); on a "shard"
+	// span the "shard" it read, the "error" that failed it, and under the
+	// attempt policy (WithResilience) its "attempts" and "hedges".
 	Attrs map[string]any `json:"attrs,omitempty"`
 	// Children are the nested spans.
 	Children []*ExplainStage `json:"children,omitempty"`

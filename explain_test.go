@@ -90,7 +90,7 @@ func TestExplainTokenDeltas(t *testing.T) {
 // explainCiters builds one citer per evaluation configuration: unsharded
 // ("auto"), a single shard (its plans descend sequentially), and sharded
 // (scatter-gather) at two shard counts, plus four shards under the
-// resilient attempt policy.
+// resilient attempt policy — live on the Citer's first epoch, with no Reset.
 func explainCiters(t *testing.T) map[string]*Citer {
 	t.Helper()
 	c, err := NewFromProgram(gtopdb.PaperInstance(), gtopdb.ViewsProgram,
@@ -145,14 +145,16 @@ func TestExplainParity(t *testing.T) {
 
 // TestExplainReportShape checks the report's stage tree: the cite root with
 // tuple counts, every pipeline stage present, the eval strategy recorded,
-// and — under scatter-gather — per-shard spans.
+// and — under scatter-gather — per-shard spans, which under the attempt
+// policy carry the shard's attempt count. Every partitioned plan reports
+// "scatter": the policy is a layer under the scatter, not a strategy.
 func TestExplainReportShape(t *testing.T) {
 	ctx := context.Background()
 	citers := explainCiters(t)
 
 	for name, wantStrategy := range map[string]string{
 		"sequential": "sequential",
-		"resilient4": "scatter-resilient",
+		"resilient4": "scatter",
 		"scatter4":   "scatter",
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -209,8 +211,15 @@ func TestExplainReportShape(t *testing.T) {
 				}
 				shardSpans := 0
 				for _, child := range eval.Children {
-					if child.Name == "shard" {
-						shardSpans++
+					if child.Name != "shard" {
+						continue
+					}
+					shardSpans++
+					if _, ok := child.Attrs["shard"].(int64); !ok {
+						t.Fatalf("shard span lacks its shard: %v", child.Attrs)
+					}
+					if attempts, armed := child.Attrs["attempts"]; armed != (name == "resilient4") || (armed && attempts != int64(1)) {
+						t.Fatalf("%s: shard span attrs %v, want one attempt exactly under the attempt policy", name, child.Attrs)
 					}
 				}
 				if shardSpans == 0 {

@@ -99,15 +99,12 @@ type Engine struct {
 	// disables all metric timing.
 	metrics *obs.PipelineMetrics
 
-	// resilience, when attached via SetResilience on a multi-shard engine,
-	// arms snapshot evaluations with the fault-tolerant scatter driver;
-	// breakers are its per-shard circuit breakers, shared across requests.
-	resilience *ResilienceConfig
-	breakers   *eval.Breakers
-
 	// shardWrap, when set via SetShardWrapper, wraps each new snapshot that
-	// is an eval.Partitioned — the fault injector's seam.
+	// is an eval.Partitioned — the fault injector's seam — and resil, when
+	// set via SetResilience, wraps the result in the attempt policy, whose
+	// breakers every epoch shares.
 	shardWrap func(eval.Partitioned) eval.Partitioned
+	resil     *eval.Resilience
 
 	epochCtr atomic.Uint64 // allocates unique epochs across concurrent Resets
 
@@ -228,17 +225,6 @@ type CiteOptions struct {
 	// past the bound the evaluation aborts with eval.ErrTupleLimit instead
 	// of burning through the rest of the enumeration. 0 means unbounded.
 	MaxTuples int
-	// MinShardCoverage sets the request's degradation policy on a sharded
-	// engine with resilience enabled. 0 (the default) requires full shard
-	// coverage: a shard still unreachable after its attempt budget fails
-	// the request with eval.ErrShardUnavailable. A value k > 0 accepts a
-	// partial citation as long as at least k shards contributed; skipped
-	// shards are reported in Result.Coverage. Ignored without resilience.
-	MinShardCoverage int
-	// ShardAttempts overrides the engine resilience configuration's
-	// per-shard attempt budget for this request; 0 keeps the configured
-	// budget. Ignored without resilience.
-	ShardAttempts int
 }
 
 // curState returns the engine's current epoch state.
@@ -270,9 +256,9 @@ func (e *Engine) Reset() error {
 	return nil
 }
 
-// buildState snapshots the live store into a new epoch. The optional wrapper
-// (fault injection) stands between the engine and every read of a snapshot
-// that scans per shard.
+// buildState snapshots the live store into a new epoch. Every per-shard
+// read of a partitioned snapshot goes through the optional wrapper (fault
+// injection) and, over it, the attempt policy.
 func (e *Engine) buildState(epoch uint64) (*engineState, error) {
 	view, err := e.src.Snapshot()
 	if err != nil {
@@ -286,8 +272,13 @@ func (e *Engine) buildState(epoch uint64) (*engineState, error) {
 		}
 	}
 	part, _ := view.(eval.Partitioned)
-	if part != nil && e.shardWrap != nil {
-		part = e.shardWrap(part)
+	if part != nil {
+		if e.shardWrap != nil {
+			part = e.shardWrap(part)
+		}
+		if e.resil != nil {
+			part = eval.Resilient(part, e.resil)
+		}
 		view = part
 	}
 	st.snap, st.part = evalTarget{view: view}.cached(e), part
@@ -338,12 +329,6 @@ type Result struct {
 	// Citation is the aggregated citation for the entire result set,
 	// including the policy's neutral citations.
 	Citation format.Value
-	// Coverage reports the shard coverage of the request's snapshot
-	// evaluations when the engine ran with resilience enabled; nil
-	// otherwise. Coverage.Partial() true means some shards were skipped
-	// under the request's MinShardCoverage policy and the citation may be
-	// incomplete.
-	Coverage *eval.Coverage
 }
 
 // Cite computes the citation for a query: rewritings are enumerated
@@ -472,8 +457,7 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 	// per-tuple, so a result too large to return is aborted before any
 	// rewriting work happens.
 	st := e.curState()
-	resil := e.resilienceFor(st, o)
-	outOpts := eval.Options{Parallel: eval.Auto, MaxTuples: o.MaxTuples, Resilience: resil}
+	outOpts := eval.Options{Parallel: eval.Auto, MaxTuples: o.MaxTuples}
 	ev := ob.begin(obs.StageEval)
 	out, err := st.snap.eval(ob.ctxFor(ctx, ev), p.min, outOpts)
 	ob.end(ev)
@@ -492,7 +476,7 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 		perKey[out.Keys[i]] = &tuples[i]
 	}
 
-	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, resil, us, perKey); err != nil {
+	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, us, perKey); err != nil {
 		return nil, err
 	}
 
@@ -506,7 +490,6 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 	var renderDur time.Duration
 	defer func() { ob.endWith(rd, renderDur) }()
 	rdCtx := ob.ctxFor(ctx, rd)
-	ro := renderOptsFor(resil)
 	memo := newRenderMemo()
 	for i := range tuples {
 		if err := ctx.Err(); err != nil {
@@ -517,7 +500,7 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 		if rd.on {
 			t0 = time.Now()
 		}
-		sc, err := e.combineTuple(rdCtx, st, ro, memo, tc)
+		sc, err := e.combineTuple(rdCtx, st, memo, tc)
 		if err == nil && each != nil {
 			tc.Encoded = sc.encode()
 		}
@@ -538,9 +521,6 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 	if each == nil {
 		res.Tuples, cited = tuples, len(tuples)
 		res.Citation = e.aggregate(tuples)
-	}
-	if resil != nil {
-		res.Coverage = resil.Coverage
 	}
 	return res, nil
 }
@@ -600,12 +580,7 @@ func (e *Engine) citeUnsat(q *cq.Query) (*Result, error) {
 // operands repeat an earlier tuple's takes that tuple's citation from the
 // memo. Rendering honors ctx: a canceled request aborts between tokens
 // instead of rendering the rest of the tuple's citation.
-func (e *Engine) combineTuple(ctx context.Context, st *engineState, ro renderOpts, memo *renderMemo, tc *TupleCitation) (*sharedCitation, error) {
-	if ro.degraded {
-		// A token of an unreachable shard renders as a per-attempt
-		// Unavailable record: every tuple asks the shards again.
-		memo = newRenderMemo()
-	}
+func (e *Engine) combineTuple(ctx context.Context, st *engineState, memo *renderMemo, tc *TupleCitation) (*sharedCitation, error) {
 	key := memo.tupleKey(tc.PerRewriting)
 	sc := memo.tuples[string(key)] // no-alloc map probe
 	if sc == nil {
@@ -622,7 +597,7 @@ func (e *Engine) combineTuple(ctx context.Context, st *engineState, ro renderOpt
 			combined = combined.Idempotent()
 		}
 		sc.combined = e.policy.Orders.NormalForm(combined)
-		rendered, err := e.renderTuple(ctx, st, ro, ps, sc.kept)
+		rendered, err := e.renderTuple(ctx, st, ps, sc.kept)
 		if err != nil {
 			return nil, err
 		}
@@ -636,12 +611,12 @@ func (e *Engine) combineTuple(ctx context.Context, st *engineState, ro renderOpt
 // renderTuple renders a tuple's citation: per kept rewriting, monomials
 // render as ·-combinations of token citations and are +-combined; the kept
 // rewritings are +R-combined. Cancellation fires between tokens.
-func (e *Engine) renderTuple(ctx context.Context, st *engineState, ro renderOpts, ps []provenance.Poly, kept []int) (format.Value, error) {
+func (e *Engine) renderTuple(ctx context.Context, st *engineState, ps []provenance.Poly, kept []int) (format.Value, error) {
 	var perRewriting []format.Value
 	for _, i := range kept {
 		var monoVals []format.Value
 		for _, t := range ps[i].Terms() {
-			v, err := e.renderMonomial(ctx, st, ro, t.Mono)
+			v, err := e.renderMonomial(ctx, st, t.Mono)
 			if err != nil {
 				return format.Value{}, err
 			}
@@ -654,10 +629,10 @@ func (e *Engine) renderTuple(ctx context.Context, st *engineState, ro renderOpts
 
 // renderMonomial renders the ·-combination of a monomial's token citations.
 // Citations are set-like: a token's exponent does not repeat its record.
-func (e *Engine) renderMonomial(ctx context.Context, st *engineState, ro renderOpts, m provenance.Monomial) (format.Value, error) {
+func (e *Engine) renderMonomial(ctx context.Context, st *engineState, m provenance.Monomial) (format.Value, error) {
 	var vals []format.Value
 	for _, pt := range m.Support() {
-		obj, err := e.renderTokenCached(ctx, st, ro, pt)
+		obj, err := e.renderTokenCached(ctx, st, pt)
 		if err != nil {
 			return format.Value{}, err
 		}

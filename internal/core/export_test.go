@@ -10,5 +10,5 @@ import (
 // TokenRecord renders one token through the token cache at the engine's
 // current snapshot, as a citation's render stage does.
 func (e *Engine) TokenRecord(pt provenance.Token) (*format.Object, error) {
-	return e.renderTokenCached(context.Background(), e.curState(), renderOpts{}, pt)
+	return e.renderTokenCached(context.Background(), e.curState(), pt)
 }

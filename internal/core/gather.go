@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"slices"
 
 	"citare/internal/cq"
 	"citare/internal/eval"
@@ -27,19 +25,10 @@ import (
 
 // gatherStage is the pipeline's gather stage, under the stage's span: every
 // rewriting is evaluated and its polynomials merged into perKey. It
-// returns the rewritings the citation was assembled from — all of them,
-// unless the request accepts partial coverage: a rewriting is all-or-nothing,
-// so its evaluation must reach every shard its lookups touch whatever the
-// output policy allows, and one that cannot is left out, with its views
-// named in the request's coverage report, instead of failing the request.
-func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, resil *eval.Resilience, us []*unfolded, perKey map[string]*TupleCitation) ([]*rewrite.Rewriting, error) {
-	opts := eval.Options{Parallel: eval.Auto, Resilience: fullCoverage(resil)}
-	allowSkip := resil != nil && resil.MinShardCoverage > 0
-	// A degraded output evaluation lacks the skipped shards' tuples, which a
-	// rewriting whose own lookups prune away from those shards still
-	// produces: expected strays, not invariant violations.
-	degraded := resil != nil && resil.Coverage.Partial()
-
+// returns the rewritings the citation was assembled from — all of them: a
+// rewriting whose evaluation cannot reach a shard fails the request.
+func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, us []*unfolded, perKey map[string]*TupleCitation) ([]*rewrite.Rewriting, error) {
+	opts := eval.Options{Parallel: eval.Auto}
 	gs := ob.begin(obs.StageGather)
 	defer ob.end(gs)
 	used := make([]*rewrite.Rewriting, 0, len(us))
@@ -52,21 +41,12 @@ func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, r
 			ob.tr.SetInt(rsp, "atoms", int64(len(u.exp.Atoms)))
 			rctx = obs.NewContext(ctx, ob.tr, rsp)
 		}
-		err := e.gatherRewriting(rctx, st, opts, u, perKey, degraded)
+		err := e.gatherRewriting(rctx, st, opts, u, perKey)
 		ob.tr.End(rsp)
-		switch {
-		case err == nil:
-			used = append(used, u.r)
-		case allowSkip && errors.Is(err, eval.ErrShardUnavailable):
-			cov := resil.Coverage
-			for _, info := range u.views {
-				if !slices.Contains(cov.SkippedViews, info.view.Name()) {
-					cov.SkippedViews = append(cov.SkippedViews, info.view.Name())
-				}
-			}
-		default:
+		if err != nil {
 			return nil, err
 		}
+		used = append(used, u.r)
 	}
 	return used, nil
 }
@@ -81,10 +61,8 @@ func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, r
 // enumeration's callback is serialised and the producers wait on it, so it
 // only does the per-frame monomial work. Nothing reaches perKey before the
 // enumeration has finished, so a failed evaluation leaves no partial
-// polynomial behind. degraded marks a partial-coverage request: tuples
-// outside the (partial) output are then expected strays, not invariant
-// violations.
-func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval.Options, u *unfolded, perKey map[string]*TupleCitation, degraded bool) error {
+// polynomial behind.
+func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval.Options, u *unfolded, perKey map[string]*TupleCitation) error {
 	r := u.r
 	pl, err := st.snap.plan(ctx, u.exp)
 	if err != nil {
@@ -175,9 +153,6 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval
 		if !ok {
 			k := string(keyBuf)
 			if perKey[k] == nil {
-				if degraded {
-					return nil
-				}
 				// A certified rewriting cannot produce extra tuples; guard
 				// anyway to surface bugs instead of silently diverging.
 				return fmt.Errorf("core: rewriting %s produced tuple outside the query result", r)

@@ -1,12 +1,13 @@
 package core
 
-// Fault-tolerance wiring: the engine-level configuration of the resilient
-// scatter-gather driver (internal/eval), per-request coverage accounting,
-// and the graceful-degradation plumbing the cite pipelines share.
+// Fault-tolerance wiring: the engine-level configuration of the attempt
+// policy (eval.Resilient) around each partitioned snapshot.
 //
-// Resilience applies to every evaluation of a request — the output query,
+// The policy applies to every evaluation of a request — the output query,
 // each unfolded rewriting and token rendering — because they all read the
-// engine's snapshot, the shard-backend seam where faults live.
+// engine's snapshot, whose shard scans are the seam where faults live. The
+// pipeline itself carries no policy: a citation is whole, or the request
+// fails with eval.ErrShardUnavailable.
 
 import (
 	"context"
@@ -14,13 +15,11 @@ import (
 	"time"
 
 	"citare/internal/eval"
-	"citare/internal/format"
 	"citare/internal/obs"
-	"citare/internal/provenance"
 )
 
-// ResilienceConfig enables and tunes the fault-tolerant scatter-gather
-// driver for a sharded engine. Zero fields pick the eval package's
+// ResilienceConfig enables and tunes the attempt policy of a sharded
+// engine's shard scans. Zero fields pick the eval package's
 // defaults; the zero value as a whole is a valid "defaults everywhere"
 // configuration. It only affects engines whose store is partitioned over
 // more than one shard — elsewhere it is inert.
@@ -47,97 +46,53 @@ type ResilienceConfig struct {
 	Metrics *obs.ResilienceMetrics
 }
 
-// SetResilience configures the fault-tolerant scatter-gather driver: every
-// subsequent snapshot evaluation of a multi-shard engine runs with per-shard
-// attempt deadlines, bounded retries, optional hedging, and per-shard
-// circuit breakers shared across requests. Pass nil to return to the plain
-// scatter path. Call before sharing the engine across goroutines; it is not
-// synchronized with in-flight Cite calls.
-func (e *Engine) SetResilience(cfg *ResilienceConfig) {
-	if cfg == nil {
-		e.resilience, e.breakers = nil, nil
-		return
+// SetResilience arms the engine's shard scans with the fault-tolerant
+// attempt policy: every snapshot of a multi-shard engine is wrapped in an
+// eval.Resilient view — over the fault injector, when one is installed — so
+// each shard scan runs with per-shard attempt deadlines, bounded retries,
+// optional hedging, and per-shard circuit breakers shared across requests
+// and epochs. Pass nil to return to one plain read per shard. It takes
+// effect at once: a partitioned engine re-snapshots into a new epoch. Call before
+// sharing the engine across goroutines; it is not synchronized with
+// in-flight Cite calls.
+func (e *Engine) SetResilience(cfg *ResilienceConfig) error {
+	e.resil = nil
+	if cfg != nil {
+		e.resil = &eval.Resilience{
+			AttemptTimeout: cfg.AttemptTimeout,
+			MaxAttempts:    cfg.MaxAttempts,
+			HedgeAfter:     cfg.HedgeAfter,
+			BackoffBase:    cfg.BackoffBase,
+			BackoffMax:     cfg.BackoffMax,
+			Seed:           cfg.Seed,
+			Metrics:        cfg.Metrics,
+		}
+		if n := e.curState().shards(); n > 0 {
+			e.resil.Breakers = eval.NewBreakers(n, cfg.BreakerThreshold, cfg.BreakerCooldown)
+		}
 	}
-	c := *cfg
-	e.resilience = &c
-	if n := e.curState().shards(); n > 0 {
-		e.breakers = eval.NewBreakers(n, cfg.BreakerThreshold, cfg.BreakerCooldown)
+	if e.curState().part == nil {
+		return nil // nothing to wrap: a source's snapshots are all of one kind
 	}
+	return e.Reset()
 }
 
 // BreakerStates reports each shard's circuit-breaker state, or nil when
 // resilience is not configured. Surfaced on citesrv's /stats and /v1/health.
-func (e *Engine) BreakerStates() []eval.BreakerInfo { return e.breakers.States() }
+func (e *Engine) BreakerStates() []eval.BreakerInfo {
+	if e.resil == nil {
+		return nil
+	}
+	return e.resil.Breakers.States()
+}
 
 // SetShardWrapper installs a wrapper applied to every snapshot the engine
 // takes that is an eval.Partitioned — the hook the fault injector
-// (internal/fault) uses to impose faults at the shard-scan seam, seen by the
-// engine with or without resilience; other snapshots are left alone. Takes
-// effect at the next Reset.
+// (internal/fault) uses to impose faults at the shard-scan seam. It sits
+// under the attempt policy (SetResilience), which therefore retries what it
+// injects; other snapshots are left alone. Takes effect at the next Reset.
 func (e *Engine) SetShardWrapper(wrap func(eval.Partitioned) eval.Partitioned) {
 	e.shardWrap = wrap
-}
-
-// resilienceFor assembles one request's resilient-driver options: the
-// engine configuration plus the request's degradation policy and attempt
-// override, with a fresh Coverage accumulator that every snapshot
-// evaluation of the request merges into. nil when resilience is off or the
-// engine has nothing to scatter over.
-func (e *Engine) resilienceFor(st *engineState, o CiteOptions) *eval.Resilience {
-	cfg := e.resilience
-	if cfg == nil || st.shards() <= 1 {
-		return nil
-	}
-	r := &eval.Resilience{
-		MinShardCoverage: o.MinShardCoverage,
-		AttemptTimeout:   cfg.AttemptTimeout,
-		MaxAttempts:      cfg.MaxAttempts,
-		HedgeAfter:       cfg.HedgeAfter,
-		BackoffBase:      cfg.BackoffBase,
-		BackoffMax:       cfg.BackoffMax,
-		Seed:             cfg.Seed,
-		Breakers:         e.breakers,
-		Metrics:          cfg.Metrics,
-		Coverage:         &eval.Coverage{},
-	}
-	if o.ShardAttempts > 0 {
-		r.MaxAttempts = o.ShardAttempts
-	}
-	return r
-}
-
-// fullCoverage returns resil with the degradation policy stripped: stages
-// whose partial output would corrupt the citation (rewriting evaluation,
-// token rendering) must see every shard they touch or fail, whatever the
-// request's output policy allows. The coverage accumulator stays shared.
-// nil stays nil.
-func fullCoverage(resil *eval.Resilience) *eval.Resilience {
-	if resil == nil || resil.MinShardCoverage == 0 {
-		return resil
-	}
-	c := *resil
-	c.MinShardCoverage = 0
-	return &c
-}
-
-// renderOpts carries the per-request rendering knobs through combineTuple →
-// renderTuple → renderMonomial → renderTokenCached.
-type renderOpts struct {
-	// resil, when set, arms token-rendering evaluations (always
-	// full-coverage: a token's citation rows are all-or-nothing).
-	resil *eval.Resilience
-	// degraded allows a token whose shards are unreachable to render as an
-	// explicit unavailable record instead of failing the request — set when
-	// the request opted into partial coverage.
-	degraded bool
-}
-
-// renderOptsFor derives the request's rendering knobs from its resilience.
-func renderOptsFor(resil *eval.Resilience) renderOpts {
-	return renderOpts{
-		resil:    fullCoverage(resil),
-		degraded: resil != nil && resil.MinShardCoverage > 0,
-	}
 }
 
 // transientRenderErr classifies a token-rendering failure as per-request —
@@ -147,17 +102,4 @@ func transientRenderErr(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, eval.ErrShardUnavailable)
-}
-
-// unavailableToken renders the degraded record of a token whose citation
-// rows could not be fetched. Built per request, outside the token cache: the
-// shards may be back for the next request.
-func unavailableToken(pt provenance.Token, err error) *format.Object {
-	o := format.NewObject()
-	if tok, derr := DecodeToken(pt); derr == nil {
-		o.Set("View", format.S(tok.Name))
-	} else {
-		o.Set("Token", format.S(string(pt)))
-	}
-	return o.Set("Unavailable", format.S(err.Error()))
 }

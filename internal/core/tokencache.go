@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"citare/internal/cache"
-	"citare/internal/eval"
 	"citare/internal/format"
 	"citare/internal/obs"
 	"citare/internal/provenance"
@@ -94,11 +92,8 @@ func (t *tokenEntry) at(st *engineState) *tokenEntry {
 // retries waiters of a failed flight instead of handing them the leader's
 // error, so one doomed request cannot poison the rendering its concurrent
 // waiters share. Deterministic rendering failures still cache as embedded
-// error records. Under a partial-coverage policy (ro.degraded) a token
-// whose shards stay unreachable renders as an explicit per-request
-// Unavailable record, outside the cache — the shards may be back for the
-// next request.
-func (e *Engine) renderTokenCached(ctx context.Context, st *engineState, ro renderOpts, pt provenance.Token) (*format.Object, error) {
+// error records.
+func (e *Engine) renderTokenCached(ctx context.Context, st *engineState, pt provenance.Token) (*format.Object, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -113,13 +108,10 @@ func (e *Engine) renderTokenCached(ctx context.Context, st *engineState, ro rend
 					return next, err
 				}
 			}
-			return e.renderToken(ctx, st, ro, pt, stale != nil)
+			return e.renderToken(ctx, st, pt, stale != nil)
 		},
 		(*tokenEntry).newerThan)
 	if err != nil {
-		if ro.degraded && errors.Is(err, eval.ErrShardUnavailable) {
-			return unavailableToken(pt, err), nil
-		}
 		return nil, err
 	}
 	if forward {
@@ -221,7 +213,7 @@ type changesKey struct {
 // are worth keeping for the next commit. The returned error is per-request
 // (cancellation, deadline, unavailable shards) and must not be cached; every
 // deterministic failure is embedded in the record itself.
-func (e *Engine) renderToken(ctx context.Context, st *engineState, ro renderOpts, pt provenance.Token, changed bool) (*tokenEntry, error) {
+func (e *Engine) renderToken(ctx context.Context, st *engineState, pt provenance.Token, changed bool) (*tokenEntry, error) {
 	tok, err := DecodeToken(pt)
 	if err != nil {
 		return &tokenEntry{obj: format.NewObject().Set("InvalidToken", format.S(string(pt))), fixed: true}, nil
@@ -233,8 +225,7 @@ func (e *Engine) renderToken(ctx context.Context, st *engineState, ro renderOpts
 	if v == nil {
 		return &tokenEntry{obj: format.NewObject().Set("UnknownView", format.S(tok.Name)), fixed: true}, nil
 	}
-	opts := eval.Options{Resilience: ro.resil}
-	obj, rows, err := v.renderTokenCtx(ctx, st.snap, tok, opts)
+	obj, rows, err := v.renderTokenCtx(ctx, st.snap, tok)
 	if err != nil {
 		if transientRenderErr(err) {
 			return nil, err

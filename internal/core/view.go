@@ -130,16 +130,15 @@ func instantiate(q *cq.Query, params []string) (*cq.Query, error) {
 // values, evaluated, and shaped by the citation function — F_V(C_V(a⃗)) in
 // the paper's notation. RelTokens render as a marker record.
 func (v *CitationView) RenderToken(db *storage.DB, tok Token) (*format.Object, error) {
-	obj, _, err := v.renderTokenCtx(context.Background(), evalTarget{view: eval.DBViewOf(db)}, tok, eval.Options{})
+	obj, _, err := v.renderTokenCtx(context.Background(), evalTarget{view: eval.DBViewOf(db)}, tok)
 	return obj, err
 }
 
-// renderTokenCtx renders the token's citation with the caller's context and
-// evaluation options flowing into the citation-query evaluation — the
-// engine's path, where cancellation and the resilient scatter driver must
-// reach the underlying shard scans. It returns the rows the record was
+// renderTokenCtx renders the token's citation with the caller's context
+// flowing into the citation-query evaluation — the engine's path, where
+// cancellation must reach the underlying shard scans. It returns the rows the record was
 // rendered from beside it.
-func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Token, opts eval.Options) (*format.Object, *format.Rows, error) {
+func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Token) (*format.Object, *format.Rows, error) {
 	if tok.Kind != ViewToken || tok.Name != v.Name() {
 		return nil, nil, fmt.Errorf("core: token %s does not belong to view %s", tok, v.Name())
 	}
@@ -156,7 +155,7 @@ func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Tok
 		return nil, nil, err
 	}
 	rows, err := tokenRows(pl.Vars(), func(add func(frame []string)) error {
-		return pl.Each(ctx, opts, func(f []string, _ []eval.Match) error { add(f); return nil })
+		return pl.Each(ctx, eval.Options{}, func(f []string, _ []eval.Match) error { add(f); return nil })
 	}, inst.Head, v.CiteQ.Params, tok.Params)
 	if err != nil {
 		return nil, nil, err

@@ -103,6 +103,19 @@ func (b *Breakers) Success(si int) {
 	s.probing = false
 }
 
+// Release ends an attempt on shard si that its caller cut short — the
+// request was canceled, or its consumer stopped the scan — without a
+// verdict on the shard: a half-open probe is released, so the next attempt
+// probes again instead of finding the breaker wedged half-open.
+func (b *Breakers) Release(si int) {
+	if b == nil || si >= len(b.shards) {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.shards[si].probing = false
+}
+
 // Failure records a failed attempt on shard si and reports whether this
 // failure opened (or re-opened) the breaker. A failed half-open probe
 // re-opens immediately; in closed state the breaker opens at the
@@ -153,19 +166,4 @@ func (b *Breakers) States() []BreakerInfo {
 		out[i] = BreakerInfo{Shard: i, State: string(b.shards[i].state), Failures: b.shards[i].failures}
 	}
 	return out
-}
-
-// AnyOpen reports whether any shard's breaker is currently open.
-func (b *Breakers) AnyOpen() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.shards {
-		if b.shards[i].state == BreakerOpen {
-			return true
-		}
-	}
-	return false
 }

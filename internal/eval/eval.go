@@ -23,8 +23,9 @@
 // unpartitioned view, and scatter-gather across the shards of an
 // eval.Partitioned one — the first join atom read shard by shard, on up to
 // Options.Parallel workers (Auto derives the count from plan
-// cardinalities), under the resilient attempt policy when
-// Options.Resilience is set. Citations are plan-independent (the paper's
+// cardinalities). A shard's attempt policy is not an option of the
+// evaluation: it is a view of its own (Resilient) around the Partitioned
+// one. Citations are plan-independent (the paper's
 // note after Example 3.3), so the strategies differ only in speed; an
 // unpartitioned plan never starts a goroutine.
 //
@@ -170,15 +171,6 @@ type Options struct {
 	// ErrTupleLimit as soon as the bound is exceeded, in both execution
 	// strategies. It has no effect on binding enumeration.
 	MaxTuples int
-
-	// Resilience, when non-nil, is the scatter-gather attempt policy:
-	// per-shard attempt deadlines, bounded retries with backoff, hedged
-	// straggler attempts, circuit breakers and a graceful partial-coverage
-	// policy (see Resilience). nil — the default — is one attempt per shard
-	// with no deadline: a shard whose scan fails fails the enumeration with
-	// ErrShardUnavailable. It has no effect on unpartitioned or single-shard
-	// views.
-	Resilience *Resilience
 }
 
 // EvalOpts evaluates q over db with set semantics. Output tuples are

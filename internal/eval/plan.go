@@ -574,7 +574,7 @@ func (p *Plan) TermSrc(t cq.Term) (Src, error) {
 // dispatchFrames routes the enumeration to its strategy.
 func (p *Plan) dispatchFrames(ctx context.Context, opts Options, fn frameFn) error {
 	if p.part != nil {
-		return p.resilientFrames(ctx, opts, fn)
+		return p.scatterFrames(ctx, opts, fn)
 	}
 	return p.newExec(ctx, fn).run(0)
 }
@@ -584,12 +584,9 @@ func (p *Plan) dispatchFrames(ctx context.Context, opts Options, fn frameFn) err
 // number of frames delivered. Only reached when a trace is in ctx, so the
 // closure and counter cost nothing on the disabled path.
 func (p *Plan) framesTraced(ctx context.Context, opts Options, fn frameFn, tr *obs.Trace, sp obs.SpanID) error {
-	switch {
-	case p.part == nil:
+	if p.part == nil {
 		tr.SetStr(sp, "strategy", "sequential")
-	case opts.Resilience != nil:
-		tr.SetStr(sp, "strategy", "scatter-resilient")
-	default:
+	} else {
 		tr.SetStr(sp, "strategy", "scatter")
 	}
 	var frames int64

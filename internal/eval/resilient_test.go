@@ -1,24 +1,28 @@
 package eval_test
 
-// Tests of the scatter-gather attempt policies: no-fault parity between the
-// resilient and the one-attempt policy, faults seen without a policy,
+// Tests of the attempt policy at the shard-scan seam (Resilient): no-fault
+// parity with the plain view, faults seen without a policy,
 // retry/hedge/breaker behavior under the deterministic fault injector,
-// exactly-once delivery across retries, the graceful-degradation coverage
-// policy, and prompt cancellation mid-backoff and mid-hedge without
-// goroutine leaks. External test package: the
-// fixtures need internal/shard and internal/fault, which import eval.
+// exactly-once delivery across retries and hedges as a property over random
+// fault schedules, and prompt cancellation mid-backoff and mid-hedge without
+// goroutine leaks. External test package: the fixtures need internal/shard
+// and internal/fault, which import eval.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
-	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"citare/internal/cq"
 	"citare/internal/eval"
 	"citare/internal/fault"
+	"citare/internal/obs"
 	"citare/internal/shard"
 	"citare/internal/storage"
 	"citare/internal/workload"
@@ -39,11 +43,10 @@ func resilientFixture(t testing.TB) (*fault.Injector, eval.Partitioned, *storage
 	return in, in.Wrap(sharded), db
 }
 
-// fastResilience returns driver options tuned for tests: tight backoffs so
-// fault paths resolve in milliseconds, but a generous attempt deadline —
-// under the race detector a clean shard scan can take tens of milliseconds,
-// and a spurious timeout would burn the attempt budget. Tests exercising
-// stalls override AttemptTimeout downward themselves.
+// fastResilience returns a policy tuned for tests: tight backoffs so fault
+// paths resolve in milliseconds, but a generous attempt deadline — under the
+// race detector a clean shard scan can take tens of milliseconds, and a
+// spurious timeout would burn the attempt budget. Its counters are live.
 func fastResilience() *eval.Resilience {
 	return &eval.Resilience{
 		AttemptTimeout: time.Second,
@@ -51,6 +54,7 @@ func fastResilience() *eval.Resilience {
 		BackoffBase:    time.Millisecond,
 		BackoffMax:     4 * time.Millisecond,
 		Seed:           1,
+		Metrics:        obs.NewResilienceMetrics(obs.NewRegistry()),
 	}
 }
 
@@ -63,46 +67,39 @@ func tupleFingerprint(res *eval.Result) string {
 }
 
 // TestResilientNoFaultParity: with zero faults injected, the resilient
-// policy's output is byte-identical to the one-attempt policy's, on one
-// worker and on a pool, and for both entry points.
+// view's output is byte-identical to the plain view's, on one worker and on
+// a pool, and for both entry points.
 func TestResilientNoFaultParity(t *testing.T) {
 	_, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
 	for _, par := range []int{1, 4} {
-		plain, err := eval.EvalOn(view, q, eval.Options{Parallel: par})
+		opts := eval.Options{Parallel: par}
+		plain, err := eval.EvalOn(view, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := fastResilience()
-		r.Coverage = &eval.Coverage{}
-		resil, err := eval.EvalOn(view, q, eval.Options{Parallel: par, Resilience: r})
+		resil, err := eval.EvalOn(eval.Resilient(view, r), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g, w := tupleFingerprint(resil), tupleFingerprint(plain); g != w {
 			t.Fatalf("parallel=%d: resilient result diverged:\n got %s\nwant %s", par, g, w)
 		}
-		if r.Coverage.Answered != resilientShards || r.Coverage.Skipped != 0 {
-			t.Fatalf("parallel=%d: coverage = %+v, want %d answered", par, r.Coverage, resilientShards)
+		if n := r.Metrics.Retries.Value() + r.Metrics.ShardErrors.Value(); n != 0 {
+			t.Fatalf("parallel=%d: %d retries and errors without a fault", par, n)
 		}
-
 		// Binding multisets must agree too (polynomial correctness).
-		plainB := frameMultiset(t, view, q, eval.Options{Parallel: par})
-		resilB := frameMultiset(t, view, q, eval.Options{Parallel: par, Resilience: fastResilience()})
-		if len(plainB) != len(resilB) {
+		plainB := frameMultiset(t, view, q, opts)
+		if resilB := frameMultiset(t, eval.Resilient(view, fastResilience()), q, opts); !reflect.DeepEqual(resilB, plainB) {
 			t.Fatalf("parallel=%d: binding multisets diverge: %d vs %d distinct", par, len(plainB), len(resilB))
-		}
-		for k, n := range plainB {
-			if resilB[k] != n {
-				t.Fatalf("parallel=%d: binding %s: count %d vs %d", par, k, resilB[k], n)
-			}
 		}
 	}
 }
 
 // TestResilientRetriesTransient: a shard whose first two calls fail with a
 // transient error recovers within the attempt budget; the result is
-// complete and the coverage records the retries.
+// complete and the counters record the retries.
 func TestResilientRetriesTransient(t *testing.T) {
 	in, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
@@ -112,46 +109,40 @@ func TestResilientRetriesTransient(t *testing.T) {
 	}
 	in.SetFault(1, fault.ShardFault{FailOps: 2})
 	r := fastResilience()
-	r.Coverage = &eval.Coverage{}
-	got, err := eval.EvalOn(view, q, eval.Options{Parallel: 1, Resilience: r})
+	got, err := eval.EvalOn(eval.Resilient(view, r), q, eval.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tupleFingerprint(got) != tupleFingerprint(want) {
 		t.Fatal("result diverged despite successful retries")
 	}
-	cov := r.Coverage
-	if cov.Answered != resilientShards || cov.Retries != 2 || cov.PerShard[1].Attempts != 3 {
-		t.Fatalf("coverage = %+v, want full coverage with 2 retries on shard 1", cov)
+	if n, e := r.Metrics.Retries.Value(), r.Metrics.ShardErrors.Value(); n != 2 || e != 2 {
+		t.Fatalf("%d retries after %d shard errors, want 2 of each on shard 1", n, e)
 	}
 }
 
 // TestResilientPermanentFailsFast: a permanently failing shard is not
-// retried, and the default policy fails the enumeration with a typed
-// ErrShardUnavailable carrying the coverage report.
+// retried: the enumeration fails with a typed ErrShardUnavailable naming the
+// shard and wrapping the injected cause.
 func TestResilientPermanentFailsFast(t *testing.T) {
 	in, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
 	in.SetFault(2, fault.ShardFault{Permanent: true})
-	_, err := eval.EvalOn(view, q, eval.Options{Parallel: 1, Resilience: fastResilience()})
-	if !errors.Is(err, eval.ErrShardUnavailable) {
-		t.Fatalf("err = %v, want ErrShardUnavailable", err)
-	}
+	r := fastResilience()
+	_, err := eval.EvalOn(eval.Resilient(view, r), q, eval.Options{Parallel: 1})
 	var ue *eval.UnavailableError
-	if !errors.As(err, &ue) || ue.Coverage == nil {
-		t.Fatalf("err = %v, want *UnavailableError with coverage", err)
+	if !errors.Is(err, eval.ErrShardUnavailable) || !errors.As(err, &ue) || ue.Shard != 2 || !errors.Is(err, fault.Err) {
+		t.Fatalf("err = %v, want shard 2 unavailable with the injected cause", err)
 	}
-	sc := ue.Coverage.PerShard[2]
-	if sc.State != eval.ShardSkipped || sc.Attempts != 1 {
-		t.Fatalf("shard 2 coverage = %+v, want skipped after exactly 1 attempt (no retry of permanent errors)", sc)
+	if e, n := r.Metrics.ShardErrors.Value(), r.Metrics.Retries.Value(); e != 1 || n != 0 {
+		t.Fatalf("%d shard errors, %d retries: want exactly one attempt (no retry of permanent errors)", e, n)
 	}
 }
 
-// TestResilientNilPolicySeesFaults: the scatter without a resilience
-// policy reads every shard through the same seam, once and with no
-// deadline — a permanently failing shard fails it with the typed
-// *UnavailableError, a transient one too (nothing retries it), and a clean
-// shard set answers in full.
+// TestResilientNilPolicySeesFaults: the scatter over a plain view reads every
+// shard through the same seam, once and with no deadline — a permanently
+// failing shard fails it with the typed *UnavailableError, a transient one
+// too (nothing retries it), and a clean shard set answers in full.
 func TestResilientNilPolicySeesFaults(t *testing.T) {
 	in, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
@@ -164,11 +155,8 @@ func TestResilientNilPolicySeesFaults(t *testing.T) {
 			in.SetFault(1, f) // restarts the schedule: FailOps fails the next call
 			_, err := eval.EvalOn(view, q, eval.Options{Parallel: par})
 			var ue *eval.UnavailableError
-			if !errors.Is(err, eval.ErrShardUnavailable) || !errors.As(err, &ue) {
-				t.Fatalf("fault %+v, parallel=%d: err = %v, want *UnavailableError", f, par, err)
-			}
-			if sc := ue.Coverage.PerShard[1]; sc.State != eval.ShardSkipped || sc.Attempts != 1 {
-				t.Fatalf("fault %+v, parallel=%d: shard 1 coverage = %+v, want skipped after one attempt", f, par, sc)
+			if !errors.Is(err, eval.ErrShardUnavailable) || !errors.As(err, &ue) || ue.Shard != 1 {
+				t.Fatalf("fault %+v, parallel=%d: err = %v, want shard 1 unavailable", f, par, err)
 			}
 		}
 	}
@@ -179,124 +167,170 @@ func TestResilientNilPolicySeesFaults(t *testing.T) {
 	}
 }
 
-// TestResilientStallDegrades is the driver half of the chaos acceptance
-// property: with 1 of 4 shards stalled until cancel, MinShardCoverage 3
-// returns a partial result promptly with accurate coverage, while the
-// default policy fails with ErrShardUnavailable.
-func TestResilientStallDegrades(t *testing.T) {
-	in, view, _ := resilientFixture(t)
-	q := workload.ChainQuery(3)
-	full, err := eval.EvalOn(view, q, eval.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.SetFault(0, fault.ShardFault{Stall: true})
-
-	// A stalled attempt only ends when its deadline fires, so bound it
-	// tightly here: 3 attempts x 250ms stays well inside the 2s budget while
-	// leaving clean shards ample scan headroom.
-	stallResilience := func() *eval.Resilience {
-		r := fastResilience()
-		r.AttemptTimeout = 250 * time.Millisecond
-		return r
-	}
-
-	// Default policy: fail fast.
-	start := time.Now()
-	_, err = eval.EvalOn(view, q, eval.Options{Parallel: 4, Resilience: stallResilience()})
-	if !errors.Is(err, eval.ErrShardUnavailable) {
-		t.Fatalf("default policy err = %v, want ErrShardUnavailable", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("fail-fast took %v", elapsed)
-	}
-
-	// MinShardCoverage 3: degrade gracefully.
-	r := stallResilience()
-	r.MinShardCoverage = resilientShards - 1
-	r.Coverage = &eval.Coverage{}
-	start = time.Now()
-	got, err := eval.EvalOn(view, q, eval.Options{Parallel: 4, Resilience: r})
-	if err != nil {
-		t.Fatalf("partial policy err = %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("partial eval took %v", elapsed)
-	}
-	cov := r.Coverage
-	if cov.Skipped != 1 || cov.Answered != resilientShards-1 || !cov.Partial() {
-		t.Fatalf("coverage = %+v, want 1 skipped / %d answered", cov, resilientShards-1)
-	}
-	if cov.PerShard[0].State != eval.ShardSkipped || cov.PerShard[0].Attempts != 3 {
-		t.Fatalf("shard 0 coverage = %+v, want skipped after 3 attempts", cov.PerShard[0])
-	}
-	if len(got.Tuples) == 0 || len(got.Tuples) >= len(full.Tuples) {
-		t.Fatalf("partial result has %d tuples, full has %d; want a strict non-empty subset", len(got.Tuples), len(full.Tuples))
-	}
-	for _, tp := range got.Tuples {
-		if !slices.Contains(full.Keys, tp.Key()) {
-			t.Fatalf("partial result invented tuple %v", tp)
-		}
-	}
-}
-
-// flakyScanner fails one shard's first scan with a transient error midway
-// through delivering its tuples — after the driver has already handed
-// frames downstream — to prove the retry's replay delivers each frame
-// exactly once.
-type flakyScanner struct {
-	eval.Partitioned
-	failShard int
-	failAfter int
-	calls     int
-}
-
 type testTransientErr struct{}
 
-func (testTransientErr) Error() string   { return "flaky: transient mid-scan failure" }
+func (testTransientErr) Error() string   { return "scheduled: transient failure" }
 func (testTransientErr) Transient() bool { return true }
 
-func (f *flakyScanner) ShardScan(ctx context.Context, si int, rel string, cols []int, vals []string, fn func(t storage.Tuple) bool) error {
-	if si == f.failShard {
-		f.calls++ // sequential driver only: no synchronization needed
-		if f.calls == 1 {
-			n := 0
-			_ = f.Partitioned.ShardScan(ctx, si, rel, cols, vals, func(t storage.Tuple) bool {
-				if n >= f.failAfter {
-					return false
-				}
-				n++
-				return fn(t)
-			})
-			return testTransientErr{}
-		}
-	}
-	return f.Partitioned.ShardScan(ctx, si, rel, cols, vals, fn)
+// scanFault is one shard's schedule in a scheduledScanner: the first slowOps
+// calls wait latency before the first tuple, and the first failOps calls
+// fail transiently after handing failAfter tuples to the consumer — midway
+// through a scan, unlike the injector, which fails before the first tuple.
+type scanFault struct {
+	latency   time.Duration
+	slowOps   int
+	failOps   int
+	failAfter int
 }
 
-// TestResilientExactlyOnceAcrossRetry: frames delivered before a mid-scan
-// transient failure are not re-delivered by the retry — the binding
-// multiset is identical to the clean enumeration.
-func TestResilientExactlyOnceAcrossRetry(t *testing.T) {
-	db := workload.ChainDB(3, 600, 64, 7)
+// scheduledScanner is a Partitioned imposing a scanFault per shard, safe for
+// the concurrent scans of a scatter pool and a hedge.
+type scheduledScanner struct {
+	eval.Partitioned
+	faults []scanFault
+
+	mu    sync.Mutex
+	calls []int
+}
+
+func newScheduledScanner(p eval.Partitioned, faults []scanFault) *scheduledScanner {
+	return &scheduledScanner{Partitioned: p, faults: faults, calls: make([]int, len(faults))}
+}
+
+func (s *scheduledScanner) ShardScan(ctx context.Context, si int, rel string, cols []int, vals []string, fn func(t storage.Tuple) bool) error {
+	s.mu.Lock()
+	call := s.calls[si]
+	s.calls[si]++
+	s.mu.Unlock()
+	f := s.faults[si]
+	if f.latency > 0 && call < f.slowOps {
+		timer := time.NewTimer(f.latency)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return ctx.Err()
+		}
+	}
+	if call >= f.failOps {
+		return s.Partitioned.ShardScan(ctx, si, rel, cols, vals, fn)
+	}
+	n, stopped := 0, false
+	err := s.Partitioned.ShardScan(ctx, si, rel, cols, vals, func(t storage.Tuple) bool {
+		if n >= f.failAfter {
+			return false
+		}
+		n++
+		stopped = !fn(t)
+		return !stopped
+	})
+	if err != nil || stopped {
+		return err
+	}
+	return testTransientErr{}
+}
+
+// deliveries sums a frame multiset's counts.
+func deliveries(m map[string]int) int {
+	n := 0
+	for _, c := range m {
+		n += c
+	}
+	return n
+}
+
+// enumerate is frameMultiset for an enumeration allowed to fail.
+func enumerate(view eval.DBView, q *cq.Query, opts eval.Options) (map[string]int, error) {
+	got := make(map[string]int)
+	err := eval.EachBinding(view, q, opts, func(b eval.Binding, _ []eval.Match) error {
+		got[fmt.Sprint(b)]++
+		return nil
+	})
+	return got, err
+}
+
+// exactlyOnceFixture is the sharded two-atom chain the exactly-once tests
+// enumerate (~150 first-atom tuples per shard, ~6k frames), and its
+// fault-free frame multiset.
+func exactlyOnceFixture(t *testing.T) (eval.Partitioned, *cq.Query, map[string]int) {
+	t.Helper()
+	db := workload.ChainDB(2, 600, 64, 7)
 	sharded, err := shard.FromDB(db, resilientShards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := workload.ChainQuery(3)
-	want := frameMultiset(t, sharded, q, eval.Options{Parallel: 1})
-	flaky := &flakyScanner{Partitioned: sharded, failShard: 1, failAfter: 40}
-	got := frameMultiset(t, flaky, q, eval.Options{Parallel: 1, Resilience: fastResilience()})
-	if len(got) != len(want) {
-		t.Fatalf("binding multisets diverge: %d vs %d distinct bindings", len(got), len(want))
+	q := workload.ChainQuery(2)
+	return sharded, q, frameMultiset(t, sharded, q, eval.Options{Parallel: 1})
+}
+
+// checkExactlyOnce enumerates q through the resilient view over a
+// scheduledScanner imposing faults: a success must deliver exactly want, a
+// failure must be ErrShardUnavailable.
+func checkExactlyOnce(t *testing.T, p eval.Partitioned, q *cq.Query, want map[string]int, faults []scanFault, hedge time.Duration, par int) (*scheduledScanner, error) {
+	t.Helper()
+	s := newScheduledScanner(p, faults)
+	r := fastResilience()
+	r.HedgeAfter = hedge
+	got, err := enumerate(eval.Resilient(s, r), q, eval.Options{Parallel: par})
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("faults %+v, hedge %v, parallel %d: %d deliveries of %d distinct frames, want %d frames exactly once each", faults, hedge, par, deliveries(got), len(got), len(want))
 	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("binding %s delivered %d times, want %d", k, got[k], n)
+	if err != nil && !errors.Is(err, eval.ErrShardUnavailable) {
+		t.Fatalf("faults %+v: err = %v, want ErrShardUnavailable", faults, err)
+	}
+	return s, err
+}
+
+// TestResilientExactlyOnceAcrossRetry is the property's fixed case: shard 1's
+// first scan fails after 40 delivered tuples, and the retry replays them
+// without re-delivering them.
+func TestResilientExactlyOnceAcrossRetry(t *testing.T) {
+	sharded, q, want := exactlyOnceFixture(t)
+	faults := make([]scanFault, resilientShards)
+	faults[1] = scanFault{failOps: 1, failAfter: 40}
+	s, err := checkExactlyOnce(t, sharded, q, want, faults, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.calls[1] != 2 {
+		t.Fatalf("shard 1 scanned %d times, want a retry", s.calls[1])
+	}
+}
+
+// TestResilientExactlyOnceProperty: whatever the fault schedule — latency,
+// transient failures that clear after some calls, failures midway through a
+// scan after tuples were already delivered — with hedging on or off and on
+// one worker or a pool, an enumeration through the resilient view that
+// succeeds delivers exactly the fault-free frame multiset: a re-attempt or a
+// hedge replays the shard and skips what an earlier scan delivered. One that
+// fails, fails with ErrShardUnavailable. Run under -race.
+func TestResilientExactlyOnceProperty(t *testing.T) {
+	sharded, q, want := exactlyOnceFixture(t)
+	rng := rand.New(rand.NewSource(35))
+	trials, succeeded := 40, 0
+	for i := 0; i < trials; i++ {
+		faults := make([]scanFault, resilientShards)
+		for si := range faults {
+			if rng.Intn(2) == 0 {
+				continue // a healthy shard
+			}
+			faults[si] = scanFault{
+				latency:   time.Duration(rng.Intn(4)) * time.Millisecond,
+				slowOps:   rng.Intn(3),
+				failOps:   rng.Intn(4), // 3 exhausts the attempt budget
+				failAfter: rng.Intn(80),
+			}
+		}
+		hedge := time.Duration(0)
+		if rng.Intn(2) == 0 {
+			hedge = time.Millisecond
+		}
+		if _, err := checkExactlyOnce(t, sharded, q, want, faults, hedge, 1+3*rng.Intn(2)); err == nil {
+			succeeded++
 		}
 	}
-	if flaky.calls < 2 {
-		t.Fatalf("flaky shard scanned %d times, want a retry", flaky.calls)
+	if succeeded < trials/2 {
+		t.Fatalf("only %d of %d schedules succeeded: the property was barely exercised", succeeded, trials)
 	}
 }
 
@@ -315,9 +349,8 @@ func TestResilientHedgingBeatsStraggler(t *testing.T) {
 	r := fastResilience()
 	r.AttemptTimeout = 2 * time.Second
 	r.HedgeAfter = 5 * time.Millisecond
-	r.Coverage = &eval.Coverage{}
 	start := time.Now()
-	got, err := eval.EvalOn(view, q, eval.Options{Parallel: 4, Resilience: r})
+	got, err := eval.EvalOn(eval.Resilient(view, r), q, eval.Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +362,8 @@ func TestResilientHedgingBeatsStraggler(t *testing.T) {
 	}
 	// At minimum the straggler hedged; under heavy slowdown (-race) fast
 	// shards can trip the 5ms trigger too, so don't assert an exact count.
-	if r.Coverage.Hedges < 1 {
-		t.Fatalf("coverage hedges = %d, want >= 1", r.Coverage.Hedges)
+	if n := r.Metrics.Hedges.Value(); n < 1 {
+		t.Fatalf("%d hedges, want >= 1", n)
 	}
 }
 
@@ -346,38 +379,36 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 	br := eval.NewBreakers(resilientShards, 2, cooldown)
 	in.SetFault(0, fault.ShardFault{Permanent: true})
 
-	run := func(minCov int) (*eval.Coverage, error) {
-		r := fastResilience()
-		r.Breakers = br
-		r.MinShardCoverage = minCov
-		r.Coverage = &eval.Coverage{}
-		_, err := eval.EvalOn(view, q, eval.Options{Parallel: 1, Resilience: r})
-		return r.Coverage, err
+	r := fastResilience()
+	r.Breakers = br
+	view = eval.Resilient(view, r)
+	run := func() error {
+		_, err := eval.EvalOn(view, q, eval.Options{Parallel: 1})
+		return err
 	}
 
 	// Two failing evals reach the threshold and open the breaker.
 	for i := 0; i < 2; i++ {
-		if _, err := run(0); !errors.Is(err, eval.ErrShardUnavailable) {
+		if err := run(); !errors.Is(err, eval.ErrShardUnavailable) {
 			t.Fatalf("eval %d err = %v, want ErrShardUnavailable", i, err)
 		}
 	}
-	if !br.AnyOpen() {
+	if br.State(0) != eval.BreakerOpen {
 		t.Fatalf("breaker states = %+v, want shard 0 open", br.States())
 	}
 	// While open, the shard is rejected without an attempt.
-	cov, err := run(resilientShards - 1)
-	if err != nil {
-		t.Fatalf("partial-policy eval with open breaker: %v", err)
+	if err := run(); !errors.Is(err, eval.ErrShardUnavailable) {
+		t.Fatalf("eval with open breaker: err = %v, want ErrShardUnavailable", err)
 	}
-	if sc := cov.PerShard[0]; sc.Attempts != 0 || sc.Breaker != string(eval.BreakerOpen) {
-		t.Fatalf("shard 0 coverage = %+v, want breaker-open rejection with 0 attempts", sc)
+	if rej, e := r.Metrics.BreakerRejects.Value(), r.Metrics.ShardErrors.Value(); rej != 1 || e != 2 {
+		t.Fatalf("%d rejections, %d shard errors: want the third eval rejected without an attempt", rej, e)
 	}
 
 	// Recover the shard, wait out the cooldown: the half-open probe closes it.
 	in.Clear()
 	time.Sleep(cooldown + 100*time.Millisecond)
-	if cov, err = run(0); err != nil {
-		t.Fatalf("post-cooldown eval: %v (coverage %+v)", err, cov)
+	if err := run(); err != nil {
+		t.Fatalf("post-cooldown eval: %v (breakers %+v)", err, br.States())
 	}
 	if st := br.State(0); st != eval.BreakerClosed {
 		t.Fatalf("breaker state after successful probe = %s, want closed", st)
@@ -414,6 +445,13 @@ func TestBreakersTransitions(t *testing.T) {
 	if !br.Allow(0) {
 		t.Fatal("second probe must be admitted after re-open cooldown")
 	}
+	br.Release(0) // the probe's request was cut short: no verdict
+	if br.State(0) != eval.BreakerHalfOpen || !br.Allow(0) {
+		t.Fatal("a released probe must leave the breaker half-open, admitting the next probe")
+	}
+	if br.Allow(0) {
+		t.Fatal("the next probe must again be the only one")
+	}
 	br.Success(0)
 	if br.State(0) != eval.BreakerClosed || !br.Allow(0) {
 		t.Fatal("successful probe must close the breaker")
@@ -423,11 +461,12 @@ func TestBreakersTransitions(t *testing.T) {
 		t.Fatal("shard 1 must be closed")
 	}
 	var nilBr *eval.Breakers
-	if !nilBr.Allow(0) || nilBr.AnyOpen() || nilBr.States() != nil {
+	if !nilBr.Allow(0) || nilBr.State(0) != eval.BreakerClosed || nilBr.States() != nil {
 		t.Fatal("nil Breakers must admit everything and report nothing")
 	}
 	nilBr.Success(0)
 	nilBr.Failure(0)
+	nilBr.Release(0)
 }
 
 // TestResilientCancelMidBackoff: a parent context canceled while a shard
@@ -445,7 +484,7 @@ func TestResilientCancelMidBackoff(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pl, err := eval.Compile(view, q)
+	pl, err := eval.Compile(eval.Resilient(view, r), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +493,7 @@ func TestResilientCancelMidBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = pl.EvalCtx(ctx, eval.Options{Parallel: 4, Resilience: r})
+	_, err = pl.EvalCtx(ctx, eval.Options{Parallel: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -478,7 +517,7 @@ func TestResilientCancelMidHedge(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pl, err := eval.Compile(view, q)
+	pl, err := eval.Compile(eval.Resilient(view, r), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +526,7 @@ func TestResilientCancelMidHedge(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = pl.EvalCtx(ctx, eval.Options{Parallel: 4, Resilience: r})
+	_, err = pl.EvalCtx(ctx, eval.Options{Parallel: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,6 +1,6 @@
 // Package fault provides a deterministic, schedulable fault injector for
-// the sharded evaluation backend — the chaos-testing harness behind the
-// resilient scatter-gather driver.
+// the sharded evaluation backend — the chaos-testing harness of the
+// shard-scan attempt policy (eval.Resilient).
 //
 // An Injector wraps an eval.Partitioned (in practice *shard.DB or one of
 // its snapshots) and imposes configured faults at the ShardScan seam: added
@@ -14,9 +14,10 @@
 // The injector models request failures to a shard backend: the fault fires
 // before any tuple is produced, matching an RPC that fails or times out
 // before a response streams back. Every scatter-gather evaluation reads its
-// first join atom through the seam, with or without a resilience policy, so
-// an injected fault is seen by every engine over the wrapped view; deeper
-// join atoms reading through the union view are not injected.
+// first join atom through the seam, so an injected fault is seen by every
+// engine over the wrapped view — and retried by an attempt policy wrapped
+// over the injector; deeper join atoms reading through the union view are
+// not injected.
 package fault
 
 import (

@@ -1,9 +1,8 @@
 package obs
 
-// ResilienceMetrics bundles the counters of the fault-tolerant
-// scatter-gather driver. A nil *ResilienceMetrics is the disabled state —
-// the driver guards every use — and each individual counter is nil-safe
-// like every registry metric.
+// ResilienceMetrics bundles the counters of the shard-scan attempt policy
+// (eval.Resilient). Each counter is nil-safe like every registry metric, so
+// a zero ResilienceMetrics counts nothing.
 type ResilienceMetrics struct {
 	// Retries counts re-attempts after a transient per-shard failure.
 	Retries *Counter
@@ -15,9 +14,8 @@ type ResilienceMetrics struct {
 	BreakerRejects *Counter
 	// ShardErrors counts failed per-shard attempts (pre-retry).
 	ShardErrors *Counter
-	// PartialEvals counts enumerations degraded under MinShardCoverage.
-	PartialEvals *Counter
-	// UnavailableEvals counts enumerations failed with ErrShardUnavailable.
+	// UnavailableEvals counts shard scans given up after every attempt; each
+	// fails its enumeration with ErrShardUnavailable.
 	UnavailableEvals *Counter
 }
 
@@ -30,7 +28,6 @@ func NewResilienceMetrics(r *Registry) *ResilienceMetrics {
 		BreakerOpens:     r.Counter("citare_resilience_breaker_opens_total", "Circuit breaker open transitions."),
 		BreakerRejects:   r.Counter("citare_resilience_breaker_rejects_total", "Shard attempts rejected by an open breaker."),
 		ShardErrors:      r.Counter("citare_resilience_shard_errors_total", "Failed per-shard scan attempts."),
-		PartialEvals:     r.Counter("citare_resilience_partial_evals_total", "Evaluations degraded to partial shard coverage."),
 		UnavailableEvals: r.Counter("citare_resilience_unavailable_evals_total", "Evaluations failed with unavailable shards."),
 	}
 }

@@ -32,7 +32,8 @@
 //     lookups into single-shard work regardless of n.
 //   - ShardScan reads one part's tuples of a relation, matching a lookup or
 //     in full: the evaluator's one per-shard read, and the seam where the
-//     fault injector (internal/fault) imposes failures.
+//     fault injector (internal/fault) imposes failures and the attempt
+//     policy (eval.Resilient) retries them.
 //
 // # Scatter-gather evaluation and merge semantics
 //

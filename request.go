@@ -51,21 +51,6 @@ type Request struct {
 	// timings), returned via Citation.Explain. Tracing never changes the citation itself; through
 	// a CachedCiter an Explain request bypasses the citation cache.
 	Explain bool
-
-	// MinShardCoverage sets the degradation policy on a resilient sharded
-	// Citer (WithResilience). 0 — the default — requires full shard
-	// coverage: a shard still unreachable after its attempt budget fails
-	// the request with ErrShardUnavailable. A value k > 0 accepts a partial
-	// citation as long as at least k shards contributed (answered or
-	// provably pruned): Cite then returns the degraded Citation together
-	// with a *PartialError carrying the Coverage report. Ignored without
-	// resilience.
-	MinShardCoverage int
-
-	// ShardAttempts overrides the resilient driver's per-shard attempt
-	// budget (first try included) for this request; 0 keeps the configured
-	// budget. Ignored without resilience.
-	ShardAttempts int
 }
 
 // resolveMemoSize bounds a Citer's resolve memo (sharded LRU, entries): as
@@ -200,12 +185,7 @@ func (r Request) renderFormat() string {
 
 // citeOptions translates the request's knobs to the engine's options.
 func (r Request) citeOptions() core.CiteOptions {
-	return core.CiteOptions{
-		MaxRewritings:    r.MaxRewritings,
-		MaxTuples:        r.MaxTuples,
-		MinShardCoverage: r.MinShardCoverage,
-		ShardAttempts:    r.ShardAttempts,
-	}
+	return core.CiteOptions{MaxRewritings: r.MaxRewritings, MaxTuples: r.MaxTuples}
 }
 
 // Cite evaluates one request: the query is parsed, rewritten over the
@@ -213,7 +193,7 @@ func (r Request) citeOptions() core.CiteOptions {
 // assembled. The context governs the whole pipeline — a canceled or expired
 // ctx aborts evaluation at the next shard or frame boundary and returns
 // an error tagged ErrCanceled. All errors are tagged with the package's
-// taxonomy (ErrParse, ErrSchema, ErrCanceled, ErrLimit).
+// taxonomy (ErrParse, ErrSchema, ErrCanceled, ErrLimit, ErrShardUnavailable).
 func (c *Citer) Cite(ctx context.Context, req Request) (*Citation, error) {
 	// Explain: ensure a trace rides the context (reusing one the caller —
 	// e.g. citesrv's slow-query logger — already injected) and attach the
@@ -236,25 +216,13 @@ func (c *Citer) Cite(ctx context.Context, req Request) (*Citation, error) {
 	return ct, err
 }
 
-// cite evaluates a resolved request: the one place a Citation is made. A
-// degraded citation is returned, not swallowed: the Citation is valid for the
-// shards that answered, and the paired *PartialError carries the
-// machine-readable Coverage so callers can decide whether it is enough.
+// cite evaluates a resolved request: the one place a Citation is made.
 func (c *Citer) cite(ctx context.Context, p *core.Prepared, req Request) (*Citation, error) {
 	res, err := c.engine.CitePrepared(ctx, p, req.citeOptions())
 	if err != nil {
 		return nil, classify(err)
 	}
-	return &Citation{res: res, format: req.renderFormat()}, partial(res)
-}
-
-// partial is the *PartialError a degraded result travels with, nil for a
-// result of full coverage.
-func partial(res *core.Result) error {
-	if res == nil || res.Coverage == nil || !res.Coverage.Partial() {
-		return nil
-	}
-	return &PartialError{Coverage: res.Coverage}
+	return &Citation{res: res, format: req.renderFormat()}, nil
 }
 
 // Tuple is one answer tuple streamed by CiteEach, carrying its citation in
@@ -350,17 +318,10 @@ func (c *Citer) stream(ctx context.Context, req Request, fn func(Tuple) error, c
 		return true, ct.EachTuple(fn)
 	}
 	i := 0
-	res, err := c.engine.CiteEachPrepared(ctx, r.p, req.citeOptions(), func(tc *core.TupleCitation) error {
+	_, err = c.engine.CiteEachPrepared(ctx, r.p, req.citeOptions(), func(tc *core.TupleCitation) error {
 		t := streamedTuple(i, tc)
 		i++
 		return fn(t)
 	})
-	if err != nil {
-		return false, classify(err)
-	}
-	// Degraded stream: every delivered tuple is valid, but skipped shards
-	// may have withheld others. Reported after the last delivery as a
-	// *PartialError so streaming callers (citesrv's NDJSON trailer) can
-	// attach the Coverage without a second channel.
-	return false, partial(res)
+	return false, classify(err)
 }

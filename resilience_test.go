@@ -1,12 +1,13 @@
 package citare
 
-// Chaos property tests for the fault-tolerant scatter-gather pipeline: with
-// zero faults the resilient driver is invisible (citations byte-identical to
-// the unsharded engine across shard counts and strategies), a stalled shard
-// either fails fast with ErrShardUnavailable or degrades under
-// MinShardCoverage with an accurate Coverage report, and cancellation cuts
-// through retries promptly without leaking goroutines. Run with -race (CI's
-// chaos job does).
+// Chaos property tests for the attempt policy at the shard-scan seam: with
+// zero faults it is invisible (citations byte-identical to the unsharded
+// engine across shard counts and strategies), a stalled shard fails the
+// request fast with ErrShardUnavailable naming it — a citation is whole or
+// not given — the injector sits under the policy, which retries what it
+// injects, its breakers outlive Reset, and cancellation cuts through retries promptly without
+// leaking goroutines or wedging a breaker. Run with -race (CI's chaos job
+// does).
 
 import (
 	"context"
@@ -20,12 +21,13 @@ import (
 	"citare/internal/eval"
 	"citare/internal/fault"
 	"citare/internal/gtopdb"
+	"citare/internal/obs"
 )
 
 // resilientPaperCiter builds a sharded paper-instance citer with the fault
 // injector wrapped around the shard-scan seam and the given resilient
 // configuration. The injector applies from the next snapshot, so the epoch
-// is cycled once.
+// is cycled once; the attempt policy wraps the injector there.
 func resilientPaperCiter(t *testing.T, shards int, in *fault.Injector, cfg ResilienceConfig) *Citer {
 	t.Helper()
 	c := shardedPaperCiter(t, gtopdb.PaperInstance(), shards, WithResilience(cfg))
@@ -74,9 +76,6 @@ func TestResilienceNoFaultParity(t *testing.T) {
 			if g, w := citationFingerprint(t, got), citationFingerprint(t, want); g != w {
 				t.Fatalf("resilient shards=%d, %s:\n got %s\nwant %s", shards, q.src, g, w)
 			}
-			if got.Coverage().Partial() {
-				t.Fatalf("shards=%d, %s: fault-free run reported partial coverage %+v", shards, q.src, got.Coverage())
-			}
 		}
 	}
 }
@@ -114,10 +113,8 @@ func TestChaosWithoutResilienceFailsTyped(t *testing.T) {
 }
 
 // TestChaosStalledShard is the headline chaos property: with 1 of N shards
-// stalled (holding every scan until its attempt deadline), the default
-// policy fails fast with ErrShardUnavailable, while MinShardCoverage N-1
-// returns a degraded citation promptly, paired with a *PartialError whose
-// Coverage pins the stalled shard exactly.
+// stalled (holding every scan until its attempt deadline), the request fails
+// fast with ErrShardUnavailable, and the typed error names the stalled shard.
 func TestChaosStalledShard(t *testing.T) {
 	const shards = 3
 	const stalled = 1
@@ -126,61 +123,46 @@ func TestChaosStalledShard(t *testing.T) {
 	c := resilientPaperCiter(t, shards, in, chaosConfig())
 	const q = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`
 
-	// Default policy: full coverage required. The stall is bounded by the
-	// per-attempt deadline, not by the caller's patience — the typed failure
-	// arrives in attempt-budget time.
+	// The stall is bounded by the per-attempt deadline, not by the caller's
+	// patience — the typed failure arrives in attempt-budget time.
 	start := time.Now()
 	_, err := c.Cite(context.Background(), Request{Datalog: q})
 	if !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("strict cite err = %v, want ErrShardUnavailable", err)
+		t.Fatalf("cite err = %v, want ErrShardUnavailable", err)
 	}
 	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("strict fail-fast took %v", el)
+		t.Fatalf("fail-fast took %v", el)
 	}
-
-	// MinShardCoverage N-1: the surviving shards' citation comes back,
-	// tagged partial, with the coverage report naming the stalled shard.
-	start = time.Now()
-	ct, err := c.Cite(context.Background(), Request{Datalog: q, MinShardCoverage: shards - 1})
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("degraded cite took %v", el)
-	}
-	var pe *PartialError
-	if !errors.As(err, &pe) || ct == nil {
-		t.Fatalf("degraded cite = (%v, %v), want citation + *PartialError", ct, err)
-	}
-	if !errors.Is(err, ErrPartial) {
-		t.Fatalf("partial error does not unwrap to ErrPartial: %v", err)
-	}
-	cov := ct.Coverage()
-	if cov == nil || pe.Coverage == nil {
-		t.Fatal("degraded citation carries no coverage report")
-	}
-	if cov.Shards != shards || cov.Skipped != 1 || cov.Answered+cov.Pruned != shards-1 {
-		t.Fatalf("coverage %+v, want %d shards with exactly the stalled one skipped", cov, shards)
-	}
-	if cov.PerShard[stalled].State != eval.ShardSkipped {
-		t.Fatalf("stalled shard state %q, want %q (coverage %+v)", cov.PerShard[stalled].State, eval.ShardSkipped, cov)
-	}
-	if cov.Attempts == 0 || cov.PerShard[stalled].Attempts == 0 {
-		t.Fatalf("coverage records no attempts against the stalled shard: %+v", cov)
-	}
-	for si, sc := range cov.PerShard {
-		if si != stalled && sc.State == eval.ShardSkipped {
-			t.Fatalf("healthy shard %d reported skipped: %+v", si, cov)
-		}
-	}
-	if len(ct.Rows()) == 0 {
-		t.Fatal("degraded citation lost every tuple; surviving shards should still answer")
+	var ue *eval.UnavailableError
+	if !errors.As(err, &ue) || ue.Shard != stalled || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want shard %d unavailable after its attempt deadline", err, stalled)
 	}
 }
 
+// shardsScanned lists the shards a traced request scanned, from the "shard"
+// spans of its report: every evaluation's — the query's, each unfolded
+// rewriting's, each token's.
+func shardsScanned(ex *Explain) map[int64]bool {
+	seen := map[int64]bool{}
+	var walk func([]*ExplainStage)
+	walk = func(ns []*ExplainStage) {
+		for _, n := range ns {
+			if n.Name == "shard" {
+				seen[n.Attrs["shard"].(int64)] = true
+			}
+			walk(n.Children)
+		}
+	}
+	walk(ex.Stages)
+	return seen
+}
+
 // TestCitegraphChaosParity runs the citegraph workload through the
-// resilient sharded engine (ISSUE 9 satellite 2): fault-free it is
-// byte-identical to the unsharded baseline; with the shard that owns the
-// probed key stalled the strict policy fails fast with ErrShardUnavailable
-// while MinShardCoverage N-1 degrades into a partial citation whose coverage
-// pins the stalled shard; a strict probe of a key on another shard succeeds.
+// resilient sharded engine: fault-free it is byte-identical to the
+// unsharded baseline; with the shard that owns the probed key stalled the
+// request fails fast with ErrShardUnavailable; a probe of a key on another
+// shard succeeds with the unsharded bytes, its every scan pruned away from
+// the stalled shard.
 func TestCitegraphChaosParity(t *testing.T) {
 	const shards = 3
 	db := citegraph.Generate(citegraph.ScaleSmall())
@@ -200,9 +182,6 @@ func TestCitegraphChaosParity(t *testing.T) {
 		if g, w := citationFingerprint(t, got), citationFingerprint(t, want); g != w {
 			t.Fatalf("%s:\n got %s\nwant %s", q.src, g, w)
 		}
-		if got.Coverage().Partial() {
-			t.Fatalf("%s: fault-free run reported partial coverage", q.src)
-		}
 	}
 
 	// One shard stalled: the one that owns the hot work's incoming
@@ -219,28 +198,12 @@ func TestCitegraphChaosParity(t *testing.T) {
 	}
 	q := citegraph.IncomingQuery(citegraph.HotWork())
 	if _, err := c.Cite(context.Background(), Request{Datalog: q}); !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("strict cite err = %v, want ErrShardUnavailable", err)
-	}
-	ct, err := c.Cite(context.Background(), Request{Datalog: q, MinShardCoverage: shards - 1})
-	var pe *PartialError
-	if !errors.As(err, &pe) || ct == nil {
-		t.Fatalf("degraded cite = (%v, %v), want citation + *PartialError", ct, err)
-	}
-	cov := ct.Coverage()
-	if cov == nil || cov.Shards != shards || cov.Skipped != 1 {
-		t.Fatalf("coverage %+v, want %d shards with exactly one skipped", cov, shards)
-	}
-	if cov.PerShard[stalled].State != eval.ShardSkipped {
-		t.Fatalf("stalled shard state %q, want %q", cov.PerShard[stalled].State, eval.ShardSkipped)
-	}
-	// The VCites rewriting needs the same shard: it is left out, by name.
-	if len(ct.Rewritings()) != 0 || len(cov.SkippedViews) != 1 || cov.SkippedViews[0] != "VCites" {
-		t.Fatalf("degraded cite kept rewritings %q, skipped views %q; want none kept and VCites skipped", ct.Rewritings(), cov.SkippedViews)
+		t.Fatalf("cite err = %v, want ErrShardUnavailable", err)
 	}
 
-	// A strict request whose every lookup — the query, its unfolded
-	// rewriting, the token's citation query — prunes away from the stalled
-	// shard never learns of the stall: full coverage, the unsharded bytes.
+	// A request whose every lookup — the query, its unfolded rewriting, the
+	// token's citation query — prunes away from the stalled shard never
+	// learns of the stall: the unsharded bytes, and no scan of that shard.
 	healthy := ""
 	for i := 1; healthy == ""; i++ {
 		if w := citegraph.WorkID(i); sdb.ShardFor("Cites", w) != stalled {
@@ -252,21 +215,23 @@ func TestCitegraphChaosParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Cite(context.Background(), Request{Datalog: q})
+	got, err := c.Cite(context.Background(), Request{Datalog: q, Explain: true})
 	if err != nil {
-		t.Fatalf("strict cite pruned away from the stalled shard: %v", err)
+		t.Fatalf("cite pruned away from the stalled shard: %v", err)
 	}
 	if g, w := citationFingerprint(t, got), citationFingerprint(t, want); g != w {
 		t.Fatalf("%s:\n got %s\nwant %s", q, g, w)
 	}
-	if cov := got.Coverage(); cov.Partial() || cov.PerShard[stalled].State != eval.ShardPruned {
-		t.Fatalf("coverage %+v, want full with the stalled shard pruned", cov)
+	if scanned := shardsScanned(got.Explain()); len(scanned) == 0 || scanned[int64(stalled)] {
+		t.Fatalf("shards scanned %v, want some and never the stalled shard %d", scanned, stalled)
 	}
 }
 
 // TestChaosTransientRecovery: transient failures within the attempt budget
-// retry to full success — same bytes as an unfaulted run, full coverage,
-// and the retries visible in the coverage accounting.
+// retry to full success — same bytes as an unfaulted run, and the retries
+// visible in the policy's counters. The faults are injected by a wrapper
+// installed after construction, so the success proves the injector sits
+// under the attempt policy.
 func TestChaosTransientRecovery(t *testing.T) {
 	const q = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`
 	clean := shardedPaperCiter(t, gtopdb.PaperInstance(), 3, WithResilience(ResilienceConfig{Seed: 9}))
@@ -277,7 +242,9 @@ func TestChaosTransientRecovery(t *testing.T) {
 	in := fault.NewInjector(9)
 	in.SetFault(0, fault.ShardFault{FailOps: 1})
 	in.SetFault(2, fault.ShardFault{FailOps: 1})
-	c := resilientPaperCiter(t, 3, in, chaosConfig())
+	cfg := chaosConfig()
+	cfg.Metrics = obs.NewResilienceMetrics(obs.NewRegistry())
+	c := resilientPaperCiter(t, 3, in, cfg)
 	got, err := c.Cite(context.Background(), Request{Datalog: q})
 	if err != nil {
 		t.Fatalf("cite with transient faults: %v", err)
@@ -285,12 +252,76 @@ func TestChaosTransientRecovery(t *testing.T) {
 	if g, w := citationFingerprint(t, got), citationFingerprint(t, want); g != w {
 		t.Fatalf("retried citation diverged:\n got %s\nwant %s", g, w)
 	}
-	cov := got.Coverage()
-	if cov.Partial() {
-		t.Fatalf("recovered run reported partial coverage: %+v", cov)
+	if r, e := cfg.Metrics.Retries.Value(), cfg.Metrics.ShardErrors.Value(); r != 2 || e != 2 {
+		t.Fatalf("%d retries after %d shard errors, want one of each per faulted shard", r, e)
 	}
-	if cov.Retries == 0 {
-		t.Fatalf("coverage records no retries despite injected transient faults: %+v", cov)
+}
+
+// TestBreakerSurvivesReset: breakers belong to the Citer, not to an epoch —
+// a breaker a dead shard opened stays open across Reset, and the new epoch's
+// requests are still rejected at it without touching the shard.
+func TestBreakerSurvivesReset(t *testing.T) {
+	in := fault.NewInjector(3)
+	in.SetFault(1, fault.ShardFault{Permanent: true})
+	cfg := chaosConfig()
+	cfg.BreakerThreshold, cfg.BreakerCooldown = 1, time.Hour
+	cfg.Metrics = obs.NewResilienceMetrics(obs.NewRegistry())
+	c := resilientPaperCiter(t, 3, in, cfg)
+	req := Request{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`}
+	if _, err := c.Cite(context.Background(), req); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("cite err = %v, want ErrShardUnavailable", err)
+	}
+	if err := c.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Engine().BreakerStates(); len(st) != 3 || st[1].State != string(eval.BreakerOpen) {
+		t.Fatalf("breakers after Reset: %+v, want shard 1 open", st)
+	}
+	in.Clear()
+	if _, err := c.Cite(context.Background(), req); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("cite after Reset err = %v, want the open breaker's ErrShardUnavailable", err)
+	}
+	if n := cfg.Metrics.BreakerRejects.Value(); n != 1 {
+		t.Fatalf("%d breaker rejections, want the request after Reset rejected", n)
+	}
+}
+
+// TestBreakerProbeReleasedOnCancel: a half-open probe that its request cuts
+// short gives no verdict on the shard. Once the shard is back, the next
+// request probes again and closes the breaker, instead of finding it wedged
+// half-open for good.
+func TestBreakerProbeReleasedOnCancel(t *testing.T) {
+	const cooldown = 20 * time.Millisecond
+	in := fault.NewInjector(8)
+	c := resilientPaperCiter(t, 3, in, ResilienceConfig{
+		AttemptTimeout: 2 * time.Second, MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: cooldown,
+	})
+	req := Request{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`}
+	ctx := context.Background()
+
+	in.SetFault(1, fault.ShardFault{Permanent: true})
+	if _, err := c.Cite(ctx, req); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("cite err = %v, want ErrShardUnavailable", err)
+	}
+	time.Sleep(2 * cooldown)
+	in.SetFault(1, fault.ShardFault{Latency: 500 * time.Millisecond})
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	_, err := c.Cite(short, req)
+	cancel()
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("cite under a 50ms deadline: %v, want ErrCanceled", err)
+	}
+	in.Clear()
+	time.Sleep(2 * cooldown)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Cite(ctx, req); err != nil {
+			t.Fatalf("cite %d after the shard came back: %v (breakers %+v)", i, err, c.Engine().BreakerStates())
+		}
+	}
+	for _, b := range c.Engine().BreakerStates() {
+		if b.State != string(eval.BreakerClosed) {
+			t.Fatalf("breakers %+v, want every one closed", c.Engine().BreakerStates())
+		}
 	}
 }
 

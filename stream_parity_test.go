@@ -363,20 +363,19 @@ func TestCachedStreamNonHitsEvaluate(t *testing.T) {
 	fill()
 	stream("filled again", req, false)
 
-	// A degraded citation is never stored, so its stream is never a replay.
+	// A failed citation is never stored, so its stream is never a replay.
 	const shards, stalled = 3, 1
 	in := fault.NewInjector(42)
 	in.SetFault(stalled, fault.ShardFault{Stall: true})
 	cached = NewCached(resilientPaperCiter(t, shards, in, chaosConfig()))
-	degraded := Request{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`, MinShardCoverage: shards - 1}
+	failing := Request{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`}
 	for i := 0; i < 2; i++ {
-		if ct, err := cached.Cite(context.Background(), degraded); ct == nil || !errors.Is(err, ErrPartial) {
-			t.Fatalf("degraded cite %d: (%v, %v)", i, ct, err)
+		if ct, err := cached.Cite(context.Background(), failing); ct != nil || !errors.Is(err, ErrShardUnavailable) {
+			t.Fatalf("cite %d reading the stalled shard: (%v, %v)", i, ct, err)
 		}
-		lines, evaluated, err := collectStream(cached.CiteEach, degraded)
-		var pe *PartialError
-		if !evaluated || !errors.As(err, &pe) || len(lines) == 0 {
-			t.Fatalf("degraded stream %d: %d lines, evaluated=%v, %v — want an evaluation ending in *PartialError", i, len(lines), evaluated, err)
+		lines, evaluated, err := collectStream(cached.CiteEach, failing)
+		if !evaluated || !errors.Is(err, ErrShardUnavailable) || len(lines) != 0 {
+			t.Fatalf("stream %d reading the stalled shard: %d lines, evaluated=%v, %v — want an evaluation failing unavailable", i, len(lines), evaluated, err)
 		}
 	}
 }

@@ -16,16 +16,15 @@ import (
 // trailing newline:
 //
 //	{"columns":[…],"rows":[[…],…],"rewritings":[…],"polynomials":[…],
-//	 "citation":"…","format":"…","explain":{…},"coverage":{…}}
+//	 "citation":"…","format":"…","explain":{…}}
 //
 // columns, rows, rewritings, polynomials, citation and format are Columns,
 // Rows, Rewritings, TuplePolynomialAt of every tuple, Rendered and Format;
-// explain is present on a citation that carries a report (Request.Explain),
-// coverage on a degraded one (the Coverage of its *PartialError).
+// explain is present on a citation that carries a report (Request.Explain).
 //
 // The contract is byte identity with encoding/json: the object is spelled
 // exactly as json.Marshal spells a struct of those fields in that order, the
-// last two as omitempty pointers — nil slices as null, a citation without
+// last as an omitempty pointer — nil slices as null, a citation without
 // tuples with "rows":[] beside "polynomials":null, HTML-escaped strings and
 // all. TestAppendWireMatchesEncodingJSON and FuzzCiteResponse pin it against
 // json.Marshal; citesrv's TestResponsesMatchEncodingJSON pins the handlers'
@@ -52,11 +51,6 @@ func (ct *Citation) AppendWire(dst []byte) ([]byte, error) {
 	dst = format.AppendJSONString(append(dst, `,"format":`...), ct.Format())
 	if ct.explain != nil {
 		if dst, err = appendMarshaled(append(dst, `,"explain":`...), ct.explain); err != nil {
-			return dst, err
-		}
-	}
-	if cov := ct.res.Coverage; cov != nil && cov.Partial() {
-		if dst, err = appendMarshaled(append(dst, `,"coverage":`...), cov); err != nil {
 			return dst, err
 		}
 	}

@@ -11,7 +11,6 @@ import (
 
 	"citare/internal/core"
 	"citare/internal/cq"
-	"citare/internal/eval"
 	"citare/internal/format"
 	"citare/internal/gtopdb"
 	"citare/internal/provenance"
@@ -32,7 +31,6 @@ func wireOracle(t testing.TB, ct *Citation) string {
 		Citation    string     `json:"citation"`
 		Format      string     `json:"format"`
 		Explain     *Explain   `json:"explain,omitempty"`
-		Coverage    *Coverage  `json:"coverage,omitempty"`
 	}
 	rendered, err := ct.Rendered()
 	if err != nil {
@@ -52,9 +50,6 @@ func wireOracle(t testing.TB, ct *Citation) string {
 			t.Fatal(err)
 		}
 		resp.Polynomials = append(resp.Polynomials, p)
-	}
-	if cov := ct.Coverage(); cov.Partial() {
-		resp.Coverage = cov
 	}
 	b, err := json.Marshal(resp)
 	if err != nil {
@@ -135,18 +130,6 @@ func TestAppendWireMatchesEncodingJSON(t *testing.T) {
 	if builds, n := cached.WireStats(); builds == 0 || n == 0 {
 		t.Fatalf("no memo was built: %d builds, %d bytes", builds, n)
 	}
-
-	// A degraded citation carries its coverage report.
-	ct, err := citer.Cite(ctx, Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := *ct.res
-	res.Coverage = &eval.Coverage{Shards: 4, Answered: 3, Skipped: 1, Attempts: 6, Retries: 2,
-		PerShard: []eval.ShardCoverage{{Shard: 2, State: eval.ShardSkipped}}, SkippedViews: []string{"V<1>"}}
-	assertWire(t, "degraded", &Citation{res: &res})
-	res.Coverage = &eval.Coverage{Shards: 4, Answered: 4} // complete: no coverage field
-	assertWire(t, "full coverage", &Citation{res: &res})
 }
 
 // fuzzCitation builds a citation whose every string — column labels, tuple
