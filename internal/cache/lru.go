@@ -105,6 +105,21 @@ func (c *Sharded[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
+// Peek returns the cached value for key without marking it used or counting
+// a hit or a miss: for a reader passing through once, whose reads should
+// neither reorder the cache nor show in its traffic.
+func (c *Sharded[V]) Peek(key string) (V, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.m[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return e.val, true
+}
+
 // Put stores the value for key, evicting the least recently used entry of
 // the key's shard when over capacity.
 func (c *Sharded[V]) Put(key string, v V) {

@@ -47,6 +47,27 @@ func TestEvictsLRUOrder(t *testing.T) {
 	}
 }
 
+// Peek neither refreshes an entry nor counts: the peeked entry is still
+// the least recently used one and is evicted next.
+func TestPeekLeavesOrderAndCounters(t *testing.T) {
+	c := NewSharded[string](1, 2)
+	c.Put("a", "A")
+	c.Put("b", "B")
+	if v, ok := c.Peek("a"); !ok || v != "A" {
+		t.Fatalf("peek a: %q %v", v, ok)
+	}
+	if _, ok := c.Peek("z"); ok {
+		t.Fatal("peek of an absent key hit")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("peeks counted: %+v", st)
+	}
+	c.Put("c", "C")
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("a was peeked, not used: it should have been evicted")
+	}
+}
+
 func TestGetOrComputeSingleflight(t *testing.T) {
 	c := NewSharded[int](4, 64)
 	var computes atomic.Int32

@@ -3,9 +3,9 @@ package lsm
 import "bytes"
 
 // Compaction merges every table of levels 0 and 1 into a fresh run of
-// level-1 tables, split at TargetTableBytes. Because versions are the
-// store's time-travel history, compaction must keep every (logical key,
-// version) pair alive forever; the only entries it may drop are lower-
+// level-1 tables, cut when a file reaches TargetTableBytes. Because versions
+// are the store's time-travel history, compaction must keep every (logical
+// key, version) pair alive forever; the only entries it may drop are lower-
 // sequence duplicates within one such pair (an insert immediately
 // superseded by a delete in the same version, or vice versa), which no
 // view at any version can observe.
@@ -39,15 +39,17 @@ func (s *Store) Compact() error {
 	}
 
 	// Merge newest-first sources; within one (logical, version) pair the
-	// highest sequence arrives first and later duplicates are dropped.
+	// highest sequence arrives first and later duplicates are dropped. The
+	// merge reads every input block once, so it does not fill the block
+	// cache: that would evict the read path's working set for blocks about
+	// to be obsolete.
 	sc := getScratch()
 	defer sc.put()
-	m := sc.mergeSources(nil, captured.levels, nil, nil)
+	m := sc.mergeSources(nil, captured.levels, nil, nil, true)
 
 	var outputs []*sstReader
 	var sw *sstWriter
 	var swID uint64
-	var swBytes int
 	var lastLogical []byte
 	var lastVersion uint64
 	finishCurrent := func() error {
@@ -90,13 +92,11 @@ func (s *Store) Compact() error {
 			if sw, err = newSSTWriter(s.tablePath(swID), s.opt.BlockBytes); err != nil {
 				return fail(err)
 			}
-			swBytes = 0
 		}
 		if err := sw.add(key, m.op()); err != nil {
 			return fail(err)
 		}
-		swBytes += len(key) + 2
-		if swBytes >= s.opt.TargetTableBytes {
+		if sw.size() >= uint64(s.opt.TargetTableBytes) {
 			if err := finishCurrent(); err != nil {
 				return fail(err)
 			}

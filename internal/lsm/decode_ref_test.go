@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -138,24 +137,30 @@ func FuzzDecodeRow(f *testing.F) {
 	})
 }
 
-// FuzzDataBlock: arbitrary bytes given a matching CRC, opened through the
-// block cache's fill, yield a corruption error or entry offsets that all lie
-// in bounds; the fill never panics and never allocates offsets beyond the
-// block's length.
+// FuzzDataBlock: arbitrary bytes given a matching CRC and an arbitrary
+// decoded length, opened through the block cache's fill, yield a framing
+// corruption error (errEntry, errBlockSize) or a decoded block exactly the
+// index's decoded length long whose entries all frame in bounds; the fill
+// never panics and never allocates beyond the decoded length.
 func FuzzDataBlock(f *testing.F) {
-	var good []byte
+	sw := &sstWriter{blockSize: 1 << 30} // never cuts: block holds the encoding
 	for i := 0; i < 4; i++ {
-		key := appendStamp(appendRotation(nil, "r", 0, []string{fmt.Sprint(i)}), 1, uint64(i))
-		good = binary.AppendUvarint(good, uint64(len(key)))
-		good = append(append(good, key...), opSet)
+		key := appendStamp(appendRotation(nil, "r", 0, []string{fmt.Sprint(i * 11)}), 1, uint64(i))
+		if err := sw.add(key, opSet); err != nil {
+			f.Fatal(err)
+		}
 	}
-	f.Add(good)
-	f.Add(good[:len(good)-1])
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Add([]byte{16})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		bm := blockMeta{off: 0, len: uint64(len(data)), crc: crc32.ChecksumIEEE(data)}
+	good, dlen := sw.block, uint32(sw.dlen)
+	f.Add(good, dlen)
+	f.Add(good, dlen-1)
+	f.Add(good, dlen+1)
+	f.Add(good[:len(good)-1], dlen)
+	f.Add([]byte{0, 1, 'a', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, opSet}, uint32(1+17+1))
+	f.Add([]byte{1, 0, 0, 0, opSet}, uint32(1+16+1))
+	f.Add([]byte{0, 0x80}, uint32(1<<31))
+	f.Add([]byte{}, uint32(0))
+	f.Fuzz(func(t *testing.T, data []byte, dlen uint32) {
+		bm := blockMeta{off: 0, len: uint64(len(data)), dlen: uint64(dlen), crc: crc32.ChecksumIEEE(data)}
 		blk, err := loadBlock(bytesReaderAt(data), bm, "fuzz.sst")
 		if err != nil {
 			if !errors.Is(err, errBlockSize) && !errors.Is(err, errEntry) {
@@ -163,16 +168,20 @@ func FuzzDataBlock(f *testing.F) {
 			}
 			return
 		}
-		if len(blk.offs) == 0 || 4*cap(blk.offs) > len(data) {
-			t.Fatalf("%d offsets (cap %d) for a %d-byte block", len(blk.offs), cap(blk.offs), len(data))
+		if uint64(len(blk.data)) != bm.dlen || cap(blk.data) != len(blk.data) {
+			t.Fatalf("decoded %d bytes (cap %d), the index says %d", len(blk.data), cap(blk.data), dlen)
+		}
+		// A decoded entry is at least a length byte, a stamp and an op.
+		if len(blk.offs) == 0 || (stampLen+2)*cap(blk.offs) > len(blk.data) {
+			t.Fatalf("%d offsets (cap %d) for a %d-byte decoded block", len(blk.offs), cap(blk.offs), len(blk.data))
 		}
 		for i, off := range blk.offs {
-			if int(off) >= len(data) || (i > 0 && off <= blk.offs[i-1]) {
-				t.Fatalf("offset %d = %d out of order or bounds (block %d bytes)", i, off, len(data))
+			end, ok := entryEnd(blk.data, int(off))
+			if !ok || (i > 0 && off <= blk.offs[i-1]) {
+				t.Fatalf("entry %d at %d out of order or unframed (block %d bytes)", i, off, len(blk.data))
 			}
-			key, _ := blk.entry(i)
-			if len(key) < stampLen {
-				t.Fatalf("entry %d key shorter than its stamp", i)
+			if i == len(blk.offs)-1 && end != len(blk.data) {
+				t.Fatalf("last entry ends at %d of %d decoded bytes", end, len(blk.data))
 			}
 		}
 		blk.search(good)

@@ -34,6 +34,11 @@ import (
 // within one logical key, the newest write sorts first — an AsOf(V) read
 // seeks to the logical key and takes the first entry with version ≤ V.
 //
+// Full keys are what the memtable, the block cache and every reader see. An
+// SSTable data block on disk stores them smaller — each logical key against
+// the previous entry's, the stamp as two plain uvarints — and the block
+// cache's fill rebuilds the full keys (sstable.go).
+//
 // Each relation is stored under arity many orderings: ordering o holds the
 // tuple rotated to start at column o, giving every column a covering index a
 // prefix scan can serve. Ordering pkOrd additionally indexes relations whose

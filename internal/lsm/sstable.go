@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"sort"
 	"strconv"
@@ -19,23 +21,39 @@ import (
 //
 //	block*  index  bloom  footer
 //
-// Data blocks hold sorted entries (uvarint key length, key bytes, op byte),
-// cut at ~blockBytes boundaries. The index records every block's first key,
-// offset, length and CRC; the bloom filter covers the logical key of every
-// entry. The fixed-size footer points at both and carries a CRC over them,
-// so a torn write anywhere in the metadata is detected at open.
+// A data block holds sorted entries, each storing its logical key once
+// against the entry before it:
 //
-// The file carries no per-entry offsets. A reader builds them when a block
-// enters the block cache: the fill checks the CRC and the framing of every
-// entry once and keeps the entry offsets beside the bytes (dataBlock), so a
-// seek is a binary search over the index and then over the block's entries,
-// O(log entries) key compares.
+//	entry := uvarint shared  uvarint unshared  unshared-bytes
+//	         uvarint version  uvarint seq  op
+//
+// shared counts the leading bytes the entry's logical key has in common
+// with the previous entry's (0 for a block's first entry), and the stamp is
+// the plain version and sequence, not the inverted fixed-width suffix of a
+// full key. Blocks are cut when their decoded size (below) reaches
+// blockBytes. The index records every block's first full key, offset,
+// length, decoded length and CRC; the bloom filter covers the logical key of
+// every entry. The fixed-size footer points at both and carries a CRC over
+// them, so a torn write anywhere in the metadata is detected at open.
+//
+// A reader decodes a block when it enters the block cache: the fill checks
+// the CRC and the framing of every entry once and rebuilds the entries as
+// (uvarint full-key length, full key, op byte), keeping each entry's offset
+// beside the bytes (dataBlock). So everything above the fill sees full keys,
+// and a seek is a binary search over the index and then over the block's
+// entries, O(log entries) key compares.
 
 const (
-	sstMagic         = 0xC17A_4E5D_B01D_FACE
+	sstMagic         = 0xC17A_4E5D_B01D_FAD0
+	sstMagicFullKeys = 0xC17A_4E5D_B01D_FACE // format 1: full keys in blocks
 	footerLen        = 5*8 + 4 + 8
 	defaultBlockSize = 16 << 10
 )
+
+// ErrOldTableFormat is what opening a store returns for an SSTable of format
+// 1, whose blocks held every entry's full key. No reader for it is kept:
+// rebuild the store from its source data.
+var ErrOldTableFormat = errors.New("lsm: sstable format 1 (full-key blocks) is no longer read")
 
 func errCorrupt(what string) error { return fmt.Errorf("lsm: corrupt sstable: %s", what) }
 
@@ -43,6 +61,7 @@ type blockMeta struct {
 	firstKey []byte
 	off      uint64
 	len      uint64
+	dlen     uint64 // decoded length: the block's size in the block cache
 	crc      uint32
 }
 
@@ -51,7 +70,8 @@ type sstWriter struct {
 	f         *os.File
 	w         *bufio.Writer
 	blockSize int
-	block     []byte
+	block     []byte // the current block, encoded
+	dlen      int    // the current block's decoded length
 	firstKey  []byte
 	index     []blockMeta
 	keys      [][]byte // logical keys for the bloom, deduplicated while sorted
@@ -75,19 +95,35 @@ func (sw *sstWriter) add(key []byte, op byte) error {
 	if sw.firstKey == nil {
 		sw.firstKey = append([]byte(nil), key...)
 	}
-	sw.block = binary.AppendUvarint(sw.block, uint64(len(key)))
-	sw.block = append(sw.block, key...)
-	sw.block = append(sw.block, op)
-	sw.entries++
 	logical := logicalOf(key)
+	shared := 0
+	if sw.dlen > 0 { // the last bloom key is the previous entry's logical key
+		prev := sw.keys[len(sw.keys)-1]
+		for shared < min(len(prev), len(logical)) && prev[shared] == logical[shared] {
+			shared++
+		}
+	}
+	version, seq := stampOf(key)
+	sw.block = binary.AppendUvarint(sw.block, uint64(shared))
+	sw.block = binary.AppendUvarint(sw.block, uint64(len(logical)-shared))
+	sw.block = append(sw.block, logical[shared:]...)
+	sw.block = binary.AppendUvarint(binary.AppendUvarint(sw.block, version), seq)
+	sw.block = append(sw.block, op)
+	sw.dlen += uvarintLen(uint64(len(key))) + len(key) + 1
+	sw.entries++
 	if len(sw.keys) == 0 || !bytes.Equal(sw.keys[len(sw.keys)-1], logical) {
 		sw.keys = append(sw.keys, append([]byte(nil), logical...))
 	}
-	if len(sw.block) >= sw.blockSize {
+	if sw.dlen >= sw.blockSize {
 		return sw.cutBlock()
 	}
 	return nil
 }
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// size is the file's length so far, the current block included.
+func (sw *sstWriter) size() uint64 { return sw.off + uint64(len(sw.block)) }
 
 func (sw *sstWriter) cutBlock() error {
 	if len(sw.block) == 0 {
@@ -100,10 +136,11 @@ func (sw *sstWriter) cutBlock() error {
 		firstKey: sw.firstKey,
 		off:      sw.off,
 		len:      uint64(len(sw.block)),
+		dlen:     uint64(sw.dlen),
 		crc:      crc32.ChecksumIEEE(sw.block),
 	})
 	sw.off += uint64(len(sw.block))
-	sw.block = sw.block[:0]
+	sw.block, sw.dlen = sw.block[:0], 0
 	sw.firstKey = nil
 	return nil
 }
@@ -125,6 +162,7 @@ func (sw *sstWriter) finish() (err error) {
 		meta = append(meta, bm.firstKey...)
 		meta = binary.AppendUvarint(meta, bm.off)
 		meta = binary.AppendUvarint(meta, bm.len)
+		meta = binary.AppendUvarint(meta, bm.dlen)
 		meta = binary.LittleEndian.AppendUint32(meta, bm.crc)
 	}
 	bl := newBloom(len(sw.keys))
@@ -200,7 +238,12 @@ func openSSTable(path string, id uint64, blocks *cache.Sharded[*dataBlock]) (*ss
 		f.Close()
 		return nil, err
 	}
-	if binary.LittleEndian.Uint64(footer[44:]) != sstMagic {
+	switch binary.LittleEndian.Uint64(footer[44:]) {
+	case sstMagic:
+	case sstMagicFullKeys:
+		f.Close()
+		return nil, fmt.Errorf("%w: %s", ErrOldTableFormat, path)
+	default:
 		f.Close()
 		return nil, errCorrupt("bad magic")
 	}
@@ -252,6 +295,11 @@ func openSSTable(path string, id uint64, blocks *cache.Sharded[*dataBlock]) (*ss
 			return nil, errCorrupt("index length")
 		}
 		raw = raw[n:]
+		if bm.dlen, n = binary.Uvarint(raw); n <= 0 {
+			f.Close()
+			return nil, errCorrupt("index decoded length")
+		}
+		raw = raw[n:]
 		if bm.len > idxOff || bm.off > idxOff-bm.len {
 			f.Close()
 			return nil, errCorrupt("index block extent")
@@ -292,7 +340,7 @@ func (r *sstReader) markObsolete() {
 }
 
 // dataBlock is one verified data block as the block cache holds it: the
-// block's bytes and the offset of every entry in them.
+// block's decoded bytes and the offset of every entry in them.
 type dataBlock struct {
 	data []byte
 	offs []uint32
@@ -304,22 +352,53 @@ var (
 	errEntry     = errCorrupt("data block entry")
 )
 
-// parseBlock checks the framing of every entry of a block and records where
-// each one starts. Every full key carries a stamp, so an entry is at least
-// 2+stampLen bytes and offs never outgrows the block.
-func parseBlock(data []byte) (*dataBlock, error) {
-	if len(data) == 0 || len(data) > 1<<31 {
+// parseBlock decodes an encoded block into its cached form in one pass,
+// checking the framing of every entry, then records where each decoded entry
+// starts. dlen is the decoded length the index records: the decode fills one
+// buffer of exactly that size. A block of n encoded bytes holds at most n/5
+// entries of at most n+32 decoded bytes each, so a dlen past that is corrupt
+// rather than an allocation size.
+func parseBlock(enc []byte, dlen uint64) (*dataBlock, error) {
+	n := uint64(len(enc))
+	if n == 0 || dlen == 0 || dlen > 1<<31 || dlen/(n+32) > n/5 {
 		return nil, errBlockSize
 	}
-	n := 0
-	for pos := 0; pos < len(data); n++ {
-		next, ok := entryEnd(data, pos)
-		if !ok {
+	data := make([]byte, 0, dlen)
+	var prev []byte // the previous entry's logical key, inside data
+	pos, entries := 0, 0
+	uvarint := func() (uint64, bool) {
+		v, k := binary.Uvarint(enc[pos:])
+		pos += max(k, 0)
+		return v, k > 0
+	}
+	for ; pos < len(enc); entries++ {
+		shared, ok1 := uvarint()
+		unshared, ok2 := uvarint()
+		if !ok1 || !ok2 || shared > uint64(len(prev)) || unshared > uint64(len(enc)-pos) {
 			return nil, errEntry
 		}
-		pos = next
+		suffix := enc[pos : pos+int(unshared)]
+		pos += int(unshared)
+		version, ok1 := uvarint()
+		seq, ok2 := uvarint()
+		if !ok1 || !ok2 || pos == len(enc) {
+			return nil, errEntry
+		}
+		klen := shared + unshared + stampLen
+		if uint64(uvarintLen(klen))+klen+1 > uint64(cap(data)-len(data)) {
+			return nil, errBlockSize
+		}
+		data = binary.AppendUvarint(data, klen)
+		start := len(data)
+		data = append(append(data, prev[:shared]...), suffix...)
+		prev = data[start:]
+		data = append(appendStamp(data, version, seq), enc[pos])
+		pos++
 	}
-	offs := make([]uint32, 0, n)
+	if uint64(len(data)) != dlen {
+		return nil, errBlockSize
+	}
+	offs := make([]uint32, 0, entries)
 	for pos := 0; pos < len(data); {
 		offs = append(offs, uint32(pos))
 		pos, _ = entryEnd(data, pos)
@@ -327,9 +406,9 @@ func parseBlock(data []byte) (*dataBlock, error) {
 	return &dataBlock{data: data, offs: offs}, nil
 }
 
-// entryEnd returns where the entry starting at pos ends, or false when it
-// does not frame: a bad length, a key shorter than its stamp, or a key or
-// op byte running past the block.
+// entryEnd returns where the decoded entry starting at pos ends, or false
+// when it does not frame: a bad length, a key shorter than its stamp, or a
+// key or op byte running past the block.
 func entryEnd(data []byte, pos int) (int, bool) {
 	klen, n := binary.Uvarint(data[pos:])
 	if n <= 0 || klen < stampLen || klen >= uint64(len(data)-pos-n) {
@@ -354,8 +433,8 @@ func (b *dataBlock) search(target []byte) int {
 	})
 }
 
-// loadBlock reads one data block, verifies its CRC and parses its entry
-// offsets: the block cache's fill.
+// loadBlock reads one data block, verifies its CRC and decodes it: the
+// block cache's fill.
 func loadBlock(f io.ReaderAt, bm blockMeta, path string) (*dataBlock, error) {
 	buf := make([]byte, bm.len)
 	if _, err := f.ReadAt(buf, int64(bm.off)); err != nil {
@@ -364,7 +443,7 @@ func loadBlock(f io.ReaderAt, bm blockMeta, path string) (*dataBlock, error) {
 	if crc32.ChecksumIEEE(buf) != bm.crc {
 		return nil, errCorrupt("block checksum " + path)
 	}
-	blk, err := parseBlock(buf)
+	blk, err := parseBlock(buf, bm.dlen)
 	if err != nil {
 		return nil, fmt.Errorf("%w in %s", err, path)
 	}
@@ -377,6 +456,16 @@ func (r *sstReader) readBlock(i int) (*dataBlock, error) {
 		return loadBlock(r.f, r.index[i], r.path)
 	})
 	return blk, err
+}
+
+// peekBlock is readBlock for compaction, which reads every block once: it
+// takes a cached block if there is one and leaves the cache, its order and
+// its counters as they are.
+func (r *sstReader) peekBlock(i int) (*dataBlock, error) {
+	if blk, ok := r.blocks.Peek(r.keys[i]); ok {
+		return blk, nil
+	}
+	return loadBlock(r.f, r.index[i], r.path)
 }
 
 // tableIter iterates one SSTable ascending within [start, end). It is the
@@ -392,6 +481,7 @@ type tableIter struct {
 	curKey   []byte
 	curOp    byte
 	err      error
+	noFill   bool // compaction's: read blocks with peekBlock; kept by seek
 }
 
 // seek positions the iterator before the first key ≥ start of r: a binary
@@ -405,7 +495,7 @@ func (it *tableIter) seek(r *sstReader, start, end []byte) {
 	if i < 0 {
 		i = 0
 	}
-	*it = tableIter{r: r, blockIdx: i, end: end}
+	*it = tableIter{r: r, blockIdx: i, end: end, noFill: it.noFill}
 	if it.load(); it.blk != nil {
 		it.pos = it.blk.search(start)
 	}
@@ -419,7 +509,11 @@ func (it *tableIter) load() {
 		it.end != nil && bytes.Compare(it.r.index[it.blockIdx].firstKey, it.end) >= 0 {
 		return
 	}
-	it.blk, it.err = it.r.readBlock(it.blockIdx)
+	if it.noFill {
+		it.blk, it.err = it.r.peekBlock(it.blockIdx)
+	} else {
+		it.blk, it.err = it.r.readBlock(it.blockIdx)
+	}
 }
 
 func (it *tableIter) next() bool {

@@ -22,7 +22,8 @@ type Options struct {
 	// MemtableBytes flushes the memtable to an SSTable once its estimated
 	// size exceeds this bound. Default 8 MiB.
 	MemtableBytes int
-	// BlockBytes is the SSTable data-block size. Default 16 KiB.
+	// BlockBytes is the SSTable data-block size, counted as the block cache
+	// holds a block (decoded; on disk it is smaller). Default 16 KiB.
 	BlockBytes int
 	// L0CompactTrigger starts a compaction when L0 accumulates this many
 	// tables. Default 4.

@@ -171,8 +171,9 @@ func (sc *scanScratch) setRange() (end []byte) {
 
 // mergeSources positions one iterator per source over [start, end) — the
 // memtable (none when mem is nil) and every table of every level — and
-// returns their merge.
-func (sc *scanScratch) mergeSources(mem *skiplist, levels [][]*sstReader, start, end []byte) *mergeIter {
+// returns their merge. With noFill the table iterators leave the block cache
+// as it is (compaction).
+func (sc *scanScratch) mergeSources(mem *skiplist, levels [][]*sstReader, start, end []byte, noFill bool) *mergeIter {
 	n := 0
 	for _, level := range levels {
 		n += len(level)
@@ -186,6 +187,7 @@ func (sc *scanScratch) mergeSources(mem *skiplist, levels [][]*sstReader, start,
 	i := 0
 	for _, level := range levels {
 		for _, r := range level {
+			tables[i].noFill = noFill
 			tables[i].seek(r, start, end)
 			srcs = append(srcs, &tables[i])
 			i++
@@ -203,7 +205,7 @@ func (sc *scanScratch) mergeSources(mem *skiplist, levels [][]*sstReader, start,
 // older. Invisible entries (too-new version or sequence) are skipped without
 // deciding, letting an older entry of the same logical key speak.
 func (v *View) scanVisible(sc *scanScratch, start, end []byte, fn func(logical []byte) bool) {
-	m := sc.mergeSources(v.mem, v.tables.levels, start, end)
+	m := sc.mergeSources(v.mem, v.tables.levels, start, end, false)
 	var decided []byte
 	for m.next() {
 		key := m.key()
