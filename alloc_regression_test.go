@@ -4,8 +4,12 @@ package citare
 // are one function: it shares one pre-sized TupleCitation slab between the
 // output evaluation, the rewriting gather and the final Result — no
 // per-tuple heap skeletons, no copying append — and gathers rewriting
-// polynomials straight off eval.Plan.Each's slot frames, their monomials
-// from a per-evaluation memo, and renders tokens from one columnar row set.
+// polynomials straight off slot frames: those of the output evaluation
+// itself (eval.Plan.EvalEach) for every rewriting whose expansion is the
+// query renamed, so the query is enumerated once, with the polynomials put
+// on the tuples' rows rather than in a map per rewriting; their monomials
+// come from a per-evaluation memo, and tokens render from one columnar row
+// set.
 // These tests pin that behavior two ways: byte-parity of Cite against
 // CiteEach on the citegraph workload, and allocs/op ceilings at the measured
 // count plus about 15%, so that a per-tuple pointer + copy regime (2 extra
@@ -26,12 +30,14 @@ import (
 )
 
 // TestMaterializedCiteAllocs asserts allocs/op ceilings for warm materialized
-// Cite calls on the citegraph workload. Measured: 133 allocs for a
-// single-row resolution, 6.8 per row on the 210-row hot-key probe, 16.9 per
-// row on the 17-row venue rollup (199, 47.9 and 75.3 while every frame built
-// its tokens and a map-based monomial and every citation-query row a map and
-// a sorted key string); the ceilings carry about 15% headroom. Revisit the
-// constants deliberately if a feature legitimately needs more.
+// Cite calls on the citegraph workload. Measured: 78 allocs for a
+// single-row resolution, 4.6 per row on the 210-row hot-key probe, 10.4 per
+// row on the 17-row venue rollup with every rewriting read off the output
+// evaluation (99, 6.7 and 14.1 while each rewriting enumerated its
+// expansion again into a map of its own; 199, 47.9 and 75.3 while every
+// frame built its tokens and a map-based monomial and every citation-query
+// row a map and a sorted key string); the ceilings carry about 15% headroom.
+// Revisit the constants deliberately if a feature legitimately needs more.
 func TestMaterializedCiteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -44,9 +50,9 @@ func TestMaterializedCiteAllocs(t *testing.T) {
 		ceiling float64 // absolute allocs/op
 		perRow  float64 // alternatively, allocs per result row
 	}{
-		{"resolution-1row", citegraph.ResolutionQuery(citegraph.HotWork()), 153, 0},
-		{"hotkey-incoming", citegraph.IncomingQuery(citegraph.HotWork()), 0, 7.8},
-		{"venue-rollup", citegraph.VenueRollupQuery(citegraph.VenueID(1)), 0, 19.5},
+		{"resolution-1row", citegraph.ResolutionQuery(citegraph.HotWork()), 90, 0},
+		{"hotkey-incoming", citegraph.IncomingQuery(citegraph.HotWork()), 0, 5.3},
+		{"venue-rollup", citegraph.VenueRollupQuery(citegraph.VenueID(1)), 0, 12.0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,11 +111,12 @@ func gtopdbTypeInstance(t *testing.T) *Citer {
 // several KB shared by all of them. The tuple's record must alias that
 // citation and, where a tuple's citation repeats an earlier one of the
 // request, be handed out again as is — not rebuilt, re-compared and
-// re-encoded value by value. Measured: 22 allocs per tuple (eval and gather,
-// nearly all of it) with shared records, the per-request memo and the flat
-// algebra; 82 while every frame built a map-based monomial and its key three
-// times over, 681 when every tuple deep-copied and re-keyed the type
-// citation.
+// re-encoded value by value. Measured: 12.6 allocs per tuple (eval and
+// gather, nearly all of it) with shared records, the per-request memo, the
+// flat algebra and the rewritings read off the output evaluation; 21 while
+// each rewriting enumerated the join again, 82 while every frame built a
+// map-based monomial and its key three times over, 681 when every tuple
+// deep-copied and re-keyed the type citation.
 func TestStreamedTupleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -128,9 +135,9 @@ func TestStreamedTupleAllocs(t *testing.T) {
 		t.Fatalf("type ⋈ committee returned %d tuples, want a result worth streaming", tuples)
 	}
 	perTuple := testing.AllocsPerRun(5, stream) / float64(tuples)
-	t.Logf("CiteEach: %.0f allocs per streamed tuple over %d tuples", perTuple, tuples)
-	if perTuple > 26 {
-		t.Fatalf("CiteEach: %.0f allocs per streamed tuple over %d tuples, ceiling 26 — tuples are rebuilding the shared type citation or their monomials", perTuple, tuples)
+	t.Logf("CiteEach: %.1f allocs per streamed tuple over %d tuples", perTuple, tuples)
+	if perTuple > 14.5 {
+		t.Fatalf("CiteEach: %.1f allocs per streamed tuple over %d tuples, ceiling 14.5 — tuples are rebuilding the shared type citation or their monomials", perTuple, tuples)
 	}
 }
 
@@ -270,7 +277,7 @@ func TestCachedCitationRetainedSize(t *testing.T) {
 // the cached tuple is shared — and nothing else: no evaluation, no render, no
 // encoding after the entry's first replay. Measured: 3 allocations per stream
 // (the two lookup keys and the callback) plus 1.00 per tuple; the cold stream
-// of the same request makes 22 per tuple (TestStreamedTupleAllocs).
+// of the same request makes 12.6 per tuple (TestStreamedTupleAllocs).
 func TestCachedStreamHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -354,16 +361,17 @@ var warmShapeQueries = []struct{ name, datalog string }{
 // of a lookup service. Such a request binds the shape's compiled plans; it
 // must not minimize, enumerate rewritings or compile again. Measured per
 // Cite of a family never asked about before (token rendering for that family
-// included): point lookup 241 allocs, committee join 279 (345 and 567 with a
-// map per citation-query row and per monomial); when plans were keyed by the
-// query with its constants, 1121 and 2199. The ceilings carry about 15%
-// headroom.
+// included): point lookup 221 allocs, committee join 223 with the rewritings
+// read off the output evaluation (243 and 281 while each enumerated its
+// expansion again, 345 and 567 with a map per citation-query row and per
+// monomial); when plans were keyed by the query with its constants, 1121 and
+// 2199. The ceilings carry about 15% headroom.
 func TestNewConstantOnWarmShapeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	c := gtopdbTypeInstance(t)
-	ceilings := map[string]float64{"point-lookup": 280, "committee-join": 320}
+	ceilings := map[string]float64{"point-lookup": 254, "committee-join": 256}
 	for _, q := range warmShapeQueries {
 		t.Run(q.name, func(t *testing.T) {
 			next := 0

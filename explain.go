@@ -31,8 +31,11 @@ type ExplainStage struct {
 	// "token_cache_hits" and "token_cache_misses", and over a persistent
 	// store "token_cache_revalidated" (hits brought forward from an older
 	// snapshot) and "token_delta_rows" (rows the delta rule added); on a
-	// "rewriting" span "atoms" (of the expansion it is evaluated through),
-	// "frames" and "deduped" (frames that repeated a binding); on a "shard"
+	// "gather" the rewritings "read_off" the output evaluation's frames
+	// (their expansion is the query renamed) and those "evaluated" through
+	// an enumeration of their own; on a "rewriting" span "atoms" (of its
+	// expansion), "frames" and "deduped" (frames that repeated a binding),
+	// and "strategy" when it was evaluated; on a "shard"
 	// span the "shard" it read, the "error" that failed it, and under the
 	// attempt policy (WithResilience) its "attempts" and "hedges".
 	Attrs map[string]any `json:"attrs,omitempty"`

@@ -26,9 +26,12 @@ const tokenCacheSize = 4096
 //
 // Citation views are never stored: a rewriting is evaluated through its
 // expansion over base relations (unfolded), on the same snapshot the output
-// query and the token citation queries read. That holds for every storage
-// mode — a plain database, a hash-partitioned one, a persistent backend —
-// which differ only in how their SnapshotSource takes the snapshot.
+// query and the token citation queries read; where the expansion is the
+// minimized query renamed, its bindings are read off the output evaluation's
+// frames, so the query is enumerated once (gather.go). That holds for every
+// storage mode — a plain database, a hash-partitioned one, a persistent
+// backend — which differ only in how their SnapshotSource takes the
+// snapshot.
 //
 // Concurrency model: an Engine is safe for concurrent use. At construction
 // (and on every Reset) it takes an immutable storage snapshot and evaluates
@@ -452,31 +455,30 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 	res = &Result{Query: p.min, Columns: HeadColumns(p.min)}
 
 	// Evaluate the query itself for the output tuples (independent of any
-	// rewriting, so even an un-rewritable query reports its answers). The
-	// per-request tuple bound applies here: the citation of a result is
-	// per-tuple, so a result too large to return is aborted before any
-	// rewriting work happens.
+	// rewriting, so even an un-rewritable query reports its answers), reading
+	// the bindings of every rewriting whose expansion is the query renamed
+	// off the same frames. The per-request tuple bound applies here: the
+	// citation of a result is per-tuple, so a result too large to return is
+	// aborted before any rewriting is evaluated on its own.
 	st := e.curState()
 	outOpts := eval.Options{Parallel: eval.Auto, MaxTuples: o.MaxTuples}
 	ev := ob.begin(obs.StageEval)
-	out, err := st.snap.eval(ob.ctxFor(ctx, ev), p.min, outOpts)
+	g, out, err := e.evalOutput(ob.ctxFor(ctx, ev), st, p.min, us, outOpts)
 	ob.end(ev)
 	if err != nil {
 		return nil, err
 	}
 	ob.tr.SetInt(ev.id, "tuples", int64(len(out.Tuples)))
 	// One slab holds every tuple's citation, in the evaluation's sorted key
-	// order — the deterministic citation order. perKey indexes into it, so
-	// the gather and combine stages fill the final slots in place: no
-	// per-tuple heap skeletons, no copying append at the end.
+	// order — the deterministic citation order. The gather and combine
+	// stages fill the final slots in place: no per-tuple heap skeletons, no
+	// copying append at the end.
 	tuples := make([]TupleCitation, len(out.Tuples))
-	perKey := make(map[string]*TupleCitation, len(out.Tuples))
 	for i, t := range out.Tuples {
 		tuples[i].Tuple = t
-		perKey[out.Keys[i]] = &tuples[i]
 	}
 
-	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, us, perKey); err != nil {
+	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, us, g, out, tuples); err != nil {
 		return nil, err
 	}
 

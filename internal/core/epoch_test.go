@@ -8,13 +8,16 @@ package core_test
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"citare/internal/backend"
 	"citare/internal/core"
+	"citare/internal/datalog"
 	"citare/internal/eval"
 	"citare/internal/gtopdb"
 	"citare/internal/lsm"
@@ -254,8 +257,8 @@ func TestResetAllocsDoNotGrowWithCachedTokens(t *testing.T) {
 
 // gatedSource is a SnapshotSource over a live database whose snapshots can
 // stall the reads of one relation: after close(pass), the next pass reads of
-// it go through and every later one blocks, announcing itself on entered,
-// until open.
+// it go through and every later one blocks, announcing itself on entered
+// with its goroutine's stack, until open.
 type gatedSource struct {
 	db  *storage.DB
 	rel string
@@ -263,12 +266,12 @@ type gatedSource struct {
 	mu      sync.Mutex
 	pass    int
 	gate    chan struct{} // nil: open
-	entered chan struct{}
+	entered chan string
 }
 
 func newGatedSource(db *storage.DB, rel string) *gatedSource {
 	// One slot is enough: the tests wait for the first blocked read only.
-	return &gatedSource{db: db, rel: rel, entered: make(chan struct{}, 1)}
+	return &gatedSource{db: db, rel: rel, entered: make(chan string, 1)}
 }
 
 func (g *gatedSource) close(pass int) {
@@ -296,19 +299,31 @@ func (g *gatedSource) read() {
 		return
 	}
 	select {
-	case g.entered <- struct{}{}:
+	case g.entered <- string(debug.Stack()):
 	default:
 	}
 	<-gate
 }
 
-// awaitStalled returns once a read is blocked at the gate.
-func (g *gatedSource) awaitStalled(t *testing.T) {
+// awaitStalled returns once a read is blocked at the gate, with the stack of
+// the goroutine that made it.
+func (g *gatedSource) awaitStalled(t *testing.T) string {
 	t.Helper()
 	select {
-	case <-g.entered:
+	case stack := <-g.entered:
+		return stack
 	case <-time.After(20 * time.Second):
 		t.Fatal("no read reached the closed gate")
+		return ""
+	}
+}
+
+// stalledIn fails the test unless the stalled read's stack passes through
+// the engine's function fn.
+func stalledIn(t *testing.T, stack, fn string) {
+	t.Helper()
+	if !strings.Contains(stack, "core.(*Engine)."+fn+"(") && !strings.Contains(stack, "core.(*CitationView)."+fn+"(") {
+		t.Fatalf("the read stalled outside %s:\n%s", fn, stack)
 	}
 }
 
@@ -375,10 +390,30 @@ func await(t *testing.T, what string, ch <-chan string) string {
 
 // The gated tests read R through one request and S through another; both
 // queries have rewritings (VE, VS), so both evaluate views on first use.
+// Under gatedViews the R query has a second one, VN, whose expansion
+// R(A, B), R(A, C) is not the query renamed: it is enumerated on its own,
+// after the output evaluation's one read of R and before token rendering.
 const (
 	gatedQuery = `Q(A) :- R(A, B)`
 	otherQuery = `Q(A, C) :- S(A, C)`
 )
+
+// gatedViews are oracleViews plus VN.
+func gatedViews(t *testing.T) []*core.CitationView {
+	t.Helper()
+	prog, err := datalog.ParseProgram(oracleViews + `
+view λA. VN(A) :- R(A, B), R(A, C).
+cite VN λA. CVN(A) :- R(A, B).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := core.FromProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return views
+}
 
 // TestCiteInFlightAcrossReset: a citation that captured epoch E finishes on
 // E — its rewriting evaluation and its token rendering included — although
@@ -388,7 +423,7 @@ func TestCiteInFlightAcrossReset(t *testing.T) {
 	db.MustInsert("R", "a", "b")
 	db.MustInsert("R", "c", "b")
 	src := newGatedSource(db, "R")
-	e, err := core.NewEngine(src, oracleWorldViews(t), core.DefaultPolicy())
+	e, err := core.NewEngine(src, gatedViews(t), core.DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,9 +431,9 @@ func TestCiteInFlightAcrossReset(t *testing.T) {
 	if err := e.Reset(); err != nil { // drop the warm tokens: the stalled cite must render its own
 		t.Fatal(err)
 	}
-	src.close(1) // the output evaluation reads R; the rewriting's evaluation stalls
+	src.close(1) // the output evaluation reads R; VN's evaluation stalls
 	inFlight := citeAsync(t, e, gatedQuery)
-	src.awaitStalled(t)
+	stalledIn(t, src.awaitStalled(t), "gatherRewriting")
 	db.MustInsert("R", "z", "b")
 	if err := e.Reset(); err != nil {
 		t.Fatal(err)
@@ -415,12 +450,21 @@ func TestCiteInFlightAcrossReset(t *testing.T) {
 
 // TestFirstReadsAfterResetShareNoLock: after Reset, the first citation
 // returns the bytes it returned before, and two first citations do not wait
-// for one another — one stalled in its output evaluation, in its rewriting's
-// evaluation or in token rendering holds nothing the other needs.
+// for one another — one stalled in its output evaluation, in the evaluation
+// of a rewriting enumerated on its own (VN: a scan of R and a lookup) or in
+// token rendering holds nothing the other needs.
 func TestFirstReadsAfterResetShareNoLock(t *testing.T) {
-	views := oracleWorldViews(t)
-	for pass, stage := range []string{"output evaluation", "rewriting evaluation", "token rendering"} {
-		t.Run(stage, func(t *testing.T) {
+	views := gatedViews(t)
+	for _, stage := range []struct {
+		name string
+		pass int    // reads of R that go through first
+		fn   string // where the next one stalls
+	}{
+		{"output evaluation", 0, "evalOutput"},
+		{"rewriting evaluation", 1, "gatherRewriting"},
+		{"token rendering", 3, "renderTokenCtx"},
+	} {
+		t.Run(stage.name, func(t *testing.T) {
 			db := storage.NewDB(oracleSchema())
 			db.MustInsert("R", "a", "b")
 			db.MustInsert("S", "a", "c")
@@ -434,9 +478,9 @@ func TestFirstReadsAfterResetShareNoLock(t *testing.T) {
 			if err := e.Reset(); err != nil {
 				t.Fatal(err)
 			}
-			src.close(pass)
+			src.close(stage.pass)
 			stalled := citeAsync(t, e, gatedQuery)
-			src.awaitStalled(t)
+			stalledIn(t, src.awaitStalled(t), stage.fn)
 			if got := await(t, "the citation beside the stalled one", citeAsync(t, e, otherQuery)); got != wantOther {
 				t.Fatalf("first cite after Reset changed:\n got %s\nwant %s", got, wantOther)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"citare/internal/cq"
 	"citare/internal/eval"
@@ -12,170 +13,233 @@ import (
 	"citare/internal/storage"
 )
 
-// The gather stage of the citation pipeline (Engine.cite): every certified
-// rewriting is evaluated, unfolded, straight off the push enumeration of its
-// expansion (eval.Plan.Each) — slot frames in, no Binding maps, no Match
-// plumbing — and its Σ-over-bindings polynomials (Definition 3.2) land on
-// the per-tuple citations the output evaluation laid out. A frame's view
-// λ-parameter values probe a per-evaluation monomial memo, so tokens are
-// encoded and a monomial built and keyed once per distinct parameter tuple,
-// not once per frame. The stage has finished before the first citation is
-// combined, in Cite and CiteEach alike: a request holds its whole answer's
-// polynomials until then, and they are frozen from then on (provenance).
+// The gather stage of the citation pipeline (Engine.cite). Definition 3.2
+// sums a tuple's citation over the bindings of every certified rewriting,
+// and each rewriting's expansion is equivalent to the query. Where the
+// expansion is the minimized query renamed (unfolded.rename) — the common
+// case — its frames are the output evaluation's frames, so the rewriting's
+// bindings are read off them as the output query is enumerated: one
+// enumeration (eval.Plan.EvalEach) serves the output tuples and every such
+// rewriting. Any other rewriting enumerates its expansion on its own
+// (eval.Plan.Each) in the gather stage. Either way each frame goes through
+// the one per-frame consumer, gather.feed: slot reads, no Binding maps.
+// A frame's view λ-parameter values probe a per-rewriting monomial memo, so
+// tokens are encoded and a monomial built and keyed once per distinct
+// parameter tuple, not once per frame. The polynomials are folded onto the
+// per-tuple citations before the first citation is combined, in Cite and
+// CiteEach alike: a request holds its whole answer's polynomials until then,
+// and they are frozen from then on (provenance).
+
+// gather is one citation's gather state: a sink per rewriting, in rewriting
+// order, and their polynomials, one row of len(sinks) per output tuple in
+// the order the output evaluation first saw the tuples.
+type gather struct {
+	sinks  []*rewritingSink
+	polys  []provenance.Poly
+	order  []int // sorted output tuple → its row
+	frames int64 // frames of the output evaluation
+	// Scratch shared by every sink: the consumer is never invoked
+	// concurrently.
+	keyBuf, monoBuf []byte
+	toks            []provenance.Token
+	vals            []string
+}
+
+// rewritingSink is one rewriting's terms resolved on the plan whose frames
+// it reads, with its per-evaluation memo.
+type rewritingSink struct {
+	u       *unfolded
+	params  []eval.Src // the view atoms' λ-parameters, atom after atom
+	own     []eval.Src // r's own variables, when frames can repeat a binding (u.dedupe)
+	seen    map[string]struct{}
+	monos   map[string]provenance.Monomial
+	deduped int64
+}
+
+// newSink resolves u's terms on pl, whose frames are those of u's
+// expansion under the renaming ren (nil: pl is the expansion's own plan).
+func newSink(u *unfolded, pl *eval.Plan, ren cq.Subst) (s *rewritingSink, err error) {
+	s = &rewritingSink{u: u, monos: make(map[string]provenance.Monomial)}
+	if s.params, err = termSrcs(pl, ren, u.params); err != nil {
+		return nil, err
+	}
+	if u.dedupe {
+		if s.own, err = termSrcs(pl, ren, u.own); err != nil {
+			return nil, err
+		}
+		s.seen = make(map[string]struct{})
+	}
+	return s, nil
+}
+
+// termSrcs resolves terms, renamed by ren, to where pl's frames hold them.
+func termSrcs(pl *eval.Plan, ren cq.Subst, ts []cq.Term) (srcs []eval.Src, err error) {
+	srcs = make([]eval.Src, len(ts))
+	for i, t := range ts {
+		if srcs[i], err = pl.TermSrc(ren.Apply(t)); err != nil {
+			return nil, err
+		}
+	}
+	return srcs, nil
+}
+
+// appendKey appends the frame's values at srcs to buf as one key.
+func appendKey(buf []byte, srcs []eval.Src, f []string) []byte {
+	for _, src := range srcs {
+		buf = storage.AppendKeyPart(buf, src.Value(f))
+	}
+	return buf
+}
+
+// feed is the per-frame consumer: it adds the monomial of the binding of
+// rewriting i that the frame derives into the rewriting's polynomial on row
+// row, unless an earlier frame derived that binding already (only where the
+// expansion can repeat one).
+func (g *gather) feed(i, row int, f []string) {
+	s := g.sinks[i]
+	if s.seen != nil {
+		g.keyBuf = appendKey(g.keyBuf[:0], s.own, f)
+		if _, dup := s.seen[string(g.keyBuf)]; dup { // no-alloc map probe
+			s.deduped++
+			return
+		}
+		s.seen[string(g.keyBuf)] = struct{}{}
+	}
+	// The monomial memo: frames that agree on the view atoms' λ-parameter
+	// values — every frame of a point query about one key — share a monomial.
+	g.monoBuf = appendKey(g.monoBuf[:0], s.params, f)
+	m, ok := s.monos[string(g.monoBuf)] // no-alloc map probe
+	if !ok {
+		// One view token per view atom (parameter values read off the
+		// frame), plus the C_R tokens.
+		g.toks, g.vals = g.toks[:0], g.vals[:0]
+		for _, src := range s.params {
+			g.vals = append(g.vals, src.Value(f))
+		}
+		vals := g.vals
+		for _, info := range s.u.views {
+			n := len(info.paramPos)
+			g.toks = append(g.toks, NewViewToken(info.view.Name(), vals[:n]...).Encode())
+			vals = vals[n:]
+		}
+		m = provenance.NewMonomial(append(g.toks, s.u.baseToks...)...)
+		s.monos[string(g.monoBuf)] = m
+	}
+	p := &g.polys[row*len(g.sinks)+i]
+	if *p == (provenance.Poly{}) {
+		*p = provenance.NewPoly()
+	}
+	p.Add(m, 1)
+}
+
+// evalOutput evaluates the minimized query for the output tuples, sorted by
+// key, and reads the bindings of every rewriting whose expansion is a
+// renaming of it off the same frames.
+func (e *Engine) evalOutput(ctx context.Context, st *engineState, min *cq.Query, us []*unfolded, opts eval.Options) (*gather, *eval.Result, error) {
+	pl, err := st.snap.plan(ctx, min)
+	if err != nil {
+		return nil, nil, err
+	}
+	g := &gather{sinks: make([]*rewritingSink, len(us))}
+	for i, u := range us {
+		if u.rename != nil {
+			if g.sinks[i], err = newSink(u, pl, u.rename); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	out, order, err := pl.EvalEach(ctx, opts, func(f []string, row int) error {
+		g.frames++
+		if row*len(us) == len(g.polys) {
+			g.polys = append(g.polys, make([]provenance.Poly, len(us))...)
+		}
+		for i, s := range g.sinks {
+			if s != nil {
+				g.feed(i, row, f)
+			}
+		}
+		return nil
+	})
+	g.order = order
+	return g, out, err
+}
 
 // gatherStage is the pipeline's gather stage, under the stage's span: every
-// rewriting is evaluated and its polynomials merged into perKey. It
-// returns the rewritings the citation was assembled from — all of them: a
-// rewriting whose evaluation cannot reach a shard fails the request.
-func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, us []*unfolded, perKey map[string]*TupleCitation) ([]*rewrite.Rewriting, error) {
-	opts := eval.Options{Parallel: eval.Auto}
+// rewriting not read off the output evaluation is evaluated, and every
+// rewriting's polynomials land on the tuples' citations. It returns the
+// rewritings the citation was assembled from — all of them: a rewriting
+// whose evaluation cannot reach a shard fails the request.
+func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, us []*unfolded, g *gather, out *eval.Result, tuples []TupleCitation) ([]*rewrite.Rewriting, error) {
 	gs := ob.begin(obs.StageGather)
 	defer ob.end(gs)
-	used := make([]*rewrite.Rewriting, 0, len(us))
-	for _, u := range us {
-		rctx := ctx
-		rsp := obs.NoSpan
+	used := make([]*rewrite.Rewriting, len(us))
+	readOff := 0
+	for i, u := range us {
+		used[i] = u.r
+		rctx, rsp := ctx, obs.NoSpan
 		if ob.tr != nil {
 			rsp = ob.tr.Start(gs.id, "rewriting")
 			ob.tr.SetStr(rsp, "rewriting", u.r.String())
 			ob.tr.SetInt(rsp, "atoms", int64(len(u.exp.Atoms)))
 			rctx = obs.NewContext(ctx, ob.tr, rsp)
 		}
-		err := e.gatherRewriting(rctx, st, opts, u, perKey)
-		ob.tr.End(rsp)
-		if err != nil {
+		if g.sinks[i] != nil {
+			readOff++
+			ob.tr.SetInt(rsp, "frames", g.frames)
+		} else if err := e.gatherRewriting(rctx, st, g, i, u, out.Keys); err != nil {
+			ob.tr.End(rsp)
 			return nil, err
 		}
-		used = append(used, u.r)
+		ob.tr.SetInt(rsp, "deduped", g.sinks[i].deduped)
+		ob.tr.End(rsp)
+	}
+	ob.tr.SetInt(gs.id, "read_off", int64(readOff))
+	ob.tr.SetInt(gs.id, "evaluated", int64(len(us)-readOff))
+
+	// +-idempotence and normal form hand a polynomial that is its own image
+	// back. One slab holds every tuple's +R operands, in rewriting order.
+	rcs := make([]RewritingCitation, 0, len(us)*len(tuples))
+	for t := range tuples {
+		start := len(rcs)
+		for i, p := range g.polys[g.order[t]*len(us):][:len(us)] {
+			if p == (provenance.Poly{}) {
+				continue // no binding of rewriting i derives the tuple
+			}
+			if e.policy.IdempotentPlus {
+				p = p.Idempotent()
+			}
+			rcs = append(rcs, RewritingCitation{Rewriting: us[i].r, Poly: e.policy.Orders.NormalForm(p)})
+		}
+		tuples[t].PerRewriting = rcs[start:len(rcs):len(rcs)]
 	}
 	return used, nil
 }
 
-// gatherRewriting evaluates one rewriting, unfolded, by enumerating its
-// expansion on the epoch's snapshot and merges its Σ-over-bindings
-// polynomials (Definition 3.2) into the matching per-key citations. Head
-// values and view λ-parameters are read off the frame slots of the
-// rewriting's own variables, resolved once up front, so each binding costs
-// slot reads rather than a Binding map fill; where the expansion can repeat
-// a binding (u.dedupe), frames equal on those variables count once. The
-// enumeration's callback is serialised and the producers wait on it, so it
-// only does the per-frame monomial work. Nothing reaches perKey before the
-// enumeration has finished, so a failed evaluation leaves no partial
-// polynomial behind.
-func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, opts eval.Options, u *unfolded, perKey map[string]*TupleCitation) error {
-	r := u.r
+// gatherRewriting enumerates the expansion of rewriting i — one that is not
+// a renaming of the output query — on the epoch's snapshot and adds each
+// binding's monomial onto the row of the output tuple its head spells,
+// found among the output's sorted keys.
+func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, g *gather, i int, u *unfolded, keys []string) error {
 	pl, err := st.snap.plan(ctx, u.exp)
 	if err != nil {
 		return err
 	}
-
-	headSrc := make([]eval.Src, len(r.Head))
-	for i, t := range r.Head {
-		if headSrc[i], err = pl.TermSrc(t); err != nil {
-			return err
-		}
-	}
-	paramSrc := make([][]eval.Src, len(u.views))
-	for ai, info := range u.views {
-		paramSrc[ai] = make([]eval.Src, len(info.paramPos))
-		for pi, hp := range info.paramPos {
-			if paramSrc[ai][pi], err = pl.TermSrc(r.ViewAtoms[ai].Args[hp]); err != nil {
-				return err
-			}
-		}
-	}
-	// Base-atom C_R tokens are binding-independent: encode them once.
-	var baseToks []provenance.Token
-	if e.policy.IncludeBaseTokens {
-		for _, a := range r.BaseAtoms {
-			baseToks = append(baseToks, NewRelToken(a.Pred).Encode())
-		}
-	}
-	var ownSrc []eval.Src
-	var seen map[string]struct{}
-	if u.dedupe {
-		ownSrc = make([]eval.Src, len(u.vars))
-		for i, v := range u.vars {
-			if ownSrc[i], err = pl.TermSrc(cq.Var(v)); err != nil {
-				return err
-			}
-		}
-		seen = make(map[string]struct{})
-	}
-
-	polys := make(map[string]provenance.Poly)
-	// The monomial memo: frames that agree on the view atoms' λ-parameter
-	// values — every frame of a point query about one key — share a monomial.
-	monos := make(map[string]provenance.Monomial)
-	var keyBuf, monoBuf []byte
-	toks := make([]provenance.Token, 0, len(u.views)+len(baseToks))
-	params := make([]string, 0, 4)
-	deduped := int64(0)
-	err = pl.Each(ctx, opts, func(f []string, _ []eval.Match) error {
-		if u.dedupe {
-			keyBuf = keyBuf[:0]
-			for _, s := range ownSrc {
-				keyBuf = storage.AppendKeyPart(keyBuf, s.Value(f))
-			}
-			if _, dup := seen[string(keyBuf)]; dup { // no-alloc map probe
-				deduped++
-				return nil
-			}
-			seen[string(keyBuf)] = struct{}{}
-		}
-		monoBuf = monoBuf[:0]
-		for _, srcs := range paramSrc {
-			for _, s := range srcs {
-				monoBuf = storage.AppendKeyPart(monoBuf, s.Value(f))
-			}
-		}
-		m, ok := monos[string(monoBuf)] // no-alloc map probe
-		if !ok {
-			// One view token per view atom (parameter values read off the
-			// frame), plus the C_R tokens.
-			toks = toks[:0]
-			for ai, info := range u.views {
-				params = params[:0]
-				for _, s := range paramSrc[ai] {
-					params = append(params, s.Value(f))
-				}
-				toks = append(toks, NewViewToken(info.view.Name(), params...).Encode())
-			}
-			m = provenance.NewMonomial(append(toks, baseToks...)...)
-			monos[string(monoBuf)] = m
-		}
-		// Head-tuple key, probed without allocating on repeats.
-		keyBuf = keyBuf[:0]
-		for _, s := range headSrc {
-			keyBuf = storage.AppendKeyPart(keyBuf, s.Value(f))
-		}
-		p, ok := polys[string(keyBuf)] // no-alloc map probe
-		if !ok {
-			k := string(keyBuf)
-			if perKey[k] == nil {
-				// A certified rewriting cannot produce extra tuples; guard
-				// anyway to surface bugs instead of silently diverging.
-				return fmt.Errorf("core: rewriting %s produced tuple outside the query result", r)
-			}
-			p = provenance.NewPoly()
-			polys[k] = p
-		}
-		p.Add(m, 1) // mutates the polynomial shared with the map entry
-		return nil
-	})
+	head, err := termSrcs(pl, nil, u.r.Head)
 	if err != nil {
 		return err
 	}
-	if tr, sp := obs.FromContext(ctx); tr != nil {
-		tr.SetInt(sp, "deduped", deduped)
+	if g.sinks[i], err = newSink(u, pl, nil); err != nil {
+		return err
 	}
-	// +-idempotence and normal form hand a polynomial that is its own image back.
-	for k, p := range polys {
-		if e.policy.IdempotentPlus {
-			p = p.Idempotent()
+	return pl.Each(ctx, eval.Options{Parallel: eval.Auto}, func(f []string, _ []eval.Match) error {
+		g.keyBuf = appendKey(g.keyBuf[:0], head, f)
+		t := sort.Search(len(keys), func(j int) bool { return keys[j] >= string(g.keyBuf) })
+		if t == len(keys) || keys[t] != string(g.keyBuf) {
+			// A certified rewriting cannot produce extra tuples; guard
+			// anyway to surface bugs instead of silently diverging.
+			return fmt.Errorf("core: rewriting %s produced tuple outside the query result", u.r)
 		}
-		tc := perKey[k]
-		tc.PerRewriting = append(tc.PerRewriting, RewritingCitation{Rewriting: r, Poly: e.policy.Orders.NormalForm(p)})
-	}
-	return nil
+		g.feed(i, g.order[t], f)
+		return nil
+	})
 }

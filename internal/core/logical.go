@@ -115,7 +115,7 @@ func (e *Engine) rewritingsFor(p *Prepared) (us []*unfolded, hit bool, err error
 		}
 		us := make([]*unfolded, len(rws))
 		for i, r := range rws {
-			if us[i], p.plan.err = e.unfold(r); p.plan.err != nil {
+			if us[i], p.plan.err = e.unfold(r, p.plan.min); p.plan.err != nil {
 				return
 			}
 		}

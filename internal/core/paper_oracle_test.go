@@ -1189,3 +1189,30 @@ func TestReferenceCiterMatchesEngines(t *testing.T) {
 	}
 	t.Logf("%d instances agree", instances)
 }
+
+// TestReferenceCiterFallbackRewriting holds a rewriting enumerated on its own
+// against the reference: VN's expansion R(A, B), R(A, C) is not a renaming of
+// Q(A) :- R(A, B), whose other rewriting, VE, is read off the output
+// evaluation's frames; both sum over the same bindings in the reference.
+// Under a policy without +-idempotence the coefficients must match as well.
+func TestReferenceCiterFallbackRewriting(t *testing.T) {
+	schema := storage.NewSchema()
+	schema.MustAddRelation(&storage.RelSchema{Name: "R", Cols: []storage.Column{{Name: "c0"}, {Name: "c1"}}})
+	raw := core.Policy{Times: core.InterpJoin, Plus: core.InterpUnion, PlusR: core.InterpUnion, Agg: core.InterpUnion}
+	for name, pol := range map[string]core.Policy{"default": core.DefaultPolicy(), "raw": raw} {
+		w := &oracleWorld{
+			name:   "fallback " + name,
+			schema: schema,
+			tuples: [][]string{{"R", "a", "b"}, {"R", "a", "c"}, {"R", "b", "b"}, {"R", "c", "a"}},
+			views: []string{
+				"view λA. VE(A) :- R(A, B).\ncite VE λA. CVE(A, B) :- R(A, B).",
+				"view λA. VN(A) :- R(A, B), R(A, C).\ncite VN λA. CVN(A, C) :- R(A, C).",
+			},
+			pol:     pol,
+			queries: []string{`Q(A) :- R(A, B)`, `Q(A) :- R(A, B), A = "a"`, `Q(A, B) :- R(A, B)`},
+		}
+		if _, d := checkWorld(t, w); d != "" {
+			t.Fatalf("%s\n%s", d, w)
+		}
+	}
+}

@@ -117,11 +117,3 @@ func (t evalTarget) planLookup(q *cq.Query) (*eval.Plan, bool, error) {
 	}
 	return sp.plan.Bind(cq.NewRebind(sp.params, params)), hit, nil
 }
-
-func (t evalTarget) eval(ctx context.Context, q *cq.Query, opts eval.Options) (*eval.Result, error) {
-	pl, err := t.plan(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return pl.EvalCtx(ctx, opts)
-}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"citare/internal/cq"
+	"citare/internal/provenance"
 	"citare/internal/rewrite"
 	"citare/internal/storage"
 )
@@ -21,12 +22,21 @@ import (
 type unfolded struct {
 	r   *rewrite.Rewriting
 	exp *cq.Query
-	// views resolves r.ViewAtoms, in order, to the engine's citation views.
-	views []viewAtomInfo
-	// vars are r's own variables. dedupe says that two frames of exp can
+	// views resolves r.ViewAtoms, in order, to the engine's citation views;
+	// params are their λ-parameter terms, atom after atom, and baseToks
+	// the C_R tokens of r's base atoms under the policy, encoded once.
+	views    []viewAtomInfo
+	params   []cq.Term
+	baseToks []provenance.Token
+	// own are r's own variables. dedupe says that two frames of exp can
 	// agree on all of them; when false every frame is a binding of its own.
-	vars   []string
+	own    []cq.Term
 	dedupe bool
+	// rename maps exp's variables onto the shape's minimized query when exp
+	// is that query renamed: the frames of the output evaluation are then
+	// exp's frames, and the rewriting's bindings are read off them. nil:
+	// the rewriting enumerates exp on its own.
+	rename cq.Subst
 }
 
 // viewAtomInfo pairs one view atom of a rewriting with its resolved citation
@@ -36,8 +46,9 @@ type viewAtomInfo struct {
 	paramPos []int
 }
 
-// unfold prepares a certified rewriting for evaluation.
-func (e *Engine) unfold(r *rewrite.Rewriting) (*unfolded, error) {
+// unfold prepares a certified rewriting of the minimized query min for
+// evaluation.
+func (e *Engine) unfold(r *rewrite.Rewriting, min *cq.Query) (*unfolded, error) {
 	exp, err := r.Expand()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -53,6 +64,14 @@ func (e *Engine) unfold(r *rewrite.Rewriting) (*unfolded, error) {
 			return nil, err
 		}
 		u.views[i] = viewAtomInfo{view: v, paramPos: pos}
+		for _, hp := range pos {
+			u.params = append(u.params, va.Args[hp])
+		}
+	}
+	if e.policy.IncludeBaseTokens {
+		for _, a := range r.BaseAtoms {
+			u.baseToks = append(u.baseToks, NewRelToken(a.Pred).Encode())
+		}
 	}
 
 	// r's own variables: those of r read as a query over the views.
@@ -60,13 +79,35 @@ func (e *Engine) unfold(r *rewrite.Rewriting) (*unfolded, error) {
 	for _, va := range r.ViewAtoms {
 		asQuery.Atoms = append(asQuery.Atoms, cq.Atom{Pred: va.View.Name, Args: va.Args})
 	}
-	u.vars = asQuery.Vars()
-	own := make(map[string]bool, len(u.vars))
-	for _, v := range u.vars {
+	vars := asQuery.Vars()
+	own := make(map[string]bool, len(vars))
+	for _, v := range vars {
 		own[v] = true
+		u.own = append(u.own, cq.Var(v))
 	}
 	u.dedupe = e.needsDedupe(exp, own)
+	u.rename = renaming(exp, min)
 	return u, nil
+}
+
+// renaming returns the renaming h of exp's variables with h(exp) equal to
+// min atom for atom, comparison for comparison and head for head, or nil
+// when there is none. It is found by the canonical renamings of the two,
+// which spell isomorphic queries alike; a rebind renames only constants, so
+// h holds for every query of the shape.
+func renaming(exp, min *cq.Query) cq.Subst {
+	canon := make(map[string]string)
+	for v, c := range min.CanonicalRenaming() {
+		canon[c.Name] = v
+	}
+	h := make(cq.Subst)
+	for v, c := range exp.CanonicalRenaming() {
+		h[v] = cq.Var(canon[c.Name])
+	}
+	if exp.Apply(h).Key() != min.Key() {
+		return nil
+	}
+	return h
 }
 
 // needsDedupe decides whether the expansion can yield two frames that agree
@@ -112,9 +153,10 @@ func keyBound(rs *storage.RelSchema, a cq.Atom, own map[string]bool, partitioned
 }
 
 // rebind returns u for the query of the same shape whose constants rb
-// renames u's to: the rewriting as a rewriting of q, and its expansion.
+// renames u's to: the rewriting as a rewriting of q, its expansion and the
+// λ-parameter terms of its view atoms.
 func (u *unfolded) rebind(rb cq.Rebind, q *cq.Query) *unfolded {
 	b := *u
-	b.r, b.exp = u.r.Rebind(rb, q), rb.Query(u.exp)
+	b.r, b.exp, b.params = u.r.Rebind(rb, q), rb.Query(u.exp), rb.Terms(u.params)
 	return &b
 }

@@ -102,3 +102,57 @@ func TestEvalCtxMaxTuples(t *testing.T) {
 		})
 	}
 }
+
+// TestEvalEachTupleIndex: EvalEach returns EvalCtx's result, hands fn every
+// frame of the enumeration, and the index beside a frame names, through
+// order, the sorted tuple the frame's head spells — in every strategy.
+func TestEvalEachTupleIndex(t *testing.T) {
+	for _, st := range strategies(t) {
+		t.Run(st.name, func(t *testing.T) {
+			plan, err := eval.Compile(st.view, st.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := plan.EvalCtx(context.Background(), st.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head := make([]eval.Src, len(st.q.Head))
+			for i, term := range st.q.Head {
+				if head[i], err = plan.TermSrc(term); err != nil {
+					t.Fatal(err)
+				}
+			}
+			heads := map[int][]string{} // first-seen index → the heads of its frames
+			frames := 0
+			res, order, err := plan.EvalEach(context.Background(), st.opts, func(f []string, tuple int) error {
+				frames++
+				for _, s := range head {
+					heads[tuple] = append(heads[tuple], s.Value(f))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, full) {
+				t.Fatal("EvalEach's result differs from EvalCtx's")
+			}
+			want := 0
+			for _, n := range frameMultiset(t, eval.DBViewOf(st.base), st.q, eval.Options{Parallel: 1}) {
+				want += n
+			}
+			if frames != want || len(order) != len(res.Tuples) || len(heads) != len(res.Tuples) {
+				t.Fatalf("%d frames, want %d; order of %d and %d indices for %d tuples", frames, want, len(order), len(heads), len(res.Tuples))
+			}
+			for s, tu := range res.Tuples {
+				vals := heads[order[s]]
+				for i := 0; i < len(vals); i += len(tu) {
+					if !reflect.DeepEqual([]string(tu), vals[i:i+len(tu)]) {
+						t.Fatalf("a frame of index %d spells %q, its sorted tuple is %q", order[s], vals[i:i+len(tu)], tu)
+					}
+				}
+			}
+		})
+	}
+}

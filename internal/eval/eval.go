@@ -36,7 +36,8 @@
 // serialised (never invoked concurrently, whatever the strategy), the
 // enumeration waits while it runs, the frame is valid only during the call,
 // and the delivery order is unspecified unless execution is sequential.
-// Plan.EvalCtx is Each with set semantics — distinct head tuples, sorted.
+// Plan.EvalCtx is Each with set semantics — distinct head tuples, sorted;
+// Plan.EvalEach is EvalCtx handing every frame on beside its tuple's index.
 // EvalOpts and EvalOn compile and evaluate in one call; EachBinding compiles
 // and enumerates with every frame spelled out as a name→value map.
 //
@@ -54,7 +55,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"citare/internal/cq"
 	"citare/internal/storage"
@@ -101,15 +101,13 @@ type Result struct {
 	Keys []string
 }
 
-// sortTuplesByKey sorts tuples (and their parallel key slice) by key — the
-// same deterministic order both evaluation strategies produce.
-func sortTuplesByKey(keys []string, tuples []storage.Tuple) {
-	sort.Sort(&keyedTuples{keys: keys, tuples: tuples})
-}
-
+// keyedTuples sorts tuples (and their parallel key slice, and order when
+// set) by key — the same deterministic order both evaluation strategies
+// produce.
 type keyedTuples struct {
 	keys   []string
 	tuples []storage.Tuple
+	order  []int
 }
 
 func (s *keyedTuples) Len() int           { return len(s.keys) }
@@ -117,6 +115,9 @@ func (s *keyedTuples) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
 func (s *keyedTuples) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 	s.tuples[i], s.tuples[j] = s.tuples[j], s.tuples[i]
+	if s.order != nil {
+		s.order[i], s.order[j] = s.order[j], s.order[i]
+	}
 }
 
 // RelView is the read surface the evaluator needs from a relation.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 
 	"citare/internal/cq"
@@ -522,8 +523,10 @@ func (e *exec) run(depth int) error {
 
 // Each enumerates every satisfying valuation of the plan: scatter-gather
 // across the shards of a partitioned view, the sequential descent otherwise.
-// It is the one enumeration every consumer sits on — EvalCtx, the citation
-// pipeline's rewriting gather, token rendering.
+// It is the one enumeration every consumer sits on — EvalCtx and EvalEach
+// (the citation pipeline's output evaluation, which the rewritings whose
+// expansion is the query renamed read their bindings off), a rewriting
+// evaluated on its own, token rendering.
 //
 // The contract, in both strategies: fn is never invoked concurrently, and the
 // enumeration waits for exactly as long as fn takes, so a slow consumer
@@ -605,33 +608,52 @@ func (p *Plan) framesTraced(ctx context.Context, opts Options, fn frameFn, tr *o
 // ErrTupleLimit as soon as it has produced more distinct tuples than the
 // bound allows.
 func (p *Plan) EvalCtx(ctx context.Context, opts Options) (*Result, error) {
-	res := &Result{Cols: p.cols}
-	seen := make(map[string]struct{})
+	res, _, err := p.EvalEach(ctx, opts, nil)
+	return res, err
+}
+
+// EvalEach is EvalCtx that also hands every frame to fn (when non-nil),
+// beside the index its head tuple had among the distinct tuples in the order
+// they were first seen, under Each's contract for frames. order maps each
+// tuple of the sorted Result back to that index; it is nil when fn is.
+func (p *Plan) EvalEach(ctx context.Context, opts Options, fn func(frame []string, tuple int) error) (res *Result, order []int, err error) {
+	res = &Result{Cols: p.cols}
+	seen := make(map[string]int)
 	var keyBuf []byte
-	err := p.Each(ctx, opts, func(frame []string, _ []Match) error {
+	err = p.Each(ctx, opts, func(frame []string, _ []Match) error {
 		keyBuf = keyBuf[:0]
 		for _, src := range p.headSrc {
 			keyBuf = storage.AppendKeyPart(keyBuf, src.Value(frame))
 		}
-		if _, dup := seen[string(keyBuf)]; dup { // no-alloc map probe
+		i, dup := seen[string(keyBuf)] // no-alloc map probe
+		if !dup {
+			if opts.MaxTuples > 0 && len(res.Tuples) >= opts.MaxTuples {
+				return fmt.Errorf("%w: more than %d output tuples", ErrTupleLimit, opts.MaxTuples)
+			}
+			i = len(res.Tuples)
+			k := string(keyBuf)
+			seen[k] = i
+			t := make(storage.Tuple, len(p.headSrc))
+			for j, src := range p.headSrc {
+				t[j] = src.Value(frame)
+			}
+			res.Tuples = append(res.Tuples, t)
+			res.Keys = append(res.Keys, k)
+		}
+		if fn == nil {
 			return nil
 		}
-		if opts.MaxTuples > 0 && len(res.Tuples) >= opts.MaxTuples {
-			return fmt.Errorf("%w: more than %d output tuples", ErrTupleLimit, opts.MaxTuples)
-		}
-		k := string(keyBuf)
-		seen[k] = struct{}{}
-		t := make(storage.Tuple, len(p.headSrc))
-		for i, src := range p.headSrc {
-			t[i] = src.Value(frame)
-		}
-		res.Tuples = append(res.Tuples, t)
-		res.Keys = append(res.Keys, k)
-		return nil
+		return fn(frame, i)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sortTuplesByKey(res.Keys, res.Tuples)
-	return res, nil
+	if fn != nil {
+		order = make([]int, len(res.Tuples))
+		for i := range order {
+			order[i] = i
+		}
+	}
+	sort.Sort(&keyedTuples{keys: res.Keys, tuples: res.Tuples, order: order})
+	return res, order, nil
 }

@@ -261,14 +261,30 @@ func Open(dir string, schema *storage.Schema, opt Options) (*Store, error) {
 	// crash between SSTable write and manifest install.
 	referenced := make(map[uint64]bool)
 	levels := make([][]*sstReader, 2)
+	// fail releases every table and the WAL opened so far: a failed Open
+	// holds no descriptor.
+	fail := func(err error) (*Store, error) {
+		if s.tables != nil {
+			s.tables.release()
+		}
+		for _, level := range levels {
+			for _, r := range level {
+				r.unref()
+			}
+		}
+		if s.wal != nil {
+			s.wal.close()
+		}
+		return nil, err
+	}
 	for lvl, metas := range man.Levels {
 		if lvl > 1 {
-			return nil, errCorrupt("manifest has more than two levels")
+			return fail(errCorrupt("manifest has more than two levels"))
 		}
 		for _, tm := range metas {
 			r, err := openSSTable(s.tablePath(tm.File), tm.File, s.blocks)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
 			levels[lvl] = append(levels[lvl], r)
 			referenced[tm.File] = true
@@ -280,15 +296,16 @@ func Open(dir string, schema *storage.Schema, opt Options) (*Store, error) {
 			r.unref() // drop the creation reference; the set owns them now
 		}
 	}
+	levels = nil
 	if err := removeUnreferenced(dir, referenced); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	// Replay the WAL window past the manifest: records below NextSeq are
 	// already durable in SSTables and are skipped, which makes a crash
 	// between manifest install and WAL truncation harmless.
 	recs, err := readWAL(filepath.Join(dir, walName))
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	for _, rec := range recs {
 		if rec.seq < man.NextSeq {
@@ -308,12 +325,12 @@ func Open(dir string, schema *storage.Schema, opt Options) (*Store, error) {
 		}
 	}
 	if s.wal, err = openWAL(filepath.Join(dir, walName)); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	s.walBytes.Store(s.wal.size)
 	if fresh {
 		if err := s.writeManifest(); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	return s, nil

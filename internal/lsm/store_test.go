@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -512,4 +513,82 @@ func appendCorruptTail(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return append(raw, 0xde, 0xad, 0xbe, 0xef, 0x01)
+}
+
+// TestFailedOpenReleasesTables: an Open that fails after opening some of the
+// manifest's tables releases them, whichever table or check fails it — ten
+// failed Opens leave the process's count of open descriptors as it was.
+func TestFailedOpenReleasesTables(t *testing.T) {
+	openFDs := func() int {
+		t.Helper()
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no descriptor count: %v", err)
+		}
+		return len(ents)
+	}
+	// build writes a store of four flushed tables and returns their paths,
+	// oldest first.
+	build := func(dir string) []string {
+		st := openTestStore(t, dir, Options{DisableBackgroundCompaction: true})
+		for i := range 4 {
+			if err := st.Insert("cites", fmt.Sprint("s", i), "d"); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tables, _ := filepath.Glob(filepath.Join(dir, "*.sst"))
+		if len(tables) != 4 {
+			t.Fatalf("%d tables, want 4", len(tables))
+		}
+		sort.Strings(tables)
+		return tables
+	}
+	corrupt := func(path string) {
+		if err := os.WriteFile(path, []byte("not a table"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, breakStore := range map[string]func(dir string, tables []string){
+		"oldest table corrupt": func(_ string, tables []string) { corrupt(tables[0]) },
+		"newest table corrupt": func(_ string, tables []string) { corrupt(tables[3]) },
+		"third level": func(dir string, _ []string) {
+			path := filepath.Join(dir, manifestName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man manifest
+			if err := json.Unmarshal(raw, &man); err != nil {
+				t.Fatal(err)
+			}
+			man.Levels = append(man.Levels, make([][]tableMeta, 3-len(man.Levels))...)
+			if raw, err = json.Marshal(man); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			breakStore(dir, build(dir))
+			before := openFDs()
+			for range 10 {
+				if st, err := Open(dir, nil, Options{DisableBackgroundCompaction: true}); err == nil {
+					st.Close()
+					t.Fatal("a broken store opened")
+				}
+			}
+			if after := openFDs(); after != before {
+				t.Fatalf("ten failed Opens: %d open descriptors, %d before", after, before)
+			}
+		})
+	}
 }
