@@ -27,6 +27,7 @@ import (
 	"citare/internal/citegraph"
 	"citare/internal/core"
 	"citare/internal/gtopdb"
+	"citare/internal/obs"
 )
 
 // TestMaterializedCiteAllocs asserts allocs/op ceilings for warm materialized
@@ -138,6 +139,107 @@ func TestStreamedTupleAllocs(t *testing.T) {
 	t.Logf("CiteEach: %.1f allocs per streamed tuple over %d tuples", perTuple, tuples)
 	if perTuple > 14.5 {
 		t.Fatalf("CiteEach: %.1f allocs per streamed tuple over %d tuples, ceiling 14.5 — tuples are rebuilding the shared type citation or their monomials", perTuple, tuples)
+	}
+}
+
+// bytesPerRun is the heap bytes one call of fn allocates, averaged over runs
+// calls after a warm-up call.
+func bytesPerRun(runs int, fn func()) uint64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestStreamVsMaterializedAllocs (B24) weighs a stream against the
+// materialized citation it stands for, over 16 requests of the citegraph mix
+// (default weights, seed 31). Cite and CiteEach are one pipeline and both
+// enumerate once (core's TestCiteEnumeratesOnce), so a stream builds no
+// extra Result; what it adds over a bare Cite is each tuple's text —
+// Polynomial, CitationJSON and the wire encoding — which a bare Cite never
+// renders. So the stream is held to Cite followed by EachTuple, which
+// renders the same text: it may not allocate more bytes. Measured: Cite
+// 521,312 B/op, Cite + EachTuple 697,478, CiteEach 637,174. That a stream
+// allocates less than a bare Cite is not true today: it is an acceptance
+// item of ROADMAP [evaluate-once], not a gate.
+func TestStreamVsMaterializedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	cfg := citegraph.ScaleSmall()
+	c := citegraphCiter(t, citegraph.Generate(cfg))
+	mix := citegraph.QueryMix(cfg, citegraph.DefaultMixWeights(), 31, 16)
+	ctx := context.Background()
+	each := func(req Request) {
+		if err := c.CiteEach(ctx, req, func(Tuple) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cite := func(req Request) *Citation {
+		ct, err := c.Cite(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	run := func(fn func(Request)) uint64 {
+		return bytesPerRun(5, func() {
+			for _, q := range mix {
+				fn(Request{Datalog: q})
+			}
+		})
+	}
+	materialized := run(func(req Request) { cite(req) })
+	rendered := run(func(req Request) {
+		if err := cite(req).EachTuple(func(Tuple) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	streamed := run(each)
+	t.Logf("B/op over %d requests: Cite %d, Cite + EachTuple %d, CiteEach %d", len(mix), materialized, rendered, streamed)
+	if streamed > rendered {
+		t.Fatalf("CiteEach allocates %d B/op, Cite + EachTuple %d: the stream costs more than the citation it stands for", streamed, rendered)
+	}
+}
+
+// TestPipelineMetricsAllocs (B19): attaching the engine's pipeline metrics
+// costs a warm point citation on the 500-family instance at most 4 allocs
+// over the engine without them. Metrics ride atomic counters and
+// pre-registered histograms, so the delta is noise, not structure. Measured:
+// 100 allocs/op with and without.
+func TestPipelineMetricsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 500
+	db := gtopdb.Generate(cfg)
+	req := Request{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = "250"`}
+	allocs := func(metered bool) float64 {
+		c, err := NewFromProgram(db, gtopdb.ViewsProgram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if metered {
+			c.Engine().SetMetrics(obs.NewPipelineMetrics(obs.NewRegistry()))
+		}
+		cite := func() {
+			if _, err := c.Cite(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cite() // warm plans and tokens
+		return testing.AllocsPerRun(50, cite)
+	}
+	off, on := allocs(false), allocs(true)
+	t.Logf("warm point Cite: %.0f allocs/op without metrics, %.0f with", off, on)
+	if on-off > 4 {
+		t.Fatalf("pipeline metrics add %.0f allocs/op over the engine without them, want ≤ 4", on-off)
 	}
 }
 

@@ -338,7 +338,7 @@ func TestCiteBatchMembersKeepOwnColumns(t *testing.T) {
 // members and later hits share; a class that failed stores nothing.
 func TestCachedBatchStoresEachClassOnce(t *testing.T) {
 	const shards, stalled = 3, 1
-	in := fault.NewInjector(42)
+	in := fault.NewInjector()
 	in.SetFault(stalled, fault.ShardFault{Stall: true})
 	c := resilientPaperCiter(t, shards, in, chaosConfig())
 	ctx := context.Background()
@@ -381,5 +381,64 @@ func TestCachedBatchStoresEachClassOnce(t *testing.T) {
 		if it.Err != nil || it.Citation.wire != memo || !slices.Equal(it.Citation.Columns(), first[i].Citation.Columns()) {
 			t.Fatalf("second batch, request %d: not the stored citation under its own labels (%v)", i, it.Err)
 		}
+	}
+}
+
+// BenchmarkCiteBatch prices one batch of 16 requests per op against the same
+// requests as independent Cite calls, on the 500-family instance with warm
+// plan and token caches. The equivalent batch is one join query, half of it
+// spelled as a syntactic variant, so CiteBatch evaluates it once; the mixed
+// batch cycles four distinct queries. TestCiteBatchCompilesOnce asserts the
+// grouping.
+func BenchmarkCiteBatch(b *testing.B) {
+	const join = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "type-01"`
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 500
+	db := gtopdb.Generate(cfg)
+	for _, bc := range []struct {
+		name string
+		pool []string
+	}{
+		{"equivalent", []string{join, `Q(Name, Text) :- FamilyIntro(Fid, Text), Family(Fid, Name, Kind), Kind = "type-01"`}},
+		{"mixed", []string{
+			join,
+			`Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = "250"`,
+			`Q(N) :- Family(F, N, Ty), Ty = "type-02"`,
+			`Q(N, Pn) :- Family(F, N, Ty), FC(F, P), Person(P, Pn, A), F = "100"`,
+		}},
+	} {
+		reqs := make([]Request, 16)
+		for i := range reqs {
+			reqs[i] = Request{Datalog: bc.pool[i%len(bc.pool)]}
+		}
+		citer := func(b *testing.B) *Citer {
+			c, err := NewFromProgram(db, gtopdb.ViewsProgram)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.Cite(context.Background(), Request{Datalog: join}); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			return c
+		}
+		b.Run("batch/"+bc.name+"-k=16", func(b *testing.B) {
+			c := citer(b)
+			for i := 0; i < b.N; i++ {
+				if _, err := c.CiteBatch(context.Background(), reqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("independent/"+bc.name+"-k=16", func(b *testing.B) {
+			c := citer(b)
+			for i := 0; i < b.N; i++ {
+				for _, req := range reqs {
+					if _, err := c.Cite(context.Background(), req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -14,8 +14,9 @@ import (
 // the real mux, under a short request deadline. Every answer is a 200, or a
 // typed 4xx envelope with a code — never a 500 and never a panic: a
 // stream that fails before its first line answers with its typed status, a
-// stream that fails later says why in its trailer, and no batch slot carries
-// "internal". The route byte picks the route; its high bit pads the body
+// stream that fails later says why in its trailer, a batch whose every
+// request failed the same way answers that 4xx with its slots, and no batch
+// slot carries "internal". The route byte picks the route; its high bit pads the body
 // past /v1/cite's size bound.
 func FuzzCiteRequest(f *testing.F) {
 	routes := []string{"/v1/cite", "/v1/cite/batch", "/v1/cite/stream"}
@@ -40,6 +41,8 @@ func FuzzCiteRequest(f *testing.F) {
 			f.Add(uint8(r), []byte(bad))
 		}
 	}
+	// A batch whose one request fails: its 400 is the slot's.
+	f.Add(uint8(1), []byte(`{"requests":[{}]}`))
 	f.Add(uint8(0x80), []byte(`{"sql": "SELECT FName FROM Family"}`))
 	f.Add(uint8(0x82), []byte(`{"sql": "SELECT FName FROM Family"}`))
 
@@ -58,8 +61,19 @@ func FuzzCiteRequest(f *testing.F) {
 		switch {
 		case w.Code >= 400 && w.Code < 500:
 			var env errorEnvelope
-			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error.Code == "" {
-				t.Fatalf("%s: %d without a typed envelope: %q (%v)", path, w.Code, w.Body.String(), err)
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err == nil && env.Error.Code != "" {
+				break
+			}
+			// A batch whose every request failed the same way answers that
+			// status with its slots, each carrying it and a typed error.
+			var resp batchResponse
+			if path != "/v1/cite/batch" || json.Unmarshal(w.Body.Bytes(), &resp) != nil || len(resp.Results) == 0 {
+				t.Fatalf("%s: %d without a typed envelope: %q", path, w.Code, w.Body.String())
+			}
+			for i, slot := range resp.Results {
+				if slot.Status != w.Code || slot.Error == nil || slot.Error.Code == "" || slot.Error.Code == "internal" {
+					t.Fatalf("batch answered %d, slot %d: status %d, error %+v", w.Code, i, slot.Status, slot.Error)
+				}
 			}
 		case w.Code != http.StatusOK:
 			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body.String())

@@ -557,7 +557,7 @@ func resilientTestServer(t *testing.T, shards int, in *fault.Injector) *server {
 // on /v1/cite, before a stream's first line, and in a batch slot — and the
 // readiness probe and /stats surface the open breaker, which outlives Reset.
 func TestResilientServerUnavailable(t *testing.T) {
-	in := fault.NewInjector(1)
+	in := fault.NewInjector()
 	in.SetFault(1, fault.ShardFault{Permanent: true})
 	s := resilientTestServer(t, 3, in)
 	strict := `{"sql": "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"}`
@@ -640,7 +640,7 @@ func TestResilientServerRecovers(t *testing.T) {
 	want := httptest.NewRecorder()
 	testServer(t).handleCite(want, httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body)))
 
-	in := fault.NewInjector(2)
+	in := fault.NewInjector()
 	in.SetFault(0, fault.ShardFault{FailOps: 1}) // first scan fails, retry lands
 	s := resilientTestServer(t, 3, in)
 	w := httptest.NewRecorder()

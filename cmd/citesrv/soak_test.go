@@ -60,9 +60,10 @@ func parseStream(body string) (tuples int, trailer streamTrailer, err error) {
 	return len(lines) - 1, last.Trailer, nil
 }
 
-// The wire-level half of citebench's B24: the same citegraph mix as one
-// /v1/cite/batch POST vs per-request NDJSON /v1/cite/stream reads, measured
-// through a real HTTP round trip (httptest server, default transport).
+// The wire-level client patterns over a citegraph mix: one /v1/cite/batch
+// POST vs per-request NDJSON /v1/cite/stream reads, measured through a real
+// HTTP round trip (httptest server, default transport). The in-process
+// stream is weighed by TestStreamVsMaterializedAllocs (root package).
 
 func benchClientSetup(b *testing.B) (*httptest.Server, *http.Client, []string) {
 	b.Helper()

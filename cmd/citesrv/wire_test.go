@@ -171,7 +171,7 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 	}
 
 	// A dead shard's slot holds the typed 503 beside the others.
-	in := fault.NewInjector(1)
+	in := fault.NewInjector()
 	in.SetFault(1, fault.ShardFault{Permanent: true})
 	rs := resilientTestServer(t, 3, in)
 	w = postJSON(t, rs.handleCiteBatch, "/v1/cite/batch", `{"requests": [{`+queries[0]+`}, `+slots[8]+`]}`)

@@ -5,8 +5,9 @@
 // is cited once or never, the access pattern reference-resolution services
 // observe in practice. It is the repo's standing stress instance: deep-join
 // citation policies, hot-key skew against the shard router, versioned
-// write traffic and batch/streaming clients all run over it (citebench
-// B21–B24).
+// write traffic and batch/streaming clients all run over it (the root
+// package's TestCitegraph* and alloc tests, cmd/citesrv's soak suite,
+// bench's versioned-rw workload).
 //
 // Generation is strictly deterministic: one seeded rand.Rand, sequential
 // insertion, no map iteration — identical seed+config produce byte-identical
@@ -47,8 +48,8 @@ type Config struct {
 	// "Cited" (the default) sends every reference to a work to the shard
 	// owning that work — realistic for resolution serving, and deliberately
 	// hot-key-skewed since in-degree is Zipf; "Citing" routes by the citing
-	// work, which is near-uniform. citebench B22 measures the two against
-	// each other.
+	// work, which is near-uniform. TestCitegraphShardRouting (root package)
+	// checks the two against each other.
 	CitesShardKey string
 }
 
@@ -72,8 +73,8 @@ func ScaleMedium() Config {
 	return cfg
 }
 
-// ScaleStress is the standing local stress scale: ≥1M tuples (the BENCH_9
-// acceptance floor). Generation stays in the low seconds.
+// ScaleStress is the standing local stress scale: ≥1M tuples. Generation
+// stays in the low seconds.
 func ScaleStress() Config {
 	cfg := ScaleSmall()
 	cfg.Works, cfg.Authors, cfg.Venues = 60_000, 30_000, 200

@@ -190,8 +190,8 @@ func TestQueryMixDeterministic(t *testing.T) {
 	}
 }
 
-// TestScales: preset sanity — ScaleStress clears the 1M-tuple floor the
-// BENCH_9 acceptance criteria require, and smaller presets stay ordered.
+// TestScales: preset sanity — ScaleStress clears its 1M-tuple floor, and
+// smaller presets stay ordered.
 func TestScales(t *testing.T) {
 	small, med, stress := ScaleSmall(), ScaleMedium(), ScaleStress()
 	if n := stress.TupleCount(); n < 1_000_000 {

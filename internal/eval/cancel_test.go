@@ -57,7 +57,7 @@ func strategies(t *testing.T) []strategy {
 		{"pool-4", db, split(db, 8), q, eval.Options{Parallel: 4}},
 		{"expanded-16", dense, split(dense, 16), selective, eval.Options{Parallel: 16}},
 		{"scatter-4", db, sharded, q, eval.Options{Parallel: 4}},
-		{"resilient-4", db, eval.Resilient(fault.NewInjector(42).Wrap(sharded), fastResilience()), q, eval.Options{Parallel: 4}},
+		{"resilient-4", db, eval.Resilient(fault.NewInjector().Wrap(sharded), fastResilience()), q, eval.Options{Parallel: 4}},
 	}
 }
 

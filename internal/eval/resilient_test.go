@@ -39,7 +39,7 @@ func resilientFixture(t testing.TB) (*fault.Injector, eval.Partitioned, *storage
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := fault.NewInjector(42)
+	in := fault.NewInjector()
 	return in, in.Wrap(sharded), db
 }
 
@@ -540,7 +540,7 @@ func TestResilientCancelMidHedge(t *testing.T) {
 // per-shard operation count, so the same schedule replays identically.
 func TestInjectorDeterminism(t *testing.T) {
 	run := func() []string {
-		in := fault.NewInjector(7)
+		in := fault.NewInjector()
 		db := workload.ChainDB(2, 50, 16, 3)
 		sharded, err := shard.FromDB(db, 2)
 		if err != nil {

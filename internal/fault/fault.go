@@ -81,8 +81,6 @@ type ShardFault struct {
 // or snapshot shard view once and flip faults per shard with SetFault; the
 // zero schedule passes everything through untouched.
 type Injector struct {
-	seed int64
-
 	mu     sync.Mutex
 	faults map[int]*shardSchedule
 }
@@ -92,15 +90,11 @@ type shardSchedule struct {
 	ops   int // ShardScan calls consumed against this schedule
 }
 
-// NewInjector creates an injector. The seed is recorded for reproducibility
-// reporting; fault scheduling itself is counter-based and deterministic per
-// shard independent of interleaving.
-func NewInjector(seed int64) *Injector {
-	return &Injector{seed: seed, faults: make(map[int]*shardSchedule)}
+// NewInjector creates an injector with no faults. Scheduling is
+// counter-based: deterministic per shard, independent of interleaving.
+func NewInjector() *Injector {
+	return &Injector{faults: make(map[int]*shardSchedule)}
 }
-
-// Seed returns the injector's seed.
-func (in *Injector) Seed() int64 { return in.seed }
 
 // SetFault installs (or replaces) shard si's fault schedule, resetting its
 // operation counter. A zero ShardFault clears the shard.

@@ -1,18 +1,16 @@
-// Package workload generates deterministic benchmark workloads for the
-// citation model: chain-join schemas with sliding-window views (driving the
-// rewriting-enumeration benchmarks B1/B2/B9), and GtoPdb-shaped query mixes
-// (driving the citation-construction benchmarks B3–B5). Everything is seeded
-// and reproducible.
+// Package workload generates the deterministic fixtures that the eval,
+// shard, rewrite and root tests share: layered chain-join databases and
+// their chain queries, sliding-window views over a chain (the search space
+// of the rewriting-enumeration benchmarks), and GtoPdb-shaped conjunctive
+// queries, a fixed mix and random ones. Everything is seeded and
+// reproducible.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
 
-	"citare/internal/citegraph"
-	"citare/internal/core"
 	"citare/internal/cq"
-	"citare/internal/format"
 	"citare/internal/storage"
 )
 
@@ -92,31 +90,9 @@ func WindowViews(k, n int) []*cq.Query {
 	return out
 }
 
-// ChainCitationViews wraps window views into citation views whose citation
-// query is the window itself (a structural self-citation), with a default
-// list spec — enough to drive the end-to-end citation pipeline at scale.
-func ChainCitationViews(k, n int) ([]*core.CitationView, error) {
-	defs := WindowViews(k, n)
-	out := make([]*core.CitationView, 0, len(defs))
-	for _, def := range defs {
-		cite := def.Clone()
-		cite.Name = "C" + def.Name
-		spec := &format.Spec{Fields: []format.Field{
-			{Key: "Segment", Kind: format.FLiteral, Lit: def.Name},
-			{Key: "From", Kind: format.FList, Var: def.Head[0].Name},
-		}}
-		cv, err := core.NewCitationView(def, cite, spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cv)
-	}
-	return out, nil
-}
-
 // GtoPdbQueries returns a deterministic mix of conjunctive queries over the
 // GtoPdb schema, from single-relation selections to three-way joins, used by
-// the citation-cost benchmarks.
+// the sharded-evaluation parity tests.
 func GtoPdbQueries() []*cq.Query {
 	v := cq.Var
 	c := cq.Const
@@ -149,14 +125,6 @@ func GtoPdbQueries() []*cq.Query {
 			Comps: []cq.Comparison{{L: v("Ty"), Op: cq.OpEq, R: c("type-02")}},
 		},
 	}
-}
-
-// CiteGraphMix bridges the citegraph stress workload into the benchmark
-// harness: n datalog queries drawn with the long-tail service weights (Zipf
-// resolution/incoming probes dominating, deep joins in the tail), targeting
-// the same skewed hot works the instance's in-degree law concentrates on.
-func CiteGraphMix(cfg citegraph.Config, seed int64, n int) []string {
-	return citegraph.QueryMix(cfg, citegraph.DefaultMixWeights(), seed, n)
 }
 
 // RandomGtoPdbQuery draws a random conjunctive query over the GtoPdb schema

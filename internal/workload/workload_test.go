@@ -68,21 +68,6 @@ func TestChainDBEvaluates(t *testing.T) {
 	}
 }
 
-func TestChainCitationViews(t *testing.T) {
-	views, err := ChainCitationViews(3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(views) != 6 {
-		t.Fatalf("want 6 citation views, got %d", len(views))
-	}
-	for _, v := range views {
-		if v.Spec == nil || v.CiteQ == nil {
-			t.Fatalf("incomplete citation view %s", v.Name())
-		}
-	}
-}
-
 func TestRandomGtoPdbQueryValid(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {

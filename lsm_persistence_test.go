@@ -30,15 +30,16 @@ import (
 
 // durableAnchor is the work the update batches cite and the AsOf probes
 // anchor on: mid-popularity, so its incoming list changes at every version
-// without the quadratic hot-key render (see runB21's caveat on streaming
-// the Zipf head at stress scale).
+// without the hot key's render, whose citation lists the hot work's whole
+// reference list once per result tuple (quadratic in its in-degree, minutes
+// at stress scale).
 func durableAnchor(cfg citegraph.Config) string {
 	return citegraph.WorkID(cfg.Works / 120)
 }
 
-// durableWorkload mirrors the B21 case list: hot- and tail-key resolution,
-// mid-popularity incoming/co-citation probes, and the deep joins — every
-// shape, none quadratic in the Zipf head's in-degree.
+// durableWorkload covers the citegraph query shapes: hot- and tail-key
+// resolution, mid-popularity incoming/co-citation probes, and the deep joins
+// — every shape, none quadratic in the Zipf head's in-degree.
 func durableWorkload(cfg citegraph.Config) []mixedQuery {
 	hot, mid, tail := citegraph.HotWork(), durableAnchor(cfg), citegraph.WorkID(cfg.Works-1)
 	return []mixedQuery{

@@ -28,7 +28,7 @@ import (
 // injector wrapped around the shard-scan seam and the given resilient
 // configuration. The injector applies from the next snapshot, so the epoch
 // is cycled once; the attempt policy wraps the injector there.
-func resilientPaperCiter(t *testing.T, shards int, in *fault.Injector, cfg ResilienceConfig) *Citer {
+func resilientPaperCiter(t testing.TB, shards int, in *fault.Injector, cfg ResilienceConfig) *Citer {
 	t.Helper()
 	c := shardedPaperCiter(t, gtopdb.PaperInstance(), shards, WithResilience(cfg))
 	c.engine.SetShardWrapper(in.Wrap)
@@ -87,7 +87,7 @@ func TestResilienceNoFaultParity(t *testing.T) {
 // the fault clears.
 func TestChaosWithoutResilienceFailsTyped(t *testing.T) {
 	ctx := context.Background()
-	in := fault.NewInjector(42)
+	in := fault.NewInjector()
 	c := shardedPaperCiter(t, gtopdb.PaperInstance(), 3)
 	c.engine.SetShardWrapper(in.Wrap)
 	if err := c.Reset(); err != nil {
@@ -118,7 +118,7 @@ func TestChaosWithoutResilienceFailsTyped(t *testing.T) {
 func TestChaosStalledShard(t *testing.T) {
 	const shards = 3
 	const stalled = 1
-	in := fault.NewInjector(42)
+	in := fault.NewInjector()
 	in.SetFault(stalled, fault.ShardFault{Stall: true})
 	c := resilientPaperCiter(t, shards, in, chaosConfig())
 	const q = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`
@@ -190,7 +190,7 @@ func TestCitegraphChaosParity(t *testing.T) {
 	c := shardedCitegraphCiter(t, db, shards, WithResilience(chaosConfig()))
 	sdb := c.engine.Source().(core.ShardSource).DB
 	stalled := sdb.ShardFor("Cites", citegraph.HotWork())
-	in := fault.NewInjector(17)
+	in := fault.NewInjector()
 	in.SetFault(stalled, fault.ShardFault{Stall: true})
 	c.engine.SetShardWrapper(in.Wrap)
 	if err := c.Reset(); err != nil {
@@ -239,7 +239,7 @@ func TestChaosTransientRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := fault.NewInjector(9)
+	in := fault.NewInjector()
 	in.SetFault(0, fault.ShardFault{FailOps: 1})
 	in.SetFault(2, fault.ShardFault{FailOps: 1})
 	cfg := chaosConfig()
@@ -261,7 +261,7 @@ func TestChaosTransientRecovery(t *testing.T) {
 // a breaker a dead shard opened stays open across Reset, and the new epoch's
 // requests are still rejected at it without touching the shard.
 func TestBreakerSurvivesReset(t *testing.T) {
-	in := fault.NewInjector(3)
+	in := fault.NewInjector()
 	in.SetFault(1, fault.ShardFault{Permanent: true})
 	cfg := chaosConfig()
 	cfg.BreakerThreshold, cfg.BreakerCooldown = 1, time.Hour
@@ -292,7 +292,7 @@ func TestBreakerSurvivesReset(t *testing.T) {
 // half-open for good.
 func TestBreakerProbeReleasedOnCancel(t *testing.T) {
 	const cooldown = 20 * time.Millisecond
-	in := fault.NewInjector(8)
+	in := fault.NewInjector()
 	c := resilientPaperCiter(t, 3, in, ResilienceConfig{
 		AttemptTimeout: 2 * time.Second, MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: cooldown,
 	})
@@ -329,7 +329,7 @@ func TestBreakerProbeReleasedOnCancel(t *testing.T) {
 // is waiting out a stalled shard returns ErrCanceled promptly — the retry
 // machinery must not outlive its caller — and the goroutine count settles.
 func TestChaosCancelDuringRetry(t *testing.T) {
-	in := fault.NewInjector(5)
+	in := fault.NewInjector()
 	in.SetFault(1, fault.ShardFault{Stall: true})
 	cfg := chaosConfig()
 	cfg.AttemptTimeout = 10 * time.Second // the cancel must cut in, not the deadline
@@ -353,4 +353,30 @@ func TestChaosCancelDuringRetry(t *testing.T) {
 		t.Fatalf("cancel-to-return took %v", el)
 	}
 	waitGoroutines(t, before)
+}
+
+// BenchmarkHedgedStraggler prices hedging against a straggler: scatter-gather
+// citations over four shards, one of which answers its first scan 10ms late.
+// Unhedged, every citation waits out the lag; hedged after 2ms, the duplicate
+// scan lands past the shard's slow budget and wins. SetFault resets the
+// shard's op counter, so every iteration sees the same one-slow-scan world.
+// TestResilientHedgingBeatsStraggler (internal/eval) asserts the payoff.
+func BenchmarkHedgedStraggler(b *testing.B) {
+	const q = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`
+	for _, hedge := range []time.Duration{0, 2 * time.Millisecond} {
+		b.Run("hedge="+hedge.String(), func(b *testing.B) {
+			in := fault.NewInjector()
+			c := resilientPaperCiter(b, 4, in, ResilienceConfig{HedgeAfter: hedge, Seed: 20})
+			if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil { // warm plans and tokens
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				in.SetFault(0, fault.ShardFault{Latency: 10 * time.Millisecond, SlowOps: 1})
+				if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

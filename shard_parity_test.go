@@ -3,7 +3,9 @@ package citare
 // Property tests for the sharded engine: citations produced through
 // shard-partitioned storage with scatter-gather evaluation must be
 // byte-identical to the unsharded engine's, on the paper's gtopdb workload
-// and the advisor query log, for every shard count.
+// and the advisor query log, for every shard count. Beside them, how the
+// Cites shard key routes citegraph lookups (TestCitegraphShardRouting) and
+// what a pruned point citation costs (BenchmarkPrunedPointCite).
 
 import (
 	"context"
@@ -12,6 +14,8 @@ import (
 	"testing"
 
 	"citare/internal/citegraph"
+	"citare/internal/datalog"
+	"citare/internal/eval"
 	"citare/internal/gtopdb"
 	"citare/internal/shard"
 	"citare/internal/storage"
@@ -53,7 +57,7 @@ func citationFingerprint(t *testing.T, res *Citation) string {
 	return s + res.CitationJSON()
 }
 
-func shardedPaperCiter(t *testing.T, db *storage.DB, shards int, opts ...Option) *Citer {
+func shardedPaperCiter(t testing.TB, db *storage.DB, shards int, opts ...Option) *Citer {
 	t.Helper()
 	sdb, err := shard.FromDB(db, shards)
 	if err != nil {
@@ -114,7 +118,7 @@ func shardedCitegraphCiter(t *testing.T, db *storage.DB, shards int, opts ...Opt
 
 // TestCitegraphShardedParity: the citegraph workload — hot-key skew and deep
 // joins included — produces byte-identical citations through the sharded
-// engine for the ISSUE 9 shard counts, under both Cited and Citing routing
+// engine for 1, 3 and 5 shards, under both Cited and Citing routing
 // of the Cites relation.
 func TestCitegraphShardedParity(t *testing.T) {
 	for _, routing := range []string{"Cited", "Citing"} {
@@ -138,6 +142,62 @@ func TestCitegraphShardedParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCitegraphShardRouting (B22) checks, by shard.OpStats' counts alone,
+// the routing trade-off the Cites shard key encodes. The same 100 Zipf-drawn
+// IncomingTitledQuery lookups (the Cites atom at a deep join step, so every
+// probe goes through the union view OpStats counts) run over 4 shards of
+// ScaleSmall. Keyed on Cited, a lookup prunes to the one shard owning the
+// work, and the Zipf in-degree law piles those lookups onto the hot work's
+// shard. Keyed on Citing, every lookup fans out: per-shard load is uniform,
+// nothing is pruned. Measured: 100 lookups pruned and per-shard peak/mean
+// 1.24x on Cited; 100 fanned out and 1.00x on Citing.
+func TestCitegraphShardRouting(t *testing.T) {
+	const shards = 4
+	type outcome struct {
+		pruned, fanout uint64
+		imbalance      float64 // per-shard lookups, peak over mean
+	}
+	route := func(key string) outcome {
+		cfg := citegraph.ScaleSmall()
+		cfg.CitesShardKey = key
+		sdb, err := shard.FromDB(citegraph.Generate(cfg), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range citegraph.ZipfWorks(cfg, 99, 100) {
+			q, err := datalog.ParseQuery(citegraph.IncomingTitledQuery(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eval.EvalOn(sdb, q, eval.Options{Parallel: shards}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := sdb.OpStats()
+		var total, peak uint64
+		lookups := make([]uint64, len(st.PerShard))
+		for i, ps := range st.PerShard {
+			lookups[i] = ps.Lookups
+			total += ps.Lookups
+			peak = max(peak, ps.Lookups)
+		}
+		mean := float64(total) / float64(len(lookups))
+		o := outcome{pruned: st.PrunedLookups, fanout: st.FanoutLookups, imbalance: float64(peak) / mean}
+		t.Logf("routing on %s: pruned %d, fan-out %d, per-shard lookups %v (peak/mean %.2fx)", key, o.pruned, o.fanout, lookups, o.imbalance)
+		return o
+	}
+	cited, citing := route("Cited"), route("Citing")
+	if cited.pruned == 0 {
+		t.Fatal("routing on Cited pruned no lookup: shard-key pruning is off")
+	}
+	if citing.fanout <= citing.pruned {
+		t.Fatalf("routing on Citing: fan-out %d, pruned %d; incoming lookups should fan out", citing.fanout, citing.pruned)
+	}
+	if cited.imbalance <= citing.imbalance {
+		t.Fatalf("per-shard peak/mean %.2fx on Cited against %.2fx on Citing: hot-key routing should skew the load", cited.imbalance, citing.imbalance)
 	}
 }
 
@@ -330,5 +390,39 @@ func TestShardedCachedCiter(t *testing.T) {
 	if len(refreshed.Rows()) != len(first.Rows())+1 {
 		t.Fatalf("invalidate did not surface shard write: %d rows, want %d",
 			len(refreshed.Rows()), len(first.Rows())+1)
+	}
+}
+
+// BenchmarkPrunedPointCite prices a point citation whose query binds
+// Family's shard key, on the 1,000-family instance with warm plans and
+// tokens: the sharded engine reads one shard whatever the shard count, so
+// its cost should stay flat from 1 to 8 shards and near the unsharded one.
+func BenchmarkPrunedPointCite(b *testing.B) {
+	const q = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = "500"`
+	cfg := gtopdb.DefaultConfig()
+	cfg.Families = 1000
+	db := gtopdb.Generate(cfg)
+	bench := func(b *testing.B, c *Citer) {
+		if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil { // warm plans and tokens
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("unsharded", func(b *testing.B) {
+		c, err := NewFromProgram(db, gtopdb.ViewsProgram, WithNeutralCitation(gtopdb.DatabaseCitation()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench(b, c)
+	})
+	for _, n := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			bench(b, shardedPaperCiter(b, db, n))
+		})
 	}
 }

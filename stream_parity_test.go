@@ -365,7 +365,7 @@ func TestCachedStreamNonHitsEvaluate(t *testing.T) {
 
 	// A failed citation is never stored, so its stream is never a replay.
 	const shards, stalled = 3, 1
-	in := fault.NewInjector(42)
+	in := fault.NewInjector()
 	in.SetFault(stalled, fault.ShardFault{Stall: true})
 	cached = NewCached(resilientPaperCiter(t, shards, in, chaosConfig()))
 	failing := Request{Datalog: `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`}
