@@ -66,9 +66,9 @@ func (t Token) String() string {
 	return t.Name + "(" + strings.Join(quoted, ",") + ")"
 }
 
-// Encode packs the token into a provenance.Token so citation polynomials
-// can reuse the provenance-semiring machinery. The encoding is unambiguous
-// and ordered consistently with String for deterministic output.
+// Encode packs the token into a provenance.Token, the annotation citation
+// polynomials are built over. The encoding is unambiguous and ordered
+// consistently with String for deterministic output.
 func (t Token) Encode() provenance.Token {
 	var sb strings.Builder
 	if t.Kind == RelToken {

@@ -41,17 +41,6 @@ func FindHomomorphism(from, onto *Query) (Subst, bool) {
 	return extendHomomorphism(from, onto, h)
 }
 
-// FindBodyHomomorphism searches for a homomorphism from the body of `from`
-// into the body of `onto` extending the given seed mapping (which may be
-// nil). The head is ignored.
-func FindBodyHomomorphism(from, onto *Query, seed Subst) (Subst, bool) {
-	h := make(Subst)
-	for k, v := range seed {
-		h[k] = v
-	}
-	return extendHomomorphism(from, onto, h)
-}
-
 func extendHomomorphism(from, onto *Query, h Subst) (Subst, bool) {
 	// Index target atoms by predicate for candidate generation.
 	byPred := make(map[string][]Atom)

@@ -36,17 +36,6 @@ func (q *Query) Clone() *Query {
 	return out
 }
 
-// HeadVars returns the set of variable names occurring in the head.
-func (q *Query) HeadVars() map[string]bool {
-	vs := make(map[string]bool)
-	for _, t := range q.Head {
-		if t.IsVar() {
-			vs[t.Name] = true
-		}
-	}
-	return vs
-}
-
 // BodyVars returns the set of variable names occurring in relational atoms.
 func (q *Query) BodyVars() map[string]bool {
 	vs := make(map[string]bool)

@@ -225,9 +225,8 @@ func headCols(q *cq.Query) []string {
 }
 
 // DBFromFacts builds a database holding the given ground atoms, inferring a
-// schema (string columns c0..ck per predicate). It is used to evaluate
-// queries over canonical databases in tests and in the containment
-// cross-check.
+// schema (string columns c0..ck per predicate). Tests use it to evaluate
+// queries over canonical databases.
 func DBFromFacts(facts []cq.Atom) (*storage.DB, error) {
 	s := storage.NewSchema()
 	arity := make(map[string]int)

@@ -72,8 +72,7 @@ func (s *Store) Compact() error {
 			sw.f.Close()
 		}
 		for _, r := range outputs {
-			r.dead.Store(true)
-			r.unref()
+			r.markObsolete()
 		}
 		return err
 	}

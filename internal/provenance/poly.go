@@ -1,9 +1,34 @@
+// Package provenance implements the free commutative semiring of provenance
+// polynomials ℕ[X] of Green, Karvounarakis and Tannen (PODS 2007), which the
+// paper's citation model (§3.1) builds on: a Token annotates one input, a
+// Monomial is the joint use (·) of tokens, and a Poly is an alternative use
+// (+) of monomials with their multiplicities. The citation policy interprets
+// these polynomials; this package builds, compares and renders them.
+//
+// # Representation
+//
+// The algebra is flat: no map and no sorted, joined key string is built per
+// monomial or per polynomial. A Monomial is its distinct tokens in sorted
+// order beside their exponents, with the canonical Key made once, at
+// construction; it is immutable and copies share its slices. A Poly is its
+// Terms in key order behind one pointer: copies share them, and an Add
+// through one shows in all. Add only appends (or bumps the term added last);
+// the next read merges equal keys, drops cancelled terms and sorts.
+//
+// Sharing is safe under one contract. Monomial.Support and Poly.Terms return
+// the value's own slices: read-only. And a Poly is frozen once it leaves the
+// stage that built and read it — the citation pipeline's gather stage — like
+// format's records: no Add afterwards, so concurrent readers of a cached
+// citation find merged terms and never write.
 package provenance
 
 import (
 	"slices"
 	"strings"
 )
+
+// Token is a base annotation attached to an input tuple.
+type Token string
 
 // Monomial is a finite multiset of tokens (a product x1^e1 · … · xk^ek in
 // the free semiring ℕ[X]). Immutable; see the package comment.
@@ -95,7 +120,7 @@ func (m Monomial) Exp(t Token) int {
 func (m Monomial) flat() bool { return m.Degree() == len(m.toks) }
 
 // Flatten returns the monomial with all exponents clipped to 1 (idempotent
-// multiplication, as in the why/posbool semirings).
+// multiplication, as in why-provenance).
 func (m Monomial) Flatten() Monomial {
 	if m.flat() {
 		return m
@@ -128,10 +153,10 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// Poly is a provenance polynomial: an ℕ-linear combination of monomials.
-// It is the free commutative semiring over tokens; any Semiring receives it
-// homomorphically via EvalPoly. Copies share one body (package comment); Add
-// is the only mutation, and a function returning a new polynomial merges it.
+// Poly is a provenance polynomial: an ℕ-linear combination of monomials, an
+// element of the free commutative semiring over tokens. Copies share one body
+// (package comment); Add is the only mutation, and a function returning a new
+// polynomial merges it.
 type Poly struct{ b *polyBody }
 
 // polyBody holds a polynomial's terms. The first clean of them are merged:
@@ -310,42 +335,3 @@ func (p Poly) String() string {
 	}
 	return strings.Join(parts, " + ")
 }
-
-// EvalPoly specializes the polynomial into a concrete semiring by mapping
-// tokens through val — the unique semiring homomorphism extending val.
-func EvalPoly[T any](p Poly, sr Semiring[T], val func(Token) T) T {
-	acc := sr.Zero()
-	for _, t := range p.Terms() {
-		term := sr.One()
-		for i, tok := range t.Mono.toks {
-			for range t.Mono.exps[i] {
-				term = sr.Times(term, val(tok))
-			}
-		}
-		for range t.Coeff {
-			acc = sr.Plus(acc, term)
-		}
-	}
-	return acc
-}
-
-// PolySemiring exposes Poly as a Semiring (the free one).
-type PolySemiring struct{}
-
-// Name implements Semiring.
-func (PolySemiring) Name() string { return "poly" }
-
-// Zero implements Semiring.
-func (PolySemiring) Zero() Poly { return NewPoly() }
-
-// One implements Semiring.
-func (PolySemiring) One() Poly { return PolyFromMonomial(MonomialOne()) }
-
-// Plus implements Semiring.
-func (PolySemiring) Plus(a, b Poly) Poly { return a.Plus(b) }
-
-// Times implements Semiring.
-func (PolySemiring) Times(a, b Poly) Poly { return a.Times(b) }
-
-// Equal implements Semiring.
-func (PolySemiring) Equal(a, b Poly) bool { return a.Equal(b) }

@@ -69,10 +69,6 @@ func checkPoly(t *testing.T, at string, p polyPair, monos []monoPair) {
 			t.Fatalf("%s: Coefficient(%q) = %d, reference %d", at, m.flat.Key(), p.flat.Coefficient(m.flat), p.ref.Coefficient(m.ref))
 		}
 	}
-	val := func(tok Token) int { return len(tok)%3 + 1 }
-	if got, want := EvalPoly[int](p.flat, NatSemiring{}, val), p.ref.evalNat(val); got != want {
-		t.Fatalf("%s: EvalPoly into ℕ = %d, reference %d", at, got, want)
-	}
 }
 
 // runPolyOps interprets data as an op sequence over a few monomial and

@@ -185,20 +185,3 @@ func (p refPoly) String() string {
 	}
 	return strings.Join(parts, " + ")
 }
-
-// evalNat is EvalPoly into ℕ as the map-based code computed it.
-func (p refPoly) evalNat(val func(Token) int) int {
-	acc := 0
-	for _, t := range p.Terms() {
-		term := 1
-		for _, tok := range t.Mono.Support() {
-			for i := 0; i < t.Mono.Exp(tok); i++ {
-				term *= val(tok)
-			}
-		}
-		for i := 0; i < t.Coeff; i++ {
-			acc += term
-		}
-	}
-	return acc
-}
