@@ -157,8 +157,8 @@ type (
 	// CitationView is the (V, C_V, F_V) triple of Definition 2.1.
 	CitationView = core.CitationView
 	// ResilienceConfig tunes the attempt policy of a sharded Citer's shard
-	// scans (WithResilience): per-shard attempt deadlines, bounded retries
-	// with backoff, hedged straggler attempts and circuit breakers.
+	// scans (WithResilience): per-shard deadlines on the wait for a shard's
+	// first tuple, bounded retries with backoff and circuit breakers.
 	ResilienceConfig = core.ResilienceConfig
 )
 
@@ -210,9 +210,9 @@ func WithNeutralCitation(obj *format.Object) Option {
 }
 
 // WithResilience arms a sharded Citer's shard scans with the fault-tolerant
-// attempt policy: per-shard attempt deadlines, bounded retries with
-// exponential backoff and seeded jitter, optional hedged duplicate attempts
-// for stragglers, and per-shard circuit breakers shared across requests.
+// attempt policy: per-shard deadlines on each attempt's wait for the shard's
+// first tuple, bounded retries with exponential backoff and seeded jitter,
+// and per-shard circuit breakers shared across requests.
 // With zero faults the output stays byte-identical to a sharded Citer
 // without it, which reads each shard once. Either way a shard that stays
 // unreachable fails the request with ErrShardUnavailable: a citation is

@@ -125,21 +125,18 @@
 //
 // # Resilience
 //
-// With -shards N > 1 and -resilience (the default), every shard scan runs
-// under the fault-tolerant attempt policy: per-shard attempt deadlines
-// (-shard-attempt-timeout), bounded retries with jittered exponential
-// backoff (-shard-attempts), optional hedged duplicate scans
-// (-shard-hedge-after), and a per-shard circuit breaker
-// (-breaker-threshold, -breaker-cooldown) shared across requests. A shard
-// that stays unreachable past its budget fails the request with 503
-// "unavailable": a citation is whole or not given. With -resilience=false
-// each shard is read once, with no deadline, and a failed read answers 503
-// "unavailable".
-// Breaker states are surfaced on /stats, on the /v1/health readiness
-// probe (503 once any breaker opens), and as citare_shard_* /metrics
-// series. On SIGTERM/SIGINT the server stops accepting connections and
-// drains in-flight requests — streams flush their trailers — bounded by
-// the -timeout grace period.
+// With -shards N > 1, every shard scan runs under the fault-tolerant attempt
+// policy: a 2 s deadline on each attempt's wait for the shard's first tuple,
+// 3 attempts with jittered exponential backoff between them, and a
+// per-shard circuit breaker, shared across requests, that opens after 3
+// consecutive failures and probes the shard again 5 s later. A shard that
+// stays unreachable past its budget fails the request with 503
+// "unavailable": a citation is whole or not given. A healthy shard whose
+// join work is long is bounded by -timeout only. Breaker states are
+// surfaced on /stats, on the /v1/health readiness probe (503 once any
+// breaker opens), and as citare_shard_* /metrics series. On SIGTERM/SIGINT
+// the server stops accepting connections and drains in-flight requests —
+// streams flush their trailers — bounded by the -timeout grace period.
 //
 // All requests are served concurrently from one shared, cached citation
 // engine: the engine cites against an immutable database snapshot, and
@@ -865,6 +862,14 @@ func (s *server) serve(ctx context.Context, l net.Listener) error {
 	return nil
 }
 
+// The attempt policy every sharded server arms (see # Resilience).
+const (
+	shardAttemptTimeout = 2 * time.Second // each attempt's wait for a shard's first tuple
+	shardAttempts       = 3               // per shard, first try included
+	breakerThreshold    = 3               // consecutive failures that open a shard's breaker
+	breakerCooldown     = 5 * time.Second // before an open breaker probes its shard again
+)
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8437", "listen address")
@@ -876,13 +881,6 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress the per-request access log")
 		slowThr   = flag.Duration("slow-threshold", 500*time.Millisecond, "capture requests at least this slow in the /v1/slow ring (0 disables)")
 		slowCap   = flag.Int("slow-capacity", 128, "slow-query ring capacity")
-
-		resilience = flag.Bool("resilience", true, "fault-tolerant scatter-gather on sharded deployments (retries, hedging, breakers)")
-		attemptTO  = flag.Duration("shard-attempt-timeout", 2*time.Second, "per-shard scan attempt deadline (resilient sharded only)")
-		attempts   = flag.Int("shard-attempts", 3, "per-shard attempt budget, first try included (resilient sharded only)")
-		hedgeAfter = flag.Duration("shard-hedge-after", 0, "duplicate a straggling shard scan after this long, first finisher wins (0 disables)")
-		brkThresh  = flag.Int("breaker-threshold", 3, "consecutive shard failures that open its circuit breaker")
-		brkCool    = flag.Duration("breaker-cooldown", 5*time.Second, "cooldown before an open breaker probes the shard again")
 	)
 	flag.Parse()
 
@@ -954,22 +952,21 @@ func main() {
 		s.lsm = pers.Store()
 	}
 	s.initObservability()
-	// Resilience wires up after the registry exists so its retry/hedge/
+	// Resilience wires up after the registry exists so its retry and
 	// breaker counters land on /metrics. SetResilience is a pre-serving
 	// configuration call; no requests are in flight yet.
-	if *shards > 1 && *resilience {
+	if *shards > 1 {
 		if err := citer.Engine().SetResilience(&citare.ResilienceConfig{
-			AttemptTimeout:   *attemptTO,
-			MaxAttempts:      *attempts,
-			HedgeAfter:       *hedgeAfter,
-			BreakerThreshold: *brkThresh,
-			BreakerCooldown:  *brkCool,
+			AttemptTimeout:   shardAttemptTimeout,
+			MaxAttempts:      shardAttempts,
+			BreakerThreshold: breakerThreshold,
+			BreakerCooldown:  breakerCooldown,
 			Metrics:          obs.NewResilienceMetrics(s.reg),
 		}); err != nil {
 			log.Fatalf("citesrv: resilience: %v", err)
 		}
-		log.Printf("citesrv: shard-scan attempt policy enabled (attempt timeout %v, %d attempts, hedge %v, breaker %d/%v)",
-			*attemptTO, *attempts, *hedgeAfter, *brkThresh, *brkCool)
+		log.Printf("citesrv: shard-scan attempt policy enabled (first-tuple deadline %v, %d attempts, breaker %d/%v)",
+			shardAttemptTimeout, shardAttempts, breakerThreshold, breakerCooldown)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -37,7 +37,7 @@ type ExplainStage struct {
 	// expansion), "frames" and "deduped" (frames that repeated a binding),
 	// and "strategy" when it was evaluated; on a "shard"
 	// span the "shard" it read, the "error" that failed it, and under the
-	// attempt policy (WithResilience) its "attempts" and "hedges".
+	// attempt policy (WithResilience) its "attempts".
 	Attrs map[string]any `json:"attrs,omitempty"`
 	// Children are the nested spans.
 	Children []*ExplainStage `json:"children,omitempty"`

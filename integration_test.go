@@ -14,6 +14,7 @@ import (
 
 	"citare/internal/backend"
 	"citare/internal/core"
+	"citare/internal/cq"
 	"citare/internal/format"
 	"citare/internal/gtopdb"
 	"citare/internal/lsm"
@@ -177,11 +178,11 @@ func TestPlanIndependenceRandomQueries(t *testing.T) {
 		// Redundant copy of the first atom with fresh variable names for
 		// its existential positions keeps equivalence.
 		variant.Atoms = append(variant.Atoms, variant.Atoms[0])
-		res1, err := citer.Engine().Cite(q)
+		res1, err := citeQuery(citer, q)
 		if err != nil {
 			return false
 		}
-		res2, err := citer.Engine().Cite(variant)
+		res2, err := citeQuery(citer, variant)
 		if err != nil {
 			return false
 		}
@@ -198,6 +199,16 @@ func TestPlanIndependenceRandomQueries(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// citeQuery cites a parsed query through the engine's prepared door, as the
+// facade does once it has parsed a request.
+func citeQuery(c *Citer, q *cq.Query) (*core.Result, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	e := c.Engine()
+	return e.CitePrepared(context.Background(), e.Prepare(q, core.CiteOptions{}), core.CiteOptions{})
 }
 
 // TestEngineRewritingsAlwaysCertified re-verifies, through the public
@@ -241,7 +252,7 @@ func TestCitationAgreesWithDirectEvaluation(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 25; i++ {
 		q := workload.RandomGtoPdbQuery(r, 3)
-		res, err := citer.Engine().Cite(q)
+		res, err := citeQuery(citer, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}

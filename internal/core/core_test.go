@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -190,7 +191,7 @@ func TestPaperExample31(t *testing.T) {
 	e := paperEngine(t, plainPolicy())
 	// Restrict to family 11 so there is exactly one binding.
 	q := mustQuery(t, `Q(N) :- Family(F, N, Ty), F = "11", FamilyIntro(F, Tx)`)
-	res, err := e.Cite(q)
+	res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestPaperExample32(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := mustQuery(t, `Q(N) :- Family(F, N, Ty), FamilyIntro(F, Tx), N = "Calcitonin"`)
-	res, err := e.Cite(q)
+	res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestPaperExample32(t *testing.T) {
 func TestPaperExample33(t *testing.T) {
 	e := paperEngine(t, plainPolicy())
 	q := mustQuery(t, `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`)
-	res, err := e.Cite(q)
+	res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +302,11 @@ func TestPlanIndependence(t *testing.T) {
 	q1 := mustQuery(t, `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`)
 	// Same query with a redundant atom, reordered body, renamed variables.
 	q2 := mustQuery(t, `Q(Nm) :- FamilyIntro(Fam, Text), Family(Fam, Nm, "gpcr"), Family(Fam, Nm, T2)`)
-	r1, err := e.Cite(q1)
+	r1, err := e.CiteQuery(context.Background(), q1, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Cite(q2)
+	r2, err := e.CiteQuery(context.Background(), q2, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestPaperExample34(t *testing.T) {
 	pol.IdempotentPlus = true
 	e := paperEngine(t, pol)
 	q := mustQuery(t, `Q(N) :- Family(F, N, Ty), Ty = "gpcr"`)
-	res, err := e.Cite(q)
+	res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestPaperExample34(t *testing.T) {
 	pol2 := pol
 	pol2.PreferredRewritings = true
 	e2 := paperEngine(t, pol2)
-	res2, err := e2.Cite(q)
+	res2, err := e2.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ fmt  V2 { "ID": F, "Name": N, "Text": Tx, "Contributors": [Pn] }.
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Cite(q)
+		res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +443,7 @@ func TestPaperExample36(t *testing.T) {
 	pol.Orders = core.Orders{core.ByViewCount{}}
 	e := paperEngine(t, pol)
 	q := mustQuery(t, `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`)
-	res, err := e.Cite(q)
+	res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +493,7 @@ cite VFull λF. CVFull(F, N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx).
 		t.Fatal(err)
 	}
 	q := mustQuery(t, `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)`)
-	res, err := e.Cite(q)
+	res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +526,7 @@ func TestPaperExample38(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := mustQuery(t, `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`)
-	res, err := e.Cite(q)
+	res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +558,7 @@ func TestViewInclusionConcurrentCites(t *testing.T) {
 		return e
 	}
 	q := mustQuery(t, `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`)
-	want, err := newEngine().Cite(q)
+	want, err := newEngine().CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +569,7 @@ func TestViewInclusionConcurrentCites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				res, err := e.Cite(q)
+				res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -588,7 +589,7 @@ func TestAggNeutralOnEmptyResult(t *testing.T) {
 	pol.Neutral = []*format.Object{gtopdb.DatabaseCitation()}
 	e := paperEngine(t, pol)
 	q := mustQuery(t, `Q(N) :- Family(F, N, Ty), Ty = "no-such-type"`)
-	res, err := e.Cite(q)
+	res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +601,7 @@ func TestAggNeutralOnEmptyResult(t *testing.T) {
 	}
 	// Unsatisfiable queries also degrade to the neutral citation.
 	q2 := mustQuery(t, `Q(N) :- Family(F, N, Ty), Ty = "a", Ty = "b"`)
-	res2, err := e.Cite(q2)
+	res2, err := e.CiteQuery(context.Background(), q2, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +617,7 @@ func TestNoViewsFallsBackToBaseTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := mustQuery(t, `Q(N) :- Family(F, N, Ty)`)
-	res, err := e.Cite(q)
+	res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +653,7 @@ func TestEngineDeterminism(t *testing.T) {
 	q := mustQuery(t, `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`)
 	render := func() string {
 		e := paperEngine(t, core.DefaultPolicy())
-		res, err := e.Cite(q)
+		res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -677,7 +678,7 @@ func TestEngineResetAfterUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := mustQuery(t, `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`)
-	res1, err := e.Cite(q)
+	res1, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +687,7 @@ func TestEngineResetAfterUpdate(t *testing.T) {
 	if err := e.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := e.Cite(q)
+	res2, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -761,7 +762,7 @@ func TestSQLPathProducesSameCitation(t *testing.T) {
 	// The SQL front end and the datalog front end must agree end to end.
 	e := paperEngine(t, core.DefaultPolicy())
 	qd := mustQuery(t, `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`)
-	resD, err := e.Cite(qd)
+	resD, err := e.CiteQuery(context.Background(), qd, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -769,7 +770,7 @@ func TestSQLPathProducesSameCitation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resS, err := e.Cite(qs)
+	resS, err := e.CiteQuery(context.Background(), qs, core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

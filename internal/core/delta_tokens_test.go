@@ -8,6 +8,7 @@ package core_test
 // from Definition 2.1 and against a cold engine pinned to the same version.
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -320,11 +321,11 @@ func checkDeltaTokens(t *testing.T, stage string, b *backend.LSM, w deltaWorld, 
 	}
 	seen := map[provenance.Token]bool{}
 	for i, q := range queries {
-		warm, err := head.Cite(q)
+		warm, err := head.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cold.Cite(q)
+		want, err := cold.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,7 +546,7 @@ func TestCiteRacingResetServesOneSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				res, err := e.Cite(q)
+				res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -311,8 +311,8 @@ type TupleCitation struct {
 	// interpretations. Tuples of one request with the same citation share
 	// one record (and Kept and Combined with it); all three are read-only.
 	Rendered format.Value
-	// Encoded carries the citation's text forms. CiteEach sets it on every
-	// tuple it streams; Cite leaves it nil.
+	// Encoded carries the citation's text forms. CiteEachPrepared sets it on
+	// every tuple it streams; CitePrepared leaves it nil.
 	Encoded *EncodedCitation
 	shared  *sharedCitation // the memo entry Kept, Combined and Rendered are from
 }
@@ -334,68 +334,45 @@ type Result struct {
 	Citation format.Value
 }
 
-// Cite computes the citation for a query: rewritings are enumerated
-// (§2.2), per-binding monomials are combined with · (Definition 3.1), per
-// rewriting with + (Definition 3.2), across rewritings with +R (Definition
-// 3.3, order-pruned per §3.4), and across tuples with Agg (Definition 3.4).
-func (e *Engine) Cite(q *cq.Query) (*Result, error) {
-	return e.CiteCtx(context.Background(), q, CiteOptions{})
-}
-
-// CiteCtx is Cite under a context with per-request options. Cancellation is
-// honored at every stage — output evaluation, rewriting evaluation and
-// per-tuple citation assembly — so a canceled request returns the context's
-// error promptly instead of finishing the citation nobody is waiting for.
-func (e *Engine) CiteCtx(ctx context.Context, q *cq.Query, o CiteOptions) (*Result, error) {
-	return e.cite(ctx, q, nil, o, nil)
-}
-
-// CitePrepared is CiteCtx for a query already resolved by Prepare (under
-// the same options): the caller needed the minimized form before deciding
-// to cite — a cache key, a batch group — and the citation does not redo it.
+// CitePrepared computes the citation of a query resolved by Prepare (under
+// the same options): rewritings are enumerated (§2.2), per-binding monomials
+// are combined with · (Definition 3.1), per rewriting with + (Definition
+// 3.2), across rewritings with +R (Definition 3.3, order-pruned per §3.4),
+// and across tuples with Agg (Definition 3.4). Cancellation is honored at
+// every stage — output evaluation, rewriting evaluation and per-tuple
+// citation assembly — so a canceled request returns the context's error
+// promptly instead of finishing the citation nobody is waiting for.
 func (e *Engine) CitePrepared(ctx context.Context, p *Prepared, o CiteOptions) (*Result, error) {
-	return e.cite(ctx, nil, p, o, nil)
+	return e.cite(ctx, p, o, nil)
 }
 
-// CiteEach is CiteCtx streaming: each output tuple's citation is handed to
-// fn (in the same deterministic tuple order Cite produces, byte-identical
-// content) instead of being kept on the Result, and no aggregated result-set
-// citation is rendered. The returned Result carries the query, columns and
-// rewritings only — Tuples stays nil and Citation zero. The *TupleCitation
-// passed to fn is only valid during the call; fn returning an error aborts
-// the stream.
+// CiteEachPrepared is CitePrepared streaming: each output tuple's citation
+// is handed to fn (in the same deterministic tuple order CitePrepared
+// produces, byte-identical content) instead of being kept on the Result, and
+// no aggregated result-set citation is rendered. The returned Result carries
+// the query, columns and rewritings only — Tuples stays nil and Citation
+// zero. The *TupleCitation passed to fn is only valid during the call; fn
+// returning an error aborts the stream.
 //
-// It is the same pipeline as CiteCtx with fn as its sink: the output tuples
-// are gathered and sorted and every rewriting's polynomials gathered before
-// the first delivery, then each citation is combined, rendered and encoded
-// lazily, right before its delivery, and released right after — the first
-// tuple reaches fn before any later tuple's citation has been rendered, and
-// the rendered records are never all in memory at once. The answer's tuples
-// and polynomials are, so memory stays O(answer) until [evaluate-once].
-func (e *Engine) CiteEach(ctx context.Context, q *cq.Query, o CiteOptions, fn func(*TupleCitation) error) (*Result, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("core: CiteEach requires a callback")
-	}
-	return e.cite(ctx, q, nil, o, fn)
-}
-
-// CiteEachPrepared is CiteEach for a query already resolved by Prepare
-// (under the same options), as CitePrepared is CiteCtx for one.
+// It is the same pipeline as CitePrepared with fn as its sink: the output
+// tuples are gathered and sorted and every rewriting's polynomials gathered
+// before the first delivery, then each citation is combined, rendered and
+// encoded lazily, right before its delivery, and released right after — the
+// first tuple reaches fn before any later tuple's citation has been
+// rendered, and the rendered records are never all in memory at once. The
+// answer's tuples and polynomials are, so memory stays O(answer) until
+// [evaluate-once].
 func (e *Engine) CiteEachPrepared(ctx context.Context, p *Prepared, o CiteOptions, fn func(*TupleCitation) error) (*Result, error) {
 	if fn == nil {
-		return nil, fmt.Errorf("core: CiteEach requires a callback")
+		return nil, fmt.Errorf("core: CiteEachPrepared requires a callback")
 	}
-	return e.cite(ctx, nil, p, o, fn)
+	return e.cite(ctx, p, o, fn)
 }
 
-// planStage is the pipeline's rewrite stage, under the stage's span: resolve
-// the query's logical plan, unless the caller brought it, and take its
-// unfolded rewritings under the query's own constants.
-func (e *Engine) planStage(ob *obsCtx, q *cq.Query, p *Prepared, o CiteOptions) (*Prepared, []*unfolded, error) {
+// planStage is the pipeline's rewrite stage, under the stage's span: take
+// the prepared query's unfolded rewritings under its own constants.
+func (e *Engine) planStage(ob *obsCtx, p *Prepared) ([]*unfolded, error) {
 	rw := ob.begin(obs.StageRewrite)
-	if p == nil {
-		p = e.logicalPlan(q, o)
-	}
 	var us []*unfolded
 	var err error
 	hit := false
@@ -411,23 +388,18 @@ func (e *Engine) planStage(ob *obsCtx, q *cq.Query, p *Prepared, o CiteOptions) 
 		ob.tr.SetInt(rw.id, "cached", cached)
 		ob.tr.SetInt(rw.id, "rewritings", int64(len(us)))
 	}
-	return p, us, err
+	return us, err
 }
 
 // cite is the citation pipeline, the one implementation of Definitions
-// 3.1–3.4 behind every entry point: plan (q set and p nil, or p brought by
-// the caller) → output evaluation → rewriting gather → per-tuple combine and
-// render → delivery. With a sink (CiteEach) each tuple's citation is encoded
+// 3.1–3.4 behind every entry point: rewritings of the prepared plan → output
+// evaluation → rewriting gather → per-tuple combine and render → delivery.
+// With a sink (CiteEachPrepared) each tuple's citation is encoded
 // and handed over as soon as it is rendered, then released; without one the
 // tuples stay on the Result and Agg is applied across them.
-func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptions, each func(*TupleCitation) error) (res *Result, err error) {
+func (e *Engine) cite(ctx context.Context, p *Prepared, o CiteOptions, each func(*TupleCitation) error) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if p == nil {
-		if err := q.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	mode := "cite"
 	if each != nil {
@@ -445,7 +417,7 @@ func (e *Engine) cite(ctx context.Context, q *cq.Query, p *Prepared, o CiteOptio
 		}()
 	}
 
-	p, us, err := e.planStage(&ob, q, p, o)
+	us, err := e.planStage(&ob, p)
 	if err != nil {
 		return nil, err
 	}

@@ -22,13 +22,11 @@ func enumerations(t *testing.T, e *core.Engine, src string, stream bool) (n, rew
 	t.Helper()
 	tr := obs.NewTrace()
 	ctx := obs.NewContext(context.Background(), tr, obs.NoSpan)
-	var res *core.Result
-	var err error
+	var sink func(*core.TupleCitation) error
 	if stream {
-		res, err = e.CiteEach(ctx, mustQuery(t, src), core.CiteOptions{}, func(*core.TupleCitation) error { return nil })
-	} else {
-		res, err = e.CiteCtx(ctx, mustQuery(t, src), core.CiteOptions{})
+		sink = func(*core.TupleCitation) error { return nil }
 	}
+	res, err := e.CiteQuery(ctx, mustQuery(t, src), core.CiteOptions{}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +52,7 @@ func enumerations(t *testing.T, e *core.Engine, src string, stream bool) (n, rew
 
 // TestCiteEnumeratesOnce: a citation enumerates its query once when every
 // rewriting's expansion is a renaming of it — every shape the benchmarks
-// send, on a plain and a sharded engine, through Cite and CiteEach — and
+// send, on a plain and a sharded engine, through CitePrepared and CiteEachPrepared — and
 // once more per rewriting that is not: VN's expansion R(A, B), R(A, C) is
 // enumerated on its own, VE's is read off the output evaluation.
 func TestCiteEnumeratesOnce(t *testing.T) {

@@ -7,6 +7,7 @@ package core_test
 // else: Reset costs O(relations), and requests of one epoch share no lock.
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"strconv"
@@ -28,7 +29,7 @@ import (
 // citeJSON cites a datalog query and renders the aggregated citation.
 func citeJSON(t *testing.T, e *core.Engine, src string) (rows int, citation string) {
 	t.Helper()
-	res, err := e.Cite(mustQuery(t, src))
+	res, err := e.CiteQuery(context.Background(), mustQuery(t, src), core.CiteOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func citeAsync(t *testing.T, e *core.Engine, src string) <-chan string {
 	q := mustQuery(t, src)
 	out := make(chan string, 1)
 	go func() {
-		res, err := e.Cite(q)
+		res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
 		if err != nil {
 			out <- "error: " + err.Error()
 			return

@@ -22,13 +22,14 @@ import (
 // enumeration (eval.Plan.EvalEach) serves the output tuples and every such
 // rewriting. Any other rewriting enumerates its expansion on its own
 // (eval.Plan.Each) in the gather stage. Either way each frame goes through
-// the one per-frame consumer, gather.feed: slot reads, no Binding maps.
+// the one per-frame consumer, gather.feed: slot reads, no name-keyed maps.
 // A frame's view λ-parameter values probe a per-rewriting monomial memo, so
 // tokens are encoded and a monomial built and keyed once per distinct
 // parameter tuple, not once per frame. The polynomials are folded onto the
-// per-tuple citations before the first citation is combined, in Cite and
-// CiteEach alike: a request holds its whole answer's polynomials until then,
-// and they are frozen from then on (provenance).
+// per-tuple citations before the first citation is combined, in
+// CitePrepared and CiteEachPrepared alike: a request holds its whole
+// answer's polynomials until then, and they are frozen from then on
+// (provenance).
 
 // gather is one citation's gather state: a sink per rewriting, in rewriting
 // order, and their polynomials, one row of len(sinks) per output tuple in
@@ -231,7 +232,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, g *gather
 	if g.sinks[i], err = newSink(u, pl, nil); err != nil {
 		return err
 	}
-	return pl.Each(ctx, eval.Options{Parallel: eval.Auto}, func(f []string, _ []eval.Match) error {
+	return pl.Each(ctx, eval.Options{Parallel: eval.Auto}, func(f []string) error {
 		g.keyBuf = appendKey(g.keyBuf[:0], head, f)
 		t := sort.Search(len(keys), func(j int) bool { return keys[j] >= string(g.keyBuf) })
 		if t == len(keys) || keys[t] != string(g.keyBuf) {

@@ -108,7 +108,7 @@ func (c *sharedCitation) encode() *EncodedCitation {
 }
 
 // Encoding returns the text forms of the tuple's citation: Encoded on a tuple
-// CiteEach is streaming, the shared citation's own — made on first demand,
+// CiteEachPrepared is streaming, the shared citation's own — made on first demand,
 // once per distinct citation, and kept with it — on a tuple of a Result (a
 // tuple the engine did not make shares nothing and gets forms of its own).
 func (tc *TupleCitation) Encoding() *EncodedCitation {

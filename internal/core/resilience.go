@@ -24,13 +24,11 @@ import (
 // configuration. It only affects engines whose store is partitioned over
 // more than one shard — elsewhere it is inert.
 type ResilienceConfig struct {
-	// AttemptTimeout bounds each per-shard scan attempt.
+	// AttemptTimeout bounds each per-shard scan attempt's wait for the
+	// shard's first tuple.
 	AttemptTimeout time.Duration
 	// MaxAttempts is the per-shard attempt budget (first try included).
 	MaxAttempts int
-	// HedgeAfter, when > 0, duplicates a straggling shard scan after this
-	// long; the first completed scan wins.
-	HedgeAfter time.Duration
 	// BackoffBase and BackoffMax shape the exponential retry backoff.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
@@ -41,7 +39,7 @@ type ResilienceConfig struct {
 	BreakerCooldown  time.Duration
 	// Seed fixes the retry jitter for reproducible chaos runs.
 	Seed int64
-	// Metrics, when set, receives retry/hedge/breaker counters
+	// Metrics, when set, receives retry and breaker counters
 	// (obs.NewResilienceMetrics).
 	Metrics *obs.ResilienceMetrics
 }
@@ -50,7 +48,7 @@ type ResilienceConfig struct {
 // attempt policy: every snapshot of a multi-shard engine is wrapped in an
 // eval.Resilient view — over the fault injector, when one is installed — so
 // each shard scan runs with per-shard attempt deadlines, bounded retries,
-// optional hedging, and per-shard circuit breakers shared across requests
+// and per-shard circuit breakers shared across requests
 // and epochs. Pass nil to return to one plain read per shard. It takes
 // effect at once: a partitioned engine re-snapshots into a new epoch. Call before
 // sharing the engine across goroutines; it is not synchronized with
@@ -61,7 +59,6 @@ func (e *Engine) SetResilience(cfg *ResilienceConfig) error {
 		e.resil = &eval.Resilience{
 			AttemptTimeout: cfg.AttemptTimeout,
 			MaxAttempts:    cfg.MaxAttempts,
-			HedgeAfter:     cfg.HedgeAfter,
 			BackoffBase:    cfg.BackoffBase,
 			BackoffMax:     cfg.BackoffMax,
 			Seed:           cfg.Seed,

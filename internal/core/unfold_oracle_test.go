@@ -10,6 +10,7 @@ package core_test
 // expansion — doubles the coefficients of every view tuple derived twice.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -141,23 +142,31 @@ func oraclePolys(t *testing.T, db *storage.DB, views []*core.CitationView, r *re
 		q.Atoms = append(q.Atoms, cq.Atom{Pred: "__view_" + va.View.Name, Args: va.Args})
 	}
 	q.Atoms = append(q.Atoms, r.BaseAtoms...)
-	value := func(b eval.Binding, term cq.Term) string {
+	pl, err := eval.Compile(eval.DBViewOf(exec), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := map[string]int{}
+	for i, name := range pl.Vars() {
+		slot[name] = i
+	}
+	value := func(frame []string, term cq.Term) string {
 		if term.IsConst {
 			return term.Value
 		}
-		return b[term.Name]
+		return frame[slot[term.Name]]
 	}
 	polys := map[string]provenance.Poly{}
-	err := eval.EachBinding(eval.DBViewOf(exec), q, eval.Options{}, func(b eval.Binding, _ []eval.Match) error {
+	err = pl.Each(context.Background(), eval.Options{}, func(frame []string) error {
 		head := make(storage.Tuple, len(r.Head))
 		for i, term := range r.Head {
-			head[i] = value(b, term)
+			head[i] = value(frame, term)
 		}
 		var toks []provenance.Token
 		for _, va := range r.ViewAtoms {
 			var vals []string
 			for _, pos := range params[va.View.Name] {
-				vals = append(vals, value(b, va.Args[pos]))
+				vals = append(vals, value(frame, va.Args[pos]))
 			}
 			toks = append(toks, core.NewViewToken(va.View.Name, vals...).Encode())
 		}
@@ -229,7 +238,7 @@ func TestUnfoldedMatchesMaterializedOracle(t *testing.T) {
 		for _, tmpl := range oracleQueries {
 			src := strings.ReplaceAll(tmpl, "$C", fmt.Sprintf("%q", oraclePool[r.Intn(len(oraclePool))]))
 			for name, e := range engines {
-				res, err := e.Cite(mustQuery(t, src))
+				res, err := e.CiteQuery(context.Background(), mustQuery(t, src), core.CiteOptions{}, nil)
 				if err != nil {
 					t.Fatalf("seed %d, %s, %s: %v", seed, name, src, err)
 				}

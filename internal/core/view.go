@@ -155,7 +155,7 @@ func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Tok
 		return nil, nil, err
 	}
 	rows, err := tokenRows(pl.Vars(), func(add func(frame []string)) error {
-		return pl.Each(ctx, eval.Options{}, func(f []string, _ []eval.Match) error { add(f); return nil })
+		return pl.Each(ctx, eval.Options{}, func(f []string) error { add(f); return nil })
 	}, inst.Head, v.CiteQ.Params, tok.Params)
 	if err != nil {
 		return nil, nil, err
@@ -224,7 +224,7 @@ func (v *CitationView) deltaRows(ctx context.Context, changes func(rel string) *
 	seen := make(map[string]bool)
 	rows, err = tokenRows(plans[0].Vars(), func(add func(frame []string)) error {
 		for _, pl := range plans {
-			err := pl.Each(ctx, eval.Options{}, func(f []string, _ []eval.Match) error {
+			err := pl.Each(ctx, eval.Options{}, func(f []string) error {
 				if k := storage.Tuple(f).Key(); !seen[k] {
 					seen[k] = true
 					add(f)

@@ -76,7 +76,7 @@ func TestCancelMidEnumeration(t *testing.T) {
 			// Reference: the full binding count, to prove the cancel run
 			// stopped early rather than finishing.
 			total := 0
-			if err := plan.Each(context.Background(), st.opts, func([]string, []eval.Match) error {
+			if err := plan.Each(context.Background(), st.opts, func([]string) error {
 				total++
 				return nil
 			}); err != nil {
@@ -90,7 +90,7 @@ func TestCancelMidEnumeration(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			delivered := 0
-			err = plan.Each(ctx, st.opts, func([]string, []eval.Match) error {
+			err = plan.Each(ctx, st.opts, func([]string) error {
 				delivered++
 				if delivered == 1 {
 					cancel()
@@ -123,7 +123,7 @@ func TestCancelBeforeEnumeration(t *testing.T) {
 				t.Fatal(err)
 			}
 			delivered := 0
-			err = plan.Each(ctx, st.opts, func([]string, []eval.Match) error {
+			err = plan.Each(ctx, st.opts, func([]string) error {
 				delivered++
 				return nil
 			})
@@ -150,7 +150,7 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done() // deadline definitely passed
-	err = plan.Each(ctx, eval.Options{Parallel: 1}, func([]string, []eval.Match) error {
+	err = plan.Each(ctx, eval.Options{Parallel: 1}, func([]string) error {
 		return nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -52,7 +52,7 @@ func TestStreamedJoinAllocs(t *testing.T) {
 	frames := 0
 	streamed := bytesPerRun(5, func() {
 		frames = 0
-		err := plan.Each(context.Background(), eval.Options{}, func([]string, []eval.Match) error {
+		err := plan.Each(context.Background(), eval.Options{}, func([]string) error {
 			frames++
 			return nil
 		})
@@ -78,7 +78,7 @@ func BenchmarkChainJoin(b *testing.B) {
 	run := func(b *testing.B, view eval.DBView, opts eval.Options) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			res, err := eval.EvalOn(view, q, opts)
+			res, err := eval.EvalView(view, q, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func BenchmarkChainStream(b *testing.B) {
 	b.Run("frames", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := plan.Each(context.Background(), eval.Options{}, func([]string, []eval.Match) error { return nil }); err != nil {
+			if err := plan.Each(context.Background(), eval.Options{}, func([]string) error { return nil }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,7 +7,6 @@ package eval_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -16,15 +15,26 @@ import (
 	"citare/internal/eval"
 )
 
-// frameMultiset enumerates q over view and counts each distinct valuation,
-// spelled by variable name so plans with different slot orders compare.
-func frameMultiset(t *testing.T, view eval.DBView, q *cq.Query, opts eval.Options) map[string]int {
-	t.Helper()
+// enumerate compiles q over view and counts each distinct valuation its
+// enumeration delivers, spelled by variable name (eval.FrameKey).
+func enumerate(view eval.DBView, q *cq.Query, opts eval.Options) (map[string]int, error) {
+	plan, err := eval.Compile(view, q)
+	if err != nil {
+		return nil, err
+	}
+	vars := plan.Vars()
 	got := make(map[string]int)
-	err := eval.EachBinding(view, q, opts, func(b eval.Binding, _ []eval.Match) error {
-		got[fmt.Sprint(b)]++ // fmt prints maps in key order
+	err = plan.Each(context.Background(), opts, func(frame []string) error {
+		got[eval.FrameKey(vars, frame)]++
 		return nil
 	})
+	return got, err
+}
+
+// frameMultiset is enumerate for an enumeration that must succeed.
+func frameMultiset(t *testing.T, view eval.DBView, q *cq.Query, opts eval.Options) map[string]int {
+	t.Helper()
+	got, err := enumerate(view, q, opts)
 	if err != nil {
 		t.Fatalf("enumeration failed: %v", err)
 	}
@@ -59,7 +69,7 @@ func TestEachErrorStopsDelivery(t *testing.T) {
 			}
 			before := runtime.NumGoroutine()
 			calls := 0
-			err = plan.Each(context.Background(), st.opts, func([]string, []eval.Match) error {
+			err = plan.Each(context.Background(), st.opts, func([]string) error {
 				if calls++; calls == 3 {
 					return boom
 				}

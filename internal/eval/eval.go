@@ -2,10 +2,9 @@
 //
 // Besides plain set-semantics evaluation it exposes full *binding
 // enumeration* — every valuation of the query's variables that derives an
-// output tuple, together with the base tuples used. Binding enumeration is
-// the operational core of the citation model: Definition 3.1 of the paper
-// attaches a citation to a single binding, Definition 3.2 sums (+) over all
-// bindings yielding a tuple.
+// output tuple. Binding enumeration is the operational core of the citation
+// model: Definition 3.1 of the paper attaches a citation to a single
+// binding, Definition 3.2 sums (+) over all bindings yielding a tuple.
 //
 // # Compiled plans
 //
@@ -32,14 +31,13 @@
 // # Entry points
 //
 // Plan.Each is the enumeration: it pushes every satisfying valuation, as a
-// slot frame with its matched base tuples, into a callback. The callback is
+// slot frame aligned with Plan.Vars, into a callback. The callback is
 // serialised (never invoked concurrently, whatever the strategy), the
 // enumeration waits while it runs, the frame is valid only during the call,
 // and the delivery order is unspecified unless execution is sequential.
 // Plan.EvalCtx is Each with set semantics — distinct head tuples, sorted;
 // Plan.EvalEach is EvalCtx handing every frame on beside its tuple's index.
-// EvalOpts and EvalOn compile and evaluate in one call; EachBinding compiles
-// and enumerates with every frame spelled out as a name→value map.
+// EvalOpts compiles and evaluates a storage database in one call.
 //
 // # Cancellation
 //
@@ -54,7 +52,6 @@ package eval
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"citare/internal/cq"
 	"citare/internal/storage"
@@ -69,25 +66,6 @@ var ErrSchema = errors.New("eval: schema mismatch")
 // enumeration produces more distinct output tuples than allowed. The
 // enumeration aborts promptly in both execution strategies.
 var ErrTupleLimit = errors.New("eval: tuple limit exceeded")
-
-// Binding is a valuation of query variables.
-type Binding map[string]string
-
-// Clone returns a copy of the binding.
-func (b Binding) Clone() Binding {
-	out := make(Binding, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-// Match records which base tuple satisfied which query atom in a binding.
-type Match struct {
-	AtomIndex int
-	Rel       string
-	Tuple     storage.Tuple
-}
 
 // Result is the set-semantics output of a query.
 type Result struct {
@@ -174,42 +152,16 @@ type Options struct {
 	MaxTuples int
 }
 
-// EvalOpts evaluates q over db with set semantics. Output tuples are
-// deterministically sorted.
+// EvalOpts evaluates q over db with set semantics: the query is compiled and
+// the plan executed once. Output tuples are deterministically sorted.
+// Callers evaluating the same query repeatedly should Compile once and reuse
+// the Plan.
 func EvalOpts(db *storage.DB, q *cq.Query, opts Options) (*Result, error) {
-	return EvalOn(DBViewOf(db), q, opts)
-}
-
-// EvalOn is EvalOpts over any DBView: the query is compiled and the plan
-// executed once. Over a Partitioned view the evaluation scatter-gathers —
-// the first join atom split by shard, shards that cannot hold its bound key
-// skipped — with output identical to the unsharded data's. Callers
-// evaluating the same query repeatedly should Compile once and reuse the
-// Plan.
-func EvalOn(dbv DBView, q *cq.Query, opts Options) (*Result, error) {
-	p, err := Compile(dbv, q)
+	p, err := Compile(DBViewOf(db), q)
 	if err != nil {
 		return nil, err
 	}
 	return p.EvalCtx(context.Background(), opts)
-}
-
-// EachBinding compiles q over dbv and enumerates its bindings by name: it is
-// Plan.Each — same strategies, same serialised callback — with every frame
-// spelled out as a Binding beside the matched base tuples. The map is reused
-// across deliveries and, like the frame, valid only during the call.
-func EachBinding(dbv DBView, q *cq.Query, opts Options, fn func(b Binding, matches []Match) error) error {
-	p, err := Compile(dbv, q)
-	if err != nil {
-		return err
-	}
-	b := make(Binding, len(p.varOf))
-	return p.Each(context.Background(), opts, func(frame []string, ms []Match) error {
-		for i, name := range p.varOf {
-			b[name] = frame[i]
-		}
-		return fn(b, ms)
-	})
 }
 
 func headCols(q *cq.Query) []string {
@@ -222,42 +174,4 @@ func headCols(q *cq.Query) []string {
 		}
 	}
 	return cols
-}
-
-// DBFromFacts builds a database holding the given ground atoms, inferring a
-// schema (string columns c0..ck per predicate). Tests use it to evaluate
-// queries over canonical databases.
-func DBFromFacts(facts []cq.Atom) (*storage.DB, error) {
-	s := storage.NewSchema()
-	arity := make(map[string]int)
-	for _, f := range facts {
-		if prev, ok := arity[f.Pred]; ok {
-			if prev != len(f.Args) {
-				return nil, fmt.Errorf("eval: predicate %s used with arities %d and %d", f.Pred, prev, len(f.Args))
-			}
-			continue
-		}
-		arity[f.Pred] = len(f.Args)
-		cols := make([]storage.Column, len(f.Args))
-		for i := range cols {
-			cols[i] = storage.Column{Name: fmt.Sprintf("c%d", i)}
-		}
-		if err := s.AddRelation(&storage.RelSchema{Name: f.Pred, Cols: cols}); err != nil {
-			return nil, err
-		}
-	}
-	db := storage.NewDB(s)
-	for _, f := range facts {
-		vals := make([]string, len(f.Args))
-		for i, t := range f.Args {
-			if !t.IsConst {
-				return nil, fmt.Errorf("eval: fact %v is not ground", f)
-			}
-			vals[i] = t.Value
-		}
-		if err := db.Insert(f.Pred, vals...); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
 }

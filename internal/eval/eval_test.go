@@ -1,8 +1,12 @@
 package eval
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +16,88 @@ import (
 
 func v(n string) cq.Term { return cq.Var(n) }
 func c(s string) cq.Term { return cq.Const(s) }
+
+// evalOn compiles q over dbv and evaluates it with set semantics.
+func evalOn(dbv DBView, q *cq.Query, opts Options) (*Result, error) {
+	p, err := Compile(dbv, q)
+	if err != nil {
+		return nil, err
+	}
+	return p.EvalCtx(context.Background(), opts)
+}
+
+// frameKey spells a frame aligned with vars by variable name, so frame
+// multisets compare across plans whose slot orders differ.
+func frameKey(vars, frame []string) string {
+	parts := make([]string, len(vars))
+	for i, v := range vars {
+		parts[i] = fmt.Sprintf("%s=%q", v, frame[i])
+	}
+	sort.Strings(parts) // '=' sorts below every identifier byte: by name
+	return strings.Join(parts, ";")
+}
+
+// planMultiset counts each distinct frame p's enumeration delivers.
+func planMultiset(t testing.TB, p *Plan, opts Options) map[string]int {
+	t.Helper()
+	vars := p.Vars()
+	out := make(map[string]int)
+	if err := p.Each(context.Background(), opts, func(frame []string) error {
+		out[frameKey(vars, frame)]++
+		return nil
+	}); err != nil {
+		t.Fatalf("Each(%+v): %v", opts, err)
+	}
+	return out
+}
+
+// bindingMultiset is planMultiset of q compiled over view.
+func bindingMultiset(t testing.TB, view DBView, q *cq.Query, opts Options) map[string]int {
+	t.Helper()
+	p, err := Compile(view, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return planMultiset(t, p, opts)
+}
+
+// dbFromFacts builds a database holding the given ground atoms, inferring a
+// schema (string columns c0..ck per predicate), for evaluating queries over
+// canonical and random fact databases.
+func dbFromFacts(facts []cq.Atom) (*storage.DB, error) {
+	s := storage.NewSchema()
+	arity := make(map[string]int)
+	for _, f := range facts {
+		if prev, ok := arity[f.Pred]; ok {
+			if prev != len(f.Args) {
+				return nil, fmt.Errorf("eval: predicate %s used with arities %d and %d", f.Pred, prev, len(f.Args))
+			}
+			continue
+		}
+		arity[f.Pred] = len(f.Args)
+		cols := make([]storage.Column, len(f.Args))
+		for i := range cols {
+			cols[i] = storage.Column{Name: fmt.Sprintf("c%d", i)}
+		}
+		if err := s.AddRelation(&storage.RelSchema{Name: f.Pred, Cols: cols}); err != nil {
+			return nil, err
+		}
+	}
+	db := storage.NewDB(s)
+	for _, f := range facts {
+		vals := make([]string, len(f.Args))
+		for i, t := range f.Args {
+			if !t.IsConst {
+				return nil, fmt.Errorf("eval: fact %v is not ground", f)
+			}
+			vals[i] = t.Value
+		}
+		if err := db.Insert(f.Pred, vals...); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
 
 func familyDB(t testing.TB) *storage.DB {
 	s := storage.NewSchema()
@@ -82,14 +168,18 @@ func TestEachBindingEnumeratesAll(t *testing.T) {
 	db := familyDB(t)
 	q := &cq.Query{Name: "Q", Head: []cq.Term{v("F")},
 		Atoms: []cq.Atom{cq.NewAtom("FC", v("F"), v("P"))}}
+	p, err := Compile(DBViewOf(db), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vars := p.Vars(); !slices.Equal(vars, []string{"F", "P"}) {
+		t.Fatalf("Vars() = %v, want [F P]", vars)
+	}
 	count := 0
-	err := EachBinding(DBViewOf(db), q, Options{}, func(b Binding, ms []Match) error {
+	err = p.Each(context.Background(), Options{}, func(frame []string) error {
 		count++
-		if len(ms) != 1 || ms[0].Rel != "FC" {
-			t.Fatalf("bad matches %v", ms)
-		}
-		if b["F"] == "" || b["P"] == "" {
-			t.Fatalf("incomplete binding %v", b)
+		if frame[0] == "" || frame[1] == "" {
+			t.Fatalf("incomplete binding %v", frame)
 		}
 		return nil
 	})
@@ -106,7 +196,7 @@ func TestEvalRepeatedVariable(t *testing.T) {
 		cq.NewAtom("R", c("a"), c("a")),
 		cq.NewAtom("R", c("a"), c("b")),
 	}
-	db, err := DBFromFacts(facts)
+	db, err := dbFromFacts(facts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +246,7 @@ func TestEvalInequalities(t *testing.T) {
 		cq.NewAtom("E", c("2"), c("2")),
 		cq.NewAtom("E", c("3"), c("2")),
 	}
-	db, err := DBFromFacts(facts)
+	db, err := dbFromFacts(facts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +303,7 @@ func TestContainmentAgreesWithCanonicalDB(t *testing.T) {
 		q1, q2 := randomQuery(), randomQuery()
 		want := cq.Contains(q1, q2)
 		facts, frozen := cq.CanonicalDatabase(q1)
-		db, err := DBFromFacts(facts)
+		db, err := dbFromFacts(facts)
 		if err != nil {
 			return false
 		}

@@ -80,7 +80,6 @@ func (c compiledComp) holds(frame []string) bool {
 // sources), the bind program, and the comparisons that become checkable
 // once this step binds.
 type planStep struct {
-	atomIdx    int // index into the query's Atoms (Match.AtomIndex)
 	pred       string
 	rel        RelView
 	lookupCols []int
@@ -236,7 +235,7 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 	schedule(nil)
 	for _, atomIdx := range order {
 		a := q.Atoms[atomIdx]
-		st := planStep{atomIdx: atomIdx, pred: a.Pred, rel: rels[atomIdx]}
+		st := planStep{pred: a.Pred, rel: rels[atomIdx]}
 		var boundHere []int
 		for col, t := range a.Args {
 			if t.IsConst {
@@ -406,20 +405,18 @@ func (p *Plan) Describe() string {
 	return b.String()
 }
 
-// frameFn receives one satisfying valuation as a slot frame plus the matched
-// base tuples. Both slices are reused across deliveries and must not be
-// retained.
-type frameFn func(frame []string, matches []Match) error
+// frameFn receives one satisfying valuation as a slot frame. The slice is
+// reused across deliveries and must not be retained.
+type frameFn func(frame []string) error
 
-// exec is one execution of a plan: a slot frame, a match stack and per-step
-// lookup buffers, all allocated once and reused across the enumeration.
+// exec is one execution of a plan: a slot frame and per-step lookup
+// buffers, both allocated once and reused across the enumeration.
 // When built with a cancellable context the execution re-checks ctx.Done()
 // every ctxCheckInterval candidate tuples and aborts with the context's
 // error; executions under context.Background() pay nothing.
 type exec struct {
 	p         *Plan
 	frame     []string
-	matches   []Match
 	lookupBuf [][]string
 	fn        frameFn
 
@@ -430,12 +427,11 @@ type exec struct {
 
 func (p *Plan) newExec(ctx context.Context, fn frameFn) *exec {
 	e := &exec{
-		p:       p,
-		frame:   make([]string, len(p.varOf)),
-		matches: make([]Match, len(p.steps)),
-		fn:      fn,
-		ctx:     ctx,
-		done:    ctx.Done(),
+		p:     p,
+		frame: make([]string, len(p.varOf)),
+		fn:    fn,
+		ctx:   ctx,
+		done:  ctx.Done(),
 	}
 	e.ctxCount = ctxCheckInterval
 	e.lookupBuf = make([][]string, len(p.steps))
@@ -489,7 +485,6 @@ func (e *exec) feed(depth int, t storage.Tuple) error {
 			return nil
 		}
 	}
-	e.matches[depth] = Match{AtomIndex: st.atomIdx, Rel: st.pred, Tuple: t}
 	return e.run(depth + 1)
 }
 
@@ -498,7 +493,7 @@ func (e *exec) feed(depth int, t storage.Tuple) error {
 // current path), so the frame is a complete valuation.
 func (e *exec) run(depth int) error {
 	if depth == len(e.p.steps) {
-		return e.fn(e.frame, e.matches)
+		return e.fn(e.frame)
 	}
 	st := &e.p.steps[depth]
 	var iterErr error
@@ -531,15 +526,14 @@ func (e *exec) run(depth int) error {
 // The contract, in both strategies: fn is never invoked concurrently, and the
 // enumeration waits for exactly as long as fn takes, so a slow consumer
 // holds the producers back without any buffering in between. frame is
-// aligned with Vars and ms with the query's atoms in join order; both are
-// reused across deliveries and valid only during the call (the string values
-// themselves are immutable and safe to keep). The order of deliveries is
-// deterministic only under sequential execution; the multiset of frames is
-// the same in both. An error from fn stops every further delivery and is
+// aligned with Vars, reused across deliveries and valid only during the call
+// (the string values themselves are immutable and safe to keep). The order
+// of deliveries is deterministic only under sequential execution; the
+// multiset of frames is the same in both. An error from fn stops every further delivery and is
 // returned; ctx is re-checked at shard and frame boundaries, so a canceled
 // enumeration returns ctx.Err() promptly with no goroutine left behind.
 // Under context.Background() the checks cost nothing.
-func (p *Plan) Each(ctx context.Context, opts Options, fn func(frame []string, ms []Match) error) error {
+func (p *Plan) Each(ctx context.Context, opts Options, fn func(frame []string) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -593,9 +587,9 @@ func (p *Plan) framesTraced(ctx context.Context, opts Options, fn frameFn, tr *o
 		tr.SetStr(sp, "strategy", "scatter")
 	}
 	var frames int64
-	err := p.dispatchFrames(ctx, opts, func(frame []string, ms []Match) error {
+	err := p.dispatchFrames(ctx, opts, func(frame []string) error {
 		frames++ // fn is never invoked concurrently, in either strategy
-		return fn(frame, ms)
+		return fn(frame)
 	})
 	tr.AddInt(sp, "frames", frames)
 	return err
@@ -620,7 +614,7 @@ func (p *Plan) EvalEach(ctx context.Context, opts Options, fn func(frame []strin
 	res = &Result{Cols: p.cols}
 	seen := make(map[string]int)
 	var keyBuf []byte
-	err = p.Each(ctx, opts, func(frame []string, _ []Match) error {
+	err = p.Each(ctx, opts, func(frame []string) error {
 		keyBuf = keyBuf[:0]
 		for _, src := range p.headSrc {
 			keyBuf = storage.AppendKeyPart(keyBuf, src.Value(frame))

@@ -33,7 +33,7 @@ func TestPropAutoMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		autoRes, err := EvalOn(view, q, Options{Parallel: Auto})
+		autoRes, err := evalOn(view, q, Options{Parallel: Auto})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func expansionDB(t *testing.T) (*storage.DB, *cq.Query) {
 		facts = append(facts, cq.NewAtom("S", cq.Const(fmt.Sprint(i%2)), cq.Const(fmt.Sprint(i))))
 		facts = append(facts, cq.NewAtom("T", cq.Const(fmt.Sprint(i)), cq.Const(fmt.Sprint(i%7))))
 	}
-	db, err := DBFromFacts(facts)
+	db, err := dbFromFacts(facts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestParallelDeepPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := EvalOn(partition(t, db, 4), q, Options{Parallel: 4})
+	parRes, err := evalOn(partition(t, db, 4), q, Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,11 @@ func TestExpandedCallbackErrorAborts(t *testing.T) {
 	db, q := expansionDB(t)
 	boom := fmt.Errorf("boom")
 	calls := 0
-	err := EachBinding(partition(t, db, 4), q, Options{Parallel: 4}, func(Binding, []Match) error {
+	p, err := Compile(partition(t, db, 4), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Each(context.Background(), Options{Parallel: 4}, func([]string) error {
 		calls++
 		if calls == 2 {
 			return boom
@@ -155,7 +159,7 @@ func TestPlanConcurrentReuse(t *testing.T) {
 				t.Errorf("concurrent plan reuse diverged")
 			}
 			n := 0
-			if err := p.Each(context.Background(), opts, func([]string, []Match) error {
+			if err := p.Each(context.Background(), opts, func([]string) error {
 				n++
 				return nil
 			}); err != nil {
@@ -259,7 +263,7 @@ func TestPropBindEqualsCompile(t *testing.T) {
 			if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Tuples, want.Tuples) {
 				t.Fatalf("%s bound from %s: %v %v, compiled directly: %v %v", q2, q, got.Cols, got.Tuples, want.Cols, want.Tuples)
 			}
-			if !reflect.DeepEqual(planMultiset(t, bound), planMultiset(t, direct)) {
+			if !reflect.DeepEqual(planMultiset(t, bound, Options{}), planMultiset(t, direct, Options{})) {
 				t.Fatalf("%s bound from %s: binding multiset diverges", q2, q)
 			}
 		}
@@ -271,20 +275,4 @@ func TestPropBindEqualsCompile(t *testing.T) {
 			t.Fatalf("Bind changed the plan of %s", q)
 		}
 	}
-}
-
-func planMultiset(t *testing.T, p *Plan) map[string]int {
-	t.Helper()
-	out := make(map[string]int)
-	b := make(Binding, len(p.varOf))
-	if err := p.Each(context.Background(), Options{}, func(frame []string, ms []Match) error {
-		for i, name := range p.varOf {
-			b[name] = frame[i]
-		}
-		out[bindingKey(b, ms)]++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"citare/internal/obs"
@@ -14,19 +13,19 @@ import (
 
 // The attempt policy is a layer of its own: Resilient wraps a Partitioned so
 // that every ShardScan of the inner view is driven by a Resilience —
-// per-shard attempt deadlines, bounded retries with exponential backoff and
-// seeded jitter for transient failures only, one hedged duplicate scan per
-// straggling shard (first complete scan wins), and per-shard circuit
-// breakers shared across enumerations. The scatter driver above it
-// (scatter.go) sees one ShardScan per candidate shard that either answers or
-// fails; the citation pipeline sees no policy at all.
+// per-shard attempt deadlines on the wait for a shard's first tuple, bounded
+// retries with exponential backoff and seeded jitter for transient failures
+// only, and per-shard circuit breakers shared across enumerations. The
+// scatter driver above it (scatter.go) sees one ShardScan per candidate
+// shard that either answers or fails; the citation pipeline sees no policy
+// at all.
 //
-// Exactly-once delivery under retries and hedges relies on deterministic
-// replay: shard scans iterate immutable snapshots in a stable order, so a
-// re-attempt re-produces the same tuple sequence, and the scan's cursor
-// skips the tuples an earlier attempt already handed to the consumer. With
-// zero faults the wrapper delivers exactly what the inner scan does, so
-// results stay byte-identical.
+// Exactly-once delivery under retries relies on deterministic replay: shard
+// scans iterate immutable snapshots in a stable order, so a re-attempt
+// re-produces the same tuple sequence, and the scan's cursor skips the
+// tuples an earlier attempt already handed to the consumer. With zero
+// faults the wrapper delivers exactly what the inner scan does, so results
+// stay byte-identical.
 
 // ErrShardUnavailable tags enumeration failures where a shard's scan failed:
 // after every attempt of a resilient view, or at once on a plain one.
@@ -59,19 +58,16 @@ type Transienter interface {
 // Resilience configures the attempt policy of a Resilient view. The zero
 // value of each field picks a conservative default.
 type Resilience struct {
-	// AttemptTimeout bounds each per-shard attempt, the consumer's work on
-	// its tuples included; an expired attempt counts as transient and is
+	// AttemptTimeout bounds each per-shard attempt's wait for the shard's
+	// first tuple; the first delivery disarms it, so the consumer's work on
+	// delivered tuples never expires an attempt (the caller's context still
+	// bounds the whole scan). An expired attempt counts as transient and is
 	// retried. 0 means defaultAttemptTimeout.
 	AttemptTimeout time.Duration
 
 	// MaxAttempts bounds attempts per shard (first try included). 0 means
 	// defaultMaxAttempts; negative means exactly one attempt.
 	MaxAttempts int
-
-	// HedgeAfter, when > 0, starts one duplicate scan of a shard whose
-	// in-flight attempt has not completed after this long; the first
-	// complete scan wins and cancels the other.
-	HedgeAfter time.Duration
 
 	// BackoffBase and BackoffMax shape the exponential retry backoff
 	// (base·2^(attempt-1), capped, with seeded jitter). Zero values pick
@@ -86,7 +82,7 @@ type Resilience struct {
 	// shared across enumerations (and typically across requests).
 	Breakers *Breakers
 
-	// Metrics, when set, receives retry/hedge/breaker counters.
+	// Metrics, when set, receives retry and breaker counters.
 	Metrics *obs.ResilienceMetrics
 }
 
@@ -136,7 +132,7 @@ func (r *Resilience) backoff(retry int, rng *rand.Rand) time.Duration {
 // Resilient returns p with every ShardScan driven by r's attempt policy;
 // everything else — the union view, shard pruning — passes through. When a
 // trace rides a scan's context, the current span (the scatter driver's
-// per-shard span) gets the scan's "attempts" and "hedges".
+// per-shard span) gets the scan's "attempts".
 func Resilient(p Partitioned, r *Resilience) Partitioned {
 	m := r.Metrics
 	if m == nil {
@@ -152,7 +148,7 @@ type resilientDB struct {
 }
 
 // ShardScan drives shard si to a verdict: answered after at most
-// maxAttempts tries (each under its own deadline, optionally hedged), or
+// maxAttempts tries (each under its own first-tuple deadline), or
 // failed with the last attempt's error. A scan cut short by its caller —
 // ctx done, or fn asking to stop — gives no verdict: it returns without
 // touching the breaker's counts, and a half-open probe is released for the
@@ -185,7 +181,7 @@ func (d *resilientDB) ShardScan(ctx context.Context, si int, rel string, cols []
 			}
 		}
 		tr.SetInt(sp, "attempts", int64(attempt))
-		err := d.attempt(ctx, c, si, rel, cols, vals, tr, sp)
+		err := d.attempt(ctx, c, si, rel, cols, vals)
 		switch {
 		case c.stopped():
 			br.Release(si)
@@ -222,98 +218,55 @@ func transientErr(err error) bool {
 	return false
 }
 
-// attempt runs one attempt on a shard under the policy's deadline,
-// optionally hedged: when the primary scan has not completed after
-// HedgeAfter, one duplicate starts, the first complete scan wins and the
-// loser is canceled and joined, so no goroutine — and no call of the
-// consumer — outlives the attempt. Both scans deliver through the cursor, so
-// overlap cannot duplicate tuples.
-func (d *resilientDB) attempt(ctx context.Context, c *shardCursor, si int, rel string, cols []int, vals []string, tr *obs.Trace, sp obs.SpanID) error {
-	actx, cancel := context.WithTimeout(ctx, d.r.attemptTimeout())
-	defer cancel()
-	scan := func() error {
-		done, idx := actx.Done(), 0
-		var late error
-		err := d.Partitioned.ShardScan(actx, si, rel, cols, vals, func(t storage.Tuple) bool {
-			select { // the deadline bounds the consumer too: checked between tuples
-			case <-done:
-				late = actx.Err()
-				return false
-			default:
-			}
-			idx++
-			return c.deliver(idx-1, t)
-		})
-		if err == nil {
-			err = late
+// attempt runs one attempt on a shard under the policy's deadline. The
+// deadline bounds only the wait for the shard's first tuple — the window in
+// which a shard fault shows (internal/fault fires before any tuple) — and
+// the first delivery disarms it, so a healthy shard whose consumer works
+// long on its tuples is never failed; the caller's context still bounds the
+// whole scan.
+func (d *resilientDB) attempt(ctx context.Context, c *shardCursor, si int, rel string, cols []int, vals []string) error {
+	actx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	deadline := time.AfterFunc(d.r.attemptTimeout(), func() { cancel(context.DeadlineExceeded) })
+	defer deadline.Stop()
+	expired, idx := false, 0
+	err := d.Partitioned.ShardScan(actx, si, rel, cols, vals, func(t storage.Tuple) bool {
+		if idx == 0 && !deadline.Stop() { // expired before the first tuple
+			expired = true
+			return false
 		}
-		return err
+		idx++
+		return c.deliver(idx-1, t)
+	})
+	if err != nil && ctx.Err() == nil && context.Cause(actx) == context.DeadlineExceeded {
+		expired = true
 	}
-	if d.r.HedgeAfter <= 0 {
-		return scan()
+	if expired {
+		return context.DeadlineExceeded
 	}
-
-	results := make(chan error, 2)
-	launched := 1
-	go func() { results <- scan() }()
-	timer := time.NewTimer(d.r.HedgeAfter)
-	defer timer.Stop()
-	var firstErr error
-	for finished := 0; finished < launched; {
-		select {
-		case err := <-results:
-			finished++
-			if err == nil {
-				// Winner: cancel and join the loser before returning.
-				cancel()
-				for ; finished < launched; finished++ {
-					<-results
-				}
-				return nil
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		case <-timer.C:
-			if launched == 1 {
-				launched = 2
-				d.m.Hedges.Add(1)
-				tr.AddInt(sp, "hedges", 1)
-				go func() { results <- scan() }()
-			}
-		}
-	}
-	return firstErr
+	return err
 }
 
 // shardCursor hands one ShardScan's tuples to its consumer exactly once
-// across attempts and hedges, which replay the same tuple sequence: tuple
-// number idx is delivered only if no earlier scan delivered it. Calls of fn
-// are serialised, so the consumer is never invoked concurrently, and once fn
-// asks to stop no scan delivers again.
+// across attempts, which replay the same tuple sequence: tuple number idx is
+// delivered only if no earlier attempt delivered it, and once fn asks to
+// stop no attempt delivers again.
 type shardCursor struct {
-	mu   sync.Mutex
 	fn   func(storage.Tuple) bool
 	next int  // tuples handed to fn so far
 	stop bool // fn returned false
 }
 
 func (c *shardCursor) deliver(idx int, t storage.Tuple) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.stop {
 		return false
 	}
 	if idx < c.next {
-		return true // an earlier scan of this shard already delivered it
+		return true // an earlier attempt of this shard already delivered it
 	}
 	c.next = idx + 1
 	c.stop = !c.fn(t)
 	return !c.stop
 }
 
-func (c *shardCursor) stopped() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stop
-}
+func (c *shardCursor) stopped() bool { return c.stop }

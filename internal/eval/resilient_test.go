@@ -1,11 +1,11 @@
 package eval_test
 
 // Tests of the attempt policy at the shard-scan seam (Resilient): no-fault
-// parity with the plain view, faults seen without a policy,
-// retry/hedge/breaker behavior under the deterministic fault injector,
-// exactly-once delivery across retries and hedges as a property over random
-// fault schedules, and prompt cancellation mid-backoff and mid-hedge without
-// goroutine leaks. External test package: the fixtures need internal/shard
+// parity with the plain view, faults seen without a policy, retry and
+// breaker behavior under the deterministic fault injector, an attempt
+// deadline that bounds only the wait for a shard's first tuple,
+// exactly-once delivery across retries as a property over random fault
+// schedules, and prompt cancellation mid-backoff without goroutine leaks. External test package: the fixtures need internal/shard
 // and internal/fault, which import eval.
 
 import (
@@ -74,12 +74,12 @@ func TestResilientNoFaultParity(t *testing.T) {
 	q := workload.ChainQuery(3)
 	for _, par := range []int{1, 4} {
 		opts := eval.Options{Parallel: par}
-		plain, err := eval.EvalOn(view, q, opts)
+		plain, err := eval.EvalView(view, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := fastResilience()
-		resil, err := eval.EvalOn(eval.Resilient(view, r), q, opts)
+		resil, err := eval.EvalView(eval.Resilient(view, r), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +103,13 @@ func TestResilientNoFaultParity(t *testing.T) {
 func TestResilientRetriesTransient(t *testing.T) {
 	in, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
-	want, err := eval.EvalOn(view, q, eval.Options{Parallel: 1})
+	want, err := eval.EvalView(view, q, eval.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	in.SetFault(1, fault.ShardFault{FailOps: 2})
 	r := fastResilience()
-	got, err := eval.EvalOn(eval.Resilient(view, r), q, eval.Options{Parallel: 1})
+	got, err := eval.EvalView(eval.Resilient(view, r), q, eval.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestResilientPermanentFailsFast(t *testing.T) {
 	q := workload.ChainQuery(3)
 	in.SetFault(2, fault.ShardFault{Permanent: true})
 	r := fastResilience()
-	_, err := eval.EvalOn(eval.Resilient(view, r), q, eval.Options{Parallel: 1})
+	_, err := eval.EvalView(eval.Resilient(view, r), q, eval.Options{Parallel: 1})
 	var ue *eval.UnavailableError
 	if !errors.Is(err, eval.ErrShardUnavailable) || !errors.As(err, &ue) || ue.Shard != 2 || !errors.Is(err, fault.Err) {
 		t.Fatalf("err = %v, want shard 2 unavailable with the injected cause", err)
@@ -146,14 +146,14 @@ func TestResilientPermanentFailsFast(t *testing.T) {
 func TestResilientNilPolicySeesFaults(t *testing.T) {
 	in, view, _ := resilientFixture(t)
 	q := workload.ChainQuery(3)
-	want, err := eval.EvalOn(view, q, eval.Options{Parallel: 4})
+	want, err := eval.EvalView(view, q, eval.Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []fault.ShardFault{{Permanent: true}, {FailOps: 1}} {
 		for _, par := range []int{1, 4} {
 			in.SetFault(1, f) // restarts the schedule: FailOps fails the next call
-			_, err := eval.EvalOn(view, q, eval.Options{Parallel: par})
+			_, err := eval.EvalView(view, q, eval.Options{Parallel: par})
 			var ue *eval.UnavailableError
 			if !errors.Is(err, eval.ErrShardUnavailable) || !errors.As(err, &ue) || ue.Shard != 1 {
 				t.Fatalf("fault %+v, parallel=%d: err = %v, want shard 1 unavailable", f, par, err)
@@ -161,7 +161,7 @@ func TestResilientNilPolicySeesFaults(t *testing.T) {
 		}
 	}
 	in.Clear()
-	got, err := eval.EvalOn(view, q, eval.Options{Parallel: 4})
+	got, err := eval.EvalView(view, q, eval.Options{Parallel: 4})
 	if err != nil || tupleFingerprint(got) != tupleFingerprint(want) {
 		t.Fatalf("fault-free scatter after clearing: %v", err)
 	}
@@ -184,7 +184,7 @@ type scanFault struct {
 }
 
 // scheduledScanner is a Partitioned imposing a scanFault per shard, safe for
-// the concurrent scans of a scatter pool and a hedge.
+// the concurrent scans of a scatter pool.
 type scheduledScanner struct {
 	eval.Partitioned
 	faults []scanFault
@@ -239,16 +239,6 @@ func deliveries(m map[string]int) int {
 	return n
 }
 
-// enumerate is frameMultiset for an enumeration allowed to fail.
-func enumerate(view eval.DBView, q *cq.Query, opts eval.Options) (map[string]int, error) {
-	got := make(map[string]int)
-	err := eval.EachBinding(view, q, opts, func(b eval.Binding, _ []eval.Match) error {
-		got[fmt.Sprint(b)]++
-		return nil
-	})
-	return got, err
-}
-
 // exactlyOnceFixture is the sharded two-atom chain the exactly-once tests
 // enumerate (~150 first-atom tuples per shard, ~6k frames), and its
 // fault-free frame multiset.
@@ -266,14 +256,12 @@ func exactlyOnceFixture(t *testing.T) (eval.Partitioned, *cq.Query, map[string]i
 // checkExactlyOnce enumerates q through the resilient view over a
 // scheduledScanner imposing faults: a success must deliver exactly want, a
 // failure must be ErrShardUnavailable.
-func checkExactlyOnce(t *testing.T, p eval.Partitioned, q *cq.Query, want map[string]int, faults []scanFault, hedge time.Duration, par int) (*scheduledScanner, error) {
+func checkExactlyOnce(t *testing.T, p eval.Partitioned, q *cq.Query, want map[string]int, faults []scanFault, par int) (*scheduledScanner, error) {
 	t.Helper()
 	s := newScheduledScanner(p, faults)
-	r := fastResilience()
-	r.HedgeAfter = hedge
-	got, err := enumerate(eval.Resilient(s, r), q, eval.Options{Parallel: par})
+	got, err := enumerate(eval.Resilient(s, fastResilience()), q, eval.Options{Parallel: par})
 	if err == nil && !reflect.DeepEqual(got, want) {
-		t.Fatalf("faults %+v, hedge %v, parallel %d: %d deliveries of %d distinct frames, want %d frames exactly once each", faults, hedge, par, deliveries(got), len(got), len(want))
+		t.Fatalf("faults %+v, parallel %d: %d deliveries of %d distinct frames, want %d frames exactly once each", faults, par, deliveries(got), len(got), len(want))
 	}
 	if err != nil && !errors.Is(err, eval.ErrShardUnavailable) {
 		t.Fatalf("faults %+v: err = %v, want ErrShardUnavailable", faults, err)
@@ -288,7 +276,7 @@ func TestResilientExactlyOnceAcrossRetry(t *testing.T) {
 	sharded, q, want := exactlyOnceFixture(t)
 	faults := make([]scanFault, resilientShards)
 	faults[1] = scanFault{failOps: 1, failAfter: 40}
-	s, err := checkExactlyOnce(t, sharded, q, want, faults, 0, 1)
+	s, err := checkExactlyOnce(t, sharded, q, want, faults, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +287,11 @@ func TestResilientExactlyOnceAcrossRetry(t *testing.T) {
 
 // TestResilientExactlyOnceProperty: whatever the fault schedule — latency,
 // transient failures that clear after some calls, failures midway through a
-// scan after tuples were already delivered — with hedging on or off and on
-// one worker or a pool, an enumeration through the resilient view that
-// succeeds delivers exactly the fault-free frame multiset: a re-attempt or a
-// hedge replays the shard and skips what an earlier scan delivered. One that
-// fails, fails with ErrShardUnavailable. Run under -race.
+// scan after tuples were already delivered — on one worker or a pool, an
+// enumeration through the resilient view that succeeds delivers exactly the
+// fault-free frame multiset: a re-attempt replays the shard and skips what
+// an earlier attempt delivered. One that fails, fails with
+// ErrShardUnavailable. Run under -race.
 func TestResilientExactlyOnceProperty(t *testing.T) {
 	sharded, q, want := exactlyOnceFixture(t)
 	rng := rand.New(rand.NewSource(35))
@@ -321,49 +309,12 @@ func TestResilientExactlyOnceProperty(t *testing.T) {
 				failAfter: rng.Intn(80),
 			}
 		}
-		hedge := time.Duration(0)
-		if rng.Intn(2) == 0 {
-			hedge = time.Millisecond
-		}
-		if _, err := checkExactlyOnce(t, sharded, q, want, faults, hedge, 1+3*rng.Intn(2)); err == nil {
+		if _, err := checkExactlyOnce(t, sharded, q, want, faults, 1+3*rng.Intn(2)); err == nil {
 			succeeded++
 		}
 	}
 	if succeeded < trials/2 {
 		t.Fatalf("only %d of %d schedules succeeded: the property was barely exercised", succeeded, trials)
-	}
-}
-
-// TestResilientHedgingBeatsStraggler: with one shard's first scan slowed by
-// an injected one-off latency, a hedged duplicate completes the shard long
-// before the straggler would have, with complete results.
-func TestResilientHedgingBeatsStraggler(t *testing.T) {
-	in, view, _ := resilientFixture(t)
-	q := workload.ChainQuery(3)
-	want, err := eval.EvalOn(view, q, eval.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lag = 500 * time.Millisecond
-	in.SetFault(3, fault.ShardFault{Latency: lag, SlowOps: 1})
-	r := fastResilience()
-	r.AttemptTimeout = 2 * time.Second
-	r.HedgeAfter = 5 * time.Millisecond
-	start := time.Now()
-	got, err := eval.EvalOn(eval.Resilient(view, r), q, eval.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed >= lag {
-		t.Fatalf("hedged eval took %v, want well under the %v straggler lag", elapsed, lag)
-	}
-	if tupleFingerprint(got) != tupleFingerprint(want) {
-		t.Fatal("hedged result diverged from clean result")
-	}
-	// At minimum the straggler hedged; under heavy slowdown (-race) fast
-	// shards can trip the 5ms trigger too, so don't assert an exact count.
-	if n := r.Metrics.Hedges.Value(); n < 1 {
-		t.Fatalf("%d hedges, want >= 1", n)
 	}
 }
 
@@ -383,7 +334,7 @@ func TestResilientBreakerOpensAndRecovers(t *testing.T) {
 	r.Breakers = br
 	view = eval.Resilient(view, r)
 	run := func() error {
-		_, err := eval.EvalOn(view, q, eval.Options{Parallel: 1})
+		_, err := eval.EvalView(view, q, eval.Options{Parallel: 1})
 		return err
 	}
 
@@ -503,39 +454,6 @@ func TestResilientCancelMidBackoff(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestResilientCancelMidHedge: a parent context canceled while a stalled
-// shard has both a primary and a hedged scan in flight aborts promptly and
-// joins both scans (no leaked goroutines).
-func TestResilientCancelMidHedge(t *testing.T) {
-	in, view, _ := resilientFixture(t)
-	q := workload.ChainQuery(3)
-	in.SetFault(2, fault.ShardFault{Stall: true})
-	r := fastResilience()
-	r.AttemptTimeout = 10 * time.Second // cancellation, not the deadline, must end it
-	r.HedgeAfter = 5 * time.Millisecond
-
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	pl, err := eval.Compile(eval.Resilient(view, r), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(30 * time.Millisecond) // after the hedge launched
-		cancel()
-	}()
-	start := time.Now()
-	_, err = pl.EvalCtx(ctx, eval.Options{Parallel: 4})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("cancel mid-hedge took %v to return", elapsed)
-	}
-	waitForGoroutines(t, before)
-}
-
 // TestInjectorDeterminism: the injector consumes fault schedules by
 // per-shard operation count, so the same schedule replays identically.
 func TestInjectorDeterminism(t *testing.T) {
@@ -561,5 +479,44 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	if a[0] == "<nil>" || a[1] == "<nil>" || a[2] != "<nil>" || a[3] != "<nil>" {
 		t.Fatalf("FailOps=2 schedule misapplied: %v", a)
+	}
+}
+
+// TestResilientDeadlineSparesSlowConsumer: the attempt deadline bounds only
+// the wait for a shard's first tuple, never the consumer's work on delivered
+// ones. The 4,000-row chain join over 4 shards has no fault, but each
+// shard's join work runs well past a 50 ms attempt deadline; it must answer
+// in full, with no retry and no shard error. The race detector slows the
+// join about tenfold, so there 1,000 rows take each shard past the deadline.
+func TestResilientDeadlineSparesSlowConsumer(t *testing.T) {
+	rows := 4000
+	if raceEnabled {
+		rows = 1000
+	}
+	db := workload.ChainDB(3, rows, 64, 7)
+	sharded, err := shard.FromDB(db, resilientShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := workload.ChainQuery(3)
+	want, err := eval.EvalOpts(db, q, eval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, resilientShards} {
+		r := fastResilience()
+		r.AttemptTimeout = 50 * time.Millisecond
+		start := time.Now()
+		got, err := eval.EvalView(eval.Resilient(sharded, r), q, eval.Options{Parallel: par})
+		if err != nil {
+			t.Fatalf("parallel=%d: fault-free scan failed after %v: %v", par, time.Since(start), err)
+		}
+		if tupleFingerprint(got) != tupleFingerprint(want) {
+			t.Fatalf("parallel=%d: %d tuples, want the unsharded %d", par, len(got.Tuples), len(want.Tuples))
+		}
+		if n, e := r.Metrics.Retries.Value(), r.Metrics.ShardErrors.Value(); n != 0 || e != 0 {
+			t.Fatalf("parallel=%d: %d retries after %d shard errors without a fault", par, n, e)
+		}
+		t.Logf("parallel=%d: %d tuples in %v", par, len(got.Tuples), time.Since(start))
 	}
 }

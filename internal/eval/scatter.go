@@ -64,13 +64,13 @@ func (s *serialSink) stopped() bool { return s.stop.Load() }
 func (s *serialSink) err() error { return s.firstErr }
 
 // deliver hands a frame to the callback, serialized across workers.
-func (s *serialSink) deliver(frame []string, ms []Match) error {
+func (s *serialSink) deliver(frame []string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stop.Load() {
 		return errStopped
 	}
-	if err := s.fn(frame, ms); err != nil {
+	if err := s.fn(frame); err != nil {
 		// Record and raise stop while still holding the mutex, so no other
 		// worker can deliver a frame after fn errored.
 		s.abort(err)

@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
@@ -65,42 +64,6 @@ func (p *partitionedDB) ShardScan(ctx context.Context, si int, rel string, cols 
 	return ctx.Err()
 }
 
-// bindingKey canonically encodes a binding plus its matches so multisets can
-// be compared across evaluation strategies.
-func bindingKey(b Binding, ms []Match) string {
-	vars := make([]string, 0, len(b))
-	for v := range b {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	key := ""
-	for _, v := range vars {
-		key += fmt.Sprintf("%s=%q;", v, b[v])
-	}
-	parts := make([]string, len(ms))
-	for i, m := range ms {
-		parts[i] = fmt.Sprintf("%d:%s:%s", m.AtomIndex, m.Rel, m.Tuple.Key())
-	}
-	sort.Strings(parts) // matches arrive in join order, which may differ per strategy
-	for _, p := range parts {
-		key += p + "|"
-	}
-	return key
-}
-
-func bindingMultiset(t *testing.T, view DBView, q *cq.Query, opts Options) map[string]int {
-	t.Helper()
-	out := make(map[string]int)
-	err := EachBinding(view, q, opts, func(b Binding, ms []Match) error {
-		out[bindingKey(b, ms)]++
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("EachBinding(%+v): %v", opts, err)
-	}
-	return out
-}
-
 // randomFactDB builds a database with binary predicates R, S, T over a small
 // constant pool, so random queries join with real fan-out.
 func randomFactDB(r *rand.Rand) *storage.DB {
@@ -114,7 +77,7 @@ func randomFactDB(r *rand.Rand) *storage.DB {
 				cq.Const(consts[r.Intn(len(consts))])))
 		}
 	}
-	db, err := DBFromFacts(facts)
+	db, err := dbFromFacts(facts)
 	if err != nil {
 		panic(err)
 	}
@@ -193,7 +156,7 @@ func TestPropParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4} {
-			parRes, err := EvalOn(partition(t, db, workers), q, Options{Parallel: workers})
+			parRes, err := evalOn(partition(t, db, workers), q, Options{Parallel: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +185,7 @@ func TestParallelAgainstSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := EvalOn(snap, q, Options{Parallel: 4})
+	par, err := evalOn(snap, q, Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +205,11 @@ func TestParallelCallbackErrorAborts(t *testing.T) {
 		Atoms: []cq.Atom{cq.NewAtom("R", cq.Var("X"), cq.Var("Y"))}}
 	boom := errors.New("boom")
 	calls := 0
-	err := EachBinding(partition(t, db, 4), q, Options{Parallel: 4}, func(Binding, []Match) error {
+	p, err := Compile(partition(t, db, 4), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Each(context.Background(), Options{Parallel: 4}, func([]string) error {
 		calls++
 		if calls == 3 {
 			return boom
@@ -268,7 +235,11 @@ func TestParallelCallbackNotConcurrent(t *testing.T) {
 		Head:  []cq.Term{cq.Var("X"), cq.Var("Z")},
 		Atoms: []cq.Atom{cq.NewAtom("R", cq.Var("X"), cq.Var("Y")), cq.NewAtom("S", cq.Var("Y"), cq.Var("Z"))}}
 	inFn := 0
-	err := EachBinding(partition(t, db, 8), q, Options{Parallel: 8}, func(Binding, []Match) error {
+	p, err := Compile(partition(t, db, 8), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Each(context.Background(), Options{Parallel: 8}, func([]string) error {
 		inFn++
 		if inFn != 1 {
 			t.Error("fn invoked concurrently")

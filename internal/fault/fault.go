@@ -60,10 +60,6 @@ func (e *injectedError) Transient() bool { return e.transient }
 type ShardFault struct {
 	// Latency delays each affected ShardScan call before any tuple flows.
 	Latency time.Duration
-	// SlowOps limits the latency to the first SlowOps calls on the shard
-	// (0 = every call). Lets hedging benchmarks model a one-off straggler:
-	// the hedged duplicate call lands after the slow budget and runs fast.
-	SlowOps int
 
 	// Stall, when true, blocks affected calls until ctx cancels and then
 	// returns ctx.Err() — the pathological straggler.
@@ -157,7 +153,7 @@ func (in *Injector) inject(ctx context.Context, si int) error {
 		return nil
 	}
 
-	if f.Latency > 0 && (f.SlowOps == 0 || op < f.SlowOps) {
+	if f.Latency > 0 {
 		t := time.NewTimer(f.Latency)
 		select {
 		case <-t.C:

@@ -63,24 +63,6 @@ func TestInjectorPassesThrough(t *testing.T) {
 	}
 }
 
-// TestInjectorSlowOps: a latency fault with SlowOps n delays the first n
-// scans of the shard and no later one.
-func TestInjectorSlowOps(t *testing.T) {
-	in, p := injected(t)
-	const lag = 30 * time.Millisecond
-	in.SetFault(0, fault.ShardFault{Latency: lag, SlowOps: 2})
-	for i := 0; i < 4; i++ {
-		start := time.Now()
-		if _, err := scan(context.Background(), p, 0); err != nil {
-			t.Fatal(err)
-		}
-		slow := time.Since(start) >= lag
-		if want := i < 2; slow != want {
-			t.Fatalf("scan %d: delayed %v, want %v", i, slow, want)
-		}
-	}
-}
-
 // TestInjectorFailOps: FailOps fails the first scans with a transient error
 // rooted in fault.Err, then lets scans through; SetFault starts the count
 // over.

@@ -6,8 +6,6 @@ package obs
 type ResilienceMetrics struct {
 	// Retries counts re-attempts after a transient per-shard failure.
 	Retries *Counter
-	// Hedges counts hedged duplicate scans launched for straggling shards.
-	Hedges *Counter
 	// BreakerOpens counts closed→open (and half-open→open) transitions.
 	BreakerOpens *Counter
 	// BreakerRejects counts attempts rejected by an open breaker.
@@ -24,7 +22,6 @@ type ResilienceMetrics struct {
 func NewResilienceMetrics(r *Registry) *ResilienceMetrics {
 	return &ResilienceMetrics{
 		Retries:          r.Counter("citare_resilience_retries_total", "Per-shard attempt retries after transient failures."),
-		Hedges:           r.Counter("citare_resilience_hedges_total", "Hedged duplicate shard scans launched."),
 		BreakerOpens:     r.Counter("citare_resilience_breaker_opens_total", "Circuit breaker open transitions."),
 		BreakerRejects:   r.Counter("citare_resilience_breaker_rejects_total", "Shard attempts rejected by an open breaker."),
 		ShardErrors:      r.Counter("citare_resilience_shard_errors_total", "Failed per-shard scan attempts."),

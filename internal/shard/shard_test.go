@@ -5,10 +5,10 @@ package shard_test
 // against the unsharded evaluator.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"citare/internal/cq"
@@ -20,6 +20,15 @@ import (
 )
 
 var shardCounts = []int{1, 2, 3, 8}
+
+// evalOn compiles q over view and evaluates it with set semantics.
+func evalOn(view eval.DBView, q *cq.Query, opts eval.Options) (*eval.Result, error) {
+	pl, err := eval.Compile(view, q)
+	if err != nil {
+		return nil, err
+	}
+	return pl.EvalCtx(context.Background(), opts)
+}
 
 // resultKey canonically encodes an eval result for byte-identity checks.
 func resultKey(r *eval.Result) string {
@@ -220,7 +229,7 @@ func TestEvalShardedParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{0, 4} {
-				got, err := eval.EvalOn(sdb, q, eval.Options{Parallel: par})
+				got, err := evalOn(sdb, q, eval.Options{Parallel: par})
 				if err != nil {
 					t.Fatalf("%s shards=%d parallel=%d: %v", q.Name, n, par, err)
 				}
@@ -247,7 +256,7 @@ func TestEvalShardedChainParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, par := range []int{0, 8} {
-			got, err := eval.EvalOn(sdb, q, eval.Options{Parallel: par})
+			got, err := evalOn(sdb, q, eval.Options{Parallel: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,17 +273,19 @@ func TestEachBindingShardedMultiset(t *testing.T) {
 	db := workload.ChainDB(2, 200, 16, 3)
 	q := workload.ChainQuery(2)
 
-	collect := func(run func(fn func(eval.Binding, []eval.Match) error) error) map[string]int {
+	// Frames are aligned with Vars, which follows the query's atoms and so
+	// is the same over every view.
+	collect := func(view eval.DBView, opts eval.Options) map[string]int {
+		pl, err := eval.Compile(view, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vars := pl.Vars()
 		ms := make(map[string]int)
-		err := run(func(b eval.Binding, matches []eval.Match) error {
-			vars := make([]string, 0, len(b))
-			for v := range b {
-				vars = append(vars, v)
-			}
-			sort.Strings(vars)
+		err = pl.Each(context.Background(), opts, func(frame []string) error {
 			key := ""
-			for _, v := range vars {
-				key += v + "=" + b[v] + ";"
+			for i, v := range vars {
+				key += v + "=" + frame[i] + ";"
 			}
 			ms[key]++
 			return nil
@@ -285,18 +296,14 @@ func TestEachBindingShardedMultiset(t *testing.T) {
 		return ms
 	}
 
-	want := collect(func(fn func(eval.Binding, []eval.Match) error) error {
-		return eval.EachBinding(eval.DBViewOf(db), q, eval.Options{}, fn)
-	})
+	want := collect(eval.DBViewOf(db), eval.Options{})
 	for _, n := range shardCounts {
 		sdb, err := shard.FromDB(db, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{0, 4} {
-			got := collect(func(fn func(eval.Binding, []eval.Match) error) error {
-				return eval.EachBinding(sdb, q, eval.Options{Parallel: par}, fn)
-			})
+			got := collect(sdb, eval.Options{Parallel: par})
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d parallel=%d: %d distinct bindings, want %d", n, par, len(got), len(want))
 			}
@@ -317,17 +324,20 @@ func TestEvalShardedAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl, err := eval.Compile(sdb, workload.ChainQuery(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("boom")
 	for _, par := range []int{0, 4} {
 		calls := 0
-		err := eval.EachBinding(sdb, workload.ChainQuery(2), eval.Options{Parallel: par},
-			func(eval.Binding, []eval.Match) error {
-				calls++
-				if calls == 3 {
-					return boom
-				}
-				return nil
-			})
+		err := pl.Each(context.Background(), eval.Options{Parallel: par}, func([]string) error {
+			calls++
+			if calls == 3 {
+				return boom
+			}
+			return nil
+		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("parallel=%d: err = %v, want boom", par, err)
 		}
@@ -344,7 +354,7 @@ func TestEvalShardedUnknownRelation(t *testing.T) {
 	}
 	q := &cq.Query{Name: "Q", Head: []cq.Term{cq.Var("X")},
 		Atoms: []cq.Atom{cq.NewAtom("Nope", cq.Var("X"))}}
-	if _, err := eval.EvalOn(sdb, q, eval.Options{}); err == nil {
+	if _, err := evalOn(sdb, q, eval.Options{}); err == nil {
 		t.Fatal("expected unknown-relation error")
 	}
 }

@@ -8,7 +8,10 @@ package citare
 // the advisor example workload.
 
 import (
+	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"testing"
 
@@ -22,11 +25,11 @@ import (
 )
 
 // refEvalBindings is an independent oracle for binding enumeration: atoms
-// evaluate by full scan in the query's own order, bindings are cloned maps,
-// and comparison predicates are checked only on complete valuations. It
-// shares no code with the plan compiler, so any scheduling, slot or
-// access-path bug in the compiled evaluator diverges from it.
-func refEvalBindings(dbv eval.DBView, q *cq.Query, fn func(eval.Binding, []eval.Match) error) error {
+// evaluate by full scan in the query's own order, bindings are cloned
+// name→value maps, and comparison predicates are checked only on complete
+// valuations. It shares no code with the plan compiler, so any scheduling,
+// slot or access-path bug in the compiled evaluator diverges from it.
+func refEvalBindings(dbv eval.DBView, q *cq.Query, fn func(b map[string]string) error) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
@@ -39,7 +42,7 @@ func refEvalBindings(dbv eval.DBView, q *cq.Query, fn func(eval.Binding, []eval.
 			return fmt.Errorf("ref: atom %s arity mismatch", a.Pred)
 		}
 	}
-	ground := func(b eval.Binding, t cq.Term) (string, error) {
+	ground := func(b map[string]string, t cq.Term) (string, error) {
 		if t.IsConst {
 			return t.Value, nil
 		}
@@ -49,8 +52,8 @@ func refEvalBindings(dbv eval.DBView, q *cq.Query, fn func(eval.Binding, []eval.
 		}
 		return v, nil
 	}
-	var rec func(i int, b eval.Binding, ms []eval.Match) error
-	rec = func(i int, b eval.Binding, ms []eval.Match) error {
+	var rec func(i int, b map[string]string) error
+	rec = func(i int, b map[string]string) error {
 		if i == len(q.Atoms) {
 			for _, c := range q.Comps {
 				l, err := ground(b, c.L)
@@ -65,12 +68,12 @@ func refEvalBindings(dbv eval.DBView, q *cq.Query, fn func(eval.Binding, []eval.
 					return nil
 				}
 			}
-			return fn(b, ms)
+			return fn(b)
 		}
 		a := q.Atoms[i]
 		var iterErr error
 		dbv.Relation(a.Pred).Scan(func(t storage.Tuple) bool {
-			b2 := b.Clone()
+			b2 := maps.Clone(b)
 			ok := true
 			for col, tm := range a.Args {
 				if tm.IsConst {
@@ -90,7 +93,7 @@ func refEvalBindings(dbv eval.DBView, q *cq.Query, fn func(eval.Binding, []eval.
 				b2[tm.Name] = t[col]
 			}
 			if ok {
-				if err := rec(i+1, b2, append(ms, eval.Match{AtomIndex: i, Rel: a.Pred, Tuple: t})); err != nil {
+				if err := rec(i+1, b2); err != nil {
 					iterErr = err
 					return false
 				}
@@ -99,7 +102,7 @@ func refEvalBindings(dbv eval.DBView, q *cq.Query, fn func(eval.Binding, []eval.
 		})
 		return iterErr
 	}
-	return rec(0, eval.Binding{}, nil)
+	return rec(0, map[string]string{})
 }
 
 // refEval gathers the oracle's bindings with set semantics: head tuples
@@ -114,7 +117,7 @@ func refEval(dbv eval.DBView, q *cq.Query) (cols []string, tuples []storage.Tupl
 		}
 	}
 	seen := map[string]bool{}
-	err = refEvalBindings(dbv, q, func(b eval.Binding, _ []eval.Match) error {
+	err = refEvalBindings(dbv, q, func(b map[string]string) error {
 		out := make(storage.Tuple, len(q.Head))
 		for i, t := range q.Head {
 			if t.IsConst {
@@ -140,35 +143,42 @@ func refEval(dbv eval.DBView, q *cq.Query) (cols []string, tuples []storage.Tupl
 	return cols, tuples, nil
 }
 
-// bindingFP canonically encodes one delivered binding plus its matches so
-// multisets compare across strategies (match arrival order is join-order
-// dependent and deliberately ignored).
-func bindingFP(b eval.Binding, ms []eval.Match) string {
-	vars := make([]string, 0, len(b))
-	for v := range b {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	fp := ""
-	for _, v := range vars {
-		fp += fmt.Sprintf("%s=%q;", v, b[v])
-	}
-	parts := make([]string, len(ms))
-	for i, m := range ms {
-		parts[i] = fmt.Sprintf("%d:%s:%s", m.AtomIndex, m.Rel, m.Tuple.Key())
-	}
-	sort.Strings(parts)
-	for _, p := range parts {
-		fp += p + "|"
-	}
-	return fp
-}
-
-func refMultiset(t *testing.T, dbv eval.DBView, q *cq.Query) map[string]int {
+// refMultiset counts the oracle's valuations, each spelled as a frame
+// aligned with vars — the plan's Vars, which name every variable the oracle
+// binds.
+func refMultiset(t *testing.T, dbv eval.DBView, q *cq.Query, vars []string) map[string]int {
 	t.Helper()
 	out := map[string]int{}
-	if err := refEvalBindings(dbv, q, func(b eval.Binding, ms []eval.Match) error {
-		out[bindingFP(b, ms)]++
+	if err := refEvalBindings(dbv, q, func(b map[string]string) error {
+		if len(b) != len(vars) {
+			return fmt.Errorf("ref: valuation %v, plan variables %v", b, vars)
+		}
+		frame := make([]string, len(vars))
+		for i, v := range vars {
+			frame[i] = b[v]
+		}
+		out[fmt.Sprintf("%q", frame)]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// planMultiset compiles q over dbv and counts the frames its enumeration
+// delivers, which must be aligned with vars.
+func planMultiset(t *testing.T, dbv eval.DBView, q *cq.Query, opts eval.Options, vars []string) map[string]int {
+	t.Helper()
+	pl, err := eval.Compile(dbv, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(pl.Vars(), vars) {
+		t.Fatalf("plan variables %v, want %v", pl.Vars(), vars)
+	}
+	out := map[string]int{}
+	if err := pl.Each(context.Background(), opts, func(frame []string) error {
+		out[fmt.Sprintf("%q", frame)]++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -227,7 +237,12 @@ func TestPlanEvaluatorParity(t *testing.T) {
 		for wl, queries := range workloads {
 			for qi, q := range queries {
 				dbv := eval.DBViewOf(d.db)
-				wantMS := refMultiset(t, dbv, q)
+				pl, err := eval.Compile(dbv, q)
+				if err != nil {
+					t.Fatalf("%s/%s[%d]: compile: %v", d.name, wl, qi, err)
+				}
+				vars := pl.Vars()
+				wantMS := refMultiset(t, dbv, q, vars)
 				wantCols, wantTuples, err := refEval(dbv, q)
 				if err != nil {
 					t.Fatalf("%s/%s[%d]: ref: %v", d.name, wl, qi, err)
@@ -250,14 +265,7 @@ func TestPlanEvaluatorParity(t *testing.T) {
 							d.name, wl, qi, label, res.Cols, res.Tuples, wantCols, wantTuples)
 					}
 				}
-				ms := map[string]int{}
-				err = eval.EachBinding(eval.DBViewOf(d.db), q, eval.Options{}, func(b eval.Binding, m []eval.Match) error {
-					ms[bindingFP(b, m)]++
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				ms := planMultiset(t, dbv, q, eval.Options{}, vars)
 				res, err := eval.EvalOpts(d.db, q, eval.Options{})
 				check("sequential", ms, res, err)
 				for _, shards := range shardCounts {
@@ -267,15 +275,12 @@ func TestPlanEvaluatorParity(t *testing.T) {
 					}
 					for _, par := range []int{0, 2, 4, eval.Auto} {
 						opts := eval.Options{Parallel: par}
-						ms := map[string]int{}
-						err := eval.EachBinding(sdb, q, opts, func(b eval.Binding, m []eval.Match) error {
-							ms[bindingFP(b, m)]++
-							return nil
-						})
+						ms := planMultiset(t, sdb, q, opts, vars)
+						spl, err := eval.Compile(sdb, q)
 						if err != nil {
 							t.Fatal(err)
 						}
-						res, err := eval.EvalOn(sdb, q, opts)
+						res, err := spl.EvalCtx(context.Background(), opts)
 						check(fmt.Sprintf("shards=%d parallel=%d", shards, par), ms, res, err)
 					}
 				}

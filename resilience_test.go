@@ -354,29 +354,3 @@ func TestChaosCancelDuringRetry(t *testing.T) {
 	}
 	waitGoroutines(t, before)
 }
-
-// BenchmarkHedgedStraggler prices hedging against a straggler: scatter-gather
-// citations over four shards, one of which answers its first scan 10ms late.
-// Unhedged, every citation waits out the lag; hedged after 2ms, the duplicate
-// scan lands past the shard's slow budget and wins. SetFault resets the
-// shard's op counter, so every iteration sees the same one-slow-scan world.
-// TestResilientHedgingBeatsStraggler (internal/eval) asserts the payoff.
-func BenchmarkHedgedStraggler(b *testing.B) {
-	const q = `Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`
-	for _, hedge := range []time.Duration{0, 2 * time.Millisecond} {
-		b.Run("hedge="+hedge.String(), func(b *testing.B) {
-			in := fault.NewInjector()
-			c := resilientPaperCiter(b, 4, in, ResilienceConfig{HedgeAfter: hedge, Seed: 20})
-			if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil { // warm plans and tokens
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				in.SetFault(0, fault.ShardFault{Latency: 10 * time.Millisecond, SlowOps: 1})
-				if _, err := c.Cite(context.Background(), Request{Datalog: q}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

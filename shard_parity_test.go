@@ -172,7 +172,11 @@ func TestCitegraphShardRouting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eval.EvalOn(sdb, q, eval.Options{Parallel: shards}); err != nil {
+			pl, err := eval.Compile(sdb, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pl.EvalCtx(context.Background(), eval.Options{Parallel: shards}); err != nil {
 				t.Fatal(err)
 			}
 		}
