@@ -9,7 +9,9 @@ package citare
 // query renamed, so the query is enumerated once, with the polynomials put
 // on the tuples' rows rather than in a map per rewriting; their monomials
 // come from a per-evaluation memo, and tokens render from one columnar row
-// set.
+// set. A request of a known shape carries its constants as one vector: its
+// plans, its tokens' citation queries and its citation-cache key are the
+// shape's, bound to that vector, never rebuilt from a copy of the query.
 // These tests pin that behavior two ways: byte-parity of Cite against
 // CiteEach on the citegraph workload, and allocs/op ceilings at the measured
 // count plus about 15%, so that a per-tuple pointer + copy regime (2 extra
@@ -31,13 +33,15 @@ import (
 )
 
 // TestMaterializedCiteAllocs asserts allocs/op ceilings for warm materialized
-// Cite calls on the citegraph workload. Measured: 78 allocs for a
-// single-row resolution, 4.6 per row on the 210-row hot-key probe, 10.4 per
-// row on the 17-row venue rollup with every rewriting read off the output
-// evaluation (99, 6.7 and 14.1 while each rewriting enumerated its
-// expansion again into a map of its own; 199, 47.9 and 75.3 while every
-// frame built its tokens and a map-based monomial and every citation-query
-// row a map and a sorted key string); the ceilings carry about 15% headroom.
+// Cite calls on the citegraph workload. Measured: 66 allocs for a
+// single-row resolution, 3.5 per row on the 210-row hot-key probe, 8.7 per
+// row on the 17-row venue rollup with the plans bound to a constant vector
+// and output tuples cut from one slab (78, 4.6 and 10.4 while every bound
+// plan copied its steps and every tuple was its own slice; 99, 6.7 and 14.1
+// while each rewriting enumerated its expansion again into a map of its
+// own; 199, 47.9 and 75.3 while every frame built its tokens and a
+// map-based monomial and every citation-query row a map and a sorted key
+// string); the ceilings carry about 15% headroom.
 // Revisit the constants deliberately if a feature legitimately needs more.
 func TestMaterializedCiteAllocs(t *testing.T) {
 	if raceEnabled {
@@ -51,9 +55,9 @@ func TestMaterializedCiteAllocs(t *testing.T) {
 		ceiling float64 // absolute allocs/op
 		perRow  float64 // alternatively, allocs per result row
 	}{
-		{"resolution-1row", citegraph.ResolutionQuery(citegraph.HotWork()), 90, 0},
-		{"hotkey-incoming", citegraph.IncomingQuery(citegraph.HotWork()), 0, 5.3},
-		{"venue-rollup", citegraph.VenueRollupQuery(citegraph.VenueID(1)), 0, 12.0},
+		{"resolution-1row", citegraph.ResolutionQuery(citegraph.HotWork()), 76, 0},
+		{"hotkey-incoming", citegraph.IncomingQuery(citegraph.HotWork()), 0, 4.0},
+		{"venue-rollup", citegraph.VenueRollupQuery(citegraph.VenueID(1)), 0, 10.0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,7 +101,7 @@ func TestMaterializedGatherSharesBuffer(t *testing.T) {
 
 // gtopdbTypeInstance is a GtoPdb instance at the real families-per-type
 // ratio (about 40), the shape the streamed browse queries run over.
-func gtopdbTypeInstance(t *testing.T) *Citer {
+func gtopdbTypeInstance(t testing.TB) *Citer {
 	t.Helper()
 	db := gtopdb.Generate(gtopdb.Config{Seed: 7, Families: 2000, Types: 50, Persons: 1000, CommitteeMin: 2, CommitteeMax: 6, IntroFraction: 0.6})
 	c, err := NewFromProgram(db, gtopdb.ViewsProgram, WithNeutralCitation(gtopdb.DatabaseCitation()))
@@ -112,11 +116,11 @@ func gtopdbTypeInstance(t *testing.T) *Citer {
 // several KB shared by all of them. The tuple's record must alias that
 // citation and, where a tuple's citation repeats an earlier one of the
 // request, be handed out again as is — not rebuilt, re-compared and
-// re-encoded value by value. Measured: 12.6 allocs per tuple (eval and
-// gather, nearly all of it) with shared records, the per-request memo, the
-// flat algebra and the rewritings read off the output evaluation; 21 while
-// each rewriting enumerated the join again, 82 while every frame built a
-// map-based monomial and its key three times over, 681 when every tuple
+// re-encoded value by value. Measured: 5.1 allocs per tuple with one tuple
+// callback per execution, output tuples cut from one slab and one-entry
+// monomial memos; 12.6 with a closure per lookup and a slice per tuple; 21
+// while each rewriting enumerated the join again, 82 while every frame built
+// a map-based monomial and its key three times over, 681 when every tuple
 // deep-copied and re-keyed the type citation.
 func TestStreamedTupleAllocs(t *testing.T) {
 	if raceEnabled {
@@ -137,8 +141,8 @@ func TestStreamedTupleAllocs(t *testing.T) {
 	}
 	perTuple := testing.AllocsPerRun(5, stream) / float64(tuples)
 	t.Logf("CiteEach: %.1f allocs per streamed tuple over %d tuples", perTuple, tuples)
-	if perTuple > 14.5 {
-		t.Fatalf("CiteEach: %.1f allocs per streamed tuple over %d tuples, ceiling 14.5 — tuples are rebuilding the shared type citation or their monomials", perTuple, tuples)
+	if perTuple > 6 {
+		t.Fatalf("CiteEach: %.1f allocs per streamed tuple over %d tuples, ceiling 6 — tuples are rebuilding the shared type citation or their monomials", perTuple, tuples)
 	}
 }
 
@@ -164,7 +168,7 @@ func bytesPerRun(runs int, fn func()) uint64 {
 // Polynomial, CitationJSON and the wire encoding — which a bare Cite never
 // renders. So the stream is held to Cite followed by EachTuple, which
 // renders the same text: it may not allocate more bytes. Measured: Cite
-// 521,312 B/op, Cite + EachTuple 697,478, CiteEach 637,174. That a stream
+// 494,715 B/op, Cite + EachTuple 664,676, CiteEach 603,323. That a stream
 // allocates less than a bare Cite is not true today: it is an acceptance
 // item of ROADMAP [evaluate-once], not a gate.
 func TestStreamVsMaterializedAllocs(t *testing.T) {
@@ -211,7 +215,8 @@ func TestStreamVsMaterializedAllocs(t *testing.T) {
 // costs a warm point citation on the 500-family instance at most 4 allocs
 // over the engine without them. Metrics ride atomic counters and
 // pre-registered histograms, so the delta is noise, not structure. Measured:
-// 100 allocs/op with and without.
+// 80 allocs/op with and without (100 before the constants flowed as a
+// vector).
 func TestPipelineMetricsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -377,9 +382,9 @@ func TestCachedCitationRetainedSize(t *testing.T) {
 // TestCachedStreamHitAllocs is the gate on what a stream of a cached citation
 // costs in the library: two lookups, then per tuple the copy of its values —
 // the cached tuple is shared — and nothing else: no evaluation, no render, no
-// encoding after the entry's first replay. Measured: 3 allocations per stream
-// (the two lookup keys and the callback) plus 1.00 per tuple; the cold stream
-// of the same request makes 12.6 per tuple (TestStreamedTupleAllocs).
+// encoding after the entry's first replay. Measured: 2 allocations per stream
+// (the two lookup keys) plus 1.00 per tuple; the cold stream of the same
+// request makes 5.1 per tuple (TestStreamedTupleAllocs).
 func TestCachedStreamHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -408,7 +413,7 @@ func TestCachedStreamHitAllocs(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(20, stream)
 	t.Logf("cached CiteEach: %.0f allocs for %d tuples", got, tuples)
-	if ceiling := float64(tuples + 6); got > ceiling {
+	if ceiling := float64(tuples + 4); got > ceiling {
 		t.Fatalf("cached CiteEach: %.0f allocs for %d tuples, ceiling %.0f (a constant and one per tuple) — a replay is evaluating, rendering or encoding", got, tuples, ceiling)
 	}
 	if misses := c.CacheStats().Misses; misses != 1 {
@@ -418,9 +423,11 @@ func TestCachedStreamHitAllocs(t *testing.T) {
 
 // TestCachedHitAllocs is the gate on what a repeated request costs before its
 // response is written: the text looked up in the resolve memo, the canonical
-// key in the citation cache. Measured: 3 allocations (the two lookup keys and
-// the compute closure), and one more where the request's column labels or
-// format differ from the entry's (its own Citation header); 153 and 154 when
+// key in the citation cache. Measured: 2 allocations, the two lookup keys
+// (the citation key spelled in a stack buffer from the shape's canonical
+// template and the query's values), and one more where the request's column
+// labels or format differ from the entry's (its own Citation header); 3 and 4
+// while a citation key spilled out of its 128-byte buffer; 153 and 154 when
 // every hit parsed, prepared and re-keyed its text.
 func TestCachedHitAllocs(t *testing.T) {
 	if raceEnabled {
@@ -432,8 +439,8 @@ func TestCachedHitAllocs(t *testing.T) {
 		req     Request
 		ceiling float64
 	}{
-		{"same-request", Request{Datalog: `Q(N, Pn) :- Family(F, N, Ty), Ty = "type-03", FC(F, P), Person(P, Pn, A)`}, 4},
-		{"other-labels", Request{Datalog: `Q(Name, Person) :- Family(F, Name, Ty), Ty = "type-03", FC(F, P), Person(P, Person, A)`, Format: "bibtex"}, 5},
+		{"same-request", Request{Datalog: `Q(N, Pn) :- Family(F, N, Ty), Ty = "type-03", FC(F, P), Person(P, Pn, A)`}, 2},
+		{"other-labels", Request{Datalog: `Q(Name, Person) :- Family(F, Name, Ty), Ty = "type-03", FC(F, P), Person(P, Person, A)`, Format: "bibtex"}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cite := func() {
@@ -451,48 +458,174 @@ func TestCachedHitAllocs(t *testing.T) {
 	}
 }
 
-// warmShapeQueries are the point workload's two datalog shapes; %q takes
-// the family the request is about.
-var warmShapeQueries = []struct{ name, datalog string }{
-	{"point-lookup", `Q(N) :- Family(F, N, Ty), F = %q`},
-	{"committee-join", `Q(N, Pn) :- Family(F, N, Ty), F = %q, FC(F, P), Person(P, Pn, A)`},
+// warmShapeQueries are the point workload's three shapes — 70% datalog
+// point lookups, 20% committee joins, 10% the point lookup through SQL —
+// each asked about one family.
+var warmShapeQueries = []struct {
+	name    string
+	request func(fid string) Request
+}{
+	{"point-lookup", func(fid string) Request {
+		return Request{Datalog: fmt.Sprintf(`Q(N) :- Family(F, N, Ty), F = %q`, fid)}
+	}},
+	{"committee-join", func(fid string) Request {
+		return Request{Datalog: fmt.Sprintf(`Q(N, Pn) :- Family(F, N, Ty), F = %q, FC(F, P), Person(P, Pn, A)`, fid)}
+	}},
+	{"sql-point-lookup", func(fid string) Request {
+		return Request{SQL: fmt.Sprintf(`SELECT f.FName, f.Type FROM Family f WHERE f.FID = '%s'`, fid)}
+	}},
+}
+
+// warmShapeCost is what one request of each warm shape may cost: allocations
+// and heap bytes per request, the request's text built beforehand.
+type warmShapeCost struct {
+	allocs float64
+	bytes  uint64
 }
 
 // TestNewConstantOnWarmShapeAllocs is the gate on what a request costs when
 // the engine has seen its shape but not its constant — nearly every request
-// of a lookup service. Such a request binds the shape's compiled plans; it
-// must not minimize, enumerate rewritings or compile again. Measured per
-// Cite of a family never asked about before (token rendering for that family
-// included): point lookup 221 allocs, committee join 223 with the rewritings
-// read off the output evaluation (243 and 281 while each enumerated its
-// expansion again, 345 and 567 with a map per citation-query row and per
-// monomial); when plans were keyed by the query with its constants, 1121 and
-// 2199. The ceilings carry about 15% headroom.
+// of a lookup service. Such a request binds the shape's compiled plans to its
+// constants, carried as one vector from the parse on; it must not minimize,
+// enumerate rewritings, compile, or spell its canonical key by searching
+// atom orders again. Three arms, each on its own engine, running the three
+// shapes in turn (so the committee join and the SQL lookup find the family's
+// token rendered): a plain Citer; the served path's CachedCiter, whose miss
+// spells the citation-cache key; and that miss with its response encoded
+// (AppendWire), as citesrv answers it.
+//
+// Measured per request, allocations / KB, and in brackets the same test on
+// the code before the constants flowed as a vector (the query cloned,
+// renamed and re-keyed at each layer, the cache key found by an atom-order
+// search per request, every index probe spelling its key on the heap):
+//
+//	                  citer                  cached                 cached+wire
+//	point lookup      123 / 9.0 (216 / 15.2)  129 / 9.3 (260 / 17.7)  133 / 9.6 (289 / 19.4)
+//	committee join    136 / 10.9 (220 / 19.2) 142 / 11.3 (323 / 24.5) 147 / 11.6 (368 / 26.7)
+//	SQL point lookup  103 / 6.7 (138 / 10.8)  108 / 7.1 (184 / 13.5)  112 / 7.4 (216 / 15.3)
+//
+// Before plans were keyed by shape, a plain Citer spent 1121 and 2199
+// allocations on the two datalog shapes. The ceilings carry about 15%
+// headroom, the cached arm's bytes no more than 60% of what it cost before.
 func TestNewConstantOnWarmShapeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	c := gtopdbTypeInstance(t)
-	ceilings := map[string]float64{"point-lookup": 254, "committee-join": 256}
-	for _, q := range warmShapeQueries {
-		t.Run(q.name, func(t *testing.T) {
-			next := 0
-			cite := func() {
-				req := Request{Datalog: fmt.Sprintf(q.datalog, strconv.Itoa(100+next))}
-				next++
-				if ct, err := c.Cite(context.Background(), req); err != nil || ct.NumTuples() == 0 {
-					t.Fatalf("%s: %d tuples, %v", req.Datalog, ct.NumTuples(), err)
+	arms := []struct {
+		name     string
+		ceilings map[string]warmShapeCost
+		cite     func(t *testing.T, c *CachedCiter, req Request)
+	}{
+		{"citer", map[string]warmShapeCost{
+			"point-lookup": {141, 10600}, "committee-join": {157, 12800}, "sql-point-lookup": {119, 7900},
+		}, func(t *testing.T, c *CachedCiter, req Request) {
+			if ct, err := c.Citer().Cite(context.Background(), req); err != nil || ct.NumTuples() == 0 {
+				t.Fatalf("%+v: %v", req, err)
+			}
+		}},
+		{"cached", map[string]warmShapeCost{
+			"point-lookup": {149, 10890}, "committee-join": {164, 13300}, "sql-point-lookup": {119, 8290},
+		}, func(t *testing.T, c *CachedCiter, req Request) {
+			if ct, err := c.Cite(context.Background(), req); err != nil || ct.NumTuples() == 0 {
+				t.Fatalf("%+v: %v", req, err)
+			}
+		}},
+		{"cached+wire", map[string]warmShapeCost{
+			"point-lookup": {153, 11300}, "committee-join": {170, 13700}, "sql-point-lookup": {129, 8700},
+		}, func(t *testing.T, c *CachedCiter, req Request) {
+			ct, err := c.Cite(context.Background(), req)
+			if err != nil || ct.NumTuples() == 0 {
+				t.Fatalf("%+v: %v", req, err)
+			}
+			if _, err := ct.AppendWire(wireBuf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, arm := range arms {
+		c := NewCached(gtopdbTypeInstance(t))
+		for _, q := range warmShapeQueries {
+			name := q.name // the plain arm keeps the names the test had before the others
+			if arm.name != "citer" {
+				name = arm.name + "/" + q.name
+			}
+			t.Run(name, func(t *testing.T) {
+				const runs = 50
+				reqs := make([]Request, 2*runs+3)
+				for i := range reqs {
+					reqs[i] = q.request(strconv.Itoa(100 + i))
 				}
-			}
-			cite() // warm the shape with the first family
-			got := testing.AllocsPerRun(50, cite)
-			t.Logf("Cite of a new constant on a warm shape: %.0f allocs", got)
-			if got > ceilings[q.name] {
-				t.Fatalf("Cite of a new constant on a warm shape: %.0f allocs, ceiling %.0f — the request is compiling, not binding", got, ceilings[q.name])
-			}
-		})
+				next := 0
+				cite := func() {
+					arm.cite(t, c, reqs[next])
+					next++
+				}
+				cite() // warm the shape with the first family
+				allocs := testing.AllocsPerRun(runs, cite)
+				bytes := bytesPerRun(runs, cite)
+				t.Logf("a new constant on a warm shape: %.0f allocs, %d B", allocs, bytes)
+				if ceil := arm.ceilings[q.name]; allocs > ceil.allocs || bytes > ceil.bytes {
+					t.Fatalf("a new constant on a warm shape: %.0f allocs, %d B, ceilings %.0f and %d B — the request is compiling or re-keying, not binding", allocs, bytes, ceil.allocs, ceil.bytes)
+				}
+			})
+		}
 	}
 }
+
+// BenchmarkPointMiss is the point workload's miss path in process, without a
+// server: the same 70/20/10 mix of point lookups, committee joins and SQL
+// point lookups over the same 20,000-family instance, each request about the
+// next family — a new constant on a warm shape, whose token is rendered too —
+// through a CachedCiter, its response encoded as citesrv encodes it
+// (AppendWire). The shapes are warmed before the timer starts, and past the
+// last family the cache is invalidated, so that every request stays a miss.
+// Run it with -benchmem, or -memprofile to see where a miss allocates.
+func BenchmarkPointMiss(b *testing.B) {
+	const families = 20000
+	db := gtopdb.Generate(gtopdb.Config{Seed: 7, Families: families, Types: 500, Persons: 10000, CommitteeMin: 2, CommitteeMax: 6, IntroFraction: 0.6})
+	citer, err := NewFromProgram(db, gtopdb.ViewsProgram, WithNeutralCitation(gtopdb.DatabaseCitation()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCached(citer)
+	reqs := make([]Request, min(b.N, families))
+	for i := range reqs {
+		shape := warmShapeQueries[0]
+		switch i % 10 {
+		case 7, 8:
+			shape = warmShapeQueries[1]
+		case 9:
+			shape = warmShapeQueries[2]
+		}
+		reqs[i] = shape.request(strconv.Itoa(100 + i))
+	}
+	buf := make([]byte, 0, 64<<10)
+	for i, shape := range warmShapeQueries { // warm the shapes on the last families
+		if _, err := c.Cite(context.Background(), shape.request(strconv.Itoa(100+families-1-i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		if i > 0 && i%len(reqs) == 0 {
+			if err := c.Invalidate(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ct, err := c.Cite(context.Background(), reqs[i%len(reqs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if buf, err = ct.AppendWire(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// wireBuf is the response buffer the wire arm encodes into, reused as a
+// server reuses its own.
+var wireBuf = make([]byte, 0, 64<<10)
 
 // TestTokenRenderAllocsPerRow is the gate on what one row of a citation
 // query costs its token's rendering. The hottest work's incoming-reference
@@ -541,7 +674,7 @@ func TestTokenRenderAllocsPerRow(t *testing.T) {
 func TestPlanCompilesFollowShapesNotRequests(t *testing.T) {
 	c := gtopdbTypeInstance(t)
 	for i := 0; i < 1000; i++ {
-		req := Request{Datalog: fmt.Sprintf(warmShapeQueries[0].datalog, strconv.Itoa(100+i))}
+		req := warmShapeQueries[0].request(strconv.Itoa(100 + i))
 		if _, err := c.Cite(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}

@@ -156,25 +156,25 @@ func (ct *Citation) forRequest(req Request, columns []string) *Citation {
 // citationKey spells what decides a resolved request's citation — the one key
 // the citation cache and batch grouping both read: the cache epoch, every
 // request option that changes the citation or the error behavior
-// (MaxRewritings, MaxTuples), and the canonical form of the minimized query, which syntactic
-// variants — reordered bodies, renamed variables, redundant atoms — share.
-// That is safe because citations are plan-independent (the paper's note after
-// Example 3.3). The render format and the head's variable names (columns) are
-// not part of it: one selects a renderer, the others label an answer
-// equivalent queries share, so whatever the key finds is re-wrapped with the
-// asking request's own (forRequest). An unsatisfiable query has no canonical
-// form; it is keyed by its syntax and is not cacheable — it is cheap to
-// evaluate and needs no sharing.
+// (MaxRewritings, MaxTuples), and the canonical identity of the minimized
+// query (core.Prepared.AppendCanonical), which syntactic variants —
+// reordered bodies, renamed variables, redundant atoms — share. That is safe
+// because citations are plan-independent (the paper's note after Example
+// 3.3). The render format and the head's variable names (columns) are not
+// part of it: one selects a renderer, the others label an answer equivalent
+// queries share, so whatever the key finds is re-wrapped with the asking
+// request's own (forRequest). An unsatisfiable query has no canonical form;
+// it is keyed by its syntax and is not cacheable — it is cheap to evaluate
+// and needs no sharing.
 func citationKey(epoch uint64, r *resolved, req Request) (key string, columns []string, cacheable bool) {
-	canon, columns := r.canonical()
-	var buf [128]byte
+	var buf [256]byte
 	b := strconv.AppendUint(buf[:0], epoch, 10)
 	b = strconv.AppendInt(append(b, "|mr="...), int64(req.MaxRewritings), 10)
 	b = strconv.AppendInt(append(b, "|mt="...), int64(req.MaxTuples), 10)
-	if canon == "" {
-		return string(append(append(b, "|unsat|"...), r.q.Key()...)), columns, false
+	if !r.p.Satisfiable() {
+		return string(append(append(b, "|unsat|"...), r.q.Key()...)), nil, false
 	}
-	return string(append(append(b, '|'), canon...)), columns, true
+	return string(r.p.AppendCanonical(append(b, '|'))), r.p.Columns(), true
 }
 
 // CiteBatch evaluates a batch through the cache: it is Citer.CiteBatch with

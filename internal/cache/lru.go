@@ -76,18 +76,27 @@ func NewSharded[V any](shards, capacity int) *Sharded[V] {
 	return c
 }
 
-// fnv32a hashes the key (FNV-1a) for shard selection.
-func fnv32a(s string) uint32 {
+// shardHash hashes the key for shard selection: FNV-1a, then a finalizer
+// that folds its high bits into the low ones the shard mask keeps. A
+// multiply carries only upward, so FNV-1a's own low k bits depend on nothing
+// but the low k bits of each key byte; keys that differ in trailing ASCII
+// digits — one text per family id — would bunch on a few shards.
+func shardHash(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
 		h *= 16777619
 	}
+	h ^= h >> 16 // murmur3's fmix32
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	h ^= h >> 16
 	return h
 }
 
 func (c *Sharded[V]) shard(key string) *shard[V] {
-	return c.shards[fnv32a(key)&c.mask]
+	return c.shards[shardHash(key)&c.mask]
 }
 
 // Get returns the cached value for key, marking it most recently used.

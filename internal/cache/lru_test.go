@@ -228,3 +228,33 @@ func TestConcurrentHitEvictStress(t *testing.T) {
 		t.Fatal("no traffic recorded")
 	}
 }
+
+// TestShardsEvenOnSequentialIDs: the point workload's 20,000 families are
+// ids of trailing ASCII digits, and every cache keyed by a request — its
+// text, its citation key, a token — spells one. Each spelling must spread
+// over the shards evenly (every shard within 15% of the mean), or the
+// busiest shard evicts its entries long before the cache is full. On FNV-1a's
+// own low bits the committee join's citation key, which spells the id twice,
+// used only the odd shards: 0 to 6,120 keys per shard for a mean of 1,250.
+func TestShardsEvenOnSequentialIDs(t *testing.T) {
+	const n, shards = 20000, 16
+	for _, spelling := range []string{
+		"d0|Q(N) :- Family(F, N, Ty), F = \"%[1]d\"",
+		"d0|Q(N, Pn) :- Family(F, N, Ty), F = \"%[1]d\", FC(F, P), Person(P, Pn, A)",
+		"s0|SELECT f.FName, f.Type FROM Family f WHERE f.FID = '%[1]d'",
+		"0|mr=0|mt=0|v:x0||AFamily\x00c:%[1]d\x00v:x0\x00v:x1|",
+		"0|mr=0|mt=0|v:x0,v:x1||AFC\x00c:%[1]d\x00v:x2;AFamily\x00c:%[1]d\x00v:x0\x00v:x3;APerson\x00v:x2\x00v:x1\x00v:x4|",
+		"v|CV1|\"%[1]d\"",
+	} {
+		c := NewSharded[int](shards, n*shards) // room for every key on any shard
+		for f := range n {
+			c.Put(fmt.Sprintf(spelling, 100+f), f)
+		}
+		mean := float64(n) / shards
+		for i, s := range c.shards {
+			if load := float64(len(s.m)); load < 0.85*mean || load > 1.15*mean {
+				t.Errorf("%q: shard %d holds %.0f keys, want %.0f ± 15%%", spelling, i, load, mean)
+			}
+		}
+	}
+}

@@ -424,7 +424,7 @@ func (e *Engine) cite(ctx context.Context, p *Prepared, o CiteOptions, each func
 	if !p.Satisfiable() {
 		return e.citeUnsat(p.norm)
 	}
-	res = &Result{Query: p.min, Columns: HeadColumns(p.min)}
+	res = &Result{Query: p.Min(), Columns: p.Columns()}
 
 	// Evaluate the query itself for the output tuples (independent of any
 	// rewriting, so even an un-rewritable query reports its answers), reading
@@ -435,7 +435,7 @@ func (e *Engine) cite(ctx context.Context, p *Prepared, o CiteOptions, each func
 	st := e.curState()
 	outOpts := eval.Options{Parallel: eval.Auto, MaxTuples: o.MaxTuples}
 	ev := ob.begin(obs.StageEval)
-	g, out, err := e.evalOutput(ob.ctxFor(ctx, ev), st, p.min, us, outOpts)
+	g, out, err := e.evalOutput(ob.ctxFor(ctx, ev), st, p, us, outOpts)
 	ob.end(ev)
 	if err != nil {
 		return nil, err

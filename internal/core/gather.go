@@ -53,19 +53,46 @@ type rewritingSink struct {
 	params  []eval.Src // the view atoms' λ-parameters, atom after atom
 	own     []eval.Src // r's own variables, when frames can repeat a binding (u.dedupe)
 	seen    map[string]struct{}
-	monos   map[string]provenance.Monomial
 	deduped int64
+	// The monomial memo, keyed by λ-parameter values: the first key's
+	// monomial is kept beside the map, which a second key makes — a point
+	// query's frames all share the first.
+	hasFirst bool
+	firstKey string
+	first    provenance.Monomial
+	monos    map[string]provenance.Monomial
+}
+
+// mono returns the memoized monomial of a λ-parameter key.
+func (s *rewritingSink) mono(key []byte) (provenance.Monomial, bool) {
+	if s.hasFirst && s.firstKey == string(key) {
+		return s.first, true
+	}
+	m, ok := s.monos[string(key)] // no-alloc map probe
+	return m, ok
+}
+
+// putMono memoizes the monomial of a λ-parameter key.
+func (s *rewritingSink) putMono(key []byte, m provenance.Monomial) {
+	if !s.hasFirst {
+		s.hasFirst, s.firstKey, s.first = true, string(key), m
+		return
+	}
+	if s.monos == nil {
+		s.monos = make(map[string]provenance.Monomial)
+	}
+	s.monos[string(key)] = m
 }
 
 // newSink resolves u's terms on pl, whose frames are those of u's
 // expansion under the renaming ren (nil: pl is the expansion's own plan).
 func newSink(u *unfolded, pl *eval.Plan, ren cq.Subst) (s *rewritingSink, err error) {
-	s = &rewritingSink{u: u, monos: make(map[string]provenance.Monomial)}
-	if s.params, err = termSrcs(pl, ren, u.params); err != nil {
+	s = &rewritingSink{u: u}
+	if s.params, err = termSrcs(pl, ren, u.rb, u.params); err != nil {
 		return nil, err
 	}
 	if u.dedupe {
-		if s.own, err = termSrcs(pl, ren, u.own); err != nil {
+		if s.own, err = termSrcs(pl, ren, u.rb, u.own); err != nil {
 			return nil, err
 		}
 		s.seen = make(map[string]struct{})
@@ -73,11 +100,12 @@ func newSink(u *unfolded, pl *eval.Plan, ren cq.Subst) (s *rewritingSink, err er
 	return s, nil
 }
 
-// termSrcs resolves terms, renamed by ren, to where pl's frames hold them.
-func termSrcs(pl *eval.Plan, ren cq.Subst, ts []cq.Term) (srcs []eval.Src, err error) {
+// termSrcs resolves terms — their variables renamed by ren, their
+// constants by rb — to where pl's frames hold them.
+func termSrcs(pl *eval.Plan, ren cq.Subst, rb cq.Rebind, ts []cq.Term) (srcs []eval.Src, err error) {
 	srcs = make([]eval.Src, len(ts))
 	for i, t := range ts {
-		if srcs[i], err = pl.TermSrc(ren.Apply(t)); err != nil {
+		if srcs[i], err = pl.TermSrc(rb.Term(ren.Apply(t))); err != nil {
 			return nil, err
 		}
 	}
@@ -109,7 +137,7 @@ func (g *gather) feed(i, row int, f []string) {
 	// The monomial memo: frames that agree on the view atoms' λ-parameter
 	// values — every frame of a point query about one key — share a monomial.
 	g.monoBuf = appendKey(g.monoBuf[:0], s.params, f)
-	m, ok := s.monos[string(g.monoBuf)] // no-alloc map probe
+	m, ok := s.mono(g.monoBuf)
 	if !ok {
 		// One view token per view atom (parameter values read off the
 		// frame), plus the C_R tokens.
@@ -124,7 +152,7 @@ func (g *gather) feed(i, row int, f []string) {
 			vals = vals[n:]
 		}
 		m = provenance.NewMonomial(append(g.toks, s.u.baseToks...)...)
-		s.monos[string(g.monoBuf)] = m
+		s.putMono(g.monoBuf, m)
 	}
 	p := &g.polys[row*len(g.sinks)+i]
 	if *p == (provenance.Poly{}) {
@@ -133,11 +161,12 @@ func (g *gather) feed(i, row int, f []string) {
 	p.Add(m, 1)
 }
 
-// evalOutput evaluates the minimized query for the output tuples, sorted by
-// key, and reads the bindings of every rewriting whose expansion is a
-// renaming of it off the same frames.
-func (e *Engine) evalOutput(ctx context.Context, st *engineState, min *cq.Query, us []*unfolded, opts eval.Options) (*gather, *eval.Result, error) {
-	pl, err := st.snap.plan(ctx, min)
+// evalOutput evaluates the minimized query — the shape's plan bound to the
+// prepared query's constants — for the output tuples, sorted by key, and
+// reads the bindings of every rewriting whose expansion is a renaming of it
+// off the same frames.
+func (e *Engine) evalOutput(ctx context.Context, st *engineState, p *Prepared, us []*unfolded, opts eval.Options) (*gather, *eval.Result, error) {
+	pl, err := st.snap.boundPlan(ctx, p.plan.min, p.plan.out, p.rb)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -221,11 +250,11 @@ func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, u
 // binding's monomial onto the row of the output tuple its head spells,
 // found among the output's sorted keys.
 func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, g *gather, i int, u *unfolded, keys []string) error {
-	pl, err := st.snap.plan(ctx, u.exp)
+	pl, err := st.snap.boundPlan(ctx, u.exp, u.expShape, u.rb)
 	if err != nil {
 		return err
 	}
-	head, err := termSrcs(pl, nil, u.r.Head)
+	head, err := termSrcs(pl, nil, cq.Rebind{}, u.r.Head)
 	if err != nil {
 		return err
 	}

@@ -20,12 +20,23 @@ const logicalPlanCacheSize = 512
 // already preference-pruned under the policy and unfolded for evaluation. It
 // depends only on the query, the engine's views, the schema and the policy,
 // never on the data, so it survives Reset. Everything is read-only once set
-// and shared across concurrent calls; a later query of the shape takes the
-// plan through a cq.Rebind of its own constants.
+// and shared across concurrent calls; a later query of the shape carries its
+// own constants as a vector beside it (Prepared) and binds what it reads.
 type compiledQuery struct {
-	params []string
-	min    *cq.Query
-	maxRW  int
+	params  []string
+	min     *cq.Query
+	maxRW   int
+	columns []string // HeadColumns(min)
+	// out is min's physical shape: every query of the shape evaluates the
+	// plan compiled for it, bound to its own constants.
+	out physShape
+
+	// The canonical template of min (cq.Query.CanonicalTemplate over
+	// params), spelled on the first cache or batch key of the shape.
+	canonOnce  sync.Once
+	canonTmpl  string
+	canonSlots []int
+	canonOK    bool
 
 	compile    sync.Once
 	rewritings []*unfolded
@@ -33,27 +44,88 @@ type compiledQuery struct {
 }
 
 // Prepared is a valid query resolved against the engine's logical-plan
-// cache: normalized, minimized, and tied to the compiled plan of its shape.
-// It is what the citation cache and batch grouping key on (Min) and what
-// CitePrepared cites, so that one request normalizes, minimizes and looks
-// its plan up once however many layers need the result. Like the plan it is
-// tied to, it depends on nothing but the query, the views and the policy and
-// is read-only once made: it outlives Reset and may be cited from many
-// goroutines at once — by this engine only, whose plan cache it points into.
+// cache: normalized, lifted to its shape and tied to the compiled plan of
+// that shape, its own constants carried as a vector — the renaming rb from
+// the plan's constants to the query's. It is what the citation cache and
+// batch grouping key on (AppendCanonical) and what CitePrepared cites, so
+// that one request normalizes and looks its plan up once however many layers
+// need the result; no layer rebuilds the query to find its constants again.
+// Like the plan it is tied to, it depends on nothing but the query, the
+// views and the policy and is read-only once made: it outlives Reset and may
+// be cited from many goroutines at once — by this engine only, whose plan
+// cache it points into.
 type Prepared struct {
 	norm *cq.Query      // the normalized query, kept only when it is unsatisfiable
-	min  *cq.Query      // nil: the query is unsatisfiable
-	plan *compiledQuery // the shape's plan; min is plan.min under rb
-	rb   cq.Rebind
+	plan *compiledQuery // nil: the query is unsatisfiable
+	rb   cq.Rebind      // the plan's constants → the query's
+
+	minOnce sync.Once
+	min     *cq.Query // plan.min under rb, made for the first caller that reads it
+
+	canonOnce sync.Once
+	canon     string // CanonicalKey of the minimized query, where the shape has no template
 }
 
 // Satisfiable reports whether the query can have answers at all; an
 // unsatisfiable one equates two distinct constants or fails a ground
 // comparison.
-func (p *Prepared) Satisfiable() bool { return p.min != nil }
+func (p *Prepared) Satisfiable() bool { return p.plan != nil }
 
-// Min returns the normalized, minimized query (nil when unsatisfiable).
-func (p *Prepared) Min() *cq.Query { return p.min }
+// Min returns the normalized, minimized query (nil when unsatisfiable): the
+// shape's minimized query with the query's own constants, made on first
+// demand.
+func (p *Prepared) Min() *cq.Query {
+	if p.plan == nil {
+		return nil
+	}
+	if p.rb.Identity() {
+		return p.plan.min
+	}
+	p.minOnce.Do(func() { p.min = p.rb.Query(p.plan.min) })
+	return p.min
+}
+
+// Columns labels the minimized query's output columns (HeadColumns): the
+// shape's labels, unless a constant of the head is one of the query's own.
+func (p *Prepared) Columns() []string {
+	for _, t := range p.plan.min.Head {
+		if t.IsConst && p.rb.Value(t.Value) != t.Value {
+			return HeadColumns(p.Min())
+		}
+	}
+	return p.plan.columns
+}
+
+// AppendCanonical appends the canonical identity of a satisfiable query —
+// which equivalent queries share, and the citation cache and batch grouping
+// key on — to dst: the canonical template of its shape, spelled once per
+// shape, then the query's own values of the template's placeholders, every
+// part length-framed. Two queries share it only if their minimized queries
+// have one cq.Query.CanonicalKey; a shape without a template
+// (cq.Query.CanonicalTemplate's ok false) spells that key itself, computed
+// once per prepared query. The two spellings carry distinct tags, so neither
+// can pass for the other.
+func (p *Prepared) AppendCanonical(dst []byte) []byte {
+	pl := p.plan
+	pl.canonOnce.Do(func() {
+		pl.canonTmpl, pl.canonSlots, pl.canonOK = pl.min.CanonicalTemplate(pl.params)
+	})
+	if !pl.canonOK {
+		p.canonOnce.Do(func() { p.canon = p.Min().CanonicalKey() })
+		return append(append(dst, 'k'), p.canon...)
+	}
+	dst = appendFramed(append(dst, 't'), pl.canonTmpl)
+	for _, i := range pl.canonSlots {
+		dst = appendFramed(dst, p.rb.Value(pl.params[i]))
+	}
+	return dst
+}
+
+// appendFramed appends s preceded by its length.
+func appendFramed(dst []byte, s string) []byte {
+	dst = strconv.AppendInt(dst, int64(len(s)), 10)
+	return append(append(dst, ':'), s...)
+}
 
 // Prepare resolves the logical plan of a query the caller has validated
 // (cq.Query.Validate; the facade's request parsing does). o must be the
@@ -68,12 +140,12 @@ func (e *Engine) Prepare(q *cq.Query, o CiteOptions) *Prepared {
 // through equality is lifted out (liftRules); what remains keys an
 // engine-lifetime LRU, prefixed with the effective rewriting bound so
 // different bounds never share a plan. The first query of a shape is
-// minimized as it stands and becomes the shape's plan; every later one is
-// served by renaming the plan's constants to its own — the stored plan
-// itself when they are equal. Concurrent first lookups of one shape share a
-// single minimization, each caller then binding its own constants.
+// minimized as it stands and becomes the shape's plan; every later one
+// keeps its constants as the renaming from the plan's, and nothing of the
+// plan is copied until a caller reads it. Concurrent first lookups of one
+// shape share a single minimization.
 func (e *Engine) logicalPlan(q *cq.Query, o CiteOptions) *Prepared {
-	norm, _, sat := q.NormalizeConstants()
+	norm, sat := q.Normalize()
 	if !sat {
 		return &Prepared{norm: norm}
 	}
@@ -88,14 +160,10 @@ func (e *Engine) logicalPlan(q *cq.Query, o CiteOptions) *Prepared {
 	}
 	// Nothing here can fail: the error result exists for GetOrCompute only.
 	plan, _, _ := e.plans.GetOrCompute(key, func() (*compiledQuery, error) {
-		return &compiledQuery{params: params, min: cq.Minimize(norm), maxRW: maxRW}, nil
+		min := cq.Minimize(norm)
+		return &compiledQuery{params: params, min: min, maxRW: maxRW, columns: HeadColumns(min), out: shapeOf(min)}, nil
 	})
-	rb := cq.NewRebind(plan.params, params)
-	min := plan.min
-	if !rb.Identity() {
-		min = rb.Query(min)
-	}
-	return &Prepared{min: min, plan: plan, rb: rb}
+	return &Prepared{plan: plan, rb: cq.NewRebind(plan.params, params)}
 }
 
 // rewritingsFor returns the prepared query's certified rewritings in
@@ -134,8 +202,9 @@ func (e *Engine) rewritingsFor(p *Prepared) (us []*unfolded, hit bool, err error
 	// constants, which a renaming preserves; the order is by a key that
 	// spells the constants, which it does not.
 	bound := make([]*unfolded, len(us))
+	min := p.Min()
 	for i, u := range us {
-		bound[i] = u.rebind(p.rb, p.min)
+		bound[i] = u.rebind(p.rb, min)
 	}
 	rewrite.SortByKey(bound, func(u *unfolded) *rewrite.Rewriting { return u.r })
 	return bound, hit, nil
@@ -188,7 +257,7 @@ func newLiftRules(views []*CitationView) liftRules {
 	for _, v := range views {
 		// Normalized, as rewrite.PrepareViews matches it; an unsatisfiable
 		// definition is dropped there and constrains nothing here.
-		def, _, sat := v.Def.NormalizeConstants()
+		def, sat := v.Def.Normalize()
 		if !sat {
 			continue
 		}

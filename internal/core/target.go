@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"citare/internal/cache"
@@ -56,14 +57,34 @@ func (t evalTarget) cached(e *Engine) evalTarget {
 	return t
 }
 
-// plan returns the compiled plan for q, memoized when the target carries a
-// cache. When a trace rides ctx (or pipeline metrics are attached) the
-// lookup-or-compile is bracketed in a "compile" span annotated with the
-// cache outcome and the compiled join order; with both disabled it costs
-// two atomic adds over the untraced path.
-func (t evalTarget) plan(ctx context.Context, q *cq.Query) (*eval.Plan, error) {
+// physShape is a query's physical-plan identity: its cq.Query.Shape key
+// with every constant lifted, and those constants in Shape's order. It is
+// spelled once per logical plan, rewriting and citation view, not per
+// request.
+type physShape struct {
+	key    string
+	params []string
+}
+
+func shapeOf(q *cq.Query) physShape {
+	key, params := q.Shape(nil)
+	return physShape{key: key, params: params}
+}
+
+// boundPlan returns the plan of the query rb makes of q, where sh is q's
+// physical shape: the plan compiled for the shape, memoized when the target
+// carries a cache, bound to the request's constants. The request's query is
+// never built: its constants are q's renamed by rb. When a trace rides ctx
+// (or pipeline metrics are attached) the lookup-or-compile is bracketed in a
+// "compile" span annotated with the cache outcome and the compiled join
+// order; with both disabled it costs two atomic adds over the untraced path.
+func (t evalTarget) boundPlan(ctx context.Context, q *cq.Query, sh physShape, rb cq.Rebind) (*eval.Plan, error) {
 	if t.plans == nil {
-		return eval.Compile(t.view, q)
+		pl, err := eval.Compile(t.view, q)
+		if err != nil {
+			return nil, err
+		}
+		return pl.Bind(rb), nil
 	}
 	tr, cur := obs.FromContext(ctx)
 	var m *obs.PipelineMetrics
@@ -71,12 +92,12 @@ func (t evalTarget) plan(ctx context.Context, q *cq.Query) (*eval.Plan, error) {
 		m = t.eng.metrics
 	}
 	if tr == nil && m == nil {
-		pl, _, err := t.planLookup(q)
+		pl, _, err := t.planLookup(q, sh, rb)
 		return pl, err
 	}
 	t0 := time.Now()
 	sp := tr.Start(cur, obs.StageCompile)
-	pl, hit, err := t.planLookup(q)
+	pl, hit, err := t.planLookup(q, sh, rb)
 	m.Stage(obs.StageCompile).Observe(time.Since(t0))
 	if err != nil {
 		tr.End(sp)
@@ -95,15 +116,14 @@ func (t evalTarget) plan(ctx context.Context, q *cq.Query) (*eval.Plan, error) {
 }
 
 // planLookup is the cache-consulting compile: it reports whether the plan
-// was served from the per-epoch cache — bound to q's constants, the stored
-// plan itself when they are the ones it was compiled with — and feeds the
-// engine-lifetime physical plan-cache counters: a miss is one eval.Compile.
-// Concurrent first lookups of a shape share one compilation.
-func (t evalTarget) planLookup(q *cq.Query) (*eval.Plan, bool, error) {
-	key, params := q.Shape(nil)
-	sp, hit, err := t.plans.GetOrCompute(key, func() (shapePlan, error) {
+// was served from the per-epoch cache — bound to the request's constants, the
+// stored plan itself when they are the ones it was compiled with — and feeds
+// the engine-lifetime physical plan-cache counters: a miss is one
+// eval.Compile. Concurrent first lookups of a shape share one compilation.
+func (t evalTarget) planLookup(q *cq.Query, sh physShape, rb cq.Rebind) (*eval.Plan, bool, error) {
+	sp, hit, err := t.plans.GetOrCompute(sh.key, func() (shapePlan, error) {
 		pl, err := eval.Compile(t.view, q)
-		return shapePlan{plan: pl, params: params}, err
+		return shapePlan{plan: pl, params: sh.params}, err
 	})
 	if t.eng != nil {
 		if hit {
@@ -115,5 +135,14 @@ func (t evalTarget) planLookup(q *cq.Query) (*eval.Plan, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return sp.plan.Bind(cq.NewRebind(sp.params, params)), hit, nil
+	if !slices.Equal(sp.params, sh.params) {
+		// Compiled for another query of the physical shape: its constants
+		// go to the request's, which are q's renamed.
+		to := make([]string, len(sh.params))
+		for i, v := range sh.params {
+			to[i] = rb.Value(v)
+		}
+		rb = cq.NewRebind(sp.params, to)
+	}
+	return sp.plan.Bind(rb), hit, nil
 }

@@ -126,24 +126,76 @@ func DecodeToken(pt provenance.Token) (Token, error) {
 	return t, nil
 }
 
-// monomialString renders a citation monomial in the paper's notation, e.g.
-// CV1("13") · CV2("13").
-func monomialString(m provenance.Monomial) string {
-	var parts []string
+// appendMonomial appends a citation monomial in the paper's notation, e.g.
+// CV1("13") · CV2("13"), to dst.
+func appendMonomial(dst []byte, m provenance.Monomial) []byte {
+	n := 0
 	for _, pt := range m.Support() {
-		t, err := DecodeToken(pt)
-		label := string(pt)
-		if err == nil {
-			label = t.String()
-		}
 		for i := 0; i < m.Exp(pt); i++ {
-			parts = append(parts, label)
+			if n > 0 {
+				dst = append(dst, " · "...)
+			}
+			dst = appendTokenLabel(dst, pt)
+			n++
 		}
 	}
-	if len(parts) == 0 {
-		return "1"
+	if n == 0 {
+		return append(dst, '1')
 	}
-	return strings.Join(parts, " · ")
+	return dst
+}
+
+// appendTokenLabel appends the label of an encoded token: the decoded
+// token's String, or the encoding itself when it does not decode
+// (DecodeToken). Nothing is decoded into a Token on the way.
+func appendTokenLabel(dst []byte, pt provenance.Token) []byte {
+	s := string(pt)
+	var rel bool
+	switch {
+	case strings.HasPrefix(s, "v|"):
+	case strings.HasPrefix(s, "r|"):
+		rel = true
+	default:
+		return append(dst, s...)
+	}
+	name, rest, _ := strings.Cut(s[2:], "|")
+	mark := len(dst)
+	if rel {
+		dst = append(append(dst, "C_"...), name...)
+	} else {
+		dst = append(dst, name...)
+	}
+	params := 0
+	for len(rest) > 0 {
+		quoted, err := strconv.QuotedPrefix(rest)
+		if err != nil {
+			return append(dst[:mark], s...)
+		}
+		p, err := strconv.Unquote(quoted)
+		if err != nil {
+			return append(dst[:mark], s...)
+		}
+		if rest = rest[len(quoted):]; len(rest) > 0 {
+			if rest[0] != '|' {
+				return append(dst[:mark], s...)
+			}
+			rest = rest[1:]
+		}
+		if rel {
+			continue
+		}
+		if params == 0 {
+			dst = append(dst, '(')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendQuote(dst, p)
+		params++
+	}
+	if params > 0 {
+		dst = append(dst, ')')
+	}
+	return dst
 }
 
 // PolyString renders a citation polynomial in the paper's notation, e.g.
@@ -152,14 +204,17 @@ func PolyString(p provenance.Poly) string {
 	if p.IsZero() {
 		return "0"
 	}
-	terms := p.Terms()
-	parts := make([]string, len(terms))
-	for i, t := range terms {
-		if parts[i] = monomialString(t.Mono); t.Coeff != 1 {
-			parts[i] = fmt.Sprintf("%d·%s", t.Coeff, parts[i])
+	var dst []byte
+	for i, t := range p.Terms() {
+		if i > 0 {
+			dst = append(dst, " + "...)
 		}
+		if t.Coeff != 1 {
+			dst = append(strconv.AppendInt(dst, int64(t.Coeff), 10), "·"...)
+		}
+		dst = appendMonomial(dst, t.Mono)
 	}
-	return strings.Join(parts, " + ")
+	return string(dst)
 }
 
 // tokenCount counts a monomial's tokens of one kind, with multiplicity: view

@@ -20,8 +20,13 @@ import (
 // shape beside the rewritings and shared read-only; a later query of the
 // shape takes it through rebind.
 type unfolded struct {
-	r   *rewrite.Rewriting
-	exp *cq.Query
+	r *rewrite.Rewriting
+	// exp is the expansion of the shape's rewriting, and expShape its
+	// physical shape; a bound rewriting keeps both and renames their
+	// constants by rb, the request's vector, where it reads them.
+	exp      *cq.Query
+	expShape physShape
+	rb       cq.Rebind
 	// views resolves r.ViewAtoms, in order, to the engine's citation views;
 	// params are their λ-parameter terms, atom after atom, and baseToks
 	// the C_R tokens of r's base atoms under the policy, encoded once.
@@ -53,7 +58,7 @@ func (e *Engine) unfold(r *rewrite.Rewriting, min *cq.Query) (*unfolded, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	u := &unfolded{r: r, exp: exp, views: make([]viewAtomInfo, len(r.ViewAtoms))}
+	u := &unfolded{r: r, exp: exp, expShape: shapeOf(exp), views: make([]viewAtomInfo, len(r.ViewAtoms))}
 	for i, va := range r.ViewAtoms {
 		v := e.byName[va.View.Name]
 		if v == nil {
@@ -152,11 +157,11 @@ func keyBound(rs *storage.RelSchema, a cq.Atom, own map[string]bool, partitioned
 	return routed
 }
 
-// rebind returns u for the query of the same shape whose constants rb
-// renames u's to: the rewriting as a rewriting of q, its expansion and the
-// λ-parameter terms of its view atoms.
+// rebind returns u for the query q of the same shape whose constants rb
+// renames u's to: the rewriting as a rewriting of q, and the renaming, which
+// the expansion's plan and the λ-parameter terms are read through.
 func (u *unfolded) rebind(rb cq.Rebind, q *cq.Query) *unfolded {
 	b := *u
-	b.r, b.exp, b.params = u.r.Rebind(rb, q), rb.Query(u.exp), rb.Terms(u.params)
+	b.r, b.rb = u.r.Rebind(rb, q), rb
 	return &b
 }

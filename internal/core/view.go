@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"citare/internal/cq"
 	"citare/internal/datalog"
@@ -29,6 +30,50 @@ type CitationView struct {
 	// query's head. It must not modify them: the engine's token cache keeps
 	// them to bring the token forward across later commits.
 	Fn func(rows *format.Rows) (*format.Object, error)
+
+	// shape is CiteQ instantiated once for every token whose values it can
+	// be bound to (citeShape); nil for a view not made by NewCitationView.
+	shape *citeShape
+}
+
+// citeShape is a view's citation query instantiated at placeholder values —
+// one per λ-parameter, none a constant of the query — and its physical
+// shape. Every token's query is that instance with the placeholders renamed
+// to the token's values, so the token's query is never built, only the
+// shape's plan bound: a plan reads no constant's value at compile time, and
+// one a token repeats, or shares with the query, is only bound twice.
+type citeShape struct {
+	inst  *cq.Query
+	ph    []string
+	shape physShape
+}
+
+func newCiteShape(citeQ *cq.Query) *citeShape {
+	consts := make(map[string]bool)
+	eachConst(citeQ, func(v string) { consts[v] = true })
+	cs := &citeShape{ph: make([]string, len(citeQ.Params))}
+	for i := range cs.ph {
+		cs.ph[i] = "\x00λ" + strconv.Itoa(i)
+		for consts[cs.ph[i]] {
+			cs.ph[i] += "\x00"
+		}
+	}
+	inst, err := instantiate(citeQ, cs.ph)
+	if err != nil {
+		return nil
+	}
+	cs.inst, cs.shape = inst, shapeOf(inst)
+	return cs
+}
+
+// bind returns the renaming that makes the shape's instance the token's
+// query, or false when there is no shape or the token has another number of
+// values.
+func (cs *citeShape) bind(vals []string) (cq.Rebind, bool) {
+	if cs == nil || len(vals) != len(cs.ph) {
+		return cq.Rebind{}, false
+	}
+	return cq.NewRebind(cs.ph, vals), true
 }
 
 // Name returns the view's name.
@@ -70,7 +115,7 @@ func NewCitationView(def, citeQ *cq.Query, spec *format.Spec) (*CitationView, er
 				def.Name, name, citeQ.Name)
 		}
 	}
-	return &CitationView{Def: def, CiteQ: citeQ, Spec: spec}, nil
+	return &CitationView{Def: def, CiteQ: citeQ, Spec: spec, shape: newCiteShape(citeQ)}, nil
 }
 
 // defaultSpec lists every head variable of the citation query as a list
@@ -138,29 +183,36 @@ func (v *CitationView) RenderToken(db *storage.DB, tok Token) (*format.Object, e
 // flowing into the citation-query evaluation — the engine's path, where
 // cancellation must reach the underlying shard scans. It returns the rows the record was
 // rendered from beside it.
-func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Token) (*format.Object, *format.Rows, error) {
+func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Token) (obj *format.Object, rows *format.Rows, err error) {
 	if tok.Kind != ViewToken || tok.Name != v.Name() {
 		return nil, nil, fmt.Errorf("core: token %s does not belong to view %s", tok, v.Name())
-	}
-	inst, err := v.InstantiatedCiteQ(tok.Params)
-	if err != nil {
-		return nil, nil, err
 	}
 	// The request's ctx flows into the enumeration: a canceled caller aborts
 	// its own token rendering. That cannot poison the shared rendered-token
 	// cache — the cache never stores errors, and waiters of a failed
 	// singleflight retry the computation themselves.
-	pl, err := t.plan(ctx, inst)
+	var inst *cq.Query
+	var sh physShape
+	rb, bound := v.shape.bind(tok.Params)
+	if bound {
+		inst, sh = v.shape.inst, v.shape.shape
+	} else {
+		if inst, err = v.InstantiatedCiteQ(tok.Params); err != nil {
+			return nil, nil, err
+		}
+		sh = shapeOf(inst)
+	}
+	pl, err := t.boundPlan(ctx, inst, sh, rb)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := tokenRows(pl.Vars(), func(add func(frame []string)) error {
+	rows, err = tokenRows(pl.Vars(), func(add func(frame []string)) error {
 		return pl.Each(ctx, eval.Options{}, func(f []string) error { add(f); return nil })
-	}, inst.Head, v.CiteQ.Params, tok.Params)
+	}, inst.Head, rb, v.CiteQ.Params, tok.Params)
 	if err != nil {
 		return nil, nil, err
 	}
-	obj, err := v.render(rows)
+	obj, err = v.render(rows)
 	return obj, rows, err
 }
 
@@ -236,7 +288,7 @@ func (v *CitationView) deltaRows(ctx context.Context, changes func(rel string) *
 			}
 		}
 		return nil
-	}, inst.Head, v.CiteQ.Params, params)
+	}, inst.Head, cq.Rebind{}, v.CiteQ.Params, params)
 	if err != nil {
 		return nil, false, err
 	}
@@ -316,11 +368,12 @@ rows:
 }
 
 // tokenRows collects the frames each delivers — valuations of vars — into a
-// token's row set, sorted by the instantiated citation query's head. A column
+// token's row set, sorted by the instantiated citation query's head (head
+// with its constants renamed by rb). A column
 // per variable, in slot order, then the λ-parameters: instantiation
 // substitutes them away, but citation functions refer to them (the "ID": F
 // field of FV1). One named like a variable takes its column.
-func tokenRows(vars []string, each func(add func(frame []string)) error, head []cq.Term, paramNames, paramVals []string) (*format.Rows, error) {
+func tokenRows(vars []string, each func(add func(frame []string)) error, head []cq.Term, rb cq.Rebind, paramNames, paramVals []string) (*format.Rows, error) {
 	cols := slices.Clip(vars)
 	paramCol := make([]int, len(paramNames))
 	for i, name := range paramNames {
@@ -337,16 +390,16 @@ func tokenRows(vars []string, each func(add func(frame []string)) error, head []
 		}
 		rows.Append(row...)
 	})
-	rows.Sort(headOrder(head, rows))
+	rows.Sort(headOrder(head, rb, rows))
 	return rows, err
 }
 
 // headOrder is the lead of a token's row order: the instantiated citation
-// query's head, a column of rows per variable.
-func headOrder(head []cq.Term, rows *format.Rows) []format.KeyPart {
+// query's head, its constants renamed by rb, a column of rows per variable.
+func headOrder(head []cq.Term, rb cq.Rebind, rows *format.Rows) []format.KeyPart {
 	lead := make([]format.KeyPart, len(head))
 	for i, t := range head {
-		if lead[i] = (format.KeyPart{Col: -1, Lit: t.Value}); t.IsVar() {
+		if lead[i] = (format.KeyPart{Col: -1, Lit: rb.Value(t.Value)}); t.IsVar() {
 			lead[i].Col = rows.Col(t.Name)
 		}
 	}

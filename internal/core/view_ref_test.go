@@ -184,7 +184,7 @@ func TestRowSetMatchesMapRows(t *testing.T) {
 				add(f)
 			}
 			return nil
-		}, head, paramNames, paramVals)
+		}, head, cq.Rebind{}, paramNames, paramVals)
 		if err != nil {
 			t.Fatal(err)
 		}

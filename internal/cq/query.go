@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -23,14 +24,28 @@ type Query struct {
 	Comps  []Comparison
 }
 
-// Clone returns a deep copy of the query.
+// Clone returns a deep copy of the query. The head and every atom's
+// arguments are cut from one slab, each capped at its own length.
 func (q *Query) Clone() *Query {
 	out := &Query{Name: q.Name}
 	out.Params = append([]string(nil), q.Params...)
-	out.Head = append([]Term(nil), q.Head...)
+	n := len(q.Head)
+	for _, a := range q.Atoms {
+		n += len(a.Args)
+	}
+	slab := make([]Term, 0, n)
+	cut := func(ts []Term) []Term {
+		if ts == nil {
+			return nil
+		}
+		start := len(slab)
+		slab = append(slab, ts...)
+		return slab[start:len(slab):len(slab)]
+	}
+	out.Head = cut(q.Head)
 	out.Atoms = make([]Atom, len(q.Atoms))
 	for i, a := range q.Atoms {
-		out.Atoms[i] = a.Clone()
+		out.Atoms[i] = Atom{Pred: a.Pred, Args: cut(a.Args)}
 	}
 	out.Comps = append([]Comparison(nil), q.Comps...)
 	return out
@@ -210,53 +225,61 @@ func (q *Query) String() string {
 // unsatisfiable when two distinct constants are equated; that is reported by
 // the third return value being false.
 func (q *Query) NormalizeConstants() (*Query, Subst, bool) {
-	out := q.Clone()
 	total := make(Subst)
-	for {
-		eqIdx := -1
-		for i, c := range out.Comps {
-			if c.Op == OpEq {
-				eqIdx = i
-				break
-			}
+	out, sat := q.normalize(total)
+	return out, total, sat
+}
+
+// Normalize is NormalizeConstants without the substitution.
+func (q *Query) Normalize() (*Query, bool) {
+	return q.normalize(nil)
+}
+
+// normalize is NormalizeConstants on one copy of the query, into which the
+// equalities are chased in place; what it substitutes is composed into
+// total unless that is nil.
+func (q *Query) normalize(total Subst) (*Query, bool) {
+	out := q.Clone()
+	for i := 0; i < len(out.Comps); {
+		c := out.Comps[i]
+		if c.Op != OpEq {
+			i++
+			continue
 		}
-		if eqIdx < 0 {
-			break
-		}
-		c := out.Comps[eqIdx]
-		out.Comps = append(out.Comps[:eqIdx:eqIdx], out.Comps[eqIdx+1:]...)
+		out.Comps = append(out.Comps[:i], out.Comps[i+1:]...)
 		l, r := c.L, c.R
 		switch {
 		case l.IsConst && r.IsConst:
 			if l.Value != r.Value {
-				return out, total, false
+				return out, false
 			}
-		case l.IsVar() && r.IsConst:
-			out = out.Apply(Subst{l.Name: r})
+			continue
+		case l.IsConst: // const = var
+			l, r = r, l
+		case r.IsVar() && l.Name == r.Name:
+			continue
+		}
+		out.substitute(l.Name, r)
+		if total != nil {
 			compose(total, l.Name, r)
-		case l.IsConst && r.IsVar():
-			out = out.Apply(Subst{r.Name: l})
-			compose(total, r.Name, l)
-		default: // var = var
-			if l.Name != r.Name {
-				out = out.Apply(Subst{l.Name: r})
-				compose(total, l.Name, r)
-			}
 		}
 	}
 	// Evaluate any now-ground non-equality comparisons.
-	var rest []Comparison
+	rest := out.Comps[:0]
 	for _, c := range out.Comps {
 		if ok, ground := c.EvalConst(); ground {
 			if !ok {
-				return out, total, false
+				return out, false
 			}
 			continue
 		}
 		rest = append(rest, c)
 	}
+	if len(rest) == 0 {
+		rest = nil
+	}
 	out.Comps = rest
-	return out, total, true
+	return out, true
 }
 
 // compose updates a cumulative substitution with v ↦ t, rewriting existing
@@ -270,6 +293,42 @@ func compose(total Subst, v string, t Term) {
 	if _, ok := total[v]; !ok {
 		total[v] = t
 	}
+}
+
+// substitute replaces the variable v by t throughout the query, in place, as
+// Apply(Subst{v: t}) would: a λ-parameter renamed to a variable takes its
+// name, one bound to a constant is dropped.
+func (q *Query) substitute(v string, t Term) {
+	sub := func(u *Term) {
+		if u.IsVar() && u.Name == v {
+			*u = t
+		}
+	}
+	for i := range q.Head {
+		sub(&q.Head[i])
+	}
+	for _, a := range q.Atoms {
+		for i := range a.Args {
+			sub(&a.Args[i])
+		}
+	}
+	for i := range q.Comps {
+		sub(&q.Comps[i].L)
+		sub(&q.Comps[i].R)
+	}
+	params := q.Params[:0]
+	for _, p := range q.Params {
+		switch {
+		case p != v:
+			params = append(params, p)
+		case t.IsVar():
+			params = append(params, t.Name)
+		}
+	}
+	if len(params) == 0 {
+		params = nil
+	}
+	q.Params = params
 }
 
 // Key returns a syntactic identity key for the query under its current
@@ -303,7 +362,7 @@ func (q *Query) Key() string {
 // equivalent but non-isomorphic queries may still differ (use Equivalent for
 // semantic comparison).
 func (q *Query) CanonicalKey() string {
-	key, _ := q.canonicalOrder()
+	key, _, _ := canonical{q: q}.search()
 	return key
 }
 
@@ -311,39 +370,109 @@ func (q *Query) CanonicalKey() string {
 // CanonicalKey spells it under: isomorphic queries are renamed alike, up to
 // the query's own symmetries.
 func (q *Query) CanonicalRenaming() Subst {
-	_, order := q.canonicalOrder()
-	ren, _ := q.prefixRenaming(order)
+	c := canonical{q: q}
+	_, order, _ := c.search()
+	ren := make(Subst)
+	for v, name := range c.renaming(order).vars {
+		ren[v] = Var(name)
+	}
 	return ren
 }
 
-// canonicalOrder returns the canonical key and the atom order it was
-// spelled in.
-func (q *Query) canonicalOrder() (best string, bestOrder []int) {
+// CanonicalTemplate is CanonicalKey with the constants of params — a query
+// shape's lifted constants (Shape), each value once — spelled as numbered
+// placeholders instead of by value: one template serves every query of the
+// shape, whatever its constants. Placeholders are numbered in the order the
+// canonical spelling first meets them; slots[k] is the index in params of
+// placeholder k. Appending the values a query of the shape has at those
+// indices to tmpl gives a key that two queries share only if they are
+// isomorphic, as CanonicalKey says they are; isomorphic queries of shapes
+// whose templates are ok share it too.
+//
+// ok is false when no such key can be spelled: when the atom order is left
+// to CanonicalKey's fallback (over ten atoms); when a lifted constant occurs
+// in a comparison, whose canonical order would depend on the placeholder's
+// number; and when two atom orders spell the least template but number the
+// placeholders differently — the query is symmetric in a way its constants
+// may break, and its key must read their values.
+func (q *Query) CanonicalTemplate(params []string) (tmpl string, slots []int, ok bool) {
+	c := canonical{q: q, ph: make(map[string]int, len(params))}
+	for i, v := range params {
+		c.ph[v] = i
+	}
+	if len(q.Atoms) > maxCanonicalAtoms {
+		return "", nil, false
+	}
+	for _, cmp := range q.Comps {
+		for _, t := range [2]Term{cmp.L, cmp.R} {
+			if _, lifted := c.ph[t.Value]; t.IsConst && lifted {
+				return "", nil, false
+			}
+		}
+	}
+	tmpl, order, unique := c.search()
+	if !unique {
+		return "", nil, false
+	}
+	return tmpl, c.renaming(order).slots, true
+}
+
+// maxCanonicalAtoms bounds the atom-order search; a larger query is spelled
+// in its own atom order (a valid, weaker key).
+const maxCanonicalAtoms = 10
+
+// canonical is one canonical-form search over q. The constants in ph (value
+// → index in a parameter list) are placeholders, renamed along the atom
+// order as variables are; nil spells every constant by value.
+type canonical struct {
+	q  *Query
+	ph map[string]int
+}
+
+// canonRenaming names variables x0, x1, … and placeholders 0, 1, … in the
+// order a canonical spelling meets them; slots lists each placeholder's
+// parameter index in that order.
+type canonRenaming struct {
+	vars  map[string]string
+	phs   map[string]string
+	slots []int
+}
+
+// search returns the canonical key and the atom order it was spelled in;
+// unique is false when another order spells the same key with the
+// placeholders numbered differently.
+func (c canonical) search() (best string, bestOrder []int, unique bool) {
+	q := c.q
 	n := len(q.Atoms)
-	if n > 10 {
+	if n > maxCanonicalAtoms {
 		// Fall back to the identity order for pathological inputs; still a
 		// valid (weaker) key.
-		return q.canonicalKeyInOrder(identityPerm(n)), identityPerm(n)
+		return c.keyInOrder(identityPerm(n)), identityPerm(n), true
 	}
+	var bestSlots []int
 	var rec func(chosen []int, used []bool)
 	rec = func(chosen []int, used []bool) {
 		if len(chosen) == n {
-			key := q.canonicalKeyInOrder(chosen)
-			if best == "" || key < best {
-				best, bestOrder = key, slices.Clone(chosen)
+			key := c.keyInOrder(chosen)
+			switch {
+			case best == "" || key < best:
+				best, bestOrder, unique = key, slices.Clone(chosen), true
+				bestSlots = c.renaming(chosen).slots
+			case key == best && unique:
+				unique = slices.Equal(bestSlots, c.renaming(chosen).slots)
 			}
 			return
 		}
 		// Encode each candidate next atom under the renaming induced by
 		// the chosen prefix; recurse only into minimal-encoding ties.
-		ren, next := q.prefixRenaming(chosen)
+		ren := c.renaming(chosen)
 		minEnc := ""
 		var ties []int
 		for i := 0; i < n; i++ {
 			if used[i] {
 				continue
 			}
-			enc := encodeAtomCanonical(q.Atoms[i], ren, next)
+			enc := c.encodeAtom(q.Atoms[i], ren)
 			switch {
 			case minEnc == "" || enc < minEnc:
 				minEnc = enc
@@ -360,7 +489,7 @@ func (q *Query) canonicalOrder() (best string, bestOrder []int) {
 		}
 	}
 	rec(make([]int, 0, n), make([]bool, n))
-	return best, bestOrder
+	return best, bestOrder, unique
 }
 
 func identityPerm(n int) []int {
@@ -371,50 +500,74 @@ func identityPerm(n int) []int {
 	return p
 }
 
-// prefixRenaming assigns canonical names x0, x1, … to variables in head
-// order then in the order they appear along the chosen atom prefix.
-func (q *Query) prefixRenaming(chosen []int) (Subst, int) {
-	ren := make(Subst)
-	next := 0
-	touch := func(t Term) {
-		if t.IsVar() {
-			if _, ok := ren[t.Name]; !ok {
-				ren[t.Name] = Var(fmt.Sprintf("x%d", next))
-				next++
-			}
-		}
+// renaming names the variables and placeholders in head order, then in the
+// order they appear along the chosen atom prefix.
+func (c canonical) renaming(chosen []int) *canonRenaming {
+	ren := &canonRenaming{vars: make(map[string]string)}
+	if c.ph != nil {
+		ren.phs = make(map[string]string)
 	}
-	for _, t := range q.Head {
-		touch(t)
+	for _, t := range c.q.Head {
+		c.touch(ren, t)
 	}
 	for _, i := range chosen {
-		for _, t := range q.Atoms[i].Args {
-			touch(t)
+		for _, t := range c.q.Atoms[i].Args {
+			c.touch(ren, t)
 		}
 	}
-	return ren, next
+	return ren
 }
 
-// encodeAtomCanonical encodes an atom under a partial renaming; unseen
-// variables receive provisional names in argument order starting at next.
-func encodeAtomCanonical(a Atom, ren Subst, next int) string {
+// touch names t if it is a variable or a placeholder not named yet.
+func (c canonical) touch(ren *canonRenaming, t Term) {
+	if t.IsVar() {
+		if _, ok := ren.vars[t.Name]; !ok {
+			ren.vars[t.Name] = "x" + strconv.Itoa(len(ren.vars))
+		}
+		return
+	}
+	if i, lifted := c.ph[t.Value]; lifted {
+		if _, ok := ren.phs[t.Value]; !ok {
+			ren.phs[t.Value] = strconv.Itoa(len(ren.phs))
+			ren.slots = append(ren.slots, i)
+		}
+	}
+}
+
+// encodeAtom encodes an atom under a prefix's renaming; unseen variables and
+// placeholders receive provisional names in argument order, continuing the
+// renaming's numbering.
+func (c canonical) encodeAtom(a Atom, ren *canonRenaming) string {
 	var sb strings.Builder
 	sb.WriteString(a.Pred)
-	local := make(map[string]string)
+	vars, phs := len(ren.vars), len(ren.phs)
+	local := make(map[Term]string)
 	for _, t := range a.Args {
 		sb.WriteByte('\x00')
+		_, lifted := c.ph[t.Value]
 		switch {
-		case t.IsConst:
+		case t.IsConst && !lifted:
 			sb.WriteString("c:" + t.Value)
+		case t.IsConst:
+			if nm, ok := ren.phs[t.Value]; ok {
+				sb.WriteString("p:" + nm)
+			} else if nm, ok := local[t]; ok {
+				sb.WriteString("p:" + nm)
+			} else {
+				nm := strconv.Itoa(phs)
+				phs++
+				local[t] = nm
+				sb.WriteString("p:" + nm)
+			}
 		default:
-			if img, ok := ren[t.Name]; ok {
-				sb.WriteString("v:" + img.Name)
-			} else if nm, ok := local[t.Name]; ok {
+			if nm, ok := ren.vars[t.Name]; ok {
+				sb.WriteString("v:" + nm)
+			} else if nm, ok := local[t]; ok {
 				sb.WriteString("v:" + nm)
 			} else {
-				nm := fmt.Sprintf("x%d", next)
-				next++
-				local[t.Name] = nm
+				nm := "x" + strconv.Itoa(vars)
+				vars++
+				local[t] = nm
 				sb.WriteString("v:" + nm)
 			}
 		}
@@ -422,44 +575,70 @@ func encodeAtomCanonical(a Atom, ren Subst, next int) string {
 	return sb.String()
 }
 
-// canonicalKeyInOrder renames variables along the given atom order and
-// returns the Key with atoms in that order and comparisons sorted.
-func (q *Query) canonicalKeyInOrder(order []int) string {
-	ren, next := q.prefixRenaming(order)
+// keyInOrder spells the query with its atoms in the given order, its
+// variables and placeholders renamed along it, and its comparisons sorted.
+func (c canonical) keyInOrder(order []int) string {
+	q := c.q
+	ren := c.renaming(order)
 	// Any leftover variables (only in comparisons) get trailing names.
-	for _, c := range q.Comps {
-		for _, t := range []Term{c.L, c.R} {
+	for _, cmp := range q.Comps {
+		for _, t := range [2]Term{cmp.L, cmp.R} {
 			if t.IsVar() {
-				if _, ok := ren[t.Name]; !ok {
-					ren[t.Name] = Var(fmt.Sprintf("x%d", next))
-					next++
-				}
+				c.touch(ren, t)
 			}
 		}
 	}
-	reordered := q.Clone()
-	atoms := make([]Atom, len(order))
-	for pos, i := range order {
-		atoms[pos] = q.Atoms[i]
+	key := func(t Term) string {
+		if t.IsVar() {
+			return "v:" + ren.vars[t.Name]
+		}
+		if nm, ok := ren.phs[t.Value]; ok {
+			return "p:" + nm
+		}
+		return t.Key()
 	}
-	reordered.Atoms = atoms
-	renamed := reordered.Apply(ren)
-	var parts []string
-	var head []string
-	for _, t := range renamed.Head {
-		head = append(head, t.Key())
+	var sb strings.Builder
+	for i, t := range q.Head {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(key(t))
 	}
-	parts = append(parts, strings.Join(head, ","))
-	parts = append(parts, strings.Join(renamed.Params, ","))
-	var body []string
-	for _, a := range renamed.Atoms {
-		body = append(body, "A"+a.Key())
+	sb.WriteByte('|')
+	for i, p := range q.Params {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		if nm, ok := ren.vars[p]; ok {
+			p = nm
+		}
+		sb.WriteString(p)
 	}
-	var comps []string
-	for _, c := range renamed.Comps {
-		comps = append(comps, "C"+c.Key())
+	sb.WriteByte('|')
+	for i, ai := range order {
+		if i > 0 {
+			sb.WriteByte(';')
+		}
+		a := q.Atoms[ai]
+		sb.WriteString("A" + a.Pred)
+		for _, t := range a.Args {
+			sb.WriteString("\x00" + key(t))
+		}
+	}
+	sb.WriteByte('|')
+	// Comparisons hold no placeholder (CanonicalTemplate refuses those):
+	// their keys are the renamed comparisons'.
+	comps := make([]string, len(q.Comps))
+	for i, cmp := range q.Comps {
+		rn := func(t Term) Term {
+			if t.IsVar() {
+				return Var(ren.vars[t.Name])
+			}
+			return t
+		}
+		comps[i] = "C" + Comparison{L: rn(cmp.L), Op: cmp.Op, R: rn(cmp.R)}.Key()
 	}
 	sort.Strings(comps)
-	parts = append(parts, strings.Join(body, ";"), strings.Join(comps, ";"))
-	return strings.Join(parts, "|")
+	sb.WriteString(strings.Join(comps, ";"))
+	return sb.String()
 }

@@ -78,8 +78,8 @@ func appendFramed(buf []byte, s string) []byte {
 // Rebind renames constants: the i-th constant of one parameter list becomes
 // the i-th of another, every other constant stays. It carries a plan
 // compiled for the first query of a shape to a later query of that shape;
-// the zero Rebind is the identity. Both lists come from Shape under one
-// key, so they have equal length and no repeated value.
+// the zero Rebind is the identity. The lists have equal length and the
+// first no repeated value; lists from Shape under one key have none either.
 type Rebind struct {
 	from, to []string
 }
@@ -117,23 +117,6 @@ func (r Rebind) Term(t Term) Term {
 	return t
 }
 
-// Terms returns a renamed copy of the term list.
-func (r Rebind) Terms(ts []Term) []Term {
-	if ts == nil {
-		return nil
-	}
-	out := make([]Term, len(ts))
-	for i, t := range ts {
-		out[i] = r.Term(t)
-	}
-	return out
-}
-
-// Atom returns a renamed copy of the atom.
-func (r Rebind) Atom(a Atom) Atom {
-	return Atom{Pred: a.Pred, Args: r.Terms(a.Args)}
-}
-
 // Comparisons returns a renamed copy of the comparison list.
 func (r Rebind) Comparisons(cs []Comparison) []Comparison {
 	if cs == nil {
@@ -146,12 +129,21 @@ func (r Rebind) Comparisons(cs []Comparison) []Comparison {
 	return out
 }
 
-// Query returns a renamed copy of the query.
+// Query returns a renamed copy of the query, its terms cut from one slab as
+// Clone cuts them.
 func (r Rebind) Query(q *Query) *Query {
-	out := &Query{Name: q.Name, Params: q.Params, Head: r.Terms(q.Head), Comps: r.Comparisons(q.Comps)}
-	out.Atoms = make([]Atom, len(q.Atoms))
-	for i, a := range q.Atoms {
-		out.Atoms[i] = r.Atom(a)
+	out := q.Clone()
+	out.Params = q.Params
+	for i := range out.Head {
+		out.Head[i] = r.Term(out.Head[i])
+	}
+	for _, a := range out.Atoms {
+		for i := range a.Args {
+			a.Args[i] = r.Term(a.Args[i])
+		}
+	}
+	for i := range out.Comps {
+		out.Comps[i].L, out.Comps[i].R = r.Term(out.Comps[i].L), r.Term(out.Comps[i].R)
 	}
 	return out
 }

@@ -228,6 +228,9 @@ func (l *lexer) next() (token, error) {
 		return mk(tokOp, text), nil
 	case '"':
 		l.advance(r, size)
+		if text, ok := l.plainString(); ok {
+			return mk(tokString, text), nil
+		}
 		var sb strings.Builder
 		for {
 			r2, s2 := l.peekRune()
@@ -259,29 +262,28 @@ func (l *lexer) next() (token, error) {
 			sb.WriteRune(r2)
 		}
 	}
+	// Numbers and identifiers are spelled by their source bytes: neither
+	// can hold an invalid encoding, whose decoded rune would differ.
+	start := l.pos
 	if unicode.IsDigit(r) {
-		var sb strings.Builder
 		for {
 			r2, s2 := l.peekRune()
 			if s2 == 0 || !unicode.IsDigit(r2) {
 				break
 			}
-			sb.WriteRune(r2)
 			l.advance(r2, s2)
 		}
-		return mk(tokNumber, sb.String()), nil
+		return mk(tokNumber, l.src[start:l.pos]), nil
 	}
 	if isIdentStart(r) {
-		var sb strings.Builder
 		for {
 			r2, s2 := l.peekRune()
 			if s2 == 0 || !isIdentPart(r2) {
 				break
 			}
-			sb.WriteRune(r2)
 			l.advance(r2, s2)
 		}
-		text := sb.String()
+		text := l.src[start:l.pos]
 		if text == "lambda" {
 			return mk(tokLambda, text), nil
 		}
@@ -290,20 +292,26 @@ func (l *lexer) next() (token, error) {
 	return token{}, l.errf(line, col, "unexpected character %q", r)
 }
 
-// tokenize lexes the whole input.
-func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
-	// A token is at least one byte, usually followed by a separator: half
-	// the source length rarely needs to grow, and never by repeated doubling.
-	out := make([]token, 0, len(src)/2+1)
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
+// plainString lexes the rest of a string literal whose opening quote was
+// just read, when its value is its source bytes — no escape, no invalid
+// encoding — and returns that substring. Otherwise it consumes nothing and
+// reports false: the caller decodes the literal rune by rune.
+func (l *lexer) plainString() (string, bool) {
+	i := l.pos
+	for i < len(l.src) {
+		r, size := utf8.DecodeRuneInString(l.src[i:])
+		switch {
+		case r == '"':
+			text := l.src[l.pos:i]
+			for l.pos <= i {
+				r2, s2 := l.peekRune()
+				l.advance(r2, s2)
+			}
+			return text, true
+		case r == '\\', r == utf8.RuneError && size == 1:
+			return "", false
 		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
-		}
+		i += size
 	}
+	return "", false
 }

@@ -7,15 +7,62 @@ import (
 	"citare/internal/format"
 )
 
-// parser is a recursive-descent parser over a token stream.
+// parser is a recursive-descent parser over the lexer's token stream, read
+// two tokens ahead at most: no token list is built. A lexing error ends the
+// stream — the parser sees end of input there — and is what finish reports,
+// as if the whole input had been lexed before parsing began.
 type parser struct {
-	toks []token
-	pos  int
+	lx  *lexer
+	la  [2]token // lookahead
+	n   int      // tokens held in la
+	err error    // the lexing error that ended the stream
 }
 
-func (p *parser) peek() token       { return p.toks[p.pos] }
-func (p *parser) next() token       { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) at(k tokKind) bool { return p.toks[p.pos].kind == k }
+func newParser(src string) *parser { return &parser{lx: newLexer(src)} }
+
+// fill holds k tokens of lookahead.
+func (p *parser) fill(k int) {
+	for p.n < k {
+		t := token{kind: tokEOF, line: p.lx.line, col: p.lx.col}
+		if p.err == nil {
+			var err error
+			if t, err = p.lx.next(); err != nil {
+				p.err, t = err, token{kind: tokEOF, line: p.lx.line, col: p.lx.col}
+			}
+		}
+		p.la[p.n] = t
+		p.n++
+	}
+}
+
+func (p *parser) peek() token       { p.fill(1); return p.la[0] }
+func (p *parser) peek2() token      { p.fill(2); return p.la[1] }
+func (p *parser) at(k tokKind) bool { return p.peek().kind == k }
+
+func (p *parser) next() token {
+	t := p.peek()
+	p.la[0], p.n = p.la[1], p.n-1
+	return t
+}
+
+// finish returns what a parse came to: the first lexing error of the input,
+// if it has one — the rest of the input is lexed to find it after a parse
+// error — else err.
+func (p *parser) finish(err error) error {
+	for err != nil && p.err == nil {
+		t, lerr := p.lx.next()
+		if lerr != nil {
+			p.err = lerr
+		}
+		if t.kind == tokEOF {
+			break
+		}
+	}
+	if p.err != nil {
+		return p.err
+	}
+	return err
+}
 
 func (p *parser) expect(k tokKind) (token, error) {
 	t := p.peek()
@@ -34,20 +81,18 @@ func (p *parser) errHere(format string, args ...any) error {
 // ParseQuery parses a single (possibly λ-parameterized) conjunctive query in
 // the paper's notation.
 func ParseQuery(src string) (*cq.Query, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	q, err := p.parseRule()
-	if err != nil {
+	if err == nil {
+		if p.at(tokDot) {
+			p.next()
+		}
+		if !p.at(tokEOF) {
+			err = p.errHere("trailing input after query")
+		}
+	}
+	if err = p.finish(err); err != nil {
 		return nil, err
-	}
-	if p.at(tokDot) {
-		p.next()
-	}
-	if !p.at(tokEOF) {
-		return nil, p.errHere("trailing input after query")
 	}
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -146,7 +191,7 @@ func (p *parser) parseTerm() (cq.Term, error) {
 // parseLiteral parses an atom or a comparison and appends it to q.
 func (p *parser) parseLiteral(q *cq.Query) error {
 	// Atom: IDENT "(" ... — otherwise a comparison starting with a term.
-	if p.at(tokIdent) && p.toks[p.pos+1].kind == tokLParen {
+	if p.at(tokIdent) && p.peek2().kind == tokLParen {
 		name := p.next()
 		args, err := p.parseTermList()
 		if err != nil {
@@ -226,11 +271,15 @@ func (pr *Program) View(name string) *ViewDecl {
 // statements. Every view must receive a cite statement with the same λ-term;
 // fmt is optional (a generic all-columns spec is synthesized when missing).
 func ParseProgram(src string) (*Program, error) {
-	toks, err := tokenize(src)
-	if err != nil {
+	p := newParser(src)
+	prog, err := p.parseProgram()
+	if err = p.finish(err); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return prog, nil
+}
+
+func (p *parser) parseProgram() (*Program, error) {
 	prog := &Program{}
 	byName := make(map[string]*ViewDecl)
 	for !p.at(tokEOF) {
@@ -379,7 +428,7 @@ func (p *parser) parseSpecFields() ([]format.Field, error) {
 			}
 			f.Kind = format.FList
 			f.Var = id.text
-		case p.at(tokIdent) && p.peek().text == "group" && p.toks[p.pos+1].kind == tokLParen:
+		case p.at(tokIdent) && p.peek().text == "group" && p.peek2().kind == tokLParen:
 			p.next() // group
 			p.next() // (
 			id, err := p.expect(tokIdent)

@@ -19,6 +19,9 @@ import (
 const Auto = -1
 
 const (
+	// linearDedupe is how many distinct tuples EvalEach tells apart by
+	// scanning their keys before it builds a map of them.
+	linearDedupe = 8
 	// tuplesPerWorker is the enumeration size one worker should amortize;
 	// Auto adds workers only in these increments.
 	tuplesPerWorker = 128
@@ -47,6 +50,21 @@ func (s Src) Value(frame []string) string {
 	return frame[s.slot]
 }
 
+// ref is where a plan reads a value at run time: frame slot r when r >= 0,
+// else constant -1-r of the plan's constant vector. Compile decides the
+// refs; Bind gives a plan another vector.
+type ref int
+
+func slotRef(slot int) ref { return ref(slot) }
+
+// val reads a value off a frame of the plan.
+func (p *Plan) val(r ref, frame []string) string {
+	if r >= 0 {
+		return frame[r]
+	}
+	return p.consts[-1-r]
+}
+
 // Bind-op kinds: write the tuple value into a slot, or check it against a
 // slot bound earlier by the same atom (repeated variables).
 const (
@@ -67,12 +85,12 @@ type bindOp struct {
 // is scheduled at the earliest step where both sides are bound, so it can
 // never fail on an unbound variable at run time.
 type compiledComp struct {
-	l, r Src
+	l, r ref
 	op   cq.CompOp
 }
 
-func (c compiledComp) holds(frame []string) bool {
-	return cq.CompareValues(c.l.Value(frame), c.op, c.r.Value(frame))
+func (p *Plan) holds(c compiledComp, frame []string) bool {
+	return cq.CompareValues(p.val(c.l, frame), c.op, p.val(c.r, frame))
 }
 
 // planStep is one atom of the physical join order: the resolved relation
@@ -83,7 +101,8 @@ type planStep struct {
 	pred       string
 	rel        RelView
 	lookupCols []int
-	lookupSrc  []Src
+	lookupSrc  []ref
+	bufAt      int // where the step's lookup buffer starts in an execution's slab
 	binds      []bindOp
 	comps      []compiledComp
 }
@@ -97,10 +116,11 @@ type planStep struct {
 //
 // A Plan is immutable after Compile and safe for concurrent executions.
 // Nothing Compile decides depends on the value of a constant — the join
-// order reads only which positions hold one, and values sit in Src
-// fields — so a plan serves every query of its shape (cq.Query.Shape) once
-// Bind has renamed its constants; core.Engine caches plans per epoch by
-// shape, so citations of a known shape skip compilation entirely.
+// order reads only which positions hold one, and values sit in the plan's
+// constant vector — so a plan serves every query of its shape
+// (cq.Query.Shape) once Bind has given it that query's vector; core.Engine
+// caches plans per epoch by shape, so citations of a known shape skip
+// compilation entirely.
 type Plan struct {
 	// part is the view when it is partitioned over more than one shard:
 	// executions then scatter-gather; otherwise they descend sequentially.
@@ -109,8 +129,13 @@ type Plan struct {
 	varOf    []string // slot -> variable name (all slots bound at full depth)
 	steps    []planStep
 	preComps []compiledComp // constant-only comparisons gating the enumeration
-	headSrc  []Src          // head tuple construction
+	headSrc  []ref          // head tuple construction
 	cols     []string       // head column labels
+	// consts are the query's constants, each value once, in the order
+	// Compile met them: what the refs of a constant read.
+	consts []string
+	// lookupWidth is the lookup buffers' total length, over every step.
+	lookupWidth int
 
 	// maxCard is the largest step cardinality at compile time; Auto derives
 	// the scatter worker count from it.
@@ -200,6 +225,13 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 	for i := range bound {
 		bound[i] = false
 	}
+	constRef := func(v string) ref {
+		i := slices.Index(p.consts, v)
+		if i < 0 {
+			i, p.consts = len(p.consts), append(p.consts, v)
+		}
+		return ref(-1 - i)
+	}
 	compDone := make([]bool, len(q.Comps))
 	schedule := func(st *planStep) {
 		for ci, c := range q.Comps {
@@ -207,10 +239,10 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 				continue
 			}
 			ready := true
-			var srcs [2]Src
+			var srcs [2]ref
 			for j, t := range [2]cq.Term{c.L, c.R} {
 				if t.IsConst {
-					srcs[j] = constSrc(t.Value)
+					srcs[j] = constRef(t.Value)
 					continue
 				}
 				slot, ok := slotOf[t.Name]
@@ -218,7 +250,7 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 					ready = false
 					break
 				}
-				srcs[j] = slotSrc(slot)
+				srcs[j] = slotRef(slot)
 			}
 			if !ready {
 				continue
@@ -240,14 +272,14 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 		for col, t := range a.Args {
 			if t.IsConst {
 				st.lookupCols = append(st.lookupCols, col)
-				st.lookupSrc = append(st.lookupSrc, constSrc(t.Value))
+				st.lookupSrc = append(st.lookupSrc, constRef(t.Value))
 				continue
 			}
 			slot := slotOf[t.Name]
 			switch {
 			case bound[slot]: // bound by an earlier step: part of the lookup key
 				st.lookupCols = append(st.lookupCols, col)
-				st.lookupSrc = append(st.lookupSrc, slotSrc(slot))
+				st.lookupSrc = append(st.lookupSrc, slotRef(slot))
 			case sliceHas(boundHere, slot): // repeated within this atom
 				st.binds = append(st.binds, bindOp{col: col, slot: slot, kind: opCheckSlot})
 			default:
@@ -258,6 +290,8 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 		for _, s := range boundHere {
 			bound[s] = true
 		}
+		st.bufAt = p.lookupWidth
+		p.lookupWidth += len(st.lookupSrc)
 		schedule(&st)
 		p.steps = append(p.steps, st)
 	}
@@ -271,9 +305,9 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 
 	for _, t := range q.Head {
 		if t.IsConst {
-			p.headSrc = append(p.headSrc, constSrc(t.Value))
+			p.headSrc = append(p.headSrc, constRef(t.Value))
 		} else {
-			p.headSrc = append(p.headSrc, slotSrc(slotOf[t.Name]))
+			p.headSrc = append(p.headSrc, slotRef(slotOf[t.Name]))
 		}
 	}
 
@@ -296,73 +330,27 @@ func sliceHas(xs []int, x int) bool {
 
 // Bind returns the plan of the query that differs from the compiled one by
 // the given renaming of constants: a copy sharing the resolved relation
-// views, the join order and the bind programs, with every constant value
-// source, and the label of every constant head column, renamed. The
-// identity returns p itself.
+// views, the join order, the bind programs and the value refs, with its own
+// constant vector and, where the head holds a constant, its own column
+// labels. The identity returns p itself.
 func (p *Plan) Bind(rb cq.Rebind) *Plan {
 	if rb.Identity() {
 		return p
 	}
 	b := *p
-	b.steps = make([]planStep, len(p.steps))
-	for i, st := range p.steps {
-		st.lookupSrc = bindSrcs(st.lookupSrc, rb)
-		st.comps = bindComps(st.comps, rb)
-		b.steps[i] = st
+	b.consts = make([]string, len(p.consts))
+	for i, v := range p.consts {
+		b.consts[i] = rb.Value(v)
 	}
-	b.preComps = bindComps(p.preComps, rb)
-	b.headSrc = bindSrcs(p.headSrc, rb)
-	if firstConst(p.headSrc) >= 0 {
-		b.cols = append([]string(nil), p.cols...)
-		for i, src := range b.headSrc {
-			if src.slot < 0 {
-				b.cols[i] = src.konst
+	if slices.ContainsFunc(p.headSrc, func(r ref) bool { return r < 0 }) {
+		b.cols = slices.Clone(p.cols)
+		for i, r := range p.headSrc {
+			if r < 0 {
+				b.cols[i] = b.val(r, nil)
 			}
 		}
 	}
 	return &b
-}
-
-// firstConst returns the index of the first constant among srcs, or -1.
-func firstConst(srcs []Src) int {
-	for i, s := range srcs {
-		if s.slot < 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-// bindSrcs renames the constants among srcs; a list without one is shared.
-func bindSrcs(srcs []Src, rb cq.Rebind) []Src {
-	first := firstConst(srcs)
-	if first < 0 {
-		return srcs
-	}
-	out := append([]Src(nil), srcs...)
-	for i := first; i < len(out); i++ {
-		if out[i].slot < 0 {
-			out[i].konst = rb.Value(out[i].konst)
-		}
-	}
-	return out
-}
-
-func bindComps(comps []compiledComp, rb cq.Rebind) []compiledComp {
-	if len(comps) == 0 {
-		return comps
-	}
-	out := append([]compiledComp(nil), comps...)
-	for i := range out {
-		c := &out[i]
-		if c.l.slot < 0 {
-			c.l.konst = rb.Value(c.l.konst)
-		}
-		if c.r.slot < 0 {
-			c.r.konst = rb.Value(c.r.konst)
-		}
-	}
-	return out
 }
 
 // Describe renders the compiled join order and access paths as a compact
@@ -410,15 +398,21 @@ func (p *Plan) Describe() string {
 type frameFn func(frame []string) error
 
 // exec is one execution of a plan: a slot frame and per-step lookup
-// buffers, both allocated once and reused across the enumeration.
+// buffers, cut from one slab allocated once and reused across the
+// enumeration, and one tuple callback for every step's scan or lookup,
+// which reads the step it serves off depth.
 // When built with a cancellable context the execution re-checks ctx.Done()
 // every ctxCheckInterval candidate tuples and aborts with the context's
 // error; executions under context.Background() pay nothing.
 type exec struct {
-	p         *Plan
-	frame     []string
-	lookupBuf [][]string
-	fn        frameFn
+	p     *Plan
+	frame []string
+	slab  []string // lookup buffers: step i's at p.steps[i].bufAt
+	fn    frameFn
+
+	depth int                        // the step whose candidates iter is fed
+	iter  func(t storage.Tuple) bool // feeds e.depth's candidates
+	err   error                      // what ended the enumeration early
 
 	ctx      context.Context
 	done     <-chan struct{} // nil: context can never be canceled
@@ -426,21 +420,24 @@ type exec struct {
 }
 
 func (p *Plan) newExec(ctx context.Context, fn frameFn) *exec {
+	// Each depth owns its lookup buffer: a deeper recursion must not
+	// clobber the values a shallower fan-out Lookup is still reading.
+	slab := make([]string, len(p.varOf)+p.lookupWidth)
 	e := &exec{
-		p:     p,
-		frame: make([]string, len(p.varOf)),
-		fn:    fn,
-		ctx:   ctx,
-		done:  ctx.Done(),
+		p:        p,
+		frame:    slab[:len(p.varOf):len(p.varOf)],
+		slab:     slab[len(p.varOf):],
+		fn:       fn,
+		ctx:      ctx,
+		done:     ctx.Done(),
+		ctxCount: ctxCheckInterval,
 	}
-	e.ctxCount = ctxCheckInterval
-	e.lookupBuf = make([][]string, len(p.steps))
-	for i := range p.steps {
-		if n := len(p.steps[i].lookupSrc); n > 0 {
-			// Each depth owns its buffer: a deeper recursion must not clobber
-			// the values a shallower fan-out Lookup is still reading.
-			e.lookupBuf[i] = make([]string, n)
+	e.iter = func(t storage.Tuple) bool {
+		if err := e.feed(e.depth, t); err != nil {
+			e.err = err
+			return false
 		}
+		return true
 	}
 	return e
 }
@@ -481,7 +478,7 @@ func (e *exec) feed(depth int, t storage.Tuple) error {
 		}
 	}
 	for _, c := range st.comps {
-		if !c.holds(e.frame) {
+		if !e.p.holds(c, e.frame) {
 			return nil
 		}
 	}
@@ -496,24 +493,19 @@ func (e *exec) run(depth int) error {
 		return e.fn(e.frame)
 	}
 	st := &e.p.steps[depth]
-	var iterErr error
-	iter := func(t storage.Tuple) bool {
-		if err := e.feed(depth, t); err != nil {
-			iterErr = err
-			return false
-		}
-		return true
-	}
+	outer := e.depth
+	e.depth = depth
 	if len(st.lookupCols) > 0 {
-		buf := e.lookupBuf[depth]
-		for i, src := range st.lookupSrc {
-			buf[i] = src.Value(e.frame)
+		buf := e.slab[st.bufAt : st.bufAt+len(st.lookupSrc)]
+		for i, r := range st.lookupSrc {
+			buf[i] = e.p.val(r, e.frame)
 		}
-		st.rel.Lookup(st.lookupCols, buf, iter)
+		st.rel.Lookup(st.lookupCols, buf, e.iter)
 	} else {
-		st.rel.Scan(iter)
+		st.rel.Scan(e.iter)
 	}
-	return iterErr
+	e.depth = outer
+	return e.err
 }
 
 // Each enumerates every satisfying valuation of the plan: scatter-gather
@@ -538,7 +530,7 @@ func (p *Plan) Each(ctx context.Context, opts Options, fn func(frame []string) e
 		return err
 	}
 	for _, c := range p.preComps {
-		if !c.holds(nil) { // constant-only: never touches the frame
+		if !p.holds(c, nil) { // constant-only: never touches the frame
 			return nil
 		}
 	}
@@ -612,26 +604,48 @@ func (p *Plan) EvalCtx(ctx context.Context, opts Options) (*Result, error) {
 // tuple of the sorted Result back to that index; it is nil when fn is.
 func (p *Plan) EvalEach(ctx context.Context, opts Options, fn func(frame []string, tuple int) error) (res *Result, order []int, err error) {
 	res = &Result{Cols: p.cols}
-	seen := make(map[string]int)
+	// A result of a few tuples — a point query's — is deduplicated by
+	// scanning its keys; the index is built past linearDedupe of them.
+	var seen map[string]int
 	var keyBuf []byte
+	var slab []string // the tuples' values, cut tuple by tuple
 	err = p.Each(ctx, opts, func(frame []string) error {
 		keyBuf = keyBuf[:0]
-		for _, src := range p.headSrc {
-			keyBuf = storage.AppendKeyPart(keyBuf, src.Value(frame))
+		for _, r := range p.headSrc {
+			keyBuf = storage.AppendKeyPart(keyBuf, p.val(r, frame))
 		}
-		i, dup := seen[string(keyBuf)] // no-alloc map probe
+		i, dup := -1, false
+		if seen != nil {
+			i, dup = seen[string(keyBuf)] // no-alloc map probe
+		} else {
+			for j, k := range res.Keys {
+				if k == string(keyBuf) {
+					i, dup = j, true
+					break
+				}
+			}
+		}
 		if !dup {
 			if opts.MaxTuples > 0 && len(res.Tuples) >= opts.MaxTuples {
 				return fmt.Errorf("%w: more than %d output tuples", ErrTupleLimit, opts.MaxTuples)
 			}
 			i = len(res.Tuples)
 			k := string(keyBuf)
-			seen[k] = i
-			t := make(storage.Tuple, len(p.headSrc))
-			for j, src := range p.headSrc {
-				t[j] = src.Value(frame)
+			switch {
+			case seen != nil:
+				seen[k] = i
+			case i == linearDedupe:
+				seen = make(map[string]int, 2*linearDedupe)
+				for j, k := range res.Keys {
+					seen[k] = j
+				}
+				seen[k] = i
 			}
-			res.Tuples = append(res.Tuples, t)
+			start := len(slab)
+			for _, r := range p.headSrc {
+				slab = append(slab, p.val(r, frame))
+			}
+			res.Tuples = append(res.Tuples, storage.Tuple(slab[start:len(slab):len(slab)]))
 			res.Keys = append(res.Keys, k)
 		}
 		if fn == nil {
@@ -648,6 +662,8 @@ func (p *Plan) EvalEach(ctx context.Context, opts Options, fn func(frame []strin
 			order[i] = i
 		}
 	}
-	sort.Sort(&keyedTuples{keys: res.Keys, tuples: res.Tuples, order: order})
+	if len(res.Tuples) > 1 {
+		sort.Sort(&keyedTuples{keys: res.Keys, tuples: res.Tuples, order: order})
+	}
 	return res, order, nil
 }

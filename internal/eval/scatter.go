@@ -87,8 +87,8 @@ func (p *Plan) scatterLookupVals() []string {
 		return nil
 	}
 	vals := make([]string, len(st0.lookupSrc))
-	for i, src := range st0.lookupSrc {
-		vals[i] = src.konst
+	for i, r := range st0.lookupSrc {
+		vals[i] = p.val(r, nil)
 	}
 	return vals
 }
@@ -171,15 +171,11 @@ func (p *Plan) scanShard(ctx context.Context, sink *serialSink, si int, vals []s
 		ctx, cur = obs.NewContext(ctx, tr, sp), sp
 	}
 	st0 := &p.steps[0]
-	e := p.newExec(ctx, sink.deliver)
-	var iterErr error
-	err := p.part.ShardScan(ctx, si, st0.pred, st0.lookupCols, vals, func(t storage.Tuple) bool {
-		iterErr = e.feed(0, t)
-		return iterErr == nil
-	})
+	e := p.newExec(ctx, sink.deliver) // its iter feeds step 0
+	err := p.part.ShardScan(ctx, si, st0.pred, st0.lookupCols, vals, e.iter)
 	switch {
-	case iterErr != nil:
-		return iterErr
+	case e.err != nil:
+		return e.err
 	case err == nil:
 		return nil
 	case ctx.Err() != nil:

@@ -22,11 +22,14 @@ type JSONRenderer struct {
 func (JSONRenderer) Name() string { return "json" }
 
 // Render implements Renderer.
-func (r JSONRenderer) Render(v Value) string {
+func (r JSONRenderer) Render(v Value) string { return string(r.AppendRender(nil, v)) }
+
+// AppendRender appends what Render returns to dst.
+func (r JSONRenderer) AppendRender(dst []byte, v Value) []byte {
 	if r.Indent <= 0 {
-		return v.JSON()
+		return AppendJSON(dst, v, Spaced)
 	}
-	return v.JSONIndent(r.Indent)
+	return AppendJSON(dst, v, r.Indent)
 }
 
 // XMLRenderer renders citations as XML with <citation> roots; object keys

@@ -54,6 +54,9 @@ func (r *Rows) part(p KeyPart, row int) string {
 // bytes would — every lead value, then every column's name and value, a NUL
 // after each — but no key is spelled out: the first part they differ in decides.
 func (r *Rows) Sort(lead []KeyPart) {
+	if r.Len() < 2 {
+		return
+	}
 	o := r.orderBy(lead)
 	slices.SortFunc(r.order, o.compare)
 }
@@ -143,9 +146,15 @@ type rowOrder struct {
 }
 
 func (r *Rows) orderBy(lead []KeyPart) *rowOrder {
-	key := slices.Clip(lead)
-	for _, name := range slices.Sorted(slices.Values(r.cols)) {
-		key = append(key, KeyPart{Col: -1, Lit: name}, KeyPart{Col: r.Col(name)})
+	key := make([]KeyPart, len(lead), len(lead)+2*len(r.cols))
+	copy(key, lead)
+	// The columns in name order: an insertion sort of (name, column) pairs
+	// as they are appended — a citation query has a handful of columns.
+	for c, name := range r.cols {
+		key = append(key, KeyPart{Col: -1, Lit: name}, KeyPart{Col: c})
+		for i := len(key) - 2; i > len(lead) && key[i-2].Lit > name; i -= 2 {
+			key[i], key[i+1], key[i-2], key[i-1] = key[i-2], key[i-1], key[i], key[i+1]
+		}
 	}
 	return &rowOrder{r: r, key: key}
 }

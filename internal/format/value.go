@@ -402,7 +402,12 @@ func appendQuotedWire(dst []byte, s string) []byte {
 // U+2028/2029 are spelled here; the other control bytes, two of which changed
 // spelling between Go releases (\b and \f used to be six-byte escapes), are
 // left to json.Marshal, which cannot fail on a string.
-func AppendJSONString(dst []byte, s string) []byte {
+func AppendJSONString(dst []byte, s string) []byte { return appendJSONString(dst, s) }
+
+// AppendJSONBytes is AppendJSONString of a string held in a byte slice.
+func AppendJSONBytes(dst, b []byte) []byte { return appendJSONString(dst, b) }
+
+func appendJSONString[S string | []byte](dst []byte, s S) []byte {
 	const hex = "0123456789abcdef"
 	mark := len(dst)
 	dst = append(dst, '"')
@@ -427,11 +432,11 @@ func AppendJSONString(dst []byte, s string) []byte {
 		case c == '<' || c == '>' || c == '&':
 			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		case c < ' ':
-			b, _ := json.Marshal(s)
+			b, _ := json.Marshal(string(s))
 			return append(dst[:mark], b...)
 		default:
 			var r rune
-			r, size = utf8.DecodeRuneInString(s[i:])
+			r, size = utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 			switch {
 			case r == utf8.RuneError && size == 1:
 				dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')

@@ -29,7 +29,9 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"citare/internal/cq"
@@ -46,28 +48,48 @@ type ViewAtom struct {
 
 // String renders the atom in the paper's notation: parameter values are
 // written as a trailing argument list, e.g. V4(F, N, "gpcr")("gpcr").
-func (va ViewAtom) String() string {
-	var sb strings.Builder
-	sb.WriteString(va.View.Name)
-	sb.WriteByte('(')
-	for i, t := range va.Args {
+func (va ViewAtom) String() string { return string(va.appendTo(nil)) }
+
+// appendTo appends String's spelling to dst.
+func (va ViewAtom) appendTo(dst []byte) []byte {
+	dst = appendTerms(append(append(dst, va.View.Name...), '('), va.Args)
+	dst = append(dst, ')')
+	// The parameter values, when every λ-parameter position holds one
+	// (ParamValues).
+	n := 0
+	for _, p := range va.View.Params {
+		i := slices.IndexFunc(va.View.Head, func(t cq.Term) bool { return t.IsVar() && t.Name == p })
+		if i < 0 || !va.Args[i].IsConst {
+			return dst[:len(dst)-n]
+		}
+		mark := len(dst)
+		if n == 0 {
+			dst = append(dst, '(')
+		} else {
+			dst = append(dst, ", "...)
+		}
+		dst = strconv.AppendQuote(dst, va.Args[i].Value)
+		n += len(dst) - mark
+	}
+	if n > 0 {
+		dst = append(dst, ')')
+	}
+	return dst
+}
+
+// appendTerms appends the terms as a comma-separated argument list.
+func appendTerms(dst []byte, ts []cq.Term) []byte {
+	for i, t := range ts {
 		if i > 0 {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(t.String())
-	}
-	sb.WriteByte(')')
-	if vals, ok := va.ParamValues(); ok && len(vals) > 0 {
-		sb.WriteByte('(')
-		for i, v := range vals {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(fmt.Sprintf("%q", v))
+		if t.IsConst {
+			dst = strconv.AppendQuote(dst, t.Value)
+		} else {
+			dst = append(dst, t.Name...)
 		}
-		sb.WriteByte(')')
 	}
-	return sb.String()
+	return dst
 }
 
 // ParamValues returns the constant values at the view's λ-parameter
@@ -170,33 +192,36 @@ func (r *Rewriting) ResidualPredicates() int {
 // String renders the rewriting, e.g.
 //
 //	Q(N) :- V4(F, N, "gpcr")("gpcr"), V2(F, Tx)
-func (r *Rewriting) String() string {
-	var sb strings.Builder
+func (r *Rewriting) String() string { return string(r.AppendString(nil)) }
+
+// AppendString appends String's spelling to dst.
+func (r *Rewriting) AppendString(dst []byte) []byte {
 	name := r.Query.Name
 	if name == "" {
 		name = "Q"
 	}
-	sb.WriteString(name)
-	sb.WriteByte('(')
-	for i, t := range r.Head {
-		if i > 0 {
-			sb.WriteString(", ")
+	dst = appendTerms(append(append(dst, name...), '('), r.Head)
+	dst = append(dst, ") :- "...)
+	n := 0
+	sep := func() {
+		if n > 0 {
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(t.String())
+		n++
 	}
-	sb.WriteString(") :- ")
-	var parts []string
 	for _, va := range r.ViewAtoms {
-		parts = append(parts, va.String())
+		sep()
+		dst = va.appendTo(dst)
 	}
 	for _, a := range r.BaseAtoms {
-		parts = append(parts, a.String())
+		sep()
+		dst = append(appendTerms(append(append(dst, a.Pred...), '('), a.Args), ')')
 	}
 	for _, c := range r.Comps {
-		parts = append(parts, c.String())
+		sep()
+		dst = append(dst, c.String()...)
 	}
-	sb.WriteString(strings.Join(parts, ", "))
-	return sb.String()
+	return dst
 }
 
 // Key returns a canonical identity for deduplication (subgoal order
@@ -233,17 +258,36 @@ func (r *Rewriting) Key() string {
 // literal the constants for which that does not hold). Their order is not
 // preserved: follow with SortByKey.
 func (r *Rewriting) Rebind(rb cq.Rebind, q *cq.Query) *Rewriting {
-	out := &Rewriting{Query: q, Comps: rb.Comparisons(r.Comps), Head: rb.Terms(r.Head)}
+	// Every renamed term list is cut from one slab.
+	n := len(r.Head)
+	for _, va := range r.ViewAtoms {
+		n += len(va.Args)
+	}
+	for _, a := range r.BaseAtoms {
+		n += len(a.Args)
+	}
+	slab := make([]cq.Term, 0, n)
+	terms := func(ts []cq.Term) []cq.Term {
+		if ts == nil {
+			return nil
+		}
+		start := len(slab)
+		for _, t := range ts {
+			slab = append(slab, rb.Term(t))
+		}
+		return slab[start:len(slab):len(slab)]
+	}
+	out := &Rewriting{Query: q, Comps: rb.Comparisons(r.Comps), Head: terms(r.Head)}
 	if r.ViewAtoms != nil {
 		out.ViewAtoms = make([]ViewAtom, len(r.ViewAtoms))
 		for i, va := range r.ViewAtoms {
-			out.ViewAtoms[i] = ViewAtom{View: va.View, Args: rb.Terms(va.Args)}
+			out.ViewAtoms[i] = ViewAtom{View: va.View, Args: terms(va.Args)}
 		}
 	}
 	if r.BaseAtoms != nil {
 		out.BaseAtoms = make([]cq.Atom, len(r.BaseAtoms))
 		for i, a := range r.BaseAtoms {
-			out.BaseAtoms[i] = rb.Atom(a)
+			out.BaseAtoms[i] = cq.Atom{Pred: a.Pred, Args: terms(a.Args)}
 		}
 	}
 	return out

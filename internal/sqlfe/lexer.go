@@ -52,7 +52,9 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("sql: offset %d: %s", e.Pos, e.Msg) }
 
 func lex(src string) ([]token, error) {
-	var out []token
+	// A token and its separator take three bytes of SQL or more: the list
+	// rarely grows past this.
+	out := make([]token, 0, len(src)/3+2)
 	pos := 0
 	for pos < len(src) {
 		r, size := utf8.DecodeRuneInString(src[pos:])
@@ -107,6 +109,12 @@ func lex(src string) ([]token, error) {
 		case r == '\'':
 			start := pos
 			pos++
+			// A literal without '' or an invalid encoding is its source bytes.
+			if n := strings.IndexByte(src[pos:], '\''); n >= 0 && !strings.HasPrefix(src[pos+n+1:], "'") && utf8.ValidString(src[pos:pos+n]) {
+				out = append(out, token{tString, src[pos : pos+n], start})
+				pos += n + 1
+				continue
+			}
 			var sb strings.Builder
 			closed := false
 			for pos < len(src) {

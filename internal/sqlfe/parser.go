@@ -289,9 +289,9 @@ func (p *sqlParser) parseTableRef() error {
 	if _, dup := p.byAlias[alias]; dup {
 		return p.errHere("duplicate table alias %q (alias repeated table instances)", alias)
 	}
-	inst := &tableInstance{rel: rel, alias: alias}
-	for _, col := range rel.Cols {
-		inst.vars = append(inst.vars, cq.Var(alias+"_"+col.Name))
+	inst := &tableInstance{rel: rel, alias: alias, vars: make([]cq.Term, len(rel.Cols))}
+	for i, col := range rel.Cols {
+		inst.vars[i] = cq.Var(alias + "_" + col.Name)
 	}
 	p.instances = append(p.instances, inst)
 	p.byAlias[alias] = inst

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -284,12 +283,16 @@ type hashIndex struct {
 	m    map[string][]int
 }
 
-func indexSig(cols []int) string {
-	parts := make([]string, len(cols))
+// appendIndexSig appends the name of the index on cols to buf: the column
+// positions, comma-separated.
+func appendIndexSig(buf []byte, cols []int) []byte {
 	for i, c := range cols {
-		parts[i] = fmt.Sprint(c)
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(c), 10)
 	}
-	return strings.Join(parts, ",")
+	return buf
 }
 
 // Index returns (building on demand) a hash index on the given column
@@ -306,10 +309,14 @@ func (r *Relation) Index(cols []int) *hashIndex {
 // invalidate indexes and swap tombstones inside the same critical section,
 // so an index found in the map is exactly in sync with the state captured
 // alongside it — a Lookup can never pair a stale index with a newer view.
+//
+// The index name is built in a stack buffer and probed without a copy, so a
+// lookup on an index already built allocates nothing.
 func (r *Relation) indexAndView(cols []int) (*hashIndex, []Tuple, map[int]bool) {
-	sig := indexSig(cols)
+	var sigBuf [32]byte
+	sig := appendIndexSig(sigBuf[:0], cols)
 	r.mu.RLock()
-	if idx := r.indexes[sig]; idx != nil {
+	if idx := r.indexes[string(sig)]; idx != nil { // no-alloc map probe
 		rows, deleted := r.rows[:len(r.rows):len(r.rows)], r.deleted
 		r.mu.RUnlock()
 		return idx, rows, deleted
@@ -317,7 +324,7 @@ func (r *Relation) indexAndView(cols []int) (*hashIndex, []Tuple, map[int]bool) 
 	r.mu.RUnlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx := r.indexes[sig]
+	idx := r.indexes[string(sig)]
 	if idx == nil {
 		idx = &hashIndex{cols: append([]int(nil), cols...), m: make(map[string][]int)}
 		for i, t := range r.rows {
@@ -327,16 +334,22 @@ func (r *Relation) indexAndView(cols []int) (*hashIndex, []Tuple, map[int]bool) 
 			k := encodeValues(project(t, cols))
 			idx.m[k] = append(idx.m[k], i)
 		}
-		r.indexes[sig] = idx
+		r.indexes[string(sig)] = idx
 	}
 	return idx, r.rows[:len(r.rows):len(r.rows)], r.deleted
 }
 
 // Lookup iterates the tuples whose projection on the index columns equals
-// vals.
+// vals. Once the index is built a lookup allocates nothing: the probe key
+// is spelled in a stack buffer (a longer one grows on the heap).
 func (r *Relation) Lookup(cols []int, vals []string, fn func(t Tuple) bool) {
 	idx, rows, deleted := r.indexAndView(cols)
-	for _, rowID := range idx.m[encodeValues(vals)] {
+	var keyBuf [64]byte
+	key := keyBuf[:0]
+	for _, v := range vals {
+		key = AppendKeyPart(key, v)
+	}
+	for _, rowID := range idx.m[string(key)] { // no-alloc map probe
 		if deleted[rowID] {
 			continue
 		}

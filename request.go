@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"citare/internal/core"
 	"citare/internal/cq"
@@ -66,31 +65,13 @@ type resolved struct {
 	// q is the query as parsed, kept only when it is unsatisfiable: batch
 	// grouping keys such a query by its syntax.
 	q *cq.Query
-
-	// Made on first use: citing needs neither, a cache or batch key both.
-	canonOnce sync.Once
-	key       string
-	columns   []string
-}
-
-// canonical returns the canonical identity of the query — the
-// variable-renamed key of its normalized, minimized form, which equivalent
-// queries share and the citation cache and batch grouping key on — and what
-// that key abstracts from, the query's own column labels. key is "" for an
-// unsatisfiable query.
-func (r *resolved) canonical() (key string, columns []string) {
-	r.canonOnce.Do(func() {
-		if r.p.Satisfiable() {
-			r.key, r.columns = r.p.Min().CanonicalKey(), core.HeadColumns(r.p.Min())
-		}
-	})
-	return r.key, r.columns
 }
 
 // resolve turns a request into its resolved form: the request shape and the
 // render format are validated (per request — Format is not part of the text),
 // the query text is parsed, validated and prepared against the engine's
-// logical-plan cache; its canonical key follows on first demand. It is the
+// logical-plan cache; its canonical key is spelled per lookup from its
+// shape's template (core.Prepared.AppendCanonical). It is the
 // one place a request's text is read: Cite, CiteEach, both batch entry points
 // and the CachedCiter all start here. The work is done once per text — source
 // language, text and MaxRewritings key a bounded LRU that belongs to the

@@ -17,9 +17,9 @@ import (
 // shapeRequests asks the point workload's three shapes about one family.
 func shapeRequests(fid string) []Request {
 	return []Request{
-		{Datalog: fmt.Sprintf(warmShapeQueries[0].datalog, fid)},
-		{Datalog: fmt.Sprintf(warmShapeQueries[1].datalog, fid)},
-		{SQL: fmt.Sprintf(`SELECT f.FName, f.Type FROM Family f WHERE f.FID = '%s'`, fid)},
+		warmShapeQueries[0].request(fid),
+		warmShapeQueries[1].request(fid),
+		warmShapeQueries[2].request(fid),
 		{Datalog: fmt.Sprintf(`Q(Tx, %q) :- FamilyIntro(F, Tx), F = %q`, fid, fid)}, // the constant labels a column too
 	}
 }

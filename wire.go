@@ -46,7 +46,7 @@ func (ct *Citation) AppendWire(dst []byte) ([]byte, error) {
 		dst = append(append(dst, answer...), citation...)
 	} else {
 		dst = appendWireAnswer(dst, ct.res)
-		dst = format.AppendJSONString(dst, r.Render(ct.res.Citation))
+		dst = appendCitation(dst, r, ct.res.Citation)
 	}
 	dst = format.AppendJSONString(append(dst, `,"format":`...), ct.Format())
 	if ct.explain != nil {
@@ -75,11 +75,12 @@ func appendWireAnswer(dst []byte, res *core.Result) []byte {
 		}
 	}
 	dst = append(dst, `],"rewritings":[`...)
+	var scratch [256]byte // a rewriting's spelling, escaped from here
 	for i, rw := range res.Rewritings {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = format.AppendJSONString(dst, rw.String())
+		dst = format.AppendJSONBytes(dst, rw.AppendString(scratch[:0]))
 	}
 	dst = append(dst, `],"polynomials":`...)
 	if len(res.Tuples) == 0 {
@@ -96,6 +97,29 @@ func appendWireAnswer(dst []byte, res *core.Result) []byte {
 	}
 	return append(dst, `,"citation":`...)
 }
+
+// appendCitation appends the citation as r renders it, JSON-escaped and
+// quoted. A JSON rendering is spelled into a pooled scratch buffer and
+// escaped from there: no string of it is made.
+func appendCitation(dst []byte, r format.Renderer, v format.Value) []byte {
+	jr, ok := r.(format.JSONRenderer)
+	if !ok {
+		return format.AppendJSONString(dst, r.Render(v))
+	}
+	buf := renderScratch.Get().(*[]byte)
+	*buf = jr.AppendRender((*buf)[:0], v)
+	dst = format.AppendJSONBytes(dst, *buf)
+	if cap(*buf) <= maxRenderScratch {
+		renderScratch.Put(buf)
+	}
+	return dst
+}
+
+// renderScratch holds the buffers appendCitation renders into; one larger
+// than maxRenderScratch is left to the collector rather than kept.
+var renderScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxRenderScratch = 64 << 10
 
 // appendMarshaled appends a sub-value of the response that only uncached
 // responses carry, through encoding/json itself.
@@ -155,7 +179,7 @@ func (m *wireMemo) parts(res *core.Result, name string, r format.Renderer) (answ
 			return m.answer, m.citations[i].json
 		}
 	}
-	citation = bytes.Clone(format.AppendJSONString(nil, r.Render(res.Citation)))
+	citation = bytes.Clone(appendCitation(nil, r, res.Citation))
 	m.citations = append(m.citations, wireCitation{format: name, json: citation})
 	m.stats.bytes.Add(uint64(len(citation)))
 	return m.answer, citation
