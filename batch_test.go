@@ -1,6 +1,6 @@
 package citare
 
-// CiteBatch tests: byte-identical parity with independent Cite calls,
+// CiteBatchItems tests: byte-identical parity with independent Cite calls,
 // logical-plan compilation shared across equivalent requests (asserted via
 // the engine's plan-cache counters), cache interplay, and batch errors.
 
@@ -36,17 +36,27 @@ func batchRequests(k int) []Request {
 	return reqs
 }
 
-// TestCiteBatchParity: CiteBatch output is byte-identical to N independent
-// Cite calls on an identically constructed Citer.
+// batchCitations returns a batch's citations, failing on any item's error.
+func batchCitations(tb testing.TB, items []BatchItem) []*Citation {
+	tb.Helper()
+	cts := make([]*Citation, len(items))
+	for i, it := range items {
+		if it.Err != nil {
+			tb.Fatalf("request %d: %v", i, it.Err)
+		}
+		cts[i] = it.Citation
+	}
+	return cts
+}
+
+// TestCiteBatchParity: CiteBatchItems output is byte-identical to N
+// independent Cite calls on an identically constructed Citer.
 func TestCiteBatchParity(t *testing.T) {
 	reqs := batchRequests(6)
 	batchCiter := newPaperCiter(t, WithNeutralCitation(gtopdb.DatabaseCitation()))
 	soloCiter := newPaperCiter(t, WithNeutralCitation(gtopdb.DatabaseCitation()))
 
-	got, err := batchCiter.CiteBatch(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := batchCitations(t, batchCiter.CiteBatchItems(context.Background(), reqs))
 	if len(got) != len(reqs) {
 		t.Fatalf("results: %d, want %d", len(got), len(reqs))
 	}
@@ -102,48 +112,39 @@ func TestCiteBatchCompilesOnce(t *testing.T) {
 		}
 		reqs[i] = Request{Datalog: q}
 	}
-	if _, err := c.CiteBatch(context.Background(), reqs); err != nil {
-		t.Fatal(err)
-	}
+	batchCitations(t, c.CiteBatchItems(context.Background(), reqs))
 	if hits, misses := c.Engine().LogicalPlanStats(); misses != 1 || hits != 0 {
 		t.Fatalf("k equivalent requests: %d misses / %d hits, want exactly 1 compilation", misses, hits)
 	}
 
 	// Mixed batch on a fresh engine: one compilation per equivalence class.
 	c2 := newPaperCiter(t)
-	if _, err := c2.CiteBatch(context.Background(), batchRequests(6)); err != nil {
-		t.Fatal(err)
-	}
+	batchCitations(t, c2.CiteBatchItems(context.Background(), batchRequests(6)))
 	if _, misses := c2.Engine().LogicalPlanStats(); misses != 3 {
 		t.Fatalf("mixed batch: %d compilations, want 3 (one per distinct query)", misses)
 	}
 }
 
-// TestCiteBatchErrors: all-or-nothing failure naming the first bad request
-// in batch order, and cancellation tagging.
+// TestCiteBatchErrors: every bad request of a batch fails in its own slot,
+// tagged, and a canceled batch tags its evaluations ErrCanceled.
 func TestCiteBatchErrors(t *testing.T) {
 	c := newPaperCiter(t)
 	ctx := context.Background()
 
-	_, err := c.CiteBatch(ctx, []Request{
+	items := c.CiteBatchItems(ctx, []Request{
 		{Datalog: gpcrJoinDatalog},
 		{Datalog: "Q(X) :-"},
 		{SQL: "SELEKT"},
 	})
-	var be *BatchError
-	if !errors.As(err, &be) || be.Index != 1 || !errors.Is(err, ErrParse) {
-		t.Fatalf("err = %v, want BatchError{Index: 1} tagged ErrParse", err)
+	if items[0].Err != nil || !errors.Is(items[1].Err, ErrParse) || !errors.Is(items[2].Err, ErrParse) {
+		t.Fatalf("errs = [%v %v %v], want success then ErrParse twice", items[0].Err, items[1].Err, items[2].Err)
 	}
 
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	_, err = c.CiteBatch(canceled, []Request{{Datalog: gpcrJoinDatalog}})
-	if !errors.As(err, &be) || !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want BatchError tagged ErrCanceled", err)
-	}
-
-	if res, err := c.CiteBatch(ctx, nil); res != nil || err != nil {
-		t.Fatalf("empty batch: %v, %v", res, err)
+	items = c.CiteBatchItems(canceled, []Request{{Datalog: gpcrJoinDatalog}})
+	if items[0].Citation != nil || !errors.Is(items[0].Err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", items[0].Err)
 	}
 }
 
@@ -235,18 +236,15 @@ func TestCachedCiterBatchItems(t *testing.T) {
 	}
 }
 
-// TestCachedCiterBatch: the cached batch serves hits from the cache, routes
-// misses through the plan-shared batch, and fills the cache for later
-// single-request hits.
+// TestCachedCiterBatch: the cached batch routes misses through the
+// plan-shared batch and fills the cache for later single-request hits and a
+// second batch served from it.
 func TestCachedCiterBatch(t *testing.T) {
 	cached := NewCached(newPaperCiter(t))
 	ctx := context.Background()
 
 	reqs := batchRequests(4)
-	got, err := cached.CiteBatch(ctx, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := batchCitations(t, cached.CiteBatchItems(ctx, reqs))
 	// The engine saw one evaluation per equivalence class, not per request.
 	if _, misses := cached.Citer().Engine().LogicalPlanStats(); misses != 3 {
 		t.Fatalf("engine compiled %d plans, want 3", misses)
@@ -266,10 +264,7 @@ func TestCachedCiterBatch(t *testing.T) {
 
 	// A second identical batch is served fully from the cache.
 	hitsBefore := func() uint64 { s := cached.CacheStats(); return s.Hits }()
-	again2, err := cached.CiteBatch(ctx, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again2 := batchCitations(t, cached.CiteBatchItems(ctx, reqs))
 	if s := cached.CacheStats(); s.Hits <= hitsBefore {
 		t.Fatalf("second batch produced no cache hits (hits %d -> %d)", hitsBefore, s.Hits)
 	}
@@ -283,7 +278,7 @@ func TestCachedCiterBatch(t *testing.T) {
 // TestCiteBatchMembersKeepOwnColumns: a SQL request and its datalog twin land
 // in one group of an uncached batch — one engine call — and each answer
 // still carries its own request's column labels and render format, in either
-// order, through CiteBatch and CiteBatchItems.
+// order.
 func TestCiteBatchMembersKeepOwnColumns(t *testing.T) {
 	ctx := context.Background()
 	reqs := map[string]Request{
@@ -313,21 +308,11 @@ func TestCiteBatchMembersKeepOwnColumns(t *testing.T) {
 	for _, order := range [][]string{{"sql", "datalog"}, {"datalog", "sql"}} {
 		batch := []Request{reqs[order[0]], reqs[order[1]]}
 		c := newPaperCiter(t)
-		cts, err := c.CiteBatch(ctx, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, name := range order {
-			check(order, "CiteBatch", name, cts[i])
+		for i, ct := range batchCitations(t, c.CiteBatchItems(ctx, batch)) {
+			check(order, "CiteBatchItems", order[i], ct)
 		}
 		if hits, misses := c.Engine().LogicalPlanStats(); hits+misses != 1 {
 			t.Fatalf("%v: the twins took %d engine calls, want one group", order, hits+misses)
-		}
-		for i, item := range newPaperCiter(t).CiteBatchItems(ctx, batch) {
-			if item.Err != nil {
-				t.Fatal(item.Err)
-			}
-			check(order, "CiteBatchItems", order[i], item.Citation)
 		}
 	}
 }
@@ -387,7 +372,7 @@ func TestCachedBatchStoresEachClassOnce(t *testing.T) {
 // BenchmarkCiteBatch prices one batch of 16 requests per op against the same
 // requests as independent Cite calls, on the 500-family instance with warm
 // plan and token caches. The equivalent batch is one join query, half of it
-// spelled as a syntactic variant, so CiteBatch evaluates it once; the mixed
+// spelled as a syntactic variant, so CiteBatchItems evaluates it once; the mixed
 // batch cycles four distinct queries. TestCiteBatchCompilesOnce asserts the
 // grouping.
 func BenchmarkCiteBatch(b *testing.B) {
@@ -425,9 +410,7 @@ func BenchmarkCiteBatch(b *testing.B) {
 		b.Run("batch/"+bc.name+"-k=16", func(b *testing.B) {
 			c := citer(b)
 			for i := 0; i < b.N; i++ {
-				if _, err := c.CiteBatch(context.Background(), reqs); err != nil {
-					b.Fatal(err)
-				}
+				batchCitations(b, c.CiteBatchItems(context.Background(), reqs))
 			}
 		})
 		b.Run("independent/"+bc.name+"-k=16", func(b *testing.B) {

@@ -19,10 +19,10 @@ const citationCacheSize = 4096
 // query — reordered bodies, renamed variables, redundant atoms — hit the
 // same entry. That is safe precisely because citations are plan-independent
 // (the paper's note after Example 3.3): equivalent queries have equal
-// citations. Requests whose options change the citation or the error
-// behavior (MaxRewritings, MaxTuples) key separate entries. The cache is a
-// lookup in front of the Citer's one implementation of each entry point and a
-// store behind it: it keeps no batch, key or stream logic of its own.
+// citations. Requests whose MaxTuples differ, which changes the error
+// behavior, key separate entries. The cache is a lookup in front of the
+// Citer's one implementation of each entry point and a store behind it: it
+// keeps no batch, key or stream logic of its own.
 //
 // CachedCiter is safe for concurrent use: entries live in a sharded LRU
 // whose shards lock independently, and concurrent misses on the same query
@@ -109,9 +109,10 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 // lookup returns the citation the cache holds for a resolved request, as the
 // request should see it, or nil for whatever Cite would not answer from the
 // cache either: an Explain request, an unsatisfiable query, a key that is
-// absent — never cited, cited under other MaxRewritings / MaxTuples
-// options, failed and so never stored, evicted, or dropped by Invalidate. A lookup counts in CacheStats' hits or misses. On a nil
-// CachedCiter — a Citer without a cache — it finds nothing.
+// absent — never cited, cited under another MaxTuples, failed and so never
+// stored, evicted, or dropped by Invalidate. A lookup counts in CacheStats'
+// hits or misses. On a nil CachedCiter — a Citer without a cache — it finds
+// nothing.
 func (c *CachedCiter) lookup(r *resolved, req Request) *Citation {
 	if c == nil || req.Explain {
 		return nil
@@ -154,22 +155,20 @@ func (ct *Citation) forRequest(req Request, columns []string) *Citation {
 }
 
 // citationKey spells what decides a resolved request's citation — the one key
-// the citation cache and batch grouping both read: the cache epoch, every
-// request option that changes the citation or the error behavior
-// (MaxRewritings, MaxTuples), and the canonical identity of the minimized
-// query (core.Prepared.AppendCanonical), which syntactic variants —
-// reordered bodies, renamed variables, redundant atoms — share. That is safe
-// because citations are plan-independent (the paper's note after Example
-// 3.3). The render format and the head's variable names (columns) are not
-// part of it: one selects a renderer, the others label an answer equivalent
-// queries share, so whatever the key finds is re-wrapped with the asking
-// request's own (forRequest). An unsatisfiable query has no canonical form;
-// it is keyed by its syntax and is not cacheable — it is cheap to evaluate
-// and needs no sharing.
+// the citation cache and batch grouping both read: the cache epoch, the
+// request's MaxTuples, which changes the error behavior, and the canonical
+// identity of the minimized query (core.Prepared.AppendCanonical), which
+// syntactic variants — reordered bodies, renamed variables, redundant atoms —
+// share. That is safe because citations are plan-independent (the paper's note
+// after Example 3.3). The render format and the head's variable names (columns)
+// are not part of it: one selects a renderer, the others label an answer
+// equivalent queries share, so whatever the key finds is re-wrapped with the
+// asking request's own (forRequest). An unsatisfiable query has no canonical
+// form; it is keyed by its syntax and is not cacheable — it is cheap to
+// evaluate and needs no sharing.
 func citationKey(epoch uint64, r *resolved, req Request) (key string, columns []string, cacheable bool) {
 	var buf [256]byte
 	b := strconv.AppendUint(buf[:0], epoch, 10)
-	b = strconv.AppendInt(append(b, "|mr="...), int64(req.MaxRewritings), 10)
 	b = strconv.AppendInt(append(b, "|mt="...), int64(req.MaxTuples), 10)
 	if !r.p.Satisfiable() {
 		return string(append(append(b, "|unsat|"...), r.q.Key()...)), nil, false
@@ -177,16 +176,11 @@ func citationKey(epoch uint64, r *resolved, req Request) (key string, columns []
 	return string(r.p.AppendCanonical(append(b, '|'))), r.p.Columns(), true
 }
 
-// CiteBatch evaluates a batch through the cache: it is Citer.CiteBatch with
-// the cache in front — a request the cache holds is served from it and joins
-// no equivalence class — and behind, where each class that evaluated is
-// stored once. Failures and unsatisfiable queries are never stored.
-func (c *CachedCiter) CiteBatch(ctx context.Context, reqs []Request) ([]*Citation, error) {
-	return c.citer.citeBatch(ctx, reqs, c)
-}
-
-// CiteBatchItems is Citer.CiteBatchItems with the cache in front and behind,
-// as in CiteBatch: errors are never cached.
+// CiteBatchItems evaluates a batch through the cache: it is
+// Citer.CiteBatchItems with the cache in front — a request the cache holds is
+// served from it and joins no equivalence class — and behind, where each
+// class that evaluated is stored once. Failures and unsatisfiable queries are
+// never stored.
 func (c *CachedCiter) CiteBatchItems(ctx context.Context, reqs []Request) []BatchItem {
 	return c.citer.citeBatchItems(ctx, reqs, c)
 }

@@ -171,10 +171,7 @@ func TestCachedCiterHitKeepsRequestColumns(t *testing.T) {
 			t.Fatalf("%v: want one engine call and one hit, got %d misses %d hits", order, st.Misses, st.Hits)
 		}
 		// Both served from the cache now, in one batch.
-		cts, err := c.CiteBatch(context.Background(), []Request{dl, sql})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cts := batchCitations(t, c.CiteBatchItems(context.Background(), []Request{dl, sql}))
 		for i, name := range []string{"datalog", "sql"} {
 			if got := cts[i].Columns(); !slices.Equal(got, want[name]) {
 				t.Fatalf("%v: batch hit for the %s request got columns %v, want %v", order, name, got, want[name])

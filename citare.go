@@ -26,19 +26,18 @@
 // cancel it (or let its deadline expire) and the evaluation stops at the
 // next shard or frame boundary in whichever execution strategy is running,
 // returning an error tagged ErrCanceled instead of burning cores on an
-// answer nobody is waiting for. The Request carries per-request knobs: the
-// render Format, a MaxRewritings bound and a MaxTuples result cap
-// (exceeding it fails with ErrLimit).
+// answer nobody is waiting for. The Request carries per-request knobs, none
+// of which changes a citation: the render Format, Explain and a MaxTuples
+// result cap (exceeding it fails with ErrLimit).
 //
 //   - Cite(ctx, req) evaluates one request.
-//   - CiteBatch(ctx, reqs) evaluates many at once: requests whose queries
-//     canonicalize to the same form share one logical-plan compilation and
-//     one evaluation, distinct groups run concurrently, and all of them read
-//     one epoch through its shared plan and token caches. Output is
-//     identical to independent Cite calls.
-//   - CiteBatchItems(ctx, reqs) is the per-item variant: same grouping and
-//     sharing, but a failing request yields a typed error in its own slot
-//     while the others still evaluate.
+//   - CiteBatchItems(ctx, reqs) evaluates many at once: requests whose
+//     queries canonicalize to the same form share one logical-plan
+//     compilation and one evaluation, distinct groups run concurrently, and
+//     all of them read one epoch through its shared plan and token caches.
+//     A failing request yields a typed error in its own slot while the
+//     others still evaluate; every other slot is identical to an
+//     independent Cite call.
 //   - CiteEach(ctx, req, fn) streams per-tuple citations in deterministic
 //     order. It is Cite's own pipeline with fn as its sink: the answer's
 //     tuples and citation polynomials are gathered and sorted first, then
@@ -117,10 +116,10 @@
 // What is a function of less than the whole request is made once, at three
 // levels:
 //
-//   - Request text → resolved request. Every Citer remembers, per query text
-//     (and MaxRewritings), the parsed query, its logical plan and its
-//     canonical key — a bounded LRU that holds no data, so nothing
-//     invalidates it; Reset and Invalidate leave it alone.
+//   - Request text → resolved request. Every Citer remembers, per query
+//     text, the parsed query, its logical plan and its canonical key — a
+//     bounded LRU that holds no data, so nothing invalidates it; Reset and
+//     Invalidate leave it alone.
 //   - Canonical query → citation. A CachedCiter keeps whole citations,
 //     shared by equivalent queries; Invalidate drops them all.
 //   - Citation → response bytes. A cached citation keeps, from its first
@@ -327,10 +326,6 @@ func (c *Citer) AsOf(version uint64) (*Citer, error) {
 	return newCiter(backend.At(c.back, version), c.back, c.engine.Views(), c.opts)
 }
 
-// Backend returns the Citer's storage backend (nil unless built with
-// NewBackend).
-func (c *Citer) Backend() backend.Backend { return c.back }
-
 // viewsFromProgram parses a citation-view program into citation views.
 func viewsFromProgram(viewsProgram string) ([]*CitationView, error) {
 	prog, err := datalog.ParseProgram(viewsProgram)
@@ -347,9 +342,8 @@ func (c *Citer) Engine() *core.Engine { return c.engine }
 func (c *Citer) Reset() error { return c.engine.Reset() }
 
 // ResolveStats reports the resolve memo's counters: a hit is a request whose
-// query text (under its MaxRewritings) had been parsed, prepared and keyed
-// before, a miss one that did that work, an eviction a text dropped for a
-// newer one.
+// query text had been parsed, prepared and keyed before, a miss one that did
+// that work, an eviction a text dropped for a newer one.
 func (c *Citer) ResolveStats() cache.Stats { return c.resolves.Stats() }
 
 // Citation is the outcome of citing one query: the answer tuples, the

@@ -20,32 +20,34 @@ import (
 	"os/signal"
 
 	"citare"
+	"citare/internal/core"
 	"citare/internal/datalog"
 	"citare/internal/gtopdb"
 	"citare/internal/storage"
 )
 
+var (
+	demo      = flag.Bool("demo", false, "use the built-in GtoPdb paper instance and views")
+	dataDir   = flag.String("data", "", "directory of <Relation>.csv files to load")
+	viewsPath = flag.String("views", "", "citation-views program file")
+	sqlQuery  = flag.String("sql", "", "SQL query to cite")
+	dlQuery   = flag.String("query", "", "datalog query to cite")
+	formatAlt = flag.String("format", "json", "citation format: json, json-compact, xml, bibtex, text")
+	showRW    = flag.Bool("show-rewritings", false, "print the rewritings used")
+	showPoly  = flag.Bool("show-polynomials", false, "print per-tuple citation polynomials")
+	showRows  = flag.Bool("show-rows", false, "print the answer tuples")
+	timesI    = flag.String("times", "join", "interpretation of · : union or join")
+	plusI     = flag.String("plus", "union", "interpretation of + : union or join")
+	plusRI    = flag.String("plusR", "union", "interpretation of +R : union or join")
+	aggI      = flag.String("agg", "union", "interpretation of Agg : union or join")
+	noPrune   = flag.Bool("no-prune", false, "disable order pruning and the §2.3 rewriting preference")
+	withDBRef = flag.Bool("cite-database", false, "always include the database-level citation (Agg neutral)")
+	timeout   = flag.Duration("timeout", 0, "abort evaluation after this long (0 = no deadline)")
+	maxTuples = flag.Int("max-tuples", 0, "fail if the query produces more answer tuples (0 = unbounded)")
+	maxRW     = flag.Int("max-rewritings", 0, "bound rewriting enumeration (0 = unbounded)")
+)
+
 func main() {
-	var (
-		demo      = flag.Bool("demo", false, "use the built-in GtoPdb paper instance and views")
-		dataDir   = flag.String("data", "", "directory of <Relation>.csv files to load")
-		viewsPath = flag.String("views", "", "citation-views program file")
-		sqlQuery  = flag.String("sql", "", "SQL query to cite")
-		dlQuery   = flag.String("query", "", "datalog query to cite")
-		formatAlt = flag.String("format", "json", "citation format: json, json-compact, xml, bibtex, text")
-		showRW    = flag.Bool("show-rewritings", false, "print the rewritings used")
-		showPoly  = flag.Bool("show-polynomials", false, "print per-tuple citation polynomials")
-		showRows  = flag.Bool("show-rows", false, "print the answer tuples")
-		timesI    = flag.String("times", "join", "interpretation of · : union or join")
-		plusI     = flag.String("plus", "union", "interpretation of + : union or join")
-		plusRI    = flag.String("plusR", "union", "interpretation of +R : union or join")
-		aggI      = flag.String("agg", "union", "interpretation of Agg : union or join")
-		noPrune   = flag.Bool("no-prune", false, "disable order pruning and the §2.3 rewriting preference")
-		withDBRef = flag.Bool("cite-database", false, "always include the database-level citation (Agg neutral)")
-		timeout   = flag.Duration("timeout", 0, "abort evaluation after this long (0 = no deadline)")
-		maxTuples = flag.Int("max-tuples", 0, "fail if the query produces more answer tuples (0 = unbounded)")
-		maxRW     = flag.Int("max-rewritings", 0, "bound rewriting enumeration (0 = policy default)")
-	)
 	flag.Parse()
 
 	// Ctrl-C cancels the evaluation mid-join instead of leaving it running.
@@ -56,22 +58,19 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	req := citare.Request{
-		SQL:           *sqlQuery,
-		Datalog:       *dlQuery,
-		Format:        *formatAlt,
-		MaxTuples:     *maxTuples,
-		MaxRewritings: *maxRW,
+	req := citare.Request{SQL: *sqlQuery, Datalog: *dlQuery, Format: *formatAlt, MaxTuples: *maxTuples}
+	pol, err := buildPolicy(*timesI, *plusI, *plusRI, *aggI, *noPrune, *maxRW)
+	if err == nil {
+		err = run(ctx, *demo, *dataDir, *viewsPath, req, *showRW, *showPoly, *showRows, pol, *withDBRef)
 	}
-	if err := run(ctx, *demo, *dataDir, *viewsPath, req,
-		*showRW, *showPoly, *showRows, *timesI, *plusI, *plusRI, *aggI, *noPrune, *withDBRef); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "citegen:", err)
 		os.Exit(1)
 	}
 }
 
 func run(ctx context.Context, demo bool, dataDir, viewsPath string, req citare.Request,
-	showRW, showPoly, showRows bool, timesI, plusI, plusRI, aggI string, noPrune, withDBRef bool) error {
+	showRW, showPoly, showRows bool, pol citare.Policy, withDBRef bool) error {
 	if req.SQL == "" && req.Datalog == "" {
 		return fmt.Errorf("provide a query with -sql or -query")
 	}
@@ -112,10 +111,6 @@ func run(ctx context.Context, demo bool, dataDir, viewsPath string, req citare.R
 		fmt.Fprintf(os.Stderr, "loaded %d tuples from %s\n", n, dataDir)
 	}
 
-	pol, err := buildPolicy(timesI, plusI, plusRI, aggI, noPrune)
-	if err != nil {
-		return err
-	}
 	opts := []citare.Option{citare.WithPolicy(pol)}
 	if withDBRef {
 		opts = append(opts, citare.WithNeutralCitation(gtopdb.DatabaseCitation()))
@@ -160,52 +155,25 @@ func run(ctx context.Context, demo bool, dataDir, viewsPath string, req citare.R
 	return nil
 }
 
-func buildPolicy(timesI, plusI, plusRI, aggI string, noPrune bool) (citare.Policy, error) {
-	pol := citare.Policy{}
-	var err error
-	if pol.Times, err = parseInterp(timesI); err != nil {
-		return pol, err
+// buildPolicy is core.DefaultPolicy — the policy every other entry point
+// cites under — with the interpretations, pruning and rewriting bound the
+// flags name.
+func buildPolicy(timesI, plusI, plusRI, aggI string, noPrune bool, maxRW int) (citare.Policy, error) {
+	pol := core.DefaultPolicy()
+	for _, f := range []struct {
+		dst  *citare.Interp
+		name string
+	}{{&pol.Times, timesI}, {&pol.Plus, plusI}, {&pol.PlusR, plusRI}, {&pol.Agg, aggI}} {
+		var err error
+		if *f.dst, err = core.ParseInterp(f.name); err != nil {
+			return pol, err
+		}
 	}
-	if pol.Plus, err = parseInterp(plusI); err != nil {
-		return pol, err
+	if noPrune {
+		pol.Orders, pol.PreferredRewritings = nil, false
 	}
-	if pol.PlusR, err = parseInterp(plusRI); err != nil {
-		return pol, err
-	}
-	if pol.Agg, err = parseInterp(aggI); err != nil {
-		return pol, err
-	}
-	base := defaultPolicy()
-	pol.IdempotentPlus = base.IdempotentPlus
-	pol.IncludeBaseTokens = base.IncludeBaseTokens
-	pol.AllowPartial = base.AllowPartial
-	if !noPrune {
-		pol.Orders = base.Orders
-		pol.PreferredRewritings = base.PreferredRewritings
-	}
+	pol.MaxRewritings = maxRW
 	return pol, nil
-}
-
-// Indirections below keep the main package free of internal imports beyond
-// what the facade re-exports.
-
-func parseInterp(s string) (citare.Interp, error) {
-	switch s {
-	case "union":
-		return citare.Union, nil
-	case "join", "merge":
-		return citare.Join, nil
-	}
-	return 0, fmt.Errorf("unknown interpretation %q (want union or join)", s)
-}
-
-func defaultPolicy() citare.Policy {
-	// Mirror core.DefaultPolicy via the facade's types.
-	return citare.Policy{
-		Times: citare.Join, Plus: citare.Union, PlusR: citare.Union, Agg: citare.Union,
-		IdempotentPlus: true, IncludeBaseTokens: true, AllowPartial: true,
-		PreferredRewritings: true,
-	}
 }
 
 // inferSchema derives a relational schema from the base relations mentioned

@@ -2,13 +2,19 @@ package main
 
 import (
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"citare"
+	"citare/internal/core"
 	"citare/internal/datalog"
+	"citare/internal/gtopdb"
 )
 
 func TestRunErrors(t *testing.T) {
@@ -17,22 +23,23 @@ func TestRunErrors(t *testing.T) {
 		call func() error
 	}{
 		{"no query", func() error {
-			return run(context.Background(), true, "", "", citare.Request{SQL: "", Datalog: "", Format: "json"}, false, false, false, "join", "union", "union", "union", false, false)
+			return run(context.Background(), true, "", "", citare.Request{SQL: "", Datalog: "", Format: "json"}, false, false, false, core.DefaultPolicy(), false)
 		}},
 		{"both queries", func() error {
-			return run(context.Background(), true, "", "", citare.Request{SQL: "SELECT 1", Datalog: "Q(X) :- R(X)", Format: "json"}, false, false, false, "join", "union", "union", "union", false, false)
+			return run(context.Background(), true, "", "", citare.Request{SQL: "SELECT 1", Datalog: "Q(X) :- R(X)", Format: "json"}, false, false, false, core.DefaultPolicy(), false)
 		}},
 		{"no source", func() error {
-			return run(context.Background(), false, "", "", citare.Request{SQL: "", Datalog: "Q(X) :- R(X)", Format: "json"}, false, false, false, "join", "union", "union", "union", false, false)
+			return run(context.Background(), false, "", "", citare.Request{SQL: "", Datalog: "Q(X) :- R(X)", Format: "json"}, false, false, false, core.DefaultPolicy(), false)
 		}},
 		{"bad interp", func() error {
-			return run(context.Background(), true, "", "", citare.Request{SQL: "", Datalog: `Q(N) :- Family(F, N, Ty)`, Format: "json"}, false, false, false, "bogus", "union", "union", "union", false, false)
+			_, err := buildPolicy("bogus", "union", "union", "union", false, 0)
+			return err
 		}},
 		{"bad format", func() error {
-			return run(context.Background(), true, "", "", citare.Request{SQL: "", Datalog: `Q(N) :- Family(F, N, Ty)`, Format: "yaml"}, false, false, false, "join", "union", "union", "union", false, false)
+			return run(context.Background(), true, "", "", citare.Request{SQL: "", Datalog: `Q(N) :- Family(F, N, Ty)`, Format: "yaml"}, false, false, false, core.DefaultPolicy(), false)
 		}},
 		{"bad query", func() error {
-			return run(context.Background(), true, "", "", citare.Request{SQL: "", Datalog: `Q(N) :-`, Format: "json"}, false, false, false, "join", "union", "union", "union", false, false)
+			return run(context.Background(), true, "", "", citare.Request{SQL: "", Datalog: `Q(N) :-`, Format: "json"}, false, false, false, core.DefaultPolicy(), false)
 		}},
 	}
 	for _, tc := range cases {
@@ -52,7 +59,7 @@ func TestRunDemoHappyPath(t *testing.T) {
 	os.Stdout = w
 	runErr := run(context.Background(), true, "", "",
 		citare.Request{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`, Format: "json-compact"},
-		true, true, true, "join", "union", "union", "union", false, true)
+		true, true, true, core.DefaultPolicy(), true)
 	w.Close()
 	os.Stdout = old
 	out := make([]byte, 1<<16)
@@ -126,7 +133,7 @@ fmt  V { "ID": F, "Name": N }.
 	os.Stdout = w
 	runErr := run(context.Background(), false, dataDir, viewsPath,
 		citare.Request{Datalog: `Q(N) :- Fam(F, N), F = "1"`, Format: "json-compact"},
-		false, false, false, "join", "union", "union", "union", false, false)
+		false, false, false, core.DefaultPolicy(), false)
 	w.Close()
 	os.Stdout = old
 	out := make([]byte, 1<<16)
@@ -136,5 +143,57 @@ fmt  V { "ID": F, "Name": N }.
 	}
 	if !strings.Contains(string(out[:n]), "alpha") {
 		t.Fatalf("CSV-backed citation missing: %s", out[:n])
+	}
+}
+
+// TestDefaultFlagsCiteUnderDefaultPolicy: with every flag at its default,
+// citegen cites under core.DefaultPolicy — §3.4's orders included — as
+// citesrv and the facade do, and so gives the paper's example queries the
+// same rewritings and citations.
+func TestDefaultFlagsCiteUnderDefaultPolicy(t *testing.T) {
+	def := func(name string) string { return flag.Lookup(name).DefValue }
+	noPrune, err := strconv.ParseBool(def("no-prune"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxRW, err := strconv.Atoi(def("max-rewritings"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := buildPolicy(def("times"), def("plus"), def("plusR"), def("agg"), noPrune, maxRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pol, core.DefaultPolicy()) {
+		t.Fatalf("default-flag policy %+v, want core.DefaultPolicy() %+v", pol, core.DefaultPolicy())
+	}
+	flagged, err := citare.NewFromProgram(gtopdb.PaperInstance(), gtopdb.ViewsProgram, citare.WithPolicy(pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := citare.NewFromProgram(gtopdb.PaperInstance(), gtopdb.ViewsProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`Q(F, N) :- Family(F, N, Ty)`,
+		`Q(N) :- Family(F, N, Ty), F = "11", FamilyIntro(F, Tx)`,
+		`Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`,
+		`Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`,
+		`Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)`,
+		`Q(N, Pn) :- Family(F, N, Ty), FC(F, P), Person(P, Pn, A)`,
+	} {
+		got, err := flagged.Cite(context.Background(), citare.Request{Datalog: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.Cite(context.Background(), citare.Request{Datalog: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Rewritings(), want.Rewritings()) || got.CitationJSON() != want.CitationJSON() {
+			t.Fatalf("%s: citegen cites %v %s, the default policy %v %s",
+				q, got.Rewritings(), got.CitationJSON(), want.Rewritings(), want.CitationJSON())
+		}
 	}
 }

@@ -24,7 +24,7 @@ func FuzzCiteRequest(f *testing.F) {
 		{SQL: "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"},
 		{Datalog: `Q(N) :- Family(F, N, Ty), Ty = "gpcr", FamilyIntro(F, Tx)`, Format: "bibtex"},
 		{Datalog: `Q(N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)`, MaxTuples: 3},
-		{Datalog: `Q(N) :- Family(F, N, Ty), F = "11"`, MaxRewritings: 1, Explain: true},
+		{Datalog: `Q(N) :- Family(F, N, Ty), F = "11"`, Explain: true},
 	}
 	for _, q := range queries {
 		one, _ := json.Marshal(q)

@@ -6,7 +6,6 @@
 //	POST /v1/cite          → one citation (v1 wire schema below)
 //	POST /v1/cite/stream   → per-tuple citations as NDJSON, streamed
 //	POST /v1/cite/batch    → a batch of citations, plan-shared
-//	POST /cite             → deprecated shim for /v1/cite (same schema)
 //	GET  /views            → the citation views
 //	GET  /stats            → cache, plan-cache + shard stats, uptime
 //	GET  /metrics          → Prometheus text exposition (0.0.4)
@@ -25,10 +24,14 @@
 //	  "sql":            "SELECT f.FName FROM Family f ...",  // xor "datalog"
 //	  "datalog":        "Q(N) :- Family(F, N, Ty), ...",
 //	  "format":         "json",   // json | json-compact | xml | bibtex | text
-//	  "max_rewritings": 0,        // bound rewriting enumeration
 //	  "max_tuples":     0,        // bound the answer size; beyond it → 422
 //	  "explain":        false     // attach a per-stage pipeline trace
 //	}
+//
+// No knob changes a citation: it is determined by the query, the views and
+// the policy. "max_rewritings", which once bounded rewriting enumeration per
+// request, is gone and, like any unknown field, is ignored; the policy's
+// bound is the only one.
 //
 // A successful response:
 //
@@ -257,29 +260,18 @@ type server struct {
 	lsm *lsm.Store
 }
 
-// citeRequest is the v1 wire form of one citation request (the legacy
-// /cite endpoint accepts the same shape and ignores the option fields it
-// predates — they default to zero).
+// citeRequest is the v1 wire form of one citation request: citare.Request
+// field for field, with its JSON names.
 type citeRequest struct {
-	SQL           string `json:"sql,omitempty"`
-	Datalog       string `json:"datalog,omitempty"`
-	Format        string `json:"format,omitempty"`
-	MaxRewritings int    `json:"max_rewritings,omitempty"`
-	MaxTuples     int    `json:"max_tuples,omitempty"`
-	Explain       bool   `json:"explain,omitempty"`
+	SQL       string `json:"sql,omitempty"`
+	Datalog   string `json:"datalog,omitempty"`
+	Format    string `json:"format,omitempty"`
+	MaxTuples int    `json:"max_tuples,omitempty"`
+	Explain   bool   `json:"explain,omitempty"`
 }
 
 // request translates the wire form to the library's Request.
-func (r citeRequest) request() citare.Request {
-	return citare.Request{
-		SQL:           r.SQL,
-		Datalog:       r.Datalog,
-		Format:        r.Format,
-		MaxRewritings: r.MaxRewritings,
-		MaxTuples:     r.MaxTuples,
-		Explain:       r.Explain,
-	}
-}
+func (r citeRequest) request() citare.Request { return citare.Request(r) }
 
 // queryText returns the request's query source, whichever field holds it.
 func (r citeRequest) queryText() string {
@@ -468,7 +460,7 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	}
 }
 
-// handleCite serves POST /v1/cite (and, via the shim, the legacy /cite).
+// handleCite serves POST /v1/cite.
 func (s *server) handleCite(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -805,16 +797,13 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// mux assembles the server's routes — the v1 API plus the legacy /cite
-// shim, which shares the v1 handler (and therefore the v1 statuses) — and
-// wraps them in the request middleware (IDs, access log, HTTP metrics,
-// slow-query capture).
+// mux assembles the server's routes and wraps them in the request
+// middleware (IDs, access log, HTTP metrics, slow-query capture).
 func (s *server) mux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/cite", s.handleCite)
 	mux.HandleFunc("/v1/cite/stream", s.handleCiteStream)
 	mux.HandleFunc("/v1/cite/batch", s.handleCiteBatch)
-	mux.HandleFunc("/cite", s.handleCite) // deprecated: use /v1/cite
 	mux.HandleFunc("/views", s.handleViews)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)

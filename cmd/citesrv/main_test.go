@@ -42,7 +42,7 @@ func testServer(t testing.TB) *server {
 func TestHandleCiteSQL(t *testing.T) {
 	s := testServer(t)
 	body := `{"sql": "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"}`
-	req := httptest.NewRequest(http.MethodPost, "/cite", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	s.handleCite(w, req)
 	if w.Code != http.StatusOK {
@@ -66,7 +66,7 @@ func TestHandleCiteSQL(t *testing.T) {
 func TestHandleCiteDatalogAndFormats(t *testing.T) {
 	s := testServer(t)
 	body := `{"datalog": "Q(N) :- Family(F, N, Ty), F = \"11\"", "format": "bibtex"}`
-	req := httptest.NewRequest(http.MethodPost, "/cite", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	s.handleCite(w, req)
 	if w.Code != http.StatusOK {
@@ -99,7 +99,7 @@ func TestHandleCiteErrors(t *testing.T) {
 		{http.MethodPost, `{"sql": "SELECT FName FROM Family", "max_tuples": 1}`, http.StatusUnprocessableEntity, "limit"},
 	}
 	for _, tc := range cases {
-		req := httptest.NewRequest(tc.method, "/cite", strings.NewReader(tc.body))
+		req := httptest.NewRequest(tc.method, "/v1/cite", strings.NewReader(tc.body))
 		w := httptest.NewRecorder()
 		s.handleCite(w, req)
 		if w.Code != tc.want {
@@ -438,27 +438,10 @@ func TestHandleCiteStreamClientDisconnect(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestV1AndLegacyCiteAgree routes one request through /v1/cite and the
-// legacy /cite shim via the real mux and requires identical responses.
-func TestV1AndLegacyCiteAgree(t *testing.T) {
-	s := testServer(t)
-	mux := s.mux()
-	body := `{"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\""}`
-	get := func(path string) string {
-		w := httptest.NewRecorder()
-		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		if w.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body.String())
-		}
-		return w.Body.String()
-	}
-	if v1, legacy := get("/v1/cite"), get("/cite"); v1 != legacy {
-		t.Fatalf("shim diverged:\n v1 %s\n legacy %s", v1, legacy)
-	}
-}
-
-// TestRetiredParallelFieldIgnored: a client still sending the retired
-// "parallel" knob gets the response a request without it gets.
+// TestRetiredParallelFieldIgnored: a client still sending a retired knob —
+// "parallel", or "max_rewritings", which on the paper's gpcr join would
+// trade V5("gpcr") for V1·V2 at a bound of one — gets the response a request
+// without it gets.
 func TestRetiredParallelFieldIgnored(t *testing.T) {
 	mux := testServer(t).mux()
 	get := func(body string) string {
@@ -469,9 +452,12 @@ func TestRetiredParallelFieldIgnored(t *testing.T) {
 		}
 		return w.Body.String()
 	}
-	plain := get(`{"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\""}`)
-	if old := get(`{"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"", "parallel": 4}`); old != plain {
-		t.Fatalf("with \"parallel\":\n%s\nwithout:\n%s", old, plain)
+	const query = `"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\", FamilyIntro(F, Tx)"`
+	plain := get("{" + query + "}")
+	for _, knob := range []string{`"parallel": 4`, `"max_rewritings": 1`} {
+		if old := get("{" + query + ", " + knob + "}"); old != plain {
+			t.Fatalf("with %s:\n%s\nwithout:\n%s", knob, old, plain)
+		}
 	}
 }
 
@@ -504,7 +490,7 @@ func testShardedServer(t *testing.T, shards int) *server {
 func TestShardedServerParity(t *testing.T) {
 	body := `{"sql": "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"}`
 	respond := func(s *server) string {
-		req := httptest.NewRequest(http.MethodPost, "/cite", strings.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body))
 		w := httptest.NewRecorder()
 		s.handleCite(w, req)
 		if w.Code != http.StatusOK {
@@ -747,7 +733,7 @@ func TestHandleStats(t *testing.T) {
 	s := testShardedServer(t, 4)
 	body := `{"datalog": "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\""}`
 	for i := 0; i < 2; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/cite", strings.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body))
 		s.handleCite(httptest.NewRecorder(), req)
 	}
 	w := httptest.NewRecorder()

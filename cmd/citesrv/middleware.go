@@ -107,7 +107,7 @@ func (w *statusWriter) Flush() {
 // routeLabels are the values of the route label of the HTTP metrics: the
 // server's known routes, the profiler's subtree and "other" — a bounded set
 // no matter what paths clients probe.
-var routeLabels = []string{"/v1/cite", "/v1/cite/stream", "/v1/cite/batch", "/cite",
+var routeLabels = []string{"/v1/cite", "/v1/cite/stream", "/v1/cite/batch",
 	"/views", "/stats", "/metrics", "/v1/slow", "/v1/health", "/healthz", "/debug/pprof/", "other"}
 
 // routeMetrics holds one route's HTTP metric handles, so that a request

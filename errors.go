@@ -10,9 +10,10 @@ import (
 	"citare/internal/sqlfe"
 )
 
-// The error taxonomy of the request API. Every error returned by Cite,
-// CiteBatch and CiteEach is tagged with exactly one of these sentinels, so
-// callers classify failures with errors.Is instead of string matching:
+// The error taxonomy of the request API. Every error returned by Cite and
+// CiteEach, and every CiteBatchItems slot's, is tagged with exactly one of
+// these sentinels, so callers classify failures with errors.Is instead of
+// string matching:
 //
 //	res, err := citer.Cite(ctx, req)
 //	switch {
@@ -56,22 +57,6 @@ var (
 	// wrapping the cause, stays reachable via errors.As.
 	ErrShardUnavailable = errors.New("citare: shard unavailable")
 )
-
-// BatchError reports which request of a CiteBatch failed first. It wraps
-// the underlying tagged error, so errors.Is sees through it.
-type BatchError struct {
-	// Index is the position of the failed request in the batch.
-	Index int
-	// Err is the request's tagged error.
-	Err error
-}
-
-func (e *BatchError) Error() string {
-	return fmt.Sprintf("citare: batch request %d: %v", e.Index, e.Err)
-}
-
-// Unwrap exposes the underlying tagged error to errors.Is / errors.As.
-func (e *BatchError) Unwrap() error { return e.Err }
 
 // tagged reports whether err already carries one of the taxonomy sentinels.
 func tagged(err error) bool {

@@ -38,22 +38,18 @@ func main() {
 	}
 
 	// One plan-shared batch: the three queries evaluate concurrently under
-	// one context, and equivalent requests would share a single evaluation.
+	// one context, equivalent requests would share a single evaluation, and
+	// each request succeeds or fails in its own slot.
 	ctx := context.Background()
 	reqs := make([]citare.Request, len(queries))
 	for i, sql := range queries {
 		reqs[i] = citare.Request{SQL: sql}
 	}
-	results, err := citer.CiteBatch(ctx, reqs)
-	if err != nil {
-		var be *citare.BatchError
-		if errors.As(err, &be) {
-			log.Fatalf("query %d failed: %v", be.Index+1, be.Err)
+	for i, item := range citer.CiteBatchItems(ctx, reqs) {
+		if item.Err != nil {
+			log.Fatalf("query %d failed: %v", i+1, item.Err)
 		}
-		log.Fatal(err)
-	}
-	for i, res := range results {
-		sql := queries[i]
+		res, sql := item.Citation, queries[i]
 		fmt.Printf("=== query %d ===\n%s\n", i+1, sql)
 		fmt.Printf("answers (%v): %v\n", res.Columns(), res.Rows())
 		fmt.Println("rewritings:")

@@ -208,7 +208,7 @@ func citeQuery(c *Citer, q *cq.Query) (*core.Result, error) {
 		return nil, err
 	}
 	e := c.Engine()
-	return e.CitePrepared(context.Background(), e.Prepare(q, core.CiteOptions{}), core.CiteOptions{})
+	return e.CitePrepared(context.Background(), e.Prepare(q), core.CiteOptions{})
 }
 
 // TestEngineRewritingsAlwaysCertified re-verifies, through the public

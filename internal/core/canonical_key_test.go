@@ -51,7 +51,7 @@ func TestCanonicalKeyMatchesReference(t *testing.T) {
 		for _, src := range w.queries {
 			for _, b := range boundVariants(r, mustQuery(t, src)) {
 				for _, q := range spellings(r, b) {
-					p := e.Prepare(q, core.CiteOptions{})
+					p := e.Prepare(q)
 					if !p.Satisfiable() {
 						continue
 					}
@@ -148,8 +148,8 @@ func TestCanonicalKeyFramesTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := e.Prepare(mustQuery(t, `Q(X) :- R(X, Y), X < "", Y = "1:a|1:b"`), core.CiteOptions{})
-	b := e.Prepare(mustQuery(t, `Q(X) :- R(X, Y), X < "|7:1:a", Y = "b"`), core.CiteOptions{})
+	a := e.Prepare(mustQuery(t, `Q(X) :- R(X, Y), X < "", Y = "1:a|1:b"`))
+	b := e.Prepare(mustQuery(t, `Q(X) :- R(X, Y), X < "|7:1:a", Y = "b"`))
 	ka, kb := string(a.AppendCanonical(nil)), string(b.AppendCanonical(nil))
 	if ka[0] != 't' || kb[0] != 't' {
 		t.Fatalf("keys %q and %q: want both spelled from a template", ka, kb)

@@ -217,13 +217,6 @@ func (e *Engine) PhysicalPlanStats() (hits, misses uint64) {
 // CiteOptions are the per-request knobs of one citation call. The zero
 // value means "use the engine's configuration" for every field.
 type CiteOptions struct {
-	// MaxRewritings tightens the policy's rewriting-enumeration bound for
-	// this request; 0 keeps the policy's bound, and a request can never
-	// raise a non-zero policy bound (the engine clamps to the minimum), so
-	// untrusted per-request values cannot bypass the operator's cost guard.
-	// Requests with different effective bounds compile (and cache) separate
-	// logical plans.
-	MaxRewritings int
 	// MaxTuples bounds the number of output tuples the query may produce;
 	// past the bound the evaluation aborts with eval.ErrTupleLimit instead
 	// of burning through the rest of the enumeration. 0 means unbounded.

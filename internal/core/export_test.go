@@ -14,14 +14,13 @@ func (e *Engine) TokenRecord(pt provenance.Token) (*format.Object, error) {
 	return e.renderTokenCached(context.Background(), e.curState(), pt)
 }
 
-// CiteQuery cites q the way the facade does: validate it, Prepare it under
-// o, then CitePrepared — or CiteEachPrepared, streaming into fn, when fn is
-// set.
+// CiteQuery cites q the way the facade does: validate it, Prepare it, then
+// CitePrepared — or CiteEachPrepared, streaming into fn, when fn is set.
 func (e *Engine) CiteQuery(ctx context.Context, q *cq.Query, o CiteOptions, fn func(*TupleCitation) error) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	p := e.Prepare(q, o)
+	p := e.Prepare(q)
 	if fn != nil {
 		return e.CiteEachPrepared(ctx, p, o, fn)
 	}

@@ -25,7 +25,6 @@ const logicalPlanCacheSize = 512
 type compiledQuery struct {
 	params  []string
 	min     *cq.Query
-	maxRW   int
 	columns []string // HeadColumns(min)
 	// out is min's physical shape: every query of the shape evaluates the
 	// plan compiled for it, bound to its own constants.
@@ -127,41 +126,24 @@ func appendFramed(dst []byte, s string) []byte {
 	return append(append(dst, ':'), s...)
 }
 
-// Prepare resolves the logical plan of a query the caller has validated
-// (cq.Query.Validate; the facade's request parsing does). o must be the
-// options the request is then cited with: a MaxRewritings that tightens the
-// policy's bound selects a separate plan.
-func (e *Engine) Prepare(q *cq.Query, o CiteOptions) *Prepared {
-	return e.logicalPlan(q, o)
-}
-
-// logicalPlan resolves a valid query to the logical plan of its shape. The
-// query is normalized, then every constant that the plan can only see
-// through equality is lifted out (liftRules); what remains keys an
-// engine-lifetime LRU, prefixed with the effective rewriting bound so
-// different bounds never share a plan. The first query of a shape is
-// minimized as it stands and becomes the shape's plan; every later one
-// keeps its constants as the renaming from the plan's, and nothing of the
-// plan is copied until a caller reads it. Concurrent first lookups of one
-// shape share a single minimization.
-func (e *Engine) logicalPlan(q *cq.Query, o CiteOptions) *Prepared {
+// Prepare resolves a query the caller has validated (cq.Query.Validate; the
+// facade's request parsing does) to the logical plan of its shape. The query
+// is normalized, then every constant that the plan can only see through
+// equality is lifted out (liftRules); what remains keys an engine-lifetime
+// LRU. The first query of a shape is minimized as it stands and becomes the
+// shape's plan; every later one keeps its constants as the renaming from the
+// plan's, and nothing of the plan is copied until a caller reads it.
+// Concurrent first lookups of one shape share a single minimization.
+func (e *Engine) Prepare(q *cq.Query) *Prepared {
 	norm, sat := q.Normalize()
 	if !sat {
 		return &Prepared{norm: norm}
 	}
-	// A request may only tighten the policy's bound, never raise it.
-	maxRW := e.policy.MaxRewritings
-	if o.MaxRewritings > 0 && (maxRW == 0 || o.MaxRewritings < maxRW) {
-		maxRW = o.MaxRewritings
-	}
 	key, params := norm.Shape(e.lift.literalFor(norm))
-	if maxRW != e.policy.MaxRewritings {
-		key = "mr=" + strconv.Itoa(maxRW) + "|" + key
-	}
 	// Nothing here can fail: the error result exists for GetOrCompute only.
 	plan, _, _ := e.plans.GetOrCompute(key, func() (*compiledQuery, error) {
 		min := cq.Minimize(norm)
-		return &compiledQuery{params: params, min: min, maxRW: maxRW, columns: HeadColumns(min), out: shapeOf(min)}, nil
+		return &compiledQuery{params: params, min: min, columns: HeadColumns(min), out: shapeOf(min)}, nil
 	})
 	return &Prepared{plan: plan, rb: cq.NewRebind(plan.params, params)}
 }
@@ -176,7 +158,7 @@ func (e *Engine) rewritingsFor(p *Prepared) (us []*unfolded, hit bool, err error
 		hit = false
 		rws := e.viewSet.Enumerate(p.plan.min, rewrite.Options{
 			AllowPartial:  e.policy.AllowPartial,
-			MaxRewritings: p.plan.maxRW,
+			MaxRewritings: e.policy.MaxRewritings,
 		})
 		if e.policy.PreferredRewritings {
 			rws = preferRewritings(rws)

@@ -250,8 +250,8 @@ func TestPropBoundPlanEqualsDirectCompile(t *testing.T) {
 					if got != want {
 						t.Fatalf("seed %d policy %s: bound plan diverged from direct compile for\n%s\n--- bound\n%s--- direct\n%s", seed, name, src, got, want)
 					}
-					if p := warm.Prepare(q, core.CiteOptions{}); p.Satisfiable() {
-						if fresh := w.engine(t, pol).Prepare(q, core.CiteOptions{}); p.Min().Key() != fresh.Min().Key() {
+					if p := warm.Prepare(q); p.Satisfiable() {
+						if fresh := w.engine(t, pol).Prepare(q); p.Min().Key() != fresh.Min().Key() {
 							t.Fatalf("seed %d: bound minimized query %q, direct %q", seed, p.Min().Key(), fresh.Min().Key())
 						}
 					}

@@ -3,6 +3,7 @@ package format
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -15,7 +16,7 @@ import (
 // implementations, kept here so the package itself carries one Equal and one
 // encoder: keyOracle is the canonical string encoding Equal used to compare,
 // oracleJSON the strconv.Quote-based writer the three JSON spellings used to
-// come from.
+// come from, which still holds wherever its output is JSON.
 
 // keyOracle encodes a value canonically (objects by sorted keys): two values
 // are semantically equal iff their encodings are.
@@ -55,7 +56,8 @@ func keyOracle(v Value) string {
 }
 
 // oracleJSON is the spelling the spaced (indent < 0) and indented encodings
-// have always had: strconv.Quote for every key and scalar.
+// have always had wherever it is JSON: strconv.Quote for every key and
+// scalar.
 func oracleJSON(v Value, indent int) string {
 	var sb strings.Builder
 	var walk func(v Value, depth int)
@@ -295,13 +297,14 @@ func oracleString(s string) string {
 	return string(b)
 }
 
-// FuzzAppendJSON pins the encoder to the bytes citations have always had. The
-// spaced and indented spellings are strconv.Quote's; the wire spelling is
+// FuzzAppendJSON holds every spelling of the encoder — spaced, indented and
+// wire — to JSON that decodes back to the text it encodes, a byte that is not
+// UTF-8 as U+FFFD (string([]rune(s))), and pins it to the bytes citations
+// have always had wherever those were JSON: the spaced and indented
+// spellings are then strconv.Quote's, and the wire spelling is
 // encoding/json's compaction of the spaced one, which escapes <, > and & on
 // top — two regimes, and the way an encoder change could move wire bytes
-// unnoticed. Where the old wire path failed (the spaced spelling carries a
-// Go-only escape), the new one must still produce JSON that decodes to the
-// same text.
+// unnoticed.
 func FuzzAppendJSON(f *testing.F) {
 	for _, s := range []string{
 		"", "plain", `q"uo\te`, "<script>&amp;</script>", "line\nbreak\ttab", "\x00\x01\a\b\f\v\x7f",
@@ -315,36 +318,34 @@ func FuzzAppendJSON(f *testing.F) {
 			Set(k, S(s)).
 			Set("list", L(S(s), O(NewObject().Set(s, L())), S("<"+s+">"))).
 			Set("empty", O(NewObject())))
-		if got, want := string(AppendJSON(nil, v, Spaced)), oracleJSON(v, -1); got != want {
-			t.Fatalf("spaced:\n got %s\nwant %s", got, want)
-		}
-		for _, indent := range []int{0, 2} {
-			if got, want := string(AppendJSON(nil, v, indent)), oracleJSON(v, indent); got != want {
+		text := string([]rune(s))
+		for _, indent := range []int{Spaced, 0, 2, Wire} {
+			// Appending must extend dst, not restart it.
+			got := AppendJSON([]byte("x"), v, indent)[1:]
+			var decoded struct {
+				List []any `json:"list"`
+			}
+			if err := json.Unmarshal(got, &decoded); err != nil {
+				t.Fatalf("indent %d: not JSON: %v\n%s", indent, err, got)
+			}
+			key, _ := decoded.List[1].(map[string]any)
+			if _, ok := key[text]; decoded.List[0] != text || decoded.List[2] != "<"+text+">" || !ok {
+				t.Fatalf("indent %d: decodes to %q, want %q", indent, decoded.List, text)
+			}
+			want, err := oracleWire(v)
+			if indent != Wire {
+				want = oracleJSON(v, indent)
+				if !json.Valid([]byte(want)) {
+					err = errors.New("strconv's spelling is not JSON")
+				}
+			}
+			if err == nil && string(got) != want {
 				t.Fatalf("indent %d:\n got %s\nwant %s", indent, got, want)
 			}
 		}
 		// The third spelling, a Go string as encoding/json marshals it.
 		if got, want := AppendJSONString([]byte("x"), s)[1:], oracleString(s); string(got) != want {
 			t.Fatalf("string:\n got %s\nwant %s", got, want)
-		}
-		// Appending must extend dst, not restart it.
-		wire := string(AppendJSON([]byte("x"), v, Wire))[1:]
-		if want, err := oracleWire(v); err == nil {
-			if wire != want {
-				t.Fatalf("wire:\n got %s\nwant %s", wire, want)
-			}
-			return
-		}
-		var decoded struct {
-			List []any `json:"list"`
-		}
-		if err := json.Unmarshal([]byte(wire), &decoded); err != nil {
-			t.Fatalf("wire spelling is not JSON: %v\n%s", err, wire)
-		}
-		// Every byte that is not UTF-8 reads back as U+FFFD, as it does from
-		// encoding/json.
-		if got, want := decoded.List[0], string([]rune(s)); got != want {
-			t.Fatalf("wire string decodes to %q, want %q", got, want)
 		}
 	})
 }

@@ -332,36 +332,30 @@ func appendPad(dst []byte, indent, depth int) []byte {
 	return dst
 }
 
-// appendQuoted appends s as a JSON string literal in strconv.Quote's
-// spelling. Plain printable ASCII — nearly every key and scalar of a citation
-// — is copied without a second look.
+// appendQuoted appends s as a JSON string literal: strconv.Quote's spelling,
+// with the Go-only escapes strconv emits for bytes JSON has no short form for
+// (\a, \v, \xNN, \UNNNNNNNN) respelled as the JSON escapes of the same
+// characters — a byte that is not UTF-8 as U+FFFD — so every spelling is
+// JSON whatever the data holds. The wire spelling also escapes <, > and & the
+// way encoding/json does. Plain printable ASCII — nearly every key and scalar
+// of a citation — is copied without a second look.
 func appendQuoted(dst []byte, s string, wire bool) []byte {
-	for i := 0; i < len(s); i++ {
+	plain := true
+	for i := 0; i < len(s) && plain; i++ {
 		c := s[i]
-		if c < ' ' || c > '~' || c == '"' || c == '\\' || wire && (c == '<' || c == '>' || c == '&') {
-			if wire {
-				return appendQuotedWire(dst, s)
-			}
-			return strconv.AppendQuote(dst, s)
-		}
+		plain = c >= ' ' && c <= '~' && c != '"' && c != '\\' && !(wire && (c == '<' || c == '>' || c == '&'))
 	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
-
-// appendQuotedWire respells strconv.Quote's literal for the wire: <, > and &
-// are escaped the way encoding/json escapes them, and the Go-only escapes
-// strconv emits for bytes JSON has no short form for (\a, \v, \xNN,
-// \UNNNNNNNN) become the JSON escapes of the same characters, so a wire line
-// is valid JSON whatever the data holds.
-func appendQuotedWire(dst []byte, s string) []byte {
+	if plain {
+		dst = append(dst, '"')
+		dst = append(dst, s...)
+		return append(dst, '"')
+	}
 	const hex = "0123456789abcdef"
 	q := strconv.AppendQuote(make([]byte, 0, len(s)+16), s)
 	for i := 0; i < len(q); i++ {
 		c := q[i]
 		switch {
-		case c == '<' || c == '>' || c == '&':
+		case wire && (c == '<' || c == '>' || c == '&'):
 			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		case c != '\\':
 			dst = append(dst, c)

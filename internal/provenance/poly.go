@@ -175,9 +175,6 @@ func PolyFromMonomial(m Monomial) Poly {
 	return Poly{b: &polyBody{terms: []Term{{Key: m.key, Mono: m, Coeff: 1}}, clean: 1}}
 }
 
-// PolyFromToken returns the polynomial consisting of the single token.
-func PolyFromToken(t Token) Poly { return PolyFromMonomial(NewMonomial(t)) }
-
 func compareKey(t Term, key string) int { return strings.Compare(t.Key, key) }
 
 // merged returns the terms merged: what Add appended since the last call is

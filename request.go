@@ -3,7 +3,6 @@ package citare
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"citare/internal/core"
 	"citare/internal/cq"
@@ -32,12 +31,6 @@ type Request struct {
 	// itself. Empty means json.
 	Format string
 
-	// MaxRewritings tightens rewriting enumeration for this request; 0
-	// keeps the policy's bound, and a non-zero policy bound can only be
-	// lowered, never raised. Tighter bounds trade citation completeness
-	// for latency on view-heavy deployments.
-	MaxRewritings int
-
 	// MaxTuples bounds the number of answer tuples the query may produce.
 	// A query exceeding the bound aborts promptly with ErrLimit instead of
 	// enumerating (and citing) a result nobody can page through. 0 means
@@ -56,10 +49,10 @@ type Request struct {
 // many request texts as the citation cache holds citations.
 const resolveMemoSize = citationCacheSize
 
-// resolved is everything about a request that its query text decides (with
-// MaxRewritings, which selects the logical plan): none of it depends on the
-// data, so it outlives Reset, and all of it is read-only once made — one
-// resolved serves any number of concurrent requests of the same text.
+// resolved is everything about a request that its query text decides: none of
+// it depends on the data, so it outlives Reset, and all of it is read-only once
+// made — one resolved serves any number of concurrent requests of the same
+// text.
 type resolved struct {
 	p *core.Prepared // the parsed, validated query against the engine's logical-plan cache
 	// q is the query as parsed, kept only when it is unsatisfiable: batch
@@ -70,15 +63,14 @@ type resolved struct {
 // resolve turns a request into its resolved form: the request shape and the
 // render format are validated (per request — Format is not part of the text),
 // the query text is parsed, validated and prepared against the engine's
-// logical-plan cache; its canonical key is spelled per lookup from its
-// shape's template (core.Prepared.AppendCanonical). It is the
-// one place a request's text is read: Cite, CiteEach, both batch entry points
-// and the CachedCiter all start here. The work is done once per text — source
-// language, text and MaxRewritings key a bounded LRU that belongs to the
-// Citer (a Prepared points into its own engine's plan cache, so an AsOf
-// Citer resolves for itself) and holds no data and no epoch, so Reset and
-// Invalidate leave it alone. hit reports a text resolved before. Failures are
-// tagged ErrParse and never stored: the same bad text fails again
+// logical-plan cache; its canonical key is spelled per lookup from its shape's
+// template (core.Prepared.AppendCanonical). It is the one place a request's
+// text is read: Cite, CiteEach, CiteBatchItems and the CachedCiter all start
+// here. The work is done once per text — source language and text key a bounded
+// LRU that belongs to the Citer (a Prepared points into its own engine's plan
+// cache, so an AsOf Citer resolves for itself) and holds no data and no epoch,
+// so Reset and Invalidate leave it alone. hit reports a text resolved before.
+// Failures are tagged ErrParse and never stored: the same bad text fails again
 // (TestResolveMemoStoresNoFailure), and the same good text sees the data of
 // whichever epoch it is cited in (TestResolveMemoHoldsNoData).
 func (c *Citer) resolve(req Request) (r *resolved, hit bool, err error) {
@@ -90,9 +82,9 @@ func (c *Citer) resolve(req Request) (r *resolved, hit bool, err error) {
 			return nil, false, parseError(err)
 		}
 	}
-	memoKey := "d" + strconv.Itoa(req.MaxRewritings) + "|" + req.Datalog
+	memoKey := "d" + req.Datalog
 	if req.SQL != "" {
-		memoKey = "s" + strconv.Itoa(req.MaxRewritings) + "|" + req.SQL
+		memoKey = "s" + req.SQL
 	}
 	if r, ok := c.resolves.Get(memoKey); ok {
 		return r, true, nil
@@ -101,7 +93,7 @@ func (c *Citer) resolve(req Request) (r *resolved, hit bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	r = &resolved{p: c.engine.Prepare(q, req.citeOptions())}
+	r = &resolved{p: c.engine.Prepare(q)}
 	if !r.p.Satisfiable() {
 		r.q = q
 	}
@@ -166,7 +158,7 @@ func (r Request) renderFormat() string {
 
 // citeOptions translates the request's knobs to the engine's options.
 func (r Request) citeOptions() core.CiteOptions {
-	return core.CiteOptions{MaxRewritings: r.MaxRewritings, MaxTuples: r.MaxTuples}
+	return core.CiteOptions{MaxTuples: r.MaxTuples}
 }
 
 // Cite evaluates one request: the query is parsed, rewritten over the

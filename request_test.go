@@ -7,6 +7,8 @@ package citare
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"citare/internal/gtopdb"
@@ -92,42 +94,99 @@ func TestTupleAccessorsRangeErrors(t *testing.T) {
 	}
 }
 
-func TestRequestMaxRewritings(t *testing.T) {
-	// Disable the §2.3 preference pruning so the paper query keeps all its
-	// rewritings and the per-request bound has something to cut.
-	c := newPaperCiter(t, WithPolicy(Policy{
-		Times: Join, Plus: Union, PlusR: Union, Agg: Union,
-		AllowPartial: true, IdempotentPlus: true,
-	}))
-	full, err := c.Cite(context.Background(), Request{Datalog: gpcrJoinDatalog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounded, err := c.Cite(context.Background(), Request{Datalog: gpcrJoinDatalog, MaxRewritings: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bounded.Rewritings()) > 1 {
-		t.Fatalf("MaxRewritings=1 produced %d rewritings", len(bounded.Rewritings()))
-	}
-	if len(full.Rewritings()) <= 1 {
-		t.Fatalf("paper query should admit several rewritings, got %d", len(full.Rewritings()))
+// TestPolicyMaxRewritings: the policy's bound is the engine's one rewriting
+// bound — the paper query admits several rewritings without it and one under
+// a bound of one.
+func TestPolicyMaxRewritings(t *testing.T) {
+	// Without the §2.3 preference pruning the paper query keeps all its
+	// rewritings, so the bound has something to cut.
+	pol := Policy{Times: Join, Plus: Union, PlusR: Union, Agg: Union, AllowPartial: true, IdempotentPlus: true}
+	for _, max := range []int{0, 1} {
+		pol.MaxRewritings = max
+		res, err := newPaperCiter(t, WithPolicy(pol)).Cite(context.Background(), Request{Datalog: gpcrJoinDatalog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(res.Rewritings()); (max == 0 && n <= 1) || (max == 1 && n != 1) {
+			t.Fatalf("policy MaxRewritings %d: %d rewritings", max, n)
+		}
 	}
 }
 
-// TestRequestMaxRewritingsClampedToPolicy: a request can tighten the
-// policy's rewriting bound but never raise it past the operator's guard.
-func TestRequestMaxRewritingsClampedToPolicy(t *testing.T) {
-	c := newPaperCiter(t, WithPolicy(Policy{
-		Times: Join, Plus: Union, PlusR: Union, Agg: Union,
-		AllowPartial: true, MaxRewritings: 1,
-	}))
-	res, err := c.Cite(context.Background(), Request{Datalog: gpcrJoinDatalog, MaxRewritings: 1000})
-	if err != nil {
-		t.Fatal(err)
+// paperExampleQueries are the queries of the paper's Examples 2.2–3.8 on its
+// GtoPdb instance.
+var paperExampleQueries = []string{
+	`Q(N) :- Family(F, N, Ty), F = "11", FamilyIntro(F, Tx)`,
+	`Q(N) :- Family(F, N, Ty), FamilyIntro(F, Tx), N = "Calcitonin"`,
+	gpcrJoinDatalog,
+	`Q(N) :- Family(F, N, Ty), Ty = "gpcr"`,
+	`Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = "gpcr"`,
+	`Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)`,
+	`Q(F, N) :- Family(F, N, Ty)`,
+	`Q(N, Pn) :- Family(F, N, Ty), FC(F, P), Person(P, Pn, A)`,
+}
+
+// TestRequestOptionsLeaveCitationAlone: a citation is determined by the
+// query, the views and the policy, so no request option changes it. Each
+// option of Request is set, alone and then all together, to a value under
+// which the request still succeeds, and the rewritings, tuple polynomials
+// and citation must be the plain request's, through a Citer and a
+// CachedCiter. An option the test does not know fails it: a new one must be
+// classified here.
+func TestRequestOptionsLeaveCitationAlone(t *testing.T) {
+	ctx := context.Background()
+	fingerprint := func(ct *Citation) string {
+		parts := append(ct.Rewritings(), ct.CitationJSON())
+		for i := range ct.NumTuples() {
+			p, err := ct.TuplePolynomialAt(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, p)
+		}
+		return strings.Join(parts, "\n")
 	}
-	if len(res.Rewritings()) > 1 {
-		t.Fatalf("request raised the policy bound: %d rewritings", len(res.Rewritings()))
+	for _, q := range paperExampleQueries {
+		for via, cite := range map[string]func(context.Context, Request) (*Citation, error){
+			"Citer":       newPaperCiter(t).Cite,
+			"CachedCiter": NewCached(newPaperCiter(t)).Cite,
+		} {
+			plain, err := cite(ctx, Request{Datalog: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fingerprint(plain)
+			all := Request{Datalog: q}
+			fields := reflect.TypeOf(all)
+			for i := range fields.NumField() {
+				name := fields.Field(i).Name
+				if name == "SQL" || name == "Datalog" {
+					continue
+				}
+				one := Request{Datalog: q}
+				for _, req := range []*Request{&one, &all} {
+					switch f := reflect.ValueOf(req).Elem().Field(i); name {
+					case "Format":
+						f.SetString("xml")
+					case "Explain":
+						f.SetBool(true)
+					case "MaxTuples":
+						f.SetInt(int64(max(plain.NumTuples(), 1)))
+					default:
+						t.Fatalf("Request.%s is not classified: give it a value under which a request succeeds", name)
+					}
+				}
+				for _, req := range []Request{one, all} {
+					got, err := cite(ctx, req)
+					if err != nil {
+						t.Fatalf("%s, %s with %s: %v", via, q, name, err)
+					}
+					if fp := fingerprint(got); fp != want {
+						t.Fatalf("%s, %s: %+v changed the citation:\n%s\nwant\n%s", via, q, req, fp, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -221,12 +280,12 @@ func TestCachedCiterRequestAPI(t *testing.T) {
 		t.Fatal("cached variant diverged")
 	}
 
-	// Different output-affecting options key separate entries.
-	if _, err := cached.Cite(ctx, Request{Datalog: gpcrJoinDatalog, MaxRewritings: 1}); err != nil {
+	// An option that changes the error behavior keys a separate entry.
+	if _, err := cached.Cite(ctx, Request{Datalog: gpcrJoinDatalog, MaxTuples: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if misses := cached.CacheStats().Misses; misses != 2 {
-		t.Fatalf("MaxRewritings variant shared an entry: misses = %d, want 2", misses)
+		t.Fatalf("MaxTuples variant shared an entry: misses = %d, want 2", misses)
 	}
 
 	// A cache hit under a different render format re-wraps, not re-renders.

@@ -60,40 +60,6 @@ func rowsContain(ct *Citation, v string) bool {
 	return false
 }
 
-// TestResolveMemoKeysOnMaxRewritings: MaxRewritings selects the logical plan,
-// so requests of one text under different bounds must not share a resolved
-// form — in either order of arrival.
-func TestResolveMemoKeysOnMaxRewritings(t *testing.T) {
-	c := newPaperCiter(t, WithPolicy(Policy{
-		Times: Join, Plus: Union, PlusR: Union, Agg: Union,
-		AllowPartial: true, IdempotentPlus: true,
-	}))
-	ctx := context.Background()
-	rewritings := func(max int) int {
-		ct, err := c.Cite(ctx, Request{Datalog: gpcrJoinDatalog, MaxRewritings: max})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(ct.Rewritings())
-	}
-	full := rewritings(0)
-	if full <= 1 {
-		t.Fatalf("paper query should admit several rewritings, got %d", full)
-	}
-	for i, max := range []int{1, 0, 1, 2, 0} {
-		want := full
-		if max > 0 {
-			want = min(max, full)
-		}
-		if got := rewritings(max); got != want {
-			t.Fatalf("request %d, MaxRewritings %d: %d rewritings, want %d", i, max, got, want)
-		}
-	}
-	if st := c.ResolveStats(); st.Misses != 3 || st.Hits != 3 {
-		t.Fatalf("resolve memo: %d misses / %d hits, want one miss per bound (3) and 3 hits", st.Misses, st.Hits)
-	}
-}
-
 // TestResolveMemoStoresNoFailure: a text that does not parse fails again with
 // the same tagged error instead of being remembered, and an unknown format is
 // refused per request even when the text is known.
