@@ -27,7 +27,6 @@ import (
 	"testing"
 
 	"citare/internal/citegraph"
-	"citare/internal/core"
 	"citare/internal/gtopdb"
 	"citare/internal/obs"
 )
@@ -626,45 +625,6 @@ func BenchmarkPointMiss(b *testing.B) {
 // wireBuf is the response buffer the wire arm encodes into, reused as a
 // server reuses its own.
 var wireBuf = make([]byte, 0, 64<<10)
-
-// TestTokenRenderAllocsPerRow is the gate on what one row of a citation
-// query costs its token's rendering. The hottest work's incoming-reference
-// list is the record every ingest touches, so its VCites token is re-rendered
-// after nearly every commit: thousands of rows, which go into one columnar
-// slab and are sorted by index — no map, no key string per row. Measured:
-// 0.04 allocations per row (plan compilation, slab growth and the record's
-// own lists, all told), 12.0 with a map and a sorted, joined key per row.
-func TestTokenRenderAllocsPerRow(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated under the race detector")
-	}
-	db := citegraph.Generate(citegraph.ScaleMedium())
-	var vcites *core.CitationView
-	for _, v := range citegraph.MustViews() {
-		if v.Name() == "VCites" {
-			vcites = v
-		}
-	}
-	tok := core.NewViewToken("VCites", citegraph.HotWork())
-	rows := 0
-	render := func() {
-		obj, err := vcites.RenderToken(db, tok)
-		if err != nil {
-			t.Fatal(err)
-		}
-		citedBy, _ := obj.Get("CitedBy")
-		rows = len(citedBy.List)
-	}
-	render()
-	if rows < 1000 {
-		t.Fatalf("VCites(%s) lists %d citing works, want a token worth measuring", citegraph.HotWork(), rows)
-	}
-	perRow := testing.AllocsPerRun(5, render) / float64(rows)
-	t.Logf("RenderToken: %.3f allocs per row over %d rows", perRow, rows)
-	if perRow > 0.5 {
-		t.Fatalf("RenderToken: %.2f allocs per row over %d rows, ceiling 0.5 — rows are being built one by one again", perRow, rows)
-	}
-}
 
 // TestPlanCompilesFollowShapesNotRequests: a thousand lookups of a thousand
 // different families are one shape. The engine enumerates rewritings once,

@@ -26,7 +26,8 @@ type batchGroup struct {
 }
 
 // groupBatch resolves every request of a batch and files it under its
-// equivalence class (citationKey), opening the class on first sight; order
+// equivalence class (citationKey), opening the class on first sight — an
+// unsatisfiable request, which has no key, opens one of its own; order
 // lists the classes in first-member order. A request that does not resolve
 // leaves its error (already tagged with the taxonomy) in its slot of errs and
 // joins no class. Through a cache (cc non-nil) a request the cache holds fills
@@ -42,12 +43,12 @@ func (c *Citer) groupBatch(reqs []Request, cc *CachedCiter) (order []*batchGroup
 	}
 	groups := make(map[string]*batchGroup, len(reqs))
 	for i, req := range reqs {
-		r, _, err := c.resolve(req)
+		p, _, err := c.resolve(req)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		key, columns, cacheable := citationKey(epoch, r, req)
+		key, columns, cacheable := citationKey(epoch, p, req)
 		cached := cc != nil && cacheable
 		if cached {
 			if ct := cc.get(key, req, columns); ct != nil {
@@ -58,8 +59,10 @@ func (c *Citer) groupBatch(reqs []Request, cc *CachedCiter) (order []*batchGroup
 		}
 		g := groups[key]
 		if g == nil {
-			g = &batchGroup{p: r.p, req: req, key: key, cached: cached}
-			groups[key] = g
+			g = &batchGroup{p: p, req: req, key: key, cached: cached}
+			if cacheable { // an unsatisfiable query has no key: a class of its own
+				groups[key] = g
+			}
 			order = append(order, g)
 		}
 		g.indices = append(g.indices, i)

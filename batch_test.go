@@ -125,32 +125,40 @@ func TestCiteBatchCompilesOnce(t *testing.T) {
 	}
 }
 
-// TestCiteBatchErrors: every bad request of a batch fails in its own slot,
-// tagged, and a canceled batch tags its evaluations ErrCanceled.
+// TestCiteBatchErrors: every kind of failing slot carries its own typed
+// error and a nil citation — a datalog or SQL parse failure ErrParse, a tuple
+// bound hit during evaluation ErrLimit — and a pre-canceled batch tags its
+// evaluations ErrCanceled while parse failures keep their more specific error.
 func TestCiteBatchErrors(t *testing.T) {
 	c := newPaperCiter(t)
 	ctx := context.Background()
 
 	items := c.CiteBatchItems(ctx, []Request{
-		{Datalog: gpcrJoinDatalog},
 		{Datalog: "Q(X) :-"},
 		{SQL: "SELEKT"},
+		{Datalog: gpcrJoinDatalog, MaxTuples: 1}, // fails during evaluation
 	})
-	if items[0].Err != nil || !errors.Is(items[1].Err, ErrParse) || !errors.Is(items[2].Err, ErrParse) {
-		t.Fatalf("errs = [%v %v %v], want success then ErrParse twice", items[0].Err, items[1].Err, items[2].Err)
+	for i, want := range []error{ErrParse, ErrParse, ErrLimit} {
+		if items[i].Citation != nil || !errors.Is(items[i].Err, want) {
+			t.Fatalf("item %d: err = %v, want %v and nil citation", i, items[i].Err, want)
+		}
 	}
 
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	items = c.CiteBatchItems(canceled, []Request{{Datalog: gpcrJoinDatalog}})
+	items = c.CiteBatchItems(canceled, []Request{{Datalog: gpcrJoinDatalog}, {SQL: "SELEKT"}})
 	if items[0].Citation != nil || !errors.Is(items[0].Err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", items[0].Err)
+		t.Fatalf("canceled item 0: err = %v, want ErrCanceled and nil citation", items[0].Err)
+	}
+	if !errors.Is(items[1].Err, ErrParse) {
+		t.Fatalf("canceled item 1: err = %v, want ErrParse", items[1].Err)
 	}
 }
 
-// TestCiteBatchItems: per-item error isolation — a parse failure and an
-// evaluation-time limit failure land as typed errors in their own slots while
+// TestCiteBatchItems: per-item error isolation — failing slots (a parse
+// failure and an evaluation-time limit failure) hold only their error while
 // the surrounding requests still evaluate, byte-identical to solo Cite calls.
+// The error types themselves are TestCiteBatchErrors' concern.
 func TestCiteBatchItems(t *testing.T) {
 	c := newPaperCiter(t)
 	solo := newPaperCiter(t)
@@ -178,23 +186,10 @@ func TestCiteBatchItems(t *testing.T) {
 			t.Fatalf("item %d citation diverged from solo Cite", i)
 		}
 	}
-	if items[1].Citation != nil || !errors.Is(items[1].Err, ErrParse) {
-		t.Fatalf("item 1: err = %v, want ErrParse and nil citation", items[1].Err)
-	}
-	if items[3].Citation != nil || !errors.Is(items[3].Err, ErrLimit) {
-		t.Fatalf("item 3: err = %v, want ErrLimit and nil citation", items[3].Err)
-	}
-
-	// A pre-canceled context marks every evaluated item ErrCanceled; parse
-	// failures keep their own, more specific error.
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	items = c.CiteBatchItems(canceled, reqs[:2])
-	if !errors.Is(items[0].Err, ErrCanceled) {
-		t.Fatalf("canceled item 0: err = %v, want ErrCanceled", items[0].Err)
-	}
-	if !errors.Is(items[1].Err, ErrParse) {
-		t.Fatalf("canceled item 1: err = %v, want ErrParse", items[1].Err)
+	for _, i := range []int{1, 3} {
+		if items[i].Citation != nil || items[i].Err == nil {
+			t.Fatalf("item %d: citation %v, err %v; want an error alone", i, items[i].Citation, items[i].Err)
+		}
 	}
 
 	if items := c.CiteBatchItems(ctx, nil); len(items) != 0 {

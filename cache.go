@@ -2,12 +2,12 @@ package citare
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"strconv"
 	"sync/atomic"
 
 	"citare/internal/cache"
+	"citare/internal/core"
 )
 
 // citationCacheSize bounds the citation cache (sharded LRU, entries).
@@ -52,7 +52,10 @@ func (c *CachedCiter) Citer() *Citer { return c.citer }
 // the same output-affecting options share one cached citation, and
 // concurrent misses collapse into a single engine call. The context applies
 // to the computation on a miss; cancellation surfaces as ErrCanceled and is
-// never cached.
+// never cached. A flight whose leader fails — its client went away, say —
+// hands its waiters no error: each computes under its own context instead
+// (cache.Sharded.GetOrCompute). The text is resolved under the parse span
+// of the trace riding ctx, as a stream's is.
 func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) {
 	if req.Explain {
 		// Explain is a debugging tool: it wants the real pipeline trace, and
@@ -62,48 +65,30 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 	}
 	// Resolved once per text: the cache key is the minimized query's, and a
 	// miss cites the same prepared query instead of minimizing again.
-	r, _, err := c.citer.resolve(req)
+	p, _, err := c.citer.resolveTraced(ctx, req, nil)
 	if err != nil {
 		return nil, err
 	}
-	key, columns, cacheable := citationKey(c.epoch.Load(), r, req)
+	key, columns, cacheable := citationKey(c.epoch.Load(), p, req)
 	if !cacheable {
-		return c.citer.cite(ctx, r.p, req)
+		return c.citer.cite(ctx, p, req)
 	}
 	// GetOrCompute stores nothing on error, so after a failure the next
 	// request recomputes against shards that may be back.
-	compute := func() (*Citation, error) {
-		ct, err := c.citer.cite(ctx, r.p, req)
+	ct, hit, err := c.entries.GetOrCompute(key, func() (*Citation, error) {
+		ct, err := c.citer.cite(ctx, p, req)
 		if err == nil {
 			ct.wire = &wireMemo{stats: &c.wire}
 		}
 		return ct, err
-	}
-	var ct *Citation
-	var hit bool
-	for attempt := 0; ; attempt++ {
-		ct, hit, err = c.entries.GetOrCompute(key, compute)
-		// Concurrent misses share one computation, which runs under the
-		// *leader's* context: if the leader's client went away, every waiter
-		// inherits its cancellation. A waiter whose own context is still
-		// alive must not fail for someone else's disconnect — retry (the
-		// retrier usually becomes the new leader); after a few doomed joins,
-		// compute directly without the singleflight.
-		if err == nil || !errors.Is(err, ErrCanceled) || ctx.Err() != nil {
-			break
-		}
-		if attempt == 2 {
-			ct, err = compute()
-			break
-		}
-	}
-	if ct == nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	if hit { // served from the cache, or by a flight another request led
 		ct.wire.markHit()
 	}
-	return ct.forRequest(req, columns), err
+	return ct.forRequest(req, columns), nil
 }
 
 // lookup returns the citation the cache holds for a resolved request, as the
@@ -113,11 +98,11 @@ func (c *CachedCiter) Cite(ctx context.Context, req Request) (*Citation, error) 
 // stored, evicted, or dropped by Invalidate. A lookup counts in CacheStats'
 // hits or misses. On a nil CachedCiter — a Citer without a cache — it finds
 // nothing.
-func (c *CachedCiter) lookup(r *resolved, req Request) *Citation {
+func (c *CachedCiter) lookup(p *core.Prepared, req Request) *Citation {
 	if c == nil || req.Explain {
 		return nil
 	}
-	key, columns, cacheable := citationKey(c.epoch.Load(), r, req)
+	key, columns, cacheable := citationKey(c.epoch.Load(), p, req)
 	if !cacheable {
 		return nil
 	}
@@ -164,16 +149,16 @@ func (ct *Citation) forRequest(req Request, columns []string) *Citation {
 // are not part of it: one selects a renderer, the others label an answer
 // equivalent queries share, so whatever the key finds is re-wrapped with the
 // asking request's own (forRequest). An unsatisfiable query has no canonical
-// form; it is keyed by its syntax and is not cacheable — it is cheap to
-// evaluate and needs no sharing.
-func citationKey(epoch uint64, r *resolved, req Request) (key string, columns []string, cacheable bool) {
+// form and no key: it is not cacheable — it is cheap to evaluate and needs
+// no sharing.
+func citationKey(epoch uint64, p *core.Prepared, req Request) (key string, columns []string, cacheable bool) {
+	if !p.Satisfiable() {
+		return "", nil, false
+	}
 	var buf [256]byte
 	b := strconv.AppendUint(buf[:0], epoch, 10)
 	b = strconv.AppendInt(append(b, "|mt="...), int64(req.MaxTuples), 10)
-	if !r.p.Satisfiable() {
-		return string(append(append(b, "|unsat|"...), r.q.Key()...)), nil, false
-	}
-	return string(r.p.AppendCanonical(append(b, '|'))), r.p.Columns(), true
+	return string(p.AppendCanonical(append(b, '|'))), p.Columns(), true
 }
 
 // CiteBatchItems evaluates a batch through the cache: it is

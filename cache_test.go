@@ -2,12 +2,16 @@ package citare
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"citare/internal/core"
+	"citare/internal/fault"
 	"citare/internal/gtopdb"
 	"citare/internal/storage"
 )
@@ -94,6 +98,98 @@ func TestCachedCiterUnsatBypassesCache(t *testing.T) {
 	hits, misses := st.Hits, st.Misses
 	if hits != 0 || misses != 0 {
 		t.Fatalf("unsat queries must bypass the cache: %d hits %d misses", hits, misses)
+	}
+}
+
+// TestUnsatisfiableQueryKeepsColumns: an unsatisfiable query answers no rows
+// under its head's columns, as an empty satisfiable one does — through a
+// plain Citer, a CachedCiter and a batch slot of each, where two equal
+// unsatisfiable requests form a class apiece — and on the wire.
+func TestUnsatisfiableQueryKeepsColumns(t *testing.T) {
+	plain, cached := newPaperCiter(t), NewCached(newPaperCiter(t))
+	ctx := context.Background()
+	for _, src := range []string{
+		`Q(N) :- Family(F, N, Ty), Ty = "gpcr", Ty = "lgic"`, // unsatisfiable
+		`Q(N) :- Family(F, N, Ty), Ty = "nonexistent"`,       // satisfiable, empty
+	} {
+		req := Request{Datalog: src}
+		var items []BatchItem
+		for _, cite := range []func(context.Context, Request) (*Citation, error){plain.Cite, cached.Cite} {
+			ct, err := cite(ctx, req)
+			items = append(items, BatchItem{Citation: ct, Err: err})
+		}
+		items = append(items, plain.CiteBatchItems(ctx, []Request{req, req})...)
+		items = append(items, cached.CiteBatchItems(ctx, []Request{req, req})...)
+		for i, it := range items {
+			if it.Err != nil {
+				t.Fatalf("%s, answer %d: %v", src, i, it.Err)
+			}
+			wire, err := it.Citation.AppendWire(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cols := it.Citation.Columns(); !slices.Equal(cols, []string{"N"}) || !strings.HasPrefix(string(wire), `{"columns":["N"],"rows":[]`) {
+				t.Fatalf("%s, answer %d: columns %q, wire %s; want [N] and no rows", src, i, cols, wire)
+			}
+		}
+	}
+}
+
+// TestCachedCiterWaiterOutlivesCanceledLeader: concurrent misses share one
+// flight, run under its leader's context. The leader is held on a stalled
+// shard while a waiter with a live context joins, then its client goes away:
+// the leader fails with ErrCanceled, and the waiter — handed no error by the
+// failed flight — cites under its own context and gets the citation.
+func TestCachedCiterWaiterOutlivesCanceledLeader(t *testing.T) {
+	in := fault.NewInjector()
+	in.SetFault(0, fault.ShardFault{Stall: true})
+	sharded := shardedPaperCiter(t, gtopdb.PaperInstance(), 2)
+	sharded.engine.SetShardWrapper(in.Wrap)
+	if err := sharded.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCached(sharded)
+	req := Request{Datalog: gpcrJoinDatalog}
+	want, err := shardedPaperCiter(t, gtopdb.PaperInstance(), 2).Cite(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error)
+	go func() {
+		_, err := c.Cite(leaderCtx, req)
+		leaderErr <- err
+	}()
+	for c.CacheStats().Misses == 0 { // the leader's flight is up
+		runtime.Gosched()
+	}
+	type answer struct {
+		ct  *Citation
+		err error
+	}
+	waiter := make(chan answer)
+	go func() {
+		ct, err := c.Cite(context.Background(), req)
+		waiter <- answer{ct, err}
+	}()
+	for c.CacheStats().Waits == 0 { // the waiter joined it
+		runtime.Gosched()
+	}
+	in.Clear()
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, ErrCanceled) {
+		t.Fatalf("leader: err = %v, want ErrCanceled", err)
+	}
+	got := <-waiter
+	if got.err != nil {
+		t.Fatalf("waiter with a live context: err = %v, want its citation", got.err)
+	}
+	if got.ct.CitationJSON() != want.CitationJSON() || got.ct.NumTuples() != want.NumTuples() {
+		t.Fatalf("waiter's citation diverged from a fault-free Cite")
+	}
+	if st := c.CacheStats(); st.Misses != 2 {
+		t.Fatalf("%d misses, want the leader's flight and the waiter's own", st.Misses)
 	}
 }
 

@@ -28,7 +28,9 @@
 // returning an error tagged ErrCanceled instead of burning cores on an
 // answer nobody is waiting for. The Request carries per-request knobs, none
 // of which changes a citation: the render Format, Explain and a MaxTuples
-// result cap (exceeding it fails with ErrLimit).
+// result cap (exceeding it fails with ErrLimit). The Explain report is the
+// request's trace as recorded, the type citesrv's slow-query log serves:
+// look a stage up by name with Find.
 //
 //   - Cite(ctx, req) evaluates one request.
 //   - CiteBatchItems(ctx, reqs) evaluates many at once: requests whose
@@ -116,10 +118,11 @@
 // What is a function of less than the whole request is made once, at three
 // levels:
 //
-//   - Request text → resolved request. Every Citer remembers, per query
-//     text, the parsed query, its logical plan and its canonical key — a
-//     bounded LRU that holds no data, so nothing invalidates it; Reset and
-//     Invalidate leave it alone.
+//   - Request text → prepared query. Every Citer remembers, per query
+//     text, the core.Prepared it resolves to — the shape's logical plan and
+//     the query's own constants, from which its canonical key is spelled —
+//     in a bounded LRU that holds no data, so nothing invalidates it; Reset
+//     and Invalidate leave it alone.
 //   - Canonical query → citation. A CachedCiter keeps whole citations,
 //     shared by equivalent queries; Invalidate drops them all.
 //   - Citation → response bytes. A cached citation keeps, from its first
@@ -140,6 +143,7 @@ import (
 	"citare/internal/core"
 	"citare/internal/datalog"
 	"citare/internal/format"
+	"citare/internal/obs"
 	"citare/internal/shard"
 	"citare/internal/storage"
 )
@@ -159,6 +163,15 @@ type (
 	// scans (WithResilience): per-shard deadlines on the wait for a shard's
 	// first tuple, bounded retries with backoff and circuit breakers.
 	ResilienceConfig = core.ResilienceConfig
+	// Explain is the report of one request's trip through the citation
+	// pipeline, returned by Citation.Explain when Request.Explain is set: the
+	// trace's span forest in start order — a "parse" root beside a "cite"
+	// root whose children are the stages rewrite through render. Look a
+	// stage up by name with Find; StageTotalsNs sums durations by name. The
+	// JSON shape is shared with citesrv's slow-query log entries.
+	Explain = obs.Report
+	// ExplainStage is one span of an Explain report.
+	ExplainStage = obs.ReportSpan
 )
 
 // Interpretation constants.
@@ -180,7 +193,7 @@ type Citer struct {
 	// configuration into the pinned Citer.
 	opts []Option
 	// resolves memoizes resolve by request text.
-	resolves *cache.Sharded[*resolved]
+	resolves *cache.Sharded[*core.Prepared]
 }
 
 // Option customizes a Citer.
@@ -245,7 +258,7 @@ func newCiter(src core.SnapshotSource, back backend.Backend, views []*CitationVi
 	}
 	return &Citer{
 		engine: engine, schema: src.Schema(), back: back, opts: opts,
-		resolves: cache.NewSharded[*resolved](16, resolveMemoSize),
+		resolves: cache.NewSharded[*core.Prepared](16, resolveMemoSize),
 	}, nil
 }
 

@@ -136,18 +136,23 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestSlowLogEndToEnd: with a sub-nanosecond threshold every request is
 // captured; /v1/slow serves the entry with its ID, query, tuple count and
-// pipeline trace.
+// pipeline trace. The trace of a /v1/cite served through the citation cache
+// has its parse span, on a miss and on a hit alike, so its stage sums cover
+// the parse time.
 func TestSlowLogEndToEnd(t *testing.T) {
 	s := obsServer(t)
 	s.quiet = true
 	mux := s.mux()
 	body := `{"sql": "SELECT f.FName FROM Family f, FamilyIntro i WHERE f.FID = i.FID AND f.Type = 'gpcr'"}`
-	w := httptest.NewRecorder()
-	mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body)))
-	if w.Code != http.StatusOK {
-		t.Fatalf("cite: %d %s", w.Code, w.Body.String())
+	cite := func() string {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("cite: %d %s", w.Code, w.Body.String())
+		}
+		return w.Header().Get("X-Request-ID")
 	}
-	id := w.Header().Get("X-Request-ID")
+	miss, hit := cite(), cite()
 
 	sw := httptest.NewRecorder()
 	mux.ServeHTTP(sw, httptest.NewRequest(http.MethodGet, "/v1/slow", nil))
@@ -158,24 +163,29 @@ func TestSlowLogEndToEnd(t *testing.T) {
 	if len(resp.Entries) == 0 {
 		t.Fatalf("no slow entries: %s", sw.Body.String())
 	}
-	var entry *slowEntry
-	for i := range resp.Entries {
-		if resp.Entries[i].RequestID == id {
-			entry = &resp.Entries[i]
-			break
+	for _, id := range []string{miss, hit} {
+		var entry *slowEntry
+		for i := range resp.Entries {
+			if resp.Entries[i].RequestID == id {
+				entry = &resp.Entries[i]
+				break
+			}
 		}
-	}
-	if entry == nil {
-		t.Fatalf("cite request %s not captured: %s", id, sw.Body.String())
-	}
-	if entry.Route != "/v1/cite" || entry.Status != http.StatusOK || entry.Tuples != 3 {
-		t.Fatalf("entry %+v", entry)
-	}
-	if !strings.Contains(entry.Query, "SELECT") {
-		t.Fatalf("entry query %q", entry.Query)
-	}
-	if entry.Trace == nil || entry.Trace.Find("eval") == nil {
-		t.Fatalf("entry trace missing eval stage: %+v", entry.Trace)
+		if entry == nil {
+			t.Fatalf("cite request %s not captured: %s", id, sw.Body.String())
+		}
+		if entry.Route != "/v1/cite" || entry.Status != http.StatusOK || entry.Tuples != 3 {
+			t.Fatalf("entry %+v", entry)
+		}
+		if !strings.Contains(entry.Query, "SELECT") {
+			t.Fatalf("entry query %q", entry.Query)
+		}
+		if entry.Trace.Find("parse") == nil {
+			t.Fatalf("request %s: entry trace has no parse span: %+v", id, entry.Trace)
+		}
+		if id == miss && entry.Trace.Find("eval") == nil {
+			t.Fatalf("the miss's entry trace missing eval stage: %+v", entry.Trace)
+		}
 	}
 }
 
@@ -241,7 +251,7 @@ func TestExplainOverHTTP(t *testing.T) {
 	if explained.Explain == nil || len(explained.Explain.Stages) == 0 {
 		t.Fatal("explained response carries no stages")
 	}
-	if explained.Explain.Stage("eval") == nil {
+	if explained.Explain.Find("eval") == nil {
 		t.Fatalf("explain has no eval stage: %+v", explained.Explain.Stages)
 	}
 	// Identical citation payload either way.

@@ -136,7 +136,7 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 
 	// Explain: the report's durations differ from run to run.
 	w := postJSON(t, s.handleCite, "/v1/cite", "{"+queries[0]+`, "explain": true}`)
-	if resp := roundTrips[citeResponse](t, w.Body.String()); resp.Explain == nil || resp.Explain.Stage("parse") == nil {
+	if resp := roundTrips[citeResponse](t, w.Body.String()); resp.Explain == nil || resp.Explain.Find("parse") == nil {
 		t.Fatalf("explained answer carries no parse stage: %s", w.Body.String())
 	}
 

@@ -54,7 +54,7 @@ func TestExplainTokenDeltas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := ct.Explain().Stage("render")
+		st := ct.Explain().Find("render")
 		if st == nil {
 			t.Fatal("no render stage in the report")
 		}
@@ -163,7 +163,7 @@ func TestExplainReportShape(t *testing.T) {
 				t.Fatal(err)
 			}
 			ex := ct.Explain()
-			root := ex.Stage(obs.StageCite)
+			root := ex.Find(obs.StageCite)
 			if root == nil {
 				t.Fatalf("no cite root: %+v", ex.Stages)
 			}
@@ -174,17 +174,17 @@ func TestExplainReportShape(t *testing.T) {
 				obs.StageParse, obs.StageRewrite, obs.StageCompile,
 				obs.StageEval, obs.StageGather, obs.StageRender,
 			} {
-				if ex.Stage(stage) == nil {
+				if ex.Find(stage) == nil {
 					t.Fatalf("stage %q missing from report", stage)
 				}
 			}
 			// Views are unfolded, not materialized: no stage of that name,
 			// and each rewriting's evaluation is accounted under gather.
-			if ex.Stage(obs.StageViews) != nil || ex.Stage("view") != nil {
+			if ex.Find(obs.StageViews) != nil || ex.Find("view") != nil {
 				t.Fatalf("report still carries a views stage: %+v", ex.Stages)
 			}
 			rewritings := 0
-			for _, child := range ex.Stage(obs.StageGather).Children {
+			for _, child := range ex.Find(obs.StageGather).Children {
 				if child.Name != "rewriting" {
 					continue
 				}
@@ -201,7 +201,7 @@ func TestExplainReportShape(t *testing.T) {
 			if rewritings != len(ct.Rewritings()) {
 				t.Fatalf("%d rewriting spans for %d rewritings", rewritings, len(ct.Rewritings()))
 			}
-			eval := ex.Stage(obs.StageEval)
+			eval := ex.Find(obs.StageEval)
 			if got := eval.Attrs["strategy"]; got != wantStrategy {
 				t.Fatalf("eval strategy %v, want %q", got, wantStrategy)
 			}

@@ -208,7 +208,7 @@ func citeQuery(c *Citer, q *cq.Query) (*core.Result, error) {
 		return nil, err
 	}
 	e := c.Engine()
-	return e.CitePrepared(context.Background(), e.Prepare(q), core.CiteOptions{})
+	return e.CitePrepared(context.Background(), e.Prepare(q), 0)
 }
 
 // TestEngineRewritingsAlwaysCertified re-verifies, through the public

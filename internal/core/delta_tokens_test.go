@@ -321,11 +321,11 @@ func checkDeltaTokens(t *testing.T, stage string, b *backend.LSM, w deltaWorld, 
 	}
 	seen := map[provenance.Token]bool{}
 	for i, q := range queries {
-		warm, err := head.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
+		warm, err := head.CiteQuery(context.Background(), q, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cold.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
+		want, err := cold.CiteQuery(context.Background(), q, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,7 +546,7 @@ func TestCiteRacingResetServesOneSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
+				res, err := e.CiteQuery(context.Background(), q, 0, nil)
 				if err != nil {
 					t.Error(err)
 					return

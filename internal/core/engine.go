@@ -168,8 +168,8 @@ func NewEngine(src SnapshotSource, views []*CitationView, policy Policy) (*Engin
 	e.changes, _ = src.(ChangeSource)
 	defs := make([]*cq.Query, len(views))
 	for i, v := range views {
-		if v == nil {
-			return nil, fmt.Errorf("core: nil citation view")
+		if v == nil || v.shape == nil {
+			return nil, fmt.Errorf("core: citation view not made by NewCitationView")
 		}
 		if _, dup := e.byName[v.Name()]; dup {
 			return nil, fmt.Errorf("core: duplicate citation view %s", v.Name())
@@ -212,15 +212,6 @@ func (e *Engine) SetMetrics(m *obs.PipelineMetrics) { e.metrics = m }
 // that ran an eval.Compile.
 func (e *Engine) PhysicalPlanStats() (hits, misses uint64) {
 	return e.physHits.Load(), e.physMisses.Load()
-}
-
-// CiteOptions are the per-request knobs of one citation call. The zero
-// value means "use the engine's configuration" for every field.
-type CiteOptions struct {
-	// MaxTuples bounds the number of output tuples the query may produce;
-	// past the bound the evaluation aborts with eval.ErrTupleLimit instead
-	// of burning through the rest of the enumeration. 0 means unbounded.
-	MaxTuples int
 }
 
 // curState returns the engine's current epoch state.
@@ -277,7 +268,7 @@ func (e *Engine) buildState(epoch uint64) (*engineState, error) {
 		}
 		view = part
 	}
-	st.snap, st.part = evalTarget{view: view}.cached(e), part
+	st.snap, st.part = newEvalTarget(view, e), part
 	return st, nil
 }
 
@@ -327,16 +318,18 @@ type Result struct {
 	Citation format.Value
 }
 
-// CitePrepared computes the citation of a query resolved by Prepare (under
-// the same options): rewritings are enumerated (§2.2), per-binding monomials
-// are combined with · (Definition 3.1), per rewriting with + (Definition
-// 3.2), across rewritings with +R (Definition 3.3, order-pruned per §3.4),
-// and across tuples with Agg (Definition 3.4). Cancellation is honored at
-// every stage — output evaluation, rewriting evaluation and per-tuple
-// citation assembly — so a canceled request returns the context's error
-// promptly instead of finishing the citation nobody is waiting for.
-func (e *Engine) CitePrepared(ctx context.Context, p *Prepared, o CiteOptions) (*Result, error) {
-	return e.cite(ctx, p, o, nil)
+// CitePrepared computes the citation of a query resolved by Prepare:
+// rewritings are enumerated (§2.2), per-binding monomials are combined with ·
+// (Definition 3.1), per rewriting with + (Definition 3.2), across rewritings
+// with +R (Definition 3.3, order-pruned per §3.4), and across tuples with Agg
+// (Definition 3.4). Cancellation is honored at every stage — output
+// evaluation, rewriting evaluation and per-tuple citation assembly — so a
+// canceled request returns the context's error promptly instead of
+// finishing the citation nobody is waiting for. maxTuples bounds the number of output tuples the query may produce; past
+// the bound the evaluation aborts with eval.ErrTupleLimit instead of burning
+// through the rest of the enumeration. 0 means unbounded.
+func (e *Engine) CitePrepared(ctx context.Context, p *Prepared, maxTuples int) (*Result, error) {
+	return e.cite(ctx, p, maxTuples, nil)
 }
 
 // CiteEachPrepared is CitePrepared streaming: each output tuple's citation
@@ -355,11 +348,11 @@ func (e *Engine) CitePrepared(ctx context.Context, p *Prepared, o CiteOptions) (
 // rendered, and the rendered records are never all in memory at once. The
 // answer's tuples and polynomials are, so memory stays O(answer) until
 // [evaluate-once].
-func (e *Engine) CiteEachPrepared(ctx context.Context, p *Prepared, o CiteOptions, fn func(*TupleCitation) error) (*Result, error) {
+func (e *Engine) CiteEachPrepared(ctx context.Context, p *Prepared, maxTuples int, fn func(*TupleCitation) error) (*Result, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("core: CiteEachPrepared requires a callback")
 	}
-	return e.cite(ctx, p, o, fn)
+	return e.cite(ctx, p, maxTuples, fn)
 }
 
 // planStage is the pipeline's rewrite stage, under the stage's span: take
@@ -390,7 +383,7 @@ func (e *Engine) planStage(ob *obsCtx, p *Prepared) ([]*unfolded, error) {
 // With a sink (CiteEachPrepared) each tuple's citation is encoded
 // and handed over as soon as it is rendered, then released; without one the
 // tuples stay on the Result and Agg is applied across them.
-func (e *Engine) cite(ctx context.Context, p *Prepared, o CiteOptions, each func(*TupleCitation) error) (res *Result, err error) {
+func (e *Engine) cite(ctx context.Context, p *Prepared, maxTuples int, each func(*TupleCitation) error) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -426,7 +419,7 @@ func (e *Engine) cite(ctx context.Context, p *Prepared, o CiteOptions, each func
 	// citation of a result is per-tuple, so a result too large to return is
 	// aborted before any rewriting is evaluated on its own.
 	st := e.curState()
-	outOpts := eval.Options{Parallel: eval.Auto, MaxTuples: o.MaxTuples}
+	outOpts := eval.Options{Parallel: eval.Auto, MaxTuples: maxTuples}
 	ev := ob.begin(obs.StageEval)
 	g, out, err := e.evalOutput(ob.ctxFor(ctx, ev), st, p, us, outOpts)
 	ob.end(ev)
@@ -533,11 +526,10 @@ func preferRewritings(rs []*rewrite.Rewriting) []*rewrite.Rewriting {
 	return out
 }
 
-// citeUnsat handles unsatisfiable queries: empty result, neutral citation.
+// citeUnsat handles unsatisfiable queries: empty result under the head's
+// columns, which normalization keeps, and the neutral citation.
 func (e *Engine) citeUnsat(q *cq.Query) (*Result, error) {
-	res := &Result{Query: q}
-	res.Citation = e.aggregate(nil)
-	return res, nil
+	return &Result{Query: q, Columns: HeadColumns(q), Citation: e.aggregate(nil)}, nil
 }
 
 // combineTuple applies +R across the tuple's rewriting polynomials: order

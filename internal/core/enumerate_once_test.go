@@ -26,7 +26,7 @@ func enumerations(t *testing.T, e *core.Engine, src string, stream bool) (n, rew
 	if stream {
 		sink = func(*core.TupleCitation) error { return nil }
 	}
-	res, err := e.CiteQuery(ctx, mustQuery(t, src), core.CiteOptions{}, sink)
+	res, err := e.CiteQuery(ctx, mustQuery(t, src), 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 // citeJSON cites a datalog query and renders the aggregated citation.
 func citeJSON(t *testing.T, e *core.Engine, src string) (rows int, citation string) {
 	t.Helper()
-	res, err := e.CiteQuery(context.Background(), mustQuery(t, src), core.CiteOptions{}, nil)
+	res, err := e.CiteQuery(context.Background(), mustQuery(t, src), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func citeAsync(t *testing.T, e *core.Engine, src string) <-chan string {
 	q := mustQuery(t, src)
 	out := make(chan string, 1)
 	go func() {
-		res, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
+		res, err := e.CiteQuery(context.Background(), q, 0, nil)
 		if err != nil {
 			out <- "error: " + err.Error()
 			return

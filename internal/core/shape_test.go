@@ -245,8 +245,8 @@ func TestPropBoundPlanEqualsDirectCompile(t *testing.T) {
 					if q.Validate() != nil {
 						continue
 					}
-					got := fingerprint(warm.CiteQuery(ctx, q, core.CiteOptions{}, nil))
-					want := fingerprint(w.engine(t, pol).CiteQuery(ctx, q, core.CiteOptions{}, nil))
+					got := fingerprint(warm.CiteQuery(ctx, q, 0, nil))
+					want := fingerprint(w.engine(t, pol).CiteQuery(ctx, q, 0, nil))
 					if got != want {
 						t.Fatalf("seed %d policy %s: bound plan diverged from direct compile for\n%s\n--- bound\n%s--- direct\n%s", seed, name, src, got, want)
 					}
@@ -284,8 +284,8 @@ func TestOrderComparisonConstantsStayLiteral(t *testing.T) {
 	var atoms []int
 	for _, c := range []struct{ key, bound string }{{"5", "7"}, {"9", "7"}, {"5", "3"}} {
 		q := mustQuery(t, fmt.Sprintf(`Q(W) :- R(X, Z), S(X), R(%q, W), S(%q), X < %q`, c.key, c.key, c.bound))
-		res, err := warm.CiteQuery(ctx, q, core.CiteOptions{}, nil)
-		got, want := fingerprint(res, err), fingerprint(w.engine(t, core.DefaultPolicy()).CiteQuery(ctx, q, core.CiteOptions{}, nil))
+		res, err := warm.CiteQuery(ctx, q, 0, nil)
+		got, want := fingerprint(res, err), fingerprint(w.engine(t, core.DefaultPolicy()).CiteQuery(ctx, q, 0, nil))
 		if got != want {
 			t.Fatalf("%v: bound\n%s\ndirect\n%s", c, got, want)
 		}
@@ -324,8 +324,8 @@ cite V1 CV1(A, B) :- R(A, B).
 	var orders []string
 	for _, c := range [][2]string{{"a", "b"}, {"b", "a"}} {
 		q := mustQuery(t, fmt.Sprintf(`Q(X, Y) :- R(%q, X), R(%q, Y)`, c[0], c[1]))
-		res, err := warm.CiteQuery(ctx, q, core.CiteOptions{}, nil)
-		got, want := fingerprint(res, err), fingerprint(w.engine(t, plainPolicy()).CiteQuery(ctx, q, core.CiteOptions{}, nil))
+		res, err := warm.CiteQuery(ctx, q, 0, nil)
+		got, want := fingerprint(res, err), fingerprint(w.engine(t, plainPolicy()).CiteQuery(ctx, q, 0, nil))
 		if got != want {
 			t.Fatalf("%v: bound\n%s\ndirect\n%s", c, got, want)
 		}
@@ -404,8 +404,8 @@ func FuzzShape(f *testing.F) {
 			twin.Comps[i] = cq.Comparison{L: rename(c.L), Op: c.Op, R: rename(c.R)}
 		}
 		for _, first := range []*cq.Query{twin, q} {
-			got := fingerprint(warm.CiteQuery(ctx, first, core.CiteOptions{}, nil))
-			want := fingerprint(engine(t).CiteQuery(ctx, first, core.CiteOptions{}, nil))
+			got := fingerprint(warm.CiteQuery(ctx, first, 0, nil))
+			want := fingerprint(engine(t).CiteQuery(ctx, first, 0, nil))
 			if got != want {
 				t.Fatalf("bound plan diverged from direct compile for %s\n--- bound\n%s--- direct\n%s", first, got, want)
 			}
@@ -421,7 +421,7 @@ func TestShapeFirstCompileRace(t *testing.T) {
 	want := make([]string, len(fids))
 	for i, fid := range fids {
 		q := mustQuery(t, fmt.Sprintf(`Q(N, Pn) :- Family(F, N, Ty), F = %q, FC(F, P), Person(P, Pn, A)`, fid))
-		want[i] = fingerprint(paperEngine(t, core.DefaultPolicy()).CiteQuery(ctx, q, core.CiteOptions{}, nil))
+		want[i] = fingerprint(paperEngine(t, core.DefaultPolicy()).CiteQuery(ctx, q, 0, nil))
 	}
 	for round := 0; round < 20; round++ {
 		e := paperEngine(t, core.DefaultPolicy())
@@ -438,7 +438,7 @@ func TestShapeFirstCompileRace(t *testing.T) {
 					return
 				}
 				<-start
-				got[i] = fingerprint(e.CiteQuery(ctx, q, core.CiteOptions{}, nil))
+				got[i] = fingerprint(e.CiteQuery(ctx, q, 0, nil))
 			}(i, fid)
 		}
 		close(start)
@@ -462,7 +462,7 @@ func TestPlanCachesEvict(t *testing.T) {
 	ctx := context.Background()
 	cite := func(src string) {
 		t.Helper()
-		if _, err := e.CiteQuery(ctx, mustQuery(t, src), core.CiteOptions{}, nil); err != nil {
+		if _, err := e.CiteQuery(ctx, mustQuery(t, src), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -61,7 +61,7 @@ func TestCiteCancelDuringRender(t *testing.T) {
 	// Control: uncanceled, every distinct token renders.
 	ctrl, ctrlRenders := renderHarness(t, rows, nil)
 	q := mustQuery(t, `Q(B) :- R(A, B)`)
-	if _, err := ctrl.CiteQuery(context.Background(), q, core.CiteOptions{}, nil); err != nil {
+	if _, err := ctrl.CiteQuery(context.Background(), q, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := ctrlRenders.Load(); n != rows {
@@ -75,9 +75,9 @@ func TestCiteCancelDuringRender(t *testing.T) {
 			e, renders := renderHarness(t, rows, cancel) // first render cancels
 			var err error
 			if mode == "materialized" {
-				_, err = e.CiteQuery(ctx, q, core.CiteOptions{}, nil)
+				_, err = e.CiteQuery(ctx, q, 0, nil)
 			} else {
-				_, err = e.CiteQuery(ctx, q, core.CiteOptions{}, func(*core.TupleCitation) error { return nil })
+				_, err = e.CiteQuery(ctx, q, 0, func(*core.TupleCitation) error { return nil })
 			}
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
@@ -101,7 +101,7 @@ func TestCiteEachRendersLazily(t *testing.T) {
 	// λ-token and renders exactly once.
 	q := mustQuery(t, `Q(A, B) :- R(A, B)`)
 	delivered := 0
-	_, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, func(tc *core.TupleCitation) error {
+	_, err := e.CiteQuery(context.Background(), q, 0, func(tc *core.TupleCitation) error {
 		delivered++
 		if delivered == 1 {
 			if n := renders.Load(); n != 1 {
@@ -141,12 +141,12 @@ func TestCiteEachMatchesCiteCtxEngine(t *testing.T) {
 		for qi, src := range queries {
 			t.Run(fmt.Sprintf("%s/q%d", polName, qi), func(t *testing.T) {
 				q := mustQuery(t, src)
-				want, err := e.CiteQuery(context.Background(), q, core.CiteOptions{}, nil)
+				want, err := e.CiteQuery(context.Background(), q, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				i := 0
-				_, err = e.CiteQuery(context.Background(), q, core.CiteOptions{}, func(tc *core.TupleCitation) error {
+				_, err = e.CiteQuery(context.Background(), q, 0, func(tc *core.TupleCitation) error {
 					if i >= len(want.Tuples) {
 						return fmt.Errorf("streamed extra tuple %v", tc.Tuple)
 					}
@@ -190,18 +190,18 @@ func TestRenderStageOnEveryExit(t *testing.T) {
 		run        func(ctx context.Context, cancel func(), e *core.Engine) error
 	}{
 		{"cite/cancel", "cite", context.Canceled, func(ctx context.Context, _ func(), e *core.Engine) error {
-			_, err := e.CiteQuery(ctx, q, core.CiteOptions{}, nil) // the first token render cancels
+			_, err := e.CiteQuery(ctx, q, 0, nil) // the first token render cancels
 			return err
 		}},
 		{"stream/cancel-after-first-delivery", "stream", context.Canceled, func(ctx context.Context, cancel func(), e *core.Engine) error {
-			_, err := e.CiteQuery(ctx, q, core.CiteOptions{}, func(*core.TupleCitation) error {
+			_, err := e.CiteQuery(ctx, q, 0, func(*core.TupleCitation) error {
 				cancel()
 				return nil
 			})
 			return err
 		}},
 		{"stream/callback-error", "stream", boom, func(ctx context.Context, _ func(), e *core.Engine) error {
-			_, err := e.CiteQuery(ctx, q, core.CiteOptions{}, func(*core.TupleCitation) error { return boom })
+			_, err := e.CiteQuery(ctx, q, 0, func(*core.TupleCitation) error { return boom })
 			return err
 		}},
 	} {

@@ -40,21 +40,18 @@ type shapePlan struct {
 // deterministic and identical either way.
 type evalTarget struct {
 	view  eval.DBView
-	plans *planCache // nil: compile per call (one-shot targets)
+	plans *planCache
 	// eng links back to the owning engine for the engine-lifetime
-	// physical-plan counters and pipeline metrics; nil for one-shot
-	// targets, which report nothing.
+	// physical-plan counters and pipeline metrics.
 	eng *Engine
 }
 
-// cached returns the target with a fresh plan cache attached — used for the
-// engine's epoch-scoped targets, where repeated citations of the same query
-// skip compilation entirely. The engine backref feeds its physical
-// plan-cache counters and (when attached) per-stage compile metrics.
-func (t evalTarget) cached(e *Engine) evalTarget {
-	t.plans = cache.NewSharded[shapePlan](4, planCacheSize)
-	t.eng = e
-	return t
+// newEvalTarget returns an epoch's target over view with a fresh plan cache,
+// so that repeated citations of the same shape skip compilation entirely.
+// The engine backref feeds its physical plan-cache counters and (when
+// attached) per-stage compile metrics.
+func newEvalTarget(view eval.DBView, e *Engine) evalTarget {
+	return evalTarget{view: view, plans: cache.NewSharded[shapePlan](4, planCacheSize), eng: e}
 }
 
 // physShape is a query's physical-plan identity: its cq.Query.Shape key
@@ -72,25 +69,15 @@ func shapeOf(q *cq.Query) physShape {
 }
 
 // boundPlan returns the plan of the query rb makes of q, where sh is q's
-// physical shape: the plan compiled for the shape, memoized when the target
-// carries a cache, bound to the request's constants. The request's query is
-// never built: its constants are q's renamed by rb. When a trace rides ctx
-// (or pipeline metrics are attached) the lookup-or-compile is bracketed in a
+// physical shape: the plan compiled for the shape, memoized in the target's
+// cache, bound to the request's constants. The request's query is never
+// built: its constants are q's renamed by rb. When a trace rides ctx (or
+// pipeline metrics are attached) the lookup-or-compile is bracketed in a
 // "compile" span annotated with the cache outcome and the compiled join
 // order; with both disabled it costs two atomic adds over the untraced path.
 func (t evalTarget) boundPlan(ctx context.Context, q *cq.Query, sh physShape, rb cq.Rebind) (*eval.Plan, error) {
-	if t.plans == nil {
-		pl, err := eval.Compile(t.view, q)
-		if err != nil {
-			return nil, err
-		}
-		return pl.Bind(rb), nil
-	}
 	tr, cur := obs.FromContext(ctx)
-	var m *obs.PipelineMetrics
-	if t.eng != nil {
-		m = t.eng.metrics
-	}
+	m := t.eng.metrics
 	if tr == nil && m == nil {
 		pl, _, err := t.planLookup(q, sh, rb)
 		return pl, err
@@ -125,12 +112,10 @@ func (t evalTarget) planLookup(q *cq.Query, sh physShape, rb cq.Rebind) (*eval.P
 		pl, err := eval.Compile(t.view, q)
 		return shapePlan{plan: pl, params: sh.params}, err
 	})
-	if t.eng != nil {
-		if hit {
-			t.eng.physHits.Add(1)
-		} else {
-			t.eng.physMisses.Add(1)
-		}
+	if hit {
+		t.eng.physHits.Add(1)
+	} else {
+		t.eng.physMisses.Add(1)
 	}
 	if err != nil {
 		return nil, false, err

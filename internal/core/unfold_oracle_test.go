@@ -238,7 +238,7 @@ func TestUnfoldedMatchesMaterializedOracle(t *testing.T) {
 		for _, tmpl := range oracleQueries {
 			src := strings.ReplaceAll(tmpl, "$C", fmt.Sprintf("%q", oraclePool[r.Intn(len(oraclePool))]))
 			for name, e := range engines {
-				res, err := e.CiteQuery(context.Background(), mustQuery(t, src), core.CiteOptions{}, nil)
+				res, err := e.CiteQuery(context.Background(), mustQuery(t, src), 0, nil)
 				if err != nil {
 					t.Fatalf("seed %d, %s, %s: %v", seed, name, src, err)
 				}

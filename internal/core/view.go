@@ -31,8 +31,9 @@ type CitationView struct {
 	// them to bring the token forward across later commits.
 	Fn func(rows *format.Rows) (*format.Object, error)
 
-	// shape is CiteQ instantiated once for every token whose values it can
-	// be bound to (citeShape); nil for a view not made by NewCitationView.
+	// shape is CiteQ instantiated once for every token of the view
+	// (citeShape); nil for a view not made by NewCitationView, which an
+	// Engine refuses.
 	shape *citeShape
 }
 
@@ -58,22 +59,19 @@ func newCiteShape(citeQ *cq.Query) *citeShape {
 			cs.ph[i] += "\x00"
 		}
 	}
-	inst, err := instantiate(citeQ, cs.ph)
-	if err != nil {
-		return nil
-	}
-	cs.inst, cs.shape = inst, shapeOf(inst)
+	cs.inst, _ = instantiate(citeQ, cs.ph) // one value per parameter: it cannot fail
+	cs.shape = shapeOf(cs.inst)
 	return cs
 }
 
-// bind returns the renaming that makes the shape's instance the token's
-// query, or false when there is no shape or the token has another number of
-// values.
-func (cs *citeShape) bind(vals []string) (cq.Rebind, bool) {
-	if cs == nil || len(vals) != len(cs.ph) {
-		return cq.Rebind{}, false
+// bind returns the renaming that makes the shape's instance the query citeQ
+// — the view's citation query — makes of a token's values; a token with
+// another number of values fails as instantiating citeQ at them would.
+func (cs *citeShape) bind(citeQ *cq.Query, vals []string) (cq.Rebind, error) {
+	if len(vals) != len(cs.ph) {
+		return cq.Rebind{}, fmt.Errorf("core: %s expects %d parameter values, got %d", citeQ.Name, len(cs.ph), len(vals))
 	}
-	return cq.NewRebind(cs.ph, vals), true
+	return cq.NewRebind(cs.ph, vals), nil
 }
 
 // Name returns the view's name.
@@ -170,19 +168,12 @@ func instantiate(q *cq.Query, params []string) (*cq.Query, error) {
 	return q.Apply(s), nil
 }
 
-// RenderToken evaluates the citation for a single token against the
-// database: the citation query is instantiated at the token's parameter
-// values, evaluated, and shaped by the citation function — F_V(C_V(a⃗)) in
-// the paper's notation. RelTokens render as a marker record.
-func (v *CitationView) RenderToken(db *storage.DB, tok Token) (*format.Object, error) {
-	obj, _, err := v.renderTokenCtx(context.Background(), evalTarget{view: eval.DBViewOf(db)}, tok)
-	return obj, err
-}
-
-// renderTokenCtx renders the token's citation with the caller's context
-// flowing into the citation-query evaluation — the engine's path, where
-// cancellation must reach the underlying shard scans. It returns the rows the record was
-// rendered from beside it.
+// renderTokenCtx renders the token's citation — F_V(C_V(a⃗)) in the paper's
+// notation — at the target's snapshot, with the caller's context flowing
+// into the citation-query evaluation, where cancellation must reach the
+// underlying shard scans. The query is the view's citeShape bound to the
+// token's values. It returns the rows the record was rendered from beside
+// it.
 func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Token) (obj *format.Object, rows *format.Rows, err error) {
 	if tok.Kind != ViewToken || tok.Name != v.Name() {
 		return nil, nil, fmt.Errorf("core: token %s does not belong to view %s", tok, v.Name())
@@ -191,18 +182,12 @@ func (v *CitationView) renderTokenCtx(ctx context.Context, t evalTarget, tok Tok
 	// its own token rendering. That cannot poison the shared rendered-token
 	// cache — the cache never stores errors, and waiters of a failed
 	// singleflight retry the computation themselves.
-	var inst *cq.Query
-	var sh physShape
-	rb, bound := v.shape.bind(tok.Params)
-	if bound {
-		inst, sh = v.shape.inst, v.shape.shape
-	} else {
-		if inst, err = v.InstantiatedCiteQ(tok.Params); err != nil {
-			return nil, nil, err
-		}
-		sh = shapeOf(inst)
+	rb, err := v.shape.bind(v.CiteQ, tok.Params)
+	if err != nil {
+		return nil, nil, err
 	}
-	pl, err := t.boundPlan(ctx, inst, sh, rb)
+	inst := v.shape.inst
+	pl, err := t.boundPlan(ctx, inst, v.shape.shape, rb)
 	if err != nil {
 		return nil, nil, err
 	}

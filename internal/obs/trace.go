@@ -168,16 +168,35 @@ func (t *Trace) Len() int {
 	return len(t.spans)
 }
 
-// ReportSpan is one node of a rendered trace tree. The JSON shape is
-// shared with the facade's Explain report and the citesrv slow-query log.
+// ReportSpan is one node of a rendered trace tree: the facade's
+// ExplainStage, and a span of a citesrv slow-query log entry.
 type ReportSpan struct {
-	Name       string         `json:"name"`
-	DurationNs int64          `json:"duration_ns"`
-	Attrs      map[string]any `json:"attrs,omitempty"`
-	Children   []*ReportSpan  `json:"children,omitempty"`
+	// Name is the stage or span name: "cite", "parse", "rewrite",
+	// "compile", "eval", "gather", "render", or a sub-span like
+	// "rewriting" (one per rewriting, under "gather") or "shard".
+	Name string `json:"name"`
+	// DurationNs is the span's wall-clock duration in nanoseconds.
+	DurationNs int64 `json:"duration_ns"`
+	// Attrs holds the span's annotations: string or int64 values such as
+	// "strategy", "workers", "frames", "tuples", "cached", "plan" (the
+	// compiled join order), "shard"; on "render" the token cache's
+	// "token_cache_hits" and "token_cache_misses", and over a persistent
+	// store "token_cache_revalidated" (hits brought forward from an older
+	// snapshot) and "token_delta_rows" (rows the delta rule added); on a
+	// "gather" the rewritings "read_off" the output evaluation's frames
+	// (their expansion is the query renamed) and those "evaluated" through
+	// an enumeration of their own; on a "rewriting" span "atoms" (of its
+	// expansion), "frames" and "deduped" (frames that repeated a binding),
+	// and "strategy" when it was evaluated; on a "shard" span the "shard" it
+	// read, the "error" that failed it, and under the attempt policy its
+	// "attempts".
+	Attrs    map[string]any `json:"attrs,omitempty"`
+	Children []*ReportSpan  `json:"children,omitempty"`
 }
 
-// Report is a rendered trace: the forest of root spans in start order.
+// Report is a rendered trace: the forest of root spans in start order. It is
+// the facade's Explain report and the trace of a citesrv slow-query log
+// entry.
 type Report struct {
 	Stages []*ReportSpan `json:"stages"`
 }
@@ -240,7 +259,7 @@ func (r *Report) StageTotalsNs() map[string]int64 {
 }
 
 // Find returns the first span with the given name in depth-first order,
-// or nil. Test helper and Explain convenience.
+// or nil.
 func (r *Report) Find(name string) *ReportSpan {
 	if r == nil {
 		return nil

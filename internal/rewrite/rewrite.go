@@ -111,19 +111,6 @@ func (va ViewAtom) ParamValues() ([]string, bool) {
 	return vals, true
 }
 
-// ParamTerms returns the terms at the view's λ-parameter positions.
-func (va ViewAtom) ParamTerms() []cq.Term {
-	pos, err := va.View.ParamPositions()
-	if err != nil {
-		return nil
-	}
-	out := make([]cq.Term, len(pos))
-	for i, p := range pos {
-		out[i] = va.Args[p]
-	}
-	return out
-}
-
 // residualConstants counts constants sitting in non-parameter head
 // positions: selections the view does not absorb, i.e. remaining comparison
 // predicates in the paper's sense.

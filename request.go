@@ -49,31 +49,22 @@ type Request struct {
 // many request texts as the citation cache holds citations.
 const resolveMemoSize = citationCacheSize
 
-// resolved is everything about a request that its query text decides: none of
-// it depends on the data, so it outlives Reset, and all of it is read-only once
-// made — one resolved serves any number of concurrent requests of the same
-// text.
-type resolved struct {
-	p *core.Prepared // the parsed, validated query against the engine's logical-plan cache
-	// q is the query as parsed, kept only when it is unsatisfiable: batch
-	// grouping keys such a query by its syntax.
-	q *cq.Query
-}
-
-// resolve turns a request into its resolved form: the request shape and the
-// render format are validated (per request — Format is not part of the text),
-// the query text is parsed, validated and prepared against the engine's
-// logical-plan cache; its canonical key is spelled per lookup from its shape's
-// template (core.Prepared.AppendCanonical). It is the one place a request's
-// text is read: Cite, CiteEach, CiteBatchItems and the CachedCiter all start
-// here. The work is done once per text — source language and text key a bounded
-// LRU that belongs to the Citer (a Prepared points into its own engine's plan
-// cache, so an AsOf Citer resolves for itself) and holds no data and no epoch,
-// so Reset and Invalidate leave it alone. hit reports a text resolved before.
+// resolve turns a request into the query its text decides: the request shape
+// and the render format are validated (per request — Format is not part of
+// the text), the query text is parsed, validated and prepared against the
+// engine's logical-plan cache; its canonical key is spelled per lookup from
+// its shape's template (core.Prepared.AppendCanonical). It is the one place a
+// request's text is read: Cite, CiteEach, CiteBatchItems and the CachedCiter
+// all start here. The work is done once per text — source language and text
+// key a bounded LRU that belongs to the Citer (a Prepared points into its own
+// engine's plan cache, so an AsOf Citer resolves for itself) and holds no
+// data and no epoch, so Reset and Invalidate leave it alone; a Prepared is
+// read-only, so one serves any number of concurrent requests of the same
+// text. hit reports a text resolved before.
 // Failures are tagged ErrParse and never stored: the same bad text fails again
 // (TestResolveMemoStoresNoFailure), and the same good text sees the data of
 // whichever epoch it is cited in (TestResolveMemoHoldsNoData).
-func (c *Citer) resolve(req Request) (r *resolved, hit bool, err error) {
+func (c *Citer) resolve(req Request) (p *core.Prepared, hit bool, err error) {
 	if (req.SQL == "") == (req.Datalog == "") {
 		return nil, false, fmt.Errorf("%w: provide exactly one of SQL or Datalog", ErrParse)
 	}
@@ -86,19 +77,16 @@ func (c *Citer) resolve(req Request) (r *resolved, hit bool, err error) {
 	if req.SQL != "" {
 		memoKey = "s" + req.SQL
 	}
-	if r, ok := c.resolves.Get(memoKey); ok {
-		return r, true, nil
+	if p, ok := c.resolves.Get(memoKey); ok {
+		return p, true, nil
 	}
 	q, err := req.parse(c.schema)
 	if err != nil {
 		return nil, false, err
 	}
-	r = &resolved{p: c.engine.Prepare(q)}
-	if !r.p.Satisfiable() {
-		r.q = q
-	}
-	c.resolves.Put(memoKey, r)
-	return r, false, nil
+	p = c.engine.Prepare(q)
+	c.resolves.Put(memoKey, p)
+	return p, false, nil
 }
 
 // parse translates the request's query text into the internal query form and
@@ -129,23 +117,23 @@ func (r Request) parse(schema *storage.Schema) (*cq.Query, error) {
 // is the citation the cache holds for the request, nil when it holds none;
 // the span of such a replay — its only one — carries no attribute, so that
 // a replay allocates nothing for its trace.
-func (c *Citer) resolveTraced(ctx context.Context, req Request, cc *CachedCiter) (r *resolved, ct *Citation, err error) {
+func (c *Citer) resolveTraced(ctx context.Context, req Request, cc *CachedCiter) (p *core.Prepared, ct *Citation, err error) {
 	tr, cur := obs.FromContext(ctx)
 	psp := tr.Start(cur, obs.StageParse)
-	r, hit, err := c.resolve(req)
+	p, hit, err := c.resolve(req)
 	if err == nil {
-		ct = cc.lookup(r, req)
+		ct = cc.lookup(p, req)
 	}
 	tr.End(psp)
 	if ct != nil {
-		return r, ct, nil
+		return p, ct, nil
 	}
 	cached := int64(0)
 	if hit {
 		cached = 1
 	}
 	tr.SetInt(psp, "cached", cached)
-	return r, nil, err
+	return p, nil, err
 }
 
 // renderFormat is the request's effective render format.
@@ -154,11 +142,6 @@ func (r Request) renderFormat() string {
 		return "json"
 	}
 	return r.Format
-}
-
-// citeOptions translates the request's knobs to the engine's options.
-func (r Request) citeOptions() core.CiteOptions {
-	return core.CiteOptions{MaxTuples: r.MaxTuples}
 }
 
 // Cite evaluates one request: the query is parsed, rewritten over the
@@ -178,20 +161,20 @@ func (c *Citer) Cite(ctx context.Context, req Request) (*Citation, error) {
 			ctx = obs.NewContext(ctx, tr, obs.NoSpan)
 		}
 	}
-	r, _, err := c.resolveTraced(ctx, req, nil)
+	p, _, err := c.resolveTraced(ctx, req, nil)
 	if err != nil {
 		return nil, err
 	}
-	ct, err := c.cite(ctx, r.p, req)
+	ct, err := c.cite(ctx, p, req)
 	if ct != nil && tr != nil {
-		ct.explain = explainFromReport(tr.Report())
+		ct.explain = tr.Report()
 	}
 	return ct, err
 }
 
 // cite evaluates a resolved request: the one place a Citation is made.
 func (c *Citer) cite(ctx context.Context, p *core.Prepared, req Request) (*Citation, error) {
-	res, err := c.engine.CitePrepared(ctx, p, req.citeOptions())
+	res, err := c.engine.CitePrepared(ctx, p, req.MaxTuples)
 	if err != nil {
 		return nil, classify(err)
 	}
@@ -280,7 +263,7 @@ func (c *Citer) stream(ctx context.Context, req Request, fn func(Tuple) error, c
 	if fn == nil {
 		return false, fmt.Errorf("%w: CiteEach requires a callback", ErrParse)
 	}
-	r, ct, err := c.resolveTraced(ctx, req, cc)
+	p, ct, err := c.resolveTraced(ctx, req, cc)
 	if err != nil {
 		return false, err
 	}
@@ -291,7 +274,7 @@ func (c *Citer) stream(ctx context.Context, req Request, fn func(Tuple) error, c
 		return true, ct.EachTuple(fn)
 	}
 	i := 0
-	_, err = c.engine.CiteEachPrepared(ctx, r.p, req.citeOptions(), func(tc *core.TupleCitation) error {
+	_, err = c.engine.CiteEachPrepared(ctx, p, req.MaxTuples, func(tc *core.TupleCitation) error {
 		t := streamedTuple(i, tc)
 		i++
 		return fn(t)

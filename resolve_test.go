@@ -146,7 +146,7 @@ func TestParseSpanSaysCached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parse := ct.Explain().Stage("parse")
+		parse := ct.Explain().Find("parse")
 		if parse == nil || parse.Attrs["cached"] != want {
 			t.Fatalf("request %d: parse span %+v, want cached=%d", i, parse, want)
 		}
