@@ -164,8 +164,9 @@ func (e *Engine) rewritingsFor(p *Prepared) (us []*unfolded, hit bool, err error
 			rws = preferRewritings(rws)
 		}
 		us := make([]*unfolded, len(rws))
+		canon := canonicalNames(p.plan.min)
 		for i, r := range rws {
-			if us[i], p.plan.err = e.unfold(r, p.plan.min); p.plan.err != nil {
+			if us[i], p.plan.err = e.unfold(r, p.plan.min, canon); p.plan.err != nil {
 				return
 			}
 		}
@@ -210,9 +211,9 @@ type argPos struct {
 // compare constants for equality only — with two exceptions, and a constant
 // either can reach keeps its value in the shape key:
 //
-//   - rewrite's matchViewAtom matches a view definition's constant against
-//     the query's by value, so every constant occurring in a view definition
-//     is literal;
+//   - cq.Homomorphisms, which finds rewrite's view candidates, matches a
+//     view definition's constant against the query's by value, so every
+//     constant occurring in a view definition is literal;
 //   - cq.ComparisonsImplied and NormalizeConstants evaluate a comparison
 //     whose sides have both become constants, reading their values. That
 //     happens to a constant written in a comparison, and to one a

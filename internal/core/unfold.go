@@ -52,8 +52,8 @@ type viewAtomInfo struct {
 }
 
 // unfold prepares a certified rewriting of the minimized query min for
-// evaluation.
-func (e *Engine) unfold(r *rewrite.Rewriting, min *cq.Query) (*unfolded, error) {
+// evaluation; canon is min's canonical renaming inverted (canonicalNames).
+func (e *Engine) unfold(r *rewrite.Rewriting, min *cq.Query, canon map[string]string) (*unfolded, error) {
 	exp, err := r.Expand()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -91,20 +91,27 @@ func (e *Engine) unfold(r *rewrite.Rewriting, min *cq.Query) (*unfolded, error) 
 		u.own = append(u.own, cq.Var(v))
 	}
 	u.dedupe = e.needsDedupe(exp, own)
-	u.rename = renaming(exp, min)
+	u.rename = renaming(exp, min, canon)
 	return u, nil
+}
+
+// canonicalNames maps each canonical variable name of q
+// (cq.Query.CanonicalRenaming) back to q's own.
+func canonicalNames(q *cq.Query) map[string]string {
+	canon := make(map[string]string)
+	for v, c := range q.CanonicalRenaming() {
+		canon[c.Name] = v
+	}
+	return canon
 }
 
 // renaming returns the renaming h of exp's variables with h(exp) equal to
 // min atom for atom, comparison for comparison and head for head, or nil
 // when there is none. It is found by the canonical renamings of the two,
-// which spell isomorphic queries alike; a rebind renames only constants, so
-// h holds for every query of the shape.
-func renaming(exp, min *cq.Query) cq.Subst {
-	canon := make(map[string]string)
-	for v, c := range min.CanonicalRenaming() {
-		canon[c.Name] = v
-	}
+// which spell isomorphic queries alike — canon is min's, inverted by
+// canonicalNames; a rebind renames only constants, so h holds for every
+// query of the shape.
+func renaming(exp, min *cq.Query, canon map[string]string) cq.Subst {
 	h := make(cq.Subst)
 	for v, c := range exp.CanonicalRenaming() {
 		h[v] = cq.Var(canon[c.Name])

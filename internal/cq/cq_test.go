@@ -43,6 +43,28 @@ func TestComparisonKeyOrientation(t *testing.T) {
 	if lt.Key() != gt.Key() {
 		t.Fatal("X<Y and Y>X should share a key")
 	}
+	// Rewritings sort by keys that embed these spellings.
+	if a.Key() != "c:1\x00=\x00v:X" || gt.Key() != "v:X\x00<\x00v:Y" {
+		t.Fatalf("keys %q and %q", a.Key(), gt.Key())
+	}
+	// The normal form the implication set is keyed by is Key's: two
+	// comparisons share one exactly when they share a key.
+	terms := []Term{v("X"), v("Y"), c("1"), c("a")}
+	var all []Comparison
+	for _, l := range terms {
+		for op := OpEq; op <= OpGe; op++ {
+			for _, r := range terms {
+				all = append(all, Comparison{L: l, Op: op, R: r})
+			}
+		}
+	}
+	for _, x := range all {
+		for _, y := range all {
+			if (x.norm() == y.norm()) != (x.Key() == y.Key()) {
+				t.Fatalf("%v and %v: norms equal %v, keys equal %v", x, y, x.norm() == y.norm(), x.Key() == y.Key())
+			}
+		}
+	}
 }
 
 func TestCompareValuesNumericVsLex(t *testing.T) {

@@ -12,40 +12,27 @@ import "sort"
 // is sound but not complete; both queries should be passed through
 // NormalizeConstants first, which makes the test exact for the
 // equality-selection fragment used throughout the paper.
+//
+// Homomorphisms is the one search: containment, minimization and the rewrite
+// package's view candidates all run it. It binds source atoms one at a time,
+// in the order given, to target atoms of the same predicate and arity,
+// extending one mapping in place and undoing each binding on backtrack. A
+// comparison is tested at the first depth where every variable it mentions
+// is bound, not once the mapping is complete. That is exact: a binding is
+// never changed below the depth that made it, so the comparison maps to the
+// same terms at every leaf below, and ComparisonsImplied tests each
+// comparison on its own — a comparison that fails there fails every leaf
+// below, and one that holds holds at each of them. A comparison over a
+// variable no atom binds (Validate rules that out) is tested at the leaf.
 
 // FindHomomorphism searches for a homomorphism from `from` into `onto` that
 // maps the head of `from` exactly onto the head of `onto`. It returns the
 // variable mapping and whether one exists.
 func FindHomomorphism(from, onto *Query) (Subst, bool) {
-	if len(from.Head) != len(onto.Head) {
-		return nil, false
-	}
-	h := make(Subst)
 	// Seed with the head mapping.
-	for i, t := range from.Head {
-		target := onto.Head[i]
-		if t.IsConst {
-			if !t.Equal(target) {
-				return nil, false
-			}
-			continue
-		}
-		if prev, ok := h[t.Name]; ok {
-			if !prev.Equal(target) {
-				return nil, false
-			}
-			continue
-		}
-		h[t.Name] = target
-	}
-	return extendHomomorphism(from, onto, h)
-}
-
-func extendHomomorphism(from, onto *Query, h Subst) (Subst, bool) {
-	// Index target atoms by predicate for candidate generation.
-	byPred := make(map[string][]Atom)
-	for _, a := range onto.Atoms {
-		byPred[a.Pred] = append(byPred[a.Pred], a)
+	h := make(Subst)
+	if len(from.Head) != len(onto.Head) || !(&homSearch{h: h}).bind(from.Head, onto.Head) {
+		return nil, false
 	}
 	// Order source atoms: most-constrained first (constants and already
 	// bound variables reduce branching).
@@ -53,30 +40,12 @@ func extendHomomorphism(from, onto *Query, h Subst) (Subst, bool) {
 	sort.SliceStable(atoms, func(i, j int) bool {
 		return atomSelectivity(atoms[i], h) > atomSelectivity(atoms[j], h)
 	})
-	var rec func(i int, h Subst) (Subst, bool)
-	rec = func(i int, h Subst) (Subst, bool) {
-		if i == len(atoms) {
-			if !comparisonsImplied(from, onto, h) {
-				return nil, false
-			}
-			return h, true
-		}
-		a := atoms[i]
-		for _, cand := range byPred[a.Pred] {
-			if len(cand.Args) != len(a.Args) {
-				continue
-			}
-			h2, ok := matchAtom(a, cand, h)
-			if !ok {
-				continue
-			}
-			if res, ok := rec(i+1, h2); ok {
-				return res, true
-			}
-		}
-		return nil, false
-	}
-	return rec(0, h)
+	var found Subst
+	Homomorphisms(atoms, from.Comps, onto, h, func(h Subst, _ []int) bool {
+		found = h.Clone()
+		return false
+	})
+	return found, found != nil
 }
 
 // atomSelectivity scores how constrained an atom is under the current
@@ -93,38 +62,109 @@ func atomSelectivity(a Atom, h Subst) int {
 	return n
 }
 
-// matchAtom extends h so that every argument of src maps to the corresponding
-// argument of dst, or reports failure. h is not mutated.
-func matchAtom(src, dst Atom, h Subst) (Subst, bool) {
-	out := h
-	copied := false
-	for i, t := range src.Args {
-		target := dst.Args[i]
-		if t.IsConst {
-			if !t.Equal(target) {
-				return nil, false
-			}
-			continue
-		}
-		if prev, ok := out[t.Name]; ok {
-			if !prev.Equal(target) {
-				return nil, false
-			}
-			continue
-		}
-		if !copied {
-			out = out.Clone()
-			copied = true
-		}
-		out[t.Name] = target
+// Homomorphisms enumerates the homomorphisms from atoms and comps into
+// onto: each extension h of seed that sends every one of atoms onto an atom
+// of onto and under which comps are implied by onto's comparisons
+// (ComparisonsImplied). It calls yield with h and image, where image[i] is
+// the index in onto.Atoms that atoms[i] lands on; yield returns false to stop
+// the search. Mappings come depth first: atoms[0]'s targets in onto's atom
+// order, then atoms[1]'s, and so on. h is seed itself, extended in place and
+// left as it was found: it and image are valid during the call only.
+func Homomorphisms(atoms []Atom, comps []Comparison, onto *Query, seed Subst, yield func(h Subst, image []int) bool) {
+	s := &homSearch{atoms: atoms, onto: onto.Atoms, h: seed, have: impliedBy(onto.Comps),
+		checks: make([][]Comparison, len(atoms)+1), image: make([]int, len(atoms)), yield: yield}
+	for _, c := range comps {
+		d := max(s.boundAt(c.L), s.boundAt(c.R))
+		s.checks[d] = append(s.checks[d], c)
 	}
-	return out, true
+	s.extend(0)
 }
 
-// comparisonsImplied reports whether every comparison of `from`, mapped
-// through h, is implied by `onto`.
-func comparisonsImplied(from, onto *Query, h Subst) bool {
-	return ComparisonsImplied(from.Comps, onto.Comps, h)
+// homSearch is the state of one Homomorphisms call.
+type homSearch struct {
+	atoms []Atom
+	onto  []Atom
+	h     Subst
+	// bound logs the variables bound since the seed, in binding order, so
+	// that backtracking deletes exactly those.
+	bound []string
+	have  implied
+	// checks[d] are the comparisons whose variables are all bound once
+	// atoms[:d] are.
+	checks [][]Comparison
+	image  []int
+	yield  func(Subst, []int) bool
+}
+
+// boundAt returns the depth from which t is bound: 0 for a constant or a
+// seeded variable, d+1 for a variable that first occurs in atoms[d], and the
+// leaf for one no atom binds.
+func (s *homSearch) boundAt(t Term) int {
+	if _, ok := s.h[t.Name]; t.IsConst || ok {
+		return 0
+	}
+	for d, a := range s.atoms {
+		for _, u := range a.Args {
+			if u.IsVar() && u.Name == t.Name {
+				return d + 1
+			}
+		}
+	}
+	return len(s.atoms)
+}
+
+// extend tests the comparisons bound at depth d and binds atoms[d:]. It
+// returns false once yield has stopped the search.
+func (s *homSearch) extend(d int) bool {
+	for _, c := range s.checks[d] {
+		if !s.have.holds(s.h.ApplyComparison(c)) {
+			return true
+		}
+	}
+	if d == len(s.atoms) {
+		return s.yield(s.h, s.image)
+	}
+	a := s.atoms[d]
+	for j, b := range s.onto {
+		if b.Pred != a.Pred || len(b.Args) != len(a.Args) {
+			continue
+		}
+		mark := len(s.bound)
+		s.image[d] = j
+		more := !s.bind(a.Args, b.Args) || s.extend(d+1)
+		for _, v := range s.bound[mark:] {
+			delete(s.h, v)
+		}
+		s.bound = s.bound[:mark]
+		if !more {
+			return false
+		}
+	}
+	return true
+}
+
+// bind extends h so that each of ts maps to the term of us at its position,
+// logging each new binding. On a clash it reports false and leaves the
+// bindings it made for the caller to undo.
+func (s *homSearch) bind(ts, us []Term) bool {
+	for i, t := range ts {
+		target := us[i]
+		if t.IsConst {
+			if !t.Equal(target) {
+				return false
+			}
+			continue
+		}
+		if prev, ok := s.h[t.Name]; ok {
+			if !prev.Equal(target) {
+				return false
+			}
+			continue
+		}
+		s.h[t.Name] = target
+		s.bound = append(s.bound, t.Name)
+	}
+	return true
 }
 
 // ComparisonsImplied reports whether every comparison in comps, mapped
@@ -133,38 +173,49 @@ func comparisonsImplied(from, onto *Query, h Subst) bool {
 // (never accepts a non-implication) and complete for the equality fragment
 // after NormalizeConstants.
 func ComparisonsImplied(comps []Comparison, by []Comparison, h Subst) bool {
-	have := make(map[string]bool, len(by))
-	for _, c := range by {
-		have[c.Key()] = true
-		// A strict comparison also implies its non-strict version.
-		switch c.Op {
-		case OpLt:
-			have[Comparison{L: c.L, Op: OpLe, R: c.R}.Key()] = true
-			have[Comparison{L: c.L, Op: OpNe, R: c.R}.Key()] = true
-		case OpGt:
-			have[Comparison{L: c.L, Op: OpGe, R: c.R}.Key()] = true
-			have[Comparison{L: c.L, Op: OpNe, R: c.R}.Key()] = true
-		}
-	}
+	have := impliedBy(by)
 	for _, c := range comps {
-		mc := Comparison{L: h.Apply(c.L), Op: c.Op, R: h.Apply(c.R)}
-		if ok, ground := mc.EvalConst(); ground {
-			if !ok {
-				return false
-			}
-			continue
-		}
-		if mc.L.IsVar() && mc.R.IsVar() && mc.L.Name == mc.R.Name {
-			if mc.Op == OpEq || mc.Op == OpLe || mc.Op == OpGe {
-				continue
-			}
-			return false
-		}
-		if !have[mc.Key()] {
+		if !have.holds(h.ApplyComparison(c)) {
 			return false
 		}
 	}
 	return true
+}
+
+// implied is the set of comparisons some comparisons imply syntactically,
+// each in its normal form (Comparison.norm).
+type implied map[Comparison]bool
+
+func impliedBy(by []Comparison) implied {
+	if len(by) == 0 {
+		return nil // the common case, and a nil map answers every lookup
+	}
+	have := make(implied, len(by))
+	for _, c := range by {
+		have[c.norm()] = true
+		// A strict comparison also implies its non-strict version.
+		switch c.Op {
+		case OpLt:
+			have[Comparison{L: c.L, Op: OpLe, R: c.R}.norm()] = true
+			have[Comparison{L: c.L, Op: OpNe, R: c.R}.norm()] = true
+		case OpGt:
+			have[Comparison{L: c.L, Op: OpGe, R: c.R}.norm()] = true
+			have[Comparison{L: c.L, Op: OpNe, R: c.R}.norm()] = true
+		}
+	}
+	return have
+}
+
+// holds reports whether the comparison mc, already mapped, is implied: it
+// is ground and true, reflexive and non-strict, or in the set.
+func (have implied) holds(mc Comparison) bool {
+	if ok, ground := mc.EvalConst(); ground {
+		return ok
+	}
+	if mc.L.IsVar() && mc.R.IsVar() && mc.L.Name == mc.R.Name {
+		return mc.Op == OpEq || mc.Op == OpLe || mc.Op == OpGe
+	}
+	return have[mc.norm()]
 }
 
 // Contains reports whether q1 ⊆ q2 (every answer of q1 over every database

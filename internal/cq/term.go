@@ -186,19 +186,36 @@ func (c Comparison) String() string {
 
 // Key returns a collision-free, orientation-normalized encoding.
 func (c Comparison) Key() string {
-	l, op, r := c.L, c.Op, c.R
-	// Normalize symmetric operators and orientation so that X = "a" and
-	// "a" = X collide.
-	if (op == OpEq || op == OpNe) && r.Key() < l.Key() {
-		l, r = r, l
-	} else if op == OpGt || op == OpGe {
-		l, r, op = r, l, op.Flip()
-	}
-	return l.Key() + "\x00" + op.String() + "\x00" + r.Key()
+	n := c.norm()
+	return n.L.Key() + "\x00" + n.Op.String() + "\x00" + n.R.Key()
 }
 
-// Equal reports whether two comparisons are identical up to orientation.
-func (c Comparison) Equal(d Comparison) bool { return c.Key() == d.Key() }
+// norm returns the comparison in the orientation Key spells: the symmetric
+// operators with the smaller term key on the left, so that X = "a" and
+// "a" = X are one comparison, and > and >= turned into < and <=.
+func (c Comparison) norm() Comparison {
+	switch c.Op {
+	case OpEq, OpNe:
+		if termKeyLess(c.R, c.L) {
+			c.L, c.R = c.R, c.L
+		}
+	case OpGt, OpGe:
+		c.L, c.R, c.Op = c.R, c.L, c.Op.Flip()
+	}
+	return c
+}
+
+// termKeyLess reports whether t.Key() < u.Key() without spelling either:
+// constants ("c:") sort before variables ("v:").
+func termKeyLess(t, u Term) bool {
+	if t.IsConst != u.IsConst {
+		return t.IsConst
+	}
+	if t.IsConst {
+		return t.Value < u.Value
+	}
+	return t.Name < u.Name
+}
 
 // EvalConst evaluates the comparison when both sides are constants. The
 // second return value reports whether evaluation was possible. Values that

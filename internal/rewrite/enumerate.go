@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,10 +18,6 @@ type Options struct {
 	// MaxRewritings bounds the number of returned rewritings (0 = no
 	// bound). Enumeration is deterministic, so the bound is stable.
 	MaxRewritings int
-	// SkipMinimality disables Definition 2.2's conditions (3) and (4),
-	// returning every certified cover. Used by benchmarks to measure the
-	// cost of the minimality checks.
-	SkipMinimality bool
 }
 
 // candidate is a usable view occurrence: a homomorphism from the view's body
@@ -123,16 +120,8 @@ func (vs *Views) Enumerate(min *cq.Query, opts Options) []*Rewriting {
 		if !exposureOK(min, cov) {
 			continue
 		}
-		if !r.equivalentToQuery() {
+		if !r.equivalentToQuery() || removableSubgoal(r) || baseReplaceableByView(r, cands) {
 			continue
-		}
-		if !opts.SkipMinimality {
-			if removableSubgoal(r) {
-				continue
-			}
-			if baseReplaceableByView(r, cands) {
-				continue
-			}
 		}
 		if k := r.Key(); !seen[k] {
 			seen[k] = true
@@ -179,83 +168,30 @@ func (vs *Views) candidates(q *cq.Query) []*candidate {
 	seen := make(map[string]bool)
 	for i := range vs.views {
 		pv := &vs.views[i]
-		fresh := pv.fresh
-		var rec func(i int, hom cq.Subst, covered map[int]bool)
-		rec = func(i int, hom cq.Subst, covered map[int]bool) {
-			if i == len(fresh.Atoms) {
-				if !cq.ComparisonsImplied(fresh.Comps, q.Comps, hom) {
-					return
-				}
-				c := buildCandidate(q, pv, hom, covered)
-				if c != nil && !seen[c.key()] {
-					seen[c.key()] = true
+		cq.Homomorphisms(pv.fresh.Atoms, pv.fresh.Comps, q, make(cq.Subst), func(hom cq.Subst, image []int) bool {
+			if c := buildCandidate(q, pv, hom, image); c != nil {
+				if k := c.key(); !seen[k] {
+					seen[k] = true
 					out = append(out, c)
 				}
-				return
 			}
-			a := fresh.Atoms[i]
-			for j, qa := range q.Atoms {
-				if qa.Pred != a.Pred || len(qa.Args) != len(a.Args) {
-					continue
-				}
-				hom2, ok := matchViewAtom(a, qa, hom)
-				if !ok {
-					continue
-				}
-				was := covered[j]
-				covered[j] = true
-				rec(i+1, hom2, covered)
-				if !was {
-					delete(covered, j)
-				}
-			}
-		}
-		rec(0, make(cq.Subst), make(map[int]bool))
+			return true
+		})
 	}
 	return out
 }
 
-// matchViewAtom extends hom mapping view atom a onto query atom qa. View
-// constants must match query constants exactly; view variables map to query
-// terms consistently.
-func matchViewAtom(a, qa cq.Atom, hom cq.Subst) (cq.Subst, bool) {
-	out := hom
-	copied := false
-	for i, t := range a.Args {
-		target := qa.Args[i]
-		if t.IsConst {
-			if !target.IsConst || target.Value != t.Value {
-				return nil, false
-			}
-			continue
-		}
-		if prev, ok := out[t.Name]; ok {
-			if !prev.Equal(target) {
-				return nil, false
-			}
-			continue
-		}
-		if !copied {
-			out = out.Clone()
-			copied = true
-		}
-		out[t.Name] = target
-	}
-	return out, true
-}
-
-func buildCandidate(q *cq.Query, pv *preparedView, hom cq.Subst, covered map[int]bool) *candidate {
+// buildCandidate is the view occurrence hom makes of pv, whose atoms land on
+// the query atoms image indexes.
+func buildCandidate(q *cq.Query, pv *preparedView, hom cq.Subst, image []int) *candidate {
 	fresh := pv.fresh
 	c := &candidate{
 		view:        pv.view,
 		viewIdx:     pv.idx,
+		covered:     slices.Compact(slices.Sorted(slices.Values(image))),
 		retrievable: make(map[string]bool),
 		touched:     make(map[string]bool),
 	}
-	for j := range covered {
-		c.covered = append(c.covered, j)
-	}
-	sort.Ints(c.covered)
 	for _, j := range c.covered {
 		for _, t := range q.Atoms[j].Args {
 			if t.IsVar() {

@@ -191,14 +191,6 @@ func TestCondition4FiltersAllBase(t *testing.T) {
 	if len(rs) != 1 || viewNames(rs[0]) != "V1" {
 		t.Fatalf("want exactly V1+base, got %v", rewritingStrings(rs))
 	}
-	// With SkipMinimality the all-base cover is returned too.
-	rs2, err := Enumerate(q, views, Options{AllowPartial: true, SkipMinimality: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs2) <= len(rs) {
-		t.Fatalf("SkipMinimality should add covers: %d vs %d", len(rs2), len(rs))
-	}
 }
 
 func TestExposureRejectsLostJoinVariable(t *testing.T) {
