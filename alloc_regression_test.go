@@ -494,18 +494,22 @@ type warmShapeCost struct {
 // (AppendWire), as citesrv answers it.
 //
 // Measured per request, allocations / KB, and in brackets the same test on
-// the code before the constants flowed as a vector (the query cloned,
-// renamed and re-keyed at each layer, the cache key found by an atom-order
-// search per request, every index probe spelling its key on the heap):
+// the code before a request stopped building what it only reads (a bound
+// copy of the minimized query and of every rewriting, a fresh copy of the
+// parsed query to normalize, token rows grown row by row, a channel per
+// cache flight, the scratch of every evaluation):
 //
 //	                  citer                  cached                 cached+wire
-//	point lookup      123 / 9.0 (216 / 15.2)  129 / 9.3 (260 / 17.7)  133 / 9.6 (289 / 19.4)
-//	committee join    136 / 10.9 (220 / 19.2) 142 / 11.3 (323 / 24.5) 147 / 11.6 (368 / 26.7)
-//	SQL point lookup  103 / 6.7 (138 / 10.8)  108 / 7.1 (184 / 13.5)  112 / 7.4 (216 / 15.3)
+//	point lookup      78 / 4.8 (122 / 9.2)   82 / 5.1 (128 / 9.5)   85 / 5.1 (132 / 9.9)
+//	committee join    89 / 6.5 (135 / 11.1)  93 / 6.9 (141 / 11.6)  97 / 7.0 (146 / 11.9)
+//	SQL point lookup  69 / 3.8 (101 / 6.8)   73 / 4.2 (106 / 7.2)   76 / 4.2 (110 / 7.5)
 //
-// Before plans were keyed by shape, a plain Citer spent 1121 and 2199
+// Before the constants flowed as a vector — the query cloned, renamed and
+// re-keyed at each layer, the cache key found by an atom-order search per
+// request — the cached+wire arm cost 289 / 19.4, 368 / 26.7 and 216 / 15.3;
+// before plans were keyed by shape, a plain Citer spent 1121 and 2199
 // allocations on the two datalog shapes. The ceilings carry about 15%
-// headroom, the cached arm's bytes no more than 60% of what it cost before.
+// headroom.
 func TestNewConstantOnWarmShapeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -516,21 +520,21 @@ func TestNewConstantOnWarmShapeAllocs(t *testing.T) {
 		cite     func(t *testing.T, c *CachedCiter, req Request)
 	}{
 		{"citer", map[string]warmShapeCost{
-			"point-lookup": {141, 10600}, "committee-join": {157, 12800}, "sql-point-lookup": {119, 7900},
+			"point-lookup": {89, 5700}, "committee-join": {102, 7500}, "sql-point-lookup": {78, 4550},
 		}, func(t *testing.T, c *CachedCiter, req Request) {
 			if ct, err := c.Citer().Cite(context.Background(), req); err != nil || ct.NumTuples() == 0 {
 				t.Fatalf("%+v: %v", req, err)
 			}
 		}},
 		{"cached", map[string]warmShapeCost{
-			"point-lookup": {149, 10890}, "committee-join": {164, 13300}, "sql-point-lookup": {119, 8290},
+			"point-lookup": {94, 5950}, "committee-join": {107, 7950}, "sql-point-lookup": {83, 4900},
 		}, func(t *testing.T, c *CachedCiter, req Request) {
 			if ct, err := c.Cite(context.Background(), req); err != nil || ct.NumTuples() == 0 {
 				t.Fatalf("%+v: %v", req, err)
 			}
 		}},
 		{"cached+wire", map[string]warmShapeCost{
-			"point-lookup": {153, 11300}, "committee-join": {170, 13700}, "sql-point-lookup": {129, 8700},
+			"point-lookup": {98, 6050}, "committee-join": {112, 8050}, "sql-point-lookup": {86, 4950},
 		}, func(t *testing.T, c *CachedCiter, req Request) {
 			ct, err := c.Cite(context.Background(), req)
 			if err != nil || ct.NumTuples() == 0 {

@@ -401,9 +401,9 @@ func (ct *Citation) Rows() [][]string {
 
 // Rewritings lists the rewritings used, rendered in the paper's notation.
 func (ct *Citation) Rewritings() []string {
-	out := make([]string, len(ct.res.Rewritings))
-	for i, r := range ct.res.Rewritings {
-		out[i] = r.String()
+	out := make([]string, ct.res.NumRewritings())
+	for i := range out {
+		out[i] = string(ct.res.AppendRewriting(nil, i))
 	}
 	return out
 }
@@ -464,5 +464,5 @@ func (ct *Citation) Result() *core.Result { return ct.res }
 
 // String summarizes the citation for debugging.
 func (ct *Citation) String() string {
-	return fmt.Sprintf("Citation{%d tuples, %d rewritings}", len(ct.res.Tuples), len(ct.res.Rewritings))
+	return fmt.Sprintf("Citation{%d tuples, %d rewritings}", len(ct.res.Tuples), ct.res.NumRewritings())
 }

@@ -17,7 +17,8 @@ import (
 // stream that fails later says why in its trailer, a batch whose every
 // request failed the same way answers that 4xx with its slots, and no batch
 // slot carries "internal". The route byte picks the route; its high bit pads the body
-// past /v1/cite's size bound.
+// past /v1/cite's size bound. Every body is also decoded as a cite request,
+// which must agree with json.Unmarshal.
 func FuzzCiteRequest(f *testing.F) {
 	routes := []string{"/v1/cite", "/v1/cite/batch", "/v1/cite/stream"}
 	queries := []citeRequest{
@@ -45,6 +46,13 @@ func FuzzCiteRequest(f *testing.F) {
 	f.Add(uint8(1), []byte(`{"requests":[{}]}`))
 	f.Add(uint8(0x80), []byte(`{"sql": "SELECT FName FROM Family"}`))
 	f.Add(uint8(0x82), []byte(`{"sql": "SELECT FName FROM Family"}`))
+	// Data after the request object: garbage, and a second object, which
+	// answer 400 "parse".
+	for r := range routes {
+		for _, trailing := range []string{` trailing garbage`, `{"sql":"x"}`} {
+			f.Add(uint8(r), []byte(`{"datalog": "Q(N) :- Family(F, N, Ty), F = \"11\""}`+trailing))
+		}
+	}
 
 	s := testServer(f)
 	s.quiet = true
@@ -52,6 +60,12 @@ func FuzzCiteRequest(f *testing.F) {
 	s.initObservability()
 	mux := s.mux()
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
+		// The request decoder is json.Unmarshal's: the same request, or an
+		// error from both.
+		var got, want citeRequest
+		if gotErr, wantErr := decodeCiteRequest(body, &got), json.Unmarshal(body, &want); (gotErr == nil) != (wantErr == nil) || gotErr == nil && got != want {
+			t.Fatalf("%q: decoded %+v, %v; encoding/json %+v, %v", body, got, gotErr, want, wantErr)
+		}
 		path := routes[int(route&0x7f)%len(routes)]
 		if route&0x80 != 0 {
 			body = append(bytes.Repeat([]byte(" "), maxRequestBody), body...)

@@ -18,7 +18,9 @@
 //
 // A citation request is a JSON object with exactly one query field and
 // optional per-request knobs (zero values mean "server default"; unknown
-// fields are ignored):
+// fields are ignored). The body is that one object, white space around it
+// allowed: data after it — garbage, or a second object — answers 400
+// "parse", on every route that reads a request:
 //
 //	{
 //	  "sql":            "SELECT f.FName FROM Family f ...",  // xor "datalog"
@@ -183,6 +185,13 @@
 // regression, pull /v1/slow to see which stage (and which shard) the slow
 // requests spent their time in. -slow-capacity bounds the ring;
 // -slow-threshold 0 disables capture.
+//
+// The ring costs every request something: with -slow-threshold above 0 —
+// the default is 500ms — each /v1/cite request carries an obs.Trace of its
+// pipeline, built before the server can know whether the request will be
+// slow. The benchmark (bench/) starts citesrv with -slow-threshold 0, so no
+// served number it reports includes that cost; its traced runs (--trace)
+// measure it.
 //
 // GET /debug/pprof/ exposes the standard runtime profiles.
 //
@@ -387,13 +396,13 @@ func classifyStatus(err error) (int, string) {
 // writeError emits the typed error envelope, echoing the request ID when
 // the middleware assigned one. index, when >= 0, names the failing request
 // of a batch.
-func writeError(w http.ResponseWriter, r *http.Request, err error, index int) {
+func writeError(w http.ResponseWriter, err error, index int) {
 	status, code := classifyStatus(err)
-	body := errorBody{Code: code, Message: err.Error(), RequestID: requestID(r.Context())}
+	body := errorBody{Code: code, Message: err.Error(), RequestID: requestID(w)}
 	if index >= 0 {
 		body.Index = &index
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	if encErr := json.NewEncoder(w).Encode(errorEnvelope{Error: body}); encErr != nil {
 		log.Printf("citesrv: encode error envelope: %v", encErr)
@@ -417,24 +426,6 @@ const (
 	maxBatchBody   = 8 << 20 // /v1/cite/batch
 )
 
-// decodeBody decodes the request's JSON body, of at most limit bytes, into v.
-// On failure it has answered — 413 "limit" for an oversized body, 400 "parse"
-// for anything else — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
-	if err == nil {
-		return true
-	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		err = fmt.Errorf("%w: request body exceeds %d bytes: %w", citare.ErrLimit, limit, err)
-	} else {
-		err = fmt.Errorf("%w: %v", citare.ErrParse, err)
-	}
-	writeError(w, r, err, -1)
-	return false
-}
-
 // bodyPool recycles response-body buffers: a /v1/cite answer is tens of KB,
 // assembled from a cached citation's stored bytes and written at once.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -450,10 +441,18 @@ func putBody(buf *[]byte, body []byte) {
 	}
 }
 
+// Header values the handlers set, shared by every response: net/http only
+// reads them. Set would allocate each anew.
+var (
+	jsonContentType   = []string{"application/json"}
+	ndjsonContentType = []string{"application/x-ndjson"}
+)
+
 // writeBody sends a finished JSON body in one Write, with its length.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
 		log.Printf("citesrv: write response: %v", err)
@@ -472,7 +471,7 @@ func (s *server) handleCite(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	ri := infoFrom(ctx)
+	ri := infoFrom(w)
 	ri.setQuery(req.queryText())
 	// Trace the pipeline when the client asked for an explain report or the
 	// slow-query log might want the trace; Cite reuses a trace already on
@@ -484,14 +483,14 @@ func (s *server) handleCite(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.citer.Cite(ctx, req.request())
 	if err != nil {
-		writeError(w, r, err, -1)
+		writeError(w, err, -1)
 		return
 	}
 	ri.setTuples(res.NumTuples())
 	buf := bodyPool.Get().(*[]byte)
 	body, err := res.AppendWire((*buf)[:0])
 	if err != nil {
-		writeError(w, r, err, -1)
+		writeError(w, err, -1)
 	} else {
 		body = append(body, '\n')
 		writeBody(w, http.StatusOK, body)
@@ -524,17 +523,17 @@ func (s *server) handleCiteStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	ri := infoFrom(ctx)
+	ri := infoFrom(w)
 	ri.setQuery(req.queryText())
 	// Streams always carry a trace: the trailer reports per-stage timing
 	// totals so streaming clients get the same visibility as Explain.
 	tr := obs.NewTrace()
 	ctx = obs.NewContext(ctx, tr, obs.NoSpan)
 	ri.setTrace(tr)
-	// Header().Set sends nothing by itself: if the stream fails before the
+	// A header set sends nothing by itself: if the stream fails before the
 	// first tuple line, writeError below still replaces the Content-Type and
 	// picks the real status.
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonContentType
 	flusher, _ := w.(http.Flusher)
 	pooled := bodyPool.Get().(*[]byte)
 	buf := (*pooled)[:0] // the lines not yet written: a chunk and a line at most
@@ -564,7 +563,7 @@ func (s *server) handleCiteStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ri.setTuples(sent)
 	if err != nil && sent == 0 {
-		writeError(w, r, err, -1)
+		writeError(w, err, -1)
 		return
 	}
 	trailer := streamTrailer{Tuples: sent, Cached: cached, StageNs: tr.Report().StageTotalsNs()}
@@ -617,7 +616,7 @@ func (s *server) handleCiteBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(breq.Requests) == 0 {
-		writeError(w, r, fmt.Errorf("%w: empty batch", citare.ErrParse), -1)
+		writeError(w, fmt.Errorf("%w: empty batch", citare.ErrParse), -1)
 		return
 	}
 	reqs := make([]citare.Request, len(breq.Requests))
@@ -626,7 +625,7 @@ func (s *server) handleCiteBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	ri := infoFrom(ctx)
+	ri := infoFrom(w)
 	ri.setQuery(fmt.Sprintf("batch of %d", len(reqs)))
 	items := s.citer.CiteBatchItems(ctx, reqs)
 	// The envelope is appended as encoding/json spells batchResponse: every

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"log"
 	"net/http"
 	"strconv"
@@ -13,11 +12,12 @@ import (
 )
 
 // reqInfo is the per-request observability record. The middleware creates
-// one per request and threads it through the context; handlers annotate it
-// (query text, tuples emitted, the pipeline trace) and the middleware reads
-// it back after the handler returns for the access-log line and the
-// slow-query log. Handlers run synchronously under the middleware, so plain
-// fields need no locking.
+// one per request inside the response writer it hands the handler (no copy
+// of the request is made to carry it); handlers annotate it (query text,
+// tuples emitted, the pipeline trace) and the middleware reads it back after
+// the handler returns for the access-log line and the slow-query log.
+// Handlers run synchronously under the middleware, so plain fields need no
+// locking.
 type reqInfo struct {
 	id     string
 	query  string
@@ -25,13 +25,14 @@ type reqInfo struct {
 	trace  *obs.Trace
 }
 
-type reqInfoKey struct{}
-
-// infoFrom returns the request's reqInfo, or nil when the handler runs
-// outside the middleware (direct handler tests). All setters are nil-safe.
-func infoFrom(ctx context.Context) *reqInfo {
-	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
-	return ri
+// infoFrom returns the reqInfo of the request w answers, or nil when the
+// handler runs outside the middleware (direct handler tests). All setters
+// are nil-safe.
+func infoFrom(w http.ResponseWriter) *reqInfo {
+	if sw, ok := w.(*statusWriter); ok {
+		return &sw.info
+	}
+	return nil
 }
 
 func (ri *reqInfo) setQuery(q string) {
@@ -58,9 +59,10 @@ func (ri *reqInfo) setTrace(tr *obs.Trace) {
 	}
 }
 
-// requestID returns the request's ID, or "" outside the middleware.
-func requestID(ctx context.Context) string {
-	if ri := infoFrom(ctx); ri != nil {
+// requestID returns the ID of the request w answers, or "" outside the
+// middleware.
+func requestID(w http.ResponseWriter) string {
+	if ri := infoFrom(w); ri != nil {
 		return ri.id
 	}
 	return ""
@@ -73,15 +75,17 @@ func (s *server) nextRequestID() string {
 	if prefix == "" {
 		prefix = "req"
 	}
-	return prefix + "-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
+	var buf [64]byte
+	return string(strconv.AppendUint(append(append(buf[:0], prefix...), '-'), s.reqSeq.Add(1), 10))
 }
 
 // statusWriter captures the response status for the access log while
 // forwarding writes (and flushes — the streaming endpoint needs them) to
-// the underlying ResponseWriter.
+// the underlying ResponseWriter. It carries the request's reqInfo.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	info   reqInfo
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -172,10 +176,10 @@ func (m *routeMetrics) observe(reg *obs.Registry, status int, dur time.Duration)
 func (s *server) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ri := &reqInfo{id: s.nextRequestID()}
-		w.Header().Set("X-Request-ID", ri.id)
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri)))
+		sw := &statusWriter{ResponseWriter: w, info: reqInfo{id: s.nextRequestID()}}
+		ri := &sw.info
+		w.Header()["X-Request-Id"] = []string{ri.id} // X-Request-ID, canonical
+		next.ServeHTTP(sw, r)
 		status := sw.status
 		if status == 0 {
 			status = http.StatusOK

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"citare"
 	"citare/internal/fault"
@@ -399,6 +400,118 @@ func TestMemoCountersExposed(t *testing.T) {
 	} {
 		if !strings.Contains(w.Body.String(), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, w.Body.String())
+		}
+	}
+}
+
+// TestServedPointMissAllocs is the gate on what a served point lookup costs
+// when the engine knows its shape but not its constant — nearly every
+// request of a lookup service: one /v1/cite request through the mux, so the
+// middleware, the body's decoding, the handler and the write, over a
+// 2,000-family instance, each request about a family not asked before.
+// The server runs as the benchmark runs it: the default 30 s -timeout, no
+// slow-query log, no access log. Measured through httptest, whose requests
+// the test makes beforehand and whose recorder it makes per request: 105
+// allocations and 6.7 KB per request; 164 and 12.9 KB while every body went
+// through a json.Decoder, the middleware copied the request to carry its
+// record, each header value was set anew and the bound query, its
+// rewritings and its token rows were built whether read or not. The
+// ceilings carry about 15%.
+func TestServedPointMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	db := gtopdb.Generate(gtopdb.Config{Seed: 7, Families: 2000, Types: 50, Persons: 1000, CommitteeMin: 2, CommitteeMax: 6, IntroFraction: 0.6})
+	citer, err := citare.NewFromProgram(db, gtopdb.ViewsProgram, citare.WithNeutralCitation(gtopdb.DatabaseCitation()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{citer: citare.NewCached(citer), quiet: true, timeout: 30 * time.Second}
+	s.initObservability()
+	mux := s.mux()
+	const runs = 100
+	reqs := make([]*http.Request, 2*runs+2)
+	for i := range reqs {
+		body := fmt.Sprintf(`{"datalog": "Q(N) :- Family(F, N, Ty), F = \"%d\""}`, 100+i)
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/cite", strings.NewReader(body))
+	}
+	next := 0
+	serve := func() {
+		w := httptest.NewRecorder()
+		w.Body = nil // the answer's bytes are not the server's allocations
+		mux.ServeHTTP(w, reqs[next])
+		next++
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d", w.Code)
+		}
+	}
+	serve() // warm the shape
+	allocs := testing.AllocsPerRun(runs, serve)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		serve()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	t.Logf("a served point miss: %.0f allocs, %d B", allocs, bytes)
+	if allocs > 121 || bytes > 7700 {
+		t.Fatalf("a served point miss: %.0f allocs, %d B, ceilings 121 and 7700 B — the edge or the miss builds what it only reads", allocs, bytes)
+	}
+}
+
+// TestTrailingDataIsRejected: a request body is one JSON object and nothing
+// but white space after it. Data after the object — garbage, or a second
+// object the server would silently drop — answers 400 "parse" on every
+// route that reads a request.
+func TestTrailingDataIsRejected(t *testing.T) {
+	s := testServer(t)
+	mux := s.mux()
+	single := `{"datalog": "Q(N) :- Family(F, N, Ty), F = \"11\""}`
+	batch := `{"requests": [` + single + `]}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/cite", single},
+		{"/v1/cite/stream", single},
+		{"/v1/cite/batch", batch},
+	} {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body+" \n")))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s, the object and white space: status %d: %s", tc.path, w.Code, w.Body.String())
+		}
+		for _, trailing := range []string{` trailing garbage`, `{"sql":"x"}`} {
+			w := httptest.NewRecorder()
+			mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body+trailing)))
+			var env errorEnvelope
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || w.Code != http.StatusBadRequest || env.Error.Code != "parse" {
+				t.Fatalf("%s, the object then %q: status %d, body %s; want 400 parse", tc.path, trailing, w.Code, w.Body.String())
+			}
+		}
+	}
+}
+
+// TestDecodeCiteRequestMatchesEncodingJSON holds the request decoder to
+// json.Unmarshal, on the bodies its fast path takes and on those it hands
+// over: the same request, or an error from both. FuzzCiteRequest checks
+// the same on every body it makes.
+func TestDecodeCiteRequestMatchesEncodingJSON(t *testing.T) {
+	for _, body := range []string{
+		`{}`, ` {"sql": "SELECT 1"} `, `{"datalog": "Q(N) :- R(N, \"a\\b\/c\tq\")", "format": "bibtex"}`,
+		`{"sql": "a", "sql": "b"}`, `{"SQL": "upper case key"}`, `{"sql": "a", "SQL": "b"}`, `{"ſql": "long s"}`,
+		`{"max_tuples": 0}`, `{"max_tuples": -3}`, `{"max_tuples": 12}`, `{"max_tuples": 012}`, `{"max_tuples": 1.0}`,
+		`{"max_tuples": 1e2}`, `{"max_tuples": 99999999999999999999}`, `{"max_tuples": "3"}`, `{"max_tuples": null}`,
+		`{"explain": true}`, `{"explain": false, "sql": "x"}`, `{"explain": 1}`, `{"explain": nul}`, `{"explain": truefalse}`,
+		`{"sql": null}`, `{"sql": "\u00e9\ud83d\ude00"}`, `{"sql": "café"}`, "{\"sql\": \"\xff\"}", "{\"sql\": \"a\tb\"}",
+		"{\"sql\": \"a\x01\"}", `{"sql": "\x"}`, `{"sql": "a\`, `{"sql" "a"}`, `{"sql": "a",}`, `{,}`, `{"sql": "a"}}`,
+		`{"requests": [{"sql": "a"}]}`, `{"max_rewritings": 2, "sql": "a"}`, `{"sql": "a"} x`, `{"sql": "a"}{"sql": "b"}`,
+		``, ` `, `null`, `[]`, `"sql"`, "\ufeff{}", `{"sql": "a"` + strings.Repeat(" ", 10),
+		`{"s\u0071l": "escaped key"}`, `{"s\"ql": "a"}`, `{"sql": "\/\b\f\n\r\t\\\""}`, ` { "sql" : "a" , "format" : "b" } `,
+		`{"format": "\u0062ibtex", "datalog": "d"}`, `{"sql": "a", "max_tuples": 3}`, `{"sql": "a" "datalog": "b"}`,
+	} {
+		var got, want citeRequest
+		gotErr, wantErr := decodeCiteRequest([]byte(body), &got), json.Unmarshal([]byte(body), &want)
+		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && got != want {
+			t.Fatalf("%q: decoded %+v, %v; encoding/json %+v, %v", body, got, gotErr, want, wantErr)
 		}
 	}
 }

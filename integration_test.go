@@ -208,7 +208,7 @@ func citeQuery(c *Citer, q *cq.Query) (*core.Result, error) {
 		return nil, err
 	}
 	e := c.Engine()
-	return e.CitePrepared(context.Background(), e.Prepare(q), 0)
+	return e.CitePrepared(context.Background(), e.Prepare(q.Clone()), 0)
 }
 
 // TestEngineRewritingsAlwaysCertified re-verifies, through the public
@@ -227,12 +227,12 @@ func TestEngineRewritingsAlwaysCertified(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
-		for _, r := range res.Result().Rewritings {
+		for _, r := range res.Result().BoundRewritings() {
 			exp, err := r.Expand()
 			if err != nil {
 				t.Fatalf("%s: expand %s: %v", qs, r, err)
 			}
-			if !equivalentQueries(exp, res.Result().Query) {
+			if !equivalentQueries(exp, res.Result().Query()) {
 				t.Fatalf("%s: rewriting %s not equivalent", qs, r)
 			}
 		}

@@ -37,8 +37,10 @@ type entry[V any] struct {
 	prev, next *entry[V]
 }
 
+// call is one in-flight computation; its waiters wait on done, which the
+// leader marks once val and err are set.
 type call[V any] struct {
-	done chan struct{}
+	done sync.WaitGroup
 	val  V
 	err  error
 }
@@ -180,7 +182,7 @@ func (c *Sharded[V]) GetOrRefresh(key, flight string, fresh func(V) bool, refres
 		}
 		s.stats.Waits++
 		s.mu.Unlock()
-		<-cl.done
+		cl.done.Wait()
 		if cl.err == nil {
 			s.mu.Lock()
 			s.stats.Hits++
@@ -197,7 +199,8 @@ func (c *Sharded[V]) GetOrRefresh(key, flight string, fresh func(V) bool, refres
 	if had {
 		stale = e.val
 	}
-	cl := &call[V]{done: make(chan struct{})}
+	cl := &call[V]{}
+	cl.done.Add(1)
 	s.inflight[flight] = cl
 	s.stats.Misses++
 	s.mu.Unlock()
@@ -216,7 +219,7 @@ func (c *Sharded[V]) GetOrRefresh(key, flight string, fresh func(V) bool, refres
 			cl.err = errComputePanicked
 		}
 		s.mu.Unlock()
-		close(cl.done)
+		cl.done.Done()
 	}()
 	cl.val, cl.err = refresh(stale, had)
 	finished = true

@@ -51,7 +51,7 @@ func TestCanonicalKeyMatchesReference(t *testing.T) {
 		for _, src := range w.queries {
 			for _, b := range boundVariants(r, mustQuery(t, src)) {
 				for _, q := range spellings(r, b) {
-					p := e.Prepare(q)
+					p := e.Prepare(q.Clone())
 					if !p.Satisfiable() {
 						continue
 					}

@@ -232,8 +232,7 @@ func TestPaperExample31(t *testing.T) {
 	tc := res.Tuples[0]
 	var v1v2 *core.RewritingCitation
 	for i := range tc.PerRewriting {
-		names := rewritingViewNames(&tc.PerRewriting[i])
-		if names == "V1+V2" {
+		if rewritingViewNames(res, &tc.PerRewriting[i]) == "V1+V2" {
 			v1v2 = &tc.PerRewriting[i]
 		}
 	}
@@ -252,9 +251,9 @@ func TestPaperExample31(t *testing.T) {
 	}
 }
 
-func rewritingViewNames(rc *core.RewritingCitation) string {
+func rewritingViewNames(res *core.Result, rc *core.RewritingCitation) string {
 	var names []string
-	for _, va := range rc.Rewriting.ViewAtoms {
+	for _, va := range res.BoundRewritings()[rc.Rewriting].ViewAtoms {
 		names = append(names, va.View.Name)
 	}
 	return strings.Join(names, "+")
@@ -282,7 +281,7 @@ func TestPaperExample32(t *testing.T) {
 	tc := res.Tuples[0]
 	var v1v2 *core.RewritingCitation
 	for i := range tc.PerRewriting {
-		if rewritingViewNames(&tc.PerRewriting[i]) == "V1+V2" {
+		if rewritingViewNames(res, &tc.PerRewriting[i]) == "V1+V2" {
 			v1v2 = &tc.PerRewriting[i]
 		}
 	}
@@ -486,8 +485,8 @@ func TestPaperExample36(t *testing.T) {
 			t.Fatalf("ByViewCount must keep exactly the V5 rewriting, kept %d of %d", len(tc.Kept), len(tc.PerRewriting))
 		}
 		kept := tc.PerRewriting[tc.Kept[0]]
-		if rewritingViewNames(&kept) != "V5" {
-			t.Fatalf("kept rewriting %s, want V5", rewritingViewNames(&kept))
+		if names := rewritingViewNames(res, &kept); names != "V5" {
+			t.Fatalf("kept rewriting %s, want V5", names)
 		}
 		wantMono := provenance.NewMonomial(core.NewViewToken("V5", "gpcr").Encode())
 		if tc.Combined.Coefficient(wantMono) == 0 || tc.Combined.NumMonomials() != 1 {
@@ -528,8 +527,8 @@ cite VFull λF. CVFull(F, N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rewritings) < 2 {
-		t.Fatalf("expected partial rewritings to be enumerated, got %d", len(res.Rewritings))
+	if res.NumRewritings() < 2 {
+		t.Fatalf("expected partial rewritings to be enumerated, got %d", res.NumRewritings())
 	}
 	for _, tc := range res.Tuples {
 		for _, m := range tc.Combined.Monomials() {
@@ -652,8 +651,8 @@ func TestNoViewsFallsBackToBaseTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rewritings) != 1 || res.Rewritings[0].NumViews() != 0 {
-		t.Fatalf("expected the all-base rewriting, got %+v", res.Rewritings)
+	if rws := res.BoundRewritings(); len(rws) != 1 || rws[0].NumViews() != 0 {
+		t.Fatalf("expected the all-base rewriting, got %+v", rws)
 	}
 	if len(res.Tuples) == 0 {
 		t.Fatal("tuples missing")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -274,9 +275,10 @@ func (e *Engine) buildState(epoch uint64) (*engineState, error) {
 
 // RewritingCitation is the citation polynomial a single rewriting assigns to
 // one output tuple (Definition 3.2: the + over all bindings of that
-// rewriting).
+// rewriting). Rewriting is the rewriting's index in the Result: the
+// rewriting is its BoundRewritings()[Rewriting].
 type RewritingCitation struct {
-	Rewriting *rewrite.Rewriting
+	Rewriting int
 	Poly      provenance.Poly
 }
 
@@ -303,12 +305,13 @@ type TupleCitation struct {
 
 // Result is the full citation outcome for a query (Definition 3.4).
 type Result struct {
-	// Query is the normalized, minimized query the citation refers to.
-	Query *cq.Query
-	// Rewritings are the certified rewritings used (may be empty when the
-	// views cannot express the query; the citation then degrades to the
-	// policy's neutral citations).
-	Rewritings []*rewrite.Rewriting
+	// rewritings are the certified rewritings used, in the query's order
+	// (may be empty when the views cannot express the query; the citation
+	// then degrades to the policy's neutral citations). They are the
+	// rewritings of the query's shape, compiled once for every query of it,
+	// and spell that query's constants, not this one's: they are read only
+	// through prep.rb's renaming (BoundRewritings, AppendRewriting).
+	rewritings []*rewrite.Rewriting
 	// Columns labels the output columns.
 	Columns []string
 	// Tuples holds per-tuple citations in deterministic order.
@@ -316,6 +319,60 @@ type Result struct {
 	// Citation is the aggregated citation for the entire result set,
 	// including the policy's neutral citations.
 	Citation format.Value
+
+	prep *Prepared // what Query reads, and whose rb renames rewritings
+}
+
+// NewResult returns a Result whose rewritings spell its query's own
+// constants, for a citation assembled outside the engine; the caller fills
+// in the rest.
+func NewResult(rewritings []*rewrite.Rewriting) *Result {
+	return &Result{rewritings: rewritings}
+}
+
+// rebind is the renaming of rewritings' constants to the query's.
+func (r *Result) rebind() cq.Rebind {
+	if r.prep == nil {
+		return cq.Rebind{}
+	}
+	return r.prep.rb
+}
+
+// Query returns the normalized, minimized query the citation refers to (the
+// normalized query, when it is unsatisfiable); nil on a Result the engine
+// did not make.
+func (r *Result) Query() *cq.Query {
+	switch {
+	case r.prep == nil:
+		return nil
+	case r.prep.plan == nil:
+		return r.prep.norm
+	}
+	return r.prep.Min()
+}
+
+// NumRewritings returns the number of certified rewritings used.
+func (r *Result) NumRewritings() int { return len(r.rewritings) }
+
+// BoundRewritings returns the rewritings used, in the query's order, as
+// rewritings of the query: the shape's with their constants renamed to the
+// query's, built on each call. The caller owns the slice.
+func (r *Result) BoundRewritings() []*rewrite.Rewriting {
+	rb := r.rebind()
+	if rb.Identity() {
+		return slices.Clone(r.rewritings)
+	}
+	out := make([]*rewrite.Rewriting, len(r.rewritings))
+	for i, rw := range r.rewritings {
+		out[i] = rw.Rebind(rb, r.Query())
+	}
+	return out
+}
+
+// AppendRewriting appends the spelling of rewriting i of the query — what
+// BoundRewritings()[i].String() gives — to dst.
+func (r *Result) AppendRewriting(dst []byte, i int) []byte {
+	return r.rewritings[i].AppendBound(dst, r.rebind())
 }
 
 // CitePrepared computes the citation of a query resolved by Prepare:
@@ -357,13 +414,14 @@ func (e *Engine) CiteEachPrepared(ctx context.Context, p *Prepared, maxTuples in
 
 // planStage is the pipeline's rewrite stage, under the stage's span: take
 // the prepared query's unfolded rewritings under its own constants.
-func (e *Engine) planStage(ob *obsCtx, p *Prepared) ([]*unfolded, error) {
+func (e *Engine) planStage(ob *obsCtx, p *Prepared) ([]*unfolded, []*rewrite.Rewriting, error) {
 	rw := ob.begin(obs.StageRewrite)
 	var us []*unfolded
+	var rws []*rewrite.Rewriting
 	var err error
 	hit := false
 	if p.Satisfiable() {
-		us, hit, err = e.rewritingsFor(p)
+		us, rws, hit, err = e.rewritingsFor(p)
 	}
 	ob.end(rw)
 	if ob.tr != nil {
@@ -374,7 +432,7 @@ func (e *Engine) planStage(ob *obsCtx, p *Prepared) ([]*unfolded, error) {
 		ob.tr.SetInt(rw.id, "cached", cached)
 		ob.tr.SetInt(rw.id, "rewritings", int64(len(us)))
 	}
-	return us, err
+	return us, rws, err
 }
 
 // cite is the citation pipeline, the one implementation of Definitions
@@ -397,20 +455,20 @@ func (e *Engine) cite(ctx context.Context, p *Prepared, maxTuples int, each func
 		defer func() {
 			rws := 0
 			if res != nil {
-				rws = len(res.Rewritings)
+				rws = len(res.rewritings)
 			}
 			ob.finish(cited, rws, err)
 		}()
 	}
 
-	us, err := e.planStage(&ob, p)
+	us, rws, err := e.planStage(&ob, p)
 	if err != nil {
 		return nil, err
 	}
 	if !p.Satisfiable() {
-		return e.citeUnsat(p.norm)
+		return e.citeUnsat(p)
 	}
-	res = &Result{Query: p.Min(), Columns: p.Columns()}
+	res = &Result{rewritings: rws, Columns: p.Columns(), prep: p}
 
 	// Evaluate the query itself for the output tuples (independent of any
 	// rewriting, so even an un-rewritable query reports its answers), reading
@@ -436,7 +494,7 @@ func (e *Engine) cite(ctx context.Context, p *Prepared, maxTuples int, each func
 		tuples[i].Tuple = t
 	}
 
-	if res.Rewritings, err = e.gatherStage(ctx, &ob, st, us, g, out, tuples); err != nil {
+	if err = e.gatherStage(ctx, &ob, st, p.rb, us, g, out, tuples); err != nil {
 		return nil, err
 	}
 
@@ -450,7 +508,7 @@ func (e *Engine) cite(ctx context.Context, p *Prepared, maxTuples int, each func
 	var renderDur time.Duration
 	defer func() { ob.endWith(rd, renderDur) }()
 	rdCtx := ob.ctxFor(ctx, rd)
-	memo := newRenderMemo()
+	var memo renderMemo
 	for i := range tuples {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -460,7 +518,7 @@ func (e *Engine) cite(ctx context.Context, p *Prepared, maxTuples int, each func
 		if rd.on {
 			t0 = time.Now()
 		}
-		sc, err := e.combineTuple(rdCtx, st, memo, tc)
+		sc, err := e.combineTuple(rdCtx, st, &memo, tc)
 		if err == nil && each != nil {
 			tc.Encoded = sc.encode()
 		}
@@ -528,8 +586,8 @@ func preferRewritings(rs []*rewrite.Rewriting) []*rewrite.Rewriting {
 
 // citeUnsat handles unsatisfiable queries: empty result under the head's
 // columns, which normalization keeps, and the neutral citation.
-func (e *Engine) citeUnsat(q *cq.Query) (*Result, error) {
-	return &Result{Query: q, Columns: HeadColumns(q), Citation: e.aggregate(nil)}, nil
+func (e *Engine) citeUnsat(p *Prepared) (*Result, error) {
+	return &Result{Columns: HeadColumns(p.norm), Citation: e.aggregate(nil), prep: p}, nil
 }
 
 // combineTuple applies +R across the tuple's rewriting polynomials: order
@@ -541,8 +599,8 @@ func (e *Engine) citeUnsat(q *cq.Query) (*Result, error) {
 // instead of rendering the rest of the tuple's citation.
 func (e *Engine) combineTuple(ctx context.Context, st *engineState, memo *renderMemo, tc *TupleCitation) (*sharedCitation, error) {
 	key := memo.tupleKey(tc.PerRewriting)
-	sc := memo.tuples[string(key)] // no-alloc map probe
-	if sc == nil {
+	sc, ok := memo.tuples.get(key)
+	if !ok {
 		ps := make([]provenance.Poly, len(tc.PerRewriting))
 		for i, rc := range tc.PerRewriting {
 			ps[i] = rc.Poly
@@ -561,7 +619,7 @@ func (e *Engine) combineTuple(ctx context.Context, st *engineState, memo *render
 			return nil, err
 		}
 		sc.rendered = rendered
-		memo.tuples[string(key)] = sc
+		memo.tuples.put(key, sc)
 	}
 	tc.Kept, tc.Combined, tc.Rendered, tc.shared = sc.kept, sc.combined, sc.rendered, sc
 	return sc, nil
@@ -570,10 +628,13 @@ func (e *Engine) combineTuple(ctx context.Context, st *engineState, memo *render
 // renderTuple renders a tuple's citation: per kept rewriting, monomials
 // render as ·-combinations of token citations and are +-combined; the kept
 // rewritings are +R-combined. Cancellation fires between tokens.
+// The operand lists here and in renderMonomial and aggregate are scratch
+// that no combined value keeps: a few operands stay on the stack.
 func (e *Engine) renderTuple(ctx context.Context, st *engineState, ps []provenance.Poly, kept []int) (format.Value, error) {
-	var perRewriting []format.Value
+	var rbuf, mbuf [4]format.Value
+	perRewriting := rbuf[:0]
 	for _, i := range kept {
-		var monoVals []format.Value
+		monoVals := mbuf[:0]
 		for _, t := range ps[i].Terms() {
 			v, err := e.renderMonomial(ctx, st, t.Mono)
 			if err != nil {
@@ -589,7 +650,8 @@ func (e *Engine) renderTuple(ctx context.Context, st *engineState, ps []provenan
 // renderMonomial renders the ·-combination of a monomial's token citations.
 // Citations are set-like: a token's exponent does not repeat its record.
 func (e *Engine) renderMonomial(ctx context.Context, st *engineState, m provenance.Monomial) (format.Value, error) {
-	var vals []format.Value
+	var buf [4]format.Value
+	vals := buf[:0]
 	for _, pt := range m.Support() {
 		obj, err := e.renderTokenCached(ctx, st, pt)
 		if err != nil {
@@ -603,7 +665,8 @@ func (e *Engine) renderMonomial(ctx context.Context, st *engineState, m provenan
 // aggregate applies Agg across tuple citations and injects the policy's
 // neutral citations (Definition 3.4).
 func (e *Engine) aggregate(tuples []TupleCitation) format.Value {
-	var vals []format.Value
+	var buf [8]format.Value
+	vals := buf[:0]
 	for _, n := range e.policy.Neutral {
 		vals = append(vals, format.O(n))
 	}

@@ -47,7 +47,7 @@ func enumerations(t *testing.T, e *core.Engine, src string, stream bool) (n, rew
 		}
 		count([]*obs.ReportSpan{sp})
 	}
-	return n, len(res.Rewritings)
+	return n, res.NumRewritings()
 }
 
 // TestCiteEnumeratesOnce: a citation enumerates its query once when every

@@ -27,7 +27,7 @@ func (e *Engine) CiteQuery(ctx context.Context, q *cq.Query, maxTuples int, fn f
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	p := e.Prepare(q)
+	p := e.Prepare(q.Clone())
 	if fn != nil {
 		return e.CiteEachPrepared(ctx, p, maxTuples, fn)
 	}

@@ -9,7 +9,6 @@ import (
 	"citare/internal/eval"
 	"citare/internal/obs"
 	"citare/internal/provenance"
-	"citare/internal/rewrite"
 	"citare/internal/storage"
 )
 
@@ -54,45 +53,19 @@ type rewritingSink struct {
 	own     []eval.Src // r's own variables, when frames can repeat a binding (u.dedupe)
 	seen    map[string]struct{}
 	deduped int64
-	// The monomial memo, keyed by λ-parameter values: the first key's
-	// monomial is kept beside the map, which a second key makes — a point
-	// query's frames all share the first.
-	hasFirst bool
-	firstKey string
-	first    provenance.Monomial
-	monos    map[string]provenance.Monomial
+	monos   firstMemo[provenance.Monomial] // keyed by λ-parameter values
 }
 
-// mono returns the memoized monomial of a λ-parameter key.
-func (s *rewritingSink) mono(key []byte) (provenance.Monomial, bool) {
-	if s.hasFirst && s.firstKey == string(key) {
-		return s.first, true
-	}
-	m, ok := s.monos[string(key)] // no-alloc map probe
-	return m, ok
-}
-
-// putMono memoizes the monomial of a λ-parameter key.
-func (s *rewritingSink) putMono(key []byte, m provenance.Monomial) {
-	if !s.hasFirst {
-		s.hasFirst, s.firstKey, s.first = true, string(key), m
-		return
-	}
-	if s.monos == nil {
-		s.monos = make(map[string]provenance.Monomial)
-	}
-	s.monos[string(key)] = m
-}
-
-// newSink resolves u's terms on pl, whose frames are those of u's
-// expansion under the renaming ren (nil: pl is the expansion's own plan).
-func newSink(u *unfolded, pl *eval.Plan, ren cq.Subst) (s *rewritingSink, err error) {
+// newSink resolves u's terms, their constants renamed by rb, on pl, whose
+// frames are those of u's expansion under the renaming ren (nil: pl is the
+// expansion's own plan).
+func newSink(u *unfolded, pl *eval.Plan, ren cq.Subst, rb cq.Rebind) (s *rewritingSink, err error) {
 	s = &rewritingSink{u: u}
-	if s.params, err = termSrcs(pl, ren, u.rb, u.params); err != nil {
+	if s.params, err = termSrcs(pl, ren, rb, u.params); err != nil {
 		return nil, err
 	}
 	if u.dedupe {
-		if s.own, err = termSrcs(pl, ren, u.rb, u.own); err != nil {
+		if s.own, err = termSrcs(pl, ren, rb, u.own); err != nil {
 			return nil, err
 		}
 		s.seen = make(map[string]struct{})
@@ -137,7 +110,7 @@ func (g *gather) feed(i, row int, f []string) {
 	// The monomial memo: frames that agree on the view atoms' λ-parameter
 	// values — every frame of a point query about one key — share a monomial.
 	g.monoBuf = appendKey(g.monoBuf[:0], s.params, f)
-	m, ok := s.mono(g.monoBuf)
+	m, ok := s.monos.get(g.monoBuf)
 	if !ok {
 		// One view token per view atom (parameter values read off the
 		// frame), plus the C_R tokens.
@@ -152,7 +125,7 @@ func (g *gather) feed(i, row int, f []string) {
 			vals = vals[n:]
 		}
 		m = provenance.NewMonomial(append(g.toks, s.u.baseToks...)...)
-		s.putMono(g.monoBuf, m)
+		s.monos.put(g.monoBuf, m)
 	}
 	p := &g.polys[row*len(g.sinks)+i]
 	if *p == (provenance.Poly{}) {
@@ -173,7 +146,7 @@ func (e *Engine) evalOutput(ctx context.Context, st *engineState, p *Prepared, u
 	g := &gather{sinks: make([]*rewritingSink, len(us))}
 	for i, u := range us {
 		if u.rename != nil {
-			if g.sinks[i], err = newSink(u, pl, u.rename); err != nil {
+			if g.sinks[i], err = newSink(u, pl, u.rename, p.rb); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -196,29 +169,28 @@ func (e *Engine) evalOutput(ctx context.Context, st *engineState, p *Prepared, u
 
 // gatherStage is the pipeline's gather stage, under the stage's span: every
 // rewriting not read off the output evaluation is evaluated, and every
-// rewriting's polynomials land on the tuples' citations. It returns the
-// rewritings the citation was assembled from — all of them: a rewriting
-// whose evaluation cannot reach a shard fails the request.
-func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, us []*unfolded, g *gather, out *eval.Result, tuples []TupleCitation) ([]*rewrite.Rewriting, error) {
+// rewriting's polynomials land on the tuples' citations. The citation is
+// assembled from all of them: a rewriting whose evaluation cannot reach a
+// shard fails the request. rb renames the constants of the shape's
+// rewritings to the query's.
+func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, rb cq.Rebind, us []*unfolded, g *gather, out *eval.Result, tuples []TupleCitation) error {
 	gs := ob.begin(obs.StageGather)
 	defer ob.end(gs)
-	used := make([]*rewrite.Rewriting, len(us))
 	readOff := 0
 	for i, u := range us {
-		used[i] = u.r
 		rctx, rsp := ctx, obs.NoSpan
 		if ob.tr != nil {
 			rsp = ob.tr.Start(gs.id, "rewriting")
-			ob.tr.SetStr(rsp, "rewriting", u.r.String())
+			ob.tr.SetStr(rsp, "rewriting", string(u.r.AppendBound(nil, rb)))
 			ob.tr.SetInt(rsp, "atoms", int64(len(u.exp.Atoms)))
 			rctx = obs.NewContext(ctx, ob.tr, rsp)
 		}
 		if g.sinks[i] != nil {
 			readOff++
 			ob.tr.SetInt(rsp, "frames", g.frames)
-		} else if err := e.gatherRewriting(rctx, st, g, i, u, out.Keys); err != nil {
+		} else if err := e.gatherRewriting(rctx, st, g, i, u, rb, out.Keys); err != nil {
 			ob.tr.End(rsp)
-			return nil, err
+			return err
 		}
 		ob.tr.SetInt(rsp, "deduped", g.sinks[i].deduped)
 		ob.tr.End(rsp)
@@ -238,27 +210,27 @@ func (e *Engine) gatherStage(ctx context.Context, ob *obsCtx, st *engineState, u
 			if e.policy.IdempotentPlus {
 				p = p.Idempotent()
 			}
-			rcs = append(rcs, RewritingCitation{Rewriting: us[i].r, Poly: e.policy.Orders.NormalForm(p)})
+			rcs = append(rcs, RewritingCitation{Rewriting: i, Poly: e.policy.Orders.NormalForm(p)})
 		}
 		tuples[t].PerRewriting = rcs[start:len(rcs):len(rcs)]
 	}
-	return used, nil
+	return nil
 }
 
 // gatherRewriting enumerates the expansion of rewriting i — one that is not
 // a renaming of the output query — on the epoch's snapshot and adds each
 // binding's monomial onto the row of the output tuple its head spells,
 // found among the output's sorted keys.
-func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, g *gather, i int, u *unfolded, keys []string) error {
-	pl, err := st.snap.boundPlan(ctx, u.exp, u.expShape, u.rb)
+func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, g *gather, i int, u *unfolded, rb cq.Rebind, keys []string) error {
+	pl, err := st.snap.boundPlan(ctx, u.exp, u.expShape, rb)
 	if err != nil {
 		return err
 	}
-	head, err := termSrcs(pl, nil, cq.Rebind{}, u.r.Head)
+	head, err := termSrcs(pl, nil, rb, u.r.Head)
 	if err != nil {
 		return err
 	}
-	if g.sinks[i], err = newSink(u, pl, nil); err != nil {
+	if g.sinks[i], err = newSink(u, pl, nil, rb); err != nil {
 		return err
 	}
 	return pl.Each(ctx, eval.Options{Parallel: eval.Auto}, func(f []string) error {
@@ -267,7 +239,7 @@ func (e *Engine) gatherRewriting(ctx context.Context, st *engineState, g *gather
 		if t == len(keys) || keys[t] != string(g.keyBuf) {
 			// A certified rewriting cannot produce extra tuples; guard
 			// anyway to surface bugs instead of silently diverging.
-			return fmt.Errorf("core: rewriting %s produced tuple outside the query result", u.r)
+			return fmt.Errorf("core: rewriting %s produced tuple outside the query result", u.r.AppendBound(nil, rb))
 		}
 		g.feed(i, g.order[t], f)
 		return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
@@ -39,7 +40,8 @@ type compiledQuery struct {
 
 	compile    sync.Once
 	rewritings []*unfolded
-	err        error // a rewriting that cannot be unfolded: a bug, reported per request
+	rws        []*rewrite.Rewriting // rewritings' r, in order
+	err        error                // a rewriting that cannot be unfolded: a bug, reported per request
 }
 
 // Prepared is a valid query resolved against the engine's logical-plan
@@ -127,16 +129,17 @@ func appendFramed(dst []byte, s string) []byte {
 }
 
 // Prepare resolves a query the caller has validated (cq.Query.Validate; the
-// facade's request parsing does) to the logical plan of its shape. The query
-// is normalized, then every constant that the plan can only see through
-// equality is lifted out (liftRules); what remains keys an engine-lifetime
-// LRU. The first query of a shape is minimized as it stands and becomes the
-// shape's plan; every later one keeps its constants as the renaming from the
-// plan's, and nothing of the plan is copied until a caller reads it.
-// Concurrent first lookups of one shape share a single minimization.
+// facade's request parsing does) to the logical plan of its shape. It takes
+// q over: the query is normalized in place (the caller must not use q
+// again), then every constant that the plan can only see through equality is
+// lifted out (liftRules); what remains keys an engine-lifetime LRU. The
+// first query of a shape is minimized as it stands and becomes the shape's
+// plan; every later one keeps its constants as the renaming from the plan's,
+// and nothing of the plan is copied until a caller reads it. Concurrent first
+// lookups of one shape share a single minimization.
 func (e *Engine) Prepare(q *cq.Query) *Prepared {
-	norm, sat := q.Normalize()
-	if !sat {
+	norm := q
+	if !norm.NormalizeInPlace() {
 		return &Prepared{norm: norm}
 	}
 	key, params := norm.Shape(e.lift.literalFor(norm))
@@ -149,10 +152,10 @@ func (e *Engine) Prepare(q *cq.Query) *Prepared {
 }
 
 // rewritingsFor returns the prepared query's certified rewritings in
-// Enumerate's order, unfolded, compiling the shape's on first use. hit
-// reports that this call did not compile, which is what LogicalPlanStats
-// counts.
-func (e *Engine) rewritingsFor(p *Prepared) (us []*unfolded, hit bool, err error) {
+// Enumerate's order, unfolded and as they are (rws), compiling the shape's
+// on first use. hit reports that this call did not compile, which is what
+// LogicalPlanStats counts.
+func (e *Engine) rewritingsFor(p *Prepared) (us []*unfolded, rws []*rewrite.Rewriting, hit bool, err error) {
 	hit = true
 	p.plan.compile.Do(func() {
 		hit = false
@@ -170,27 +173,28 @@ func (e *Engine) rewritingsFor(p *Prepared) (us []*unfolded, hit bool, err error
 				return
 			}
 		}
-		p.plan.rewritings = us
+		p.plan.rewritings, p.plan.rws = us, rws
 	})
 	if hit {
 		e.logicalHits.Add(1)
 	} else {
 		e.logicalMisses.Add(1)
 	}
-	us = p.plan.rewritings
-	if p.rb.Identity() || p.plan.err != nil {
-		return us, hit, p.plan.err
+	us, rws = p.plan.rewritings, p.plan.rws
+	if p.rb.Identity() || len(us) < 2 || p.plan.err != nil {
+		return us, rws, hit, p.plan.err
 	}
 	// Truncation at MaxRewritings and preference pruning count subgoals and
 	// constants, which a renaming preserves; the order is by a key that
-	// spells the constants, which it does not.
-	bound := make([]*unfolded, len(us))
-	min := p.Min()
+	// spells the constants, which it does not. The rewritings themselves are
+	// the shape's: every reader renames their constants by p.rb.
+	us = slices.Clone(us)
+	rewrite.SortBound(us, func(u *unfolded) *rewrite.Rewriting { return u.r }, p.Min(), p.rb)
+	rws = make([]*rewrite.Rewriting, len(us))
 	for i, u := range us {
-		bound[i] = u.rebind(p.rb, min)
+		rws[i] = u.r
 	}
-	rewrite.SortByKey(bound, func(u *unfolded) *rewrite.Rewriting { return u.r })
-	return bound, hit, nil
+	return us, rws, hit, nil
 }
 
 // LogicalPlanStats reports the logical-plan counters: misses are citations

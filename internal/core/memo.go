@@ -21,12 +21,39 @@ import (
 // benchmark's four workloads it never hit once (0 of 18740, 2525 and 5531
 // lookups) — tuples that share a monomial share the whole citation.
 type renderMemo struct {
-	tuples map[string]*sharedCitation
+	tuples firstMemo[*sharedCitation]
 	key    []byte // scratch for tupleKey
 }
 
-func newRenderMemo() *renderMemo {
-	return &renderMemo{tuples: make(map[string]*sharedCitation)}
+// firstMemo is a memo keyed by byte strings that keeps its first entry
+// beside the map, which only a second key makes: a point query's frames all
+// share their first monomial key, its tuples their first citation.
+type firstMemo[V any] struct {
+	has      bool
+	firstKey string
+	first    V
+	rest     map[string]V
+}
+
+// get returns the value memoized under key.
+func (m *firstMemo[V]) get(key []byte) (V, bool) {
+	if m.has && m.firstKey == string(key) {
+		return m.first, true
+	}
+	v, ok := m.rest[string(key)] // no-alloc map probe
+	return v, ok
+}
+
+// put memoizes v under key.
+func (m *firstMemo[V]) put(key []byte, v V) {
+	if !m.has {
+		m.has, m.firstKey, m.first = true, string(key), v
+		return
+	}
+	if m.rest == nil {
+		m.rest = make(map[string]V)
+	}
+	m.rest[string(key)] = v
 }
 
 // sharedCitation is what combineTuple works out for a tuple, kept per

@@ -30,8 +30,8 @@ func fingerprint(res *core.Result, err error) string {
 		return "error: " + err.Error()
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "min %q\ncolumns %q\n", res.Query.Key(), res.Columns)
-	for _, r := range res.Rewritings {
+	fmt.Fprintf(&sb, "min %q\ncolumns %q\n", res.Query().Key(), res.Columns)
+	for _, r := range res.BoundRewritings() {
 		fmt.Fprintf(&sb, "rewriting %s\n", r)
 	}
 	for _, tc := range res.Tuples {
@@ -250,8 +250,8 @@ func TestPropBoundPlanEqualsDirectCompile(t *testing.T) {
 					if got != want {
 						t.Fatalf("seed %d policy %s: bound plan diverged from direct compile for\n%s\n--- bound\n%s--- direct\n%s", seed, name, src, got, want)
 					}
-					if p := warm.Prepare(q); p.Satisfiable() {
-						if fresh := w.engine(t, pol).Prepare(q); p.Min().Key() != fresh.Min().Key() {
+					if p := warm.Prepare(q.Clone()); p.Satisfiable() {
+						if fresh := w.engine(t, pol).Prepare(q.Clone()); p.Min().Key() != fresh.Min().Key() {
 							t.Fatalf("seed %d: bound minimized query %q, direct %q", seed, p.Min().Key(), fresh.Min().Key())
 						}
 					}
@@ -289,7 +289,7 @@ func TestOrderComparisonConstantsStayLiteral(t *testing.T) {
 		if got != want {
 			t.Fatalf("%v: bound\n%s\ndirect\n%s", c, got, want)
 		}
-		atoms = append(atoms, len(res.Query.Atoms))
+		atoms = append(atoms, len(res.Query().Atoms))
 	}
 	if atoms[0] >= atoms[1] || atoms[0] >= atoms[2] {
 		t.Fatalf("minimized atom counts %v: the test no longer separates the constants", atoms)
@@ -330,7 +330,7 @@ cite V1 CV1(A, B) :- R(A, B).
 			t.Fatalf("%v: bound\n%s\ndirect\n%s", c, got, want)
 		}
 		var views []string
-		for _, r := range res.Rewritings {
+		for _, r := range res.BoundRewritings() {
 			views = append(views, r.ViewAtoms[0].View.Name)
 		}
 		orders = append(orders, strings.Join(views, ","))

@@ -174,7 +174,7 @@ func (e *Engine) bringForward(ctx context.Context, st *engineState, pt provenanc
 	if stale.rows == nil {
 		return nil, 0, false, nil
 	}
-	rows := stale.rows.Merge(delta, headOrder(inst.Head, cq.Rebind{}, delta))
+	rows := stale.rows.Merge(delta, headOrder(nil, inst.Head, cq.Rebind{}, delta))
 	obj, err := v.render(rows)
 	if err != nil {
 		return nil, 0, false, nil

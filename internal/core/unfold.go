@@ -17,16 +17,14 @@ import (
 // valuation of its own variables; the expansion also ranges over the views'
 // existential variables, so frames that agree on the rewriting's variables
 // are one binding (Definition 3.2 sums over bindings). Built once per query
-// shape beside the rewritings and shared read-only; a later query of the
-// shape takes it through rebind.
+// shape beside the rewritings and shared read-only by every query of it.
 type unfolded struct {
 	r *rewrite.Rewriting
 	// exp is the expansion of the shape's rewriting, and expShape its
-	// physical shape; a bound rewriting keeps both and renames their
-	// constants by rb, the request's vector, where it reads them.
+	// physical shape. A later query of the shape reads r, exp and params
+	// with their constants renamed by its own vector (Prepared.rb).
 	exp      *cq.Query
 	expShape physShape
-	rb       cq.Rebind
 	// views resolves r.ViewAtoms, in order, to the engine's citation views;
 	// params are their λ-parameter terms, atom after atom, and baseToks
 	// the C_R tokens of r's base atoms under the policy, encoded once.
@@ -162,13 +160,4 @@ func keyBound(rs *storage.RelSchema, a cq.Atom, own map[string]bool, partitioned
 		routed = routed || col == rs.ShardKeyIndex()
 	}
 	return routed
-}
-
-// rebind returns u for the query q of the same shape whose constants rb
-// renames u's to: the rewriting as a rewriting of q, and the renaming, which
-// the expansion's plan and the λ-parameter terms are read through.
-func (u *unfolded) rebind(rb cq.Rebind, q *cq.Query) *unfolded {
-	b := *u
-	b.r, b.rb = u.r.Rebind(rb, q), rb
-	return &b
 }

@@ -242,7 +242,7 @@ func TestUnfoldedMatchesMaterializedOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d, %s, %s: %v", seed, name, src, err)
 				}
-				for _, rw := range res.Rewritings {
+				for k, rw := range res.BoundRewritings() {
 					want := oraclePolys(t, db, views, rw, pol.IncludeBaseTokens)
 					for _, va := range rw.ViewAtoms {
 						usedViews[va.View.Name] = true
@@ -252,7 +252,7 @@ func TestUnfoldedMatchesMaterializedOracle(t *testing.T) {
 					for _, tc := range res.Tuples {
 						var got *provenance.Poly
 						for i := range tc.PerRewriting {
-							if tc.PerRewriting[i].Rewriting == rw {
+							if tc.PerRewriting[i].Rewriting == k {
 								got = &tc.PerRewriting[i].Poly
 							}
 						}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"citare/internal/cq"
 	"citare/internal/datalog"
@@ -366,27 +367,46 @@ func tokenRows(vars []string, each func(add func(frame []string)) error, head []
 			paramCol[i], cols = len(cols), append(cols, name)
 		}
 	}
-	rows := format.NewRows(cols...)
-	row := make([]string, len(cols))
+	// The rows gather in a pooled buffer and leave it in one exact copy.
+	scratch := rowScratch.Get().(*[]string)
+	buf, n := (*scratch)[:0], 0
 	err := each(func(frame []string) {
-		copy(row, frame)
+		start := len(buf)
+		buf = slices.Grow(buf, len(cols))[:start+len(cols)]
+		copy(buf[start:], frame)
 		for i, c := range paramCol {
-			row[c] = paramVals[i]
+			buf[start+c] = paramVals[i]
 		}
-		rows.Append(row...)
+		n++
 	})
-	rows.Sort(headOrder(head, rb, rows))
+	rows := format.RowsOf(cols, slices.Clone(buf), n)
+	clear(buf)
+	if *scratch = buf; cap(buf) <= maxRowScratch {
+		rowScratch.Put(scratch)
+	}
+	var lead [8]format.KeyPart
+	rows.Sort(headOrder(lead[:0], head, rb, rows))
 	return rows, err
 }
 
-// headOrder is the lead of a token's row order: the instantiated citation
-// query's head, its constants renamed by rb, a column of rows per variable.
-func headOrder(head []cq.Term, rb cq.Rebind, rows *format.Rows) []format.KeyPart {
-	lead := make([]format.KeyPart, len(head))
-	for i, t := range head {
-		if lead[i] = (format.KeyPart{Col: -1, Lit: rb.Value(t.Value)}); t.IsVar() {
-			lead[i].Col = rows.Col(t.Name)
+// rowScratch holds the buffers tokenRows gathers rows in; one holding more
+// than maxRowScratch values is left to the collector rather than kept.
+var rowScratch = sync.Pool{New: func() any { return new([]string) }}
+
+// maxRowScratch is 64 KiB of string headers, the bound the facade keeps on
+// its pooled render scratch (maxRenderScratch).
+const maxRowScratch = (64 << 10) / 16
+
+// headOrder appends the lead of a token's row order to dst: the
+// instantiated citation query's head, its constants renamed by rb, a column
+// of rows per variable.
+func headOrder(dst []format.KeyPart, head []cq.Term, rb cq.Rebind, rows *format.Rows) []format.KeyPart {
+	for _, t := range head {
+		p := format.KeyPart{Col: -1, Lit: rb.Value(t.Value)}
+		if t.IsVar() {
+			p.Col = rows.Col(t.Name)
 		}
+		dst = append(dst, p)
 	}
-	return lead
+	return dst
 }

@@ -226,32 +226,36 @@ func (q *Query) String() string {
 // the third return value being false.
 func (q *Query) NormalizeConstants() (*Query, Subst, bool) {
 	total := make(Subst)
-	out, sat := q.normalize(total)
+	out := q.Clone()
+	sat := out.normalize(total)
 	return out, total, sat
 }
 
 // Normalize is NormalizeConstants without the substitution.
 func (q *Query) Normalize() (*Query, bool) {
-	return q.normalize(nil)
+	out := q.Clone()
+	return out, out.normalize(nil)
 }
 
-// normalize is NormalizeConstants on one copy of the query, into which the
-// equalities are chased in place; what it substitutes is composed into
-// total unless that is nil.
-func (q *Query) normalize(total Subst) (*Query, bool) {
-	out := q.Clone()
-	for i := 0; i < len(out.Comps); {
-		c := out.Comps[i]
+// NormalizeInPlace is Normalize on q itself, for a caller that owns q — a
+// query just parsed — and would otherwise copy it only to drop the copy.
+func (q *Query) NormalizeInPlace() bool { return q.normalize(nil) }
+
+// normalize chases the equalities into q in place; what it substitutes is
+// composed into total unless that is nil.
+func (q *Query) normalize(total Subst) bool {
+	for i := 0; i < len(q.Comps); {
+		c := q.Comps[i]
 		if c.Op != OpEq {
 			i++
 			continue
 		}
-		out.Comps = append(out.Comps[:i], out.Comps[i+1:]...)
+		q.Comps = append(q.Comps[:i], q.Comps[i+1:]...)
 		l, r := c.L, c.R
 		switch {
 		case l.IsConst && r.IsConst:
 			if l.Value != r.Value {
-				return out, false
+				return false
 			}
 			continue
 		case l.IsConst: // const = var
@@ -259,17 +263,17 @@ func (q *Query) normalize(total Subst) (*Query, bool) {
 		case r.IsVar() && l.Name == r.Name:
 			continue
 		}
-		out.substitute(l.Name, r)
+		q.substitute(l.Name, r)
 		if total != nil {
 			compose(total, l.Name, r)
 		}
 	}
 	// Evaluate any now-ground non-equality comparisons.
-	rest := out.Comps[:0]
-	for _, c := range out.Comps {
+	rest := q.Comps[:0]
+	for _, c := range q.Comps {
 		if ok, ground := c.EvalConst(); ground {
 			if !ok {
-				return out, false
+				return false
 			}
 			continue
 		}
@@ -278,8 +282,8 @@ func (q *Query) normalize(total Subst) (*Query, bool) {
 	if len(rest) == 0 {
 		rest = nil
 	}
-	out.Comps = rest
-	return out, true
+	q.Comps = rest
+	return true
 }
 
 // compose updates a cumulative substitution with v ↦ t, rewriting existing

@@ -94,7 +94,7 @@ type lexer struct {
 	col  int
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
 
 // Error is a parse error carrying source position.
 type Error struct {

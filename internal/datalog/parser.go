@@ -12,13 +12,40 @@ import (
 // stream — the parser sees end of input there — and is what finish reports,
 // as if the whole input had been lexed before parsing began.
 type parser struct {
-	lx  *lexer
+	lx  lexer
 	la  [2]token // lookahead
 	n   int      // tokens held in la
 	err error    // the lexing error that ended the stream
+	// terms is the slab every term list is cut from, sized by listsBound;
+	// atoms, when set, the atom list's capacity for the next rule.
+	terms []cq.Term
+	atoms int
 }
 
-func newParser(src string) *parser { return &parser{lx: newLexer(src)} }
+func newParser(src string) *parser {
+	lists, terms := listsBound(src)
+	return &parser{lx: newLexer(src), terms: make([]cq.Term, 0, terms), atoms: lists}
+}
+
+// listsBound bounds the term lists of src, one per opening parenthesis, and
+// their terms: one per list and one per comma inside parentheses. A quoted
+// parenthesis can throw the count off; the lists then grow.
+func listsBound(src string) (lists, terms int) {
+	depth := 0
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '(':
+			lists, terms, depth = lists+1, terms+1, depth+1
+		case ')':
+			depth = max(depth-1, 0)
+		case ',':
+			if depth > 0 {
+				terms++
+			}
+		}
+	}
+	return lists, terms
+}
 
 // fill holds k tokens of lookahead.
 func (p *parser) fill(k int) {
@@ -103,6 +130,9 @@ func ParseQuery(src string) (*cq.Query, error) {
 // parseRule parses [λ params .] Name(terms) :- body.
 func (p *parser) parseRule() (*cq.Query, error) {
 	q := &cq.Query{}
+	if p.atoms > 1 { // every list but the head's is an atom's
+		q.Atoms, p.atoms = make([]cq.Atom, 0, p.atoms-1), 0
+	}
 	if p.at(tokLambda) {
 		p.next()
 		for {
@@ -152,17 +182,17 @@ func (p *parser) parseTermList() ([]cq.Term, error) {
 	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	var out []cq.Term
 	if p.at(tokRParen) {
 		p.next()
-		return out, nil
+		return nil, nil
 	}
+	start := len(p.terms)
 	for {
 		t, err := p.parseTerm()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, t)
+		p.terms = append(p.terms, t)
 		if p.at(tokComma) {
 			p.next()
 			continue
@@ -172,7 +202,7 @@ func (p *parser) parseTermList() ([]cq.Term, error) {
 	if _, err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return p.terms[start:len(p.terms):len(p.terms)], nil
 }
 
 func (p *parser) parseTerm() (cq.Term, error) {
@@ -272,6 +302,7 @@ func (pr *Program) View(name string) *ViewDecl {
 // fmt is optional (a generic all-columns spec is synthesized when missing).
 func ParseProgram(src string) (*Program, error) {
 	p := newParser(src)
+	p.atoms = 0 // the lists are many rules
 	prog, err := p.parseProgram()
 	if err = p.finish(err); err != nil {
 		return nil, err

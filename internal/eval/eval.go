@@ -41,12 +41,11 @@
 //
 // # Cancellation
 //
-// Each runs under a context: both strategies re-check ctx.Done() at least
+// Each runs under a context: both strategies ask it for its error at least
 // every ctxCheckInterval candidate tuples, and scatter-gather also at shard
 // boundaries, so a canceled enumeration returns the context's error promptly
-// instead of finishing a join nobody is waiting for. Under
-// context.Background() the checks reduce to a nil-channel branch and cost
-// nothing.
+// instead of finishing a join nobody is waiting for. Between the checks an
+// execution pays one decrement per candidate.
 package eval
 
 import (

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"citare/internal/cq"
 	"citare/internal/obs"
@@ -122,6 +123,15 @@ type planStep struct {
 // caches plans per epoch by shape, so citations of a known shape skip
 // compilation entirely.
 type Plan struct {
+	*compiled
+	cols []string // head column labels
+	// consts are the query's constants, each value once, in the order
+	// Compile met them: what the refs of a constant read.
+	consts []string
+}
+
+// compiled is what every plan bound from one compiled plan shares.
+type compiled struct {
 	// part is the view when it is partitioned over more than one shard:
 	// executions then scatter-gather; otherwise they descend sequentially.
 	part Partitioned
@@ -130,10 +140,6 @@ type Plan struct {
 	steps    []planStep
 	preComps []compiledComp // constant-only comparisons gating the enumeration
 	headSrc  []ref          // head tuple construction
-	cols     []string       // head column labels
-	// consts are the query's constants, each value once, in the order
-	// Compile met them: what the refs of a constant read.
-	consts []string
 	// lookupWidth is the lookup buffers' total length, over every step.
 	lookupWidth int
 
@@ -167,7 +173,7 @@ func Compile(dbv DBView, q *cq.Query) (*Plan, error) {
 		lens[i] = rel.Len()
 	}
 
-	p := &Plan{cols: headCols(q)}
+	p := &Plan{compiled: &compiled{}, cols: headCols(q)}
 	if part, ok := dbv.(Partitioned); ok && part.NumShards() > 1 {
 		p.part = part
 	}
@@ -329,7 +335,7 @@ func sliceHas(xs []int, x int) bool {
 }
 
 // Bind returns the plan of the query that differs from the compiled one by
-// the given renaming of constants: a copy sharing the resolved relation
+// the given renaming of constants: a plan sharing the resolved relation
 // views, the join order, the bind programs and the value refs, with its own
 // constant vector and, where the head holds a constant, its own column
 // labels. The identity returns p itself.
@@ -337,7 +343,7 @@ func (p *Plan) Bind(rb cq.Rebind) *Plan {
 	if rb.Identity() {
 		return p
 	}
-	b := *p
+	b := Plan{compiled: p.compiled, cols: p.cols}
 	b.consts = make([]string, len(p.consts))
 	for i, v := range p.consts {
 		b.consts[i] = rb.Value(v)
@@ -398,14 +404,18 @@ func (p *Plan) Describe() string {
 type frameFn func(frame []string) error
 
 // exec is one execution of a plan: a slot frame and per-step lookup
-// buffers, cut from one slab allocated once and reused across the
-// enumeration, and one tuple callback for every step's scan or lookup,
-// which reads the step it serves off depth.
-// When built with a cancellable context the execution re-checks ctx.Done()
-// every ctxCheckInterval candidate tuples and aborts with the context's
-// error; executions under context.Background() pay nothing.
+// buffers, cut from one slab and reused across the enumeration, and one
+// tuple callback for every step's scan or lookup, which reads the step it
+// serves off depth. Every ctxCheckInterval candidate tuples the execution
+// asks ctx for its error and aborts with it; it never asks for ctx.Done(),
+// which would make a cancelable context build its channel.
+//
+// A sequential execution is taken from execPool and put back when its
+// enumeration ends: Each's frames are valid only during the callback, so
+// nothing reads the slab after that.
 type exec struct {
 	p     *Plan
+	buf   []string // the slab: frame, then the lookup buffers
 	frame []string
 	slab  []string // lookup buffers: step i's at p.steps[i].bufAt
 	fn    frameFn
@@ -415,23 +425,12 @@ type exec struct {
 	err   error                      // what ended the enumeration early
 
 	ctx      context.Context
-	done     <-chan struct{} // nil: context can never be canceled
-	ctxCount int             // candidates left until the next ctx check
+	ctxCount int // candidates left until the next ctx check
 }
 
-func (p *Plan) newExec(ctx context.Context, fn frameFn) *exec {
-	// Each depth owns its lookup buffer: a deeper recursion must not
-	// clobber the values a shallower fan-out Lookup is still reading.
-	slab := make([]string, len(p.varOf)+p.lookupWidth)
-	e := &exec{
-		p:        p,
-		frame:    slab[:len(p.varOf):len(p.varOf)],
-		slab:     slab[len(p.varOf):],
-		fn:       fn,
-		ctx:      ctx,
-		done:     ctx.Done(),
-		ctxCount: ctxCheckInterval,
-	}
+// execPool holds finished sequential executions, each with its iter.
+var execPool = sync.Pool{New: func() any {
+	e := &exec{}
 	e.iter = func(t storage.Tuple) bool {
 		if err := e.feed(e.depth, t); err != nil {
 			e.err = err
@@ -440,26 +439,39 @@ func (p *Plan) newExec(ctx context.Context, fn frameFn) *exec {
 		return true
 	}
 	return e
+}}
+
+func (p *Plan) newExec(ctx context.Context, fn frameFn) *exec {
+	e := execPool.Get().(*exec)
+	// Each depth owns its lookup buffer: a deeper recursion must not
+	// clobber the values a shallower fan-out Lookup is still reading.
+	n := len(p.varOf) + p.lookupWidth
+	if cap(e.buf) < n {
+		e.buf = make([]string, n)
+	}
+	slab := e.buf[:n]
+	e.p, e.frame, e.slab, e.fn = p, slab[:len(p.varOf):len(p.varOf)], slab[len(p.varOf):], fn
+	e.depth, e.err, e.ctx, e.ctxCount = 0, nil, ctx, ctxCheckInterval
+	return e
+}
+
+// release puts a finished execution back into execPool, holding on to none
+// of its plan's or its frames' values.
+func (e *exec) release() {
+	clear(e.buf[:cap(e.buf)])
+	*e = exec{buf: e.buf, iter: e.iter}
+	execPool.Put(e)
 }
 
 // checkCtx is the periodic cancellation probe: it decrements the candidate
-// budget and, every ctxCheckInterval candidates, reports the context's error
-// if the context was canceled. With no cancellable context it is a single
-// branch on a nil channel.
+// budget and, every ctxCheckInterval candidates, reports the context's
+// error, if any.
 func (e *exec) checkCtx() error {
-	if e.done == nil {
-		return nil
-	}
 	if e.ctxCount--; e.ctxCount > 0 {
 		return nil
 	}
 	e.ctxCount = ctxCheckInterval
-	select {
-	case <-e.done:
-		return e.ctx.Err()
-	default:
-		return nil
-	}
+	return e.ctx.Err()
 }
 
 // feed runs one candidate tuple of step depth through the bind program and
@@ -541,9 +553,10 @@ func (p *Plan) Each(ctx context.Context, opts Options, fn func(frame []string) e
 }
 
 // Vars returns the plan's variables in slot order; every frame Each
-// delivers is aligned with this list.
+// delivers is aligned with this list. The list is the plan's own: callers
+// only read it (it is clipped, so an append copies).
 func (p *Plan) Vars() []string {
-	return append([]string(nil), p.varOf...)
+	return slices.Clip(p.varOf)
 }
 
 // TermSrc resolves a term of the compiled query to where the plan's frames
@@ -565,7 +578,10 @@ func (p *Plan) dispatchFrames(ctx context.Context, opts Options, fn frameFn) err
 	if p.part != nil {
 		return p.scatterFrames(ctx, opts, fn)
 	}
-	return p.newExec(ctx, fn).run(0)
+	e := p.newExec(ctx, fn)
+	err := e.run(0)
+	e.release()
+	return err
 }
 
 // framesTraced is the traced twin of dispatchFrames: it annotates the
@@ -603,23 +619,27 @@ func (p *Plan) EvalCtx(ctx context.Context, opts Options) (*Result, error) {
 // they were first seen, under Each's contract for frames. order maps each
 // tuple of the sorted Result back to that index; it is nil when fn is.
 func (p *Plan) EvalEach(ctx context.Context, opts Options, fn func(frame []string, tuple int) error) (res *Result, order []int, err error) {
-	res = &Result{Cols: p.cols}
+	// The Result and what the callback keeps between frames, in one object.
 	// A result of a few tuples — a point query's — is deduplicated by
 	// scanning its keys; the index is built past linearDedupe of them.
-	var seen map[string]int
-	var keyBuf []byte
-	var slab []string // the tuples' values, cut tuple by tuple
+	st := &struct {
+		res    Result
+		seen   map[string]int
+		keyBuf []byte
+		slab   []string // the tuples' values, cut tuple by tuple
+	}{res: Result{Cols: p.cols}}
 	err = p.Each(ctx, opts, func(frame []string) error {
-		keyBuf = keyBuf[:0]
+		res := &st.res
+		st.keyBuf = st.keyBuf[:0]
 		for _, r := range p.headSrc {
-			keyBuf = storage.AppendKeyPart(keyBuf, p.val(r, frame))
+			st.keyBuf = storage.AppendKeyPart(st.keyBuf, p.val(r, frame))
 		}
 		i, dup := -1, false
-		if seen != nil {
-			i, dup = seen[string(keyBuf)] // no-alloc map probe
+		if st.seen != nil {
+			i, dup = st.seen[string(st.keyBuf)] // no-alloc map probe
 		} else {
 			for j, k := range res.Keys {
-				if k == string(keyBuf) {
+				if k == string(st.keyBuf) {
 					i, dup = j, true
 					break
 				}
@@ -630,22 +650,22 @@ func (p *Plan) EvalEach(ctx context.Context, opts Options, fn func(frame []strin
 				return fmt.Errorf("%w: more than %d output tuples", ErrTupleLimit, opts.MaxTuples)
 			}
 			i = len(res.Tuples)
-			k := string(keyBuf)
+			k := string(st.keyBuf)
 			switch {
-			case seen != nil:
-				seen[k] = i
+			case st.seen != nil:
+				st.seen[k] = i
 			case i == linearDedupe:
-				seen = make(map[string]int, 2*linearDedupe)
+				st.seen = make(map[string]int, 2*linearDedupe)
 				for j, k := range res.Keys {
-					seen[k] = j
+					st.seen[k] = j
 				}
-				seen[k] = i
+				st.seen[k] = i
 			}
-			start := len(slab)
+			start := len(st.slab)
 			for _, r := range p.headSrc {
-				slab = append(slab, p.val(r, frame))
+				st.slab = append(st.slab, p.val(r, frame))
 			}
-			res.Tuples = append(res.Tuples, storage.Tuple(slab[start:len(slab):len(slab)]))
+			res.Tuples = append(res.Tuples, storage.Tuple(st.slab[start:len(st.slab):len(st.slab)]))
 			res.Keys = append(res.Keys, k)
 		}
 		if fn == nil {
@@ -653,6 +673,8 @@ func (p *Plan) EvalEach(ctx context.Context, opts Options, fn func(frame []strin
 		}
 		return fn(frame, i)
 	})
+	res = &st.res
+	st.seen, st.keyBuf = nil, nil // the Result keeps only what it holds
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,26 +12,57 @@ import (
 type Rows struct {
 	cols  []string
 	vals  []string // row r, column c at vals[r*len(cols)+c]
-	order []int    // row numbers in reading order
+	n     int      // rows
+	order []int    // row numbers in reading order; nil: insertion order
 }
 
 // NewRows returns an empty row set over the named columns.
 func NewRows(cols ...string) *Rows { return &Rows{cols: cols} }
 
+// RowsOf returns the row set over cols of n rows whose values vals holds
+// row after row, a value per column; it keeps vals.
+func RowsOf(cols, vals []string, n int) *Rows { return &Rows{cols: cols, vals: vals, n: n} }
+
 // Append adds one row: a value per column, in column order.
 func (r *Rows) Append(vals ...string) {
-	r.order = append(r.order, len(r.order))
+	if r.order != nil {
+		r.order = append(r.order, r.n)
+	}
 	r.vals = append(r.vals, vals...)
+	r.n++
 }
 
 // Len returns the number of rows.
-func (r *Rows) Len() int { return len(r.order) }
+func (r *Rows) Len() int { return r.n }
 
 // Col returns the index of the named column, or -1.
 func (r *Rows) Col(name string) int { return slices.Index(r.cols, name) }
 
 // At returns the value of column col in the i-th row in reading order.
-func (r *Rows) At(i, col int) string { return r.val(r.order[i], col) }
+func (r *Rows) At(i, col int) string {
+	if r.order != nil {
+		i = r.order[i]
+	}
+	return r.val(i, col)
+}
+
+// firstRow is the reading order of a single row.
+var firstRow = []int{0}
+
+// reading returns the row numbers in reading order. Callers only read it.
+func (r *Rows) reading() []int {
+	switch {
+	case r.order != nil || r.n == 0:
+		return r.order
+	case r.n == 1:
+		return firstRow
+	}
+	r.order = make([]int, r.n)
+	for i := range r.order {
+		r.order[i] = i
+	}
+	return r.order
+}
 
 func (r *Rows) val(row, col int) string { return r.vals[row*len(r.cols)+col] }
 
@@ -57,8 +88,9 @@ func (r *Rows) Sort(lead []KeyPart) {
 	if r.Len() < 2 {
 		return
 	}
-	o := r.orderBy(lead)
-	slices.SortFunc(r.order, o.compare)
+	var buf [16]KeyPart
+	o := r.orderBy(buf[:0], lead)
+	slices.SortFunc(r.reading(), o.compare)
 }
 
 // PackedRows is a row set at rest, kept between uses: its rows in reading
@@ -109,7 +141,7 @@ func (r *Rows) Pack() *PackedRows {
 // columns.
 func (p *PackedRows) Merge(add *Rows, lead []KeyPart) *Rows {
 	n := p.n
-	m := &Rows{cols: p.cols, vals: make([]string, 0, len(p.cols)*n+len(add.vals)), order: make([]int, 0, n+add.Len())}
+	m := &Rows{cols: p.cols, vals: make([]string, 0, len(p.cols)*n+len(add.vals)), n: n + add.Len(), order: make([]int, 0, n+add.Len())}
 	for i := 0; i < n; i++ {
 		for c, k := range p.at {
 			if k < 0 {
@@ -120,10 +152,11 @@ func (p *PackedRows) Merge(add *Rows, lead []KeyPart) *Rows {
 		}
 	}
 	m.vals = append(m.vals, add.vals...)
-	o := m.orderBy(lead)
+	o := m.orderBy(nil, lead)
+	added := add.reading()
 	i, j := 0, 0
-	for i < n && j < len(add.order) {
-		if b := n + add.order[j]; o.compare(i, b) <= 0 {
+	for i < n && j < len(added) {
+		if b := n + added[j]; o.compare(i, b) <= 0 {
 			m.order, i = append(m.order, i), i+1
 		} else {
 			m.order, j = append(m.order, b), j+1
@@ -132,7 +165,7 @@ func (p *PackedRows) Merge(add *Rows, lead []KeyPart) *Rows {
 	for ; i < n; i++ {
 		m.order = append(m.order, i)
 	}
-	for _, b := range add.order[j:] {
+	for _, b := range added[j:] {
 		m.order = append(m.order, n+b)
 	}
 	return m
@@ -140,14 +173,14 @@ func (p *PackedRows) Merge(add *Rows, lead []KeyPart) *Rows {
 
 // rowOrder is citation order over one row set's rows (see Sort).
 type rowOrder struct {
-	r      *Rows
-	key    []KeyPart
-	ka, kb []byte
+	r   *Rows
+	key []KeyPart
 }
 
-func (r *Rows) orderBy(lead []KeyPart) *rowOrder {
-	key := make([]KeyPart, len(lead), len(lead)+2*len(r.cols))
-	copy(key, lead)
+// orderBy returns the order Sort(lead) sorts by, its key parts appended to
+// buf.
+func (r *Rows) orderBy(buf, lead []KeyPart) rowOrder {
+	key := append(buf, lead...)
 	// The columns in name order: an insertion sort of (name, column) pairs
 	// as they are appended — a citation query has a handful of columns.
 	for c, name := range r.cols {
@@ -156,7 +189,7 @@ func (r *Rows) orderBy(lead []KeyPart) *rowOrder {
 			key[i], key[i+1], key[i-2], key[i-1] = key[i-2], key[i-1], key[i], key[i+1]
 		}
 	}
-	return &rowOrder{r: r, key: key}
+	return rowOrder{r: r, key: key}
 }
 
 // compare orders rows a and b by their keys' bytes.
@@ -175,12 +208,16 @@ func (o *rowOrder) compare(a, b int) int {
 		}
 		// One value ends where the other goes on with a NUL of its own:
 		// the keys stop lining up part for part. Spell the rest out.
-		o.ka, o.kb = o.ka[:0], o.kb[:0]
-		for _, p := range o.key[i:] {
-			o.ka = append(append(o.ka, o.r.part(p, a)...), 0)
-			o.kb = append(append(o.kb, o.r.part(p, b)...), 0)
-		}
-		return bytes.Compare(o.ka, o.kb)
+		return bytes.Compare(o.spell(i, a), o.spell(i, b))
 	}
 	return 0
+}
+
+// spell spells row's key from part i on, a NUL after each part.
+func (o *rowOrder) spell(i, row int) []byte {
+	var k []byte
+	for _, p := range o.key[i:] {
+		k = append(append(k, o.r.part(p, row)...), 0)
+	}
+	return k
 }

@@ -48,12 +48,12 @@ func (s *Spec) Render(rows *Rows) (*Object, error) {
 	if rows == nil {
 		rows = &Rows{}
 	}
-	return renderFields(s.Fields, rows, rows.order)
+	return renderFields(s.Fields, rows, rows.reading())
 }
 
 // renderFields renders fields over the rows idx lists, in that order.
 func renderFields(fields []Field, rows *Rows, idx []int) (*Object, error) {
-	out := NewObject()
+	out := &Object{fields: make([]field, 0, len(fields))}
 	for _, f := range fields {
 		col, idx := rows.Col(f.Var), idx
 		if col < 0 {

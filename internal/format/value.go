@@ -476,11 +476,22 @@ func AppendJSONStrings(dst []byte, ss []string) []byte {
 // repeat costs one cached-hash load and one pointer comparison, keeping the
 // union linear instead of O(n · size).
 func UnionValues(vals ...Value) Value {
+	n := 0
+	for _, v := range vals {
+		if v.Kind == KList {
+			n += len(v.List)
+		} else {
+			n++
+		}
+	}
 	var out []Value
+	if n > 0 {
+		out = make([]Value, 0, n)
+	}
 	// seen maps a hash to the 1-based position in out of the latest element
 	// carrying it; next chains earlier elements with the same hash.
-	seen := make(map[uint64]int)
-	var next []int
+	seen := make(map[uint64]int, n)
+	next := make([]int, 0, n)
 	add := func(v Value) {
 		h := v.hash()
 		for i := seen[h]; i != 0; i = next[i-1] {

@@ -24,6 +24,7 @@ type Options struct {
 // into the query.
 type candidate struct {
 	view    *cq.Query // original view (for identity)
+	def     *cq.Query // view normalized
 	viewIdx int
 	args    []cq.Term // view head under the homomorphism
 	covered []int     // sorted query-atom indices in the image
@@ -63,10 +64,12 @@ type Views struct {
 }
 
 // preparedView is one usable view: the definition as given (a rewriting's
-// ViewAtom points at it) beside its normalized form over fresh variables.
+// ViewAtom points at it) beside its normalized form, which Expand reads, and
+// that form over fresh variables.
 type preparedView struct {
 	view  *cq.Query
 	idx   int // position in the list PrepareViews was given
+	def   *cq.Query
 	fresh *cq.Query
 }
 
@@ -78,12 +81,12 @@ func PrepareViews(views []*cq.Query) (*Views, error) {
 		if err := view.Validate(); err != nil {
 			return nil, fmt.Errorf("rewrite: view %s: %w", view.Name, err)
 		}
-		def, _, sat := view.NormalizeConstants()
+		def, _, sat := normalizeView(view)
 		if !sat {
 			continue
 		}
 		fresh, _, _ := def.Freshen(fmt.Sprintf("w%d_", vi), 0)
-		vs.views = append(vs.views, preparedView{view: view, idx: vi, fresh: fresh})
+		vs.views = append(vs.views, preparedView{view: view, idx: vi, def: def, fresh: fresh})
 	}
 	return vs, nil
 }
@@ -143,17 +146,22 @@ func (vs *Views) Enumerate(min *cq.Query, opts Options) []*Rewriting {
 // key spells constants, so the order is the one part of an enumeration that
 // renaming constants does not preserve: a Rebind is followed by a re-sort.
 func SortByKey[T any](xs []T, of func(T) *Rewriting) {
-	if len(xs) < 2 {
-		return
+	if len(xs) > 1 {
+		SortBound(xs, of, of(xs[0]).Query, cq.Rebind{})
 	}
+}
+
+// SortBound puts rewritings of one query in the order SortByKey gives the
+// rewritings r.Rebind(rb, q) of q, without building them.
+func SortBound[T any](xs []T, of func(T) *Rewriting, q *cq.Query, rb cq.Rebind) {
 	type keyed struct {
 		key string
 		x   T
 	}
 	ks := make([]keyed, len(xs))
-	ren := of(xs[0]).Query.CanonicalRenaming()
+	ren := q.CanonicalRenaming()
 	for i, x := range xs {
-		ks[i] = keyed{of(x).renamed(ren).Key(), x}
+		ks[i] = keyed{of(x).renamed(ren, rb).Key(), x}
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 	for i, k := range ks {
@@ -187,6 +195,7 @@ func buildCandidate(q *cq.Query, pv *preparedView, hom cq.Subst, image []int) *c
 	fresh := pv.fresh
 	c := &candidate{
 		view:        pv.view,
+		def:         pv.def,
 		viewIdx:     pv.idx,
 		covered:     slices.Compact(slices.Sorted(slices.Values(image))),
 		retrievable: make(map[string]bool),
@@ -339,7 +348,7 @@ func exposureOK(q *cq.Query, cov cover) bool {
 func assemble(q *cq.Query, cov cover) *Rewriting {
 	r := &Rewriting{Query: q, Head: append([]cq.Term(nil), q.Head...)}
 	for _, c := range cov.cands {
-		r.ViewAtoms = append(r.ViewAtoms, ViewAtom{View: c.view, Args: append([]cq.Term(nil), c.args...)})
+		r.ViewAtoms = append(r.ViewAtoms, ViewAtom{View: c.view, Args: append([]cq.Term(nil), c.args...), def: c.def})
 	}
 	for _, i := range cov.base {
 		r.BaseAtoms = append(r.BaseAtoms, q.Atoms[i].Clone())
@@ -401,7 +410,7 @@ func baseReplaceableByView(r *Rewriting, cands []*candidate) bool {
 			coveredKeys[r.Query.Atoms[j].Key()] = true
 		}
 		alt := &Rewriting{Query: r.Query, Head: r.Head, Comps: r.Comps}
-		alt.ViewAtoms = append(append([]ViewAtom(nil), r.ViewAtoms...), ViewAtom{View: c.view, Args: c.args})
+		alt.ViewAtoms = append(append([]ViewAtom(nil), r.ViewAtoms...), ViewAtom{View: c.view, Args: c.args, def: c.def})
 		for _, a := range r.BaseAtoms {
 			if !coveredKeys[a.Key()] {
 				alt.BaseAtoms = append(alt.BaseAtoms, a)

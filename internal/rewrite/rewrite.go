@@ -44,15 +44,19 @@ type ViewAtom struct {
 	View *cq.Query
 	// Args are the view-head arguments expressed in query terms.
 	Args []cq.Term
+	// def is View normalized (cq.Query.NormalizeConstants), as PrepareViews
+	// made it; nil on an atom built elsewhere, which Expand normalizes.
+	def *cq.Query
 }
 
 // String renders the atom in the paper's notation: parameter values are
 // written as a trailing argument list, e.g. V4(F, N, "gpcr")("gpcr").
-func (va ViewAtom) String() string { return string(va.appendTo(nil)) }
+func (va ViewAtom) String() string { return string(va.appendTo(nil, cq.Rebind{})) }
 
-// appendTo appends String's spelling to dst.
-func (va ViewAtom) appendTo(dst []byte) []byte {
-	dst = appendTerms(append(append(dst, va.View.Name...), '('), va.Args)
+// appendTo appends String's spelling of the atom, its constants renamed by
+// rb, to dst.
+func (va ViewAtom) appendTo(dst []byte, rb cq.Rebind) []byte {
+	dst = appendTerms(append(append(dst, va.View.Name...), '('), va.Args, rb)
 	dst = append(dst, ')')
 	// The parameter values, when every λ-parameter position holds one
 	// (ParamValues).
@@ -68,7 +72,7 @@ func (va ViewAtom) appendTo(dst []byte) []byte {
 		} else {
 			dst = append(dst, ", "...)
 		}
-		dst = strconv.AppendQuote(dst, va.Args[i].Value)
+		dst = strconv.AppendQuote(dst, rb.Value(va.Args[i].Value))
 		n += len(dst) - mark
 	}
 	if n > 0 {
@@ -77,14 +81,15 @@ func (va ViewAtom) appendTo(dst []byte) []byte {
 	return dst
 }
 
-// appendTerms appends the terms as a comma-separated argument list.
-func appendTerms(dst []byte, ts []cq.Term) []byte {
+// appendTerms appends the terms, their constants renamed by rb, as a
+// comma-separated argument list.
+func appendTerms(dst []byte, ts []cq.Term, rb cq.Rebind) []byte {
 	for i, t := range ts {
 		if i > 0 {
 			dst = append(dst, ", "...)
 		}
 		if t.IsConst {
-			dst = strconv.AppendQuote(dst, t.Value)
+			dst = strconv.AppendQuote(dst, rb.Value(t.Value))
 		} else {
 			dst = append(dst, t.Name...)
 		}
@@ -179,15 +184,16 @@ func (r *Rewriting) ResidualPredicates() int {
 // String renders the rewriting, e.g.
 //
 //	Q(N) :- V4(F, N, "gpcr")("gpcr"), V2(F, Tx)
-func (r *Rewriting) String() string { return string(r.AppendString(nil)) }
+func (r *Rewriting) String() string { return string(r.AppendBound(nil, cq.Rebind{})) }
 
-// AppendString appends String's spelling to dst.
-func (r *Rewriting) AppendString(dst []byte) []byte {
+// AppendBound appends the spelling String gives r.Rebind(rb, …) to dst,
+// without building that rewriting.
+func (r *Rewriting) AppendBound(dst []byte, rb cq.Rebind) []byte {
 	name := r.Query.Name
 	if name == "" {
 		name = "Q"
 	}
-	dst = appendTerms(append(append(dst, name...), '('), r.Head)
+	dst = appendTerms(append(append(dst, name...), '('), r.Head, rb)
 	dst = append(dst, ") :- "...)
 	n := 0
 	sep := func() {
@@ -198,14 +204,15 @@ func (r *Rewriting) AppendString(dst []byte) []byte {
 	}
 	for _, va := range r.ViewAtoms {
 		sep()
-		dst = va.appendTo(dst)
+		dst = va.appendTo(dst, rb)
 	}
 	for _, a := range r.BaseAtoms {
 		sep()
-		dst = append(appendTerms(append(append(dst, a.Pred...), '('), a.Args), ')')
+		dst = append(appendTerms(append(append(dst, a.Pred...), '('), a.Args, rb), ')')
 	}
 	for _, c := range r.Comps {
 		sep()
+		c.L, c.R = rb.Term(c.L), rb.Term(c.R)
 		dst = append(dst, c.String()...)
 	}
 	return dst
@@ -268,7 +275,7 @@ func (r *Rewriting) Rebind(rb cq.Rebind, q *cq.Query) *Rewriting {
 	if r.ViewAtoms != nil {
 		out.ViewAtoms = make([]ViewAtom, len(r.ViewAtoms))
 		for i, va := range r.ViewAtoms {
-			out.ViewAtoms[i] = ViewAtom{View: va.View, Args: terms(va.Args)}
+			out.ViewAtoms[i] = ViewAtom{View: va.View, Args: terms(va.Args), def: va.def}
 		}
 	}
 	if r.BaseAtoms != nil {
@@ -280,24 +287,36 @@ func (r *Rewriting) Rebind(rb cq.Rebind, q *cq.Query) *Rewriting {
 	return out
 }
 
-// renamed returns the rewriting's subgoals with its variables renamed.
-func (r *Rewriting) renamed(s cq.Subst) *Rewriting {
+// renamed returns the rewriting's subgoals with their variables renamed by
+// s and their constants by rb.
+func (r *Rewriting) renamed(s cq.Subst, rb cq.Rebind) *Rewriting {
 	out := &Rewriting{Query: r.Query, Head: r.Head}
+	atom := func(a cq.Atom) cq.Atom {
+		a = s.ApplyAtom(a)
+		for i, t := range a.Args {
+			a.Args[i] = rb.Term(t)
+		}
+		return a
+	}
 	for _, va := range r.ViewAtoms {
-		out.ViewAtoms = append(out.ViewAtoms, ViewAtom{View: va.View, Args: s.ApplyAtom(cq.Atom{Args: va.Args}).Args})
+		out.ViewAtoms = append(out.ViewAtoms, ViewAtom{View: va.View, Args: atom(cq.Atom{Args: va.Args}).Args})
 	}
 	for _, a := range r.BaseAtoms {
-		out.BaseAtoms = append(out.BaseAtoms, s.ApplyAtom(a))
+		out.BaseAtoms = append(out.BaseAtoms, atom(a))
 	}
 	for _, c := range r.Comps {
-		out.Comps = append(out.Comps, s.ApplyComparison(c))
+		c = s.ApplyComparison(c)
+		c.L, c.R = rb.Term(c.L), rb.Term(c.R)
+		out.Comps = append(out.Comps, c)
 	}
 	return out
 }
 
 // Expand replaces every view atom by the view's body (existential variables
 // freshened, head unified with the atom's arguments) yielding a query over
-// base relations only — the rewriting's semantics.
+// base relations only — the rewriting's semantics. A view atom of an
+// enumerated rewriting brings its definition normalized; only the freshening
+// is per atom.
 func (r *Rewriting) Expand() (*cq.Query, error) {
 	out := &cq.Query{Name: r.Query.Name, Head: append([]cq.Term(nil), r.Head...)}
 	for _, a := range r.BaseAtoms {
@@ -305,11 +324,14 @@ func (r *Rewriting) Expand() (*cq.Query, error) {
 	}
 	out.Comps = append(out.Comps, r.Comps...)
 	for k, va := range r.ViewAtoms {
-		def, _, sat := va.View.NormalizeConstants()
-		if !sat {
-			return nil, fmt.Errorf("rewrite: view %s is unsatisfiable", va.View.Name)
+		def := va.def
+		if def == nil {
+			var sat bool
+			if def, _, sat = normalizeView(va.View); !sat {
+				return nil, fmt.Errorf("rewrite: view %s is unsatisfiable", va.View.Name)
+			}
 		}
-		fresh, _, _ := def.Freshen(fmt.Sprintf("e%d_", k), 0)
+		fresh, _, _ := def.Freshen("e"+strconv.Itoa(k)+"_", 0)
 		if len(fresh.Head) != len(va.Args) {
 			return nil, fmt.Errorf("rewrite: view %s arity mismatch", va.View.Name)
 		}
@@ -354,6 +376,9 @@ func (r *Rewriting) equivalentToQuery() bool {
 	}
 	return cq.Equivalent(exp, r.Query)
 }
+
+// normalizeView normalizes a view definition; tests count its calls.
+var normalizeView = (*cq.Query).NormalizeConstants
 
 func safeValidate(q *cq.Query) error {
 	if len(q.Atoms) == 0 {

@@ -348,8 +348,59 @@ func TestEnumerateOrderIgnoresVariableNames(t *testing.T) {
 	}
 	ren := cq.Subst{"Z": cq.Var("W"), "W": cq.Var("Y")}
 	for i := range a {
-		if got, want := a[i].renamed(ren).Key(), b[i].Key(); got != want {
+		if got, want := a[i].renamed(ren, cq.Rebind{}).Key(), b[i].Key(); got != want {
 			t.Fatalf("rewriting %d: %s renamed is %s, the renamed query's is %s", i, a[i], got, want)
 		}
+	}
+}
+
+// TestExpandNormalizesNoView: PrepareViews normalizes each view definition
+// once, and an enumerated rewriting's view atoms carry that form, so neither
+// the certification of every candidate rewriting nor a later Expand
+// normalizes a view again — each only freshens the definition per atom. The
+// expansions are the ones a view normalized on the spot gives.
+func TestExpandNormalizesNoView(t *testing.T) {
+	normalizations := 0
+	defer func(f func(*cq.Query) (*cq.Query, cq.Subst, bool)) { normalizeView = f }(normalizeView)
+	normalizeView = func(q *cq.Query) (*cq.Query, cq.Subst, bool) {
+		normalizations++
+		return q.NormalizeConstants()
+	}
+	views := paperViews(t)
+	vs, err := PrepareViews(views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if normalizations != len(views) {
+		t.Fatalf("PrepareViews normalized %d times, want once per view (%d)", normalizations, len(views))
+	}
+	q, _ := mustQ(t, `Q(N, Pn) :- Family(F, N, Ty), FC(F, P), Person(P, Pn, A), Ty = "gpcr"`).Normalize()
+	normalizations = 0
+	rs := vs.Enumerate(cq.Minimize(q), Options{AllowPartial: true})
+	if len(rs) < 2 {
+		t.Fatalf("%d rewritings, want several", len(rs))
+	}
+	for _, r := range rs {
+		exp, err := r.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if normalizations != 0 {
+			t.Fatalf("enumerating and expanding %d rewritings normalized a view %d times, want 0", len(rs), normalizations)
+		}
+		// The same atoms without the prepared form: normalized on the spot.
+		bare := *r
+		bare.ViewAtoms = nil
+		for _, va := range r.ViewAtoms {
+			bare.ViewAtoms = append(bare.ViewAtoms, ViewAtom{View: va.View, Args: va.Args})
+		}
+		want, err := bare.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exp.String() != want.String() {
+			t.Fatalf("%s: expanded to %s, want %s", r, exp, want)
+		}
+		normalizations = 0
 	}
 }

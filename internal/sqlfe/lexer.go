@@ -21,7 +21,7 @@ import (
 	"unicode/utf8"
 )
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tEOF tokKind = iota
@@ -37,9 +37,9 @@ const (
 )
 
 type token struct {
-	kind tokKind
 	text string
-	pos  int
+	pos  int32 // byte offset in the query
+	kind tokKind
 }
 
 // Error is a SQL parse error with byte offset.
@@ -62,26 +62,26 @@ func lex(src string) ([]token, error) {
 		case unicode.IsSpace(r):
 			pos += size
 		case r == ',':
-			out = append(out, token{tComma, ",", pos})
+			out = append(out, token{",", int32(pos), tComma})
 			pos++
 		case r == '.':
-			out = append(out, token{tDot, ".", pos})
+			out = append(out, token{".", int32(pos), tDot})
 			pos++
 		case r == '*':
-			out = append(out, token{tStar, "*", pos})
+			out = append(out, token{"*", int32(pos), tStar})
 			pos++
 		case r == '(':
-			out = append(out, token{tLParen, "(", pos})
+			out = append(out, token{"(", int32(pos), tLParen})
 			pos++
 		case r == ')':
-			out = append(out, token{tRParen, ")", pos})
+			out = append(out, token{")", int32(pos), tRParen})
 			pos++
 		case r == '=':
-			out = append(out, token{tOp, "=", pos})
+			out = append(out, token{"=", int32(pos), tOp})
 			pos++
 		case r == '!':
 			if strings.HasPrefix(src[pos:], "!=") {
-				out = append(out, token{tOp, "!=", pos})
+				out = append(out, token{"!=", int32(pos), tOp})
 				pos += 2
 			} else {
 				return nil, &Error{pos, "unexpected '!'"}
@@ -89,21 +89,21 @@ func lex(src string) ([]token, error) {
 		case r == '<':
 			switch {
 			case strings.HasPrefix(src[pos:], "<="):
-				out = append(out, token{tOp, "<=", pos})
+				out = append(out, token{"<=", int32(pos), tOp})
 				pos += 2
 			case strings.HasPrefix(src[pos:], "<>"):
-				out = append(out, token{tOp, "!=", pos})
+				out = append(out, token{"!=", int32(pos), tOp})
 				pos += 2
 			default:
-				out = append(out, token{tOp, "<", pos})
+				out = append(out, token{"<", int32(pos), tOp})
 				pos++
 			}
 		case r == '>':
 			if strings.HasPrefix(src[pos:], ">=") {
-				out = append(out, token{tOp, ">=", pos})
+				out = append(out, token{">=", int32(pos), tOp})
 				pos += 2
 			} else {
-				out = append(out, token{tOp, ">", pos})
+				out = append(out, token{">", int32(pos), tOp})
 				pos++
 			}
 		case r == '\'':
@@ -111,7 +111,7 @@ func lex(src string) ([]token, error) {
 			pos++
 			// A literal without '' or an invalid encoding is its source bytes.
 			if n := strings.IndexByte(src[pos:], '\''); n >= 0 && !strings.HasPrefix(src[pos+n+1:], "'") && utf8.ValidString(src[pos:pos+n]) {
-				out = append(out, token{tString, src[pos : pos+n], start})
+				out = append(out, token{src[pos : pos+n], int32(start), tString})
 				pos += n + 1
 				continue
 			}
@@ -135,7 +135,7 @@ func lex(src string) ([]token, error) {
 			if !closed {
 				return nil, &Error{start, "unterminated string literal"}
 			}
-			out = append(out, token{tString, sb.String(), start})
+			out = append(out, token{sb.String(), int32(start), tString})
 		case unicode.IsDigit(r):
 			start := pos
 			for pos < len(src) {
@@ -145,7 +145,7 @@ func lex(src string) ([]token, error) {
 				}
 				pos += s2
 			}
-			out = append(out, token{tNumber, src[start:pos], start})
+			out = append(out, token{src[start:pos], int32(start), tNumber})
 		case unicode.IsLetter(r) || r == '_':
 			start := pos
 			for pos < len(src) {
@@ -155,12 +155,12 @@ func lex(src string) ([]token, error) {
 				}
 				pos += s2
 			}
-			out = append(out, token{tIdent, src[start:pos], start})
+			out = append(out, token{src[start:pos], int32(start), tIdent})
 		default:
 			return nil, &Error{pos, fmt.Sprintf("unexpected character %q", r)}
 		}
 	}
-	out = append(out, token{tEOF, "", len(src)})
+	out = append(out, token{"", int32(len(src)), tEOF})
 	return out, nil
 }
 

@@ -20,8 +20,7 @@ type sqlParser struct {
 	toks   []token
 	pos    int
 
-	instances []*tableInstance
-	byAlias   map[string]*tableInstance
+	instances []*tableInstance // a query names a few: found by alias in a scan
 	pendingOn []cq.Comparison
 }
 
@@ -29,7 +28,7 @@ func (p *sqlParser) peek() token { return p.toks[p.pos] }
 func (p *sqlParser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 
 func (p *sqlParser) errHere(format string, args ...any) error {
-	return &Error{Pos: p.peek().pos, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Pos: int(p.peek().pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 // Parse translates a conjunctive SQL query into a cq.Query over the schema.
@@ -38,7 +37,7 @@ func Parse(schema *storage.Schema, sql string) (*cq.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &sqlParser{schema: schema, toks: toks, byAlias: make(map[string]*tableInstance)}
+	p := &sqlParser{schema: schema, toks: toks}
 	q, err := p.parseSelect()
 	if err != nil {
 		return nil, err
@@ -122,7 +121,7 @@ func (p *sqlParser) parseSelect() (*cq.Query, error) {
 	}
 	p.pos = saved
 
-	q := &cq.Query{Name: "Q"}
+	q := &cq.Query{Name: "Q", Atoms: make([]cq.Atom, 0, len(p.instances)), Head: make([]cq.Term, 0, len(items))}
 	for _, inst := range p.instances {
 		q.Atoms = append(q.Atoms, cq.Atom{Pred: inst.rel.Name, Args: inst.vars})
 	}
@@ -139,7 +138,7 @@ func (p *sqlParser) parseSelect() (*cq.Query, error) {
 		}
 		return t
 	}
-	var residual []cq.Comparison
+	residual := make([]cq.Comparison, 0, len(comps))
 	for _, c := range comps {
 		l, r := resolve(c.L), resolve(c.R)
 		if c.Op == cq.OpEq && l.IsVar() && r.IsVar() {
@@ -157,7 +156,9 @@ func (p *sqlParser) parseSelect() (*cq.Query, error) {
 			residual[i] = subst.ApplyComparison(residual[i])
 		}
 	}
-	q.Comps = residual
+	if len(residual) > 0 {
+		q.Comps = residual
+	}
 	for _, it := range items {
 		head := it.value
 		if head.IsVar() {
@@ -286,7 +287,7 @@ func (p *sqlParser) parseTableRef() error {
 	if alias == "" {
 		alias = t.text
 	}
-	if _, dup := p.byAlias[alias]; dup {
+	if p.byAlias(alias) != nil {
 		return p.errHere("duplicate table alias %q (alias repeated table instances)", alias)
 	}
 	inst := &tableInstance{rel: rel, alias: alias, vars: make([]cq.Term, len(rel.Cols))}
@@ -294,7 +295,16 @@ func (p *sqlParser) parseTableRef() error {
 		inst.vars[i] = cq.Var(alias + "_" + col.Name)
 	}
 	p.instances = append(p.instances, inst)
-	p.byAlias[alias] = inst
+	return nil
+}
+
+// byAlias returns the table instance of an alias, or nil.
+func (p *sqlParser) byAlias(alias string) *tableInstance {
+	for _, inst := range p.instances {
+		if inst.alias == alias {
+			return inst
+		}
+	}
 	return nil
 }
 
@@ -361,13 +371,13 @@ func (p *sqlParser) parseColumnRef() (cq.Term, string, error) {
 			return cq.Term{}, "", p.errHere("expected column after %q.", first.text)
 		}
 		colTok := p.next()
-		inst := p.byAlias[first.text]
+		inst := p.byAlias(first.text)
 		if inst == nil {
-			return cq.Term{}, "", &Error{Pos: first.pos, Msg: fmt.Sprintf("unknown table alias %q", first.text)}
+			return cq.Term{}, "", &Error{Pos: int(first.pos), Msg: fmt.Sprintf("unknown table alias %q", first.text)}
 		}
 		idx := inst.rel.ColIndex(colTok.text)
 		if idx < 0 {
-			return cq.Term{}, "", &Error{Pos: colTok.pos,
+			return cq.Term{}, "", &Error{Pos: int(colTok.pos),
 				Msg: fmt.Sprintf("table %s has no column %q", inst.rel.Name, colTok.text)}
 		}
 		return inst.vars[idx], colTok.text, nil
@@ -385,11 +395,11 @@ func (p *sqlParser) parseColumnRef() (cq.Term, string, error) {
 	}
 	switch matches {
 	case 0:
-		return cq.Term{}, "", &Error{Pos: first.pos, Msg: fmt.Sprintf("unknown column %q", first.text)}
+		return cq.Term{}, "", &Error{Pos: int(first.pos), Msg: fmt.Sprintf("unknown column %q", first.text)}
 	case 1:
 		return found, label, nil
 	default:
-		return cq.Term{}, "", &Error{Pos: first.pos,
+		return cq.Term{}, "", &Error{Pos: int(first.pos),
 			Msg: fmt.Sprintf("ambiguous column %q (qualify with an alias, e.g. %s.%s)",
 				first.text, strings.ToLower(p.instances[0].alias), first.text)}
 	}

@@ -75,13 +75,15 @@ func appendWireAnswer(dst []byte, res *core.Result) []byte {
 		}
 	}
 	dst = append(dst, `],"rewritings":[`...)
-	var scratch [256]byte // a rewriting's spelling, escaped from here
-	for i, rw := range res.Rewritings {
+	scratch := renderScratch.Get().(*[]byte) // a rewriting's spelling, escaped from here
+	for i := range res.NumRewritings() {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = format.AppendJSONBytes(dst, rw.AppendString(scratch[:0]))
+		*scratch = res.AppendRewriting((*scratch)[:0], i)
+		dst = format.AppendJSONBytes(dst, *scratch)
 	}
+	putRenderScratch(scratch)
 	dst = append(dst, `],"polynomials":`...)
 	if len(res.Tuples) == 0 {
 		dst = append(dst, "null"...)
@@ -109,15 +111,20 @@ func appendCitation(dst []byte, r format.Renderer, v format.Value) []byte {
 	buf := renderScratch.Get().(*[]byte)
 	*buf = jr.AppendRender((*buf)[:0], v)
 	dst = format.AppendJSONBytes(dst, *buf)
-	if cap(*buf) <= maxRenderScratch {
-		renderScratch.Put(buf)
-	}
+	putRenderScratch(buf)
 	return dst
 }
 
-// renderScratch holds the buffers appendCitation renders into; one larger
-// than maxRenderScratch is left to the collector rather than kept.
+// renderScratch holds the buffers a citation or a rewriting is spelled into
+// before it is escaped; one larger than maxRenderScratch is left to the
+// collector rather than kept.
 var renderScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+func putRenderScratch(buf *[]byte) {
+	if cap(*buf) <= maxRenderScratch {
+		renderScratch.Put(buf)
+	}
+}
 
 const maxRenderScratch = 64 << 10
 

@@ -136,13 +136,11 @@ func TestAppendWireMatchesEncodingJSON(t *testing.T) {
 // values, a rewriting, the polynomials' parameters, the citation record's
 // keys and values — comes from the fuzzer.
 func fuzzCitation(s, k string, n uint8) *Citation {
-	res := &core.Result{
-		Rewritings: []*rewrite.Rewriting{{Query: &cq.Query{Name: k}, Head: []cq.Term{{IsConst: true, Value: s}, {Name: k}}}},
-		Citation: format.O(format.NewObject().
-			Set(k, format.S(s)).
-			Set("list", format.L(format.S(s), format.O(format.NewObject().Set(s, format.L())))).
-			Set("empty", format.O(format.NewObject()))),
-	}
+	res := core.NewResult([]*rewrite.Rewriting{{Query: &cq.Query{Name: k}, Head: []cq.Term{{IsConst: true, Value: s}, {Name: k}}}})
+	res.Citation = format.O(format.NewObject().
+		Set(k, format.S(s)).
+		Set("list", format.L(format.S(s), format.O(format.NewObject().Set(s, format.L())))).
+		Set("empty", format.O(format.NewObject())))
 	if n&1 != 0 {
 		res.Columns = []string{k, s}
 	}
